@@ -25,9 +25,9 @@ Two comparison regimes, chosen per family by *config fingerprint*
   regardless of scale (speedups > 1, no serving errors, nonzero
   invalidation on adversarial schedules).
 
-Families: parallel_scoring, sampled_scoring, mask_build,
-candidate_carry, streaming_ingest, serving.  A family missing on
-either side is reported and skipped (CI only re-runs a subset).
+Families: sampled_scoring, mask_build, streaming_ingest, serving.  A
+family missing on either side is reported and skipped (CI only re-runs
+a subset).
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from pathlib import Path
 #: walks the payload (list segments iterate) and ``direction`` is
 #: "higher" or "lower" (better).
 FAMILIES = {
-    "parallel_scoring": (
-        "parallel_scoring.json",
-        [(("modes", "speedup_vs_seed"), "higher")],
-    ),
     "sampled_scoring": (
         "sampled_scoring.json",
         [
@@ -55,13 +51,6 @@ FAMILIES = {
     "mask_build": (
         "mask_build.json",
         [(("rows", "speedup"), "higher")],
-    ),
-    "candidate_carry": (
-        "candidate_carry.json",
-        [
-            (("modes", "rescore_reduction_vs_seed"), "higher"),
-            (("modes", "steps_per_second"), "higher"),
-        ],
     ),
     "streaming_ingest": (
         "streaming_ingest.json",
@@ -147,14 +136,7 @@ def _diff_family(name, metrics, baseline, fresh, tolerance):
 def _floors_family(name, fresh):
     """Fingerprints differed: assert scale-free health invariants."""
     failures = []
-    if name == "parallel_scoring":
-        speedups = [m.get("speedup_vs_seed", 0) for m in fresh.get("modes", [])]
-        if not any(s > 1.0 for s in speedups[1:]):
-            failures.append(
-                f"{name}: no optimized mode beat the seed "
-                f"(speedups {speedups})"
-            )
-    elif name == "sampled_scoring":
+    if name == "sampled_scoring":
         for row in fresh.get("rows", []):
             if row.get("speedup", 0) <= 1.0:
                 failures.append(
@@ -188,14 +170,6 @@ def _floors_family(name, fresh):
                 failures.append(
                     f"{name}: n_vals {row.get('n_vals')} packed build "
                     f"slower than the bigint loop ({row.get('speedup')}x)"
-                )
-    elif name == "candidate_carry":
-        for mode in fresh.get("modes", []):
-            if mode["mode"] == "seed":
-                continue
-            if mode.get("rescore_reduction_vs_seed", 0) < 1.0:
-                failures.append(
-                    f"{name}: mode {mode['mode']} rescored more than seed"
                 )
     elif name == "streaming_ingest":
         for schedule in fresh.get("schedules", []):

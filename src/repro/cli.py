@@ -131,13 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "on", "off"),
         default="auto",
         help="cross-step candidate carry: maintain the candidate pool "
-        "and delta-rescore across greedy steps (default: auto)",
-    )
-    summarize.add_argument(
-        "--lazy",
-        action="store_true",
-        help="lazy-greedy selection: re-score only queue heads "
-        "(requires carry; sound by Prop 4.2.2 monotonicity)",
+        "and select through the lazy-greedy queue, re-scoring only "
+        "queue heads (sound by Prop 4.2.2 monotonicity; default: auto)",
     )
     summarize.add_argument(
         "--sample-sharing",
@@ -308,7 +303,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         merge_arity=args.arity,
         seed=args.seed,
         carry=args.carry,
-        lazy=args.lazy,
         sample_sharing=args.sample_sharing,
         sample_block=args.sample_block,
     )

@@ -13,9 +13,9 @@ Public entry points:
   competitors.
 * :class:`~repro.core.distance.DistanceComputer` -- exact/sampled
   summary-quality distances (Propositions 4.1.1-4.1.2).
-* :class:`~repro.core.engine.ScoringEngine` -- parallel/incremental
-  per-step candidate scoring behind the ``parallelism=`` /
-  ``incremental=`` config knobs.
+* :class:`~repro.core.engine.ScoringEngine` -- serial, incremental
+  per-step candidate scoring with lazy-greedy selection, behind the
+  ``incremental=`` / ``carry=`` config knobs.
 * :class:`~repro.core.sampled_scoring.SampledStepScorer` -- the
   bit-packed Monte-Carlo kernel for classes too large to enumerate
   (``sample_sharing=`` / ``sample_block=`` config knobs).
@@ -51,7 +51,7 @@ from .distance import (
     chebyshev_sample_size,
     exhaustive_distance,
 )
-from .engine import ScoringEngine, resolve_workers
+from .engine import ScoringEngine
 from .equivalence import (
     constrained_groups,
     equivalence_classes,
@@ -130,7 +130,6 @@ __all__ = [
     "group_influence",
     "minimal_zero_distance_summary",
     "rank_influential",
-    "resolve_workers",
     "score_candidates",
     "summarize",
     "virtual_summary",

@@ -249,6 +249,7 @@ class BeamSummarizer:
             total_seconds=time.perf_counter() - started,
             config=config,
             equivalence_mapping=equivalence_mapping,
+            scoring_fallbacks=engine.fallback_count,
         )
 
     @staticmethod

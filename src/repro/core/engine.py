@@ -1,9 +1,9 @@
-"""The candidate scoring engine: parallel fan-out + incremental carry.
+"""The candidate scoring engine: serial, incremental, lazy.
 
-One Algorithm-1 step measures every candidate merge's size and
-distance -- the dominant cost of the whole algorithm.  The
-:class:`ScoringEngine` owns that measurement and picks, per step, the
-cheapest path that preserves the reference semantics:
+One Algorithm-1 step measures candidate merges' sizes and distances --
+the dominant cost of the whole algorithm.  The :class:`ScoringEngine`
+owns that measurement and picks, per step, the cheapest kernel that
+preserves the reference semantics:
 
 * **fast** -- the batch :class:`~repro.core.fast_distance.FastStepScorer`
   when its preconditions hold;
@@ -15,79 +15,52 @@ cheapest path that preserves the reference semantics:
   :class:`~repro.core.sampled_scoring.SampledStepScorer` when the
   class is too large to enumerate: the same bitmask kernel over one
   shared Monte-Carlo batch per step (common random numbers), carried
-  across steps with its batch pinned so the candidate carry and the
-  lazy queue stay sound;
+  across steps with its batch pinned so the lazy queue stays sound;
 * **naive** -- the reference :class:`~repro.core.distance
   .DistanceComputer` applied to each materialized candidate expression
   (for large classes this is the per-candidate reference sampler --
   also the fallback when ``sample_sharing`` is off or the kernel's
   preconditions fail).
 
-The fast paths additionally shard the candidate set across worker
-*processes*.  Workers are pre-forked: the step's scorer (packed
-valuation bitmasks, per-group baselines, aligned originals) lives in a
-module-level global set *before* the pool forks, so the state ships to
-every worker via copy-on-write pages -- no pickling of the step state,
-only the small per-candidate results travel back.  Chunks are
-concatenated in candidate order, so the parallel path is deterministic
-and bit-identical to running the same scorer serially.
+Selection.  Under ``scoring="normalized"`` with the carried scorer
+(``carry`` and ``incremental`` not off -- the default) the greedy loop
+selects through :meth:`ScoringEngine.measure_lazy`: candidates sit in
+a priority queue keyed by their possibly-stale ``CandidateScore``.
+Stale scores are lower bounds (Prop 4.2.2: along a merge chain the
+distance never falls and the size never grows), so only queue heads
+are re-scored until the head is fresh, and the winner is the one a
+full re-score would pick.  Every other configuration -- ordinal ranks,
+beam search, ``carry``/``incremental`` off -- measures the whole step
+through :meth:`ScoringEngine.measure` and ranks it in full.
+
+Everything runs serially in the calling thread: there is no worker
+pool, so the engine is safe to drive from any thread of the serving
+tier.
+
+Streaming repair.  The first measurement of a run (a fresh lazy queue)
+goes through :meth:`ScoringEngine._score_step`, which records each
+candidate's per-valuation accumulators so
+:meth:`~ScoringEngine.capture_repair_checkpoint` can hand them to the
+next run; that run re-bases the untouched candidates on the checkpoint
+(:meth:`~ScoringEngine._score_from_seed`) instead of re-scoring them.
 
 Robustness contract: if any fast path raises mid-run -- a latent
-applicability gap, a fork failure, a broken pool -- the engine rescores
-the *entire* step through the naive path rather than crashing or
-returning a partial candidate list.  ``path_counts`` records which path
-every step actually took.
-
-Knob resolution (``SummarizationConfig``):
-
-* ``parallelism``: ``None`` ("auto") engages ``os.cpu_count()`` workers
-  when the machine has ≥ 2 cores and the step has at least
-  ``parallel_threshold`` candidates; ``0``/``1`` ("off") restores the
-  serial seed behavior; any other int forces that many workers.
-* ``incremental``: ``None`` ("auto") and ``True`` ("on") carry the step
-  scorer; ``False`` ("off") rebuilds a dense scorer every step (seed
-  behavior).
-* ``carry``: ``None`` ("auto") and ``True`` ("on") keep candidate
-  *measurements* across steps as well: disjoint candidates are
-  delta-corrected (exact size shift, shared per-valuation distance
-  delta) and only the merge-affected neighborhood is re-scored, then a
-  ``refresh_near`` confirmation pass re-scores everything within 1e-9
-  of the head so selection stays bit-identical to a full re-score.
-  ``False`` ("off") restores the full per-step re-score.  The carry
-  engages only with ``scoring="normalized"`` (ordinal ranks compare
-  floats exactly) and a sparse incremental scorer; otherwise the pool
-  still maintains the candidate list but every candidate is re-scored.
-* ``lazy``: ``True`` ("on") selects the winner through a lazy-greedy
-  priority queue -- stale distance scores are lower bounds by Prop
-  4.2.2 monotonicity, so only popped queue heads are re-scored until
-  the head is fresh.  Requires ``scoring="normalized"`` and ``carry``
-  not off (validated by ``SummarizationConfig``).
-
-Parallel fan-out requires the ``fork`` start method (Linux/macOS
-CPython); platforms without it silently run serially.  It also
-requires being called from the **main thread**: forking while sibling
-threads run can snapshot a pool queue's semaphore (or any lock)
-mid-acquire and deadlock the child, so a request-handler thread in the
-serving tier degrades to serial scoring with a structured-log warning
-instead of wedging the session.
+applicability gap, a broken scorer -- the engine rescores the
+*entire* step through the naive path rather than crashing or returning
+a partial candidate list.  ``path_counts`` records which path every
+step actually took and ``fallback_count`` how often a fast path
+failed.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
-import pickle
-import threading
 import time
-from array import array
 from collections import Counter
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..observability import log as _log
 from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
-from ..provenance import ir as _ir
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from .candidates import Candidate, virtual_summary
 from .distance import DistanceComputer, DistanceEstimate
@@ -96,7 +69,6 @@ from .mapping import MappingState
 from .sampled_scoring import SampledStepScorer
 from .scoring import ScoredCandidate, score_candidates
 from . import kernels as _kernels
-from . import shm as _shm
 
 _SCORING_STEPS = _metrics.counter(
     "prox_scoring_steps_total",
@@ -115,19 +87,15 @@ _SCORING_FALLBACKS = _metrics.counter(
     "prox_scoring_fallbacks_total",
     "Fast-path failures rescored through the naive path.",
 )
-_SCORING_WORKERS = _metrics.gauge(
-    "prox_scoring_workers",
-    "Worker processes used by the most recent scoring step.",
-)
 _SCORING_CARRIED = _metrics.counter(
     "prox_scoring_candidates_carried_total",
     "Candidates whose measurement was carried across a step "
-    "(delta-corrected or served stale from the lazy queue).",
+    "(served stale from the lazy queue or seeded by streaming repair).",
 )
 _SCORING_RESCORED = _metrics.counter(
     "prox_scoring_candidates_rescored_total",
     "Candidates freshly re-scored under cross-step carry "
-    "(intersecting, new, or confirmation re-scores).",
+    "(fresh queue, new pairs, or popped stale queue heads).",
 )
 _SCORING_SAMPLED_FAST = _metrics.counter(
     "prox_scoring_sampled_fast_total",
@@ -139,6 +107,14 @@ _SAMPLE_BATCH_REUSE = _metrics.counter(
     "Sampled steps that reused the carried scorer's valuation batch "
     "instead of redrawing it.",
 )
+
+#: Margin subtracted from a stale queue key.  A stale (or repair-seeded)
+#: estimate is a lower bound in exact arithmetic, but its float sum may
+#: associate differently from a fresh walk's; the margin -- far above
+#: that dust, far below any real score gap -- keeps the key a lower
+#: bound bit for bit, so the popped fresh winner is exactly the one a
+#: full re-score would rank first.
+_STALE_MARGIN = 1e-9
 
 
 class _OverlayUniverse:
@@ -165,144 +141,6 @@ class _OverlayUniverse:
         return name in self._extra or name in self._base
 
 
-#: Step state inherited by forked workers (set only around a pool's
-#: lifetime).  Fork copies the parent's address space, so workers read
-#: the scorer without any serialization.  Candidate parts ship as two
-#: flat columns -- one list of part names and an ``array('q')`` of
-#: candidate offsets -- instead of thousands of per-candidate tuples:
-#: the compact arrays occupy far fewer copy-on-write pages and dirty
-#: none of them with per-object refcount writes in the workers.
-#: Published shared-memory blocks (the IR arena, the pinned sample
-#: batch, the detail-result matrices) ride along as fork-inherited
-#: mappings -- workers never attach segments by name.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _worker_bind() -> None:
-    """One-time per-worker setup: map the published shared blocks.
-
-    Runs lazily on a worker's first span.  The flags written here land
-    in the child's copy-on-write ``_WORKER_STATE`` -- each worker binds
-    once, the parent's dict is untouched.  Both bindings are
-    correctness-neutral (the mapped arena serves the same ids and
-    columns, the mapped weights the same doubles), so failures fall
-    back to the inherited state silently.
-    """
-    if _WORKER_STATE.get("bound"):
-        return
-    _WORKER_STATE["bound"] = True
-    arena = _WORKER_STATE.get("arena")
-    if arena is not None:
-        try:
-            from ..provenance import ir as _ir
-
-            _ir.install_store(arena.map_store())
-        except Exception:
-            pass
-    batch = _WORKER_STATE.get("batch")
-    if batch is not None:
-        try:
-            _WORKER_STATE["scorer"].adopt_shared_weights(
-                batch.weights_view()
-            )
-        except Exception:
-            pass
-
-
-def _score_span(span: Tuple[int, int]) -> List[Tuple[int, int, float]]:
-    """Score a contiguous slice of the step's candidates (worker side).
-
-    Returns only ``(candidate_index, size, distance_value)`` triples:
-    the parent rebuilds the (deterministic) estimate objects, so the
-    pickled payload is independent of ``n_vals`` and candidate shape.
-    """
-    _worker_bind()
-    scorer = _WORKER_STATE["scorer"]
-    names = _WORKER_STATE["part_names"]
-    offsets = _WORKER_STATE["part_offsets"]
-    low, high = span
-    out: List[Tuple[int, int, float]] = []
-    for index in range(low, high):
-        size, estimate = scorer.score(
-            names[offsets[index] : offsets[index + 1]]
-        )
-        out.append((index, size, estimate.value))
-    return out
-
-
-def _score_span_detail(span: Tuple[int, int]) -> List[Tuple[int, int, float]]:
-    """Like :func:`_score_span` for the carry path: the per-valuation
-    accumulator vectors are written into the step's shared matrices
-    (one row per candidate, rows disjoint) instead of being pickled
-    back -- the return stays index/size/distance triples."""
-    _worker_bind()
-    scorer = _WORKER_STATE["scorer"]
-    names = _WORKER_STATE["part_names"]
-    offsets = _WORKER_STATE["part_offsets"]
-    accs_rows = _WORKER_STATE["accs_matrix"]
-    wf_rows = _WORKER_STATE["wf_matrix"]
-    low, high = span
-    out: List[Tuple[int, int, float]] = []
-    for index in range(low, high):
-        size, estimate, accs, wf = scorer.score_detail(
-            names[offsets[index] : offsets[index + 1]]
-        )
-        accs_rows.write_row(index, accs)
-        wf_rows.write_row(index, wf)
-        out.append((index, size, estimate.value))
-    return out
-
-
-def fork_available() -> bool:
-    """Whether pre-forked worker pools are supported on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-_FORK_UNSAFE_WARNED = False
-
-
-def fork_safe_here() -> bool:
-    """Whether forking a worker pool is safe from the calling thread.
-
-    A fork snapshots every lock and pool-queue semaphore in whatever
-    state some sibling thread holds it, so forking off the main thread
-    (a server request-handler, the eviction loop, ...) can deadlock
-    the child on a lock whose owner does not exist there.  Main-thread
-    callers (CLI, benchmarks, tests) keep the pre-forked pool.
-    """
-    return threading.current_thread() is threading.main_thread()
-
-
-def _warn_fork_unsafe(workers: int) -> None:
-    global _FORK_UNSAFE_WARNED
-    if _FORK_UNSAFE_WARNED:
-        return
-    _FORK_UNSAFE_WARNED = True
-    _log.get_logger("core.engine").warning(
-        "parallel_fork_unsafe requested_workers=%d thread=%s "
-        "resolution=serial reason=%s",
-        workers,
-        _log.quote(threading.current_thread().name),
-        _log.quote("fork off the main thread can deadlock workers"),
-    )
-
-
-def resolve_workers(
-    parallelism: Optional[int], n_candidates: int, threshold: int
-) -> int:
-    """Workers to use for a step of ``n_candidates`` candidates."""
-    if parallelism is None:
-        cpus = os.cpu_count() or 1
-        if cpus < 2 or n_candidates < threshold:
-            return 1
-        workers = cpus
-    else:
-        workers = parallelism
-    if workers <= 1 or not fork_available():
-        return 1
-    return max(1, min(workers, n_candidates))
-
-
 class ScoringEngine:
     """Measures one step's candidates; carries state between steps."""
 
@@ -317,53 +155,42 @@ class ScoringEngine:
         self.config = config
         self.computer = computer
         self._incremental = config.incremental is not False
-        # Cross-step candidate carry (delta re-scoring) only serves
-        # "normalized" scoring: ordinal ranks compare raw floats for
-        # exact tie equality, which carried-sum association dust would
-        # perturb.  The candidate *pool* carry is scorer-independent
-        # and stays available either way (see core.pool).
-        self._carry = (
-            getattr(config, "carry", None) is not False
-            and config.scoring == "normalized"
+        # Lazy selection needs absolute scores (ordinal ranks are
+        # per-step, so a stale rank bounds nothing) and a scorer
+        # carried through advance() (stale entries must describe an
+        # earlier expression of the same merge chain).
+        self._lazy = (
+            config.scoring == "normalized"
+            and config.carry is not False
+            and self._incremental
         )
-        self._lazy = bool(getattr(config, "lazy", False))
         # Bit-packed sampled scoring for classes too large to
         # enumerate: one shared Monte-Carlo batch per step instead of
         # per-candidate redraws through the naive path.  "auto"/"on"
         # engage it whenever the kernel's preconditions hold; "off"
         # restores the reference per-candidate sampler.
-        self._sample_sharing = (
-            getattr(config, "sample_sharing", None) is not False
-        )
+        self._sample_sharing = config.sample_sharing is not False
         self._scorer: Optional[IncrementalStepScorer] = None
-        #: Carried per-candidate measurements keyed by parts tuple:
-        #: ``(size, accumulators, weighted_finished)`` in delta-carry
-        #: mode, ``(size, estimate)`` in lazy mode.  Valid only while
-        #: ``_carry_expr`` tracks the scorer's current expression
-        #: through advance().
+        #: The lazy queue's carried measurements, parts → ``(size,
+        #: estimate)``.  Valid only while ``_carry_expr`` tracks the
+        #: scorer's current expression through advance().
         self._carry_store: Dict[Tuple[str, ...], tuple] = {}
         self._carry_expr: object = None
         self._carry_ready: bool = False
+        #: Per-valuation accumulators of the current fresh queue, parts
+        #: → ``(size, accs, weighted_finished)`` -- what
+        #: :meth:`capture_repair_checkpoint` hands the next run.  Built
+        #: only when a queue starts fresh; dropped by advance().
+        self._detail_store: Optional[Dict[Tuple[str, ...], tuple]] = None
         #: Cross-run repair seed (a previous run's step-0 checkpoint
         #: plus the delta's flipped labels / affected names), consumed
-        #: by the first :meth:`measure` and then cleared.
+        #: by the first measurement and then cleared.
         self._repair_seed: Optional[tuple] = None
-        #: Step-0 measurements served from the repair seed vs. freshly
-        #: re-scored (telemetry for the streaming-repair harness).
+        #: Step-0 measurements served from the repair seed (telemetry
+        #: for the streaming-repair harness).
         self.last_repair_seeded: int = 0
-        self.last_repair_rescored: int = 0
-        #: Parts whose current measurement is delta-carried (stale);
-        #: ``refresh_near`` re-scores these exactly on demand.
-        self._stale: set = set()
-        #: Path taken by the most recent :meth:`measure` call.
+        #: Path taken by the most recent measurement.
         self.last_path: str = ""
-        #: Workers used by the most recent :meth:`measure` call.
-        self.last_workers: int = 1
-        #: Pickled bytes returned by the most recent parallel step's
-        #: workers (index/size/distance triples only; -1 until a
-        #: parallel step runs).  The parallel benchmark asserts this
-        #: stays independent of ``n_vals``.
-        self.last_worker_payload_bytes: int = -1
         #: Kernel backend that folded the most recent step's masks
         #: (the scorer's captured backend; the process-wide active
         #: backend for naive steps, which fold nothing).
@@ -374,13 +201,10 @@ class ScoringEngine:
         self.last_sample_batch: int = 0
         self.last_sample_variance: float = 0.0
         self.last_batch_reused: bool = False
-        #: Carried / freshly re-scored candidate counts of the most
-        #: recent step (refresh_near moves entries carried → rescored).
+        #: Carried (stale) / freshly scored candidate counts of the most
+        #: recent step; they partition its candidate set.
         self.last_carried: int = 0
         self.last_rescored: int = 0
-        #: Lifetime totals of the two counts above.
-        self.total_carried: int = 0
-        self.total_rescored: int = 0
         #: How often each path was taken over the engine's lifetime.
         self.path_counts: Dict[str, int] = {}
         #: Fast-path failures that fell back to naive rescoring.
@@ -408,16 +232,140 @@ class ScoringEngine:
         span = _tracing.span("score_candidates")
         with span:
             measured, seconds = self._measure(candidates, current, mapping)
-            span.set("path", self.last_path)
-            span.set("kernel", self.last_kernel)
-            span.set("workers", self.last_workers)
-            span.set("n_candidates", len(candidates))
-            span.set("seconds", seconds)
-            span.set("carried", self.last_carried)
-            span.set("rescored", self.last_rescored)
-            self._set_sample_attrs(span)
+            self._set_step_attrs(span, len(candidates), seconds)
         self._emit_step_metrics(len(candidates), seconds)
         return measured, seconds
+
+    def measure_lazy(
+        self,
+        candidates: Sequence[Candidate],
+        current,
+        mapping: MappingState,
+        w_dist: float,
+        w_size: float,
+        original_size: int,
+    ) -> Tuple[ScoredCandidate, float]:
+        """Select the step's best candidate via the lazy-greedy queue.
+
+        Candidates sit in a priority queue keyed by ``CandidateScore``.
+        Sizes are kept exact (cheap), while a carried entry's distance
+        may be *stale* -- measured against an earlier expression in the
+        merge chain.  By Prop 4.2.2 the distance from the original is
+        non-decreasing along merge chains, so a stale distance (and
+        with exact sizes, a stale score) is a lower bound on the fresh
+        one: popping the minimum, re-scoring it if stale and pushing it
+        back terminates with the true fresh argmin when the top entry
+        is fresh.  Candidates far from the top are never re-scored and
+        their staleness deepens harmlessly.
+        """
+        span = _tracing.span("score_candidates")
+        with span:
+            best, seconds = self._measure_lazy(
+                candidates, current, mapping, w_dist, w_size, original_size
+            )
+            self._set_step_attrs(span, len(candidates), seconds)
+        self._emit_step_metrics(len(candidates), seconds)
+        return best, seconds
+
+    def advance(
+        self,
+        parts: Sequence[str],
+        new_name: str,
+        new_expression,
+        new_mapping: MappingState,
+    ) -> None:
+        """Carry the step scorer past the applied merge ``parts → new_name``.
+
+        A failed carry is never fatal: the scorer is dropped and the
+        next measurement rebuilds from scratch.
+        """
+        self._detail_store = None
+        scorer = self._scorer
+        if scorer is None:
+            self._invalidate_carry()
+            return
+        measured_expr = scorer.current
+        try:
+            scorer.advance(parts, new_name, new_expression, new_mapping)
+        except Exception:
+            self._scorer = None
+            self._invalidate_carry()
+            return
+        # Re-link the queue's carried measurements to the new
+        # expression.  A merge whose global term-canonicalization
+        # collapsed duplicates *outside* its own neighborhood breaks the
+        # carried-size identity for every candidate (the candidate's
+        # own merge would collapse the same pair), not just for
+        # intersecting ones -- drop the whole carry and re-measure.
+        if (
+            self._carry_ready
+            and self._carry_expr is measured_expr
+            and scorer.last_shift_local
+        ):
+            self._carry_expr = new_expression
+        else:
+            self._invalidate_carry()
+
+    def capture_repair_checkpoint(self) -> Optional[dict]:
+        """Snapshot the current step's measurement state for repair.
+
+        Called by the summarizer right after the *first* greedy step's
+        measurement (before any merge is applied): a later run over a
+        delta-extended problem can :meth:`seed_repair` from this
+        snapshot and skip re-measuring every candidate untouched by
+        the delta.  Returns ``None`` when the step's path cannot seed
+        a repair -- ordinal or beam selection, the sampled kernel
+        (its Monte-Carlo batch is not reproducible across runs), a
+        dense scorer or the naive fallback -- in which case the
+        repaired run simply re-scores from scratch (correct, just not
+        accelerated).
+        """
+        store = self._detail_store
+        scorer = self._scorer
+        if store is None or scorer is None or self._carry_expr is not scorer.current:
+            return None
+        labels = tuple(str(valuation) for valuation in scorer.valuations)
+        if len(set(labels)) != len(labels):
+            return None
+        # No later step mutates the store's lists (advance drops the
+        # reference, and seeding builds fresh lists), so the checkpoint
+        # shares them rather than copying.
+        return {
+            "store": store,
+            "labels": labels,
+            "weights": tuple(valuation.weight for valuation in scorer.valuations),
+            "expr_size": scorer.current.size(),
+            "terms": tuple(scorer._terms),
+            "nonzero_empty": all(not entries for entries in scorer._nonzero),
+        }
+
+    def seed_repair(
+        self,
+        checkpoint: Optional[dict],
+        flipped_labels: Sequence[str] = (),
+        affected_names: Sequence[str] = (),
+    ) -> None:
+        """Arm the next measurement with a prior run's step-0 checkpoint.
+
+        ``flipped_labels`` are the valuation labels whose truth
+        assignments the delta extended (their positions must be
+        re-measured); ``affected_names`` the annotations the delta
+        added or removed (candidates touching them are re-scored
+        fresh).  The seed is consumed by the first lazy measurement
+        and discarded on any applicability miss -- seeding can only
+        skip work, never change a result.
+        """
+        self.last_repair_seeded = 0
+        if checkpoint is None:
+            self._repair_seed = None
+            return
+        self._repair_seed = (
+            checkpoint,
+            frozenset(flipped_labels),
+            frozenset(affected_names),
+        )
+
+    # -- internals ---------------------------------------------------------------
 
     def _measure(
         self,
@@ -425,47 +373,111 @@ class ScoringEngine:
         current,
         mapping: MappingState,
     ) -> Tuple[List[ScoredCandidate], float]:
-        # Default partition: everything freshly scored.  The carry
-        # branch of _score_step overwrites both counts.
+        # A full measurement re-bases nothing on earlier steps: a repair
+        # seed is dropped unused and the lazy queue (if any) must
+        # restart fresh afterwards.
+        self._begin_step(candidates)
+        self._invalidate_carry()
+        scorer = self._fast_scorer(current, mapping)
+        if scorer is not None:
+            started = time.perf_counter()
+            try:
+                results = [scorer.score(candidate.parts) for candidate in candidates]
+            except Exception:
+                # The fast path bailed mid-run: never crash or skip
+                # candidates -- rescore the whole step naively.
+                self._scorer = None
+                self._note_fallback()
+            else:
+                measured = [
+                    ScoredCandidate(
+                        candidate=candidate,
+                        expression=None,
+                        step_mapping={},
+                        size=size,
+                        distance=distance,
+                    )
+                    for candidate, (size, distance) in zip(candidates, results)
+                ]
+                self._note_fast_step(scorer)
+                return measured, time.perf_counter() - started
+        return self._measure_naive(candidates, current, mapping)
+
+    def _measure_lazy(
+        self,
+        candidates: Sequence[Candidate],
+        current,
+        mapping: MappingState,
+        w_dist: float,
+        w_size: float,
+        original_size: int,
+    ) -> Tuple[ScoredCandidate, float]:
+        if not self._lazy:
+            # No carried scorer to keep stale entries sound: full
+            # measurement + full ranking.
+            measured, seconds = self._measure(candidates, current, mapping)
+            return self._rank_first(measured, w_dist, w_size, original_size), seconds
+        seed = self._begin_step(candidates)
+        scorer = self._fast_scorer(current, mapping)
+        if scorer is not None:
+            started = time.perf_counter()
+            try:
+                best, carried, rescored = self._lazy_select(
+                    scorer, candidates, seed, w_dist, w_size, original_size
+                )
+            except Exception:
+                self._scorer = None
+                self._invalidate_carry()
+                self._note_fallback()
+            else:
+                self.last_carried = carried
+                self.last_rescored = rescored
+                self._note_fast_step(scorer)
+                return best, time.perf_counter() - started
+        # No fast kernel (or it failed): full naive measurement + rank.
+        measured, seconds = self._measure_naive(candidates, current, mapping)
+        return self._rank_first(measured, w_dist, w_size, original_size), seconds
+
+    @staticmethod
+    def _rank_first(
+        measured: List[ScoredCandidate],
+        w_dist: float,
+        w_size: float,
+        original_size: int,
+    ) -> ScoredCandidate:
+        return score_candidates(
+            measured,
+            w_dist=w_dist,
+            w_size=w_size,
+            original_size=original_size,
+            strategy="normalized",
+        )[0]
+
+    def _begin_step(self, candidates: Sequence[Candidate]) -> Optional[tuple]:
+        """Reset the per-step telemetry; returns (and disarms) the
+        repair seed, which only the run's first measurement may use."""
+        seed = self._repair_seed
+        self._repair_seed = None
+        # Default partition: everything freshly scored.  The lazy queue
+        # overwrites both counts.
         self.last_carried = 0
         self.last_rescored = len(candidates)
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
+        return seed
+
+    def _fast_scorer(self, current, mapping: MappingState) -> Optional[FastStepScorer]:
+        """The step's fast scorer, or ``None`` for the naive path."""
         mode = self._step_mode(current)
-        if mode is not None:
-            try:
-                scorer = self._obtain_scorer(current, mapping, mode)
-            except Exception:
-                self._scorer = None
-                scorer = None
-                self._note_fallback()
-            if scorer is not None:
-                started = time.perf_counter()
-                try:
-                    results = self._score_step(scorer, candidates)
-                except Exception:
-                    # The fast path bailed mid-run: never crash or skip
-                    # candidates -- rescore the whole step naively.
-                    self._scorer = None
-                    self._invalidate_carry()
-                    self._note_fallback()
-                else:
-                    measured = [
-                        ScoredCandidate(
-                            candidate=candidate,
-                            expression=None,
-                            step_mapping={},
-                            size=size,
-                            distance=distance,
-                        )
-                        for candidate, (size, distance) in zip(candidates, results)
-                    ]
-                    self._record(self._scorer_path(scorer))
-                    self.last_kernel = scorer._kernel.name
-                    self._note_sample_step(scorer)
-                    return measured, time.perf_counter() - started
-        return self._measure_naive(candidates, current, mapping)
+        if mode is None:
+            return None
+        try:
+            return self._obtain_scorer(current, mapping, mode)
+        except Exception:
+            self._scorer = None
+            self._note_fallback()
+            return None
 
     def _step_mode(self, current) -> Optional[str]:
         """Which fast kernel (if any) can serve this step.
@@ -495,280 +507,6 @@ class ScoringEngine:
         ):
             return "sampled"
         return None
-
-    def _scorer_path(self, scorer: FastStepScorer) -> str:
-        # SampledStepScorer subclasses IncrementalStepScorer: test the
-        # most specific flavor first.
-        if isinstance(scorer, SampledStepScorer):
-            return (
-                self.PATH_SAMPLED_INCREMENTAL
-                if self._incremental
-                else self.PATH_SAMPLED
-            )
-        if isinstance(scorer, IncrementalStepScorer):
-            return self.PATH_FAST_INCREMENTAL
-        return self.PATH_FAST
-
-    def _note_sample_step(self, scorer: FastStepScorer) -> None:
-        if isinstance(scorer, SampledStepScorer):
-            self.last_sample_batch = scorer.batch_size
-            self.last_sample_variance = scorer.batch_variance
-
-    def advance(
-        self,
-        parts: Sequence[str],
-        new_name: str,
-        new_expression,
-        new_mapping: MappingState,
-    ) -> None:
-        """Carry the step scorer past the applied merge ``parts → new_name``.
-
-        A failed carry is never fatal: the scorer is dropped and the
-        next :meth:`measure` rebuilds from scratch.
-        """
-        scorer = self._scorer
-        if scorer is None:
-            self._invalidate_carry()
-            return
-        measured_expr = scorer.current
-        try:
-            scorer.advance(parts, new_name, new_expression, new_mapping)
-        except Exception:
-            self._scorer = None
-            self._invalidate_carry()
-            return
-        # Re-link the carried candidate measurements to the new
-        # expression; delta carry additionally needs the merge's
-        # per-valuation baseline delta (sparse scorers only).
-        linked = self._carry_ready and self._carry_expr is measured_expr
-        if linked:
-            # A merge whose global term-canonicalization collapsed
-            # duplicates *outside* its own neighborhood breaks the
-            # carried-size identity for every candidate (the candidate's
-            # own merge would collapse the same pair), not just for
-            # intersecting ones -- drop the whole carry and re-measure.
-            linked = getattr(scorer, "last_shift_local", True)
-        if linked and not self._lazy:
-            linked = getattr(scorer, "last_delta", None) is not None
-        if linked:
-            self._carry_expr = new_expression
-        else:
-            self._invalidate_carry()
-
-    def refresh_near(
-        self, scored: Sequence[ScoredCandidate], tolerance: float = 1e-9
-    ) -> int:
-        """Freshly re-score carried entries near the provisional winner.
-
-        ``scored`` must be sorted best-first.  Every stale (carried)
-        entry whose score is within ``tolerance`` of the head is
-        re-scored exactly and its store entry replaced; the caller
-        re-ranks and calls again until this returns 0.  Delta-carried
-        sums can drift from a fresh walk by float-association dust
-        (≪ ``tolerance``), so once every entry that could contend with
-        the winner is fresh, the selected winner -- and its recorded
-        size/distance -- is bit-identical to a carry-off run.
-        """
-        if not self._stale or not scored:
-            return 0
-        scorer = self._scorer
-        if scorer is None:
-            self._stale.clear()
-            return 0
-        bound = scored[0].score + tolerance
-        refreshed = 0
-        try:
-            for entry in scored:
-                if entry.score > bound:
-                    break
-                parts = entry.candidate.parts
-                if parts not in self._stale:
-                    continue
-                size, estimate, accs, wf = scorer.score_detail(parts)
-                entry.size = size
-                entry.distance = estimate
-                self._carry_store[parts] = (size, accs, wf)
-                self._stale.discard(parts)
-                refreshed += 1
-        except Exception:
-            # Confirmation is hardening on top of already-valid carried
-            # measurements; on failure keep them and drop the carry so
-            # the next step re-scores everything from scratch.
-            self._scorer = None
-            self._invalidate_carry()
-            self._stale.clear()
-            self._note_fallback()
-            return 0
-        if refreshed:
-            self.last_carried -= refreshed
-            self.last_rescored += refreshed
-            self.total_carried -= refreshed
-            self.total_rescored += refreshed
-            if _metrics.ENABLED:
-                _SCORING_RESCORED.inc(refreshed)
-        return refreshed
-
-    def capture_repair_checkpoint(self) -> Optional[dict]:
-        """Snapshot the current step's measurement state for repair.
-
-        Called by the summarizer right after the *first* greedy step's
-        measurement (before any merge is applied): a later run over a
-        delta-extended problem can :meth:`seed_repair` from this
-        snapshot and skip re-measuring every candidate untouched by
-        the delta.  Returns ``None`` when the step's path cannot seed
-        a repair -- lazy mode stores estimates instead of
-        accumulators, and the sampled kernel's Monte-Carlo batch is
-        not reproducible across runs -- in which case the repaired run
-        simply re-scores from scratch (correct, just not accelerated).
-        """
-        scorer = self._scorer
-        if (
-            self._lazy
-            or not self._carry_ready
-            or scorer is None
-            or isinstance(scorer, SampledStepScorer)
-            or not isinstance(scorer, IncrementalStepScorer)
-            or not scorer._sparse
-            or self._carry_expr is not scorer.current
-        ):
-            return None
-        labels = tuple(str(valuation) for valuation in scorer.valuations)
-        if len(set(labels)) != len(labels):
-            return None
-        return {
-            # Copy the carried lists, not just the dict: later steps
-            # mutate store entries in place (carried_score_fast with
-            # mutate=True), and the checkpoint must keep step 0's
-            # accumulators intact for the next run's seed.
-            "store": {
-                parts: (entry[0], list(entry[1]), list(entry[2]))
-                for parts, entry in self._carry_store.items()
-            },
-            "labels": labels,
-            "weights": tuple(valuation.weight for valuation in scorer.valuations),
-            "expr_size": scorer.current.size(),
-            "terms": tuple(scorer._terms),
-            "nonzero_empty": all(not entries for entries in scorer._nonzero),
-        }
-
-    def seed_repair(
-        self,
-        checkpoint: Optional[dict],
-        flipped_labels: Sequence[str] = (),
-        affected_names: Sequence[str] = (),
-    ) -> None:
-        """Arm the next measurement with a prior run's step-0 checkpoint.
-
-        ``flipped_labels`` are the valuation labels whose truth
-        assignments the delta extended (their positions must be
-        re-measured); ``affected_names`` the annotations the delta
-        added or removed (candidates touching them are re-scored
-        fresh).  The seed is consumed by the first :meth:`measure` and
-        discarded on any applicability miss -- seeding can only skip
-        work, never change a result.
-        """
-        self.last_repair_seeded = 0
-        self.last_repair_rescored = 0
-        if checkpoint is None:
-            self._repair_seed = None
-            return
-        self._repair_seed = (
-            checkpoint,
-            frozenset(flipped_labels),
-            frozenset(affected_names),
-        )
-
-    def measure_lazy(
-        self,
-        candidates: Sequence[Candidate],
-        current,
-        mapping: MappingState,
-        w_dist: float,
-        w_size: float,
-        original_size: int,
-    ) -> Tuple[ScoredCandidate, float]:
-        """Select the step's best candidate via the lazy-greedy queue.
-
-        Candidates sit in a priority queue keyed by ``CandidateScore``.
-        Sizes are kept exact (cheap), while a carried entry's distance
-        may be *stale* -- measured against an earlier expression in the
-        merge chain.  By Prop 4.2.2 the distance from the original is
-        non-decreasing along merge chains, so a stale distance (and
-        with exact sizes, a stale score) is a lower bound on the fresh
-        one: popping the minimum, re-scoring it if stale and pushing it
-        back terminates with the true fresh argmin when the top entry
-        is fresh.  Candidates far from the top are never re-scored and
-        their staleness deepens harmlessly.
-        """
-        span = _tracing.span("score_candidates")
-        with span:
-            best, seconds = self._measure_lazy(
-                candidates, current, mapping, w_dist, w_size, original_size
-            )
-            span.set("path", self.last_path)
-            span.set("kernel", self.last_kernel)
-            span.set("workers", self.last_workers)
-            span.set("n_candidates", len(candidates))
-            span.set("seconds", seconds)
-            span.set("carried", self.last_carried)
-            span.set("rescored", self.last_rescored)
-            self._set_sample_attrs(span)
-        self._emit_step_metrics(len(candidates), seconds)
-        return best, seconds
-
-    def reset(self) -> None:
-        """Drop any carried state (e.g. after reverting a step)."""
-        self._scorer = None
-        self._invalidate_carry()
-
-    # -- internals ---------------------------------------------------------------
-
-    def _record(self, path: str) -> None:
-        self.last_path = path
-        self.path_counts[path] = self.path_counts.get(path, 0) + 1
-
-    def _sampled_step(self) -> bool:
-        """Whether the most recent step ran the sampled kernel."""
-        return self.last_path in (
-            self.PATH_SAMPLED,
-            self.PATH_SAMPLED_INCREMENTAL,
-        )
-
-    def _set_sample_attrs(self, span) -> None:
-        # Only when the sampled kernel actually engaged: enumerated
-        # steps keep their span shape unchanged.
-        if not self._sampled_step():
-            return
-        span.set("sample_batch", self.last_sample_batch)
-        span.set("sample_variance", self.last_sample_variance)
-        span.set("batch_reused", self.last_batch_reused)
-
-    def _emit_step_metrics(self, n_candidates: int, seconds: float) -> None:
-        if not _metrics.ENABLED:
-            return
-        _SCORING_STEPS.inc(path=self.last_path)
-        _SCORING_SECONDS.observe(seconds)
-        _SCORING_CANDIDATES.inc(n_candidates)
-        _SCORING_WORKERS.set(self.last_workers)
-        if self.last_carried:
-            _SCORING_CARRIED.inc(self.last_carried)
-        if self.last_rescored:
-            _SCORING_RESCORED.inc(self.last_rescored)
-        if self._sampled_step():
-            _SCORING_SAMPLED_FAST.inc()
-            if self.last_batch_reused:
-                _SAMPLE_BATCH_REUSE.inc()
-
-    def _note_fallback(self) -> None:
-        self.fallback_count += 1
-        if _metrics.ENABLED:
-            _SCORING_FALLBACKS.inc()
-
-    def _invalidate_carry(self) -> None:
-        self._carry_store = {}
-        self._carry_expr = None
-        self._carry_ready = False
-        self._stale = set()
 
     def _obtain_scorer(
         self, current, mapping: MappingState, mode: str = "exact"
@@ -809,99 +547,153 @@ class ScoringEngine:
         self._invalidate_carry()
         return self._scorer
 
-    def _score_step(
-        self, scorer: FastStepScorer, candidates: Sequence[Candidate]
-    ) -> List[Tuple[int, DistanceEstimate]]:
-        """One step's measurements, carrying disjoint candidates.
-
-        When the carry is live (the store was measured against the
-        expression the scorer just advanced from), candidates disjoint
-        from the applied merge's neighborhood get their carried size
-        plus the merge's exact size shift and their carried accumulator
-        plus the per-valuation baseline delta; only the intersecting /
-        new candidates are freshly scored (and sharded across the fork
-        pool).  Carried entries are marked stale for
-        :meth:`refresh_near`.
-        """
-        self._stale = set()
-        seed = self._repair_seed
-        self._repair_seed = None
-        capture = (
-            self._carry
-            and not self._lazy
-            and isinstance(scorer, IncrementalStepScorer)
-            and scorer._sparse
-        )
-        if not capture:
-            self._invalidate_carry()
-            return self._score_all(
-                scorer, [candidate.parts for candidate in candidates]
+    def _scorer_path(self, scorer: FastStepScorer) -> str:
+        # SampledStepScorer subclasses IncrementalStepScorer: test the
+        # most specific flavor first.
+        if isinstance(scorer, SampledStepScorer):
+            return (
+                self.PATH_SAMPLED_INCREMENTAL
+                if self._incremental
+                else self.PATH_SAMPLED
             )
+        if isinstance(scorer, IncrementalStepScorer):
+            return self.PATH_FAST_INCREMENTAL
+        return self.PATH_FAST
+
+    def _note_fast_step(self, scorer: FastStepScorer) -> None:
+        self._record(self._scorer_path(scorer))
+        self.last_kernel = scorer._kernel.name
+        if isinstance(scorer, SampledStepScorer):
+            self.last_sample_batch = scorer.batch_size
+            self.last_sample_variance = scorer.batch_variance
+
+    def _lazy_select(
+        self,
+        scorer: IncrementalStepScorer,
+        candidates: Sequence[Candidate],
+        seed: Optional[tuple],
+        w_dist: float,
+        w_size: float,
+        original_size: int,
+    ) -> Tuple[ScoredCandidate, int, int]:
+        """Pop-rescore-reinsert until the queue's top entry is fresh.
+
+        Entries hold ``[size, estimate, fresh]``.  Sizes are always
+        exact -- a stale size could *overstate* the bound (sizes only
+        shrink along chains) and break the lower-bound invariant, so
+        disjoint candidates get the exact carried-size shift and the
+        rest a direct size recomputation.  New pairs (no carried entry)
+        enter with the global distance floor 0.0.  A queue that cannot
+        carry (the run's first step, or after a dropped carry) starts
+        from :meth:`_score_step`.
+        """
+        store = self._carry_store
         live = (
             self._carry_ready
             and self._carry_expr is scorer.current
-            and scorer.last_delta is not None
+            and scorer.last_affected_terms is not None
         )
+        entries: List[list] = []
         if not live:
-            if seed is not None:
-                try:
-                    seeded = self._score_from_seed(scorer, candidates, *seed)
-                except Exception:
-                    seeded = None
-                if seeded is not None:
-                    return seeded
-            detail = self._score_all(
-                scorer,
-                [candidate.parts for candidate in candidates],
-                detail=True,
-            )
-            self._carry_store = {
-                candidate.parts: (size, accs, wf)
-                for candidate, (size, _, accs, wf) in zip(candidates, detail)
-            }
-            self._carry_expr = scorer.current
-            self._carry_ready = True
-            return [(size, estimate) for size, estimate, _, _ in detail]
+            entries = self._score_step(scorer, candidates, seed)
+        else:
+            shift = scorer.last_size_shift
+            for candidate in candidates:
+                entry = store.get(candidate.parts)
+                if entry is None:
+                    entries.append(
+                        [scorer.candidate_size(candidate.parts), None, False]
+                    )
+                elif scorer.candidate_intersects(candidate.parts):
+                    entries.append(
+                        [scorer.candidate_size(candidate.parts), entry[1], False]
+                    )
+                else:
+                    entries.append([entry[0] + shift, entry[1], False])
+        rescored = sum(1 for entry in entries if entry[2])
 
-        store = self._carry_store
-        deltas = scorer.last_delta
-        # The merge's baseline delta is nonzero at a handful of
-        # positions; the carried fast path touches only those and
-        # re-sums the stored weighted contributions in C.
-        touched = [index for index, delta in enumerate(deltas) if delta != 0.0]
-        shift = scorer.last_size_shift
-        results: List[Optional[Tuple[int, DistanceEstimate]]] = [None] * len(
-            candidates
-        )
-        new_store: Dict[Tuple[str, ...], tuple] = {}
-        rescore: List[int] = []
-        stale: set = set()
-        for index, candidate in enumerate(candidates):
-            entry = store.get(candidate.parts)
-            if entry is None or scorer.candidate_intersects(candidate.parts):
-                rescore.append(index)
-                continue
-            size = entry[0] + shift
-            estimate, accs, wf = scorer.carried_score_fast(
-                entry[1], entry[2], deltas, touched, mutate=True
+        def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
+            size, estimate, fresh = entries[index]
+            r_dist = estimate.normalized if estimate is not None else 0.0
+            r_size = size / original_size if original_size else 0.0
+            score = w_dist * r_dist + w_size * r_size
+            return (
+                score if fresh else score - _STALE_MARGIN,
+                candidates[index].proposal.taxonomy_cost,
+                candidates[index].parts,
             )
-            results[index] = (size, estimate)
-            new_store[candidate.parts] = (size, accs, wf)
-            stale.add(candidate.parts)
-        fresh = self._score_all(
-            scorer, [candidates[index].parts for index in rescore], detail=True
-        )
-        for index, (size, estimate, accs, wf) in zip(rescore, fresh):
-            results[index] = (size, estimate)
-            new_store[candidates[index].parts] = (size, accs, wf)
-        self._carry_store = new_store
+
+        heap = [(entry_key(index), index) for index in range(len(candidates))]
+        heapq.heapify(heap)
+        while True:
+            _, index = heapq.heappop(heap)
+            if entries[index][2]:
+                best_index = index
+                break
+            size, estimate = scorer.score(candidates[index].parts)
+            entries[index] = [size, estimate, True]
+            rescored += 1
+            heapq.heappush(heap, (entry_key(index), index))
+
+        self._carry_store = {
+            candidate.parts: (entry[0], entry[1])
+            for candidate, entry in zip(candidates, entries)
+            if entry[1] is not None
+        }
         self._carry_expr = scorer.current
-        self._stale = stale
-        self.last_carried = len(candidates) - len(rescore)
-        self.last_rescored = len(rescore)
-        self.total_carried += self.last_carried
-        self.total_rescored += self.last_rescored
-        return results
+        self._carry_ready = True
+
+        size, estimate, _ = entries[best_index]
+        r_dist = estimate.normalized
+        r_size = size / original_size if original_size else 0.0
+        best = ScoredCandidate(
+            candidate=candidates[best_index],
+            expression=None,
+            step_mapping={},
+            size=size,
+            distance=estimate,
+            r_dist=r_dist,
+            r_size=r_size,
+            score=w_dist * r_dist + w_size * r_size,
+        )
+        return best, len(candidates) - rescored, rescored
+
+    def _score_step(
+        self,
+        scorer: IncrementalStepScorer,
+        candidates: Sequence[Candidate],
+        seed: Optional[tuple] = None,
+    ) -> List[list]:
+        """A fresh queue's entries ``[size, estimate, fresh]``.
+
+        Sparse exact scorers record every candidate's per-valuation
+        accumulators alongside (the repair checkpoint), or -- when the
+        run was armed by :meth:`seed_repair` (``seed``) -- re-base the candidates
+        the delta left untouched on the previous run's checkpoint;
+        those seeded entries enter the queue as stale.
+        """
+        if not scorer._sparse or isinstance(scorer, SampledStepScorer):
+            return [
+                [size, estimate, True]
+                for size, estimate in (
+                    scorer.score(candidate.parts) for candidate in candidates
+                )
+            ]
+        if seed is not None:
+            try:
+                seeded = self._score_from_seed(scorer, candidates, *seed)
+            except Exception:
+                seeded = None
+            if seeded is not None:
+                return seeded
+        store: Dict[Tuple[str, ...], tuple] = {}
+        entries: List[list] = []
+        for candidate in candidates:
+            size, estimate, accs, wf = scorer.score_detail(candidate.parts)
+            store[candidate.parts] = (size, accs, wf)
+            entries.append([size, estimate, True])
+        self._detail_store = store
+        return entries
 
     def _score_from_seed(
         self,
@@ -910,8 +702,8 @@ class ScoringEngine:
         checkpoint: dict,
         flipped_labels: FrozenSet[str],
         affected_names: FrozenSet[str],
-    ) -> Optional[List[Tuple[int, DistanceEstimate]]]:
-        """Step-0 measurements re-based on a prior run's checkpoint.
+    ) -> Optional[List[list]]:
+        """Step-0 queue entries re-based on a prior run's checkpoint.
 
         A carried candidate's accumulator at a valuation position is
         exactly the sum of its recomputed-neighborhood contributions
@@ -922,12 +714,11 @@ class ScoringEngine:
         the appended / flipped positions are recomputed
         (:meth:`~repro.core.fast_distance.IncrementalStepScorer
         .score_positions`); the finish walk then reproduces the fresh
-        estimate bit for bit.  Sizes shift by the expression-size
-        delta (the candidate's collision structure is untouched).
-        Returns ``None`` when any applicability gate fails.
+        estimate up to summation order, which the queue's stale margin
+        absorbs.  Sizes shift by the expression-size delta (the
+        candidate's collision structure is untouched).  Returns
+        ``None`` when any applicability gate fails.
         """
-        if isinstance(scorer, SampledStepScorer):
-            return None
         if not checkpoint.get("nonzero_empty") or any(scorer._nonzero):
             return None
         new_labels = tuple(str(valuation) for valuation in scorer.valuations)
@@ -973,7 +764,6 @@ class ScoringEngine:
         store = checkpoint["store"]
         shift = scorer.current.size() - checkpoint["expr_size"]
         n_vals = scorer.n_vals
-        zeros = [0.0] * n_vals
         # Append-only streams almost always keep the old valuations as a
         # positional prefix of the new ones (π = identity on the prefix,
         # recompute = the appended tail).  Detect that once and replace
@@ -989,19 +779,18 @@ class ScoringEngine:
             and all(carried is None for carried in pi[n_old:])
         )
         tail = [0.0] * (n_vals - n_old)
-        results: List[Optional[Tuple[int, DistanceEstimate]]] = [None] * len(
-            candidates
-        )
+        entries: List[list] = []
         new_store: Dict[Tuple[str, ...], tuple] = {}
-        stale: set = set()
-        rescore: List[int] = []
-        for index, candidate in enumerate(candidates):
+        seeded = 0
+        for candidate in candidates:
             parts = candidate.parts
             entry = store.get(parts)
             if entry is None or self._seed_intersects(
                 scorer, parts, affected_terms, affected_groups
             ):
-                rescore.append(index)
+                size, estimate, accs, wf = scorer.score_detail(parts)
+                entries.append([size, estimate, True])
+                new_store[parts] = (size, accs, wf)
                 continue
             old_accs = entry[1]
             old_wf = entry[2]
@@ -1026,30 +815,14 @@ class ScoringEngine:
             # carried weighted contributions (valid verbatim: the label
             # permutation gate pinned weights, and finish is a pure
             # function of the unchanged accumulator).
-            estimate, accs, wf = scorer.carried_score_fast(
-                accs, wf, zeros, recompute, mutate=True
-            )
+            estimate = scorer.refinish(accs, wf, recompute)
             size = entry[0] + shift
-            results[index] = (size, estimate)
+            entries.append([size, estimate, False])
             new_store[parts] = (size, accs, wf)
-            stale.add(parts)
-        fresh = self._score_all(
-            scorer, [candidates[index].parts for index in rescore], detail=True
-        )
-        for index, (size, estimate, accs, wf) in zip(rescore, fresh):
-            results[index] = (size, estimate)
-            new_store[candidates[index].parts] = (size, accs, wf)
-        self._carry_store = new_store
-        self._carry_expr = scorer.current
-        self._carry_ready = True
-        self._stale = stale
-        self.last_carried = len(candidates) - len(rescore)
-        self.last_rescored = len(rescore)
-        self.total_carried += self.last_carried
-        self.total_rescored += self.last_rescored
-        self.last_repair_seeded = self.last_carried
-        self.last_repair_rescored = self.last_rescored
-        return results
+            seeded += 1
+        self._detail_store = new_store
+        self.last_repair_seeded = seeded
+        return entries
 
     @staticmethod
     def _seed_intersects(
@@ -1076,290 +849,13 @@ class ScoringEngine:
                     return True
         return False
 
-    def _measure_lazy(
-        self,
-        candidates: Sequence[Candidate],
-        current,
-        mapping: MappingState,
-        w_dist: float,
-        w_size: float,
-        original_size: int,
-    ) -> Tuple[ScoredCandidate, float]:
-        self.last_carried = 0
-        self.last_rescored = len(candidates)
-        self.last_sample_batch = 0
-        self.last_sample_variance = 0.0
-        self.last_batch_reused = False
-        scorer: Optional[FastStepScorer] = None
-        mode = self._step_mode(current)
-        if mode is not None:
-            try:
-                scorer = self._obtain_scorer(current, mapping, mode)
-            except Exception:
-                self._scorer = None
-                scorer = None
-                self._note_fallback()
-        # The lazy queue needs a *carried* incremental scorer (advance
-        # continuity keeps stale entries lower bounds); a fresh
-        # per-step scorer -- incremental off -- falls back either way.
-        if (
-            scorer is None
-            or scorer is not self._scorer
-            or not isinstance(scorer, IncrementalStepScorer)
-        ):
-            return self._lazy_fallback(
-                candidates, current, mapping, w_dist, w_size, original_size
-            )
-        started = time.perf_counter()
-        try:
-            best, carried, rescored = self._lazy_select(
-                scorer, candidates, w_dist, w_size, original_size
-            )
-        except Exception:
-            self._scorer = None
-            self._invalidate_carry()
-            self._note_fallback()
-            return self._lazy_fallback(
-                candidates, current, mapping, w_dist, w_size, original_size
-            )
-        self.last_carried = carried
-        self.last_rescored = rescored
-        self.total_carried += carried
-        self.total_rescored += rescored
-        self._record(self._scorer_path(scorer))
-        self.last_kernel = scorer._kernel.name
-        self._note_sample_step(scorer)
-        return best, time.perf_counter() - started
-
-    def _lazy_fallback(
-        self, candidates, current, mapping, w_dist, w_size, original_size
-    ) -> Tuple[ScoredCandidate, float]:
-        """Full measurement + full ranking when the queue cannot run."""
-        measured, seconds = self._measure(candidates, current, mapping)
-        ranked = score_candidates(
-            measured,
-            w_dist=w_dist,
-            w_size=w_size,
-            original_size=original_size,
-            strategy="normalized",
-        )
-        return ranked[0], seconds
-
-    def _lazy_select(
-        self,
-        scorer: IncrementalStepScorer,
-        candidates: Sequence[Candidate],
-        w_dist: float,
-        w_size: float,
-        original_size: int,
-    ) -> Tuple[ScoredCandidate, int, int]:
-        """Pop-rescore-reinsert until the queue's top entry is fresh.
-
-        Entries hold ``[size, estimate, fresh]``.  Sizes are always
-        exact -- a stale size could *overstate* the bound (sizes only
-        shrink along chains) and break the lower-bound invariant, so
-        disjoint candidates get the exact carried-size shift and the
-        rest a direct size recomputation.  New pairs (no carried entry)
-        enter with the global distance floor 0.0.
-        """
-        store = self._carry_store
-        live = (
-            self._carry_ready
-            and self._carry_expr is scorer.current
-            and scorer.last_affected_terms is not None
-        )
-        entries: List[list] = []
-        rescored = 0
-        if not live:
-            results = self._score_all(
-                scorer, [candidate.parts for candidate in candidates]
-            )
-            entries = [[size, estimate, True] for size, estimate in results]
-            rescored = len(candidates)
-        else:
-            self.last_workers = 1
-            shift = scorer.last_size_shift
-            for candidate in candidates:
-                entry = store.get(candidate.parts)
-                if entry is None:
-                    entries.append(
-                        [scorer.candidate_size(candidate.parts), None, False]
-                    )
-                elif scorer.candidate_intersects(candidate.parts):
-                    entries.append(
-                        [scorer.candidate_size(candidate.parts), entry[1], False]
-                    )
-                else:
-                    entries.append([entry[0] + shift, entry[1], False])
-
-        def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
-            size, estimate, _ = entries[index]
-            r_dist = estimate.normalized if estimate is not None else 0.0
-            r_size = size / original_size if original_size else 0.0
-            return (
-                w_dist * r_dist + w_size * r_size,
-                candidates[index].proposal.taxonomy_cost,
-                candidates[index].parts,
-            )
-
-        heap = [(entry_key(index), index) for index in range(len(candidates))]
-        heapq.heapify(heap)
-        while True:
-            _, index = heapq.heappop(heap)
-            if entries[index][2]:
-                best_index = index
-                break
-            size, estimate = scorer.score(candidates[index].parts)
-            entries[index] = [size, estimate, True]
-            rescored += 1
-            heapq.heappush(heap, (entry_key(index), index))
-
-        self._carry_store = {
-            candidate.parts: (entry[0], entry[1])
-            for candidate, entry in zip(candidates, entries)
-            if entry[1] is not None
-        }
-        self._carry_expr = scorer.current
-        self._carry_ready = True
-        self._stale = set()
-
-        size, estimate, _ = entries[best_index]
-        r_dist = estimate.normalized
-        r_size = size / original_size if original_size else 0.0
-        best = ScoredCandidate(
-            candidate=candidates[best_index],
-            expression=None,
-            step_mapping={},
-            size=size,
-            distance=estimate,
-            r_dist=r_dist,
-            r_size=r_size,
-            score=w_dist * r_dist + w_size * r_size,
-        )
-        return best, len(candidates) - rescored, rescored
-
-    def _score_all(
-        self,
-        scorer: FastStepScorer,
-        parts: Sequence[Tuple[str, ...]],
-        detail: bool = False,
-    ) -> List[tuple]:
-        if not parts:
-            self.last_workers = 1
-            return []
-        workers = resolve_workers(
-            self.config.parallelism, len(parts), self.config.parallel_threshold
-        )
-        if workers > 1 and not fork_safe_here():
-            _warn_fork_unsafe(workers)
-            workers = 1
-        self.last_workers = workers
-        if workers <= 1:
-            if detail:
-                return [scorer.score_detail(entry) for entry in parts]
-            return [scorer.score(entry) for entry in parts]
-
-        # A few spans per worker smooths out uneven candidate costs.
-        spans: List[Tuple[int, int]] = []
-        n_spans = min(len(parts), workers * 4)
-        base, extra = divmod(len(parts), n_spans)
-        low = 0
-        for index in range(n_spans):
-            high = low + base + (1 if index < extra else 0)
-            spans.append((low, high))
-            low = high
-
-        flat_names: List[str] = []
-        offsets = array("q", (0,))
-        for candidate_parts in parts:
-            flat_names.extend(candidate_parts)
-            offsets.append(len(flat_names))
-
-        # Shared-memory blocks for the pool's lifetime: detail results
-        # land in per-candidate matrix rows (workers return only
-        # index/size/distance triples), and the IR arena / pinned
-        # sample batch are published once for the workers to map
-        # read-only.  Everything is unlinked in the finally below; the
-        # publications are optimizations, so their failure (e.g. a full
-        # /dev/shm) degrades to the inherited copy-on-write state.
-        _shm.reap_stale_segments_once()
-        accs_matrix = wf_matrix = None
-        if detail:
-            accs_matrix = _shm.SharedMatrix(len(parts), scorer.n_vals, "accs")
-            wf_matrix = _shm.SharedMatrix(len(parts), scorer.n_vals, "wf")
-        arena = self._publish_arena()
-        batch = self._publish_batch(scorer)
-
-        context = multiprocessing.get_context("fork")
-        _WORKER_STATE["scorer"] = scorer
-        _WORKER_STATE["part_names"] = flat_names
-        _WORKER_STATE["part_offsets"] = offsets
-        _WORKER_STATE["accs_matrix"] = accs_matrix
-        _WORKER_STATE["wf_matrix"] = wf_matrix
-        _WORKER_STATE["arena"] = arena
-        _WORKER_STATE["batch"] = batch
-        try:
-            with context.Pool(processes=workers) as pool:
-                chunked = pool.map(
-                    _score_span_detail if detail else _score_span, spans
-                )
-            self.last_worker_payload_bytes = sum(
-                len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-                for chunk in chunked
-            )
-            results: List[tuple] = [None] * len(parts)  # type: ignore[list-item]
-            for chunk in chunked:
-                for index, size, value in chunk:
-                    estimate = scorer._estimate(value)
-                    if detail:
-                        results[index] = (
-                            size,
-                            estimate,
-                            accs_matrix.row_list(index),
-                            wf_matrix.row_list(index),
-                        )
-                    else:
-                        results[index] = (size, estimate)
-            return results
-        finally:
-            _WORKER_STATE.clear()
-            for block in (accs_matrix, wf_matrix, arena, batch):
-                if block is not None:
-                    block.destroy()
-
-    def _publish_arena(self) -> Optional["_shm.SharedArena"]:
-        """The global IR arena as a shared segment, if publishable."""
-        try:
-            if not _ir.ir_enabled():
-                return None
-            store = _ir.GLOBAL_STORE
-            if store.n_monomials() <= 1 and len(store.interner) == 0:
-                return None
-            return _shm.SharedArena.publish(store)
-        except Exception:
-            return None
-
-    def _publish_batch(self, scorer) -> Optional["_shm.SharedBatch"]:
-        """The pinned sample batch as a shared segment, if sampled."""
-        if not isinstance(scorer, SampledStepScorer):
-            return None
-        try:
-            return _shm.SharedBatch.publish(scorer)
-        except Exception:
-            return None
-
     def _measure_naive(
         self,
         candidates: Sequence[Candidate],
         current,
         mapping: MappingState,
     ) -> Tuple[List[ScoredCandidate], float]:
-        """Reference path: materialize and measure each candidate.
-
-        Kept serial: sampled distances draw from the computer's shared
-        RNG, whose sequence parallel sharding would change.
-        """
-        self.last_workers = 1
+        """Reference path: materialize and measure each candidate."""
         self._invalidate_carry()
         problem = self.problem
         measured: List[ScoredCandidate] = []
@@ -1386,3 +882,54 @@ class ScoringEngine:
         self._record(self.PATH_NAIVE)
         self.last_kernel = _kernels.active_backend()
         return measured, time.perf_counter() - started
+
+    def _record(self, path: str) -> None:
+        self.last_path = path
+        self.path_counts[path] = self.path_counts.get(path, 0) + 1
+
+    def _sampled_step(self) -> bool:
+        """Whether the most recent step ran the sampled kernel."""
+        return self.last_path in (
+            self.PATH_SAMPLED,
+            self.PATH_SAMPLED_INCREMENTAL,
+        )
+
+    def _set_step_attrs(self, span, n_candidates: int, seconds: float) -> None:
+        span.set("path", self.last_path)
+        span.set("kernel", self.last_kernel)
+        span.set("n_candidates", n_candidates)
+        span.set("seconds", seconds)
+        span.set("carried", self.last_carried)
+        span.set("rescored", self.last_rescored)
+        # Only when the sampled kernel actually engaged: enumerated
+        # steps keep their span shape unchanged.
+        if self._sampled_step():
+            span.set("sample_batch", self.last_sample_batch)
+            span.set("sample_variance", self.last_sample_variance)
+            span.set("batch_reused", self.last_batch_reused)
+
+    def _emit_step_metrics(self, n_candidates: int, seconds: float) -> None:
+        if not _metrics.ENABLED:
+            return
+        _SCORING_STEPS.inc(path=self.last_path)
+        _SCORING_SECONDS.observe(seconds)
+        _SCORING_CANDIDATES.inc(n_candidates)
+        if self.last_carried:
+            _SCORING_CARRIED.inc(self.last_carried)
+        if self.last_rescored:
+            _SCORING_RESCORED.inc(self.last_rescored)
+        if self._sampled_step():
+            _SCORING_SAMPLED_FAST.inc()
+            if self.last_batch_reused:
+                _SAMPLE_BATCH_REUSE.inc()
+
+    def _note_fallback(self) -> None:
+        self.fallback_count += 1
+        if _metrics.ENABLED:
+            _SCORING_FALLBACKS.inc()
+
+    def _invalidate_carry(self) -> None:
+        self._carry_store = {}
+        self._carry_expr = None
+        self._carry_ready = False
+        self._detail_store = None

@@ -755,17 +755,13 @@ class IncrementalStepScorer(FastStepScorer):
         self.steps_carried = 0
 
         # What the most recent advance() perturbed -- the engine's
-        # cross-step candidate carry uses these to decide which
-        # candidates must be re-scored (None until the first advance):
+        # lazy queue uses these to decide which carried sizes shift
+        # verbatim (None until the first advance):
         #: Term indexes (new state) whose aliveness the merge changed.
         self.last_affected_terms: Optional[set] = None
         #: Group keys whose aggregate/contribution the merge changed
         #: (``touched_groups`` plus the merged annotation itself).
         self.last_affected_groups: Optional[set] = None
-        #: Per-valuation baseline-contribution delta of the merge
-        #: (sparse mode only): adding ``last_delta[v]`` to a disjoint
-        #: candidate's carried accumulator re-bases it on this step.
-        self.last_delta: Optional[List[float]] = None
         #: Expression-size change of the applied merge; a disjoint
         #: candidate's post-merge size is its carried size plus this.
         self.last_size_shift: int = 0
@@ -806,9 +802,9 @@ class IncrementalStepScorer(FastStepScorer):
         #: Per-position running sum of ``_nonzero`` values (insertion
         #: order at build, then corrected by each merge's delta).  The
         #: sparse walk starts from this and subtracts the few excluded
-        #: keys instead of re-walking the whole dict; the association
-        #: dust this introduces is the same class ``refresh_near``
-        #: already absorbs before anything is recorded.
+        #: keys instead of re-walking the whole dict.  The association
+        #: dust this introduces stays far inside the engine's stale-key
+        #: margin, and every recorded winner is freshly scored.
         self._nonzero_sum: List[float] = []
         # Position-indexed weights and their running sum, accumulated in
         # the same left-to-right order every scoring walk uses, so a
@@ -823,7 +819,7 @@ class IncrementalStepScorer(FastStepScorer):
         self._weight_sum: float = weight_sum
         # Columnar float64 mirrors of the sparse dicts for the kernel
         # ``sparse_scores`` path, built lazily (many candidates per step
-        # share them) and dropped by ``advance``/``adopt_shared_weights``.
+        # share them) and dropped by ``advance``.
         # Dense columns encode an absent key as 0.0: subtracting or
         # adding that coordinate is an IEEE identity, so the columnar
         # walk is bit-identical to the dict walk it mirrors.
@@ -872,21 +868,14 @@ class IncrementalStepScorer(FastStepScorer):
             self._nonzero.append(entries)
             self._nonzero_sum.append(total)
 
-    def _refresh_contributions(
-        self, part_set: FrozenSet[str], refresh: set
-    ) -> List[float]:
+    def _refresh_contributions(self, part_set: FrozenSet[str], refresh: set) -> None:
         """Re-base the nonzero contributions past a merge.
 
-        Returns the merge's per-valuation contribution delta: what the
-        pops (the merged annotations' old group contributions) and
-        refreshes (the disturbed groups' new contributions) changed in
-        the baseline sum.  A candidate disjoint from the merge's
-        neighborhood sums exactly the same keys as before plus this
-        delta, so its carried accumulator is corrected in O(1) per
-        valuation instead of a full re-walk.
+        Pops the merged annotations' old group contributions, refreshes
+        the disturbed groups' new ones, and corrects each position's
+        running sum by what changed.
         """
         contrib = self.val_func.metric_contrib
-        deltas: List[float] = []
         for index in range(self.n_vals):
             nonzero = self._nonzero[index]
             delta = 0.0
@@ -907,8 +896,6 @@ class IncrementalStepScorer(FastStepScorer):
                 else:
                     nonzero.pop(key, None)
             self._nonzero_sum[index] += delta
-            deltas.append(delta)
-        return deltas
 
     # -- sparse column mirrors ---------------------------------------------------
 
@@ -925,11 +912,7 @@ class IncrementalStepScorer(FastStepScorer):
 
     def _sparse_weights_col(self):
         if self._weights_col is None:
-            weights = self._weights
-            if isinstance(weights, (array, memoryview)):
-                self._weights_col = weights
-            else:
-                self._weights_col = array("d", weights)
+            self._weights_col = array("d", self._weights)
         return self._weights_col
 
     def _sparse_zero_col(self) -> array:
@@ -983,11 +966,11 @@ class IncrementalStepScorer(FastStepScorer):
         Returns ``(size, estimate, accs, wf)`` where ``accs`` are the
         metric accumulators and ``wf`` the weighted finished
         contributions ``weight * finish(acc)`` per position.  The
-        engine's cross-step carry stores both: after the winning merge
-        is applied, a disjoint candidate re-finishes only the positions
-        the merge's delta touches and re-sums ``wf``
-        (:meth:`carried_score_fast`) -- no O(n_vals) Python re-walk.
-        Only valid in sparse mode (the engine gates on ``_sparse``).
+        engine keeps both in its streaming-repair checkpoint: a later
+        run over a delta-extended problem recomputes only the delta's
+        positions and re-sums ``wf`` (:meth:`refinish`) -- no O(n_vals)
+        Python re-walk.  Only valid in sparse mode (the engine gates on
+        ``_sparse``).
         """
         if not self._sparse:
             raise RuntimeError("score_detail requires sparse (decomposable) mode")
@@ -1075,74 +1058,27 @@ class IncrementalStepScorer(FastStepScorer):
         estimate = self._estimate(distance_value)
         return self._candidate_size(part_set, marker, affected), estimate, accs, wf
 
-    def carried_score(
-        self, accs: Sequence[float], deltas: Sequence[float]
-    ) -> Tuple[DistanceEstimate, List[float], List[float]]:
-        """Distance from carried accumulators plus the step's delta.
+    def refinish(
+        self, accs: List[float], wf: List[float], positions: Sequence[int]
+    ) -> DistanceEstimate:
+        """Distance from stored accumulators, re-finishing ``positions``.
 
-        Exact up to float association: the corrected accumulator sums
-        the same contributions a fresh sparse walk would, added in a
-        different order.  The loop above the engine re-scores the
-        provisional winner freshly, so the dust never reaches the
-        recorded output (see ``ScoringEngine.refresh_near``).
+        ``accs``/``wf`` are a candidate's metric accumulators and
+        weighted finished contributions (:meth:`score_detail`) whose
+        ``accs`` were just overwritten at ``positions``; those
+        coordinates of ``wf`` are re-finished in place and the total
+        re-summed over the full list.  The result equals a fresh
+        :meth:`_score_sparse` walk up to summation order -- the engine
+        enters such estimates into its lazy queue as stale.
         """
         finish = self.val_func.metric_finish
         weights = self._weights
-        total = 0.0
-        new_accs: List[float] = []
-        new_wf: List[float] = []
-        for index in range(self.n_vals):
-            acc = accs[index] + deltas[index]
-            new_accs.append(acc)
-            finished = weights[index] * finish(acc)
-            new_wf.append(finished)
-            total += finished
-        total_weight = self._weight_sum
-        distance_value = total / total_weight if total_weight else 0.0
-        return self._estimate(distance_value), new_accs, new_wf
-
-    def carried_score_fast(
-        self,
-        accs: List[float],
-        wf: List[float],
-        deltas: Sequence[float],
-        positions: Sequence[int],
-        mutate: bool = False,
-    ) -> Tuple[DistanceEstimate, List[float], List[float]]:
-        """Like :meth:`carried_score`, touching only ``positions``.
-
-        ``positions`` must cover every position where ``deltas`` is
-        nonzero (the engine precomputes that set once per step).  Only
-        those coordinates are re-accumulated and re-finished; the rest
-        keep their stored ``acc``/``wf`` verbatim.  The total is then
-        re-summed left-to-right over the full ``wf`` list with the
-        C-level ``sum`` -- the identical sequence of IEEE additions a
-        fresh Python accumulation performs, so the estimate stays bit
-        for bit what :meth:`carried_score` (and, once
-        ``refresh_near``'s tolerance logic has run, a fresh
-        :meth:`_score_sparse`) would produce.
-
-        ``mutate=True`` updates ``accs``/``wf`` in place instead of
-        copying -- only valid when the caller owns the lists (the
-        engine's step loop discards the previous store wholesale; the
-        repair checkpoint deep-copies before any step mutates).
-        """
-        finish = self.val_func.metric_finish
-        weights = self._weights
-        if mutate:
-            new_accs = accs
-            new_wf = wf
-        else:
-            new_accs = list(accs)
-            new_wf = list(wf)
         for index in positions:
-            acc = new_accs[index] + deltas[index]
-            new_accs[index] = acc
-            new_wf[index] = weights[index] * finish(acc)
-        total = sum(new_wf)
+            wf[index] = weights[index] * finish(accs[index])
+        total = sum(wf)
         total_weight = self._weight_sum
         distance_value = total / total_weight if total_weight else 0.0
-        return self._estimate(distance_value), new_accs, new_wf
+        return self._estimate(distance_value)
 
     def candidate_size(self, parts: Sequence[str]) -> int:
         """Exact post-merge size of one candidate (no distance walk)."""
@@ -1280,7 +1216,8 @@ class IncrementalStepScorer(FastStepScorer):
         (b) the aggregates/contributions of those terms' groups.  It is
         disturbed exactly when that neighborhood meets the applied
         merge's ``last_affected_terms`` / ``last_affected_groups``;
-        everything else is carried with the O(n_vals) delta correction.
+        everything else keeps its carried size shifted by
+        ``last_size_shift`` in the engine's lazy queue.
         """
         affected_terms = self.last_affected_terms
         affected_groups = self.last_affected_groups
@@ -1383,7 +1320,6 @@ class IncrementalStepScorer(FastStepScorer):
         self.last_affected_terms = affected_terms
         self.last_affected_groups = set(touched_groups)
         self.last_affected_groups.add(new_name)
-        self.last_delta = None
 
         # Aligned originals: refold only the keys whose image changed.
         changed = {
@@ -1406,7 +1342,7 @@ class IncrementalStepScorer(FastStepScorer):
         if self._sparse:
             refresh = set(touched_groups)
             refresh.add(new_name)
-            self.last_delta = self._refresh_contributions(part_set, refresh)
+            self._refresh_contributions(part_set, refresh)
         # The nonzero dicts, their running sums and the aligned
         # originals all moved; the columnar mirrors must follow.
         self._drop_sparse_columns()

@@ -13,14 +13,19 @@ The bit-packed scorers funnel their hot folds through one active
   demand and driven via ctypes (see
   :mod:`repro.core.kernels.native_backend`).
 
-Resolution mirrors ``REPRO_IR``: the env knob is read once at import,
-``auto`` (the default) picks numpy when importable and falls back to
-python otherwise -- ``native`` is *opt-in only* (an implicit compile
-on first import would surprise operators; request it explicitly).  An
-explicit ``REPRO_KERNEL=native`` probes the toolchain and *degrades*
-native → numpy → python with a structured ``kernel_fallback`` warning
-instead of crashing; ``REPRO_KERNEL=numpy`` without numpy degrades to
-python the same way.  :func:`set_backend` / :func:`backend` switch
+Resolution mirrors ``REPRO_IR``: the env knob is read once at import.
+``auto`` (the default) picks native → numpy → python, the order the
+end-to-end measurements rank them in (perfbench ``exact_movielens``,
+serial lazy-greedy: native 456, python 566, numpy 781 ms median per
+summarize; with native active numpy is never imported, which also
+trims resident memory).
+``auto`` therefore compiles the C library on first import when no
+fresh build exists, and silently settles for numpy or python when the
+toolchain is missing.  An explicit ``REPRO_KERNEL=native`` probes the
+toolchain and *degrades* native → numpy → python with a structured
+``kernel_fallback`` warning instead of crashing;
+``REPRO_KERNEL=numpy`` without numpy degrades to python the same
+way.  :func:`set_backend` / :func:`backend` switch
 process-wide at runtime (scorers capture the active backend at
 construction, so a mid-step switch never mixes backends within one
 scorer).
@@ -190,6 +195,8 @@ def _resolve_name(raw: str) -> str:
         _log.get_logger(_LOGGER_NAME).warning(
             "kernel_unknown requested=%s resolution=auto", _log.quote(raw)
         )
+    if native_available():
+        return MODE_NATIVE
     return MODE_NUMPY if numpy_available() else MODE_PYTHON
 
 

@@ -5,8 +5,7 @@ A :class:`MaskTable` is an ``n_rows × n_words`` block of little-endian
 packed bitset of key ``r``, bit ``i`` (word ``i >> 6``, bit
 ``i & 63``) ⇔ valuation/draw position ``i``.  Rows are handed out as
 zero-copy ``memoryview`` slices, so ``packed_masks()`` /
-``packed_term_dead()`` and the shared-memory batch snapshot read the
-same buffer the kernel wrote -- no per-call ``to_bytes`` conversion.
+``packed_term_dead()`` read the same buffer the kernel wrote -- no per-call ``to_bytes`` conversion.
 
 Invariant: every row is *tail-clamped* -- bits at positions
 ``>= n_vals`` are zero.  Kernel ops may rely on it for popcounts and

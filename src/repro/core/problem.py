@@ -64,6 +64,15 @@ class SummarizationProblem:
         return "\n".join(lines)
 
 
+#: Engine knobs that no longer exist, with the reason.  Surfaces that
+#: take untyped input (the HTTP API) name them in their 400 responses.
+REMOVED_FIELDS = {
+    "parallelism": "candidate scoring is always serial and in-process",
+    "parallel_threshold": "candidate scoring is always serial and in-process",
+    "lazy": "lazy-greedy selection is always on under normalized scoring",
+}
+
+
 @dataclass
 class SummarizationConfig:
     """Tuning knobs of Algorithm 1 (§3.2 "Computational problems").
@@ -79,33 +88,25 @@ class SummarizationConfig:
     3. *TARGET-DIST*: set ``w_dist=0``, ``target_size=1``, and the
        desired ``target_dist``.
 
-    Scoring-engine knobs (see :mod:`repro.core.engine`):
+    Scoring-engine knobs (see :mod:`repro.core.engine`).  Scoring is
+    always serial and in-process.  With ``scoring="normalized"`` and
+    both knobs below left on (the default), each step selects its
+    winner through the lazy-greedy queue: candidates keep their
+    possibly-stale scores and only entries popped from the head are
+    re-scored (sound because stale scores are lower bounds, Prop
+    4.2.2).  Any other setting measures and ranks every candidate.
 
-    * ``parallelism`` -- worker processes for candidate scoring.
-      ``None``/``"auto"`` engages ``os.cpu_count()`` workers on
-      multi-core machines once a step has at least
-      ``parallel_threshold`` candidates; ``0``/``1``/``"off"`` keeps
-      scoring serial (the seed behavior); any larger int forces that
-      worker count.
     * ``incremental`` -- carry scoring state across greedy steps,
       invalidating only the merged neighborhood.  ``None``/``"auto"``
       and ``True``/``"on"`` enable the carry whenever the fast path
       applies; ``False``/``"off"`` rebuilds from scratch every step
       (the seed behavior).
-    * ``parallel_threshold`` -- minimum candidates per step before the
-      auto heuristic considers forking workers worthwhile.
     * ``carry`` -- cross-step candidate carry (see :mod:`repro.core
-      .pool` and the engine's delta re-scoring).  ``None``/``"auto"``
-      and ``True``/``"on"`` maintain the candidate pool incrementally
-      across steps and re-score only the candidates the applied merge
-      affects; ``False``/``"off"`` re-enumerates and re-scores
-      everything every step (the seed behavior).  Output is identical
-      either way.
-    * ``lazy`` -- lazy-greedy candidate selection (``"on"``/``True``):
-      candidates sit in a priority queue of possibly-stale scores;
-      only entries popped from the head are re-scored (sound because
-      stale scores are lower bounds, Prop 4.2.2).  Requires
-      ``scoring="normalized"`` and ``carry`` not ``"off"``.
+      .pool` and the engine's lazy queue).  ``None``/``"auto"`` and
+      ``True``/``"on"`` maintain the candidate pool incrementally
+      across steps and carry measurements in the lazy queue;
+      ``False``/``"off"`` re-enumerates and re-scores everything every
+      step (the seed behavior).  Output is identical either way.
     * ``sample_sharing`` -- bit-packed sampled scoring for valuation
       classes too large to enumerate (see :mod:`repro.core
       .sampled_scoring`).  ``None``/``"auto"`` and ``True``/``"on"``
@@ -133,9 +134,7 @@ class SummarizationConfig:
       (asserted by ``tests/core/test_streaming_repair.py``).
     """
 
-    _PARALLELISM_WORDS = {"auto": None, "off": 0}
     _INCREMENTAL_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
-    _LAZY_WORDS = {"on": True, "true": True, "off": False, "false": False}
 
     w_dist: float = 0.5
     w_size: Optional[float] = None
@@ -151,31 +150,14 @@ class SummarizationConfig:
     delta: float = 0.9
     candidate_cap: Optional[int] = None
     seed: int = 0
-    parallelism: Union[int, str, None] = None
     incremental: Union[bool, str, None] = None
-    parallel_threshold: int = 64
     carry: Union[bool, str, None] = None
-    lazy: Union[bool, str] = False
     sample_sharing: Union[bool, str, None] = None
     sample_block: int = 64
     repair: Union[bool, str, None] = None
     slo_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.parallelism, str):
-            word = self.parallelism.strip().lower()
-            if word in self._PARALLELISM_WORDS:
-                self.parallelism = self._PARALLELISM_WORDS[word]
-            else:
-                try:
-                    self.parallelism = int(word)
-                except ValueError:
-                    raise ValueError(
-                        "parallelism must be 'auto', 'off' or an integer, "
-                        f"got {self.parallelism!r}"
-                    ) from None
-        if self.parallelism is not None and self.parallelism < 0:
-            raise ValueError("parallelism must be non-negative")
         if isinstance(self.incremental, str):
             word = self.incremental.strip().lower()
             if word not in self._INCREMENTAL_WORDS:
@@ -191,13 +173,6 @@ class SummarizationConfig:
                     f"carry must be 'auto', 'on' or 'off', got {self.carry!r}"
                 )
             self.carry = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.lazy, str):
-            word = self.lazy.strip().lower()
-            if word not in self._LAZY_WORDS:
-                raise ValueError(
-                    f"lazy must be 'on' or 'off', got {self.lazy!r}"
-                )
-            self.lazy = self._LAZY_WORDS[word]
         if isinstance(self.sample_sharing, str):
             word = self.sample_sharing.strip().lower()
             if word not in self._INCREMENTAL_WORDS:
@@ -219,8 +194,6 @@ class SummarizationConfig:
                 raise ValueError("slo_seconds must be positive")
         if self.sample_block < 1:
             raise ValueError("sample_block must be at least 1")
-        if self.parallel_threshold < 1:
-            raise ValueError("parallel_threshold must be at least 1")
         if not 0.0 <= self.w_dist <= 1.0:
             raise ValueError("w_dist must be in [0, 1]")
         if self.w_size is None:
@@ -239,15 +212,3 @@ class SummarizationConfig:
             raise ValueError(
                 f"scoring must be one of {SCORING_STRATEGIES}, got {self.scoring!r}"
             )
-        if self.lazy:
-            if self.scoring != "normalized":
-                raise ValueError(
-                    "lazy candidate selection requires the 'normalized' "
-                    "scoring strategy (stale lower bounds only order "
-                    "absolute scores, not per-step ordinal ranks)"
-                )
-            if self.carry is False:
-                raise ValueError(
-                    "lazy candidate selection requires carry; pass "
-                    "carry='auto'/'on' or drop lazy='on'"
-                )

@@ -35,12 +35,11 @@ Monte-Carlo batch per step:
   layout; the per-batch statistics fold in the same 64-draw blocks.
 * **Deterministic batches make carried measurements valid.**  The
   batch is drawn once per scorer and *never* redrawn by
-  :meth:`advance`: Prop 4.2.2's monotonicity (the engine's carry/lazy
-  machinery treats stale distances as lower bounds) holds pointwise
+  :meth:`advance`: Prop 4.2.2's monotonicity (the engine's lazy queue
+  treats stale distances as lower bounds) holds pointwise
   per valuation, so it survives sampling only while the valuation set
-  is fixed.  With the batch pinned, the cross-step candidate carry and
-  the lazy-greedy queue treat sampled distances exactly like
-  enumerated ones.
+  is fixed.  With the batch pinned, the lazy-greedy queue treats
+  sampled distances exactly like enumerated ones.
 
 Estimates report ``exact=False`` with ``n_valuations`` equal to the
 batch size, mirroring the reference sampled estimator; under a shared
@@ -242,8 +241,7 @@ class SampledStepScorer(IncrementalStepScorer):
 
         Built at most once per step (``advance`` invalidates): the
         term-dead list mixes views into the step's mask table with
-        standalone merged rows, so the contiguous image -- what the
-        shared-memory batch snapshot blits wholesale -- is materialized
+        standalone merged rows, so the contiguous image is materialized
         here and memoized.  ``pack_builds`` counts materializations.
         """
         if self._packed_term_table is None:
@@ -268,21 +266,6 @@ class SampledStepScorer(IncrementalStepScorer):
         if self._packed_term_rows is None:
             self._packed_term_rows = self.packed_term_dead_table().rows()
         return self._packed_term_rows
-
-    def adopt_shared_weights(self, weights) -> None:
-        """Serve per-draw weights from a mapped shared-memory block.
-
-        Called by forked scoring workers after mapping the published
-        :class:`~repro.core.shm.SharedBatch`: the float64 view holds
-        the identical doubles the list held, indexing yields the same
-        python floats, so every downstream accumulation is bit for bit
-        unchanged -- the reads just stop touching (and dirtying) the
-        parent's copy-on-write list pages.
-        """
-        self._weights = weights
-        # The sparse kernel path caches the weights buffer it hands the
-        # backend; repoint it at the adopted block.
-        self._weights_col = None
 
     def _compute_batch_stats(self) -> None:
         """Weighted mean/variance of the baseline's per-draw values.

@@ -168,7 +168,7 @@ class SummaryRepairState:
       greedy loop);
     * ``checkpoint`` -- the scoring engine's step-0 measurement
       snapshot (``None`` when the step's path cannot seed repair:
-      lazy selection, sampled kernel, naive fallback).
+      full ranking, sampled kernel, naive fallback).
 
     The state holds live in-memory objects and is intentionally not
     serialized; a resumed session rebuilds it on its first run.

@@ -93,9 +93,9 @@ class StepRecord:
     #: Which engine path measured this step's candidates ("fast",
     #: "fast+incremental" or "naive"); "" in records predating the engine.
     scoring_path: str = ""
-    #: Candidates freshly scored this step (all of them without
-    #: cross-step carry; only the merge-affected set plus confirmation
-    #: re-scores under carry); -1 in records predating the carry.
+    #: Candidates freshly scored this step (all of them under full
+    #: ranking; only the popped stale queue heads under lazy
+    #: selection); -1 in records predating the carry.
     n_rescored: int = -1
 
     @property
@@ -132,6 +132,10 @@ class SummarizationResult:
     #: .SummaryRepairState`); ``None`` when ``config.repair`` is off.
     #: Holds live objects -- intentionally not serialized.
     repair_state: Optional[SummaryRepairState] = None
+    #: Steps whose fast scoring path raised and was rescored through
+    #: the naive reference (``ScoringEngine.fallback_count``); a
+    #: healthy run reports 0.
+    scoring_fallbacks: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -377,35 +381,21 @@ class Summarizer:
                         candidates, current, mapping
                     )
                     candidate_seconds = scoring_seconds / len(candidates)
-                    scored = score_candidates(
+                    best = score_candidates(
                         measured,
                         w_dist=config.w_dist,
                         w_size=config.w_size,
                         original_size=original.size(),
                         strategy=config.scoring,
-                    )
-                    # Winner confirmation: any delta-carried entry that
-                    # could contend with the head is re-scored exactly,
-                    # then the step re-ranks -- the recorded winner is
-                    # bit-identical to a carry-off run.
-                    while engine.refresh_near(scored):
-                        scored = score_candidates(
-                            measured,
-                            w_dist=config.w_dist,
-                            w_size=config.w_size,
-                            original_size=original.size(),
-                            strategy=config.scoring,
-                        )
-                    best = scored[0]
+                    )[0]
 
                 if (
                     new_state is not None
                     and not steps
                     and new_state.checkpoint is None
                 ):
-                    # Step-0 capture (engine half): the measurement
-                    # store, after winner confirmation made every
-                    # near-head entry exact.
+                    # Step-0 capture (engine half): the per-valuation
+                    # accumulators the fresh lazy queue recorded.
                     new_state.checkpoint = engine.capture_repair_checkpoint()
 
                 summary_parts = [problem.universe[name] for name in best.candidate.parts]
@@ -483,6 +473,7 @@ class Summarizer:
             repair_invalidated=repair_invalidated,
             repair_seeded=engine.last_repair_seeded,
             repair_state=new_state,
+            scoring_fallbacks=engine.fallback_count,
         )
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..core.problem import REMOVED_FIELDS
 from ..observability import health as _health
 from ..observability import metrics as _metrics
 from ..observability import profiling as _profiling
@@ -133,6 +134,16 @@ def error_response(
     status: int, message: str, headers: Optional[Dict[str, str]] = None
 ) -> AppResponse:
     return json_response(status, {"error": message}, headers)
+
+
+def _reject_removed(body: Mapping[str, Any]) -> None:
+    """400 (via ``ValueError``) naming any removed engine knob."""
+    removed = sorted(set(body) & REMOVED_FIELDS.keys())
+    if removed:
+        raise ValueError(
+            "removed parameters: "
+            + "; ".join(f"{name!r} ({REMOVED_FIELDS[name]})" for name in removed)
+        )
 
 
 class ProxApp:
@@ -272,6 +283,7 @@ class ProxApp:
     # -- lifecycle handlers ------------------------------------------------
 
     def _handle_create(self, body: Dict[str, Any]) -> AppResponse:
+        _reject_removed(body)
         unknown = set(body) - {"session_id", "seed", "config"}
         if unknown:
             raise ValueError(f"unknown session parameters: {sorted(unknown)}")
@@ -361,15 +373,14 @@ class ProxApp:
             "aggregation",
             "valuation_class",
             "val_func",
-            "parallelism",
             "incremental",
             "carry",
-            "lazy",
             "sample_sharing",
             "sample_block",
             "repair",
             "slo_seconds",
         }
+        _reject_removed(body)
         unknown = set(body) - allowed - {"seed", "session_id"}
         if unknown:
             raise ValueError(f"unknown summarization parameters: {sorted(unknown)}")

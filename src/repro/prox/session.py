@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.problem import REMOVED_FIELDS
 from ..core.streaming import ProvenanceDelta, apply_delta
 from ..core.summarize import SummarizationResult
 from ..datasets.base import DatasetInstance
@@ -463,5 +464,12 @@ class ProxSession:
         if last is not None:
             # Re-run lazily on the next touch that needs a result, so
             # rehydration stays cheap for sessions only being listed.
-            session._pending_summarize = (dict(last[0]), int(last[1]))
+            # Snapshots written before an engine knob was removed still
+            # carry it; the knob never changed results, so drop it.
+            request = {
+                key: value
+                for key, value in dict(last[0]).items()
+                if key not in REMOVED_FIELDS
+            }
+            session._pending_summarize = (request, int(last[1]))
         return session

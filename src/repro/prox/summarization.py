@@ -50,16 +50,12 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Scoring-engine knobs (see :mod:`repro.core.engine`): worker
-    #: processes per step ("auto"/"off"/int), incremental scorer carry
-    #: ("auto"/"on"/"off"/bool), cross-step candidate carry
-    #: ("auto"/"on"/"off"/bool), lazy-greedy selection ("on"/"off"),
-    #: shared-batch sampled scoring ("auto"/"on"/"off"/bool) and the
-    #: sampling-budget block size.
-    parallelism: object = None
+    #: Scoring-engine knobs (see :mod:`repro.core.engine`): incremental
+    #: scorer carry ("auto"/"on"/"off"/bool), cross-step candidate carry
+    #: ("auto"/"on"/"off"/bool), shared-batch sampled scoring
+    #: ("auto"/"on"/"off"/bool) and the sampling-budget block size.
     incremental: object = None
     carry: object = None
-    lazy: object = False
     sample_sharing: object = None
     sample_block: int = 64
     #: Streaming summary repair ("auto"/"on"/"off"): consume the repair
@@ -78,10 +74,8 @@ class SummarizationRequest:
             target_size=self.size_bound,
             max_steps=self.number_of_steps,
             seed=seed,
-            parallelism=self.parallelism,
             incremental=self.incremental,
             carry=self.carry,
-            lazy=self.lazy,
             sample_sharing=self.sample_sharing,
             sample_block=self.sample_block,
             repair=self.repair,

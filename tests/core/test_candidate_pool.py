@@ -6,9 +6,10 @@ Two obligations, each over a randomized instance grid:
   same shared-RNG consumption -- to a fresh ``enumerate_candidates``
   call after every applied merge, including the ``arity > 2`` greedy
   extension/dedupe and the ``cap=`` subsampling interplay;
-* the engine's delta-carried candidate measurements match a fresh
-  re-scoring: sizes exactly, distances within the documented 1e-9
-  float-association tolerance (the engine's ``refresh_near`` band).
+* the engine's lazy queue, selecting over carried (stale)
+  measurements, picks a winner of a fresh full re-scoring: sizes
+  exactly, distances within the documented 1e-9 float-association
+  tolerance (the queue's stale-key margin).
 """
 
 import random
@@ -31,6 +32,7 @@ from repro.core.constraints import SharedAttribute
 from repro.core.engine import ScoringEngine
 from repro.core.fast_distance import IncrementalStepScorer
 from repro.core.pool import CandidatePool
+from repro.core.scoring import ScoredCandidate, score_candidates
 from repro.provenance import (
     MAX,
     SUM,
@@ -271,10 +273,11 @@ def test_dedupe_mixed_known_unknown_names_still_exact():
     monoid=st.sampled_from([SUM, MAX]),
 )
 def test_carried_scores_match_fresh_rescoring(seed, monoid):
-    """Drive the engine's delta carry for several steps; after each
-    step every candidate measurement (carried or not) must match a
-    fresh scorer built from scratch: sizes exactly, distances within
-    the documented 1e-9 tolerance."""
+    """Drive the engine's lazy queue for several steps; after each step
+    its winner -- selected over carried (stale) measurements -- must be
+    a winner of a fresh scorer built from scratch, with the same size
+    exactly and the same distance within the documented 1e-9
+    tolerance."""
     problem = pool_problem(seed, monoid=monoid)
     universe = problem.universe
     computer = DistanceComputer(
@@ -284,26 +287,46 @@ def test_carried_scores_match_fresh_rescoring(seed, monoid):
         problem.combiners,
         universe,
     )
-    engine = ScoringEngine(
-        problem, SummarizationConfig(carry="on", parallelism=0), computer
-    )
+    engine = ScoringEngine(problem, SummarizationConfig(carry="on"), computer)
+    assert engine.lazy
     current = problem.expression
+    original_size = current.size()
     mapping = MappingState(sorted(current.annotation_names()))
-    carried_steps = 0
     for _ in range(4):
         candidates = enumerate_candidates(current, universe, problem.constraint)
         if not candidates:
             break
-        measured, _ = engine.measure(candidates, current, mapping)
+        chosen, _ = engine.measure_lazy(
+            candidates, current, mapping, 0.5, 0.5, original_size
+        )
+        assert engine.fallback_count == 0
         reference = IncrementalStepScorer(computer, current, mapping, universe)
-        for entry in measured:
-            ref_size, ref_estimate = reference.score(entry.candidate.parts)
-            assert entry.size == ref_size, entry.candidate.parts
-            assert entry.distance.value == pytest.approx(
-                ref_estimate.value, abs=1e-9
-            ), entry.candidate.parts
-        carried_steps += 1 if engine.last_carried else 0
-        chosen = measured[0]
+        fresh = score_candidates(
+            [
+                ScoredCandidate(
+                    candidate=candidate,
+                    expression=None,
+                    step_mapping={},
+                    size=size,
+                    distance=estimate,
+                )
+                for candidate, (size, estimate) in (
+                    (c, reference.score(c.parts)) for c in candidates
+                )
+            ],
+            w_dist=0.5,
+            w_size=0.5,
+            original_size=original_size,
+        )
+        assert chosen.score == pytest.approx(fresh[0].score, abs=1e-9)
+        match = next(
+            entry for entry in fresh if entry.candidate.parts == chosen.candidate.parts
+        )
+        assert match.score <= fresh[0].score + 1e-9, chosen.candidate.parts
+        assert chosen.size == match.size, chosen.candidate.parts
+        assert chosen.distance.value == pytest.approx(
+            match.distance.value, abs=1e-9
+        ), chosen.candidate.parts
         summary = universe.new_summary(
             [universe[name] for name in chosen.candidate.parts],
             label=chosen.candidate.proposal.label,

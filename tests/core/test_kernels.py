@@ -421,11 +421,27 @@ def test_native_tokens_resolve_to_native():
             assert kernels.get_backend().name == "native"
 
 
-def test_auto_never_resolves_to_native():
-    # ``auto`` is numpy-or-python: an implicit compile on import would
-    # surprise operators, so native stays opt-in.
+def test_auto_resolves_native_first():
+    # ``auto`` ranks backends by the end-to-end measurements:
+    # native → numpy → python, silently skipping unavailable ones.
+    expected = (
+        kernels.MODE_NATIVE
+        if kernels.native_available()
+        else kernels.MODE_NUMPY
+        if kernels.numpy_available()
+        else kernels.MODE_PYTHON
+    )
     with kernels.backend("auto") as resolved:
-        assert resolved in (kernels.MODE_PYTHON, kernels.MODE_NUMPY)
+        assert resolved == expected
+
+
+def test_auto_skips_unbuildable_native_without_warning(monkeypatch):
+    monkeypatch.setattr(kernels, "_NATIVE_BACKEND", False)
+    monkeypatch.setattr(kernels, "_NATIVE_ERROR", "NativeBuildError: no cc")
+    with _captured_warnings() as records:
+        resolved = kernels._resolve_name("auto")
+    assert resolved in (kernels.MODE_PYTHON, kernels.MODE_NUMPY)
+    assert not records
 
 
 @contextmanager
@@ -446,7 +462,9 @@ def test_unknown_token_warns_and_falls_back_to_auto():
     before = kernels.active_backend()
     with _captured_warnings() as records:
         with kernels.backend("quantum") as resolved:
-            assert resolved in (kernels.MODE_PYTHON, kernels.MODE_NUMPY)
+            assert resolved in (
+                kernels.MODE_PYTHON, kernels.MODE_NUMPY, kernels.MODE_NATIVE
+            )
     assert any("kernel_unknown" in r.getMessage() for r in records)
     assert kernels.active_backend() == before
 

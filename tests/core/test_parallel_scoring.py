@@ -1,17 +1,19 @@
 """Differential proof obligations for the scoring engine.
 
-Four implementations must agree on every candidate of a step: the
-naive reference (:class:`DistanceComputer` on each materialized
-candidate), the serial :class:`FastStepScorer`, the process-pool
-parallel path, and the sparse :class:`IncrementalStepScorer` -- over
-randomized instances (explicit RNG grid), SUM/MAX/COUNT aggregations,
-the OR combiner, and the degenerate corners (one candidate, one
-valuation, all-false annotations, empty groups).
+The naive reference (:class:`DistanceComputer` on each materialized
+candidate) is the oracle.  The :class:`FastStepScorer`, the sparse
+:class:`IncrementalStepScorer` and the engine driving them must agree
+with it on every candidate of a step, and the engine's lazy-greedy
+winner must be the naive full ranking's -- over randomized instances
+(explicit RNG grid), SUM/MAX/COUNT aggregations, the OR combiner, and
+the degenerate corners (one candidate, one valuation, all-false
+annotations, empty groups).
 
 Sizes must match as exact integers; distances to within 1e-12 (the
 tolerance the seed's fast-path suite already uses -- dense and sparse
-summation differ only in fold order).  Serial and parallel runs of the
-*same* scorer must agree bit-for-bit.
+summation differ only in fold order).  The engine must run the *same*
+scorer bit-for-bit, report the expected scoring path and never fall
+back to the naive path.
 """
 
 import random
@@ -37,6 +39,7 @@ from repro.core import (
 from repro.provenance import ir as _ir
 from repro.core.engine import _OverlayUniverse
 from repro.core.fast_distance import FastStepScorer, IncrementalStepScorer
+from repro.core.scoring import ScoredCandidate, score_candidates
 from repro.datasets import MovieLensConfig, generate_movielens
 from repro.provenance import (
     COUNT,
@@ -186,6 +189,32 @@ def engine_scores(problem, computer, current, mapping, candidates, **knobs):
     return engine, [(scored.size, scored.distance) for scored in measured]
 
 
+def rank(candidates, measurements, original_size):
+    """Full normalized ranking (w_dist = 0.5) of ``(size, distance)``
+    measurements, best first."""
+    return score_candidates(
+        [
+            ScoredCandidate(
+                candidate=candidate,
+                expression=None,
+                step_mapping={},
+                size=size,
+                distance=distance,
+            )
+            for candidate, (size, distance) in zip(candidates, measurements)
+        ],
+        w_dist=0.5,
+        w_size=0.5,
+        original_size=original_size,
+    )
+
+
+def assert_clean_run(result, *paths):
+    """A grid case's run took exactly ``paths`` and never fell back."""
+    assert {record.scoring_path for record in result.steps} == set(paths)
+    assert result.scoring_fallbacks == 0
+
+
 def assert_distances_match(actual, reference, context=""):
     assert len(actual) == len(reference)
     for (size, distance), (ref_size, ref_distance) in zip(actual, reference):
@@ -197,7 +226,8 @@ def assert_distances_match(actual, reference, context=""):
 
 
 def assert_all_paths_agree(problem):
-    """naive ≡ serial fast ≡ parallel fast ≡ incremental, one step."""
+    """naive ≡ serial fast ≡ incremental ≡ engine, and the lazy winner
+    is the naive full ranking's, one step."""
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
@@ -225,34 +255,47 @@ def assert_all_paths_agree(problem):
     ]
     assert_distances_match(incremental, reference, "incremental vs naive")
 
-    engine, parallel = engine_scores(
-        problem,
-        computer,
-        current,
-        mapping,
-        candidates,
-        parallelism=2,
-        incremental=False,
-        parallel_threshold=1,
+    # The engine runs the very same scorers, so its measurements must
+    # be *bit*-identical to driving them directly, not just close.
+    engine, dense = engine_scores(
+        problem, computer, current, mapping, candidates, incremental=False
     )
     assert engine.last_path == ScoringEngine.PATH_FAST
-    assert engine.last_workers == 2 or len(candidates) < 2
-    # The parallel path runs the very same scorer in forked workers, so
-    # it must be *bit*-identical to the serial run, not just close.
-    assert parallel == serial
+    assert engine.fallback_count == 0
+    assert dense == serial
 
-    engine, parallel_inc = engine_scores(
-        problem,
-        computer,
-        current,
-        mapping,
-        candidates,
-        parallelism=2,
-        incremental=True,
-        parallel_threshold=1,
+    engine, carried = engine_scores(
+        problem, computer, current, mapping, candidates
     )
     assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
-    assert parallel_inc == incremental
+    assert engine.fallback_count == 0
+    assert carried == incremental
+
+    # Lazy-greedy winner ≡ the naive reference's full ranking.
+    original_size = current.size()
+    engine = ScoringEngine(problem, SummarizationConfig(), computer)
+    assert engine.lazy
+    best, _ = engine.measure_lazy(
+        candidates, current, mapping, 0.5, 0.5, original_size
+    )
+    assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
+    assert engine.fallback_count == 0
+    naive_ranked = rank(candidates, reference, original_size)
+    assert best.score == pytest.approx(naive_ranked[0].score, abs=1e-12)
+    # Exact ties may order differently under fold-order dust; the lazy
+    # winner must be one of the naive co-winners, and exactly the full
+    # ranking's winner over the same (incremental) measurements.
+    co_winners = {
+        scored.candidate.parts
+        for scored in naive_ranked
+        if scored.score <= naive_ranked[0].score + 1e-12
+    }
+    assert best.candidate.parts in co_winners
+    full_ranked = rank(candidates, carried, original_size)
+    assert best.candidate.parts == full_ranked[0].candidate.parts
+    assert (best.size, best.distance.value) == (
+        full_ranked[0].size, full_ranked[0].distance.value
+    )
 
 
 # -- the RNG grid ------------------------------------------------------------------
@@ -446,19 +489,17 @@ def movielens_problem(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-def test_e2e_determinism_parallel_incremental_vs_seed_default(seed):
-    """parallelism=4, incremental=on must replay the seed-default run
-    merge for merge on the bundled MovieLens sample."""
+def test_e2e_determinism_incremental_vs_seed_default(seed):
+    """The default (incremental, lazy-greedy) run must replay the
+    seed-default (dense scorer, full ranking) run merge for merge on
+    the bundled MovieLens sample."""
     config_kwargs = dict(w_dist=0.7, max_steps=6, seed=0)
     baseline = Summarizer(
         movielens_problem(seed),
-        SummarizationConfig(parallelism=0, incremental="off", **config_kwargs),
+        SummarizationConfig(incremental="off", **config_kwargs),
     ).run()
     tuned = Summarizer(
-        movielens_problem(seed),
-        SummarizationConfig(
-            parallelism=4, incremental="on", parallel_threshold=1, **config_kwargs
-        ),
+        movielens_problem(seed), SummarizationConfig(**config_kwargs)
     ).run()
     assert [r.merged for r in tuned.steps] == [r.merged for r in baseline.steps]
     assert [r.new_annotation for r in tuned.steps] == [
@@ -467,8 +508,8 @@ def test_e2e_determinism_parallel_incremental_vs_seed_default(seed):
     assert tuned.final_size == baseline.final_size
     assert tuned.final_distance.value == baseline.final_distance.value
     assert tuned.summary_groups() == baseline.summary_groups()
-    assert {r.scoring_path for r in baseline.steps} == {"fast"}
-    assert {r.scoring_path for r in tuned.steps} == {"fast+incremental"}
+    assert_clean_run(baseline, "fast")
+    assert_clean_run(tuned, "fast+incremental")
 
 
 # -- the representation axis: legacy ≡ IR ------------------------------------------
@@ -493,18 +534,28 @@ def _run_in_mode(temporary_mode, runner):
         return _steps_fingerprint(runner())
 
 
+#: The engine knob axis: dense scorer + full ranking, the default
+#: incremental lazy-greedy path, and the shared-batch sampled kernel.
+_ENGINE_KNOBS = [
+    dict(incremental="off"),
+    dict(incremental="on"),
+    dict(incremental="on", max_enumerate=0, distance_samples=64),
+]
+_ENGINE_KNOB_IDS = ("serial", "incremental", "sampled")
+#: The one scoring path each knob setting must take on every step.
+_ENGINE_PATHS = {
+    "serial": "fast",
+    "incremental": "fast+incremental",
+    "sampled": "sampled+incremental",
+}
+
+
+def _knob_id(knobs):
+    return _ENGINE_KNOB_IDS[_ENGINE_KNOBS.index(knobs)]
+
+
 @pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        dict(parallelism=0, incremental="off"),
-        dict(parallelism=0, incremental="on"),
-        dict(parallelism=2, incremental="off", parallel_threshold=1),
-        dict(parallelism=2, incremental="on", parallel_threshold=1),
-        dict(parallelism=0, incremental="on", max_enumerate=0, distance_samples=64),
-    ],
-    ids=("serial", "incremental", "parallel", "parallel+incremental", "sampled"),
-)
+@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
 def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
     """The IR axis of the differential grid: under every engine knob
     combination a greedy run must be *bit*-identical between the
@@ -512,10 +563,12 @@ def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
     same exact distance floats."""
 
     def runner():
-        return Summarizer(
+        result = Summarizer(
             movielens_problem(seed),
             SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **knobs),
         ).run()
+        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
+        return result
 
     assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
         _ir.MODE_LEGACY, runner
@@ -525,10 +578,12 @@ def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
 def test_random_problems_ir_vs_legacy_bit_identical(monoid_name):
     def runner():
-        return Summarizer(
+        result = Summarizer(
             random_problem(19, MONOIDS[monoid_name], n_terms=16),
             SummarizationConfig(w_dist=0.6, max_steps=4, seed=0),
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
         _ir.MODE_LEGACY, runner
@@ -537,11 +592,13 @@ def test_random_problems_ir_vs_legacy_bit_identical(monoid_name):
 
 def test_beam_ir_vs_legacy_bit_identical():
     def runner():
-        return BeamSummarizer(
+        result = BeamSummarizer(
             movielens_problem(3),
             SummarizationConfig(w_dist=0.7, max_steps=4, seed=0),
             beam_width=2,
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
         _ir.MODE_LEGACY, runner
@@ -612,11 +669,11 @@ def test_fast_path_bailing_mid_run_falls_back_to_naive(monkeypatch):
 
     monkeypatch.setattr(FastStepScorer, "score", flaky_score)
     engine, scores = engine_scores(
-        problem, computer, current, mapping, candidates,
-        parallelism=0, incremental=False,
+        problem, computer, current, mapping, candidates, incremental=False
     )
     assert engine.last_path == ScoringEngine.PATH_NAIVE
     assert calls["n"] == 4, "the fast path was attempted and bailed"
+    assert engine.fallback_count == 1
     assert_distances_match(scores, reference, "fallback")
 
 
@@ -638,6 +695,7 @@ def test_summarizer_survives_broken_fast_path(monkeypatch):
     ).run()
     assert [r.merged for r in result.steps] == [r.merged for r in expected.steps]
     assert {r.scoring_path for r in result.steps} == {"naive"}
+    assert result.scoring_fallbacks == len(result.steps)
     assert result.final_distance.value == pytest.approx(
         expected.final_distance.value, abs=1e-12
     )
@@ -657,36 +715,23 @@ def _full_fingerprint(result):
     return fingerprint
 
 
-_ENGINE_KNOBS = [
-    dict(parallelism=0, incremental="off"),
-    dict(parallelism=0, incremental="on"),
-    dict(parallelism=2, incremental="off", parallel_threshold=1),
-    dict(parallelism=2, incremental="on", parallel_threshold=1),
-    dict(parallelism=0, incremental="on", max_enumerate=0, distance_samples=64),
-]
-_ENGINE_KNOB_IDS = (
-    "serial",
-    "incremental",
-    "parallel",
-    "parallel+incremental",
-    "sampled",
-)
-
-
 @pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
 @pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
 @pytest.mark.parametrize("seed", [3, 9])
 def test_greedy_carry_bit_identical(seed, knobs, ir_mode, kernel):
     """The carry axis of the differential grid: with cross-step
-    candidate carry on, a greedy run must be *bit*-identical to the
-    carry-off (seed) run -- same merges, sizes and exact distance
+    candidate carry on (lazy-greedy selection unless the scorer is
+    dense), a greedy run must be *bit*-identical to the carry-off
+    (full re-score) run -- same merges, sizes and exact distance
     floats -- under every engine knob and representation mode."""
 
     def runner(carry):
-        return Summarizer(
+        result = Summarizer(
             movielens_problem(seed),
             SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, carry=carry, **knobs),
         ).run()
+        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
+        return result
 
     with _ir.mode(ir_mode):
         off = _full_fingerprint(runner("off"))
@@ -704,10 +749,12 @@ def test_greedy_run_bit_identical_across_kernels(knobs):
     probe succeeds on this host."""
 
     def runner():
-        return Summarizer(
+        result = Summarizer(
             movielens_problem(3),
             SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **knobs),
         ).run()
+        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
+        return result
 
     with kernels.backend(kernels.MODE_PYTHON):
         reference = _full_fingerprint(runner())
@@ -723,27 +770,31 @@ def test_greedy_run_bit_identical_across_kernels(knobs):
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
 def test_random_problems_carry_bit_identical(monoid_name):
     def runner(carry):
-        return Summarizer(
+        result = Summarizer(
             random_problem(19, MONOIDS[monoid_name], n_terms=16),
             SummarizationConfig(w_dist=0.6, max_steps=4, seed=0, carry=carry),
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     assert _full_fingerprint(runner("on")) == _full_fingerprint(runner("off"))
 
 
 @pytest.mark.parametrize("scoring", ["normalized", "ordinal"])
 def test_carry_respects_scoring_strategy(scoring):
-    """Ordinal scoring disables the delta score carry (rank ties
-    compare raw floats) but keeps the pool carry -- output must match
-    the carry-off run either way."""
+    """Ordinal scoring disables lazy selection (per-step ranks bound
+    nothing across steps) but keeps the pool carry -- output must
+    match the carry-off run either way."""
 
     def runner(carry):
-        return Summarizer(
+        result = Summarizer(
             movielens_problem(3),
             SummarizationConfig(
                 w_dist=0.7, max_steps=5, seed=0, scoring=scoring, carry=carry
             ),
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     assert _full_fingerprint(runner("on")) == _full_fingerprint(runner("off"))
 
@@ -752,13 +803,15 @@ def test_carry_respects_scoring_strategy(scoring):
 @pytest.mark.parametrize("seed", [3, 9])
 def test_beam_carry_bit_identical(seed, ir_mode):
     def runner(carry):
-        return BeamSummarizer(
+        result = BeamSummarizer(
             movielens_problem(seed),
             SummarizationConfig(
                 w_dist=0.7, max_steps=5, seed=0, carry=carry, candidate_cap=24
             ),
             beam_width=2,
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     with _ir.mode(ir_mode):
         off = _full_fingerprint(runner("off"))
@@ -768,18 +821,21 @@ def test_beam_carry_bit_identical(seed, ir_mode):
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_lazy_matches_eager_selection(seed):
-    """Lazy-greedy selection must pick the exact same merge sequence
-    (and record the same fresh winner measurements) as the eager run,
-    while re-scoring only a fraction of the candidates."""
+    """Lazy-greedy selection (the default) must pick the exact same
+    merge sequence (and record the same fresh winner measurements) as
+    the eager full re-score, while re-scoring only a fraction of the
+    candidates."""
 
     def runner(**knobs):
-        return Summarizer(
+        result = Summarizer(
             movielens_problem(seed),
             SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **knobs),
         ).run()
+        assert_clean_run(result, "fast+incremental")
+        return result
 
     eager = runner(carry="off")
-    lazy = runner(carry="on", lazy="on")
+    lazy = runner()
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
     rescored = sum(r.n_rescored for r in lazy.steps[1:])
     total = sum(r.n_candidates for r in lazy.steps[1:])
@@ -834,10 +890,31 @@ def test_lazy_stale_scores_are_lower_bounds():
 
 
 def test_lazy_requires_normalized_scoring_and_carry():
-    with pytest.raises(ValueError):
-        SummarizationConfig(lazy="on", scoring="ordinal")
-    with pytest.raises(ValueError):
-        SummarizationConfig(lazy="on", carry="off")
+    """Lazy selection is the default exactly where it is sound: absolute
+    (normalized) scores over a scorer carried through advance()."""
+    problem = movielens_problem(3)
+
+    def lazy(**knobs):
+        return ScoringEngine(
+            problem, SummarizationConfig(**knobs), make_computer(problem)
+        ).lazy
+
+    assert lazy()
+    assert lazy(carry="on", incremental="on")
+    assert not lazy(scoring="ordinal")
+    assert not lazy(carry="off")
+    assert not lazy(incremental="off")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("parallelism", 2), ("parallel_threshold", 1), ("lazy", "on")],
+)
+def test_removed_engine_knobs_raise(field, value):
+    """The fork pool and the lazy switch are gone: naming them fails
+    loudly instead of being silently ignored."""
+    with pytest.raises(TypeError, match=field):
+        SummarizationConfig(**{field: value})
 
 
 def test_carry_counters_partition_each_step():
@@ -848,6 +925,7 @@ def test_carry_counters_partition_each_step():
         movielens_problem(3),
         SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="on"),
     ).run()
+    assert_clean_run(result, "fast+incremental")
     for record in result.steps:
         assert 0 <= record.n_rescored <= record.n_candidates
     assert result.steps[0].n_rescored == result.steps[0].n_candidates
@@ -873,4 +951,5 @@ def test_pool_invalidation_falls_back_to_fresh_enumeration(monkeypatch):
         movielens_problem(3),
         SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="on"),
     ).run()
+    assert_clean_run(result, "fast+incremental")
     assert _full_fingerprint(result) == expected

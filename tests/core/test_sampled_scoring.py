@@ -11,8 +11,8 @@ three levels:
 * per-candidate, against a fresh reference computer whose RNG replays
   the scorer's batch draw (SUM/MAX/COUNT, guards, group merges,
   sparse and dense accumulators);
-* per-step through the engine (dispatch paths, serial ≡ parallel,
-  carry on ≡ off, lazy ≡ eager, batch pinning across ``advance``);
+* per-step through the engine (dispatch paths, lazy-greedy ≡ full
+  ranking, carry on ≡ off, batch pinning across ``advance``);
 * end-to-end through greedy and beam runs, replaying every recorded
   step distance with a reference computer.
 
@@ -355,33 +355,6 @@ def test_engine_sampled_measurements_match_reference():
         )
         assert scored.size == ref_size
         assert scored.distance.value == reference.value
-
-
-def test_serial_and_parallel_sampled_runs_bit_identical(kernel):
-    problem = random_problem(6, SUM, n_terms=18)
-    current, mapping, candidates = step_state(problem)
-
-    def run(parallelism):
-        engine = engine_for(
-            problem,
-            sampling_computer(problem, SEED, batch=BATCH),
-            max_enumerate=0,
-            distance_samples=BATCH,
-            incremental="off",
-            parallelism=parallelism,
-            parallel_threshold=1,
-        )
-        measured, _ = engine.measure(candidates, current, mapping)
-        return engine, [
-            (scored.size, scored.distance.value, scored.distance.normalized)
-            for scored in measured
-        ]
-
-    serial_engine, serial = run(0)
-    parallel_engine, parallel = run(2)
-    assert serial_engine.last_path == ScoringEngine.PATH_SAMPLED
-    assert parallel_engine.last_path == ScoringEngine.PATH_SAMPLED
-    assert serial == parallel
 
 
 # -- batch pinning across steps ----------------------------------------------------
@@ -853,24 +826,33 @@ def _sampled_run(seed, **knobs):
             w_dist=0.7, max_steps=5, seed=0, max_enumerate=0, **knobs
         ),
     ).run()
-    assert {r.scoring_path for r in result.steps} <= {
-        "sampled", "sampled+incremental"
-    }
+    expected = "sampled" if knobs.get("incremental") == "off" else (
+        "sampled+incremental"
+    )
+    assert {r.scoring_path for r in result.steps} == {expected}
+    assert result.scoring_fallbacks == 0
     return result
 
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_sampled_carry_bit_identical(seed):
-    on = _full_fingerprint(_sampled_run(seed, carry="on"))
-    off = _full_fingerprint(_sampled_run(seed, carry="off"))
+    """Pool carry over a per-step scorer (fresh batch every step, full
+    ranking) must match the fully uncarried run."""
+    on = _full_fingerprint(_sampled_run(seed, carry="on", incremental="off"))
+    off = _full_fingerprint(_sampled_run(seed, carry="off", incremental="off"))
     assert on == off
 
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_sampled_lazy_matches_eager(seed):
+    """The default lazy-greedy selection over the pinned batch picks the
+    eager full ranking's winners, re-scoring fewer candidates."""
     eager = _sampled_run(seed, carry="off")
-    lazy = _sampled_run(seed, carry="on", lazy="on")
+    lazy = _sampled_run(seed)
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
+    assert sum(r.n_rescored for r in lazy.steps[1:]) < sum(
+        r.n_candidates for r in lazy.steps[1:]
+    )
 
 
 def test_sample_sharing_off_still_summarizes():

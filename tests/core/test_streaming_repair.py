@@ -15,8 +15,8 @@ annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × engine knobs
-(carry/lazy on/off, parallelism off, aggregations) plus the legacy
-(non-IR) representation; the adversarial schedule spam-flags users so
+(carry on/off, aggregations) plus the legacy (non-IR) representation;
+every case asserts its scoring path and zero fast-path fallbacks; the adversarial schedule spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
 of the invariant: an expression grown by ``apply_delta`` summarizes
@@ -28,6 +28,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.beam import BeamSummarizer
+from repro.core.engine import ScoringEngine
 from repro.core.equivalence import EquivalencePartition, equivalence_classes
 from repro.core.problem import SummarizationConfig
 from repro.core.streaming import apply_delta, extend_valuations
@@ -102,6 +103,14 @@ def run_differential(cfg, dcfg, request):
     return repaired, from_scratch
 
 
+def assert_clean(*results):
+    """Each run scored every step on the incremental exact kernel and
+    never fell back to the naive path."""
+    for result in results:
+        assert {r.scoring_path for r in result.steps} == {"fast+incremental"}
+        assert result.scoring_fallbacks == 0
+
+
 BASE = dict(n_users=24, n_movies=30, seed=3)
 APPEND = dict(n_deltas=3, seed=11)
 SPAM = dict(n_deltas=4, spam_flag_every=3, seed=11)
@@ -134,7 +143,7 @@ GRID = [
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, lazy=True),
+        SummarizationRequest(number_of_steps=6, carry="on"),
         id="lazy-queue",
     ),
     pytest.param(
@@ -157,12 +166,6 @@ GRID = [
         ),
         id="sum-disagreement",
     ),
-    pytest.param(
-        MovieLensConfig(**BASE),
-        MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, parallelism="off"),
-        id="parallelism-off",
-    ),
 ]
 
 
@@ -171,6 +174,24 @@ class TestStreamedEqualsFrozen:
     def test_repaired_is_bit_identical(self, cfg, dcfg, request_):
         repaired, from_scratch = run_differential(cfg, dcfg, request_)
         assert _snapshot(repaired) == _snapshot(from_scratch)
+        assert_clean(repaired, from_scratch)
+
+    def test_default_config_repair_stays_seeded(self):
+        """Lazy-greedy selection is the default, and its first queue must
+        record the step-0 checkpoint and consume the repair seed, or
+        every repaired run silently re-scores from scratch."""
+        request = SummarizationRequest()
+        assert ScoringEngine(None, request.to_config(), None).lazy
+        repaired, from_scratch = run_differential(
+            MovieLensConfig(**BASE), MovieLensDeltaConfig(**APPEND), request
+        )
+        assert _snapshot(repaired) == _snapshot(from_scratch)
+        assert_clean(repaired, from_scratch)
+        assert repaired.repaired and not from_scratch.repaired
+        assert repaired.repair_seeded > 0
+        # Seeded entries enter the queue stale: the first step re-scores
+        # only what the delta touched plus the popped queue heads.
+        assert repaired.steps[0].n_rescored < repaired.steps[0].n_candidates
 
     def test_repair_actually_seeds_measurements(self):
         """Guard against the repair path silently never engaging."""

@@ -87,8 +87,8 @@ def test_differential_invariant_holds_with_tracing_on(instrumentation_guard):
     """Serial ≡ incremental merge sequences, spans recording throughout."""
     tracing.set_enabled(True)
     tracing.take_trace()
-    serial = _summarize(parallelism=0, incremental="off")
-    incremental = _summarize(parallelism=0, incremental="on")
+    serial = _summarize(incremental="off")
+    incremental = _summarize(incremental="on")
     assert [r.merged for r in serial.steps] == [r.merged for r in incremental.steps]
     assert _portable(serial) == _portable(incremental)
 
@@ -134,9 +134,9 @@ def test_output_is_byte_identical_with_carry_and_instrumentation(
     instrumentation_guard,
 ):
     """The carry counters/span attributes must not perturb a carry-on
-    run: byte-identical output with instrumentation off and on, eager
-    and lazy."""
-    for knobs in (dict(carry="on"), dict(carry="on", lazy="on")):
+    run: byte-identical output with instrumentation off and on, lazy
+    (normalized) and full-ranking (ordinal)."""
+    for knobs in (dict(carry="on"), dict(carry="on", scoring="ordinal")):
         metrics.set_enabled(False)
         tracing.set_enabled(False)
         baseline = _summarize(**knobs)
@@ -157,7 +157,7 @@ def test_carry_counters_advance_during_a_run(instrumentation_guard):
     before_carried = carried_total.value()
     before_rescored = rescored_total.value()
 
-    result = _summarize(carry="on", lazy="on")
+    result = _summarize(carry="on")
 
     carried = sum(
         r.n_candidates - r.n_rescored for r in result.steps if r.n_rescored >= 0
@@ -176,14 +176,14 @@ def test_carry_counters_golden_scrape(instrumentation_guard):
     scrape = metrics.REGISTRY.render()
     assert (
         "# HELP prox_scoring_candidates_carried_total Candidates whose "
-        "measurement was carried across a step (delta-corrected or served "
-        "stale from the lazy queue).\n"
+        "measurement was carried across a step (served stale from the "
+        "lazy queue or seeded by streaming repair).\n"
         "# TYPE prox_scoring_candidates_carried_total counter\n"
     ) in scrape
     assert (
         "# HELP prox_scoring_candidates_rescored_total Candidates freshly "
-        "re-scored under cross-step carry (intersecting, new, or "
-        "confirmation re-scores).\n"
+        "re-scored under cross-step carry (fresh queue, new pairs, or "
+        "popped stale queue heads).\n"
         "# TYPE prox_scoring_candidates_rescored_total counter\n"
     ) in scrape
     assert "prox_scoring_candidates_carried_total " in scrape
@@ -285,7 +285,7 @@ def test_score_candidates_spans_report_batch_attributes(instrumentation_guard):
 def test_score_candidates_spans_report_carry_partition(instrumentation_guard):
     tracing.set_enabled(True)
     tracing.take_trace()
-    result = _summarize(carry="on", lazy="on")
+    result = _summarize(carry="on")
 
     root = tracing.take_trace()
     steps = [child for child in root.children if child.name.startswith("step[")]

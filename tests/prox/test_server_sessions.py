@@ -70,6 +70,25 @@ class TestLifecycleRoutes:
         status, data, _ = request(server, "DELETE", f"/sessions/{session_id}")
         assert status == 404
 
+    @pytest.mark.parametrize("field", ["parallelism", "parallel_threshold", "lazy"])
+    def test_removed_engine_knobs_are_400_naming_the_field(self, server, field):
+        status, data, _ = request(server, "POST", "/sessions", {field: 2})
+        assert status == 400
+        assert "removed parameters" in data["error"] and repr(field) in data["error"]
+
+        status, created, _ = request(server, "POST", "/sessions", {})
+        assert status == 201
+        session_id = created["session_id"]
+        request(server, "POST", f"/sessions/{session_id}/select", {"genre": None})
+        status, data, _ = request(
+            server,
+            "POST",
+            f"/sessions/{session_id}/summarize",
+            {"number_of_steps": 2, field: 2},
+        )
+        assert status == 400
+        assert "removed parameters" in data["error"] and repr(field) in data["error"]
+
     def test_unknown_session_is_404(self, server):
         for method, path in [
             ("POST", "/sessions/ghost/select"),

@@ -4,7 +4,8 @@ The acceptance bar for the serving tier: a session snapshotted,
 evicted and restored (zero-copy in a fresh process, replay in a warm
 one) must produce *bit-identical* ``/summarize`` results to a session
 that was never evicted -- same sizes, same distances, same merge
-sequence -- across greedy/beam × carry/lazy × sampled scoring paths.
+sequence -- across greedy/beam × carry on/off × sampled scoring paths,
+each on its expected scoring path with zero fast-path fallbacks.
 Soundness rests on PR 3 (results independent of monomial-id layout)
 and PR 6 (repaired ≡ from-scratch), so dropping repair state and
 re-interning on restore cannot shift anything.
@@ -35,19 +36,16 @@ from repro.prox.summarization import SummarizationRequest
 CONFIG = MovieLensConfig(n_users=10, n_movies=8, include_movie_merges=True, seed=5)
 
 #: The scoring-path grid of the acceptance criterion.  Greedy via the
-#: session API; the beam axis runs BeamSummarizer over the session's
+#: session API (carry off: full ranking; carry on: lazy-greedy
+#: selection); the beam axis runs BeamSummarizer over the session's
 #: own problem (build_problem).
 REQUESTS = [
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="off", lazy=False),
+        SummarizationRequest(number_of_steps=4, carry="off"),
         id="greedy-baseline",
     ),
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="on", lazy=False),
-        id="greedy-carry",
-    ),
-    pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="on", lazy=True),
+        SummarizationRequest(number_of_steps=4, carry="on"),
         id="greedy-carry-lazy",
     ),
     pytest.param(
@@ -81,7 +79,14 @@ def fingerprint(result):
             for record in result.steps
         ],
         "stop": result.stop_reason,
+        "paths": sorted({record.scoring_path for record in result.steps}),
+        "fallbacks": result.scoring_fallbacks,
     }
+
+
+def assert_clean(fingerprint_):
+    assert fingerprint_["paths"] == ["fast+incremental"]
+    assert fingerprint_["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("request_", REQUESTS)
@@ -89,6 +94,7 @@ def test_evicted_session_summarizes_bit_identically(request_, tmp_path):
     """In-process eviction (warm store: replay path) changes nothing."""
     control = build_session()
     expected = fingerprint(control.summarize(request_, seed=13))
+    assert_clean(expected)
 
     manager = SessionManager(
         factory=lambda sid: build_session(sid),
@@ -117,6 +123,7 @@ def test_beam_summarizes_bit_identically_after_restore(tmp_path):
         beam_width=2,
     ).run()
     expected = fingerprint(baseline)
+    assert_clean(expected)
 
     path = str(tmp_path / "beam.snap")
     control.snapshot(path)
@@ -186,9 +193,7 @@ def _run_child(code, *argv):
     "request_",
     [
         pytest.param({"number_of_steps": 4, "carry": "off"}, id="baseline"),
-        pytest.param(
-            {"number_of_steps": 4, "carry": "on", "lazy": True}, id="carry-lazy"
-        ),
+        pytest.param({"number_of_steps": 4, "carry": "on"}, id="carry-lazy"),
         pytest.param(
             {"number_of_steps": 4, "sample_sharing": "on"}, id="sampled"
         ),
@@ -199,6 +204,7 @@ def test_cross_process_zero_copy_restore_is_bit_identical(request_, tmp_path):
     the exact same summary the original process produced."""
     path = str(tmp_path / "session.snap")
     original = _run_child(_CHILD_BUILD, path, json.dumps(request_))
+    assert_clean(original["fingerprint"])
     restored = _run_child(_CHILD_RESTORE, path)
     if _ir.ir_enabled():
         assert restored["zero_copy"], "expected the zero-copy install path"
@@ -243,3 +249,25 @@ print('{{}}')
     _run_child(code, first, second)
     with open(first, "rb") as a, open(second, "rb") as b:
         assert a.read() == b.read()
+
+
+def test_restore_drops_removed_engine_knobs(tmp_path):
+    """A snapshot written while ``lazy``/``parallelism`` still existed
+    records them in its last summarize request; restoring it must
+    re-summarize identically instead of failing on the removed knobs."""
+    request_ = SummarizationRequest(number_of_steps=3)
+    control = build_session()
+    expected = fingerprint(control.summarize(request_, seed=13))
+    recorded, seed = control._last_summarize
+    control._last_summarize = (
+        {**recorded, "lazy": True, "parallelism": 2, "parallel_threshold": 1},
+        seed,
+    )
+    path = str(tmp_path / "old.snap")
+    control.snapshot(path)
+    control.close()
+    restored = ProxSession.restore(path)
+    try:
+        assert fingerprint(restored._require_result()) == expected
+    finally:
+        restored.close()

@@ -38,14 +38,14 @@ def _serving(quick, p99_by_level, rps=10.0, errors=0, lost=0):
     }
 
 
-def _parallel(quick, speedups):
+def _streaming(quick, speedups, invalidated=3):
     return {
-        "benchmark": "parallel_scoring",
+        "benchmark": "streaming_ingest",
         "quick": quick,
         "instance": {"dataset": "movielens", "n_users": 40},
-        "modes": [
-            {"mode": mode, "speedup_vs_seed": speedup}
-            for mode, speedup in speedups.items()
+        "schedules": [
+            {"schedule": schedule, "speedup": speedup, "invalidated": invalidated}
+            for schedule, speedup in speedups.items()
         ],
     }
 
@@ -105,11 +105,11 @@ def test_lower_is_better_regression_fails(dirs, capsys):
 
 def test_higher_is_better_regression_fails(dirs, capsys):
     baseline, fresh = dirs
-    _write(baseline, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 6.0}))
-    _write(fresh, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 3.0}))
+    _write(baseline, streaming_ingest=_streaming(False, {"append": 6.0}))
+    _write(fresh, streaming_ingest=_streaming(False, {"append": 3.0}))
     code, out = run(baseline, fresh, capsys)
     assert code == 1
-    assert "modes[opt].speedup_vs_seed (higher is better) 6.000 -> 3.000" in out
+    assert "schedules[append].speedup (higher is better) 6.000 -> 3.000" in out
 
 
 def test_improvements_never_fail(dirs, capsys):
@@ -161,13 +161,13 @@ def test_serving_floor_requires_two_levels(dirs, capsys):
     assert "fewer than two concurrency levels" in out
 
 
-def test_parallel_floor_requires_a_winning_mode(dirs, capsys):
+def test_streaming_floor_requires_repair_to_win(dirs, capsys):
     baseline, fresh = dirs
-    _write(baseline, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 6.0}))
-    _write(fresh, parallel_scoring=_parallel(True, {"seed": 1.0, "opt": 0.9}))
+    _write(baseline, streaming_ingest=_streaming(False, {"append": 3.0}))
+    _write(fresh, streaming_ingest=_streaming(True, {"append": 0.9}))
     code, out = run(baseline, fresh, capsys)
     assert code == 1
-    assert "no optimized mode beat the seed" in out
+    assert "repair did not beat recompute" in out
 
 
 # -- plumbing ------------------------------------------------------------------
