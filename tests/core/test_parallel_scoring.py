@@ -13,10 +13,14 @@ Sizes must match as exact integers; distances to within 1e-12 (the
 tolerance the seed's fast-path suite already uses -- dense and sparse
 summation differ only in fold order).  The engine must run the *same*
 scorer bit-for-bit, report the expected scoring path and never fall
-back to the naive path.
+back to the naive path.  The ``parallel`` rows of the run-level grids
+repeat those runs side by side in forked worker processes, as the
+sharded serving tier runs sessions, and must reproduce them exactly.
 """
 
+import multiprocessing
 import random
+import traceback
 
 import pytest
 
@@ -534,45 +538,106 @@ def _run_in_mode(temporary_mode, runner):
         return _steps_fingerprint(runner())
 
 
-#: The engine knob axis: dense scorer + full ranking, the default
-#: incremental lazy-greedy path, and the shared-batch sampled kernel.
-_ENGINE_KNOBS = [
-    dict(incremental="off"),
-    dict(incremental="on"),
-    dict(incremental="on", max_enumerate=0, distance_samples=64),
-]
-_ENGINE_KNOB_IDS = ("serial", "incremental", "sampled")
-#: The one scoring path each knob setting must take on every step.
+#: The engine row axis: dense scorer + full ranking, the default
+#: incremental lazy-greedy path, the same two run side by side in
+#: forked worker processes, and the shared-batch sampled kernel.  Each
+#: row maps to its config knobs and whether its runs go to workers.
+_ENGINE_ROWS = {
+    "serial": (dict(incremental="off"), False),
+    "incremental": (dict(incremental="on"), False),
+    "parallel": (dict(incremental="off"), True),
+    "parallel+incremental": (dict(incremental="on"), True),
+    "sampled": (dict(incremental="on", max_enumerate=0, distance_samples=64), False),
+}
+_ENGINE_ROW_IDS = tuple(_ENGINE_ROWS)
+#: The one scoring path each row must take on every step.
 _ENGINE_PATHS = {
     "serial": "fast",
     "incremental": "fast+incremental",
+    "parallel": "fast",
+    "parallel+incremental": "fast+incremental",
     "sampled": "sampled+incremental",
 }
 
+#: Upper bound on one worker's run; a stuck worker fails the case.
+_WORKER_TIMEOUT_S = 120.0
 
-def _knob_id(knobs):
-    return _ENGINE_KNOB_IDS[_ENGINE_KNOBS.index(knobs)]
+
+def _worker_main(thunk, sender):
+    try:
+        sender.send((True, thunk()))
+    except BaseException:
+        sender.send((False, traceback.format_exc()))
+    finally:
+        sender.close()
+
+
+def run_in_workers(*thunks):
+    """Run each thunk in its own forked worker process, all at once --
+    the way the sharded serving tier (:mod:`repro.prox.workers`) runs
+    sessions side by side -- and return their results in order.
+
+    A forked worker inherits the kernel backend and representation mode
+    in force here, so its run must reproduce the in-process one bit for
+    bit.  A worker that raises or stalls fails the calling test."""
+    context = multiprocessing.get_context("fork")
+    receivers, workers = [], []
+    for thunk in thunks:
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=_worker_main, args=(thunk, sender))
+        worker.start()
+        sender.close()
+        receivers.append(receiver)
+        workers.append(worker)
+    try:
+        results = []
+        for receiver in receivers:
+            assert receiver.poll(_WORKER_TIMEOUT_S), "worker produced no result"
+            ok, payload = receiver.recv()
+            assert ok, f"worker failed:\n{payload}"
+            results.append(payload)
+        return results
+    finally:
+        for worker in workers:
+            worker.join(timeout=5.0)
+            if worker.is_alive():
+                worker.terminate()
+                worker.join()
+        for receiver in receivers:
+            receiver.close()
+
+
+def run_row(row, *thunks):
+    """Evaluate ``thunks`` as ``row`` prescribes: in-process one after
+    another, or side by side in forked workers."""
+    if _ENGINE_ROWS[row][1]:
+        return run_in_workers(*thunks)
+    return [thunk() for thunk in thunks]
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
-def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
-    """The IR axis of the differential grid: under every engine knob
-    combination a greedy run must be *bit*-identical between the
-    interned and the legacy representation -- same merges, same sizes,
-    same exact distance floats."""
+@pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
+def test_greedy_ir_vs_legacy_bit_identical(seed, row):
+    """The IR axis of the differential grid: under every engine row a
+    greedy run must be *bit*-identical between the interned and the
+    legacy representation -- same merges, same sizes, same exact
+    distance floats.  The parallel rows run both modes side by side in
+    forked workers."""
 
     def runner():
         result = Summarizer(
             movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **knobs),
+            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **_ENGINE_ROWS[row][0]),
         ).run()
-        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
+        assert_clean_run(result, _ENGINE_PATHS[row])
         return result
 
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
+    interned, legacy = run_row(
+        row,
+        lambda: _run_in_mode(_ir.MODE_IR, runner),
+        lambda: _run_in_mode(_ir.MODE_LEGACY, runner),
     )
+    assert interned == legacy
 
 
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
@@ -716,55 +781,60 @@ def _full_fingerprint(result):
 
 
 @pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
-@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
+@pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 @pytest.mark.parametrize("seed", [3, 9])
-def test_greedy_carry_bit_identical(seed, knobs, ir_mode, kernel):
+def test_greedy_carry_bit_identical(seed, row, ir_mode, kernel):
     """The carry axis of the differential grid: with cross-step
     candidate carry on (lazy-greedy selection unless the scorer is
     dense), a greedy run must be *bit*-identical to the carry-off
     (full re-score) run -- same merges, sizes and exact distance
-    floats -- under every engine knob and representation mode."""
+    floats -- under every engine row and representation mode.  The
+    parallel rows run both side by side in forked workers and must
+    also match the carry-off run made here in-process."""
 
     def runner(carry):
         result = Summarizer(
             movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, carry=carry, **knobs),
+            SummarizationConfig(
+                w_dist=0.7, max_steps=6, seed=0, carry=carry, **_ENGINE_ROWS[row][0]
+            ),
         ).run()
-        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
-        return result
+        assert_clean_run(result, _ENGINE_PATHS[row])
+        return _full_fingerprint(result)
 
     with _ir.mode(ir_mode):
-        off = _full_fingerprint(runner("off"))
-        on = _full_fingerprint(runner("on"))
+        off, on = run_row(row, lambda: runner("off"), lambda: runner("on"))
+        if _ENGINE_ROWS[row][1]:
+            assert off == runner("off")
     assert on == off
 
 
 @needs_numpy
-@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
-def test_greedy_run_bit_identical_across_kernels(knobs):
+@pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
+def test_greedy_run_bit_identical_across_kernels(row):
     """The tentpole contract end-to-end: a full greedy run under the
     accelerated kernels reproduces the python-kernel run bit for bit --
     same merges, same sizes, same exact distance floats -- on every
-    engine path.  The native backend joins the comparison whenever its
-    probe succeeds on this host."""
+    engine row.  The native backend joins the comparison whenever its
+    probe succeeds on this host; the parallel rows run the accelerated
+    kernels side by side in forked workers."""
 
-    def runner():
-        result = Summarizer(
-            movielens_problem(3),
-            SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **knobs),
-        ).run()
-        assert_clean_run(result, _ENGINE_PATHS[_knob_id(knobs)])
-        return result
+    def runner(mode):
+        with kernels.backend(mode):
+            result = Summarizer(
+                movielens_problem(3),
+                SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **_ENGINE_ROWS[row][0]),
+            ).run()
+        assert_clean_run(result, _ENGINE_PATHS[row])
+        return _full_fingerprint(result)
 
-    with kernels.backend(kernels.MODE_PYTHON):
-        reference = _full_fingerprint(runner())
-    with kernels.backend(kernels.MODE_NUMPY):
-        vectorized = _full_fingerprint(runner())
-    assert vectorized == reference
+    reference = runner(kernels.MODE_PYTHON)
+    modes = [kernels.MODE_NUMPY]
     if kernels.native_available():
-        with kernels.backend(kernels.MODE_NATIVE):
-            compiled = _full_fingerprint(runner())
-        assert compiled == reference
+        modes.append(kernels.MODE_NATIVE)
+    accelerated = run_row(row, *[lambda mode=mode: runner(mode) for mode in modes])
+    for mode, fingerprint in zip(modes, accelerated):
+        assert fingerprint == reference, mode
 
 
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
