@@ -49,7 +49,8 @@ applicability gap, a broken scorer -- the engine rescores the
 *entire* step through the naive path rather than crashing or returning
 a partial candidate list.  ``path_counts`` records which path every
 step actually took and ``fallback_count`` how often a fast path
-failed.
+failed -- including a failed scorer carry or repair seed, which only
+drop carried state and re-measure fresh.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ _SCORING_CANDIDATES = _metrics.counter(
 )
 _SCORING_FALLBACKS = _metrics.counter(
     "prox_scoring_fallbacks_total",
-    "Fast-path failures rescored through the naive path.",
+    "Fast-path failures: steps rescored through the naive path, plus "
+    "dropped scorer carries and repair seeds.",
 )
 _SCORING_CARRIED = _metrics.counter(
     "prox_scoring_candidates_carried_total",
@@ -205,9 +207,14 @@ class ScoringEngine:
         #: recent step; they partition its candidate set.
         self.last_carried: int = 0
         self.last_rescored: int = 0
+        #: Carried queue entries of the most recent step whose size was
+        #: recomputed because the last merge touched their terms; every
+        #: other carried size was shifted by the merge's size change.
+        self.last_sizes_recomputed: int = 0
         #: How often each path was taken over the engine's lifetime.
         self.path_counts: Dict[str, int] = {}
-        #: Fast-path failures that fell back to naive rescoring.
+        #: Fast-path failures: steps rescored naively, plus scorer
+        #: carries and repair seeds dropped for a fresh measurement.
         self.fallback_count: int = 0
 
     @property
@@ -276,8 +283,9 @@ class ScoringEngine:
     ) -> None:
         """Carry the step scorer past the applied merge ``parts → new_name``.
 
-        A failed carry is never fatal: the scorer is dropped and the
-        next measurement rebuilds from scratch.
+        A failed carry is never fatal: the scorer is dropped, the
+        failure is counted as a fallback, and the next measurement
+        rebuilds from scratch.
         """
         self._detail_store = None
         scorer = self._scorer
@@ -290,6 +298,7 @@ class ScoringEngine:
         except Exception:
             self._scorer = None
             self._invalidate_carry()
+            self._note_fallback()
             return
         # Re-link the queue's carried measurements to the new
         # expression.  A merge whose global term-canonicalization
@@ -422,7 +431,7 @@ class ScoringEngine:
         if scorer is not None:
             started = time.perf_counter()
             try:
-                best, carried, rescored = self._lazy_select(
+                best, carried, rescored, sizes_recomputed = self._lazy_select(
                     scorer, candidates, seed, w_dist, w_size, original_size
                 )
             except Exception:
@@ -432,6 +441,7 @@ class ScoringEngine:
             else:
                 self.last_carried = carried
                 self.last_rescored = rescored
+                self.last_sizes_recomputed = sizes_recomputed
                 self._note_fast_step(scorer)
                 return best, time.perf_counter() - started
         # No fast kernel (or it failed): full naive measurement + rank.
@@ -462,6 +472,7 @@ class ScoringEngine:
         # overwrites both counts.
         self.last_carried = 0
         self.last_rescored = len(candidates)
+        self.last_sizes_recomputed = 0
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
@@ -575,17 +586,24 @@ class ScoringEngine:
         w_dist: float,
         w_size: float,
         original_size: int,
-    ) -> Tuple[ScoredCandidate, int, int]:
+    ) -> Tuple[ScoredCandidate, int, int, int]:
         """Pop-rescore-reinsert until the queue's top entry is fresh.
 
         Entries hold ``[size, estimate, fresh]``.  Sizes are always
         exact -- a stale size could *overstate* the bound (sizes only
-        shrink along chains) and break the lower-bound invariant, so
-        disjoint candidates get the exact carried-size shift and the
-        rest a direct size recomputation.  New pairs (no carried entry)
+        shrink along chains) and break the lower-bound invariant.  A
+        size depends on term structure alone, so a carried entry whose
+        terms the last merge left untouched
+        (:meth:`~repro.core.fast_distance.IncrementalStepScorer
+        .size_intersects`) gets the exact carried-size shift and the
+        rest a mask-free size recomputation; group overlap moves only
+        the (stale anyway) distance.  New pairs (no carried entry)
         enter with the global distance floor 0.0.  A queue that cannot
         carry (the run's first step, or after a dropped carry) starts
         from :meth:`_score_step`.
+
+        Returns the winner, the carried and rescored counts, and how
+        many carried sizes were recomputed.
         """
         store = self._carry_store
         live = (
@@ -594,20 +612,19 @@ class ScoringEngine:
             and scorer.last_affected_terms is not None
         )
         entries: List[list] = []
+        sizes_recomputed = 0
         if not live:
             entries = self._score_step(scorer, candidates, seed)
         else:
             shift = scorer.last_size_shift
             for candidate in candidates:
-                entry = store.get(candidate.parts)
+                parts = candidate.parts
+                entry = store.get(parts)
                 if entry is None:
-                    entries.append(
-                        [scorer.candidate_size(candidate.parts), None, False]
-                    )
-                elif scorer.candidate_intersects(candidate.parts):
-                    entries.append(
-                        [scorer.candidate_size(candidate.parts), entry[1], False]
-                    )
+                    entries.append([scorer.candidate_size(parts), None, False])
+                elif scorer.size_intersects(parts):
+                    entries.append([scorer.candidate_size(parts), entry[1], False])
+                    sizes_recomputed += 1
                 else:
                     entries.append([entry[0] + shift, entry[1], False])
         rescored = sum(1 for entry in entries if entry[2])
@@ -656,7 +673,7 @@ class ScoringEngine:
             r_size=r_size,
             score=w_dist * r_dist + w_size * r_size,
         )
-        return best, len(candidates) - rescored, rescored
+        return best, len(candidates) - rescored, rescored, sizes_recomputed
 
     def _score_step(
         self,
@@ -683,6 +700,9 @@ class ScoringEngine:
             try:
                 seeded = self._score_from_seed(scorer, candidates, *seed)
             except Exception:
+                # A broken seed only costs the repair its head start:
+                # count it and measure the step fresh.
+                self._note_fallback()
                 seeded = None
             if seeded is not None:
                 return seeded
@@ -833,9 +853,14 @@ class ScoringEngine:
     ) -> bool:
         """Whether the delta perturbs this candidate's measurement.
 
-        Mirrors :meth:`IncrementalStepScorer.candidate_intersects`
-        against the delta's dirty sets instead of a single applied
-        merge's."""
+        A seeded entry re-bases the candidate's *distance*, not just
+        its size, so this is wider than the lazy queue's
+        :meth:`IncrementalStepScorer.size_intersects`.  The measurement
+        reads (a) the dead masks and values of the terms mentioning the
+        candidate's parts or grouped under them and (b) the aggregates
+        and contributions of those terms' groups.  It is disturbed
+        exactly when that neighborhood meets the delta's dirty terms or
+        dirty groups."""
         key = scorer._key
         terms = scorer._terms
         for name in parts:
@@ -901,6 +926,7 @@ class ScoringEngine:
         span.set("seconds", seconds)
         span.set("carried", self.last_carried)
         span.set("rescored", self.last_rescored)
+        span.set("sizes_recomputed", self.last_sizes_recomputed)
         # Only when the sampled kernel actually engaged: enumerated
         # steps keep their span shape unchanged.
         if self._sampled_step():

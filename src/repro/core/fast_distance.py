@@ -74,6 +74,14 @@ def _identity(name: str) -> str:
 #: when keys are interned ids (no valid id is negative).
 _ID_MARKER = -1
 
+
+def _renamed_guard(guard: Tuple, parts: FrozenSet[str]) -> Tuple:
+    """Collision key of a presorted guard under the merge ``parts → c``."""
+    names, value, op, threshold = guard
+    kept = tuple([name for name in names if name not in parts])
+    return (len(names) - len(kept), kept, value, op, threshold)
+
+
 _COMPARE = {
     ">": lambda left, threshold: left > threshold,
     ">=": lambda left, threshold: left >= threshold,
@@ -301,6 +309,20 @@ class FastStepScorer:
             ]
             for term in self._terms
         ]
+        # Sorted monomial and guard names per term, built once per step:
+        # ``_candidate_size`` derives every candidate's collision key
+        # from these instead of re-sorting the touched terms' names.
+        self._term_names: List[Tuple[str, ...]] = [
+            tuple(sorted(term.annotations)) for term in self._terms
+        ]
+        self._term_guard_names: List[Tuple[Tuple, ...]] = [
+            tuple(
+                (tuple(sorted(guard.annotations)), guard.value, guard.op,
+                 guard.threshold)
+                for guard in term.guards
+            )
+            for term in self._terms
+        ]
         self._term_dead: List[WordRow] = self._derive_term_dead()
         self._group_terms: Dict[Optional[str], List[int]] = {}
         self._ann_terms: Dict[object, List[int]] = {}
@@ -468,6 +490,24 @@ class FastStepScorer:
     #: Placeholder key for the candidate's merged annotation / group.
     _MARKER = "\x00merged"
 
+    def _part_terms(self, part_keys: Sequence[object]) -> List[int]:
+        """Indexes of the terms mentioning any part, in first-seen order.
+
+        The one walk over a candidate's term neighborhood: the scoring
+        state (:meth:`_candidate_state`) overrides exactly these terms'
+        dead rows, while the size (:meth:`_candidate_size`) and the
+        repair baseline (:meth:`_score_positions_baseline`) need only
+        the indexes.
+        """
+        affected: List[int] = []
+        seen: set = set()
+        for part_key in part_keys:
+            for index in self._ann_terms.get(part_key, ()):
+                if index not in seen:
+                    seen.add(index)
+                    affected.append(index)
+        return affected
+
     def _candidate_state(
         self, parts: Sequence[str]
     ) -> Tuple[FrozenSet[str], List[int], Dict[int, WordRow], bool]:
@@ -491,14 +531,7 @@ class FastStepScorer:
         overrides = {part_key: merged_mask for part_key in part_keys}
         overrides[self._ann_marker] = merged_mask
 
-        affected: List[int] = []
-        seen: set = set()
-        for part_key in part_keys:
-            for index in self._ann_terms.get(part_key, ()):
-                if index not in seen:
-                    seen.add(index)
-                    affected.append(index)
-
+        affected = self._part_terms(part_keys)
         override = {
             index: self._term_mask(index, self._mask, overrides)
             for index in affected
@@ -545,7 +578,7 @@ class FastStepScorer:
             total_weight += valuation.weight
         distance_value = total / total_weight if total_weight else 0.0
         estimate = self._estimate(distance_value)
-        return self._candidate_size(part_set, marker, affected), estimate
+        return self._candidate_size(part_set, affected), estimate
 
     def _affected_group_indexes(
         self,
@@ -668,7 +701,7 @@ class FastStepScorer:
         return adjusted
 
     def _candidate_size(
-        self, parts: FrozenSet[str], marker: str, affected: Sequence[int]
+        self, parts: FrozenSet[str], affected: Sequence[int]
     ) -> int:
         """Size after the merge: only terms touching the merge can collide.
 
@@ -676,42 +709,53 @@ class FastStepScorer:
         annotations *or* its group -- a group-only rename can make two
         terms congruent even though neither mentions the merged
         annotations, so group members must be examined too.
+
+        Two touched terms collide when their renamed monomials, guards
+        and groups agree.  A name multiset renamed by ``parts → c`` is
+        fixed by how many of its names are parts plus the sorted
+        remaining names (filtering a sorted tuple keeps it sorted), so
+        the keys are built from the step's presorted names with no
+        per-candidate sort.  Colliding terms share a key and hence a
+        size, so which one is counted first does not matter.
         """
         size = self.current.size()
-        touched = list(affected)
-        touched_set = set(affected)
-        for part in parts:
-            for index in self._group_terms.get(part, ()):
-                if index not in touched_set:
-                    touched_set.add(index)
+        touched = affected
+        extra = [
+            index
+            for part in parts
+            for index in self._group_terms.get(part, ())
+        ]
+        if extra:
+            listed = set(affected)
+            touched = list(affected)
+            for index in extra:
+                if index not in listed:
+                    listed.add(index)
                     touched.append(index)
-        touched.sort()
-        seen: Dict[Tuple, int] = {}
+        terms = self._terms
+        names_of = self._term_names
+        guards_of = self._term_guard_names
+        marker = self._MARKER
+        keys: set = set()
         for index in touched:
-            term = self._terms[index]
-            monomial = tuple(
-                sorted(marker if name in parts else name for name in term.annotations)
-            )
-            guards = tuple(
-                (
-                    tuple(
-                        sorted(
-                            marker if name in parts else name
-                            for name in guard_token.annotations
-                        )
-                    ),
-                    guard_token.value,
-                    guard_token.op,
-                    guard_token.threshold,
+            names = names_of[index]
+            kept = tuple([name for name in names if name not in parts])
+            guards = guards_of[index]
+            if guards:
+                guards = tuple(
+                    _renamed_guard(guard, parts) for guard in guards
                 )
-                for guard_token in term.guards
+            group = terms[index].group
+            key = (
+                len(names) - len(kept),
+                kept,
+                guards,
+                marker if group in parts else group,
             )
-            group = marker if term.group in parts else term.group
-            key = (monomial, guards, group)
-            if key in seen:
-                size -= term.size()
+            if key in keys:
+                size -= terms[index].size()
             else:
-                seen[key] = index
+                keys.add(key)
         return size
 
 
@@ -757,11 +801,9 @@ class IncrementalStepScorer(FastStepScorer):
         # What the most recent advance() perturbed -- the engine's
         # lazy queue uses these to decide which carried sizes shift
         # verbatim (None until the first advance):
-        #: Term indexes (new state) whose aliveness the merge changed.
+        #: Term indexes (new state) the merge rewrote: those mentioning
+        #: the merged annotation or grouped under it.
         self.last_affected_terms: Optional[set] = None
-        #: Group keys whose aggregate/contribution the merge changed
-        #: (``touched_groups`` plus the merged annotation itself).
-        self.last_affected_groups: Optional[set] = None
         #: Expression-size change of the applied merge; a disjoint
         #: candidate's post-merge size is its carried size plus this.
         self.last_size_shift: int = 0
@@ -1056,7 +1098,7 @@ class IncrementalStepScorer(FastStepScorer):
         total_weight = self._weight_sum
         distance_value = total / total_weight if total_weight else 0.0
         estimate = self._estimate(distance_value)
-        return self._candidate_size(part_set, marker, affected), estimate, accs, wf
+        return self._candidate_size(part_set, affected), estimate, accs, wf
 
     def refinish(
         self, accs: List[float], wf: List[float], positions: Sequence[int]
@@ -1081,9 +1123,13 @@ class IncrementalStepScorer(FastStepScorer):
         return self._estimate(distance_value)
 
     def candidate_size(self, parts: Sequence[str]) -> int:
-        """Exact post-merge size of one candidate (no distance walk)."""
-        part_set, affected, _, _ = self._candidate_state(parts)
-        return self._candidate_size(part_set, self._MARKER, affected)
+        """Exact post-merge size of one candidate (no distance walk).
+
+        Reads term structure only: no merged mask, no dead rows.
+        """
+        key = self._key
+        affected = self._part_terms([key(name) for name in parts])
+        return self._candidate_size(frozenset(parts), affected)
 
     def score_positions(
         self, parts: Sequence[str], positions: Sequence[int]
@@ -1172,18 +1218,14 @@ class IncrementalStepScorer(FastStepScorer):
         addition happens in the generic path's order.
         """
         part_set = frozenset(parts)
-        seen: set = set()
         group_seen: set = set()
         groups_order: List[Optional[str]] = []
         terms = self._terms
-        for part_key in part_keys:
-            for index in self._ann_terms.get(part_key, ()):
-                if index not in seen:
-                    seen.add(index)
-                    group = terms[index].group
-                    if group not in group_seen:
-                        group_seen.add(group)
-                        groups_order.append(group)
+        for index in self._part_terms(part_keys):
+            group = terms[index].group
+            if group not in group_seen:
+                group_seen.add(group)
+                groups_order.append(group)
         excluded = list(part_set)
         excluded.extend(
             group for group in groups_order if group not in part_set
@@ -1208,30 +1250,25 @@ class IncrementalStepScorer(FastStepScorer):
             out[index] = acc
         return out
 
-    def candidate_intersects(self, parts: Sequence[str]) -> bool:
-        """Whether the last applied merge perturbs this candidate's score.
+    def size_intersects(self, parts: Sequence[str]) -> bool:
+        """Whether the last applied merge may have moved this candidate's size.
 
-        A candidate's measurement reads (a) the dead masks and values
-        of the terms mentioning its parts (or grouped under them) and
-        (b) the aggregates/contributions of those terms' groups.  It is
-        disturbed exactly when that neighborhood meets the applied
-        merge's ``last_affected_terms`` / ``last_affected_groups``;
-        everything else keeps its carried size shifted by
-        ``last_size_shift`` in the engine's lazy queue.
+        A candidate's size reads only the terms it touches: those
+        mentioning its parts and those grouped under them
+        (:meth:`_candidate_size`).  When none of them is among the
+        merge's ``last_affected_terms``, the merge carried every one
+        verbatim, so the candidate's collisions are unchanged and its
+        size shifts by exactly ``last_size_shift`` (given
+        ``last_shift_local``).  Sharing an aggregate group with the
+        merge moves the candidate's *distance*, not its size.
         """
-        affected_terms = self.last_affected_terms
-        affected_groups = self.last_affected_groups
+        affected = self.last_affected_terms
         key = self._key
-        terms = self._terms
         for name in parts:
-            if name in affected_groups:
+            if not affected.isdisjoint(self._ann_terms.get(key(name), ())):
                 return True
-            for index in self._ann_terms.get(key(name), ()):
-                if index in affected_terms or terms[index].group in affected_groups:
-                    return True
-            for index in self._group_terms.get(name, ()):
-                if index in affected_terms:
-                    return True
+            if not affected.isdisjoint(self._group_terms.get(name, ())):
+                return True
         return False
 
     def _fold_orig(self, index: int, keys: FrozenSet[str]) -> float:
@@ -1318,8 +1355,6 @@ class IncrementalStepScorer(FastStepScorer):
         affected_terms = set(self._ann_terms.get(new_key, ()))
         affected_terms.update(self._group_terms.get(new_name, ()))
         self.last_affected_terms = affected_terms
-        self.last_affected_groups = set(touched_groups)
-        self.last_affected_groups.add(new_name)
 
         # Aligned originals: refold only the keys whose image changed.
         changed = {

@@ -44,7 +44,12 @@ from repro.provenance import ir as _ir
 from repro.core.engine import _OverlayUniverse
 from repro.core.fast_distance import FastStepScorer, IncrementalStepScorer
 from repro.core.scoring import ScoredCandidate, score_candidates
-from repro.datasets import MovieLensConfig, generate_movielens
+from repro.datasets import (
+    MovieLensConfig,
+    WikipediaConfig,
+    generate_movielens,
+    generate_wikipedia,
+)
 from repro.provenance import (
     COUNT,
     MAX,
@@ -766,6 +771,37 @@ def test_summarizer_survives_broken_fast_path(monkeypatch):
     )
 
 
+def test_failed_advance_counts_a_fallback(monkeypatch):
+    """A scorer that fails to carry past a merge is dropped and rebuilt
+    fresh -- the run must not change, and the failure must show up in
+    ``scoring_fallbacks`` instead of passing silently."""
+
+    def run():
+        return Summarizer(
+            movielens_problem(3),
+            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0),
+        ).run()
+
+    expected = _full_fingerprint(run())
+    calls = {"n": 0}
+    original_advance = IncrementalStepScorer.advance
+
+    def advance_failing_once(self, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("advance poisoned")
+        return original_advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncrementalStepScorer, "advance", advance_failing_once)
+    result = run()
+    assert calls["n"] > 1, "the run never advanced past the failure"
+    assert {record.scoring_path for record in result.steps} == {
+        "fast+incremental"
+    }
+    assert result.scoring_fallbacks == 1
+    assert _full_fingerprint(result) == expected
+
+
 # -- the carry axis: cross-step candidate carry ≡ fresh per-step runs --------------
 
 
@@ -952,11 +988,94 @@ def test_lazy_stale_scores_are_lower_bounds():
                     monoid_name,
                     candidate.parts,
                 )
-                # The exact-shift size carry only claims candidates the
-                # engine's neighborhood predicate marks disjoint (a
-                # merge can enable joint term collapses otherwise).
-                if not scorer.candidate_intersects(candidate.parts):
+                # The exact-shift size carry only claims what the
+                # engine's gate claims: a merge whose collapses stayed
+                # local, and a candidate none of whose terms it touched
+                # (a merge can enable joint term collapses otherwise).
+                if scorer.last_shift_local and not scorer.size_intersects(
+                    candidate.parts
+                ):
                     assert new_size == old_size + scorer.last_size_shift
+
+
+@pytest.fixture
+def size_carry_spy(monkeypatch):
+    """Spies on the lazy queue's size bookkeeping.
+
+    Every carried size the queue shifts (``old + last_size_shift``) is
+    checked against a fresh :meth:`IncrementalStepScorer.candidate_size`
+    on the spot, and every step's reported ``sizes_recomputed`` against
+    the predicate's own verdicts.  Yields the running counts of shifted
+    and recomputed carried sizes.
+    """
+    counts = {"shifted": 0, "recomputed": 0}
+    selecting = []
+    original_select = ScoringEngine._lazy_select
+    original_intersects = IncrementalStepScorer.size_intersects
+
+    def spy_select(self, *args, **kwargs):
+        before = counts["recomputed"]
+        selecting.append(self)
+        try:
+            outcome = original_select(self, *args, **kwargs)
+        finally:
+            selecting.pop()
+        assert outcome[3] == counts["recomputed"] - before
+        return outcome
+
+    def spy_intersects(self, parts):
+        moved = original_intersects(self, parts)
+        if moved:
+            counts["recomputed"] += 1
+        else:
+            carried = selecting[-1]._carry_store[parts][0] + self.last_size_shift
+            assert carried == self.candidate_size(parts), parts
+            counts["shifted"] += 1
+        return moved
+
+    monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)
+    monkeypatch.setattr(IncrementalStepScorer, "size_intersects", spy_intersects)
+    return counts
+
+
+def test_lazy_size_carry_is_exact_on_movielens(size_carry_spy):
+    """Over whole default-config MovieLens runs every carried size is
+    exact, and term-disjointness -- not group-disjointness -- decides
+    what is recomputed: under tensor-paired aggregates nearly every
+    candidate shares a group with the last merge, so a group predicate
+    would recompute most carried sizes, while user merges leave other
+    users' terms untouched."""
+    for seed in range(1, 6):
+        problem = generate_movielens(
+            MovieLensConfig(n_users=24, n_movies=20, seed=seed)
+        ).problem()
+        result = Summarizer(
+            problem, SummarizationConfig(max_steps=8, seed=seed)
+        ).run()
+        assert_clean_run(result, "fast+incremental")
+    assert size_carry_spy["shifted"] > size_carry_spy["recomputed"]
+
+
+@pytest.mark.parametrize(
+    "max_enumerate, path",
+    [(None, "fast+incremental"), (0, "sampled+incremental")],
+    ids=["exact", "sampled"],
+)
+def test_lazy_size_carry_is_exact_on_wikipedia(size_carry_spy, max_enumerate, path):
+    """Wikipedia merges group keys (pages), so merges do touch carried
+    candidates' terms: both halves of the size bookkeeping -- shift
+    and recompute -- run, and every shifted size stays exact."""
+    knobs = {} if max_enumerate is None else {"max_enumerate": max_enumerate}
+    for seed in range(1, 4):
+        problem = generate_wikipedia(
+            WikipediaConfig(n_users=12, n_pages=10, seed=seed)
+        ).problem()
+        result = Summarizer(
+            problem, SummarizationConfig(max_steps=6, seed=seed, **knobs)
+        ).run()
+        assert_clean_run(result, path)
+    assert size_carry_spy["shifted"] > 0
+    assert size_carry_spy["recomputed"] > 0
 
 
 def test_lazy_requires_normalized_scoring_and_carry():

@@ -203,6 +203,42 @@ class TestStreamedEqualsFrozen:
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert repaired.repair_seeded > 0
 
+    def test_failed_repair_seed_counts_a_fallback(self, monkeypatch):
+        """A repair seed that breaks mid-way is dropped and step 0 is
+        measured fresh: the output stays bit-identical, and the failure
+        shows up in ``scoring_fallbacks`` instead of passing silently."""
+        from repro.core.fast_distance import IncrementalStepScorer
+
+        expected, _ = run_differential(
+            MovieLensConfig(**BASE),
+            MovieLensDeltaConfig(**APPEND),
+            SummarizationRequest(number_of_steps=6),
+        )
+        calls = {"n": 0}
+        original = IncrementalStepScorer.score_positions
+
+        def score_positions_failing_once(self, parts, positions):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("repair seed poisoned")
+            return original(self, parts, positions)
+
+        monkeypatch.setattr(
+            IncrementalStepScorer, "score_positions", score_positions_failing_once
+        )
+        repaired, from_scratch = run_differential(
+            MovieLensConfig(**BASE),
+            MovieLensDeltaConfig(**APPEND),
+            SummarizationRequest(number_of_steps=6),
+        )
+        assert calls["n"] == 1, "the seed was abandoned after its first failure"
+        assert _snapshot(repaired) == _snapshot(expected)
+        assert _snapshot(repaired) == _snapshot(from_scratch)
+        assert {r.scoring_path for r in repaired.steps} == {"fast+incremental"}
+        assert repaired.scoring_fallbacks == 1
+        assert repaired.repair_seeded == 0
+        assert_clean(from_scratch)
+
     def test_legacy_representation(self):
         """The invariant must hold with the interned IR disabled too."""
         with ir.mode(ir.MODE_LEGACY):

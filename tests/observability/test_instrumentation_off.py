@@ -304,6 +304,50 @@ def test_score_candidates_spans_report_carry_partition(instrumentation_guard):
     assert any(carried > 0 for carried, _ in partitions[1:])
 
 
+def test_score_candidates_spans_explain_size_carry(
+    instrumentation_guard, monkeypatch
+):
+    """Each lazy step's span says how many carried sizes it recomputed
+    (the last merge touched their terms) instead of shifting them.
+    Wikipedia merges group keys, so some steps do recompute."""
+    from repro.core.engine import ScoringEngine
+    from repro.core.fast_distance import IncrementalStepScorer
+    from repro.datasets import WikipediaConfig, generate_wikipedia
+
+    per_step = []
+    original_measure = ScoringEngine.measure_lazy
+    original_intersects = IncrementalStepScorer.size_intersects
+
+    def spy_measure(self, *args, **kwargs):
+        per_step.append(0)
+        return original_measure(self, *args, **kwargs)
+
+    def spy_intersects(self, parts):
+        moved = original_intersects(self, parts)
+        per_step[-1] += moved
+        return moved
+
+    monkeypatch.setattr(ScoringEngine, "measure_lazy", spy_measure)
+    monkeypatch.setattr(IncrementalStepScorer, "size_intersects", spy_intersects)
+    tracing.set_enabled(True)
+    tracing.take_trace()
+    problem = generate_wikipedia(
+        WikipediaConfig(n_users=12, n_pages=10, seed=2)
+    ).problem()
+    result = Summarizer(problem, SummarizationConfig(max_steps=6, seed=2)).run()
+
+    root = tracing.take_trace()
+    steps = [child for child in root.children if child.name.startswith("step[")]
+    reported = [
+        child.find("score_candidates").attributes["sizes_recomputed"]
+        for child in steps[: result.n_steps]
+    ]
+    assert reported == per_step[: result.n_steps]
+    # A fresh queue carries nothing, so it recomputes nothing.
+    assert reported[0] == 0
+    assert any(count > 0 for count in reported[1:])
+
+
 # -- kernel backends ---------------------------------------------------------------
 
 
