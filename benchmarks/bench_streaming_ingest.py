@@ -6,13 +6,15 @@ instance, summarizes it, then ingests a schedule of provenance deltas
 (:func:`~repro.datasets.movielens.generate_movielens_deltas`),
 re-summarizing after every delta.  Two schedules run:
 
-* ``append``  -- append-only ratings plus periodic new movies, the
-  regime the repair checkpoint targets (the previous run's labels stay
-  a positional prefix of the next run's).  The headline number is the
-  repair-vs-recompute speedup over the whole 10-delta schedule:
-  ``repair="on"`` seeds every re-summarization's step 0 from the
-  previous run's measurements, ``repair="off"`` recomputes from
-  scratch.  Both produce bit-identical summaries (asserted here and in
+* ``append``  -- append-only ratings plus periodic new movies (the
+  previous run's labels stay a positional prefix of the next run's).
+  The headline number is the repair-vs-recompute speedup over the
+  whole 10-delta schedule: ``repair="on"`` repairs every
+  re-summarization's equivalence partition and seeds its candidate
+  pool from the previous run, ``repair="off"`` recomputes both from
+  scratch.  Step 0 is scored the same way in both (the lazy queue
+  enters every candidate by its exact size), and both produce
+  bit-identical summaries (asserted here and in
   ``tests/core/test_streaming_repair.py``).
 * ``classmerge`` -- the adversarial variant: spam-flag deltas extend
   valuation false sets, merging previously-distinct equivalence
@@ -30,8 +32,9 @@ artifact).
 
 Acceptance (full mode): the append schedule's repair speedup must be
 >= 3x over 10 deltas.  ``--quick`` runs a small spam-flagged instance
-(CI smoke): repair must beat recompute, summaries must match, and the
-invalidated count must be nonzero.
+(CI smoke; one trial unless ``--trials`` is given): repair must beat
+recompute, summaries must match, and the invalidated count must be
+nonzero.
 
 Usage::
 
@@ -99,17 +102,16 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
     session = ProxSession(instance)
     session.select_titles(list(session.titles()))
     session.summarize(request)
-    invalidated = seeded = 0
+    invalidated = 0
     summaries = []
     started = time.process_time()
     for delta in schedule:
         session.ingest(delta)
         result = session.summarize(request)
         invalidated += result.repair_invalidated
-        seeded += result.repair_seeded
         summaries.append(tuple(result.summary_expression.terms))
     elapsed = time.process_time() - started
-    return elapsed, invalidated, seeded, summaries
+    return elapsed, invalidated, summaries
 
 
 def ingest_throughput(users, movies, deltas, spam_every):
@@ -127,15 +129,15 @@ def ingest_throughput(users, movies, deltas, spam_every):
 def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
     repair_best = None
     recompute_best = None
-    invalidated = seeded = 0
+    invalidated = 0
     for _ in range(trials):
-        elapsed, inval, seed_count, repaired = run_schedule(
+        elapsed, inval, repaired = run_schedule(
             users, movies, steps, deltas, spam_every, "on"
         )
         if repair_best is None or elapsed < repair_best:
             repair_best = elapsed
-            invalidated, seeded = inval, seed_count
-        elapsed, _, _, recomputed = run_schedule(
+            invalidated = inval
+        elapsed, _, recomputed = run_schedule(
             users, movies, steps, deltas, spam_every, "off"
         )
         if recompute_best is None or elapsed < recompute_best:
@@ -152,7 +154,6 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
         "recompute_seconds": recompute_best,
         "speedup": recompute_best / repair_best if repair_best else None,
         "invalidated": invalidated,
-        "seeded": seeded,
         "ingest_deltas_per_second": ingest_throughput(
             users, movies, deltas, spam_every
         ),
@@ -163,7 +164,12 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke: small instance")
-    parser.add_argument("--trials", type=int, default=3, help="best-of-N timing trials")
+    parser.add_argument(
+        "--trials",
+        type=int,
+        default=None,
+        help="best-of-N timing trials (default 3; 1 with --quick)",
+    )
     parser.add_argument("--users", type=int, default=100)
     parser.add_argument("--movies", type=int, default=400)
     parser.add_argument("--steps", type=int, default=2)
@@ -173,11 +179,11 @@ def main(argv=None) -> int:
     if args.quick:
         users, movies, steps, deltas = 56, 200, 2, 6
         schedules = [("classmerge", 3)]
-        trials = 1
+        trials = 1 if args.trials is None else args.trials
     else:
         users, movies, steps, deltas = args.users, args.movies, args.steps, args.deltas
         schedules = [("append", 0), ("classmerge", 5)]
-        trials = args.trials
+        trials = 3 if args.trials is None else args.trials
 
     rows = [
         bench_schedule(label, users, movies, steps, deltas, spam_every, trials)
@@ -189,13 +195,13 @@ def main(argv=None) -> int:
         f"steps={steps} deltas={deltas} trials={trials} cores={os.cpu_count()}",
         "",
         f"{'schedule':<11} {'repair':>8} {'recomp':>8} {'speedup':>8} "
-        f"{'invalidated':>12} {'seeded':>8} {'ingest/s':>9}",
+        f"{'invalidated':>12} {'ingest/s':>9}",
     ]
     for row in rows:
         lines.append(
             f"{row['schedule']:<11} {row['repair_seconds']:>7.2f}s "
             f"{row['recompute_seconds']:>7.2f}s {row['speedup']:>7.2f}x "
-            f"{row['invalidated']:>12} {row['seeded']:>8} "
+            f"{row['invalidated']:>12} "
             f"{row['ingest_deltas_per_second']:>9.0f}"
         )
     lines.append("")

@@ -474,8 +474,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
               f"selected size {stats['selected_size']}; "
               f"{'repaired' if result.repaired else 'recomputed'} summary "
               f"size {result.final_size} "
-              f"(seeded {result.repair_seeded}, "
-              f"invalidated {result.repair_invalidated}, "
+              f"(invalidated {result.repair_invalidated}, "
               f"{elapsed * 1e3:.1f}ms)")
     print(f"ingested {session.ingested_deltas} deltas; "
           f"final summary size {result.final_size}, "

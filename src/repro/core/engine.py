@@ -25,40 +25,34 @@ preserves the reference semantics:
 Selection.  Under ``scoring="normalized"`` with the carried scorer
 (``carry`` and ``incremental`` not off -- the default) the greedy loop
 selects through :meth:`ScoringEngine.measure_lazy`: candidates sit in
-a priority queue keyed by their possibly-stale ``CandidateScore``.
-Stale scores are lower bounds (Prop 4.2.2: along a merge chain the
-distance never falls and the size never grows), so only queue heads
-are re-scored until the head is fresh, and the winner is the one a
-full re-score would pick.  Every other configuration -- ordinal ranks,
-beam search, ``carry``/``incremental`` off -- measures the whole step
-through :meth:`ScoringEngine.measure` and ranks it in full.
+a priority queue keyed by a lower bound on their ``CandidateScore``.
+An unscored candidate's key is its exact size alone (a distance is
+never negative); a carried one's is its stale score (Prop 4.2.2: along
+a merge chain the distance never falls and the size never grows).
+Only queue heads are scored until the head is fresh, so the winner is
+the one a full re-score would pick.  Every other configuration --
+ordinal ranks, beam search, ``carry``/``incremental`` off -- measures
+the whole step through :meth:`ScoringEngine.measure` and ranks it in
+full.
 
 Everything runs serially in the calling thread: there is no worker
 pool, so the engine is safe to drive from any thread of the serving
 tier.
-
-Streaming repair.  The first measurement of a run (a fresh lazy queue)
-goes through :meth:`ScoringEngine._score_step`, which records each
-candidate's per-valuation accumulators so
-:meth:`~ScoringEngine.capture_repair_checkpoint` can hand them to the
-next run; that run re-bases the untouched candidates on the checkpoint
-(:meth:`~ScoringEngine._score_from_seed`) instead of re-scoring them.
 
 Robustness contract: if any fast path raises mid-run -- a latent
 applicability gap, a broken scorer -- the engine rescores the
 *entire* step through the naive path rather than crashing or returning
 a partial candidate list.  ``path_counts`` records which path every
 step actually took and ``fallback_count`` how often a fast path
-failed -- including a failed scorer carry or repair seed, which only
-drop carried state and re-measure fresh.
+failed -- including a failed scorer carry, which only drops carried
+state and re-measures fresh.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
@@ -87,12 +81,12 @@ _SCORING_CANDIDATES = _metrics.counter(
 _SCORING_FALLBACKS = _metrics.counter(
     "prox_scoring_fallbacks_total",
     "Fast-path failures: steps rescored through the naive path, plus "
-    "dropped scorer carries and repair seeds.",
+    "dropped scorer carries.",
 )
 _SCORING_CARRIED = _metrics.counter(
     "prox_scoring_candidates_carried_total",
-    "Candidates whose measurement was carried across a step "
-    "(served stale from the lazy queue or seeded by streaming repair).",
+    "Candidates the lazy queue never re-scored in a step "
+    "(served by a stale or size-only key).",
 )
 _SCORING_RESCORED = _metrics.counter(
     "prox_scoring_candidates_rescored_total",
@@ -110,9 +104,9 @@ _SAMPLE_BATCH_REUSE = _metrics.counter(
     "instead of redrawing it.",
 )
 
-#: Margin subtracted from a stale queue key.  A stale (or repair-seeded)
-#: estimate is a lower bound in exact arithmetic, but its float sum may
-#: associate differently from a fresh walk's; the margin -- far above
+#: Margin subtracted from a stale queue key.  A stale estimate is a
+#: lower bound in exact arithmetic, but its float sum may associate
+#: differently from a fresh walk's; the margin -- far above
 #: that dust, far below any real score gap -- keeps the key a lower
 #: bound bit for bit, so the popped fresh winner is exactly the one a
 #: full re-score would rank first.
@@ -173,24 +167,13 @@ class ScoringEngine:
         # restores the reference per-candidate sampler.
         self._sample_sharing = config.sample_sharing is not False
         self._scorer: Optional[IncrementalStepScorer] = None
-        #: The lazy queue's carried measurements, parts → ``(size,
-        #: estimate)``.  Valid only while ``_carry_expr`` tracks the
-        #: scorer's current expression through advance().
+        #: The lazy queue's carried entries, parts → ``(size,
+        #: estimate)``; the estimate is ``None`` for a candidate never
+        #: scored.  Valid only while ``_carry_expr`` tracks the scorer's
+        #: current expression through advance().
         self._carry_store: Dict[Tuple[str, ...], tuple] = {}
         self._carry_expr: object = None
         self._carry_ready: bool = False
-        #: Per-valuation accumulators of the current fresh queue, parts
-        #: → ``(size, accs, weighted_finished)`` -- what
-        #: :meth:`capture_repair_checkpoint` hands the next run.  Built
-        #: only when a queue starts fresh; dropped by advance().
-        self._detail_store: Optional[Dict[Tuple[str, ...], tuple]] = None
-        #: Cross-run repair seed (a previous run's step-0 checkpoint
-        #: plus the delta's flipped labels / affected names), consumed
-        #: by the first measurement and then cleared.
-        self._repair_seed: Optional[tuple] = None
-        #: Step-0 measurements served from the repair seed (telemetry
-        #: for the streaming-repair harness).
-        self.last_repair_seeded: int = 0
         #: Path taken by the most recent measurement.
         self.last_path: str = ""
         #: Kernel backend that folded the most recent step's masks
@@ -211,10 +194,14 @@ class ScoringEngine:
         #: recomputed because the last merge touched their terms; every
         #: other carried size was shifted by the merge's size change.
         self.last_sizes_recomputed: int = 0
+        #: Queue entries of the most recent step still keyed by size
+        #: alone when the winner popped: not scored since the queue
+        #: last started fresh.
+        self.last_unscored: int = 0
         #: How often each path was taken over the engine's lifetime.
         self.path_counts: Dict[str, int] = {}
         #: Fast-path failures: steps rescored naively, plus scorer
-        #: carries and repair seeds dropped for a fresh measurement.
+        #: carries dropped for a fresh measurement.
         self.fallback_count: int = 0
 
     @property
@@ -254,16 +241,19 @@ class ScoringEngine:
     ) -> Tuple[ScoredCandidate, float]:
         """Select the step's best candidate via the lazy-greedy queue.
 
-        Candidates sit in a priority queue keyed by ``CandidateScore``.
-        Sizes are kept exact (cheap), while a carried entry's distance
-        may be *stale* -- measured against an earlier expression in the
-        merge chain.  By Prop 4.2.2 the distance from the original is
-        non-decreasing along merge chains, so a stale distance (and
-        with exact sizes, a stale score) is a lower bound on the fresh
-        one: popping the minimum, re-scoring it if stale and pushing it
-        back terminates with the true fresh argmin when the top entry
-        is fresh.  Candidates far from the top are never re-scored and
-        their staleness deepens harmlessly.
+        Candidates sit in a priority queue keyed by a lower bound on
+        their ``CandidateScore``.  Sizes are kept exact (cheap and
+        mask-free).  A candidate never scored has no distance yet and
+        is keyed by its size term alone: a distance is never negative,
+        so that key bounds the fresh score with no monotonicity
+        argument.  A carried entry's distance may be *stale* --
+        measured against an earlier expression in the merge chain --
+        and by Prop 4.2.2 the distance from the original is
+        non-decreasing along merge chains, so a stale score is a lower
+        bound too.  Popping the minimum, scoring it if not fresh and
+        pushing it back terminates with the true fresh argmin when the
+        top entry is fresh.  Candidates far from the top are never
+        scored and their staleness deepens harmlessly.
         """
         span = _tracing.span("score_candidates")
         with span:
@@ -287,7 +277,6 @@ class ScoringEngine:
         failure is counted as a fallback, and the next measurement
         rebuilds from scratch.
         """
-        self._detail_store = None
         scorer = self._scorer
         if scorer is None:
             self._invalidate_carry()
@@ -315,65 +304,6 @@ class ScoringEngine:
         else:
             self._invalidate_carry()
 
-    def capture_repair_checkpoint(self) -> Optional[dict]:
-        """Snapshot the current step's measurement state for repair.
-
-        Called by the summarizer right after the *first* greedy step's
-        measurement (before any merge is applied): a later run over a
-        delta-extended problem can :meth:`seed_repair` from this
-        snapshot and skip re-measuring every candidate untouched by
-        the delta.  Returns ``None`` when the step's path cannot seed
-        a repair -- ordinal or beam selection, the sampled kernel
-        (its Monte-Carlo batch is not reproducible across runs), a
-        dense scorer or the naive fallback -- in which case the
-        repaired run simply re-scores from scratch (correct, just not
-        accelerated).
-        """
-        store = self._detail_store
-        scorer = self._scorer
-        if store is None or scorer is None or self._carry_expr is not scorer.current:
-            return None
-        labels = tuple(str(valuation) for valuation in scorer.valuations)
-        if len(set(labels)) != len(labels):
-            return None
-        # No later step mutates the store's lists (advance drops the
-        # reference, and seeding builds fresh lists), so the checkpoint
-        # shares them rather than copying.
-        return {
-            "store": store,
-            "labels": labels,
-            "weights": tuple(valuation.weight for valuation in scorer.valuations),
-            "expr_size": scorer.current.size(),
-            "terms": tuple(scorer._terms),
-            "nonzero_empty": all(not entries for entries in scorer._nonzero),
-        }
-
-    def seed_repair(
-        self,
-        checkpoint: Optional[dict],
-        flipped_labels: Sequence[str] = (),
-        affected_names: Sequence[str] = (),
-    ) -> None:
-        """Arm the next measurement with a prior run's step-0 checkpoint.
-
-        ``flipped_labels`` are the valuation labels whose truth
-        assignments the delta extended (their positions must be
-        re-measured); ``affected_names`` the annotations the delta
-        added or removed (candidates touching them are re-scored
-        fresh).  The seed is consumed by the first lazy measurement
-        and discarded on any applicability miss -- seeding can only
-        skip work, never change a result.
-        """
-        self.last_repair_seeded = 0
-        if checkpoint is None:
-            self._repair_seed = None
-            return
-        self._repair_seed = (
-            checkpoint,
-            frozenset(flipped_labels),
-            frozenset(affected_names),
-        )
-
     # -- internals ---------------------------------------------------------------
 
     def _measure(
@@ -382,9 +312,8 @@ class ScoringEngine:
         current,
         mapping: MappingState,
     ) -> Tuple[List[ScoredCandidate], float]:
-        # A full measurement re-bases nothing on earlier steps: a repair
-        # seed is dropped unused and the lazy queue (if any) must
-        # restart fresh afterwards.
+        # A full measurement re-bases nothing on earlier steps: the lazy
+        # queue (if any) must restart fresh afterwards.
         self._begin_step(candidates)
         self._invalidate_carry()
         scorer = self._fast_scorer(current, mapping)
@@ -426,13 +355,19 @@ class ScoringEngine:
             # measurement + full ranking.
             measured, seconds = self._measure(candidates, current, mapping)
             return self._rank_first(measured, w_dist, w_size, original_size), seconds
-        seed = self._begin_step(candidates)
+        self._begin_step(candidates)
         scorer = self._fast_scorer(current, mapping)
         if scorer is not None:
             started = time.perf_counter()
             try:
-                best, carried, rescored, sizes_recomputed = self._lazy_select(
-                    scorer, candidates, seed, w_dist, w_size, original_size
+                (
+                    best,
+                    carried,
+                    rescored,
+                    sizes_recomputed,
+                    unscored,
+                ) = self._lazy_select(
+                    scorer, candidates, w_dist, w_size, original_size
                 )
             except Exception:
                 self._scorer = None
@@ -442,6 +377,7 @@ class ScoringEngine:
                 self.last_carried = carried
                 self.last_rescored = rescored
                 self.last_sizes_recomputed = sizes_recomputed
+                self.last_unscored = unscored
                 self._note_fast_step(scorer)
                 return best, time.perf_counter() - started
         # No fast kernel (or it failed): full naive measurement + rank.
@@ -463,20 +399,17 @@ class ScoringEngine:
             strategy="normalized",
         )[0]
 
-    def _begin_step(self, candidates: Sequence[Candidate]) -> Optional[tuple]:
-        """Reset the per-step telemetry; returns (and disarms) the
-        repair seed, which only the run's first measurement may use."""
-        seed = self._repair_seed
-        self._repair_seed = None
+    def _begin_step(self, candidates: Sequence[Candidate]) -> None:
+        """Reset the per-step telemetry."""
         # Default partition: everything freshly scored.  The lazy queue
         # overwrites both counts.
         self.last_carried = 0
         self.last_rescored = len(candidates)
         self.last_sizes_recomputed = 0
+        self.last_unscored = 0
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
-        return seed
 
     def _fast_scorer(self, current, mapping: MappingState) -> Optional[FastStepScorer]:
         """The step's fast scorer, or ``None`` for the naive path."""
@@ -582,52 +515,51 @@ class ScoringEngine:
         self,
         scorer: IncrementalStepScorer,
         candidates: Sequence[Candidate],
-        seed: Optional[tuple],
         w_dist: float,
         w_size: float,
         original_size: int,
-    ) -> Tuple[ScoredCandidate, int, int, int]:
-        """Pop-rescore-reinsert until the queue's top entry is fresh.
+    ) -> Tuple[ScoredCandidate, int, int, int, int]:
+        """Pop-score-reinsert until the queue's top entry is fresh.
 
         Entries hold ``[size, estimate, fresh]``.  Sizes are always
         exact -- a stale size could *overstate* the bound (sizes only
         shrink along chains) and break the lower-bound invariant.  A
-        size depends on term structure alone, so a carried entry whose
-        terms the last merge left untouched
-        (:meth:`~repro.core.fast_distance.IncrementalStepScorer
-        .size_intersects`) gets the exact carried-size shift and the
-        rest a mask-free size recomputation; group overlap moves only
-        the (stale anyway) distance.  New pairs (no carried entry)
-        enter with the global distance floor 0.0.  A queue that cannot
-        carry (the run's first step, or after a dropped carry) starts
-        from :meth:`_score_step`.
+        candidate without an estimate (every candidate of a fresh
+        queue, and new pairs of a carried one) is keyed by
+        ``w_size · r_size`` alone: its distance term is at least 0, so
+        the key never exceeds its fresh score.  A size depends on term
+        structure alone, so a carried entry whose terms the last merge
+        left untouched (:meth:`~repro.core.fast_distance
+        .IncrementalStepScorer.size_intersects`) gets the exact
+        carried-size shift and the rest a mask-free size
+        recomputation; group overlap moves only the (stale anyway)
+        distance.  Size-only entries are carried like scored ones, so
+        later steps shift their sizes instead of recomputing them.
 
-        Returns the winner, the carried and rescored counts, and how
-        many carried sizes were recomputed.
+        Returns the winner, the carried and rescored counts, how many
+        carried sizes were recomputed, and how many entries were still
+        size-only when the winner popped.
         """
-        store = self._carry_store
         live = (
             self._carry_ready
             and self._carry_expr is scorer.current
             and scorer.last_affected_terms is not None
         )
+        store = self._carry_store if live else {}
+        shift = scorer.last_size_shift
         entries: List[list] = []
         sizes_recomputed = 0
-        if not live:
-            entries = self._score_step(scorer, candidates, seed)
-        else:
-            shift = scorer.last_size_shift
-            for candidate in candidates:
-                parts = candidate.parts
-                entry = store.get(parts)
-                if entry is None:
-                    entries.append([scorer.candidate_size(parts), None, False])
-                elif scorer.size_intersects(parts):
-                    entries.append([scorer.candidate_size(parts), entry[1], False])
-                    sizes_recomputed += 1
-                else:
-                    entries.append([entry[0] + shift, entry[1], False])
-        rescored = sum(1 for entry in entries if entry[2])
+        for candidate in candidates:
+            parts = candidate.parts
+            entry = store.get(parts)
+            if entry is None:
+                entries.append([scorer.candidate_size(parts), None, False])
+            elif scorer.size_intersects(parts):
+                entries.append([scorer.candidate_size(parts), entry[1], False])
+                sizes_recomputed += 1
+            else:
+                entries.append([entry[0] + shift, entry[1], False])
+        rescored = 0
 
         def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
             size, estimate, fresh = entries[index]
@@ -655,10 +587,10 @@ class ScoringEngine:
         self._carry_store = {
             candidate.parts: (entry[0], entry[1])
             for candidate, entry in zip(candidates, entries)
-            if entry[1] is not None
         }
         self._carry_expr = scorer.current
         self._carry_ready = True
+        unscored = sum(1 for entry in entries if entry[1] is None)
 
         size, estimate, _ = entries[best_index]
         r_dist = estimate.normalized
@@ -673,206 +605,13 @@ class ScoringEngine:
             r_size=r_size,
             score=w_dist * r_dist + w_size * r_size,
         )
-        return best, len(candidates) - rescored, rescored, sizes_recomputed
-
-    def _score_step(
-        self,
-        scorer: IncrementalStepScorer,
-        candidates: Sequence[Candidate],
-        seed: Optional[tuple] = None,
-    ) -> List[list]:
-        """A fresh queue's entries ``[size, estimate, fresh]``.
-
-        Sparse exact scorers record every candidate's per-valuation
-        accumulators alongside (the repair checkpoint), or -- when the
-        run was armed by :meth:`seed_repair` (``seed``) -- re-base the candidates
-        the delta left untouched on the previous run's checkpoint;
-        those seeded entries enter the queue as stale.
-        """
-        if not scorer._sparse or isinstance(scorer, SampledStepScorer):
-            return [
-                [size, estimate, True]
-                for size, estimate in (
-                    scorer.score(candidate.parts) for candidate in candidates
-                )
-            ]
-        if seed is not None:
-            try:
-                seeded = self._score_from_seed(scorer, candidates, *seed)
-            except Exception:
-                # A broken seed only costs the repair its head start:
-                # count it and measure the step fresh.
-                self._note_fallback()
-                seeded = None
-            if seeded is not None:
-                return seeded
-        store: Dict[Tuple[str, ...], tuple] = {}
-        entries: List[list] = []
-        for candidate in candidates:
-            size, estimate, accs, wf = scorer.score_detail(candidate.parts)
-            store[candidate.parts] = (size, accs, wf)
-            entries.append([size, estimate, True])
-        self._detail_store = store
-        return entries
-
-    def _score_from_seed(
-        self,
-        scorer: IncrementalStepScorer,
-        candidates: Sequence[Candidate],
-        checkpoint: dict,
-        flipped_labels: FrozenSet[str],
-        affected_names: FrozenSet[str],
-    ) -> Optional[List[list]]:
-        """Step-0 queue entries re-based on a prior run's checkpoint.
-
-        A carried candidate's accumulator at a valuation position is
-        exactly the sum of its recomputed-neighborhood contributions
-        (the step-0 baseline contributions are all zero -- gated).  For
-        a candidate whose neighborhood the delta does not touch, those
-        contributions are unchanged at every surviving valuation
-        position, so the old accumulator is permuted by label and only
-        the appended / flipped positions are recomputed
-        (:meth:`~repro.core.fast_distance.IncrementalStepScorer
-        .score_positions`); the finish walk then reproduces the fresh
-        estimate up to summation order, which the queue's stale margin
-        absorbs.  Sizes shift by the expression-size delta (the
-        candidate's collision structure is untouched).  Returns
-        ``None`` when any applicability gate fails.
-        """
-        if not checkpoint.get("nonzero_empty") or any(scorer._nonzero):
-            return None
-        new_labels = tuple(str(valuation) for valuation in scorer.valuations)
-        if len(set(new_labels)) != len(new_labels):
-            return None
-        old_index = {
-            label: index for index, label in enumerate(checkpoint["labels"])
-        }
-        old_weights = checkpoint["weights"]
-        pi: List[Optional[int]] = []
-        recompute: List[int] = []
-        for position, label in enumerate(new_labels):
-            carried = old_index.get(label)
-            if carried is None or label in flipped_labels:
-                pi.append(None)
-                recompute.append(position)
-                continue
-            if scorer.valuations[position].weight != old_weights[carried]:
-                return None
-            pi.append(carried)
-
-        # Dirty state: terms not carried verbatim from the checkpoint
-        # expression (multiset diff -- renames, congruent-merge count
-        # changes and fresh delta terms all change the Term value), the
-        # groups containing them, and the delta's added/removed names.
-        old_counts = Counter(checkpoint["terms"])
-        affected_terms: set = set()
-        affected_groups: set = set(affected_names)
-        for index, term in enumerate(scorer._terms):
-            if old_counts.get(term, 0) > 0:
-                old_counts[term] -= 1
-            else:
-                affected_terms.add(index)
-                affected_groups.add(term.group)
-        for term, remaining in old_counts.items():
-            if remaining > 0:
-                affected_groups.add(term.group)
-        key = scorer._key
-        for name in affected_names:
-            affected_terms.update(scorer._ann_terms.get(key(name), ()))
-            affected_terms.update(scorer._group_terms.get(name, ()))
-
-        store = checkpoint["store"]
-        shift = scorer.current.size() - checkpoint["expr_size"]
-        n_vals = scorer.n_vals
-        # Append-only streams almost always keep the old valuations as a
-        # positional prefix of the new ones (π = identity on the prefix,
-        # recompute = the appended tail).  Detect that once and replace
-        # the per-candidate permutation listcomps with one C-level list
-        # concat -- the values are identical, only the copy is cheaper.
-        n_old = len(checkpoint["labels"])
-        prefix_carry = (
-            len(pi) >= n_old
-            and all(
-                carried == position
-                for position, carried in enumerate(pi[:n_old])
-            )
-            and all(carried is None for carried in pi[n_old:])
+        return (
+            best,
+            len(candidates) - rescored,
+            rescored,
+            sizes_recomputed,
+            unscored,
         )
-        tail = [0.0] * (n_vals - n_old)
-        entries: List[list] = []
-        new_store: Dict[Tuple[str, ...], tuple] = {}
-        seeded = 0
-        for candidate in candidates:
-            parts = candidate.parts
-            entry = store.get(parts)
-            if entry is None or self._seed_intersects(
-                scorer, parts, affected_terms, affected_groups
-            ):
-                size, estimate, accs, wf = scorer.score_detail(parts)
-                entries.append([size, estimate, True])
-                new_store[parts] = (size, accs, wf)
-                continue
-            old_accs = entry[1]
-            old_wf = entry[2]
-            if prefix_carry:
-                accs = old_accs + tail
-                wf = old_wf + tail
-            else:
-                accs = [
-                    old_accs[carried] if carried is not None else 0.0
-                    for carried in pi
-                ]
-                wf = [
-                    old_wf[carried] if carried is not None else 0.0
-                    for carried in pi
-                ]
-            if recompute:
-                for position, value in scorer.score_positions(
-                    parts, recompute
-                ).items():
-                    accs[position] = value
-            # Re-finish exactly the recomputed positions and re-sum the
-            # carried weighted contributions (valid verbatim: the label
-            # permutation gate pinned weights, and finish is a pure
-            # function of the unchanged accumulator).
-            estimate = scorer.refinish(accs, wf, recompute)
-            size = entry[0] + shift
-            entries.append([size, estimate, False])
-            new_store[parts] = (size, accs, wf)
-            seeded += 1
-        self._detail_store = new_store
-        self.last_repair_seeded = seeded
-        return entries
-
-    @staticmethod
-    def _seed_intersects(
-        scorer: IncrementalStepScorer,
-        parts: Tuple[str, ...],
-        affected_terms: set,
-        affected_groups: set,
-    ) -> bool:
-        """Whether the delta perturbs this candidate's measurement.
-
-        A seeded entry re-bases the candidate's *distance*, not just
-        its size, so this is wider than the lazy queue's
-        :meth:`IncrementalStepScorer.size_intersects`.  The measurement
-        reads (a) the dead masks and values of the terms mentioning the
-        candidate's parts or grouped under them and (b) the aggregates
-        and contributions of those terms' groups.  It is disturbed
-        exactly when that neighborhood meets the delta's dirty terms or
-        dirty groups."""
-        key = scorer._key
-        terms = scorer._terms
-        for name in parts:
-            if name in affected_groups:
-                return True
-            for index in scorer._ann_terms.get(key(name), ()):
-                if index in affected_terms or terms[index].group in affected_groups:
-                    return True
-            for index in scorer._group_terms.get(name, ()):
-                if index in affected_terms:
-                    return True
-        return False
 
     def _measure_naive(
         self,
@@ -927,6 +666,7 @@ class ScoringEngine:
         span.set("carried", self.last_carried)
         span.set("rescored", self.last_rescored)
         span.set("sizes_recomputed", self.last_sizes_recomputed)
+        span.set("unscored", self.last_unscored)
         # Only when the sampled kernel actually engaged: enumerated
         # steps keep their span shape unchanged.
         if self._sampled_step():
@@ -958,4 +698,3 @@ class ScoringEngine:
         self._carry_store = {}
         self._carry_expr = None
         self._carry_ready = False
-        self._detail_store = None

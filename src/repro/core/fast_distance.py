@@ -410,52 +410,6 @@ class FastStepScorer:
     ) -> List[float]:
         return self._kernel.fold_sum(masks, self.n_vals, wanted)
 
-    def _group_values_at(
-        self,
-        indexes: Sequence[int],
-        override: Mapping[int, WordRow],
-        positions: Sequence[int],
-    ) -> List[float]:
-        """Group aggregate at the requested positions only.
-
-        Same bits as reading ``_group_values(...)[p]`` for each ``p``:
-        every position's fold is independent, MAX takes the first alive
-        value in the presorted order and SUM subtracts dead values from
-        the same C-summed total in the same index order.  Skipping the
-        ``n_vals``-long output allocation per group is what makes the
-        streaming-repair tail recomputation cheap.
-        """
-        dead_of = self._term_dead
-        terms = self._terms
-        out: List[float] = []
-        if self._is_max:
-            for position in positions:
-                word = position >> 6
-                bit = 1 << (position & 63)
-                value = 0.0
-                for index in indexes:
-                    mask = override.get(index)
-                    if mask is None:
-                        mask = dead_of[index]
-                    if not mask[word] & bit:
-                        value = terms[index].value
-                        break
-                out.append(value)
-            return out
-        total = sum(terms[index].value for index in indexes)
-        for position in positions:
-            word = position >> 6
-            bit = 1 << (position & 63)
-            acc = total
-            for index in indexes:
-                mask = override.get(index)
-                if mask is None:
-                    mask = dead_of[index]
-                if mask[word] & bit:
-                    acc -= terms[index].value
-            out.append(acc)
-        return out
-
     def _align_originals(self) -> List[Dict[Optional[str], float]]:
         """Original vectors per valuation, in current-group coordinates.
 
@@ -495,8 +449,7 @@ class FastStepScorer:
 
         The one walk over a candidate's term neighborhood: the scoring
         state (:meth:`_candidate_state`) overrides exactly these terms'
-        dead rows, while the size (:meth:`_candidate_size`) and the
-        repair baseline (:meth:`_score_positions_baseline`) need only
+        dead rows, while the size (:meth:`_candidate_size`) needs only
         the indexes.
         """
         affected: List[int] = []
@@ -997,30 +950,9 @@ class IncrementalStepScorer(FastStepScorer):
     def score(self, parts: Sequence[str]) -> Tuple[int, DistanceEstimate]:
         if not self._sparse:
             return super().score(parts)
-        size, estimate, _, _ = self._score_sparse(parts)
-        return size, estimate
-
-    def score_detail(
-        self, parts: Sequence[str]
-    ) -> Tuple[int, DistanceEstimate, List[float], List[float]]:
-        """Sparse score plus the per-valuation carry state.
-
-        Returns ``(size, estimate, accs, wf)`` where ``accs`` are the
-        metric accumulators and ``wf`` the weighted finished
-        contributions ``weight * finish(acc)`` per position.  The
-        engine keeps both in its streaming-repair checkpoint: a later
-        run over a delta-extended problem recomputes only the delta's
-        positions and re-sums ``wf`` (:meth:`refinish`) -- no O(n_vals)
-        Python re-walk.  Only valid in sparse mode (the engine gates on
-        ``_sparse``).
-        """
-        if not self._sparse:
-            raise RuntimeError("score_detail requires sparse (decomposable) mode")
         return self._score_sparse(parts)
 
-    def _score_sparse(
-        self, parts: Sequence[str]
-    ) -> Tuple[int, DistanceEstimate, List[float], List[float]]:
+    def _score_sparse(self, parts: Sequence[str]) -> Tuple[int, DistanceEstimate]:
         marker = self._MARKER
         part_set, affected, override, group_merge = self._candidate_state(parts)
         recomputed = self._recompute_groups(
@@ -1055,7 +987,7 @@ class IncrementalStepScorer(FastStepScorer):
                 else:
                     originals = self._orig_col(group)
                 contribs.append((originals, values))
-            accs, wf, total = self._kernel.sparse_scores(
+            _, _, total = self._kernel.sparse_scores(
                 self._sparse_base_col(),
                 minus,
                 contribs,
@@ -1071,8 +1003,6 @@ class IncrementalStepScorer(FastStepScorer):
             nonzero_sum = self._nonzero_sum
             nonzero_of = self._nonzero
             total = 0.0
-            accs = []
-            wf = []
             for index in range(self.n_vals):
                 orig_vec = self._orig_aligned[index]
                 nonzero = nonzero_of[index]
@@ -1091,36 +1021,11 @@ class IncrementalStepScorer(FastStepScorer):
                     else:
                         original = orig_vec.get(group, 0.0)
                     acc += contrib(original, values[index])
-                accs.append(acc)
-                finished = weights[index] * finish(acc)
-                wf.append(finished)
-                total += finished
+                total += weights[index] * finish(acc)
         total_weight = self._weight_sum
         distance_value = total / total_weight if total_weight else 0.0
         estimate = self._estimate(distance_value)
-        return self._candidate_size(part_set, affected), estimate, accs, wf
-
-    def refinish(
-        self, accs: List[float], wf: List[float], positions: Sequence[int]
-    ) -> DistanceEstimate:
-        """Distance from stored accumulators, re-finishing ``positions``.
-
-        ``accs``/``wf`` are a candidate's metric accumulators and
-        weighted finished contributions (:meth:`score_detail`) whose
-        ``accs`` were just overwritten at ``positions``; those
-        coordinates of ``wf`` are re-finished in place and the total
-        re-summed over the full list.  The result equals a fresh
-        :meth:`_score_sparse` walk up to summation order -- the engine
-        enters such estimates into its lazy queue as stale.
-        """
-        finish = self.val_func.metric_finish
-        weights = self._weights
-        for index in positions:
-            wf[index] = weights[index] * finish(accs[index])
-        total = sum(wf)
-        total_weight = self._weight_sum
-        distance_value = total / total_weight if total_weight else 0.0
-        return self._estimate(distance_value)
+        return self._candidate_size(part_set, affected), estimate
 
     def candidate_size(self, parts: Sequence[str]) -> int:
         """Exact post-merge size of one candidate (no distance walk).
@@ -1130,125 +1035,6 @@ class IncrementalStepScorer(FastStepScorer):
         key = self._key
         affected = self._part_terms([key(name) for name in parts])
         return self._candidate_size(frozenset(parts), affected)
-
-    def score_positions(
-        self, parts: Sequence[str], positions: Sequence[int]
-    ) -> Dict[int, float]:
-        """Sparse metric accumulators at the given valuation positions only.
-
-        Streaming repair re-bases a carried candidate measurement on the
-        post-delta step: positions whose valuation is untouched keep the
-        recorded accumulator, while appended and flipped positions are
-        recomputed here.  Per requested position the arithmetic is the
-        exact inner loop of :meth:`_score_sparse` -- same key order,
-        same association -- so a recomputed coordinate is bit-identical
-        to what a full fresh walk would produce there.
-        """
-        if not self._sparse:
-            raise RuntimeError("score_positions requires sparse (decomposable) mode")
-        marker = self._MARKER
-        # Fast path: when no requested position falsifies any merged
-        # part, the merged mask (AND of the part masks) is zero at every
-        # requested bit, so every overridden term's dead bit -- and with
-        # it every affected group's fold -- equals the baseline's there.
-        # The expensive per-candidate override construction is skipped
-        # and the baseline aggregates are read directly; the arithmetic
-        # sequence is unchanged, so the result stays bit-identical.
-        key = self._key
-        part_keys = [key(name) for name in parts]
-        mask_of = self._mask
-        falsified = any(
-            mask_of[part_key][index >> 6] & (1 << (index & 63))
-            for index in positions
-            for part_key in part_keys
-        )
-        if not falsified and not any(
-            part in self._group_terms for part in parts
-        ):
-            return self._score_positions_baseline(parts, part_keys, positions)
-        part_set, _, override, group_merge = self._candidate_state(parts)
-        recomputed = {
-            group: self._group_values_at(indexes, override, positions)
-            for group, indexes in self._affected_group_indexes(
-                part_set, marker, override, group_merge
-            ).items()
-        }
-        contrib = self.val_func.metric_contrib
-        nonzero_sum = self._nonzero_sum
-        nonzero_of = self._nonzero
-        excluded = list(part_set)
-        excluded.extend(
-            group for group in recomputed if group not in part_set
-        )
-        out: Dict[int, float] = {}
-        for offset, index in enumerate(positions):
-            orig_vec = self._orig_aligned[index]
-            nonzero = nonzero_of[index]
-            acc = nonzero_sum[index]
-            for key in excluded:
-                carried = nonzero.get(key)
-                if carried is not None:
-                    acc -= carried
-            for group, values in recomputed.items():
-                if group == marker:
-                    original = (
-                        self._fold_orig(index, part_set) if group_merge else 0.0
-                    )
-                else:
-                    original = orig_vec.get(group, 0.0)
-                acc += contrib(original, values[offset])
-            out[index] = acc
-        return out
-
-    def _score_positions_baseline(
-        self,
-        parts: Sequence[str],
-        part_keys: Sequence[object],
-        positions: Sequence[int],
-    ) -> Dict[int, float]:
-        """:meth:`score_positions` when the merge is invisible there.
-
-        Preconditions (checked by the caller): no merged part is a
-        group key, and no requested position falsifies any part.  The
-        affected groups and the exclusion list are derived exactly as
-        :meth:`_candidate_state` / :meth:`_affected_group_indexes`
-        would order them, and each affected group's value at a
-        requested position is read from the baseline fold -- the same
-        float the overridden fold would produce there -- so every
-        addition happens in the generic path's order.
-        """
-        part_set = frozenset(parts)
-        group_seen: set = set()
-        groups_order: List[Optional[str]] = []
-        terms = self._terms
-        for index in self._part_terms(part_keys):
-            group = terms[index].group
-            if group not in group_seen:
-                group_seen.add(group)
-                groups_order.append(group)
-        excluded = list(part_set)
-        excluded.extend(
-            group for group in groups_order if group not in part_set
-        )
-        contrib = self.val_func.metric_contrib
-        nonzero_sum = self._nonzero_sum
-        nonzero_of = self._nonzero
-        baseline = self._baseline
-        out: Dict[int, float] = {}
-        for index in positions:
-            orig_vec = self._orig_aligned[index]
-            nonzero = nonzero_of[index]
-            acc = nonzero_sum[index]
-            for key in excluded:
-                carried = nonzero.get(key)
-                if carried is not None:
-                    acc -= carried
-            for group in groups_order:
-                acc += contrib(
-                    orig_vec.get(group, 0.0), baseline[group][index]
-                )
-            out[index] = acc
-        return out
 
     def size_intersects(self, parts: Sequence[str]) -> bool:
         """Whether the last applied merge may have moved this candidate's size.

@@ -129,7 +129,7 @@ class CandidatePool:
         self._expression = None
 
     def seed(self, raw: Sequence[Candidate], expression) -> None:
-        """Adopt a carried raw list (cross-run repair checkpoint)."""
+        """Adopt a carried raw list (cross-run repair state)."""
         self._raw = list(raw)
         self._expression = expression
 

@@ -125,8 +125,8 @@ class SummarizationConfig:
       declares no target.
     * ``repair`` -- streaming summary repair (see :mod:`repro.core
       .streaming`).  ``None``/``"auto"`` and ``True``/``"on"`` make
-      every run capture a repair state (equivalence partition,
-      candidate pool, step-0 measurement checkpoint) and consume one
+      every run capture a repair state (equivalence partition and
+      candidate pool) and consume one
       passed via ``Summarizer(..., repair_from=...)``, so a re-run
       after an append-only provenance delta repairs the previous
       summary instead of recomputing it; ``False``/``"off"`` disables

@@ -20,8 +20,8 @@ This module gives those events a first-class shape:
   prefix-stability the equivalence-partition repair keys on).
 * :class:`SummaryRepairState` -- what one summarization run hands the
   next so it can *repair* rather than recompute: the equivalence
-  partition (per-annotation truth signatures), the step-0 candidate
-  pool, and the scoring engine's step-0 measurement checkpoint.
+  partition (per-annotation truth signatures) and the step-0 candidate
+  pool.
 
 The repair contract, proven by ``tests/core/test_streaming_repair.py``
 over a differential grid: a repaired run's output -- expression,
@@ -155,20 +155,17 @@ def extend_valuations(
 class SummaryRepairState:
     """What a summarization run leaves behind for the next ingest.
 
-    All three components are *derived* state -- dropping any of them
+    All components are *derived* state -- dropping any of them
     (or the whole object) only costs recomputation, never correctness:
 
     * ``partition`` -- per-annotation truth signatures over this run's
       original annotations and valuations
       (:class:`~repro.core.equivalence.EquivalencePartition`);
     * ``expression`` -- the step-0 expression (post equivalence
-      grouping) the pool and checkpoint were derived against;
+      grouping) the pool was derived against;
     * ``pool_raw`` -- the raw step-0 candidate list in fresh-generation
       order (``None`` when the run used no pool or never reached the
-      greedy loop);
-    * ``checkpoint`` -- the scoring engine's step-0 measurement
-      snapshot (``None`` when the step's path cannot seed repair:
-      full ranking, sampled kernel, naive fallback).
+      greedy loop).
 
     The state holds live in-memory objects and is intentionally not
     serialized; a resumed session rebuilds it on its first run.
@@ -177,4 +174,3 @@ class SummaryRepairState:
     partition: Optional[EquivalencePartition] = None
     expression: Optional[object] = None
     pool_raw: Optional[list] = None
-    checkpoint: Optional[dict] = None

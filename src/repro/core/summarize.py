@@ -125,9 +125,6 @@ class SummarizationResult:
     repaired: bool = False
     #: Carried pool entries the delta invalidated (repaired runs only).
     repair_invalidated: int = 0
-    #: Step-0 measurements served from the repair seed (repaired runs
-    #: with a usable engine checkpoint only).
-    repair_seeded: int = 0
     #: State a later run can repair from (:class:`~repro.core.streaming
     #: .SummaryRepairState`); ``None`` when ``config.repair`` is off.
     #: Holds live objects -- intentionally not serialized.
@@ -291,20 +288,16 @@ class Summarizer:
 
         repaired = state is not None
         repair_invalidated = 0
-        if state is not None and state.expression is not None:
-            if pool is not None and state.pool_raw is not None:
-                pool.seed(state.pool_raw, state.expression)
-                repair_invalidated = pool.ingest(current)
-                if _metrics.ENABLED and repair_invalidated:
-                    _REPAIR_INVALIDATED.inc(repair_invalidated)
-            if state.checkpoint is not None:
-                old_names = frozenset(state.expression.annotation_names())
-                new_names = frozenset(current.annotation_names())
-                engine.seed_repair(
-                    state.checkpoint,
-                    flipped_labels=tuple(flipped),
-                    affected_names=tuple(old_names ^ new_names),
-                )
+        if (
+            state is not None
+            and state.expression is not None
+            and pool is not None
+            and state.pool_raw is not None
+        ):
+            pool.seed(state.pool_raw, state.expression)
+            repair_invalidated = pool.ingest(current)
+            if _metrics.ENABLED and repair_invalidated:
+                _REPAIR_INVALIDATED.inc(repair_invalidated)
 
         new_state: Optional[SummaryRepairState] = None
         steps: List[StepRecord] = []
@@ -351,8 +344,8 @@ class Summarizer:
                         interner=interner,
                     )
                 if repair_on and new_state is None:
-                    # Step-0 capture (pool half): the raw candidate
-                    # list a future repaired run seeds its pool from.
+                    # Step-0 capture: the raw candidate list a future
+                    # repaired run seeds its pool from.
                     new_state = SummaryRepairState(
                         partition=partition,
                         expression=current,
@@ -388,15 +381,6 @@ class Summarizer:
                         original_size=original.size(),
                         strategy=config.scoring,
                     )[0]
-
-                if (
-                    new_state is not None
-                    and not steps
-                    and new_state.checkpoint is None
-                ):
-                    # Step-0 capture (engine half): the per-valuation
-                    # accumulators the fresh lazy queue recorded.
-                    new_state.checkpoint = engine.capture_repair_checkpoint()
 
                 summary_parts = [problem.universe[name] for name in best.candidate.parts]
                 summary = problem.universe.new_summary(
@@ -455,7 +439,6 @@ class Summarizer:
             if repaired:
                 run_span.set("repaired", True)
                 run_span.set("repair_invalidated", repair_invalidated)
-                run_span.set("repair_seeded", engine.last_repair_seeded)
         return SummarizationResult(
             original_expression=original,
             summary_expression=current,
@@ -471,7 +454,6 @@ class Summarizer:
             equivalence_mapping=equivalence_mapping,
             repaired=repaired,
             repair_invalidated=repair_invalidated,
-            repair_seeded=engine.last_repair_seeded,
             repair_state=new_state,
             scoring_fallbacks=engine.fallback_count,
         )

@@ -11,7 +11,7 @@ what*.  This module keeps one :class:`SessionAccount` per live
   this session's summarize/ingest calls), interned-annotation count
   and carried candidate-pool size;
 * **work counters** -- summarize runs and their cumulative seconds,
-  ingested deltas, repair seeded/invalidated totals;
+  ingested deltas, repaired runs and invalidated pool entries;
 * **freshness** -- monotonic created/last-active stamps, so idle
   sessions rank first for eviction.
 
@@ -88,7 +88,6 @@ class SessionAccount:
     summarize_runs: int = 0
     summarize_seconds: float = 0.0
     repaired_runs: int = 0
-    repair_seeded: int = 0
     repair_invalidated: int = 0
     ingested_deltas: int = 0
     arena_bytes: int = 0
@@ -122,7 +121,6 @@ class SessionAccount:
         pool_candidates: int,
         summary_size: int,
         repaired: bool = False,
-        repair_seeded: int = 0,
         repair_invalidated: int = 0,
     ) -> None:
         self.summarize_runs += 1
@@ -133,7 +131,6 @@ class SessionAccount:
         self.summary_size = int(summary_size)
         if repaired:
             self.repaired_runs += 1
-        self.repair_seeded += int(repair_seeded)
         self.repair_invalidated += int(repair_invalidated)
         self.touch()
         self._publish()
@@ -167,7 +164,6 @@ class SessionAccount:
             "summarize_runs": self.summarize_runs,
             "summarize_seconds": round(self.summarize_seconds, 6),
             "repaired_runs": self.repaired_runs,
-            "repair_seeded": self.repair_seeded,
             "repair_invalidated": self.repair_invalidated,
             "ingested_deltas": self.ingested_deltas,
             "arena_bytes": self.arena_bytes,

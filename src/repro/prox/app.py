@@ -403,7 +403,6 @@ class ProxApp:
                 "scoring_paths": scoring_paths,
                 "repaired": result.repaired,
                 "repair_invalidated": result.repair_invalidated,
-                "repair_seeded": result.repair_seeded,
                 "session_id": session.session_id,
                 "steps_detail": [
                     {

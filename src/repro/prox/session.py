@@ -264,7 +264,6 @@ class ProxSession:
             pool_candidates=self.summarization.pool_size(),
             summary_size=self.result.final_size,
             repaired=self.result.repaired,
-            repair_seeded=self.result.repair_seeded,
             repair_invalidated=self.result.repair_invalidated,
         )
         return self.result

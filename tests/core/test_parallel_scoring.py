@@ -759,7 +759,6 @@ def test_summarizer_survives_broken_fast_path(monkeypatch):
 
     monkeypatch.setattr(FastStepScorer, "score", broken_score)
     monkeypatch.setattr(IncrementalStepScorer, "score", broken_score)
-    monkeypatch.setattr(IncrementalStepScorer, "score_detail", broken_score)
     result = Summarizer(
         movielens_problem(3), SummarizationConfig(w_dist=0.7, max_steps=4, seed=0)
     ).run()
@@ -1109,7 +1108,9 @@ def test_removed_engine_knobs_raise(field, value):
 def test_carry_counters_partition_each_step():
     """last_carried + last_rescored must partition every step's
     candidate set, and the per-step record must expose the re-score
-    count."""
+    count.  Step 0 enters its queue by size alone, so even the first
+    step scores only the candidates whose size-only key reaches the
+    top."""
     result = Summarizer(
         movielens_problem(3),
         SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="on"),
@@ -1117,7 +1118,61 @@ def test_carry_counters_partition_each_step():
     assert_clean_run(result, "fast+incremental")
     for record in result.steps:
         assert 0 <= record.n_rescored <= record.n_candidates
-    assert result.steps[0].n_rescored == result.steps[0].n_candidates
+    assert 0 < result.steps[0].n_rescored < result.steps[0].n_candidates
+
+
+@pytest.mark.parametrize(
+    "monoid_name, val_func_cls",
+    [
+        ("MAX", EuclideanDistance),
+        ("SUM", EuclideanDistance),
+        ("COUNT", EuclideanDistance),
+        ("SUM", AbsoluteDifference),
+        ("MAX", Disagreement),
+    ],
+)
+def test_size_only_key_never_exceeds_fresh_score(monoid_name, val_func_cls):
+    """The lazy queue keys an unscored candidate by ``w_size · r_size``
+    alone.  That is a lower bound on its fresh score with no
+    monotonicity argument: the mask-free ``candidate_size`` is the
+    exact size a full score reports, and a distance is never negative.
+    Checked for every candidate along a merge chain and over the whole
+    weight range."""
+    problem = random_problem(
+        5, MONOIDS[monoid_name], val_func_cls=val_func_cls, with_guards=True
+    )
+    computer = make_computer(problem)
+    current = problem.expression
+    original_size = current.size()
+    mapping = MappingState(sorted(current.annotation_names()))
+    scorer = IncrementalStepScorer(computer, current, mapping, problem.universe)
+    checked = 0
+    for _ in range(4):
+        candidates = enumerate_candidates(
+            current, problem.universe, problem.constraint
+        )
+        if not candidates:
+            break
+        for candidate in candidates:
+            size, estimate = scorer.score(candidate.parts)
+            assert scorer.candidate_size(candidate.parts) == size
+            assert estimate.normalized >= 0.0
+            r_size = size / original_size
+            for w_dist in (0.0, 0.3, 0.7, 1.0):
+                w_size = 1.0 - w_dist
+                fresh = w_dist * estimate.normalized + w_size * r_size
+                assert w_size * r_size <= fresh, (candidate.parts, w_dist)
+            checked += 1
+        chosen = candidates[-1]
+        summary = problem.universe.new_summary(
+            [problem.universe[name] for name in chosen.parts],
+            label=chosen.proposal.label,
+        )
+        step_mapping = {name: summary.name for name in chosen.parts}
+        current = current.apply_mapping(step_mapping)
+        mapping = mapping.compose(step_mapping)
+        scorer.advance(chosen.parts, summary.name, current, mapping)
+    assert checked > 0
 
 
 def test_pool_invalidation_falls_back_to_fresh_enumeration(monkeypatch):

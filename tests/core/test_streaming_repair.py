@@ -70,21 +70,30 @@ def _snapshot(result):
     }
 
 
-def run_differential(cfg, dcfg, request):
-    """Streamed-and-repaired vs. fresh-instance from-scratch runs.
+def ingested_session(cfg, dcfg, request):
+    """A session that summarized once and then ingested every delta.
 
-    Returns ``(repaired_result, scratch_result)`` -- asserting equality
-    is the caller's job so individual cases can add extra claims.
+    Returns the session (its next summarize is the repaired run), the
+    deltas, and the summary-name counter after the first run.
     """
     instance = generate_movielens(cfg)
     deltas = generate_movielens_deltas(instance, dcfg)
-
     streamed = ProxSession(instance)
     streamed.select_titles(list(streamed.titles()))
     streamed.summarize(request)
     counter_after = instance.universe.summary_counter
     for delta in deltas:
         streamed.ingest(delta)
+    return streamed, deltas, counter_after
+
+
+def run_differential(cfg, dcfg, request):
+    """Streamed-and-repaired vs. fresh-instance from-scratch runs.
+
+    Returns ``(repaired_result, scratch_result)`` -- asserting equality
+    is the caller's job so individual cases can add extra claims.
+    """
+    streamed, deltas, counter_after = ingested_session(cfg, dcfg, request)
     repaired = streamed.summarize(request)
 
     reference_instance = generate_movielens(cfg)
@@ -176,10 +185,11 @@ class TestStreamedEqualsFrozen:
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert_clean(repaired, from_scratch)
 
-    def test_default_config_repair_stays_seeded(self):
-        """Lazy-greedy selection is the default, and its first queue must
-        record the step-0 checkpoint and consume the repair seed, or
-        every repaired run silently re-scores from scratch."""
+    def test_default_config_repair_is_lazy_from_step_0(self):
+        """Lazy-greedy selection is the default, and a repaired run's
+        first queue enters by exact size alone like any fresh queue:
+        it scores only the candidates whose size-only key reaches the
+        top, and still matches the from-scratch run bit for bit."""
         request = SummarizationRequest()
         assert ScoringEngine(None, request.to_config(), None).lazy
         repaired, from_scratch = run_differential(
@@ -188,56 +198,74 @@ class TestStreamedEqualsFrozen:
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert_clean(repaired, from_scratch)
         assert repaired.repaired and not from_scratch.repaired
-        assert repaired.repair_seeded > 0
-        # Seeded entries enter the queue stale: the first step re-scores
-        # only what the delta touched plus the popped queue heads.
-        assert repaired.steps[0].n_rescored < repaired.steps[0].n_candidates
+        for result in (repaired, from_scratch):
+            first = result.steps[0]
+            assert 0 < first.n_rescored < first.n_candidates
 
-    def test_repair_actually_seeds_measurements(self):
-        """Guard against the repair path silently never engaging."""
+    def test_repair_actually_engages(self, monkeypatch):
+        """Guard against the repair path silently never engaging: the
+        repaired run must seed its candidate pool from the previous
+        run and repair (not rebuild) the equivalence partition."""
+        from repro.core.pool import CandidatePool
+
+        calls = {"seed": 0, "repair": 0}
+        original_seed = CandidatePool.seed
+        original_repair = EquivalencePartition.repair
+
+        def spy_seed(self, *args, **kwargs):
+            calls["seed"] += 1
+            return original_seed(self, *args, **kwargs)
+
+        def spy_repair(self, *args, **kwargs):
+            calls["repair"] += 1
+            return original_repair(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidatePool, "seed", spy_seed)
+        monkeypatch.setattr(EquivalencePartition, "repair", spy_repair)
         repaired, from_scratch = run_differential(
             MovieLensConfig(**BASE),
-            MovieLensDeltaConfig(**APPEND),
+            MovieLensDeltaConfig(**SPAM),
             SummarizationRequest(number_of_steps=6),
         )
         assert _snapshot(repaired) == _snapshot(from_scratch)
-        assert repaired.repair_seeded > 0
+        assert_clean(repaired, from_scratch)
+        assert repaired.repaired
+        assert repaired.repair_invalidated > 0
+        # Only the repaired run consumes a repair state.
+        assert calls == {"seed": 1, "repair": 1}
 
-    def test_failed_repair_seed_counts_a_fallback(self, monkeypatch):
-        """A repair seed that breaks mid-way is dropped and step 0 is
-        measured fresh: the output stays bit-identical, and the failure
-        shows up in ``scoring_fallbacks`` instead of passing silently."""
+    def test_failed_carry_during_repair_counts_a_fallback(self, monkeypatch):
+        """A scorer that fails to carry past a merge inside a repaired
+        run is dropped and rebuilt fresh: the output stays
+        bit-identical, and the failure shows up in
+        ``scoring_fallbacks`` instead of passing silently."""
         from repro.core.fast_distance import IncrementalStepScorer
 
-        expected, _ = run_differential(
-            MovieLensConfig(**BASE),
-            MovieLensDeltaConfig(**APPEND),
-            SummarizationRequest(number_of_steps=6),
-        )
-        calls = {"n": 0}
-        original = IncrementalStepScorer.score_positions
+        cfg = MovieLensConfig(**BASE)
+        dcfg = MovieLensDeltaConfig(**APPEND)
+        request = SummarizationRequest(number_of_steps=6)
+        expected, from_scratch = run_differential(cfg, dcfg, request)
 
-        def score_positions_failing_once(self, parts, positions):
+        streamed, _, _ = ingested_session(cfg, dcfg, request)
+        calls = {"n": 0}
+        original = IncrementalStepScorer.advance
+
+        def advance_failing_once(self, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("repair seed poisoned")
-            return original(self, parts, positions)
+                raise RuntimeError("carry poisoned")
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(
-            IncrementalStepScorer, "score_positions", score_positions_failing_once
+            IncrementalStepScorer, "advance", advance_failing_once
         )
-        repaired, from_scratch = run_differential(
-            MovieLensConfig(**BASE),
-            MovieLensDeltaConfig(**APPEND),
-            SummarizationRequest(number_of_steps=6),
-        )
-        assert calls["n"] == 1, "the seed was abandoned after its first failure"
+        repaired = streamed.summarize(request)
+        assert calls["n"] > 1, "the run never advanced past the failure"
+        assert repaired.repaired
         assert _snapshot(repaired) == _snapshot(expected)
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert {r.scoring_path for r in repaired.steps} == {"fast+incremental"}
         assert repaired.scoring_fallbacks == 1
-        assert repaired.repair_seeded == 0
-        assert_clean(from_scratch)
 
     def test_legacy_representation(self):
         """The invariant must hold with the interned IR disabled too."""

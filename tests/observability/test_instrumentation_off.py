@@ -175,9 +175,9 @@ def test_carry_counters_golden_scrape(instrumentation_guard):
     _summarize(carry="on")
     scrape = metrics.REGISTRY.render()
     assert (
-        "# HELP prox_scoring_candidates_carried_total Candidates whose "
-        "measurement was carried across a step (served stale from the "
-        "lazy queue or seeded by streaming repair).\n"
+        "# HELP prox_scoring_candidates_carried_total Candidates the lazy "
+        "queue never re-scored in a step (served by a stale or size-only "
+        "key).\n"
         "# TYPE prox_scoring_candidates_carried_total counter\n"
     ) in scrape
     assert (
@@ -282,7 +282,33 @@ def test_score_candidates_spans_report_batch_attributes(instrumentation_guard):
         assert "batch_reused" not in scoring.attributes
 
 
-def test_score_candidates_spans_report_carry_partition(instrumentation_guard):
+def test_score_candidates_spans_report_carry_partition(
+    instrumentation_guard, monkeypatch
+):
+    """``carried`` + ``rescored`` partition each step, and ``unscored``
+    counts the queue entries still keyed by size alone when the winner
+    popped: the step's candidates no step of the run has scored yet."""
+    from repro.core.engine import ScoringEngine
+    from repro.core.fast_distance import IncrementalStepScorer
+
+    scored = set()
+    expected_unscored = []
+    original_score = IncrementalStepScorer.score
+    original_select = ScoringEngine._lazy_select
+
+    def spy_score(self, parts):
+        scored.add(tuple(parts))
+        return original_score(self, parts)
+
+    def spy_select(self, scorer, candidates, *args, **kwargs):
+        outcome = original_select(self, scorer, candidates, *args, **kwargs)
+        expected_unscored.append(
+            sum(1 for candidate in candidates if candidate.parts not in scored)
+        )
+        return outcome
+
+    monkeypatch.setattr(IncrementalStepScorer, "score", spy_score)
+    monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)
     tracing.set_enabled(True)
     tracing.take_trace()
     result = _summarize(carry="on")
@@ -296,12 +322,21 @@ def test_score_candidates_spans_report_carry_partition(instrumentation_guard):
         assert scoring is not None
         carried = scoring.attributes["carried"]
         rescored = scoring.attributes["rescored"]
+        unscored = scoring.attributes["unscored"]
         assert carried >= 0 and rescored >= 0
-        partitions.append((carried, rescored))
-    for (carried, rescored), record in zip(partitions, result.steps):
+        assert 0 <= unscored <= carried
+        partitions.append((carried, rescored, unscored))
+    for (carried, rescored, _), record in zip(partitions, result.steps):
         assert carried + rescored == record.n_candidates
         assert rescored == record.n_rescored
-    assert any(carried > 0 for carried, _ in partitions[1:])
+    assert any(carried > 0 for carried, _, _ in partitions[1:])
+    assert [unscored for _, _, unscored in partitions] == expected_unscored[
+        : result.n_steps
+    ]
+    # A fresh queue enters every candidate by size: whatever step 0
+    # did not score is still size-only -- most of the step.
+    carried, rescored, unscored = partitions[0]
+    assert unscored == carried > rescored
 
 
 def test_score_candidates_spans_explain_size_carry(
@@ -479,7 +514,7 @@ def test_ingest_and_repair_counters_advance_during_a_stream(
     invalidated = sum(r.repair_invalidated for r in results)
     assert invalidated > 0, "the spam-flag delta never invalidated pool entries"
     assert invalidated_total.value() == before_invalidated + invalidated
-    assert any(r.repair_seeded > 0 for r in results), "repair never seeded"
+    assert all(r.repaired for r in results), "a streamed run never repaired"
 
 
 def test_ingest_and_repair_counters_golden_scrape(instrumentation_guard):

@@ -94,7 +94,6 @@ def test_record_summarize_accumulates(registry):
         pool_candidates=3,
         summary_size=9,
         repaired=True,
-        repair_seeded=20,
         repair_invalidated=2,
     )
     account.record_summarize(
@@ -107,7 +106,6 @@ def test_record_summarize_accumulates(registry):
     assert account.summarize_runs == 2
     assert account.summarize_seconds == pytest.approx(2.0)
     assert account.repaired_runs == 1
-    assert account.repair_seeded == 20
     assert account.repair_invalidated == 2
     assert account.arena_bytes == 150
     # cardinalities are levels, not totals

@@ -42,7 +42,7 @@ def test_streaming_ingest_block():
         result = session.summarize(request)
         assert result.final_size <= session.selected.size()
     assert session.ingested_deltas == 3
-    assert result.repaired or result.repair_seeded >= 0
+    assert result.repaired and result.repair_invalidated >= 0
 
 
 def test_package_version():
