@@ -24,9 +24,10 @@ re-summarizing after every delta.  Two schedules run:
   must be nonzero.
 
 The table also reports raw ingest throughput (deltas/sec over
-``ProxSession.ingest`` alone, no re-summarization).  Timings are
-best-of-``--trials`` ``time.process_time`` (the repair-vs-recompute
-ratio is CPU work, not I/O).  The JSON mirror lands in
+``ProxSession.ingest`` alone, no re-summarization).  Every timing --
+repair, recompute and the ingest pass -- is best-of-``--trials``
+``time.process_time`` (the repair-vs-recompute ratio is CPU work, not
+I/O).  The JSON mirror lands in
 ``benchmarks/results/streaming_ingest.json`` (uploaded as a CI
 artifact).
 
@@ -114,16 +115,21 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
     return elapsed, invalidated, summaries
 
 
-def ingest_throughput(users, movies, deltas, spam_every):
-    """Deltas/sec through ``ProxSession.ingest`` alone."""
-    instance, schedule = build(users, movies, deltas, spam_every)
-    session = ProxSession(instance)
-    session.select_titles(list(session.titles()))
-    started = time.process_time()
-    for delta in schedule:
-        session.ingest(delta)
-    elapsed = time.process_time() - started
-    return len(schedule) / elapsed if elapsed else float("inf")
+def ingest_throughput(users, movies, deltas, spam_every, trials):
+    """Deltas/sec through ``ProxSession.ingest`` alone, best of
+    ``trials`` passes (each over a freshly built session)."""
+    best = None
+    for _ in range(trials):
+        instance, schedule = build(users, movies, deltas, spam_every)
+        session = ProxSession(instance)
+        session.select_titles(list(session.titles()))
+        started = time.process_time()
+        for delta in schedule:
+            session.ingest(delta)
+        elapsed = time.process_time() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    return len(schedule) / best if best else float("inf")
 
 
 def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
@@ -155,7 +161,7 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
         "speedup": recompute_best / repair_best if repair_best else None,
         "invalidated": invalidated,
         "ingest_deltas_per_second": ingest_throughput(
-            users, movies, deltas, spam_every
+            users, movies, deltas, spam_every, trials
         ),
         "identical_summaries": True,
     }

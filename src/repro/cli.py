@@ -127,14 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--target-dist", type=float, default=1.0)
     summarize.add_argument("--arity", type=int, default=2, help="merge arity (k-way)")
     summarize.add_argument(
-        "--carry",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="cross-step candidate carry: maintain the candidate pool "
-        "and select through the lazy-greedy queue, re-scoring only "
-        "queue heads (sound by Prop 4.2.2 monotonicity; default: auto)",
-    )
-    summarize.add_argument(
         "--sample-sharing",
         choices=("auto", "on", "off"),
         default="auto",
@@ -302,7 +294,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         max_steps=args.steps,
         merge_arity=args.arity,
         seed=args.seed,
-        carry=args.carry,
         sample_sharing=args.sample_sharing,
         sample_block=args.sample_block,
     )

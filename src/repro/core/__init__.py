@@ -13,9 +13,10 @@ Public entry points:
   competitors.
 * :class:`~repro.core.distance.DistanceComputer` -- exact/sampled
   summary-quality distances (Propositions 4.1.1-4.1.2).
-* :class:`~repro.core.engine.ScoringEngine` -- serial, incremental
-  per-step candidate scoring with lazy-greedy selection, behind the
-  ``incremental=`` / ``carry=`` config knobs.
+* :class:`~repro.core.engine.ScoringEngine` -- serial per-step
+  candidate scoring over one carried scorer, with lazy-greedy
+  selection under normalized scoring and the naive reference as the
+  fallback.
 * :class:`~repro.core.sampled_scoring.SampledStepScorer` -- the
   bit-packed Monte-Carlo kernel for classes too large to enumerate
   (``sample_sharing=`` / ``sample_block=`` config knobs).

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from ..observability import metrics as _metrics
 from ..observability import slo as _slo
 from ..observability import tracing as _tracing
-from .candidates import enumerate_candidates
 from .distance import DistanceComputer, DistanceEstimate
 from .engine import ScoringEngine
 from .equivalence import group_equivalent
@@ -52,7 +51,7 @@ class _Beam:
     last_distance: Optional[DistanceEstimate]
     #: Per-member candidate pool, maintained along this member's own
     #: merge chain (children branch it via :meth:`CandidatePool.child`).
-    pool: Optional[CandidatePool] = None
+    pool: CandidatePool
 
 
 class BeamSummarizer:
@@ -113,17 +112,13 @@ class BeamSummarizer:
         # pool branched from its parent's (CandidatePool.child), so
         # only the member's own last merge is re-enumerated.
         engine = ScoringEngine(problem, config, computer)
-        root_pool: Optional[CandidatePool] = (
-            CandidatePool(
-                problem.universe,
-                problem.constraint,
-                arity=config.merge_arity,
-                cap=config.candidate_cap,
-                rng=self._rng,
-                interner=interner,
-            )
-            if config.carry is not False
-            else None
+        root_pool = CandidatePool(
+            problem.universe,
+            problem.constraint,
+            arity=config.merge_arity,
+            cap=config.candidate_cap,
+            rng=self._rng,
+            interner=interner,
         )
 
         current = original
@@ -148,18 +143,7 @@ class BeamSummarizer:
             step_span.set("n_beams", len(beams))
             with step_span:
                 for beam in beams:
-                    if beam.pool is not None:
-                        candidates = beam.pool.candidates(beam.expression)
-                    else:
-                        candidates = enumerate_candidates(
-                            beam.expression,
-                            problem.universe,
-                            problem.constraint,
-                            arity=config.merge_arity,
-                            cap=config.candidate_cap,
-                            rng=self._rng,
-                            interner=interner,
-                        )
+                    candidates = beam.pool.candidates(beam.expression)
                     if not candidates:
                         continue
                     measured, _ = engine.measure(
@@ -211,11 +195,7 @@ class BeamSummarizer:
                         score,
                         beam.steps + [record],
                         distance,
-                        pool=(
-                            beam.pool.child(parts, summary.name, expression)
-                            if beam.pool is not None
-                            else None
-                        ),
+                        pool=beam.pool.child(parts, summary.name, expression),
                     )
                 )
             beams = next_beams

@@ -1,39 +1,36 @@
-"""The candidate scoring engine: serial, incremental, lazy.
+"""The candidate scoring engine: serial, carried, lazy.
 
 One Algorithm-1 step measures candidate merges' sizes and distances --
 the dominant cost of the whole algorithm.  The :class:`ScoringEngine`
-owns that measurement and picks, per step, the cheapest kernel that
+owns that measurement and picks, per step, the cheapest path that
 preserves the reference semantics:
 
-* **fast** -- the batch :class:`~repro.core.fast_distance.FastStepScorer`
-  when its preconditions hold;
-* **fast + incremental** -- an
-  :class:`~repro.core.fast_distance.IncrementalStepScorer` carried
-  across steps (:meth:`ScoringEngine.advance` invalidates only the
-  merged neighborhood) with sparse per-candidate metrics;
-* **sampled** / **sampled + incremental** -- the
+* **fast + incremental** -- the
+  :class:`~repro.core.fast_distance.FastStepScorer`, carried across
+  steps (:meth:`ScoringEngine.advance` invalidates only the merged
+  neighborhood) and scoring each candidate with one columnar sparse
+  walk, when its preconditions hold;
+* **sampled + incremental** -- the
   :class:`~repro.core.sampled_scoring.SampledStepScorer` when the
   class is too large to enumerate: the same bitmask kernel over one
-  shared Monte-Carlo batch per step (common random numbers), carried
-  across steps with its batch pinned so the lazy queue stays sound;
+  shared Monte-Carlo batch (common random numbers), carried across
+  steps with its batch pinned so the lazy queue stays sound;
 * **naive** -- the reference :class:`~repro.core.distance
   .DistanceComputer` applied to each materialized candidate expression
   (for large classes this is the per-candidate reference sampler --
-  also the fallback when ``sample_sharing`` is off or the kernel's
-  preconditions fail).
+  also the path when ``sample_sharing`` is off, when the kernel's
+  preconditions fail, and the fallback when a fast path raises).
 
-Selection.  Under ``scoring="normalized"`` with the carried scorer
-(``carry`` and ``incremental`` not off -- the default) the greedy loop
-selects through :meth:`ScoringEngine.measure_lazy`: candidates sit in
-a priority queue keyed by a lower bound on their ``CandidateScore``.
-An unscored candidate's key is its exact size alone (a distance is
-never negative); a carried one's is its stale score (Prop 4.2.2: along
-a merge chain the distance never falls and the size never grows).
-Only queue heads are scored until the head is fresh, so the winner is
-the one a full re-score would pick.  Every other configuration --
-ordinal ranks, beam search, ``carry``/``incremental`` off -- measures
-the whole step through :meth:`ScoringEngine.measure` and ranks it in
-full.
+Selection.  Under ``scoring="normalized"`` (the default) the greedy
+loop selects through :meth:`ScoringEngine.measure_lazy`: candidates
+sit in a priority queue keyed by a lower bound on their
+``CandidateScore``.  An unscored candidate's key is its exact size
+alone (a distance is never negative); a carried one's is its stale
+score (Prop 4.2.2: along a merge chain the distance never falls and
+the size never grows).  Only queue heads are scored until the head is
+fresh, so the winner is the one a full re-score would pick.  Ordinal
+ranks and beam search measure the whole step through
+:meth:`ScoringEngine.measure` and rank it in full.
 
 Everything runs serially in the calling thread: there is no worker
 pool, so the engine is safe to drive from any thread of the serving
@@ -59,7 +56,7 @@ from ..observability import tracing as _tracing
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from .candidates import Candidate, virtual_summary
 from .distance import DistanceComputer, DistanceEstimate
-from .fast_distance import FastStepScorer, IncrementalStepScorer
+from .fast_distance import FastStepScorer
 from .mapping import MappingState
 from .sampled_scoring import SampledStepScorer
 from .scoring import ScoredCandidate, score_candidates
@@ -140,9 +137,7 @@ class _OverlayUniverse:
 class ScoringEngine:
     """Measures one step's candidates; carries state between steps."""
 
-    PATH_FAST = "fast"
     PATH_FAST_INCREMENTAL = "fast+incremental"
-    PATH_SAMPLED = "sampled"
     PATH_SAMPLED_INCREMENTAL = "sampled+incremental"
     PATH_NAIVE = "naive"
 
@@ -150,23 +145,16 @@ class ScoringEngine:
         self.problem = problem
         self.config = config
         self.computer = computer
-        self._incremental = config.incremental is not False
-        # Lazy selection needs absolute scores (ordinal ranks are
-        # per-step, so a stale rank bounds nothing) and a scorer
-        # carried through advance() (stale entries must describe an
-        # earlier expression of the same merge chain).
-        self._lazy = (
-            config.scoring == "normalized"
-            and config.carry is not False
-            and self._incremental
-        )
+        # Lazy selection needs absolute scores: ordinal ranks are
+        # per-step, so a stale rank bounds nothing.
+        self._lazy = config.scoring == "normalized"
         # Bit-packed sampled scoring for classes too large to
         # enumerate: one shared Monte-Carlo batch per step instead of
         # per-candidate redraws through the naive path.  "auto"/"on"
         # engage it whenever the kernel's preconditions hold; "off"
         # restores the reference per-candidate sampler.
         self._sample_sharing = config.sample_sharing is not False
-        self._scorer: Optional[IncrementalStepScorer] = None
+        self._scorer: Optional[FastStepScorer] = None
         #: The lazy queue's carried entries, parts → ``(size,
         #: estimate)``; the estimate is ``None`` for a candidate never
         #: scored.  Valid only while ``_carry_expr`` tracks the scorer's
@@ -350,11 +338,6 @@ class ScoringEngine:
         w_size: float,
         original_size: int,
     ) -> Tuple[ScoredCandidate, float]:
-        if not self._lazy:
-            # No carried scorer to keep stale entries sound: full
-            # measurement + full ranking.
-            measured, seconds = self._measure(candidates, current, mapping)
-            return self._rank_first(measured, w_dist, w_size, original_size), seconds
         self._begin_step(candidates)
         scorer = self._fast_scorer(current, mapping)
         if scorer is not None:
@@ -382,22 +365,14 @@ class ScoringEngine:
                 return best, time.perf_counter() - started
         # No fast kernel (or it failed): full naive measurement + rank.
         measured, seconds = self._measure_naive(candidates, current, mapping)
-        return self._rank_first(measured, w_dist, w_size, original_size), seconds
-
-    @staticmethod
-    def _rank_first(
-        measured: List[ScoredCandidate],
-        w_dist: float,
-        w_size: float,
-        original_size: int,
-    ) -> ScoredCandidate:
-        return score_candidates(
+        best = score_candidates(
             measured,
             w_dist=w_dist,
             w_size=w_size,
             original_size=original_size,
             strategy="normalized",
         )[0]
+        return best, seconds
 
     def _begin_step(self, candidates: Sequence[Candidate]) -> None:
         """Reset the per-step telemetry."""
@@ -453,67 +428,39 @@ class ScoringEngine:
         return None
 
     def _obtain_scorer(
-        self, current, mapping: MappingState, mode: str = "exact"
+        self, current, mapping: MappingState, mode: str
     ) -> FastStepScorer:
-        if mode == "sampled":
-            if not self._incremental:
-                # Fresh scorer, fresh batch every step (the in-step
-                # batch sharing across candidates still applies).
-                return SampledStepScorer(
-                    self.computer, current, mapping, self.problem.universe
-                )
-            carried = self._scorer
-            if isinstance(carried, SampledStepScorer) and carried.current is current:
-                # The carried scorer keeps its pinned batch: stale
-                # carried measurements stay lower bounds (Prop 4.2.2
-                # holds pointwise only over a fixed valuation set).
-                self.last_batch_reused = True
-                return carried
-            self._scorer = SampledStepScorer(
-                self.computer, current, mapping, self.problem.universe
-            )
-            self._invalidate_carry()
-            return self._scorer
-        if not self._incremental:
-            return FastStepScorer(
-                self.computer, current, mapping, self.problem.universe
-            )
+        sampled = mode == "sampled"
         carried = self._scorer
         if (
             carried is not None
-            and not isinstance(carried, SampledStepScorer)
             and carried.current is current
+            and isinstance(carried, SampledStepScorer) == sampled
         ):
+            # A carried sampled scorer keeps its pinned batch: stale
+            # carried measurements stay lower bounds (Prop 4.2.2
+            # holds pointwise only over a fixed valuation set).
+            self.last_batch_reused = sampled
             return carried
-        self._scorer = IncrementalStepScorer(
+        scorer_cls = SampledStepScorer if sampled else FastStepScorer
+        self._scorer = scorer_cls(
             self.computer, current, mapping, self.problem.universe
         )
         self._invalidate_carry()
         return self._scorer
 
-    def _scorer_path(self, scorer: FastStepScorer) -> str:
-        # SampledStepScorer subclasses IncrementalStepScorer: test the
-        # most specific flavor first.
-        if isinstance(scorer, SampledStepScorer):
-            return (
-                self.PATH_SAMPLED_INCREMENTAL
-                if self._incremental
-                else self.PATH_SAMPLED
-            )
-        if isinstance(scorer, IncrementalStepScorer):
-            return self.PATH_FAST_INCREMENTAL
-        return self.PATH_FAST
-
     def _note_fast_step(self, scorer: FastStepScorer) -> None:
-        self._record(self._scorer_path(scorer))
-        self.last_kernel = scorer._kernel.name
         if isinstance(scorer, SampledStepScorer):
+            self._record(self.PATH_SAMPLED_INCREMENTAL)
             self.last_sample_batch = scorer.batch_size
             self.last_sample_variance = scorer.batch_variance
+        else:
+            self._record(self.PATH_FAST_INCREMENTAL)
+        self.last_kernel = scorer._kernel.name
 
     def _lazy_select(
         self,
-        scorer: IncrementalStepScorer,
+        scorer: FastStepScorer,
         candidates: Sequence[Candidate],
         w_dist: float,
         w_size: float,
@@ -530,7 +477,7 @@ class ScoringEngine:
         the key never exceeds its fresh score.  A size depends on term
         structure alone, so a carried entry whose terms the last merge
         left untouched (:meth:`~repro.core.fast_distance
-        .IncrementalStepScorer.size_intersects`) gets the exact
+        .FastStepScorer.size_intersects`) gets the exact
         carried-size shift and the rest a mask-free size
         recomputation; group overlap moves only the (stale anyway)
         distance.  Size-only entries are carried like scored ones, so
@@ -653,10 +600,7 @@ class ScoringEngine:
 
     def _sampled_step(self) -> bool:
         """Whether the most recent step ran the sampled kernel."""
-        return self.last_path in (
-            self.PATH_SAMPLED,
-            self.PATH_SAMPLED_INCREMENTAL,
-        )
+        return self.last_path == self.PATH_SAMPLED_INCREMENTAL
 
     def _set_step_attrs(self, span, n_candidates: int, seconds: float) -> None:
         span.set("path", self.last_path)

@@ -3,7 +3,7 @@
 Scoring a step naively costs
 ``O(#candidates × #valuations × #terms)`` -- the dominant cost of the
 whole algorithm (and what Fig. 6.5 measures).  This module exploits
-three structural facts to collapse that product:
+four structural facts to collapse that product:
 
 1. The valuation class is fixed across the step, so each current
    annotation's lifted truth values can be packed once into a *bitmask
@@ -23,28 +23,30 @@ three structural facts to collapse that product:
    order assigns each valuation its maximum the first time an alive
    term covers it; for SUM, only each term's (typically few) dead bits
    are subtracted from the full-sum.
+4. The VAL-FUNC decomposes coordinate-wise (its ``contrib_kind``), so
+   a candidate's per-valuation metric is the baseline's *nonzero*
+   contributions (keys touched by past merges -- typically few) with
+   the candidate's disturbed keys swapped for their recomputed
+   contributions, instead of a walk over every group.
 
 The scorer mirrors :class:`~repro.core.distance.DistanceComputer`
-semantics exactly -- the equivalence is asserted by
+semantics -- the equivalence is asserted by
 ``tests/core/test_fast_distance.py`` over randomized instances.
 
 Applicability (checked by :func:`FastStepScorer.applicable`): the
 expression is a :class:`~repro.provenance.tensor_sum.TensorSum` with
 non-negative values, the VAL-FUNC is a
 :class:`~repro.core.val_funcs.VectorValFunc` whose monoid is MAX, SUM
-or COUNT, every domain lifts with the OR combiner, and the valuation
-class is small enough to enumerate.  Everything else falls back to the
-reference path.
+or COUNT and whose ``contrib_kind`` is one of the kernel's
+:data:`~repro.core.kernels.SPARSE_KINDS`, every domain lifts with the
+OR combiner, and the valuation class is small enough to enumerate.
+Everything else goes to the naive reference path.
 
-:class:`IncrementalStepScorer` extends the step scorer across steps:
-after a merge ``{a, b} → c`` is applied, :meth:`~IncrementalStepScorer
-.advance` invalidates only the state touching ``a``, ``b`` or ``c``
-(annotation masks, term dead-masks, group baselines, aligned original
-vectors and per-valuation metric contributions) and carries everything
-else.  For decomposable VAL-FUNCs it also scores candidates sparsely:
-per valuation it sums only the *nonzero* metric contributions (keys
-touched by past merges) plus the candidate's recomputed neighborhood,
-instead of walking every group.
+The scorer is carried across steps: after a merge ``{a, b} → c`` is
+applied, :meth:`FastStepScorer.advance` invalidates only the state
+touching ``a``, ``b`` or ``c`` (annotation masks, term dead-masks,
+group baselines, aligned original vectors and per-valuation metric
+contributions) and carries everything else.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from ..provenance.tensor_sum import Guard, TensorSum, Term
 from ..provenance.valuation_classes import ValuationClass
 from . import kernels
 from .kernels.masktable import WordRow
-from .kernels.protocol import MaskedValue
+from .kernels.protocol import SPARSE_KINDS, MaskedValue
 from .combiners import DomainCombiners, OrCombiner
 from .distance import DistanceComputer, DistanceEstimate
 from .mapping import MappingState
@@ -93,7 +95,8 @@ _COMPARE = {
 
 
 class FastStepScorer:
-    """Scores every candidate of one step against all valuations."""
+    """Scores one step's candidates against all valuations; carried
+    across steps by :meth:`advance`."""
 
     @staticmethod
     def applicable(expression, val_func, combiners: DomainCombiners,
@@ -105,6 +108,8 @@ class FastStepScorer:
         if not isinstance(val_func, VectorValFunc):
             return False
         if not isinstance(val_func.monoid, (MaxMonoid, SumMonoid, CountMonoid)):
+            return False
+        if val_func.contrib_kind not in SPARSE_KINDS:
             return False
         if len(valuations) > max_enumerate:
             return False
@@ -164,14 +169,87 @@ class FastStepScorer:
             self.n_vals,
             self._is_max,
         )
+        # Original results in evaluation-encounter order, shared across
+        # steps: ``_align_originals`` folds them, and ``advance``
+        # refolds the merged keys in the same order.
+        self._image: Dict[Optional[str], Optional[str]] = {}
+        self._orig_lists: List[List[Tuple[Optional[str], float]]] = []
+        # Read-only entry lists: repeated batch members share one list
+        # (``advance`` only iterates them, never mutates).
+        listed: Dict[int, List[Tuple[Optional[str], float]]] = {}
+        for index, valuation in enumerate(self.valuations):
+            entries = listed.get(id(valuation))
+            if entries is None:
+                original = self._original_result(index, valuation)
+                entries = []
+                for key, aggregate in original.items():
+                    entries.append((key, aggregate.finalized_value()))
+                    if key not in self._image:
+                        self._image[key] = (
+                            self.mapping.get(key, key) if key is not None else None
+                        )
+                listed[id(valuation)] = entries
+            self._orig_lists.append(entries)
+
         self._orig_aligned = self._align_originals()
+        #: Number of advance() carries since construction (telemetry).
+        self.steps_carried = 0
+
+        # What the most recent advance() perturbed -- the engine's
+        # lazy queue uses these to decide which carried sizes shift
+        # verbatim (None until the first advance):
+        #: Term indexes (new state) the merge rewrote: those mentioning
+        #: the merged annotation or grouped under it.
+        self.last_affected_terms: Optional[set] = None
+        #: Expression-size change of the applied merge; a disjoint
+        #: candidate's post-merge size is its carried size plus this.
+        self.last_size_shift: int = 0
+        #: Whether ``last_size_shift`` is accounted for entirely by the
+        #: merge's own neighborhood.  ``apply_mapping`` canonicalizes
+        #: *every* monomial and merges equal terms globally, so a merge
+        #: can collapse duplicate terms that never mention the merged
+        #: annotations (possible only when the pre-merge expression was
+        #: not already canonical).  Such a collapse is not disjoint from
+        #: anything: a carried candidate's own merge would collapse the
+        #: same pair, so ``old_size + last_size_shift`` double-counts
+        #: it.  False ⇒ the engine must not carry sizes across this step.
+        self.last_shift_local: bool = True
+
+        self._nonzero: List[Dict[Optional[str], float]] = []
+        #: Per-position running sum of ``_nonzero`` values (insertion
+        #: order at build, then corrected by each merge's delta).  The
+        #: sparse walk starts from this and subtracts the few excluded
+        #: keys instead of re-walking the whole dict.  The association
+        #: dust this introduces stays far inside the engine's stale-key
+        #: margin, and every recorded winner is freshly scored.
+        self._nonzero_sum: List[float] = []
+        # Position-indexed weights and their left-to-right sum, the
+        # ``total_weight`` every candidate's weighted mean divides by.
+        self._weights_col = array(
+            "d", [valuation.weight for valuation in self.valuations]
+        )
+        weight_sum = 0.0
+        for weight in self._weights_col:
+            weight_sum += weight
+        self._weight_sum: float = weight_sum
+        # Columnar float64 mirrors of the sparse dicts for the kernel
+        # ``sparse_scores`` walk, built lazily (many candidates per step
+        # share them) and dropped by ``advance``.  Dense columns encode
+        # an absent key as 0.0: subtracting or adding that coordinate
+        # is an IEEE identity, so the columnar walk is bit-identical to
+        # a walk over the sparse dicts.
+        self._base_col: Optional[array] = None
+        self._zero_col: Optional[array] = None
+        self._nonzero_cols: Dict[object, array] = {}
+        self._orig_cols: Dict[object, array] = {}
+        self._build_nonzero()
 
     # -- precomputation ---------------------------------------------------------
 
     def _step_valuations(self) -> List:
         """The valuations this step scores against.
 
-        The enumerating scorers walk the whole class; the sampled
+        The enumerating scorer walks the whole class; the sampled
         subclass overrides this with its Monte-Carlo batch.
         """
         return list(self.computer.valuations)
@@ -179,9 +257,9 @@ class FastStepScorer:
     def _original_result(self, index: int, valuation):
         """Original's evaluation under ``self.valuations[index]``.
 
-        Enumerating scorers share the computer's index-keyed cache; the
-        sampled subclass redirects to the false-set-keyed sample cache
-        (batch positions are not stable enumeration indexes).
+        The enumerating scorer shares the computer's index-keyed cache;
+        the sampled subclass redirects to the false-set-keyed sample
+        cache (batch positions are not stable enumeration indexes).
         """
         return self.computer._original_result(index, valuation)
 
@@ -366,76 +444,41 @@ class FastStepScorer:
             for index in range(len(self._terms))
         ]
 
-    def _group_values(
-        self,
-        indexes: Sequence[int],
-        override: Optional[Mapping[int, WordRow]] = None,
-        wanted: Optional[WordRow] = None,
-    ) -> List[float]:
+    def _group_values(self, indexes: Sequence[int]) -> List[float]:
         """Aggregate value of one group under every valuation.
 
-        ``override`` substitutes dead rows for (candidate-affected)
-        term indexes.  ``wanted`` restricts the fold to the valuation
-        positions set in the word row: each position's value is
-        independent of every other position's, so the entries filled in
-        are bit-identical to a full fold's -- the rest stay 0.0 (MAX)
-        or hold the unfinished group total (SUM) and must not be read.
+        ``indexes`` arrive in ``_group_order``: descending value for
+        MAX, so each valuation takes the first alive value it sees.
         """
         dead_of = self._term_dead
-        if override is None:
-            masks = [(self._terms[i].value, dead_of[i]) for i in indexes]
-        else:
-            masks = [
-                (self._terms[i].value, override.get(i, dead_of[i]))
-                for i in indexes
-            ]
-        if self._is_max:
-            return self._fold_max(masks, wanted)
-        return self._fold_sum(masks, wanted)
-
-    def _fold_max(
-        self,
-        masks: List[Tuple[float, WordRow]],
-        wanted: Optional[WordRow] = None,
-    ) -> List[float]:
-        """Per-valuation MAX; ``masks`` must arrive in descending value
-        order (``_group_order`` keeps every group presorted), so each
-        valuation is assigned the first alive value it sees."""
-        return self._kernel.fold_max(masks, self.n_vals, wanted)
-
-    def _fold_sum(
-        self,
-        masks: List[Tuple[float, WordRow]],
-        wanted: Optional[WordRow] = None,
-    ) -> List[float]:
-        return self._kernel.fold_sum(masks, self.n_vals, wanted)
+        masks = [(self._terms[i].value, dead_of[i]) for i in indexes]
+        fold = self._kernel.fold_max if self._is_max else self._kernel.fold_sum
+        return fold(masks, self.n_vals)
 
     def _align_originals(self) -> List[Dict[Optional[str], float]]:
         """Original vectors per valuation, in current-group coordinates.
 
-        Sampling with replacement repeats batch members; a repeated
-        member's original result is the same cached object, so its
-        vector is folded once and dict-copied per extra position (the
-        copies stay independent -- ``advance`` refolds them in place).
+        Folds ``_orig_lists`` through ``_image``.  A repeated batch
+        member shares one entry list, so its vector is folded once and
+        dict-copied per extra position (the copies stay independent --
+        ``advance`` refolds them in place).
         """
         aligned: List[Dict[Optional[str], float]] = []
-        mapping = self.mapping
+        image_of = self._image
         folded: Dict[int, Dict[Optional[str], float]] = {}
-        for index, valuation in enumerate(self.valuations):
-            cached = folded.get(id(valuation))
+        for entries in self._orig_lists:
+            cached = folded.get(id(entries))
             if cached is not None:
                 aligned.append(dict(cached))
                 continue
-            original = self._original_result(index, valuation)
             vector: Dict[Optional[str], float] = {}
-            for key, aggregate in original.items():
-                image = mapping.get(key, key) if key is not None else None
-                value = aggregate.finalized_value()
+            for key, value in entries:
+                image = image_of[key]
                 if image in vector:
                     vector[image] = self.monoid.combine(vector[image], value)
                 else:
                     vector[image] = value
-            folded[id(valuation)] = vector
+            folded[id(entries)] = vector
             aligned.append(vector)
         return aligned
 
@@ -509,29 +552,6 @@ class FastStepScorer:
             exact=True,
         )
         return estimate
-
-    def score(self, parts: Sequence[str]) -> Tuple[int, DistanceEstimate]:
-        """Size and distance of the merge ``parts → c``."""
-        marker = self._MARKER
-        part_set, affected, override, group_merge = self._candidate_state(parts)
-        summary = self._candidate_vectors(part_set, marker, override, group_merge)
-        orig = self._orig_for(part_set, marker, group_merge)
-
-        total = 0.0
-        total_weight = 0.0
-        for index, valuation in enumerate(self.valuations):
-            orig_vec = orig[index]
-            summ_vec = summary[index]
-            keys = orig_vec.keys() | summ_vec.keys()
-            value = self.val_func.metric(
-                {key: orig_vec.get(key, 0.0) for key in keys},
-                {key: summ_vec.get(key, 0.0) for key in keys},
-            )
-            total += valuation.weight * value
-            total_weight += valuation.weight
-        distance_value = total / total_weight if total_weight else 0.0
-        estimate = self._estimate(distance_value)
-        return self._candidate_size(part_set, affected), estimate
 
     def _affected_group_indexes(
         self,
@@ -613,46 +633,6 @@ class FastStepScorer:
         columns = self._kernel.group_fold(batched, self.n_vals, self._is_max)
         return dict(zip(affected.keys(), columns))
 
-    def _candidate_vectors(
-        self,
-        parts: FrozenSet[str],
-        marker: str,
-        override: Mapping[int, int],
-        group_merge: bool,
-    ) -> List[Dict[Optional[str], float]]:
-        recomputed = self._recompute_groups(parts, marker, override, group_merge)
-        vectors: List[Dict[Optional[str], float]] = []
-        for index in range(self.n_vals):
-            vector: Dict[Optional[str], float] = {}
-            for group, values in self._baseline.items():
-                if group in parts:
-                    continue
-                if group in recomputed:
-                    vector[group] = recomputed[group][index]
-                else:
-                    vector[group] = values[index]
-            if marker in recomputed:
-                vector[marker] = recomputed[marker][index]
-            vectors.append(vector)
-        return vectors
-
-    def _orig_for(
-        self, parts: FrozenSet[str], marker: str, group_merge: bool
-    ) -> List[Dict[Optional[str], float]]:
-        if not group_merge:
-            return self._orig_aligned
-        adjusted = []
-        for vector in self._orig_aligned:
-            out: Dict[Optional[str], float] = {}
-            for key, value in vector.items():
-                image = marker if key in parts else key
-                if image in out:
-                    out[image] = self.monoid.combine(out[image], value)
-                else:
-                    out[image] = value
-            adjusted.append(out)
-        return adjusted
-
     def _candidate_size(
         self, parts: FrozenSet[str], affected: Sequence[int]
     ) -> int:
@@ -711,120 +691,6 @@ class FastStepScorer:
                 keys.add(key)
         return size
 
-
-class IncrementalStepScorer(FastStepScorer):
-    """A step scorer that carries its state from one step to the next.
-
-    Two independent optimizations over :class:`FastStepScorer`:
-
-    * **Incremental carry** (:meth:`advance`): after the winning merge
-      ``{a, b} → c`` is applied, only the state touching ``a``, ``b``
-      or ``c`` is recomputed -- the merged annotation's bitmask is
-      ``mask(a) AND mask(b)`` (OR combiner over 0/1 valuations), group
-      baselines are recomputed only for groups whose terms mention the
-      new annotation, and the aligned original vectors refold only the
-      keys whose image changed.  Carried entries are bit-identical to a
-      fresh scorer's because they would be recomputed from identical
-      inputs in identical order.
-    * **Sparse scoring**: for decomposable VAL-FUNCs
-      (``val_func.decomposable``) a candidate's per-valuation metric is
-      assembled from the step's *nonzero* baseline contributions (keys
-      already disturbed by past merges -- typically few) plus the
-      candidate's recomputed neighborhood, instead of walking every
-      group.  Contribution sums may associate differently from the
-      dense path, so sparse scores match the reference within ordinary
-      float rounding rather than bit-for-bit; the differential suite
-      (``tests/core/test_parallel_scoring.py``) bounds the drift.
-    """
-
-    def __init__(
-        self,
-        computer: DistanceComputer,
-        current: TensorSum,
-        mapping: MappingState,
-        universe: AnnotationUniverse,
-        sparse: Optional[bool] = None,
-    ):
-        super().__init__(computer, current, mapping, universe)
-        decomposable = bool(getattr(self.val_func, "decomposable", False))
-        self._sparse = decomposable if sparse is None else (sparse and decomposable)
-        #: Number of advance() carries since construction (telemetry).
-        self.steps_carried = 0
-
-        # What the most recent advance() perturbed -- the engine's
-        # lazy queue uses these to decide which carried sizes shift
-        # verbatim (None until the first advance):
-        #: Term indexes (new state) the merge rewrote: those mentioning
-        #: the merged annotation or grouped under it.
-        self.last_affected_terms: Optional[set] = None
-        #: Expression-size change of the applied merge; a disjoint
-        #: candidate's post-merge size is its carried size plus this.
-        self.last_size_shift: int = 0
-        #: Whether ``last_size_shift`` is accounted for entirely by the
-        #: merge's own neighborhood.  ``apply_mapping`` canonicalizes
-        #: *every* monomial and merges equal terms globally, so a merge
-        #: can collapse duplicate terms that never mention the merged
-        #: annotations (possible only when the pre-merge expression was
-        #: not already canonical).  Such a collapse is not disjoint from
-        #: anything: a carried candidate's own merge would collapse the
-        #: same pair, so ``old_size + last_size_shift`` double-counts
-        #: it.  False ⇒ the engine must not carry sizes across this step.
-        self.last_shift_local: bool = True
-
-        # Original results in evaluation-encounter order, shared across
-        # steps: refolds after a merge must walk keys in the same order
-        # a fresh _align_originals would.
-        self._image: Dict[Optional[str], Optional[str]] = {}
-        self._orig_lists: List[List[Tuple[Optional[str], float]]] = []
-        # Read-only entry lists: repeated batch members share one list
-        # (``advance`` only iterates them, never mutates).
-        listed: Dict[int, List[Tuple[Optional[str], float]]] = {}
-        for index, valuation in enumerate(self.valuations):
-            entries = listed.get(id(valuation))
-            if entries is None:
-                original = self._original_result(index, valuation)
-                entries = []
-                for key, aggregate in original.items():
-                    entries.append((key, aggregate.finalized_value()))
-                    if key not in self._image:
-                        self._image[key] = (
-                            self.mapping.get(key, key) if key is not None else None
-                        )
-                listed[id(valuation)] = entries
-            self._orig_lists.append(entries)
-
-        self._nonzero: List[Dict[Optional[str], float]] = []
-        #: Per-position running sum of ``_nonzero`` values (insertion
-        #: order at build, then corrected by each merge's delta).  The
-        #: sparse walk starts from this and subtracts the few excluded
-        #: keys instead of re-walking the whole dict.  The association
-        #: dust this introduces stays far inside the engine's stale-key
-        #: margin, and every recorded winner is freshly scored.
-        self._nonzero_sum: List[float] = []
-        # Position-indexed weights and their running sum, accumulated in
-        # the same left-to-right order every scoring walk uses, so a
-        # cached ``_weight_sum`` is the bit-identical float a fresh
-        # ``total_weight`` accumulation would produce.
-        self._weights: List[float] = [
-            valuation.weight for valuation in self.valuations
-        ]
-        weight_sum = 0.0
-        for weight in self._weights:
-            weight_sum += weight
-        self._weight_sum: float = weight_sum
-        # Columnar float64 mirrors of the sparse dicts for the kernel
-        # ``sparse_scores`` path, built lazily (many candidates per step
-        # share them) and dropped by ``advance``.
-        # Dense columns encode an absent key as 0.0: subtracting or
-        # adding that coordinate is an IEEE identity, so the columnar
-        # walk is bit-identical to the dict walk it mirrors.
-        self._base_col: Optional[array] = None
-        self._weights_col: Optional[object] = None
-        self._zero_col: Optional[array] = None
-        self._nonzero_cols: Dict[object, array] = {}
-        self._orig_cols: Dict[object, array] = {}
-        if self._sparse:
-            self._build_nonzero()
 
     # -- sparse state ------------------------------------------------------------
 
@@ -905,11 +771,6 @@ class IncrementalStepScorer(FastStepScorer):
             self._base_col = array("d", self._nonzero_sum)
         return self._base_col
 
-    def _sparse_weights_col(self):
-        if self._weights_col is None:
-            self._weights_col = array("d", self._weights)
-        return self._weights_col
-
     def _sparse_zero_col(self) -> array:
         if self._zero_col is None:
             self._zero_col = array("d", bytes(8 * self.n_vals))
@@ -948,11 +809,15 @@ class IncrementalStepScorer(FastStepScorer):
     # -- candidate scoring -------------------------------------------------------
 
     def score(self, parts: Sequence[str]) -> Tuple[int, DistanceEstimate]:
-        if not self._sparse:
-            return super().score(parts)
-        return self._score_sparse(parts)
+        """Size and distance of the merge ``parts → c``.
 
-    def _score_sparse(self, parts: Sequence[str]) -> Tuple[int, DistanceEstimate]:
+        Per valuation, the candidate's metric is the baseline's running
+        contribution sum, minus the contributions of every key the
+        merge disturbs (the parts and the recomputed groups, in that
+        order), plus the recomputed groups' fresh contributions (in
+        dict order), finished and weighted.  The walk runs over dense
+        float64 columns in one kernel call.
+        """
         marker = self._MARKER
         part_set, affected, override, group_merge = self._candidate_state(parts)
         recomputed = self._recompute_groups(
@@ -962,66 +827,30 @@ class IncrementalStepScorer(FastStepScorer):
         excluded.extend(
             group for group in recomputed if group not in part_set
         )
-        kind = getattr(self.val_func, "contrib_kind", None)
-        if kind is not None:
-            # Columnar kernel path: same key walk per position as the
-            # dict loop below (excluded subtractions in ``excluded``
-            # order, then recomputed contribs in dict order), expressed
-            # over dense float64 columns so the backend runs it at C
-            # speed.  Absent coordinates are 0.0 -- IEEE identities
-            # under the subtraction -- keeping the result bit-identical.
-            minus = [self._nonzero_col(key) for key in excluded]
-            contribs: List[Tuple[Sequence[float], Sequence[float]]] = []
-            for group, values in recomputed.items():
-                if group == marker:
-                    if group_merge:
-                        originals: Sequence[float] = array(
-                            "d",
-                            (
-                                self._fold_orig(index, part_set)
-                                for index in range(self.n_vals)
-                            ),
-                        )
-                    else:
-                        originals = self._sparse_zero_col()
-                else:
-                    originals = self._orig_col(group)
-                contribs.append((originals, values))
-            _, _, total = self._kernel.sparse_scores(
-                self._sparse_base_col(),
-                minus,
-                contribs,
-                self._sparse_weights_col(),
-                kind,
-            )
-        else:
-            # Reference dict walk: VAL-FUNCs without a ``contrib_kind``
-            # keep the original sparse loop.
-            contrib = self.val_func.metric_contrib
-            finish = self.val_func.metric_finish
-            weights = self._weights
-            nonzero_sum = self._nonzero_sum
-            nonzero_of = self._nonzero
-            total = 0.0
-            for index in range(self.n_vals):
-                orig_vec = self._orig_aligned[index]
-                nonzero = nonzero_of[index]
-                acc = nonzero_sum[index]
-                for key in excluded:
-                    carried = nonzero.get(key)
-                    if carried is not None:
-                        acc -= carried
-                for group, values in recomputed.items():
-                    if group == marker:
-                        original = (
+        minus = [self._nonzero_col(key) for key in excluded]
+        contribs: List[Tuple[Sequence[float], Sequence[float]]] = []
+        for group, values in recomputed.items():
+            if group == marker:
+                if group_merge:
+                    originals: Sequence[float] = array(
+                        "d",
+                        (
                             self._fold_orig(index, part_set)
-                            if group_merge
-                            else 0.0
-                        )
-                    else:
-                        original = orig_vec.get(group, 0.0)
-                    acc += contrib(original, values[index])
-                total += weights[index] * finish(acc)
+                            for index in range(self.n_vals)
+                        ),
+                    )
+                else:
+                    originals = self._sparse_zero_col()
+            else:
+                originals = self._orig_col(group)
+            contribs.append((originals, values))
+        total = self._kernel.sparse_scores(
+            self._sparse_base_col(),
+            minus,
+            contribs,
+            self._weights_col,
+            self.val_func.contrib_kind,
+        )
         total_weight = self._weight_sum
         distance_value = total / total_weight if total_weight else 0.0
         estimate = self._estimate(distance_value)
@@ -1060,8 +889,8 @@ class IncrementalStepScorer(FastStepScorer):
     def _fold_orig(self, index: int, keys: FrozenSet[str]) -> float:
         """Fold the aligned original values of ``keys`` (group merge).
 
-        Mirrors :meth:`FastStepScorer._orig_for`: values combine in the
-        aligned vector's iteration order.
+        Values combine in the aligned vector's iteration order, as the
+        reference alignment folds colliding keys.
         """
         acc: Optional[float] = None
         for key, value in self._orig_aligned[index].items():
@@ -1160,10 +989,9 @@ class IncrementalStepScorer(FastStepScorer):
                 if acc is not None:
                     vector[new_name] = acc
 
-        if self._sparse:
-            refresh = set(touched_groups)
-            refresh.add(new_name)
-            self._refresh_contributions(part_set, refresh)
+        refresh = set(touched_groups)
+        refresh.add(new_name)
+        self._refresh_contributions(part_set, refresh)
         # The nonzero dicts, their running sums and the aligned
         # originals all moved; the columnar mirrors must follow.
         self._drop_sparse_columns()

@@ -48,7 +48,7 @@ _SIGNATURES = {
     ),
     "prox_sparse_scores": (
         _f64,
-        [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr],
+        [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _i64, _i64],
     ),
     "prox_weighted_moments": (None, [_ptr, _ptr, _i64, _ptr]),
 }

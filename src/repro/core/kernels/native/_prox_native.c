@@ -242,8 +242,7 @@ API double prox_sparse_scores(
     const double *const *minus, int64_t n_minus,
     const double *const *origs, const double *const *vals,
     int64_t n_contrib,
-    const double *weights, int64_t n_vals, int64_t kind,
-    double *accs, double *wf)
+    const double *weights, int64_t n_vals, int64_t kind)
 {
     double total = 0.0;
     for (int64_t i = 0; i < n_vals; i++) {
@@ -262,7 +261,6 @@ API double prox_sparse_scores(
             for (int64_t k = 0; k < n_contrib; k++)
                 acc += contrib_isclose01(origs[k][i], vals[k][i]);
         }
-        accs[i] = acc;
         double finished;
         if (kind == KIND_SQDIFF)
             finished = acc > 0.0 ? sqrt(acc) : 0.0;
@@ -270,9 +268,7 @@ API double prox_sparse_scores(
             finished = acc > 0.0 ? acc : 0.0;
         else
             finished = acc == 0.0 ? 0.0 : 1.0;
-        double weighted = weights[i] * finished;
-        wf[i] = weighted;
-        total += weighted;
+        total += weights[i] * finished;
     }
     return total;
 }

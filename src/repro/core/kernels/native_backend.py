@@ -308,13 +308,11 @@ class NativeKernel(PythonKernel):
         contribs: Sequence[Tuple[Sequence[float], Sequence[float]]],
         weights: Sequence[float],
         kind: str,
-    ) -> Tuple[List[float], List[float], float]:
+    ) -> float:
         kind_code = _KIND_CODES[kind]
         n_vals = len(base)
-        accs = array("d", bytes(8 * n_vals))
-        wf = array("d", bytes(8 * n_vals))
         if not n_vals:
-            return [], [], 0.0
+            return 0.0
         keep: list = []
         # base / minus / originals / weights are the scorer's cached
         # step-stable columns; the recomputed values are per-candidate
@@ -336,10 +334,8 @@ class NativeKernel(PythonKernel):
             self._addr_memoized(weights, keep, "d"),
             n_vals,
             kind_code,
-            accs.buffer_info()[0],
-            wf.buffer_info()[0],
         )
-        return accs.tolist(), wf.tolist(), float(total)
+        return float(total)
 
     # -- sampled batch statistics --------------------------------------------
 

@@ -272,7 +272,7 @@ class NumpyKernel(KernelBackend):
         contribs: Sequence[Tuple[Sequence[float], Sequence[float]]],
         weights: Sequence[float],
         kind: str,
-    ) -> Tuple[List[float], List[float], float]:
+    ) -> float:
         acc = self._float_vector(base).astype(_np.float64, copy=True)
         for column in minus:
             acc -= self._float_vector(column)
@@ -309,8 +309,7 @@ class NumpyKernel(KernelBackend):
         else:
             finished = _np.where(acc == 0.0, 0.0, 1.0)
         wf = self._float_vector(weights) * finished
-        total = float(wf.cumsum()[-1]) if len(wf) else 0.0
-        return acc.tolist(), wf.tolist(), total
+        return float(wf.cumsum()[-1]) if len(wf) else 0.0
 
     # -- sampled batch statistics --------------------------------------------
 

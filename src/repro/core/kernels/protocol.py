@@ -16,10 +16,10 @@ runs:
 * :meth:`~KernelBackend.baseline_scatter` -- the per-group baseline
   fold over every group at once (step precomputation), so a backend
   can share unpacked mask state across groups.
-* :meth:`~KernelBackend.sparse_scores` -- the per-position sparse
-  candidate accumulation (base − excluded columns + recomputed
-  contribs, finished and weight-multiplied) for the decomposable
-  VAL-FUNCs tagged with a ``contrib_kind``.
+* :meth:`~KernelBackend.sparse_scores` -- the per-candidate sparse
+  accumulation (base − excluded columns + recomputed contribs,
+  finished, weighted and summed) for the VAL-FUNCs tagged with a
+  ``contrib_kind``.
 * :meth:`~KernelBackend.weighted_moments` -- the per-64-draw-block
   weighted sum / weight / sum-of-squares reduction behind the sampled
   batch statistics.
@@ -170,8 +170,8 @@ class KernelBackend:
         contribs: Sequence[Tuple[Sequence[float], Sequence[float]]],
         weights: Sequence[float],
         kind: str,
-    ) -> Tuple[List[float], List[float], float]:
-        """Per-position sparse accumulation → ``(accs, wf, total)``.
+    ) -> float:
+        """Weighted sum of the per-position sparse accumulations.
 
         Position ``i`` computes, in this exact IEEE order::
 
@@ -180,11 +180,11 @@ class KernelBackend:
             wf_i = weights[i] * finish(acc)
 
         with ``contrib``/``finish`` the closed forms named by ``kind``
-        (one of :data:`SPARSE_KINDS`); ``total`` is the left-to-right
-        sum of ``wf``.  The dense columns encode absence as 0.0 --
-        subtracting or adding an absent coordinate is an IEEE identity,
-        which is what makes the columnar form bit-identical to the
-        sparse dict walk it replaces.
+        (one of :data:`SPARSE_KINDS`); the result is the left-to-right
+        sum of the ``wf_i``.  The dense columns encode absence as 0.0
+        -- subtracting or adding an absent coordinate is an IEEE
+        identity, which is what makes the columnar form bit-identical
+        to a walk over the sparse dicts.
         """
         raise NotImplementedError
 

@@ -46,8 +46,7 @@ def _finish_isclose01(total: float) -> float:
 
 #: The closed contrib/finish forms behind each ``contrib_kind`` tag.
 #: These must stay character-for-character equivalent to the
-#: ``metric_contrib``/``metric_finish`` pairs of the decomposable
-#: VAL-FUNCs (``tests/core/test_kernels.py`` pins the equivalence).
+#: ``metric_contrib``/``metric_finish`` pairs of the tagged VAL-FUNCs (``tests/core/test_kernels.py`` pins the equivalence).
 SPARSE_FORMS = {
     "sqdiff": (_contrib_sqdiff, _finish_sqdiff),
     "absdiff": (_contrib_absdiff, _finish_absdiff),
@@ -147,23 +146,17 @@ class PythonKernel(KernelBackend):
         contribs: Sequence[Tuple[Sequence[float], Sequence[float]]],
         weights: Sequence[float],
         kind: str,
-    ) -> Tuple[List[float], List[float], float]:
+    ) -> float:
         contrib, finish = SPARSE_FORMS[kind]
-        n_vals = len(base)
-        accs = [0.0] * n_vals
-        wf = [0.0] * n_vals
         total = 0.0
-        for index in range(n_vals):
+        for index in range(len(base)):
             acc = base[index]
             for column in minus:
                 acc -= column[index]
             for originals, values in contribs:
                 acc += contrib(originals[index], values[index])
-            accs[index] = acc
-            weighted = weights[index] * finish(acc)
-            wf[index] = weighted
-            total += weighted
-        return accs, wf, total
+            total += weights[index] * finish(acc)
+        return total
 
     # -- sampled batch statistics --------------------------------------------
 

@@ -70,6 +70,8 @@ REMOVED_FIELDS = {
     "parallelism": "candidate scoring is always serial and in-process",
     "parallel_threshold": "candidate scoring is always serial and in-process",
     "lazy": "lazy-greedy selection is always on under normalized scoring",
+    "incremental": "the step scorer is always carried across steps",
+    "carry": "the candidate pool and the lazy queue always carry across steps",
 }
 
 
@@ -89,24 +91,15 @@ class SummarizationConfig:
        desired ``target_dist``.
 
     Scoring-engine knobs (see :mod:`repro.core.engine`).  Scoring is
-    always serial and in-process.  With ``scoring="normalized"`` and
-    both knobs below left on (the default), each step selects its
-    winner through the lazy-greedy queue: candidates keep their
-    possibly-stale scores and only entries popped from the head are
-    re-scored (sound because stale scores are lower bounds, Prop
-    4.2.2).  Any other setting measures and ranks every candidate.
+    always serial and in-process, over one step scorer and one
+    candidate pool (:mod:`repro.core.pool`), both carried across
+    steps.  With ``scoring="normalized"`` (the default) each step
+    selects its winner through the lazy-greedy queue: candidates keep
+    their possibly-stale scores and only entries popped from the head
+    are re-scored (sound because stale scores are lower bounds, Prop
+    4.2.2).  ``scoring="ordinal"`` measures and ranks every candidate.
+    The removed knobs in :data:`REMOVED_FIELDS` raise ``TypeError``.
 
-    * ``incremental`` -- carry scoring state across greedy steps,
-      invalidating only the merged neighborhood.  ``None``/``"auto"``
-      and ``True``/``"on"`` enable the carry whenever the fast path
-      applies; ``False``/``"off"`` rebuilds from scratch every step
-      (the seed behavior).
-    * ``carry`` -- cross-step candidate carry (see :mod:`repro.core
-      .pool` and the engine's lazy queue).  ``None``/``"auto"`` and
-      ``True``/``"on"`` maintain the candidate pool incrementally
-      across steps and carry measurements in the lazy queue;
-      ``False``/``"off"`` re-enumerates and re-scores everything every
-      step (the seed behavior).  Output is identical either way.
     * ``sample_sharing`` -- bit-packed sampled scoring for valuation
       classes too large to enumerate (see :mod:`repro.core
       .sampled_scoring`).  ``None``/``"auto"`` and ``True``/``"on"``
@@ -134,7 +127,7 @@ class SummarizationConfig:
       (asserted by ``tests/core/test_streaming_repair.py``).
     """
 
-    _INCREMENTAL_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
+    _SWITCH_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
 
     w_dist: float = 0.5
     w_size: Optional[float] = None
@@ -150,44 +143,21 @@ class SummarizationConfig:
     delta: float = 0.9
     candidate_cap: Optional[int] = None
     seed: int = 0
-    incremental: Union[bool, str, None] = None
-    carry: Union[bool, str, None] = None
     sample_sharing: Union[bool, str, None] = None
     sample_block: int = 64
     repair: Union[bool, str, None] = None
     slo_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.incremental, str):
-            word = self.incremental.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    "incremental must be 'auto', 'on' or 'off', "
-                    f"got {self.incremental!r}"
-                )
-            self.incremental = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.carry, str):
-            word = self.carry.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    f"carry must be 'auto', 'on' or 'off', got {self.carry!r}"
-                )
-            self.carry = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.sample_sharing, str):
-            word = self.sample_sharing.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    "sample_sharing must be 'auto', 'on' or 'off', "
-                    f"got {self.sample_sharing!r}"
-                )
-            self.sample_sharing = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.repair, str):
-            word = self.repair.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    f"repair must be 'auto', 'on' or 'off', got {self.repair!r}"
-                )
-            self.repair = self._INCREMENTAL_WORDS[word]
+        for name in ("sample_sharing", "repair"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                word = value.strip().lower()
+                if word not in self._SWITCH_WORDS:
+                    raise ValueError(
+                        f"{name} must be 'auto', 'on' or 'off', got {value!r}"
+                    )
+                setattr(self, name, self._SWITCH_WORDS[word])
         if self.slo_seconds is not None:
             self.slo_seconds = float(self.slo_seconds)
             if self.slo_seconds <= 0:

@@ -61,13 +61,13 @@ from ..provenance.tensor_sum import TensorSum, Term
 from ..provenance.valuation_classes import ValuationClass
 from .combiners import DomainCombiners
 from .distance import DistanceComputer, DistanceEstimate
-from .fast_distance import FastStepScorer, IncrementalStepScorer
+from .fast_distance import FastStepScorer
 from .kernels import MaskTable
 from .kernels.masktable import WordRow
 from .mapping import MappingState
 
 
-class SampledStepScorer(IncrementalStepScorer):
+class SampledStepScorer(FastStepScorer):
     """Scores one step's candidates against a shared sampled batch."""
 
     @staticmethod
@@ -93,7 +93,6 @@ class SampledStepScorer(IncrementalStepScorer):
         current: TensorSum,
         mapping: MappingState,
         universe: AnnotationUniverse,
-        sparse: Optional[bool] = None,
         batch_size: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ):
@@ -120,7 +119,7 @@ class SampledStepScorer(IncrementalStepScorer):
         self._packed_term_table: Optional[MaskTable] = None
         self._packed_term_rows: Optional[List[WordRow]] = None
         self._packed_mask_views: Optional[Dict[object, WordRow]] = None
-        super().__init__(computer, current, mapping, universe, sparse=sparse)
+        super().__init__(computer, current, mapping, universe)
         self._compute_batch_stats()
 
     # -- batch plumbing (hooks overridden from the enumerating kernel) -------
@@ -188,9 +187,8 @@ class SampledStepScorer(IncrementalStepScorer):
         is rewritten by ``apply_mapping`` into a different
         :class:`~repro.provenance.tensor_sum.Term` value -- a cache
         miss -- while untouched terms read exactly the same ``_mask``
-        entries as before and hit.  The enumerating scorers keep the
-        uncached base implementation: their valuation axis is rebuilt
-        per scorer, so there is nothing to carry.
+        entries as before and hit.  The enumerating base scorer keeps
+        the uncached implementation.
         """
         cache = self._term_dead_cache
         out: List[WordRow] = []

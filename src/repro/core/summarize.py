@@ -42,7 +42,6 @@ from ..observability import metrics as _metrics
 from ..observability import slo as _slo
 from ..observability import tracing as _tracing
 from ..provenance.annotations import AnnotationUniverse
-from .candidates import enumerate_candidates
 from .distance import DistanceComputer, DistanceEstimate
 from .engine import ScoringEngine, _OverlayUniverse  # noqa: F401  (re-export)
 from .equivalence import EquivalencePartition, compute_partition, group_equivalent
@@ -90,8 +89,9 @@ class StepRecord:
     n_candidates: int
     candidate_seconds: float
     step_seconds: float
-    #: Which engine path measured this step's candidates ("fast",
-    #: "fast+incremental" or "naive"); "" in records predating the engine.
+    #: Which engine path measured this step's candidates
+    #: ("fast+incremental", "sampled+incremental" or "naive"); "" in
+    #: records predating the engine.
     scoring_path: str = ""
     #: Candidates freshly scored this step (all of them under full
     #: ranking; only the popped stale queue heads under lazy
@@ -240,17 +240,13 @@ class Summarizer:
         # the list in place of a fresh O(n²) re-enumeration.  The
         # maintained list (and its RNG consumption under candidate_cap)
         # is identical to enumerate_candidates' -- see core.pool.
-        pool: Optional[CandidatePool] = (
-            CandidatePool(
-                problem.universe,
-                problem.constraint,
-                arity=config.merge_arity,
-                cap=config.candidate_cap,
-                rng=self._rng,
-                interner=interner,
-            )
-            if config.carry is not False
-            else None
+        pool = CandidatePool(
+            problem.universe,
+            problem.constraint,
+            arity=config.merge_arity,
+            cap=config.candidate_cap,
+            rng=self._rng,
+            interner=interner,
         )
 
         # Streaming repair: a state captured by a previous run over the
@@ -291,7 +287,6 @@ class Summarizer:
         if (
             state is not None
             and state.expression is not None
-            and pool is not None
             and state.pool_raw is not None
         ):
             pool.seed(state.pool_raw, state.expression)
@@ -331,29 +326,14 @@ class Summarizer:
             step_span = _tracing.span("step[%d]", len(steps) + 1)
             with step_span:
                 step_started = time.perf_counter()
-                if pool is not None:
-                    candidates = pool.candidates(current)
-                else:
-                    candidates = enumerate_candidates(
-                        current,
-                        problem.universe,
-                        problem.constraint,
-                        arity=config.merge_arity,
-                        cap=config.candidate_cap,
-                        rng=self._rng,
-                        interner=interner,
-                    )
+                candidates = pool.candidates(current)
                 if repair_on and new_state is None:
                     # Step-0 capture: the raw candidate list a future
                     # repaired run seeds its pool from.
                     new_state = SummaryRepairState(
                         partition=partition,
                         expression=current,
-                        pool_raw=(
-                            pool.raw_snapshot(current)
-                            if pool is not None
-                            else None
-                        ),
+                        pool_raw=pool.raw_snapshot(current),
                     )
                 if not candidates:
                     stop_reason = "exhausted"
@@ -393,8 +373,7 @@ class Summarizer:
                 current = current.apply_mapping(step_mapping)
                 mapping = mapping.compose(step_mapping)
                 engine.advance(best.candidate.parts, summary.name, current, mapping)
-                if pool is not None:
-                    pool.advance(best.candidate.parts, summary.name, current)
+                pool.advance(best.candidate.parts, summary.name, current)
                 last_distance = best.distance
                 steps.append(
                     StepRecord(

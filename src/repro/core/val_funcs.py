@@ -70,19 +70,16 @@ class VectorValFunc(ABC):
     #: Table 5.1 name.
     name: str = "VAL-FUNC"
 
-    #: Whether :meth:`metric` decomposes coordinate-wise as
-    #: ``metric_finish(Σ_k metric_contrib(orig[k], summ[k]))``.  The
-    #: incremental step scorer exploits decomposability to rescore only
-    #: a candidate's neighborhood; non-decomposable VAL-FUNCs fall back
-    #: to the dense per-candidate metric.
-    decomposable: bool = False
-
-    #: Kernel tag for the decomposed contrib/finish pair, or ``None``.
-    #: A non-``None`` tag promises that ``metric_contrib`` /
-    #: ``metric_finish`` are *exactly* the closed forms the kernel
-    #: backends implement for that tag (IEEE-reproducible primitives
-    #: only: +, -, *, abs, sqrt, comparisons -- never libm ``pow``),
-    #: so vectorized scoring stays bit-identical to the python loop.
+    #: Kernel tag for the coordinate-wise decomposition
+    #: ``metric_finish(Σ_k metric_contrib(orig[k], summ[k]))``, or
+    #: ``None``.  The step scorer rescores only a candidate's
+    #: neighborhood through this decomposition; a VAL-FUNC without a
+    #: tag is scored by the naive reference path.  A tag promises that
+    #: ``metric_contrib`` / ``metric_finish`` are *exactly* the closed
+    #: forms the kernel backends implement for it (IEEE-reproducible
+    #: primitives only: +, -, *, abs, sqrt, comparisons -- never libm
+    #: ``pow``), so kernel scoring stays bit-identical to the python
+    #: reference forms.
     contrib_kind: Optional[str] = None
 
     def __init__(self, monoid: AggregationMonoid):
@@ -139,7 +136,6 @@ class EuclideanDistance(VectorValFunc):
     """Euclidean distance between aggregation vectors (§3.2 item 3)."""
 
     name = "Euclidean Distance"
-    decomposable = True
     contrib_kind = "sqdiff"
 
     # Squares are spelled ``delta * delta`` rather than ``delta ** 2``:
@@ -171,7 +167,6 @@ class AbsoluteDifference(VectorValFunc):
     """
 
     name = "Absolute Difference"
-    decomposable = True
     contrib_kind = "absdiff"
 
     def metric(self, original, summary) -> float:
@@ -193,7 +188,6 @@ class Disagreement(VectorValFunc):
     """
 
     name = "Disagreement"
-    decomposable = True
     contrib_kind = "isclose01"
 
     def metric(self, original, summary) -> float:

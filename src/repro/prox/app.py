@@ -373,8 +373,6 @@ class ProxApp:
             "aggregation",
             "valuation_class",
             "val_func",
-            "incremental",
-            "carry",
             "sample_sharing",
             "sample_block",
             "repair",

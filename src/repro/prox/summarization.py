@@ -50,12 +50,9 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Scoring-engine knobs (see :mod:`repro.core.engine`): incremental
-    #: scorer carry ("auto"/"on"/"off"/bool), cross-step candidate carry
-    #: ("auto"/"on"/"off"/bool), shared-batch sampled scoring
-    #: ("auto"/"on"/"off"/bool) and the sampling-budget block size.
-    incremental: object = None
-    carry: object = None
+    #: Scoring-engine knobs (see :mod:`repro.core.engine`): shared-batch
+    #: sampled scoring ("auto"/"on"/"off"/bool) and the sampling-budget
+    #: block size.
     sample_sharing: object = None
     sample_block: int = 64
     #: Streaming summary repair ("auto"/"on"/"off"): consume the repair
@@ -74,8 +71,6 @@ class SummarizationRequest:
             target_size=self.size_bound,
             max_steps=self.number_of_steps,
             seed=seed,
-            incremental=self.incremental,
-            carry=self.carry,
             sample_sharing=self.sample_sharing,
             sample_block=self.sample_block,
             repair=self.repair,

@@ -3,9 +3,14 @@
 ``thesis_movies`` reproduces the running example of the thesis
 (Examples 2.2.1 / 3.1.1 / 4.2.3): three users reviewing "Match Point",
 one of whom also reviews "Blue Jasmine", with MAX aggregation.
+
+``full_rank`` forces the full measure-and-rank scoring path, the
+oracle the default lazy-greedy selection is compared against.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -13,6 +18,7 @@ from repro.core import (
     DomainCombiners,
     DomainConstraints,
     EuclideanDistance,
+    ScoringEngine,
     SharedAttribute,
     SummarizationProblem,
 )
@@ -85,3 +91,21 @@ def thesis_problem(thesis_universe, thesis_movies) -> SummarizationProblem:
         ),
         description="thesis running example",
     )
+
+
+@pytest.fixture
+def full_rank():
+    """A context manager under which every :class:`ScoringEngine`
+    reports ``lazy`` False: greedy runs measure every candidate of a
+    step through :meth:`ScoringEngine.measure` and rank them in full.
+
+    Usable inside forked workers too (the patch is applied wherever the
+    ``with`` block runs)."""
+
+    @contextlib.contextmanager
+    def forced():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ScoringEngine, "lazy", property(lambda self: False))
+            yield
+
+    return forced

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.core.constraints import SharedAttribute
 from repro.core.engine import ScoringEngine
-from repro.core.fast_distance import IncrementalStepScorer
+from repro.core.fast_distance import FastStepScorer
 from repro.core.pool import CandidatePool
 from repro.core.scoring import ScoredCandidate, score_candidates
 from repro.provenance import (
@@ -287,7 +287,7 @@ def test_carried_scores_match_fresh_rescoring(seed, monoid):
         problem.combiners,
         universe,
     )
-    engine = ScoringEngine(problem, SummarizationConfig(carry="on"), computer)
+    engine = ScoringEngine(problem, SummarizationConfig(), computer)
     assert engine.lazy
     current = problem.expression
     original_size = current.size()
@@ -300,7 +300,7 @@ def test_carried_scores_match_fresh_rescoring(seed, monoid):
             candidates, current, mapping, 0.5, 0.5, original_size
         )
         assert engine.fallback_count == 0
-        reference = IncrementalStepScorer(computer, current, mapping, universe)
+        reference = FastStepScorer(computer, current, mapping, universe)
         fresh = score_candidates(
             [
                 ScoredCandidate(

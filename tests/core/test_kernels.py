@@ -316,13 +316,15 @@ def test_sparse_isclose_edge_cases():
     ]:
         expected = 0.0 if math.isclose(original, summary) else 1.0
         assert contrib(original, summary) == expected
-        for backend in (NUMPY, NATIVE):
+        for backend in (REFERENCE, NUMPY, NATIVE):
             if backend is None:
                 continue
-            accs, wf, total = backend.sparse_scores(
+            # One position, unit weight: the finished contribution
+            # (0.0 or 1.0) is the whole total.
+            total = backend.sparse_scores(
                 [0.0], [], [([original], [summary])], [1.0], "isclose01"
             )
-            assert accs == [expected]
+            assert total == expected
 
 
 @pytest.mark.parametrize("name", BACKENDS)

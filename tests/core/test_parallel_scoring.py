@@ -1,23 +1,25 @@
 """Differential proof obligations for the scoring engine.
 
 The naive reference (:class:`DistanceComputer` on each materialized
-candidate) is the oracle.  The :class:`FastStepScorer`, the sparse
-:class:`IncrementalStepScorer` and the engine driving them must agree
-with it on every candidate of a step, and the engine's lazy-greedy
-winner must be the naive full ranking's -- over randomized instances
-(explicit RNG grid), SUM/MAX/COUNT aggregations, the OR combiner, and
-the degenerate corners (one candidate, one valuation, all-false
-annotations, empty groups).
+candidate) is the oracle.  The :class:`FastStepScorer` and the engine
+driving it must agree with it on every candidate of a step, and the
+engine's lazy-greedy winner must be the naive full ranking's -- over
+randomized instances (explicit RNG grid), SUM/MAX/COUNT aggregations,
+the OR combiner, and the degenerate corners (one candidate, one
+valuation, all-false annotations, empty groups).
 
 Sizes must match as exact integers; distances to within 1e-12 (the
-tolerance the seed's fast-path suite already uses -- dense and sparse
-summation differ only in fold order).  The engine must run the *same*
+scorer's sparse contribution sums fold in a different order than the
+reference's per-valuation metric).  The engine must run the *same*
 scorer bit-for-bit, report the expected scoring path and never fall
-back to the naive path.  The ``parallel`` rows of the run-level grids
-repeat those runs side by side in forked worker processes, as the
-sharded serving tier runs sessions, and must reproduce them exactly.
+back to the naive path.  Run-level grids compare the default
+lazy-greedy selection against the full measure-and-rank path (the
+``full_rank`` fixture); their ``parallel`` rows repeat those runs side
+by side in forked worker processes, as the sharded serving tier runs
+sessions, and must reproduce them exactly.
 """
 
+import contextlib
 import multiprocessing
 import random
 import traceback
@@ -42,7 +44,7 @@ from repro.core import (
 )
 from repro.provenance import ir as _ir
 from repro.core.engine import _OverlayUniverse
-from repro.core.fast_distance import FastStepScorer, IncrementalStepScorer
+from repro.core.fast_distance import FastStepScorer
 from repro.core.scoring import ScoredCandidate, score_candidates
 from repro.datasets import (
     MovieLensConfig,
@@ -65,6 +67,7 @@ from repro.provenance import (
 )
 
 from repro.core import kernels
+from repro.core.val_funcs import VectorValFunc
 
 MONOIDS = {"MAX": MAX, "SUM": SUM, "COUNT": COUNT}
 
@@ -164,7 +167,7 @@ def random_problem(
     )
 
 
-# -- the four scoring paths --------------------------------------------------------
+# -- the scoring paths -------------------------------------------------------------
 
 
 def make_computer(problem):
@@ -192,8 +195,8 @@ def naive_scores(problem, computer, current, mapping, candidates):
     return out
 
 
-def engine_scores(problem, computer, current, mapping, candidates, **knobs):
-    engine = ScoringEngine(problem, SummarizationConfig(**knobs), computer)
+def engine_scores(problem, computer, current, mapping, candidates):
+    engine = ScoringEngine(problem, SummarizationConfig(), computer)
     measured, _ = engine.measure(candidates, current, mapping)
     return engine, [(scored.size, scored.distance) for scored in measured]
 
@@ -235,8 +238,8 @@ def assert_distances_match(actual, reference, context=""):
 
 
 def assert_all_paths_agree(problem):
-    """naive ≡ serial fast ≡ incremental ≡ engine, and the lazy winner
-    is the naive full ranking's, one step."""
+    """naive ≡ scorer ≡ engine, and the lazy winner is the naive full
+    ranking's, one step."""
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
@@ -252,33 +255,18 @@ def assert_all_paths_agree(problem):
     )
     reference = naive_scores(problem, computer, current, mapping, candidates)
 
-    serial_scorer = FastStepScorer(computer, current, mapping, problem.universe)
-    serial = [serial_scorer.score(candidate.parts) for candidate in candidates]
-    assert_distances_match(serial, reference, "serial fast vs naive")
+    scorer = FastStepScorer(computer, current, mapping, problem.universe)
+    direct = [scorer.score(candidate.parts) for candidate in candidates]
+    assert_distances_match(direct, reference, "scorer vs naive")
 
-    incremental_scorer = IncrementalStepScorer(
-        computer, current, mapping, problem.universe
-    )
-    incremental = [
-        incremental_scorer.score(candidate.parts) for candidate in candidates
-    ]
-    assert_distances_match(incremental, reference, "incremental vs naive")
-
-    # The engine runs the very same scorers, so its measurements must
-    # be *bit*-identical to driving them directly, not just close.
-    engine, dense = engine_scores(
-        problem, computer, current, mapping, candidates, incremental=False
-    )
-    assert engine.last_path == ScoringEngine.PATH_FAST
-    assert engine.fallback_count == 0
-    assert dense == serial
-
+    # The engine runs the very same scorer, so its measurements must
+    # be *bit*-identical to driving it directly, not just close.
     engine, carried = engine_scores(
         problem, computer, current, mapping, candidates
     )
     assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
     assert engine.fallback_count == 0
-    assert carried == incremental
+    assert carried == direct
 
     # Lazy-greedy winner ≡ the naive reference's full ranking.
     original_size = current.size()
@@ -293,7 +281,7 @@ def assert_all_paths_agree(problem):
     assert best.score == pytest.approx(naive_ranked[0].score, abs=1e-12)
     # Exact ties may order differently under fold-order dust; the lazy
     # winner must be one of the naive co-winners, and exactly the full
-    # ranking's winner over the same (incremental) measurements.
+    # ranking's winner over the same scorer measurements.
     co_winners = {
         scored.candidate.parts
         for scored in naive_ranked
@@ -433,7 +421,7 @@ def test_incremental_across_steps_matches_fresh(monoid_name):
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
-    carried = IncrementalStepScorer(computer, current, mapping, problem.universe)
+    carried = FastStepScorer(computer, current, mapping, problem.universe)
 
     for step in range(3):
         candidates = enumerate_candidates(
@@ -467,7 +455,7 @@ def test_incremental_group_merges_across_steps():
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
-    carried = IncrementalStepScorer(computer, current, mapping, problem.universe)
+    carried = FastStepScorer(computer, current, mapping, problem.universe)
     for step in range(2):
         candidates = enumerate_candidates(
             current, problem.universe, problem.constraint
@@ -498,15 +486,15 @@ def movielens_problem(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-def test_e2e_determinism_incremental_vs_seed_default(seed):
-    """The default (incremental, lazy-greedy) run must replay the
-    seed-default (dense scorer, full ranking) run merge for merge on
-    the bundled MovieLens sample."""
+def test_e2e_determinism_incremental_vs_seed_default(seed, full_rank):
+    """The default (lazy-greedy) run must replay the full
+    measure-and-rank run merge for merge on the bundled MovieLens
+    sample."""
     config_kwargs = dict(w_dist=0.7, max_steps=6, seed=0)
-    baseline = Summarizer(
-        movielens_problem(seed),
-        SummarizationConfig(incremental="off", **config_kwargs),
-    ).run()
+    with full_rank():
+        baseline = Summarizer(
+            movielens_problem(seed), SummarizationConfig(**config_kwargs)
+        ).run()
     tuned = Summarizer(
         movielens_problem(seed), SummarizationConfig(**config_kwargs)
     ).run()
@@ -517,7 +505,7 @@ def test_e2e_determinism_incremental_vs_seed_default(seed):
     assert tuned.final_size == baseline.final_size
     assert tuned.final_distance.value == baseline.final_distance.value
     assert tuned.summary_groups() == baseline.summary_groups()
-    assert_clean_run(baseline, "fast")
+    assert_clean_run(baseline, "fast+incremental")
     assert_clean_run(tuned, "fast+incremental")
 
 
@@ -543,23 +531,24 @@ def _run_in_mode(temporary_mode, runner):
         return _steps_fingerprint(runner())
 
 
-#: The engine row axis: dense scorer + full ranking, the default
-#: incremental lazy-greedy path, the same two run side by side in
-#: forked worker processes, and the shared-batch sampled kernel.  Each
-#: row maps to its config knobs and whether its runs go to workers.
+#: The engine row axis: the full measure-and-rank path, the default
+#: lazy-greedy path, the same two run side by side in forked worker
+#: processes, and the shared-batch sampled kernel.  Each row maps to
+#: its config knobs, whether it ranks in full (the ``full_rank``
+#: fixture) and whether its runs go to workers.
 _ENGINE_ROWS = {
-    "serial": (dict(incremental="off"), False),
-    "incremental": (dict(incremental="on"), False),
-    "parallel": (dict(incremental="off"), True),
-    "parallel+incremental": (dict(incremental="on"), True),
-    "sampled": (dict(incremental="on", max_enumerate=0, distance_samples=64), False),
+    "serial": (dict(), True, False),
+    "incremental": (dict(), False, False),
+    "parallel": (dict(), True, True),
+    "parallel+incremental": (dict(), False, True),
+    "sampled": (dict(max_enumerate=0, distance_samples=64), False, False),
 }
 _ENGINE_ROW_IDS = tuple(_ENGINE_ROWS)
 #: The one scoring path each row must take on every step.
 _ENGINE_PATHS = {
-    "serial": "fast",
+    "serial": "fast+incremental",
     "incremental": "fast+incremental",
-    "parallel": "fast",
+    "parallel": "fast+incremental",
     "parallel+incremental": "fast+incremental",
     "sampled": "sampled+incremental",
 }
@@ -615,14 +604,20 @@ def run_in_workers(*thunks):
 def run_row(row, *thunks):
     """Evaluate ``thunks`` as ``row`` prescribes: in-process one after
     another, or side by side in forked workers."""
-    if _ENGINE_ROWS[row][1]:
+    if _ENGINE_ROWS[row][2]:
         return run_in_workers(*thunks)
     return [thunk() for thunk in thunks]
 
 
+def row_selection(row, full_rank):
+    """The selection mode ``row`` runs under: ``full_rank()`` for the
+    full measure-and-rank rows, the default lazy queue otherwise."""
+    return full_rank() if _ENGINE_ROWS[row][1] else contextlib.nullcontext()
+
+
 @pytest.mark.parametrize("seed", [3, 9])
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
-def test_greedy_ir_vs_legacy_bit_identical(seed, row):
+def test_greedy_ir_vs_legacy_bit_identical(seed, row, full_rank):
     """The IR axis of the differential grid: under every engine row a
     greedy run must be *bit*-identical between the interned and the
     legacy representation -- same merges, same sizes, same exact
@@ -630,10 +625,13 @@ def test_greedy_ir_vs_legacy_bit_identical(seed, row):
     forked workers."""
 
     def runner():
-        result = Summarizer(
-            movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **_ENGINE_ROWS[row][0]),
-        ).run()
+        with row_selection(row, full_rank):
+            result = Summarizer(
+                movielens_problem(seed),
+                SummarizationConfig(
+                    w_dist=0.7, max_steps=5, seed=0, **_ENGINE_ROWS[row][0]
+                ),
+            ).run()
         assert_clean_run(result, _ENGINE_PATHS[row])
         return result
 
@@ -676,7 +674,7 @@ def test_beam_ir_vs_legacy_bit_identical():
 
 
 def test_one_step_scores_ir_vs_legacy_bit_identical():
-    """Candidate-level differential: every path's per-candidate scores
+    """Candidate-level differential: the scorer's per-candidate scores
     must match exactly across the representation switch."""
 
     def one_step():
@@ -687,16 +685,9 @@ def test_one_step_scores_ir_vs_legacy_bit_identical():
         candidates = enumerate_candidates(
             current, problem.universe, problem.constraint
         )
-        serial = FastStepScorer(computer, current, mapping, problem.universe)
-        incremental = IncrementalStepScorer(
-            computer, current, mapping, problem.universe
-        )
+        scorer = FastStepScorer(computer, current, mapping, problem.universe)
         return [
-            (
-                candidate.parts,
-                serial.score(candidate.parts),
-                incremental.score(candidate.parts),
-            )
+            (candidate.parts, scorer.score(candidate.parts))
             for candidate in candidates
         ]
 
@@ -705,14 +696,10 @@ def test_one_step_scores_ir_vs_legacy_bit_identical():
     with _ir.mode(_ir.MODE_LEGACY):
         legacy = one_step()
     assert len(interned) == len(legacy)
-    for (parts_a, serial_a, inc_a), (parts_b, serial_b, inc_b) in zip(
-        interned, legacy
-    ):
+    for (parts_a, scored_a), (parts_b, scored_b) in zip(interned, legacy):
         assert parts_a == parts_b
-        assert serial_a[0] == serial_b[0]
-        assert serial_a[1].value == serial_b[1].value
-        assert inc_a[0] == inc_b[0]
-        assert inc_a[1].value == inc_b[1].value
+        assert scored_a[0] == scored_b[0]
+        assert scored_a[1].value == scored_b[1].value
 
 
 # -- fallback regression -----------------------------------------------------------
@@ -739,12 +726,45 @@ def test_fast_path_bailing_mid_run_falls_back_to_naive(monkeypatch):
 
     monkeypatch.setattr(FastStepScorer, "score", flaky_score)
     engine, scores = engine_scores(
-        problem, computer, current, mapping, candidates, incremental=False
+        problem, computer, current, mapping, candidates
     )
     assert engine.last_path == ScoringEngine.PATH_NAIVE
     assert calls["n"] == 4, "the fast path was attempted and bailed"
     assert engine.fallback_count == 1
     assert_distances_match(scores, reference, "fallback")
+
+
+class _MaxAbsDifference(VectorValFunc):
+    """L∞ distance: no coordinate-wise sum decomposition, hence no
+    ``contrib_kind`` tag."""
+
+    name = "Max Absolute Difference"
+
+    def metric(self, original, summary):
+        return max(
+            (abs(original[key] - summary[key]) for key in original), default=0.0
+        )
+
+
+def test_untagged_val_func_takes_the_naive_path():
+    """A VAL-FUNC without a ``contrib_kind`` has no sparse scorer walk:
+    the engine routes it to the naive reference up front -- no
+    fast-path attempt, so no fallback is counted."""
+    problem = random_problem(5, MAX, val_func_cls=_MaxAbsDifference)
+    assert _MaxAbsDifference.contrib_kind is None
+    assert not FastStepScorer.applicable(
+        problem.expression,
+        problem.val_func,
+        problem.combiners,
+        problem.valuations,
+        problem.universe,
+        512,
+    )
+    result = Summarizer(
+        problem, SummarizationConfig(w_dist=0.6, max_steps=3, seed=0)
+    ).run()
+    assert result.steps
+    assert_clean_run(result, "naive")
 
 
 def test_summarizer_survives_broken_fast_path(monkeypatch):
@@ -758,7 +778,6 @@ def test_summarizer_survives_broken_fast_path(monkeypatch):
         raise RuntimeError("broken scorer")
 
     monkeypatch.setattr(FastStepScorer, "score", broken_score)
-    monkeypatch.setattr(IncrementalStepScorer, "score", broken_score)
     result = Summarizer(
         movielens_problem(3), SummarizationConfig(w_dist=0.7, max_steps=4, seed=0)
     ).run()
@@ -783,7 +802,7 @@ def test_failed_advance_counts_a_fallback(monkeypatch):
 
     expected = _full_fingerprint(run())
     calls = {"n": 0}
-    original_advance = IncrementalStepScorer.advance
+    original_advance = FastStepScorer.advance
 
     def advance_failing_once(self, *args, **kwargs):
         calls["n"] += 1
@@ -791,7 +810,7 @@ def test_failed_advance_counts_a_fallback(monkeypatch):
             raise RuntimeError("advance poisoned")
         return original_advance(self, *args, **kwargs)
 
-    monkeypatch.setattr(IncrementalStepScorer, "advance", advance_failing_once)
+    monkeypatch.setattr(FastStepScorer, "advance", advance_failing_once)
     result = run()
     assert calls["n"] > 1, "the run never advanced past the failure"
     assert {record.scoring_path for record in result.steps} == {
@@ -818,35 +837,37 @@ def _full_fingerprint(result):
 @pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 @pytest.mark.parametrize("seed", [3, 9])
-def test_greedy_carry_bit_identical(seed, row, ir_mode, kernel):
-    """The carry axis of the differential grid: with cross-step
-    candidate carry on (lazy-greedy selection unless the scorer is
-    dense), a greedy run must be *bit*-identical to the carry-off
-    (full re-score) run -- same merges, sizes and exact distance
+def test_greedy_carry_bit_identical(seed, row, ir_mode, kernel, full_rank):
+    """The carry axis of the differential grid: a greedy run under the
+    row's selection (lazy-greedy over carried measurements unless the
+    row ranks in full) must be *bit*-identical to the full
+    measure-and-rank run -- same merges, sizes and exact distance
     floats -- under every engine row and representation mode.  The
     parallel rows run both side by side in forked workers and must
-    also match the carry-off run made here in-process."""
+    also match the full-rank run made here in-process."""
 
-    def runner(carry):
-        result = Summarizer(
-            movielens_problem(seed),
-            SummarizationConfig(
-                w_dist=0.7, max_steps=6, seed=0, carry=carry, **_ENGINE_ROWS[row][0]
-            ),
-        ).run()
+    def runner(ranked):
+        selection = full_rank() if ranked else row_selection(row, full_rank)
+        with selection:
+            result = Summarizer(
+                movielens_problem(seed),
+                SummarizationConfig(
+                    w_dist=0.7, max_steps=6, seed=0, **_ENGINE_ROWS[row][0]
+                ),
+            ).run()
         assert_clean_run(result, _ENGINE_PATHS[row])
         return _full_fingerprint(result)
 
     with _ir.mode(ir_mode):
-        off, on = run_row(row, lambda: runner("off"), lambda: runner("on"))
-        if _ENGINE_ROWS[row][1]:
-            assert off == runner("off")
+        off, on = run_row(row, lambda: runner(True), lambda: runner(False))
+        if _ENGINE_ROWS[row][2]:
+            assert off == runner(True)
     assert on == off
 
 
 @needs_numpy
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
-def test_greedy_run_bit_identical_across_kernels(row):
+def test_greedy_run_bit_identical_across_kernels(row, full_rank):
     """The tentpole contract end-to-end: a full greedy run under the
     accelerated kernels reproduces the python-kernel run bit for bit --
     same merges, same sizes, same exact distance floats -- on every
@@ -855,10 +876,12 @@ def test_greedy_run_bit_identical_across_kernels(row):
     kernels side by side in forked workers."""
 
     def runner(mode):
-        with kernels.backend(mode):
+        with kernels.backend(mode), row_selection(row, full_rank):
             result = Summarizer(
                 movielens_problem(3),
-                SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **_ENGINE_ROWS[row][0]),
+                SummarizationConfig(
+                    w_dist=0.7, max_steps=6, seed=0, **_ENGINE_ROWS[row][0]
+                ),
             ).run()
         assert_clean_run(result, _ENGINE_PATHS[row])
         return _full_fingerprint(result)
@@ -873,73 +896,86 @@ def test_greedy_run_bit_identical_across_kernels(row):
 
 
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
-def test_random_problems_carry_bit_identical(monoid_name):
-    def runner(carry):
+def test_random_problems_carry_bit_identical(monoid_name, full_rank):
+    def runner():
         result = Summarizer(
             random_problem(19, MONOIDS[monoid_name], n_terms=16),
-            SummarizationConfig(w_dist=0.6, max_steps=4, seed=0, carry=carry),
+            SummarizationConfig(w_dist=0.6, max_steps=4, seed=0),
         ).run()
         assert_clean_run(result, "fast+incremental")
         return result
 
-    assert _full_fingerprint(runner("on")) == _full_fingerprint(runner("off"))
+    lazy = runner()
+    with full_rank():
+        ranked = runner()
+    assert _full_fingerprint(lazy) == _full_fingerprint(ranked)
 
 
 @pytest.mark.parametrize("scoring", ["normalized", "ordinal"])
-def test_carry_respects_scoring_strategy(scoring):
+def test_carry_respects_scoring_strategy(scoring, full_rank):
     """Ordinal scoring disables lazy selection (per-step ranks bound
     nothing across steps) but keeps the pool carry -- output must
-    match the carry-off run either way."""
+    match the full measure-and-rank run either way."""
 
-    def runner(carry):
+    def runner():
         result = Summarizer(
             movielens_problem(3),
-            SummarizationConfig(
-                w_dist=0.7, max_steps=5, seed=0, scoring=scoring, carry=carry
-            ),
+            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, scoring=scoring),
         ).run()
         assert_clean_run(result, "fast+incremental")
         return result
 
-    assert _full_fingerprint(runner("on")) == _full_fingerprint(runner("off"))
+    default = runner()
+    with full_rank():
+        ranked = runner()
+    assert _full_fingerprint(default) == _full_fingerprint(ranked)
 
 
 @pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
 @pytest.mark.parametrize("seed", [3, 9])
-def test_beam_carry_bit_identical(seed, ir_mode):
-    def runner(carry):
+def test_beam_carry_bit_identical(seed, ir_mode, monkeypatch):
+    """Beam members branch their candidate pools from their parents'
+    (CandidatePool.child); the carried lists must reproduce a run whose
+    pools re-enumerate every step."""
+    from repro.core.pool import CandidatePool
+
+    def runner():
         result = BeamSummarizer(
             movielens_problem(seed),
-            SummarizationConfig(
-                w_dist=0.7, max_steps=5, seed=0, carry=carry, candidate_cap=24
-            ),
+            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, candidate_cap=24),
             beam_width=2,
         ).run()
         assert_clean_run(result, "fast+incremental")
         return result
 
+    def broken_maintain(self, merged, new_name, new_expression):
+        raise RuntimeError("re-enumerate instead")
+
     with _ir.mode(ir_mode):
-        off = _full_fingerprint(runner("off"))
-        on = _full_fingerprint(runner("on"))
+        on = _full_fingerprint(runner())
+        with monkeypatch.context() as patch:
+            patch.setattr(CandidatePool, "_maintain", broken_maintain)
+            off = _full_fingerprint(runner())
     assert on == off
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-def test_lazy_matches_eager_selection(seed):
+def test_lazy_matches_eager_selection(seed, full_rank):
     """Lazy-greedy selection (the default) must pick the exact same
     merge sequence (and record the same fresh winner measurements) as
     the eager full re-score, while re-scoring only a fraction of the
     candidates."""
 
-    def runner(**knobs):
+    def runner():
         result = Summarizer(
             movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, **knobs),
+            SummarizationConfig(w_dist=0.7, max_steps=6, seed=0),
         ).run()
         assert_clean_run(result, "fast+incremental")
         return result
 
-    eager = runner(carry="off")
+    with full_rank():
+        eager = runner()
     lazy = runner()
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
     rescored = sum(r.n_rescored for r in lazy.steps[1:])
@@ -964,9 +1000,7 @@ def test_lazy_stale_scores_are_lower_bounds():
             )
             if len(candidates) < 2:
                 break
-            scorer = IncrementalStepScorer(
-                computer, current, mapping, problem.universe
-            )
+            scorer = FastStepScorer(computer, current, mapping, problem.universe)
             stale = {c.parts: scorer.score(c.parts) for c in candidates}
             chosen = candidates[0]
             summary = problem.universe.new_summary(
@@ -1002,7 +1036,7 @@ def size_carry_spy(monkeypatch):
     """Spies on the lazy queue's size bookkeeping.
 
     Every carried size the queue shifts (``old + last_size_shift``) is
-    checked against a fresh :meth:`IncrementalStepScorer.candidate_size`
+    checked against a fresh :meth:`FastStepScorer.candidate_size`
     on the spot, and every step's reported ``sizes_recomputed`` against
     the predicate's own verdicts.  Yields the running counts of shifted
     and recomputed carried sizes.
@@ -1010,7 +1044,7 @@ def size_carry_spy(monkeypatch):
     counts = {"shifted": 0, "recomputed": 0}
     selecting = []
     original_select = ScoringEngine._lazy_select
-    original_intersects = IncrementalStepScorer.size_intersects
+    original_intersects = FastStepScorer.size_intersects
 
     def spy_select(self, *args, **kwargs):
         before = counts["recomputed"]
@@ -1033,7 +1067,7 @@ def size_carry_spy(monkeypatch):
         return moved
 
     monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)
-    monkeypatch.setattr(IncrementalStepScorer, "size_intersects", spy_intersects)
+    monkeypatch.setattr(FastStepScorer, "size_intersects", spy_intersects)
     return counts
 
 
@@ -1079,7 +1113,8 @@ def test_lazy_size_carry_is_exact_on_wikipedia(size_carry_spy, max_enumerate, pa
 
 def test_lazy_requires_normalized_scoring_and_carry():
     """Lazy selection is the default exactly where it is sound: absolute
-    (normalized) scores over a scorer carried through advance()."""
+    (normalized) scores.  The scorer and the candidate pool are always
+    carried through advance(), so scoring is the only switch."""
     problem = movielens_problem(3)
 
     def lazy(**knobs):
@@ -1088,19 +1123,23 @@ def test_lazy_requires_normalized_scoring_and_carry():
         ).lazy
 
     assert lazy()
-    assert lazy(carry="on", incremental="on")
+    assert lazy(scoring="normalized")
     assert not lazy(scoring="ordinal")
-    assert not lazy(carry="off")
-    assert not lazy(incremental="off")
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("parallelism", 2), ("parallel_threshold", 1), ("lazy", "on")],
+    [
+        ("parallelism", 2),
+        ("parallel_threshold", 1),
+        ("lazy", "on"),
+        ("incremental", "off"),
+        ("carry", "off"),
+    ],
 )
 def test_removed_engine_knobs_raise(field, value):
-    """The fork pool and the lazy switch are gone: naming them fails
-    loudly instead of being silently ignored."""
+    """The fork pool and the lazy, incremental and carry switches are
+    gone: naming them fails loudly instead of being silently ignored."""
     with pytest.raises(TypeError, match=field):
         SummarizationConfig(**{field: value})
 
@@ -1113,7 +1152,7 @@ def test_carry_counters_partition_each_step():
     top."""
     result = Summarizer(
         movielens_problem(3),
-        SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="on"),
+        SummarizationConfig(w_dist=0.7, max_steps=5, seed=0),
     ).run()
     assert_clean_run(result, "fast+incremental")
     for record in result.steps:
@@ -1145,7 +1184,7 @@ def test_size_only_key_never_exceeds_fresh_score(monoid_name, val_func_cls):
     current = problem.expression
     original_size = current.size()
     mapping = MappingState(sorted(current.annotation_names()))
-    scorer = IncrementalStepScorer(computer, current, mapping, problem.universe)
+    scorer = FastStepScorer(computer, current, mapping, problem.universe)
     checked = 0
     for _ in range(4):
         candidates = enumerate_candidates(
@@ -1175,17 +1214,20 @@ def test_size_only_key_never_exceeds_fresh_score(monoid_name, val_func_cls):
     assert checked > 0
 
 
-def test_pool_invalidation_falls_back_to_fresh_enumeration(monkeypatch):
+def test_pool_invalidation_falls_back_to_fresh_enumeration(
+    monkeypatch, full_rank
+):
     """A poisoned pool maintenance step must not change the output:
     the pool invalidates itself and the next step re-enumerates."""
     from repro.core.pool import CandidatePool
 
-    expected = _full_fingerprint(
-        Summarizer(
-            movielens_problem(3),
-            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="off"),
-        ).run()
-    )
+    with full_rank():
+        expected = _full_fingerprint(
+            Summarizer(
+                movielens_problem(3),
+                SummarizationConfig(w_dist=0.7, max_steps=5, seed=0),
+            ).run()
+        )
 
     def broken_maintain(self, merged, new_name, new_expression):
         raise RuntimeError("maintenance poisoned")
@@ -1193,7 +1235,7 @@ def test_pool_invalidation_falls_back_to_fresh_enumeration(monkeypatch):
     monkeypatch.setattr(CandidatePool, "_maintain", broken_maintain)
     result = Summarizer(
         movielens_problem(3),
-        SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, carry="on"),
+        SummarizationConfig(w_dist=0.7, max_steps=5, seed=0),
     ).run()
     assert_clean_run(result, "fast+incremental")
     assert _full_fingerprint(result) == expected

@@ -9,10 +9,10 @@ matches exactly, not approximately.  The suite pins that pairing at
 three levels:
 
 * per-candidate, against a fresh reference computer whose RNG replays
-  the scorer's batch draw (SUM/MAX/COUNT, guards, group merges,
-  sparse and dense accumulators);
+  the scorer's batch draw (SUM/MAX/COUNT, guards, group merges);
 * per-step through the engine (dispatch paths, lazy-greedy ≡ full
-  ranking, carry on ≡ off, batch pinning across ``advance``);
+  ranking, pool carry ≡ fresh enumeration, batch pinning across
+  ``advance``);
 * end-to-end through greedy and beam runs, replaying every recorded
   step distance with a reference computer.
 
@@ -228,9 +228,7 @@ def test_scorer_matches_reference_sampler_bit_identical(monoid_name, seed, kerne
         assert not estimate.exact and not reference.exact
 
 
-@pytest.mark.parametrize(
-    "variant", ["guards", "group_merges", "dense"], ids=str
-)
+@pytest.mark.parametrize("variant", ["guards", "group_merges"], ids=str)
 def test_scorer_matches_reference_on_structural_variants(variant):
     problem = random_problem(
         5,
@@ -240,10 +238,7 @@ def test_scorer_matches_reference_on_structural_variants(variant):
     )
     computer = sampling_computer(problem, SEED, batch=BATCH)
     current, mapping, candidates = step_state(problem)
-    sparse = None if variant != "dense" else False
-    scorer = SampledStepScorer(
-        computer, current, mapping, problem.universe, sparse=sparse
-    )
+    scorer = SampledStepScorer(computer, current, mapping, problem.universe)
     for candidate in candidates:
         size, estimate = scorer.score(candidate.parts)
         ref_size, reference = reference_sampled(
@@ -251,24 +246,6 @@ def test_scorer_matches_reference_on_structural_variants(variant):
         )
         assert size == ref_size
         assert estimate.value == reference.value, (variant, candidate.parts)
-
-
-def test_sparse_and_dense_accumulators_agree():
-    problem = random_problem(9, MAX)
-    current, mapping, candidates = step_state(problem)
-    sparse = SampledStepScorer(
-        sampling_computer(problem, SEED, batch=BATCH),
-        current, mapping, problem.universe, sparse=True,
-    )
-    dense = SampledStepScorer(
-        sampling_computer(problem, SEED, batch=BATCH),
-        current, mapping, problem.universe, sparse=False,
-    )
-    for candidate in candidates:
-        size_s, est_s = sparse.score(candidate.parts)
-        size_d, est_d = dense.score(candidate.parts)
-        assert size_s == size_d
-        assert est_s.value == est_d.value, candidate.parts
 
 
 # -- applicability gate ------------------------------------------------------------
@@ -317,16 +294,6 @@ def test_engine_dispatches_sampled_paths():
         sampling_computer(problem, SEED, batch=BATCH),
         max_enumerate=0,
         distance_samples=BATCH,
-        incremental="off",
-    )
-    engine.measure(candidates, current, mapping)
-    assert engine.last_path == ScoringEngine.PATH_SAMPLED
-
-    engine = engine_for(
-        problem,
-        sampling_computer(problem, SEED, batch=BATCH),
-        max_enumerate=0,
-        distance_samples=BATCH,
         sample_sharing="off",
     )
     engine.measure(candidates, current, mapping)
@@ -346,7 +313,6 @@ def test_engine_sampled_measurements_match_reference():
         sampling_computer(problem, SEED, batch=BATCH),
         max_enumerate=0,
         distance_samples=BATCH,
-        incremental="off",
     )
     measured, _ = engine.measure(candidates, current, mapping)
     for scored, candidate in zip(measured, candidates):
@@ -826,28 +792,33 @@ def _sampled_run(seed, **knobs):
             w_dist=0.7, max_steps=5, seed=0, max_enumerate=0, **knobs
         ),
     ).run()
-    expected = "sampled" if knobs.get("incremental") == "off" else (
-        "sampled+incremental"
-    )
-    assert {r.scoring_path for r in result.steps} == {expected}
+    assert {r.scoring_path for r in result.steps} == {"sampled+incremental"}
     assert result.scoring_fallbacks == 0
     return result
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-def test_sampled_carry_bit_identical(seed):
-    """Pool carry over a per-step scorer (fresh batch every step, full
-    ranking) must match the fully uncarried run."""
-    on = _full_fingerprint(_sampled_run(seed, carry="on", incremental="off"))
-    off = _full_fingerprint(_sampled_run(seed, carry="off", incremental="off"))
+def test_sampled_carry_bit_identical(seed, full_rank, monkeypatch):
+    """Under full ranking over the pinned batch, the carried candidate
+    pool must match a run whose pool re-enumerates every step."""
+    from repro.core.pool import CandidatePool
+
+    def broken_maintain(self, merged, new_name, new_expression):
+        raise RuntimeError("re-enumerate instead")
+
+    with full_rank():
+        on = _full_fingerprint(_sampled_run(seed))
+        monkeypatch.setattr(CandidatePool, "_maintain", broken_maintain)
+        off = _full_fingerprint(_sampled_run(seed))
     assert on == off
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-def test_sampled_lazy_matches_eager(seed):
+def test_sampled_lazy_matches_eager(seed, full_rank):
     """The default lazy-greedy selection over the pinned batch picks the
     eager full ranking's winners, re-scoring fewer candidates."""
-    eager = _sampled_run(seed, carry="off")
+    with full_rank():
+        eager = _sampled_run(seed)
     lazy = _sampled_run(seed)
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
     assert sum(r.n_rescored for r in lazy.steps[1:]) < sum(

@@ -14,8 +14,9 @@ counter is aligned to the streamed session's so the generated summary
 annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
-The grid covers datasets × delta schedules × VAL-FUNCs × engine knobs
-(carry on/off, aggregations) plus the legacy (non-IR) representation;
+The grid covers datasets × delta schedules × VAL-FUNCs × selection
+(lazy queue or full ranking) × aggregations plus the legacy (non-IR)
+representation;
 every case asserts its scoring path and zero fast-path fallbacks; the adversarial schedule spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
@@ -23,6 +24,7 @@ of the invariant: an expression grown by ``apply_delta`` summarizes
 (greedy and beam) identically to the same polynomial built frozen.
 """
 
+import contextlib
 from dataclasses import replace
 
 import pytest
@@ -124,47 +126,56 @@ BASE = dict(n_users=24, n_movies=30, seed=3)
 APPEND = dict(n_deltas=3, seed=11)
 SPAM = dict(n_deltas=4, spam_flag_every=3, seed=11)
 
+#: ``(instance, deltas, request, full_rank)``: the last flag runs both
+#: sides under the full measure-and-rank path instead of the lazy queue.
 GRID = [
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
         SummarizationRequest(number_of_steps=6),
+        False,
         id="append-default",
     ),
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**SPAM),
         SummarizationRequest(number_of_steps=6),
+        False,
         id="spam-adversarial",
     ),
     pytest.param(
         MovieLensConfig(include_movie_merges=True, **BASE),
         MovieLensDeltaConfig(**SPAM),
         SummarizationRequest(number_of_steps=6),
+        False,
         id="movie-merges-spam",
     ),
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(n_deltas=4, new_movie_every=2, seed=7),
         SummarizationRequest(number_of_steps=6),
+        False,
         id="new-movie-heavy",
     ),
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, carry="on"),
+        SummarizationRequest(number_of_steps=6),
+        False,
         id="lazy-queue",
     ),
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, carry="off"),
+        SummarizationRequest(number_of_steps=6),
+        True,
         id="carry-off",
     ),
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**SPAM),
         SummarizationRequest(number_of_steps=6, val_func="Absolute Difference"),
+        False,
         id="absolute-difference",
     ),
     pytest.param(
@@ -173,15 +184,19 @@ GRID = [
         SummarizationRequest(
             number_of_steps=5, aggregation="SUM", val_func="Disagreement"
         ),
+        False,
         id="sum-disagreement",
     ),
 ]
 
 
 class TestStreamedEqualsFrozen:
-    @pytest.mark.parametrize("cfg, dcfg, request_", GRID)
-    def test_repaired_is_bit_identical(self, cfg, dcfg, request_):
-        repaired, from_scratch = run_differential(cfg, dcfg, request_)
+    @pytest.mark.parametrize("cfg, dcfg, request_, ranked", GRID)
+    def test_repaired_is_bit_identical(
+        self, cfg, dcfg, request_, ranked, full_rank
+    ):
+        with full_rank() if ranked else contextlib.nullcontext():
+            repaired, from_scratch = run_differential(cfg, dcfg, request_)
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert_clean(repaired, from_scratch)
 
@@ -239,7 +254,7 @@ class TestStreamedEqualsFrozen:
         run is dropped and rebuilt fresh: the output stays
         bit-identical, and the failure shows up in
         ``scoring_fallbacks`` instead of passing silently."""
-        from repro.core.fast_distance import IncrementalStepScorer
+        from repro.core.fast_distance import FastStepScorer
 
         cfg = MovieLensConfig(**BASE)
         dcfg = MovieLensDeltaConfig(**APPEND)
@@ -248,7 +263,7 @@ class TestStreamedEqualsFrozen:
 
         streamed, _, _ = ingested_session(cfg, dcfg, request)
         calls = {"n": 0}
-        original = IncrementalStepScorer.advance
+        original = FastStepScorer.advance
 
         def advance_failing_once(self, *args, **kwargs):
             calls["n"] += 1
@@ -257,7 +272,7 @@ class TestStreamedEqualsFrozen:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(
-            IncrementalStepScorer, "advance", advance_failing_once
+            FastStepScorer, "advance", advance_failing_once
         )
         repaired = streamed.summarize(request)
         assert calls["n"] > 1, "the run never advanced past the failure"

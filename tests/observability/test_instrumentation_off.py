@@ -1,6 +1,6 @@
 """Instrumentation must not change what the pipeline computes.
 
-The PR 1 differential harness proves serial ≡ parallel ≡ incremental;
+The differential harness proves lazy-greedy ≡ full ranking ≡ naive;
 this module proves the observability layer preserves that: the summary
 a run produces is byte-identical whether tracing/metrics are on or
 off, and the differential invariant still holds with tracing recording
@@ -83,14 +83,18 @@ def test_output_is_byte_identical_with_the_profiler_sampling(
     assert profiler.snapshot()["samples"] >= 0  # sampling ran without harm
 
 
-def test_differential_invariant_holds_with_tracing_on(instrumentation_guard):
-    """Serial ≡ incremental merge sequences, spans recording throughout."""
+def test_differential_invariant_holds_with_tracing_on(
+    instrumentation_guard, full_rank
+):
+    """Full-rank ≡ lazy-greedy merge sequences, spans recording
+    throughout."""
     tracing.set_enabled(True)
     tracing.take_trace()
-    serial = _summarize(incremental="off")
-    incremental = _summarize(incremental="on")
-    assert [r.merged for r in serial.steps] == [r.merged for r in incremental.steps]
-    assert _portable(serial) == _portable(incremental)
+    with full_rank():
+        ranked = _summarize()
+    lazy = _summarize()
+    assert [r.merged for r in ranked.steps] == [r.merged for r in lazy.steps]
+    assert _portable(ranked) == _portable(lazy)
 
 
 def test_trace_tree_matches_the_documented_hierarchy(instrumentation_guard):
@@ -108,7 +112,7 @@ def test_trace_tree_matches_the_documented_hierarchy(instrumentation_guard):
     for child in steps[: result.n_steps]:
         scoring = child.find("score_candidates")
         assert scoring is not None
-        assert scoring.attributes["path"] in {"fast", "fast+incremental", "naive"}
+        assert scoring.attributes["path"] in {"fast+incremental", "naive"}
         assert scoring.attributes["n_candidates"] >= 0
     assert root.attributes["stop_reason"] == result.stop_reason
     assert root.attributes["final_size"] == result.final_size
@@ -133,10 +137,10 @@ def test_metrics_advance_during_a_run(instrumentation_guard):
 def test_output_is_byte_identical_with_carry_and_instrumentation(
     instrumentation_guard,
 ):
-    """The carry counters/span attributes must not perturb a carry-on
-    run: byte-identical output with instrumentation off and on, lazy
+    """The carry counters/span attributes must not perturb a run:
+    byte-identical output with instrumentation off and on, lazy
     (normalized) and full-ranking (ordinal)."""
-    for knobs in (dict(carry="on"), dict(carry="on", scoring="ordinal")):
+    for knobs in (dict(), dict(scoring="ordinal")):
         metrics.set_enabled(False)
         tracing.set_enabled(False)
         baseline = _summarize(**knobs)
@@ -157,7 +161,7 @@ def test_carry_counters_advance_during_a_run(instrumentation_guard):
     before_carried = carried_total.value()
     before_rescored = rescored_total.value()
 
-    result = _summarize(carry="on")
+    result = _summarize()
 
     carried = sum(
         r.n_candidates - r.n_rescored for r in result.steps if r.n_rescored >= 0
@@ -172,7 +176,7 @@ def test_carry_counters_golden_scrape(instrumentation_guard):
     """The two carry families render in exposition format with their
     registered HELP text."""
     metrics.set_enabled(True)
-    _summarize(carry="on")
+    _summarize()
     scrape = metrics.REGISTRY.render()
     assert (
         "# HELP prox_scoring_candidates_carried_total Candidates the lazy "
@@ -289,11 +293,11 @@ def test_score_candidates_spans_report_carry_partition(
     counts the queue entries still keyed by size alone when the winner
     popped: the step's candidates no step of the run has scored yet."""
     from repro.core.engine import ScoringEngine
-    from repro.core.fast_distance import IncrementalStepScorer
+    from repro.core.fast_distance import FastStepScorer
 
     scored = set()
     expected_unscored = []
-    original_score = IncrementalStepScorer.score
+    original_score = FastStepScorer.score
     original_select = ScoringEngine._lazy_select
 
     def spy_score(self, parts):
@@ -307,11 +311,11 @@ def test_score_candidates_spans_report_carry_partition(
         )
         return outcome
 
-    monkeypatch.setattr(IncrementalStepScorer, "score", spy_score)
+    monkeypatch.setattr(FastStepScorer, "score", spy_score)
     monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)
     tracing.set_enabled(True)
     tracing.take_trace()
-    result = _summarize(carry="on")
+    result = _summarize()
 
     root = tracing.take_trace()
     steps = [child for child in root.children if child.name.startswith("step[")]
@@ -346,12 +350,12 @@ def test_score_candidates_spans_explain_size_carry(
     (the last merge touched their terms) instead of shifting them.
     Wikipedia merges group keys, so some steps do recompute."""
     from repro.core.engine import ScoringEngine
-    from repro.core.fast_distance import IncrementalStepScorer
+    from repro.core.fast_distance import FastStepScorer
     from repro.datasets import WikipediaConfig, generate_wikipedia
 
     per_step = []
     original_measure = ScoringEngine.measure_lazy
-    original_intersects = IncrementalStepScorer.size_intersects
+    original_intersects = FastStepScorer.size_intersects
 
     def spy_measure(self, *args, **kwargs):
         per_step.append(0)
@@ -363,7 +367,7 @@ def test_score_candidates_spans_explain_size_carry(
         return moved
 
     monkeypatch.setattr(ScoringEngine, "measure_lazy", spy_measure)
-    monkeypatch.setattr(IncrementalStepScorer, "size_intersects", spy_intersects)
+    monkeypatch.setattr(FastStepScorer, "size_intersects", spy_intersects)
     tracing.set_enabled(True)
     tracing.take_trace()
     problem = generate_wikipedia(

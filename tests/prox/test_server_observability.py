@@ -204,7 +204,7 @@ def test_summarize_response_reports_scoring_paths_and_timings(server):
     assert sum(result["scoring_paths"].values()) == result["steps"]
     assert len(result["steps_detail"]) == result["steps"]
     for detail in result["steps_detail"]:
-        assert detail["scoring_path"] in {"fast", "fast+incremental", "naive"}
+        assert detail["scoring_path"] in {"fast+incremental", "naive"}
         assert detail["step_seconds"] >= detail["candidate_seconds"] >= 0.0
         assert detail["n_candidates"] >= 1
         assert isinstance(detail["merged"], list)

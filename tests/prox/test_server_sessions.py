@@ -70,7 +70,10 @@ class TestLifecycleRoutes:
         status, data, _ = request(server, "DELETE", f"/sessions/{session_id}")
         assert status == 404
 
-    @pytest.mark.parametrize("field", ["parallelism", "parallel_threshold", "lazy"])
+    @pytest.mark.parametrize(
+        "field",
+        ["parallelism", "parallel_threshold", "lazy", "incremental", "carry"],
+    )
     def test_removed_engine_knobs_are_400_naming_the_field(self, server, field):
         status, data, _ = request(server, "POST", "/sessions", {field: 2})
         assert status == 400

@@ -4,7 +4,7 @@ The acceptance bar for the serving tier: a session snapshotted,
 evicted and restored (zero-copy in a fresh process, replay in a warm
 one) must produce *bit-identical* ``/summarize`` results to a session
 that was never evicted -- same sizes, same distances, same merge
-sequence -- across greedy/beam × carry on/off × sampled scoring paths,
+sequence -- across greedy/beam × full-rank/lazy × sampled scoring paths,
 each on its expected scoring path with zero fast-path fallbacks.
 Soundness rests on PR 3 (results independent of monomial-id layout)
 and PR 6 (repaired ≡ from-scratch), so dropping repair state and
@@ -14,6 +14,7 @@ Plus the golden format test: arena snapshot → mmap-load → snapshot is
 byte-identical, and likewise for a whole restored session.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -36,22 +37,26 @@ from repro.prox.summarization import SummarizationRequest
 CONFIG = MovieLensConfig(n_users=10, n_movies=8, include_movie_merges=True, seed=5)
 
 #: The scoring-path grid of the acceptance criterion.  Greedy via the
-#: session API (carry off: full ranking; carry on: lazy-greedy
-#: selection); the beam axis runs BeamSummarizer over the session's
-#: own problem (build_problem).
+#: session API (baseline: full ranking, forced by the ``full_rank``
+#: fixture; carry-lazy: the default lazy-greedy selection); the beam
+#: axis runs BeamSummarizer over the session's own problem
+#: (build_problem).  Each entry is ``(request, full_rank)``.
 REQUESTS = [
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="off"),
+        SummarizationRequest(number_of_steps=4),
+        True,
         id="greedy-baseline",
     ),
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="on"),
+        SummarizationRequest(number_of_steps=4),
+        False,
         id="greedy-carry-lazy",
     ),
     pytest.param(
         SummarizationRequest(
             number_of_steps=4, sample_sharing="on", sample_block=64
         ),
+        False,
         id="greedy-sampled",
     ),
 ]
@@ -89,9 +94,16 @@ def assert_clean(fingerprint_):
     assert fingerprint_["fallbacks"] == 0
 
 
-@pytest.mark.parametrize("request_", REQUESTS)
-def test_evicted_session_summarizes_bit_identically(request_, tmp_path):
+@pytest.mark.parametrize("request_, ranked", REQUESTS)
+def test_evicted_session_summarizes_bit_identically(
+    request_, ranked, tmp_path, full_rank
+):
     """In-process eviction (warm store: replay path) changes nothing."""
+    with full_rank() if ranked else contextlib.nullcontext():
+        _evict_and_compare(request_, tmp_path)
+
+
+def _evict_and_compare(request_, tmp_path):
     control = build_session()
     expected = fingerprint(control.summarize(request_, seed=13))
     assert_clean(expected)
@@ -115,7 +127,7 @@ def test_evicted_session_summarizes_bit_identically(request_, tmp_path):
 
 def test_beam_summarizes_bit_identically_after_restore(tmp_path):
     """The beam axis: same problem, same beam trajectory after restore."""
-    request_ = SummarizationRequest(number_of_steps=4, carry="on")
+    request_ = SummarizationRequest(number_of_steps=4)
     control = build_session()
     baseline = BeamSummarizer(
         control.summarization.build_problem(control.selected, request_),
@@ -140,12 +152,20 @@ def test_beam_summarizes_bit_identically_after_restore(tmp_path):
         restored.close()
 
 
+#: Child-process preamble: a ``full_rank`` run forces the full
+#: measure-and-rank path, as the ``full_rank`` fixture does in-process.
+_CHILD_SELECTION = """
+if {full_rank!r}:
+    from repro.core import ScoringEngine
+    ScoringEngine.lazy = property(lambda self: False)
+"""
+
 _CHILD_BUILD = """
 import json, sys
 sys.path.insert(0, {src!r})
 from tests.prox.test_snapshot_differential import build_session, fingerprint
 from repro.prox.summarization import SummarizationRequest
-
+""" + _CHILD_SELECTION + """
 session = build_session()
 result = session.summarize(
     SummarizationRequest(**json.loads(sys.argv[2])), seed=13
@@ -160,7 +180,7 @@ sys.path.insert(0, {src!r})
 from tests.prox.test_snapshot_differential import fingerprint
 from repro.provenance import ir
 from repro.prox import ProxSession
-
+""" + _CHILD_SELECTION + """
 session = ProxSession.restore(sys.argv[1])
 result = session._require_result()   # lazy re-summarize after rehydrate
 print(json.dumps({{
@@ -170,7 +190,7 @@ print(json.dumps({{
 """
 
 
-def _run_child(code, *argv):
+def _run_child(code, *argv, full_rank=False):
     root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env = dict(
         os.environ,
@@ -179,7 +199,7 @@ def _run_child(code, *argv):
         ),
     )
     completed = subprocess.run(
-        [sys.executable, "-c", code.format(src=root), *argv],
+        [sys.executable, "-c", code.format(src=root, full_rank=full_rank), *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -190,22 +210,28 @@ def _run_child(code, *argv):
 
 
 @pytest.mark.parametrize(
-    "request_",
+    "request_, ranked",
     [
-        pytest.param({"number_of_steps": 4, "carry": "off"}, id="baseline"),
-        pytest.param({"number_of_steps": 4, "carry": "on"}, id="carry-lazy"),
+        pytest.param({"number_of_steps": 4}, True, id="baseline"),
+        pytest.param({"number_of_steps": 4}, False, id="carry-lazy"),
         pytest.param(
-            {"number_of_steps": 4, "sample_sharing": "on"}, id="sampled"
+            {"number_of_steps": 4, "sample_sharing": "on"}, False, id="sampled"
         ),
     ],
 )
-def test_cross_process_zero_copy_restore_is_bit_identical(request_, tmp_path):
+def test_cross_process_zero_copy_restore_is_bit_identical(
+    request_, ranked, tmp_path
+):
     """A fresh process mmap-loads the snapshot zero-copy and recomputes
-    the exact same summary the original process produced."""
+    the exact same summary the original process produced.  The
+    baseline runs both processes under the full measure-and-rank
+    path."""
     path = str(tmp_path / "session.snap")
-    original = _run_child(_CHILD_BUILD, path, json.dumps(request_))
+    original = _run_child(
+        _CHILD_BUILD, path, json.dumps(request_), full_rank=ranked
+    )
     assert_clean(original["fingerprint"])
-    restored = _run_child(_CHILD_RESTORE, path)
+    restored = _run_child(_CHILD_RESTORE, path, full_rank=ranked)
     if _ir.ir_enabled():
         assert restored["zero_copy"], "expected the zero-copy install path"
     assert restored["fingerprint"] == original["fingerprint"]
@@ -252,15 +278,23 @@ print('{{}}')
 
 
 def test_restore_drops_removed_engine_knobs(tmp_path):
-    """A snapshot written while ``lazy``/``parallelism`` still existed
-    records them in its last summarize request; restoring it must
-    re-summarize identically instead of failing on the removed knobs."""
+    """A snapshot written while ``lazy``/``parallelism``/``incremental``
+    /``carry`` still existed records them in its last summarize
+    request; restoring it must re-summarize identically instead of
+    failing on the removed knobs."""
     request_ = SummarizationRequest(number_of_steps=3)
     control = build_session()
     expected = fingerprint(control.summarize(request_, seed=13))
     recorded, seed = control._last_summarize
     control._last_summarize = (
-        {**recorded, "lazy": True, "parallelism": 2, "parallel_threshold": 1},
+        {
+            **recorded,
+            "lazy": True,
+            "parallelism": 2,
+            "parallel_threshold": 1,
+            "incremental": "off",
+            "carry": "off",
+        },
         seed,
     )
     path = str(tmp_path / "old.snap")

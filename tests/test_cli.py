@@ -77,6 +77,15 @@ def test_summarize_clustering_rejected_for_ddp(capsys):
     assert "undefined" in err
 
 
+def test_summarize_removed_carry_flag_exits_2(capsys):
+    """``--carry`` is gone (the pool and the lazy queue always carry):
+    argparse rejects it with a usage error instead of ignoring it."""
+    with pytest.raises(SystemExit) as exited:
+        main(["summarize", "movielens", "--carry", "off"])
+    assert exited.value.code == 2
+    assert "--carry" in capsys.readouterr().err
+
+
 def test_experiment(capsys):
     code, out, _ = run(
         capsys, "experiment", "timing", "--dataset", "ddp", "--seeds", "1"
