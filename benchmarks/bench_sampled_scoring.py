@@ -20,10 +20,10 @@ speedup per batch size; the JSON mirror lands in
 artifact).  The headline acceptance number: at batch sizes >= 256 the
 packed kernel must be at least 5x faster than the reference sampler.
 
-When the numpy kernel backend is active (``REPRO_KERNEL`` auto/numpy
-with numpy importable), every row also times the packed step under the
+When the native kernel backend is active (``REPRO_KERNEL`` auto/native
+with a C toolchain), every row also times the packed step under the
 pure-python reference kernels: the ``kernel-speedup`` column isolates
-the vectorization win from the batch-sharing win.
+the compiled-kernel win from the batch-sharing win.
 
 ``--quick`` (alias ``--smoke``) runs a small instance (CI smoke): it
 asserts the packed path actually engaged (scoring path, batch
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
             "packed_batch_variance": packed_engine.last_sample_variance,
             "kernel": packed_engine.last_kernel,
         }
-        if kernels.active_backend() in (kernels.MODE_NUMPY, kernels.MODE_NATIVE):
+        if kernels.active_backend() == kernels.MODE_NATIVE:
             # The same packed step under the pure-python reference
             # kernels: the acceleration win in isolation.
             with kernels.backend(kernels.MODE_PYTHON):

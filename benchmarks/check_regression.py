@@ -72,7 +72,7 @@ FAMILIES = {
 def _fingerprint(payload):
     """The workload identity two runs must share to be ratio-comparable.
 
-    The kernel backend is part of the identity: a numpy run diffed
+    The kernel backend is part of the identity: a python run diffed
     against a committed native baseline (or vice versa) would report
     the backend gap as a regression.
     """
@@ -143,11 +143,11 @@ def _floors_family(name, fresh):
                     f"{name}: batch {row.get('batch')} packed scoring "
                     f"did not beat the reference ({row.get('speedup')}x)"
                 )
-            # The accelerated kernels (numpy or native) must deliver a
-            # real win over the pure-python reference at vector-friendly
-            # batch sizes (at small batches construction dominates, so
-            # no floor there).  Both backends clear 2x at batch 256 even
-            # on the quick instance; 1.25 leaves noise headroom.
+            # The native kernels must deliver a real win over the
+            # pure-python reference at vector-friendly batch sizes (at
+            # small batches construction dominates, so no floor there).
+            # Native clears 2x at batch 256 even on the quick instance;
+            # 1.25 leaves noise headroom.
             kernel_speedup = row.get("kernel_speedup")
             if (
                 kernel_speedup is not None

@@ -6,7 +6,7 @@ legacy path; all metadata lives in ``pyproject.toml``.
 When a C compiler is on PATH the native kernel shared object is
 compiled best-effort at build time so ``REPRO_KERNEL=native`` starts
 warm; any failure is silently ignored -- the backend also compiles
-lazily on first use and degrades to numpy/python when it cannot.
+lazily on first use and degrades to python when it cannot.
 """
 
 import sys

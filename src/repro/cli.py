@@ -26,7 +26,7 @@ profiler over the run and writes collapsed stacks + flamegraph JSON
 (``REPRO_PROFILE=<hz>`` overrides the sampling rate);
 ``REPRO_LOG_LEVEL`` / ``REPRO_TRACE`` / ``REPRO_METRICS`` control the
 structured-logging/tracing/metrics knobs everywhere, and
-``REPRO_KERNEL=python|numpy|native`` (or ``summarize --kernel``)
+``REPRO_KERNEL=auto|python|native`` (or ``summarize --kernel``)
 selects the scoring kernel backend.  See docs/OPERATIONS.md for the
 full runbook.
 """
@@ -163,11 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize.add_argument(
         "--kernel",
-        choices=("auto", "python", "numpy", "native"),
+        choices=("auto", "python", "native"),
         default="",
         help="scoring kernel backend (default: REPRO_KERNEL, else auto-"
-        "detect; native degrades to numpy, numpy to python, each with a "
-        "warning if unavailable)",
+        "detect; native degrades to python with a warning if unavailable)",
     )
 
     experiment = commands.add_parser("experiment", help="run a Chapter 6 experiment")
@@ -357,10 +356,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                   f"{record.label} (size {record.size_after}, "
                   f"distance {distance}{timing})")
     if args.ir_stats:
-        interned = len(problem.interner) if problem.interner is not None else 0
         arena = _ir.GLOBAL_STORE.stats()
-        print(f"  ir mode {_ir.active_mode()}: "
-              f"{interned} interned annotations, "
+        print(f"  ir: {len(problem.resolve_interner())} interned annotations, "
               f"{arena['monomials']} arena monomials, "
               f"{arena['arena_bytes']} arena bytes")
     if args.save:

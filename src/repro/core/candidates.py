@@ -79,7 +79,7 @@ def enumerate_candidates(
     escape hatch for very large expressions; the thesis enumerates all
     pairs).  ``interner`` keys deduplication identity on dense interned
     ids (the output order stays name-sorted either way, so all scoring
-    modes see identical candidate lists).
+    paths see identical candidate lists).
     """
     if arity < 2:
         raise ValueError("merge arity must be at least 2")
@@ -165,6 +165,10 @@ def finalize_candidates(
     the same state as fresh enumeration would.
     """
     if arity > 2:
+        # With no interner at hand an empty one makes every name key on
+        # itself.
+        if interner is None:
+            interner = AnnotationInterner()
         candidates = _dedupe(candidates, interner)
     if cap is not None and len(candidates) > cap:
         sampler = rng if rng is not None else random.Random(0)
@@ -199,22 +203,16 @@ def _extend_group(
 
 
 def _dedupe(
-    candidates: List[Candidate], interner: Optional[AnnotationInterner] = None
+    candidates: List[Candidate], interner: AnnotationInterner
 ) -> List[Candidate]:
     """Drop duplicate part sets; emit survivors in name-sorted order.
 
-    With an interner, identity is keyed on sorted interned-id tuples
-    (int hashing instead of re-hashing the name strings) while the
-    output is still ordered by the name-space key -- candidate order
-    must not depend on interning order, or the scoring modes of the
-    differential suite would disagree.
+    Identity is keyed on sorted interned-id tuples (int hashing instead
+    of re-hashing the name strings) while the output is still ordered
+    by the name-space key -- candidate order must not depend on
+    interning order, or the scoring paths of the differential suite
+    would disagree.
     """
-    if interner is None:
-        seen: Dict[Tuple[str, ...], Candidate] = {}
-        for candidate in candidates:
-            key = tuple(sorted(candidate.parts))
-            seen.setdefault(key, candidate)
-        return [seen[key] for key in sorted(seen)]
     # Non-inserting lookups only: this also runs on the pool's
     # invalidate-on-failure fallback, and a failure path must not grow
     # the session interner (the annotation universe is no longer static

@@ -135,11 +135,11 @@ class DistanceComputer:
     rng:
         Source of randomness for sampling (deterministic by default).
     interner:
-        Optional :class:`~repro.provenance.ir.AnnotationInterner`; when
-        set, the fast scorers key their per-annotation state (valuation
-        bitmasks, term indexes) on dense interned ids instead of
-        re-hashing name strings, and a session-held interner keeps those
-        ids stable across repeated ``/summarize`` calls.
+        The :class:`~repro.provenance.ir.AnnotationInterner` the fast
+        scorers key their per-annotation state (valuation bitmasks,
+        term indexes) on; a session-held interner keeps those ids
+        stable across repeated ``/summarize`` calls.  ``None`` builds a
+        fresh one.
     """
 
     def __init__(
@@ -158,7 +158,7 @@ class DistanceComputer:
         sample_block: int = 64,
     ):
         self.original = original
-        self.interner = interner
+        self.interner = interner if interner is not None else AnnotationInterner()
         self.valuations = valuations
         self.val_func = val_func
         self.combiners = combiners

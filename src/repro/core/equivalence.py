@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..provenance.annotations import Annotation, AnnotationUniverse
-from ..provenance.ir import ir_enabled
 from ..provenance.valuation_classes import ValuationClass
 from .candidates import virtual_summary
 from .constraints import MergeConstraint, MergeProposal
@@ -153,10 +152,9 @@ def equivalence_classes(
 
     Each annotation's signature is its truth value under every
     valuation of the class; equal signatures mean no valuation can
-    ever tell the annotations apart.  In IR mode the signature is
-    packed into one integer (bit ``v`` set ⇔ true under valuation
-    ``v``) -- same partition, same first-occurrence class order, one
-    hashable int instead of a bool tuple per annotation.
+    ever tell the annotations apart.  The signature is packed into one
+    integer (bit ``v`` set ⇔ true under valuation ``v``); classes keep
+    first-occurrence order.
 
     Delta-update mode: passing ``previous`` (the partition of the
     pre-delta state) repairs signatures locally via
@@ -167,20 +165,14 @@ def equivalence_classes(
     if previous is not None:
         return previous.repair(names, valuations, flipped).classes(names)
     valuation_list = list(valuations)
-    if ir_enabled():
-        packed: Dict[int, List[str]] = {}
-        for name in names:
-            signature = 0
-            for index, valuation in enumerate(valuation_list):
-                if valuation.truth(name):
-                    signature |= 1 << index
-            packed.setdefault(signature, []).append(name)
-        return [tuple(group) for group in packed.values()]
-    signatures: Dict[Tuple[bool, ...], List[str]] = {}
+    packed: Dict[int, List[str]] = {}
     for name in names:
-        signature = tuple(valuation.truth(name) for valuation in valuation_list)
-        signatures.setdefault(signature, []).append(name)
-    return [tuple(group) for group in signatures.values()]
+        signature = 0
+        for index, valuation in enumerate(valuation_list):
+            if valuation.truth(name):
+                signature |= 1 << index
+        packed.setdefault(signature, []).append(name)
+    return [tuple(group) for group in packed.values()]
 
 
 def constrained_groups(

@@ -68,15 +68,6 @@ from .mapping import MappingState
 from .val_funcs import VectorValFunc
 
 
-def _identity(name: str) -> str:
-    return name
-
-
-#: Annotation-key-space stand-in for the candidate's merged annotation
-#: when keys are interned ids (no valid id is negative).
-_ID_MARKER = -1
-
-
 def _renamed_guard(guard: Tuple, parts: FrozenSet[str]) -> Tuple:
     """Collision key of a presorted guard under the merge ``parts → c``."""
     names, value, op, threshold = guard
@@ -129,19 +120,10 @@ class FastStepScorer:
         self.current = current
         self.mapping = mapping
         self.universe = universe
-        # Annotation-key space: with an interner (IR mode) all
-        # per-annotation state -- valuation bitmasks and term indexes --
-        # is keyed on dense interned ids; without one (REPRO_IR=legacy)
-        # it is keyed on the name strings, the seed behavior.  The mask
-        # arithmetic is identical either way, so both key spaces yield
-        # bit-identical scores (asserted by the differential suite).
-        self._interner = getattr(computer, "interner", None)
-        if self._interner is not None:
-            self._key = self._interner.intern
-            self._ann_marker: object = _ID_MARKER
-        else:
-            self._key = _identity
-            self._ann_marker = self._MARKER
+        # All per-annotation state -- valuation bitmasks and term
+        # indexes -- is keyed on the computer's dense interned ids.
+        self._interner = computer.interner
+        self._key = self._interner.intern
         self.val_func: VectorValFunc = computer.val_func
         self.monoid = self.val_func.monoid
         self._is_max = isinstance(self.monoid, MaxMonoid)
@@ -293,7 +275,7 @@ class FastStepScorer:
                 # Non-inserting lookup: lifted sets may mention names
                 # outside the expression, which must not grow the
                 # interner.
-                mask_key = interner.lookup(name) if interner is not None else name
+                mask_key = interner.lookup(name)
                 if mask_key is not None:
                     row = row_of.get(mask_key)
                     if row is not None:
@@ -525,7 +507,6 @@ class FastStepScorer:
         # of affected-term lookups below never justify an
         # O(annotations) copy per candidate.
         overrides = {part_key: merged_mask for part_key in part_keys}
-        overrides[self._ann_marker] = merged_mask
 
         affected = self._part_terms(part_keys)
         override = {

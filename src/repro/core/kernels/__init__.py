@@ -1,39 +1,32 @@
-"""Pluggable scoring kernel backends (``REPRO_KERNEL=python|numpy|native``).
+"""Pluggable scoring kernel backends (``REPRO_KERNEL=auto|python|native``).
 
 The bit-packed scorers funnel their hot folds through one active
 :class:`~repro.core.kernels.protocol.KernelBackend`:
 
 * ``python`` -- the reference backend: the exact loops the scorers ran
   inline before this tier existed, re-expressed over packed word rows.
-* ``numpy`` -- vectorized folds over zero-copy views of the packed
-  layouts; engineered to be bit-identical to the reference (see
-  :mod:`repro.core.kernels.numpy_backend`).
 * ``native`` -- a small C shared library (hardware popcount, unrolled
   AND/OR folds) over the same ``array('Q')`` buffers, compiled on
   demand and driven via ctypes (see
   :mod:`repro.core.kernels.native_backend`).
 
-Resolution mirrors ``REPRO_IR``: the env knob is read once at import.
-``auto`` (the default) picks native → numpy → python, the order the
-end-to-end measurements rank them in (perfbench ``exact_movielens``,
-serial lazy-greedy: native 456, python 566, numpy 781 ms median per
-summarize; with native active numpy is never imported, which also
-trims resident memory).
-``auto`` therefore compiles the C library on first import when no
-fresh build exists, and silently settles for numpy or python when the
-toolchain is missing.  An explicit ``REPRO_KERNEL=native`` probes the
-toolchain and *degrades* native → numpy → python with a structured
-``kernel_fallback`` warning instead of crashing;
-``REPRO_KERNEL=numpy`` without numpy degrades to python the same
-way.  :func:`set_backend` / :func:`backend` switch
-process-wide at runtime (scorers capture the active backend at
-construction, so a mid-step switch never mixes backends within one
-scorer).
+The env knob is read once at import.  ``auto`` (the default; an empty
+value means the same) picks native, then python -- native is the
+faster of the two on every workload measured (the README defaults
+table records the figures).  ``auto`` therefore compiles the C
+library on first import when no fresh build exists, and silently
+settles for python when the toolchain is missing.  An explicit
+``REPRO_KERNEL=native`` probes the toolchain and *degrades* to python
+with a structured ``kernel_fallback`` warning instead of crashing.
+Any other token logs ``kernel_unknown`` and resolves as ``auto``.
+:func:`set_backend` / :func:`backend` switch process-wide at runtime
+(scorers capture the active backend at construction, so a mid-step
+switch never mixes backends within one scorer).
 
 The active backend is observable: the ``repro_kernel_backend``
-info-style gauge (1 for the active backend, 0 for the others --
-``native`` included), the ``kernel=`` attribute on scoring spans, and
-the ``kernel`` field of ``/healthz``.
+info-style gauge (1 for the active backend, 0 for the other), the
+``kernel=`` attribute on scoring spans, and the ``kernel`` field of
+``/healthz``.
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ __all__ = [
     "PythonKernel",
     "SPARSE_KINDS",
     "MODE_PYTHON",
-    "MODE_NUMPY",
     "MODE_NATIVE",
     "active_backend",
     "get_backend",
@@ -65,34 +57,15 @@ __all__ = [
     "row_int",
     "words_for",
     "zero_row",
-    "numpy_available",
-    "numpy_unavailable_reason",
     "native_available",
     "native_unavailable_reason",
     "publish_backend_metric",
 ]
 
 MODE_PYTHON = "python"
-MODE_NUMPY = "numpy"
 MODE_NATIVE = "native"
 
-_AUTO_WORDS = frozenset({"", "auto", "default"})
-_PYTHON_WORDS = frozenset(
-    {
-        "python",
-        "py",
-        "reference",
-        "ref",
-        "legacy",
-        "off",
-        "0",
-        "false",
-        "no",
-        "disabled",
-    }
-)
-_NUMPY_WORDS = frozenset({"numpy", "np", "fast", "vector", "on", "1", "true", "yes"})
-_NATIVE_WORDS = frozenset({"native", "c", "simd", "cffi", "ctypes"})
+_AUTO_WORDS = frozenset({"", "auto"})
 
 _KERNEL_BACKEND = _metrics.gauge(
     "repro_kernel_backend",
@@ -104,26 +77,10 @@ _LOGGER_NAME = "core.kernels"
 
 _REFERENCE = PythonKernel()
 
-#: Lazily probed backends; ``False`` = probe failed, ``None`` = not
-#: probed yet.
-_NUMPY_BACKEND: object = None
-_NUMPY_ERROR: Optional[str] = None
+#: Lazily probed native backend; ``False`` = probe failed, ``None`` =
+#: not probed yet.
 _NATIVE_BACKEND: object = None
 _NATIVE_ERROR: Optional[str] = None
-
-
-def _numpy_backend() -> Optional[KernelBackend]:
-    """The numpy backend instance, or ``None`` when numpy is absent."""
-    global _NUMPY_BACKEND, _NUMPY_ERROR
-    if _NUMPY_BACKEND is None:
-        try:
-            from .numpy_backend import NumpyKernel
-
-            _NUMPY_BACKEND = NumpyKernel()
-        except Exception as exc:  # ImportError, broken install, ...
-            _NUMPY_BACKEND = False
-            _NUMPY_ERROR = f"{type(exc).__name__}: {exc}"
-    return _NUMPY_BACKEND if _NUMPY_BACKEND is not False else None
 
 
 def _native_backend() -> Optional[KernelBackend]:
@@ -140,17 +97,6 @@ def _native_backend() -> Optional[KernelBackend]:
     return _NATIVE_BACKEND if _NATIVE_BACKEND is not False else None
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend can be constructed in this process."""
-    return _numpy_backend() is not None
-
-
-def numpy_unavailable_reason() -> Optional[str]:
-    """Why the numpy probe failed (``None`` when it succeeded)."""
-    _numpy_backend()
-    return _NUMPY_ERROR
-
-
 def native_available() -> bool:
     """Whether the native backend can be built/loaded in this process."""
     return _native_backend() is not None
@@ -162,48 +108,30 @@ def native_unavailable_reason() -> Optional[str]:
     return _NATIVE_ERROR
 
 
-def _degrade(requested: str, reason: Optional[str]) -> str:
-    """Pick the best available backend below ``requested``, loudly."""
-    active = MODE_NUMPY if numpy_available() else MODE_PYTHON
-    _log.get_logger(_LOGGER_NAME).warning(
-        "kernel_fallback requested=%s active=%s reason=%s",
-        requested,
-        active,
-        _log.quote(reason or f"{requested} unavailable"),
-    )
-    return active
-
-
 def _resolve_name(raw: str) -> str:
     """Map one ``REPRO_KERNEL`` token to an available backend name."""
     token = raw.strip().lower()
-    if token in _PYTHON_WORDS:
+    if token == MODE_PYTHON:
         return MODE_PYTHON
-    if token in _NUMPY_WORDS:
-        if numpy_available():
-            return MODE_NUMPY
-        _log.get_logger(_LOGGER_NAME).warning(
-            "kernel_fallback requested=numpy active=python reason=%s",
-            _log.quote(numpy_unavailable_reason() or "numpy unavailable"),
-        )
-        return MODE_PYTHON
-    if token in _NATIVE_WORDS:
+    if token == MODE_NATIVE:
         if native_available():
             return MODE_NATIVE
-        return _degrade(MODE_NATIVE, native_unavailable_reason())
+        _log.get_logger(_LOGGER_NAME).warning(
+            "kernel_fallback requested=native active=python reason=%s",
+            _log.quote(native_unavailable_reason() or "native unavailable"),
+        )
+        return MODE_PYTHON
     if token not in _AUTO_WORDS:
         _log.get_logger(_LOGGER_NAME).warning(
             "kernel_unknown requested=%s resolution=auto", _log.quote(raw)
         )
-    if native_available():
-        return MODE_NATIVE
-    return MODE_NUMPY if numpy_available() else MODE_PYTHON
+    return MODE_NATIVE if native_available() else MODE_PYTHON
 
 
 def publish_backend_metric() -> None:
     """(Re-)export the ``repro_kernel_backend`` info gauge."""
     active = _BACKEND_NAME
-    for name in (MODE_PYTHON, MODE_NUMPY, MODE_NATIVE):
+    for name in (MODE_PYTHON, MODE_NATIVE):
         _KERNEL_BACKEND.set(1.0 if name == active else 0.0, backend=name)
 
 
@@ -218,10 +146,6 @@ def get_backend() -> KernelBackend:
         resolved = _native_backend()
         if resolved is not None:
             return resolved
-    if _BACKEND_NAME in (MODE_NUMPY, MODE_NATIVE):
-        resolved = _numpy_backend()
-        if resolved is not None:
-            return resolved
     return _REFERENCE
 
 
@@ -229,9 +153,8 @@ def set_backend(name: str) -> str:
     """Switch kernel backends process-wide; returns the resolved name.
 
     Accepts the same tokens as ``REPRO_KERNEL`` and degrades the same
-    way (native requested but unbuildable → numpy → python, with a
-    warning), so callers can thread raw config values straight
-    through.
+    way (native requested but unbuildable → python, with a warning),
+    so callers can thread raw config values straight through.
     """
     global _BACKEND_NAME
     _BACKEND_NAME = _resolve_name(str(name))

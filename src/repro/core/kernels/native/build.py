@@ -7,7 +7,7 @@ probe path is: reuse a fresh build if one exists next to the source
 otherwise find a C compiler and compile.  Every failure raises
 :class:`NativeBuildError` with the real reason -- the resolution layer
 in :mod:`repro.core.kernels` turns that into a structured
-``kernel_fallback`` warning and degrades to numpy → python.
+``kernel_fallback`` warning and degrades to python.
 
 ``-ffp-contract=off`` is load-bearing: without it GCC/Clang may fuse
 ``acc += delta * delta`` into an FMA, which rounds once instead of

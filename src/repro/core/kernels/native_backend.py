@@ -4,7 +4,7 @@ Importing this module does *not* compile anything; constructing
 :class:`NativeKernel` loads (building on demand) the shared object via
 :mod:`repro.core.kernels.native` and raises ``NativeBuildError`` when
 the toolchain is absent -- the resolution layer catches that and
-degrades numpy → python with a structured ``kernel_fallback``.
+degrades to python with a structured ``kernel_fallback``.
 
 The class subclasses the python reference and overrides only the ops
 the C library accelerates; everything else (``merge_monomials``, the

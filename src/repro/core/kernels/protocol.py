@@ -67,8 +67,7 @@ SPARSE_KINDS = frozenset({"sqdiff", "absdiff", "isclose01"})
 class KernelBackend:
     """Abstract kernel backend; concrete backends override every op."""
 
-    #: Stable backend identifier (``"python"`` / ``"numpy"`` /
-    #: ``"native"``).
+    #: Stable backend identifier (``"python"`` / ``"native"``).
     name: str = "abstract"
 
     # -- mask construction ---------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..provenance.annotations import AnnotationUniverse
-from ..provenance.ir import AnnotationInterner, ir_enabled
+from ..provenance.ir import AnnotationInterner
 from ..provenance.valuation_classes import ValuationClass
 from ..taxonomy.dag import Taxonomy
 from .combiners import DomainCombiners
@@ -33,22 +33,16 @@ class SummarizationProblem:
     taxonomy: Optional[Taxonomy] = None
     description: str = ""
     #: Annotation interner shared across runs on this problem (one per
-    #: PROX session); ``None`` allocates a fresh one per run in IR mode.
+    #: PROX session); ``None`` allocates a fresh one on first use.
     interner: Optional[AnnotationInterner] = None
 
-    def resolve_interner(self) -> Optional[AnnotationInterner]:
-        """The interner runs on this problem should key scoring state on.
-
-        Returns the session-provided interner when set, a fresh one in
-        IR mode, and ``None`` under ``REPRO_IR=legacy`` (string-keyed
-        scoring state, the seed behavior).
-        """
-        if self.interner is not None:
-            return self.interner
-        if ir_enabled():
+    def resolve_interner(self) -> AnnotationInterner:
+        """The interner runs on this problem key scoring state on: the
+        session-provided one when set, else a fresh one kept for later
+        runs."""
+        if self.interner is None:
             self.interner = AnnotationInterner()
-            return self.interner
-        return None
+        return self.interner
 
     def describe(self) -> str:
         """One-paragraph Table 5.1-style description."""

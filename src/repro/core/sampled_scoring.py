@@ -163,7 +163,7 @@ class SampledStepScorer(FastStepScorer):
             for name in combiners.lifted_false_set(
                 valuation, self.mapping, self.universe
             ):
-                mask_key = interner.lookup(name) if interner is not None else name
+                mask_key = interner.lookup(name)
                 if mask_key is not None:
                     row = row_of.get(mask_key)
                     if row is not None:

@@ -141,7 +141,7 @@ class EuclideanDistance(VectorValFunc):
     # Squares are spelled ``delta * delta`` rather than ``delta ** 2``:
     # CPython routes ``**`` through libm ``pow``, which is not
     # correctly rounded on every platform, while IEEE multiplication is
-    # exact everywhere -- the only form python, numpy and C agree on
+    # exact everywhere -- the only form python and C agree on
     # bit-for-bit.
 
     def metric(self, original, summary) -> float:

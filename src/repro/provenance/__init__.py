@@ -54,7 +54,6 @@ from .ir import (
     PolyData,
     RenameTable,
     TermStore,
-    ir_enabled,
 )
 from .polynomial import Monomial, Polynomial, from_expression
 from .semirings import (
@@ -137,7 +136,6 @@ __all__ = [
     "explain",
     "fold_counted",
     "from_expression",
-    "ir_enabled",
     "monoid_by_name",
     "witnesses",
 ]

@@ -47,17 +47,6 @@ Layout
     applying the same ``h`` to many polynomials (or the same monomial
     under many terms) is a lookup, not a rebuild.
 
-Mode switch
------------
-
-``REPRO_IR=legacy`` (escape hatch, kept for one release) restores the
-seed dict-of-tuples representation everywhere the IR threads through:
-:class:`~repro.provenance.polynomial.Polynomial` falls back to its
-string-keyed terms dict, the fast scorers key masks on names instead
-of ids, and equivalence grouping uses truth-tuple signatures.  The
-differential suite (``tests/core/test_parallel_scoring.py``) proves
-both modes produce bit-identical summaries, sizes and distances.
-
 Observability: the gauges ``repro_ir_interned_annotations`` and
 ``repro_ir_arena_bytes`` (exported via the existing ``/metrics``
 endpoint) track interner cardinality and arena storage; publishing
@@ -68,7 +57,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
@@ -80,12 +68,8 @@ from typing import (
     Tuple,
 )
 
+from ..observability import log as _log
 from ..observability import metrics as _metrics
-
-MODE_IR = "ir"
-MODE_LEGACY = "legacy"
-
-_LEGACY_WORDS = frozenset({"legacy", "off", "0", "false", "no", "disabled"})
 
 _IR_INTERNED = _metrics.gauge(
     "repro_ir_interned_annotations",
@@ -97,42 +81,13 @@ _IR_ARENA_BYTES = _metrics.gauge(
 )
 
 
-def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_IR", MODE_IR).strip().lower()
-    return MODE_LEGACY if raw in _LEGACY_WORDS else MODE_IR
-
-
-_MODE: str = _mode_from_env()
-
-
-def active_mode() -> str:
-    """The representation currently in effect (``"ir"`` or ``"legacy"``)."""
-    return _MODE
-
-
-def ir_enabled() -> bool:
-    """Whether the interned IR representation is active."""
-    return _MODE == MODE_IR
-
-
-def set_mode(new_mode: str) -> None:
-    """Switch representations process-wide (objects keep the mode they
-    were built under; only *new* constructions are affected)."""
-    global _MODE
-    if new_mode not in (MODE_IR, MODE_LEGACY):
-        raise ValueError(f"mode must be {MODE_IR!r} or {MODE_LEGACY!r}, got {new_mode!r}")
-    _MODE = new_mode
-
-
-@contextmanager
-def mode(temporary: str) -> Iterator[str]:
-    """Temporarily switch representations (tests and differentials)."""
-    previous = active_mode()
-    set_mode(temporary)
-    try:
-        yield temporary
-    finally:
-        set_mode(previous)
+# The string-keyed representation and its env switch are gone; a
+# leftover setting is reported once and otherwise ignored.
+if os.environ.get("REPRO_IR", "").strip():
+    _log.get_logger("provenance.ir").warning(
+        "ir_mode_removed requested=%s resolution=ir",
+        _log.quote(os.environ["REPRO_IR"]),
+    )
 
 
 class AnnotationInterner:
@@ -523,7 +478,7 @@ class TermStore:
         return [(data[i], data[i + 1]) for i in range(start, end, 2)]
 
     def mono_name_pairs(self, mono: int) -> Tuple[Tuple[str, int], ...]:
-        """Name-space pairs, sorted by name (the legacy ``Monomial``)."""
+        """Name-space pairs, sorted by name (a polynomial ``Monomial``)."""
         name_of = self.interner.name_of
         return tuple(
             sorted((name_of(ann_id), exp) for ann_id, exp in self.mono_pairs(mono))
@@ -760,7 +715,7 @@ def _merge_pair_runs(
 
 
 #: The process-wide store backing :class:`~repro.provenance.polynomial
-#: .Polynomial` in IR mode (sessions may hold their own stores).
+#: .Polynomial` (sessions may hold their own stores).
 GLOBAL_STORE = TermStore(publish=True)
 
 

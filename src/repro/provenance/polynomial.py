@@ -17,13 +17,12 @@ Summarization mappings ``h : Ann → Ann'`` act on polynomials through
 :meth:`Polynomial.rename`, and :func:`from_expression` converts any
 pure (tensor-free) AST into canonical form.
 
-Representation: :class:`Polynomial` is a façade.  In the default
-``ir`` mode (:mod:`repro.provenance.ir`) a polynomial is two parallel
-integer arrays over the process-wide interned term store -- the
-string-keyed terms dict is materialized lazily only when asked for.
-``REPRO_IR=legacy`` restores the seed dict-of-tuples storage; each
-instance captures the mode active at construction, and mixed-mode
-arithmetic degrades gracefully through the terms-dict boundary.
+Representation: :class:`Polynomial` is a façade over the interned IR
+(:mod:`repro.provenance.ir`): a polynomial is two parallel integer
+arrays over the process-wide interned term store -- the string-keyed
+terms dict is materialized lazily only when asked for.  Arithmetic on
+operands from different stores (a snapshot restore installs a second
+one) goes through that terms dict.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ def _monomial_product(first: Monomial, second: Monomial) -> Monomial:
 
     Both operands are canonical (sorted by name, unique names), so the
     product is a single linear merge -- no ``Counter`` rebuild, no
-    re-sort.  ~3x faster than the seed implementation on typical
-    provenance monomials (see ``benchmarks/bench_ir_memory.py``).
+    re-sort.
     """
     if not first:
         return second
@@ -100,19 +98,14 @@ class Polynomial:
                 cleaned[monomial] = coefficient
         self._names: Optional[FrozenSet[str]] = None
         self._hash: Optional[int] = None
-        if _ir.ir_enabled():
-            store = _ir.GLOBAL_STORE
-            counts: Dict[int, int] = {}
-            for monomial, coefficient in cleaned.items():
-                mono = store.mono_from_name_pairs(monomial)
-                counts[mono] = counts.get(mono, 0) + coefficient
-            self._store: Optional[_ir.TermStore] = store
-            self._data: Optional[_ir.PolyData] = store.poly_from_counts(counts)
-            self._terms: Optional[Dict[Monomial, int]] = None
-        else:
-            self._store = None
-            self._data = None
-            self._terms = cleaned
+        store = _ir.GLOBAL_STORE
+        counts: Dict[int, int] = {}
+        for monomial, coefficient in cleaned.items():
+            mono = store.mono_from_name_pairs(monomial)
+            counts[mono] = counts.get(mono, 0) + coefficient
+        self._store: _ir.TermStore = store
+        self._data: _ir.PolyData = store.poly_from_counts(counts)
+        self._terms: Optional[Dict[Monomial, int]] = None
 
     @classmethod
     def _from_data(cls, store: "_ir.TermStore", data: "_ir.PolyData") -> "Polynomial":
@@ -148,7 +141,7 @@ class Polynomial:
     # -- structure -----------------------------------------------------------
 
     def _term_dict(self) -> Dict[Monomial, int]:
-        """The name-space terms, materialized lazily under the IR."""
+        """The name-space terms, materialized lazily."""
         if self._terms is None:
             store, data = self._store, self._data
             self._terms = {
@@ -157,64 +150,39 @@ class Polynomial:
             }
         return self._terms
 
-    def ir_data(self) -> "Optional[_ir.PolyData]":
-        """The backing IR columns (``None`` for legacy-mode instances)."""
-        return self._data
-
-    def ir_store(self) -> "Optional[_ir.TermStore]":
-        """The term store the IR columns index into, if any."""
-        return self._store
-
     def terms(self) -> Dict[Monomial, int]:
         """Monomial → coefficient (copy)."""
         return dict(self._term_dict())
 
     def coefficient(self, names: Iterable[str]) -> int:
-        monomial = _monomial(names)
-        if self._data is not None:
-            interner = self._store.interner
-            flat = []
-            pairs = []
-            for name, exponent in monomial:
-                ann_id = interner.lookup(name)
-                if ann_id is None:
-                    return 0
-                pairs.append((ann_id, exponent))
-            for ann_id, exponent in sorted(pairs):
-                flat.append(ann_id)
-                flat.append(exponent)
-            return self._store.poly_coefficient(self._data, tuple(flat))
-        return self._terms.get(monomial, 0)
+        interner = self._store.interner
+        flat = []
+        pairs = []
+        for name, exponent in _monomial(names):
+            ann_id = interner.lookup(name)
+            if ann_id is None:
+                return 0
+            pairs.append((ann_id, exponent))
+        for ann_id, exponent in sorted(pairs):
+            flat.append(ann_id)
+            flat.append(exponent)
+        return self._store.poly_coefficient(self._data, tuple(flat))
 
     def is_zero(self) -> bool:
-        if self._data is not None:
-            return len(self._data) == 0
-        return not self._terms
+        return len(self._data) == 0
 
     def annotation_names(self) -> FrozenSet[str]:
         if self._names is None:
-            if self._data is not None:
-                self._names = frozenset(
-                    self._store.interner.names_of(
-                        self._store.poly_annotation_ids(self._data)
-                    )
+            self._names = frozenset(
+                self._store.interner.names_of(
+                    self._store.poly_annotation_ids(self._data)
                 )
-            else:
-                names: set = set()
-                for monomial in self._terms:
-                    names.update(name for name, _ in monomial)
-                self._names = frozenset(names)
+            )
         return self._names
 
     def degree(self) -> int:
         """Largest total degree of a monomial (0 for constants)."""
-        if self._data is not None:
-            return self._store.poly_degree(self._data)
-        if not self._terms:
-            return 0
-        return max(
-            sum(exponent for _, exponent in monomial) for monomial in self._terms
-        )
+        return self._store.poly_degree(self._data)
 
     def size(self) -> int:
         """Annotation occurrences with repetition, counting coefficients.
@@ -222,21 +190,12 @@ class Polynomial:
         Matches the §3.2 size measure on the expanded sum-of-monomials
         form: ``2·a·b²`` contributes 2 × (1 + 2) = 6.
         """
-        if self._data is not None:
-            return self._store.poly_size(self._data)
-        return sum(
-            coefficient * sum(exponent for _, exponent in monomial)
-            for monomial, coefficient in self._terms.items()
-        )
+        return self._store.poly_size(self._data)
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
+        if self._store is other._store:
             return Polynomial._from_data(
                 self._store, self._store.poly_add(self._data, other._data)
             )
@@ -246,11 +205,7 @@ class Polynomial:
         return Polynomial(terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
+        if self._store is other._store:
             return Polynomial._from_data(
                 self._store, self._store.poly_mul(self._data, other._data)
             )
@@ -266,11 +221,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
+        if self._store is other._store:
             return (
                 self._data.mono_ids == other._data.mono_ids
                 and self._data.coeffs == other._data.coeffs
@@ -278,8 +229,9 @@ class Polynomial:
         return self._term_dict() == other._term_dict()
 
     def __hash__(self) -> int:
-        # Mode-independent (IR and legacy instances that compare equal
-        # must hash equal), cached -- the instance is immutable.
+        # Store-independent (instances over different stores that
+        # compare equal must hash equal), cached -- the instance is
+        # immutable.
         if self._hash is None:
             self._hash = hash(tuple(sorted(self._term_dict().items())))
         return self._hash
@@ -290,23 +242,11 @@ class Polynomial:
         """Apply a summarization mapping ``h`` (a semiring hom on N[Ann])."""
         with _tracing.span("rename") as opened:
             if _tracing.is_enabled():
-                opened.set(
-                    "n_terms",
-                    len(self._data) if self._data is not None else len(self._terms),
-                )
-            if self._data is not None:
-                table = self._store.rename_table(mapping)
-                return Polynomial._from_data(
-                    self._store, self._store.poly_rename(self._data, table)
-                )
-            terms: Dict[Monomial, int] = {}
-            for monomial, coefficient in self._terms.items():
-                names = []
-                for name, exponent in monomial:
-                    names.extend([mapping.get(name, name)] * exponent)
-                renamed = _monomial(names)
-                terms[renamed] = terms.get(renamed, 0) + coefficient
-            return Polynomial(terms)
+                opened.set("n_terms", len(self._data))
+            table = self._store.rename_table(mapping)
+            return Polynomial._from_data(
+                self._store, self._store.poly_rename(self._data, table)
+            )
 
     def evaluate_in(
         self, semiring: Semiring[T], valuation: Mapping[str, T]
@@ -318,21 +258,7 @@ class Polynomial:
         the result is correct in *any* commutative semiring, including
         the boolean and tropical ones).
         """
-        if self._data is not None:
-            return self._store.poly_evaluate_in(self._data, semiring, valuation)
-        total = semiring.zero
-        for monomial, coefficient in self._terms.items():
-            value = semiring.one
-            for name, exponent in monomial:
-                try:
-                    base = valuation[name]
-                except KeyError:
-                    raise KeyError(f"valuation missing annotation {name!r}") from None
-                for _ in range(exponent):
-                    value = semiring.times(value, base)
-            for _ in range(coefficient):
-                total = semiring.plus(total, value)
-        return total
+        return self._store.poly_evaluate_in(self._data, semiring, valuation)
 
     def __str__(self) -> str:
         terms = self._term_dict()

@@ -516,21 +516,17 @@ class ProxApp:
             "sessions_evicted_total": self.manager.evicted_total,
             "sessions_restored_total": self.manager.restored_total,
             "slo_breaches_total": self.slow_log.total_recorded,
-            "ir_mode": _ir.active_mode(),
             "ir_arena_bytes": _ir.GLOBAL_STORE.arena_bytes(),
         }
         if self.default_session_id is not None:
             session = self.manager.peek(self.default_session_id)
             if session is not None:
-                interner = session.interner
                 extra.update(
                     {
                         "selected": session.selected is not None,
                         "summarized": session.result is not None,
                         "session_id": session.session_id,
-                        "ir_interned_annotations": (
-                            len(interner) if interner is not None else 0
-                        ),
+                        "ir_interned_annotations": len(session.interner),
                     }
                 )
         return extra

@@ -103,12 +103,12 @@ class ProxSession:
         # One interner per session: annotation ids assigned during the
         # first /summarize stay stable for every later call, so repeated
         # summarizations key their scoring state on already-dense ids
-        # instead of re-parsing annotation strings (None under
-        # REPRO_IR=legacy).  ``restore`` passes a snapshot-backed
-        # interner so the restored session keeps its original id layout.
-        if interner is None and _ir.ir_enabled():
+        # instead of re-parsing annotation strings.  ``restore`` passes a
+        # snapshot-backed interner so the restored session keeps its
+        # original id layout.
+        if interner is None:
             interner = _ir.AnnotationInterner()
-        self.interner: Optional[_ir.AnnotationInterner] = interner
+        self.interner: _ir.AnnotationInterner = interner
         self.selection = SelectionService(instance)
         self.summarization = SummarizationService(instance, interner=self.interner)
         self.evaluator = EvaluatorService(instance)
@@ -210,10 +210,8 @@ class ProxSession:
             monomials = [
                 sorted(Counter(term.annotations).items()) for term in delta.terms
             ]
-            if _ir.ir_enabled():
-                _ir.GLOBAL_STORE.append_delta(names, monomials)
-                if self.interner is not None:
-                    self.interner.intern_all(names)
+            _ir.GLOBAL_STORE.append_delta(names, monomials)
+            self.interner.intern_all(names)
             self.selected = apply_delta(self.selected, delta)
             self.summarization.record_delta(delta)
             self.result = None
@@ -253,14 +251,11 @@ class ProxSession:
         self.result = self.summarization.summarize(self.selected, request, seed)
         self._last_summarize = (asdict(request), seed)
         self._pending_summarize = None
-        if self.interner is not None:
-            _ir.publish_metrics(interner=self.interner)
+        _ir.publish_metrics(interner=self.interner)
         self.account.record_summarize(
             seconds=self.result.total_seconds,
             arena_growth=_ir.GLOBAL_STORE.arena_bytes() - arena_before,
-            interned_annotations=(
-                len(self.interner) if self.interner is not None else 0
-            ),
+            interned_annotations=len(self.interner),
             pool_candidates=self.summarization.pool_size(),
             summary_size=self.result.final_size,
             repaired=self.result.repaired,
@@ -271,15 +266,12 @@ class ProxSession:
     def ir_stats(self) -> Dict[str, object]:
         """Interner cardinality and arena storage of this session.
 
-        ``interned_annotations`` counts the session interner's ids
-        (0 under ``REPRO_IR=legacy``); ``arena`` reports the process
-        store backing :class:`~repro.provenance.polynomial.Polynomial`.
+        ``interned_annotations`` counts the session interner's ids;
+        ``arena`` reports the process store backing
+        :class:`~repro.provenance.polynomial.Polynomial`.
         """
         return {
-            "mode": _ir.active_mode(),
-            "interned_annotations": (
-                len(self.interner) if self.interner is not None else 0
-            ),
+            "interned_annotations": len(self.interner),
             "arena": _ir.GLOBAL_STORE.stats(),
         }
 
@@ -404,10 +396,8 @@ class ProxSession:
             ),
             "ingested_deltas": self.ingested_deltas,
         }
-        store = _ir.GLOBAL_STORE if _ir.ir_enabled() else None
-        names = list(self.interner) if self.interner is not None else None
         _serialization.write_session_snapshot(
-            path, meta, interner_names=names, store=store
+            path, meta, interner_names=list(self.interner), store=_ir.GLOBAL_STORE
         )
         return {"path": path, "bytes": os.path.getsize(path)}
 
@@ -426,19 +416,15 @@ class ProxSession:
         from .. import serialization as _serialization
 
         meta, names_blob, store = _serialization.load_session_snapshot(path)
-        if (
-            store is not None
-            and _ir.ir_enabled()
-            and _ir.store_is_pristine()
-        ):
+        # Snapshots without an arena block (written by older releases)
+        # restore by event replay alone.
+        if store is not None and _ir.store_is_pristine():
             _ir.install_store(store)
-        interner = None
-        if _ir.ir_enabled():
-            interner = (
-                _ir.AnnotationInterner.from_snapshot(names_blob)
-                if names_blob
-                else _ir.AnnotationInterner()
-            )
+        interner = (
+            _ir.AnnotationInterner.from_snapshot(names_blob)
+            if names_blob
+            else _ir.AnnotationInterner()
+        )
         instance = _instance_from_recipe(meta["recipe"])
         session = cls(
             instance,

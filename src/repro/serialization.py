@@ -660,8 +660,8 @@ def load_session_snapshot(
 
     The meta document and interner block are materialized (they are
     small); the arena -- the bulk of the file -- is wrapped zero-copy.
-    ``store`` is ``None`` when the snapshot carried no arena (legacy
-    IR mode).
+    ``store`` is ``None`` when the snapshot carried no arena (older
+    releases could write such snapshots; they restore by event replay).
     """
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
@@ -691,7 +691,7 @@ def polynomial_to_dict(polynomial: Polynomial) -> Dict[str, Any]:
 
     Annotation and monomial ids are re-densified to the polynomial's
     own support, so the payload is independent of whatever process-wide
-    store produced it (and of ``REPRO_IR`` mode entirely).
+    store produced it.
     """
     local_names: List[str] = []
     name_ids: Dict[str, int] = {}

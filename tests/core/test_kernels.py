@@ -1,7 +1,8 @@
 """The kernel protocol's bit-identity contract, property-checked.
 
-Every op of the accelerated backends (numpy, native) must equal the
-pure-python reference backend *exactly* -- same floats (``==``, not
+Every op of the native backend -- and of whatever backend the removed
+``numpy`` token resolves to -- must equal the pure-python reference
+backend *exactly* -- same floats (``==``, not
 ``approx``), same ints, same words -- on arbitrary inputs, including
 ragged tail blocks where ``n_vals`` is not a multiple of 64.  Plus the
 resolution layer: env-token mapping, graceful degrade, the context
@@ -10,6 +11,9 @@ manager, and the info gauge.
 
 import logging
 import math
+import os
+import subprocess
+import sys
 from array import array
 from contextlib import contextmanager
 
@@ -30,13 +34,7 @@ from repro.provenance.monoids import SumMonoid
 from repro.observability import metrics as _metrics
 
 REFERENCE = PythonKernel()
-
-try:
-    from repro.core.kernels.numpy_backend import NumpyKernel
-
-    NUMPY = NumpyKernel()
-except Exception:  # pragma: no cover - exercised only without numpy
-    NUMPY = None
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 try:
     from repro.core.kernels.native_backend import NativeKernel
@@ -45,23 +43,28 @@ try:
 except Exception:  # pragma: no cover - no toolchain in this env
     NATIVE = None
 
-needs_numpy = pytest.mark.skipif(
-    NUMPY is None, reason="numpy backend unavailable"
-)
 needs_native = pytest.mark.skipif(
     NATIVE is None, reason="native backend unavailable"
 )
 
-#: Every accelerated backend, as a pytest axis that skips cleanly when
-#: the backend cannot exist in this environment.
+#: A backend token that no longer names a backend: it resolves as
+#: ``auto`` does, to native or (without a toolchain) the reference.
+REMOVED = "numpy"
+AUTO = kernels.MODE_NATIVE if NATIVE is not None else kernels.MODE_PYTHON
+
+#: The backends checked against the reference, as a pytest axis that
+#: skips cleanly when native cannot exist in this environment.
 BACKENDS = [
-    pytest.param("numpy", marks=needs_numpy),
+    REMOVED,
     pytest.param("native", marks=needs_native),
 ]
 
 
 def backend_of(name):
-    return {"numpy": NUMPY, "native": NATIVE}[name]
+    if name == REMOVED:
+        with kernels.backend(name):
+            return kernels.get_backend()
+    return NATIVE
 
 
 # Finite doubles whose products/sums stay finite across a dozen terms.
@@ -316,7 +319,7 @@ def test_sparse_isclose_edge_cases():
     ]:
         expected = 0.0 if math.isclose(original, summary) else 1.0
         assert contrib(original, summary) == expected
-        for backend in (REFERENCE, NUMPY, NATIVE):
+        for backend in (REFERENCE, NATIVE):
             if backend is None:
                 continue
             # One position, unit weight: the finished contribution
@@ -387,7 +390,7 @@ def test_merge_monomials_bit_identical(name, runs):
 
 
 def test_fold_empty_vectors_raise():
-    for backend in (REFERENCE, NUMPY, NATIVE):
+    for backend in (REFERENCE, NATIVE):
         if backend is None:
             continue
         with pytest.raises(ValueError):
@@ -400,41 +403,28 @@ def test_fold_empty_vectors_raise():
 
 
 def test_python_tokens_resolve_to_reference():
-    for token in ("python", "py", "reference", "off", "legacy", "0"):
+    for token in ("python", " Python "):
         with kernels.backend(token) as resolved:
             assert resolved == kernels.MODE_PYTHON
             assert kernels.get_backend() is not None
             assert kernels.get_backend().name == "python"
 
 
-@needs_numpy
-def test_numpy_tokens_resolve_to_numpy():
-    for token in ("numpy", "np", "fast", "on", "1"):
-        with kernels.backend(token) as resolved:
-            assert resolved == kernels.MODE_NUMPY
-            assert kernels.get_backend().name == "numpy"
-
-
 @needs_native
 def test_native_tokens_resolve_to_native():
-    for token in ("native", "c", "simd"):
+    for token in ("native", " NATIVE "):
         with kernels.backend(token) as resolved:
             assert resolved == kernels.MODE_NATIVE
             assert kernels.get_backend().name == "native"
 
 
 def test_auto_resolves_native_first():
-    # ``auto`` ranks backends by the end-to-end measurements:
-    # native → numpy → python, silently skipping unavailable ones.
-    expected = (
-        kernels.MODE_NATIVE
-        if kernels.native_available()
-        else kernels.MODE_NUMPY
-        if kernels.numpy_available()
-        else kernels.MODE_PYTHON
-    )
-    with kernels.backend("auto") as resolved:
-        assert resolved == expected
+    # ``auto`` (or an empty value) picks native, then python.
+    for token in ("auto", ""):
+        with _captured_warnings() as records:
+            with kernels.backend(token) as resolved:
+                assert resolved == AUTO
+        assert not records
 
 
 def test_auto_skips_unbuildable_native_without_warning(monkeypatch):
@@ -442,7 +432,7 @@ def test_auto_skips_unbuildable_native_without_warning(monkeypatch):
     monkeypatch.setattr(kernels, "_NATIVE_ERROR", "NativeBuildError: no cc")
     with _captured_warnings() as records:
         resolved = kernels._resolve_name("auto")
-    assert resolved in (kernels.MODE_PYTHON, kernels.MODE_NUMPY)
+    assert resolved == kernels.MODE_PYTHON
     assert not records
 
 
@@ -464,21 +454,22 @@ def test_unknown_token_warns_and_falls_back_to_auto():
     before = kernels.active_backend()
     with _captured_warnings() as records:
         with kernels.backend("quantum") as resolved:
-            assert resolved in (
-                kernels.MODE_PYTHON, kernels.MODE_NUMPY, kernels.MODE_NATIVE
-            )
+            assert resolved == AUTO
     assert any("kernel_unknown" in r.getMessage() for r in records)
     assert kernels.active_backend() == before
 
 
-def test_numpy_request_degrades_when_probe_fails(monkeypatch):
-    monkeypatch.setattr(kernels, "_NUMPY_BACKEND", False)
-    monkeypatch.setattr(kernels, "_NUMPY_ERROR", "ImportError: no numpy")
-    with _captured_warnings() as records:
-        with kernels.backend("numpy") as resolved:
-            assert resolved == kernels.MODE_PYTHON
-            assert kernels.get_backend().name == "python"
-    assert any("kernel_fallback" in r.getMessage() for r in records)
+def test_removed_tokens_warn_and_resolve_to_auto():
+    """``numpy`` and the old aliases of every backend are no longer
+    accepted: each logs ``kernel_unknown`` and resolves as ``auto``."""
+    for token in ("numpy", "np", "fast", "on", "1", "py", "legacy", "c", "default"):
+        with _captured_warnings() as records:
+            with kernels.backend(token) as resolved:
+                assert resolved == AUTO
+                assert kernels.get_backend().name == AUTO
+        assert [
+            r.getMessage() for r in records if "kernel_unknown" in r.getMessage()
+        ] == [f"kernel_unknown requested={token} resolution=auto"], token
 
 
 def test_native_request_degrades_when_probe_fails(monkeypatch):
@@ -488,7 +479,7 @@ def test_native_request_degrades_when_probe_fails(monkeypatch):
     )
     with _captured_warnings() as records:
         with kernels.backend("native") as resolved:
-            assert resolved in (kernels.MODE_PYTHON, kernels.MODE_NUMPY)
+            assert resolved == kernels.MODE_PYTHON
             assert kernels.get_backend().name == resolved
     messages = [r.getMessage() for r in records]
     assert any(
@@ -497,20 +488,38 @@ def test_native_request_degrades_when_probe_fails(monkeypatch):
     )
 
 
-def test_native_request_degrades_to_python_without_numpy(monkeypatch):
-    monkeypatch.setattr(kernels, "_NATIVE_BACKEND", False)
-    monkeypatch.setattr(kernels, "_NATIVE_ERROR", "NativeBuildError: nope")
-    monkeypatch.setattr(kernels, "_NUMPY_BACKEND", False)
-    monkeypatch.setattr(kernels, "_NUMPY_ERROR", "ImportError: no numpy")
-    with _captured_warnings() as records:
-        with kernels.backend("native") as resolved:
-            assert resolved == kernels.MODE_PYTHON
-            assert kernels.get_backend().name == "python"
-    assert any(
-        "kernel_fallback" in r.getMessage()
-        and "active=python" in r.getMessage()
-        for r in records
+def test_native_request_degrades_to_python_without_numpy():
+    """The kernel tier never needs numpy: with numpy unimportable and
+    the native probe failing, ``REPRO_KERNEL=native`` degrades to the
+    python reference with one ``kernel_fallback`` warning and scores."""
+    code = """
+import sys
+sys.modules["numpy"] = None
+from repro.core import kernels
+kernels._NATIVE_BACKEND = False
+kernels._NATIVE_ERROR = "NativeBuildError: nope"
+assert kernels.set_backend("native") == "python"
+assert kernels.get_backend().name == "python"
+from repro.core import Summarizer, SummarizationConfig
+from repro.datasets import MovieLensConfig, generate_movielens
+problem = generate_movielens(MovieLensConfig(n_users=8, n_movies=4, seed=3)).problem()
+result = Summarizer(problem, SummarizationConfig(max_steps=2, seed=0)).run()
+assert {r.scoring_path for r in result.steps} == {"fast+incremental"}
+"""
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_KERNEL="python")
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
+    assert completed.returncode == 0, completed.stderr
+    fallbacks = [
+        line for line in completed.stderr.splitlines() if "kernel_fallback" in line
+    ]
+    assert len(fallbacks) == 1
+    assert "requested=native active=python" in fallbacks[0]
 
 
 def test_backend_context_restores_previous():
@@ -529,7 +538,7 @@ def test_backend_gauge_tracks_active_backend():
     assert (
         f'repro_kernel_backend{{backend="{active}"}} 1' in rendered
     )
-    for other in ("python", "numpy", "native"):
+    for other in ("python", "native"):
         if other == active:
             continue
         assert f'repro_kernel_backend{{backend="{other}"}} 0' in rendered

@@ -10,8 +10,7 @@ the word rows encode exactly the same bit sets, across
 * ragged tails (``n_vals`` far from a multiple of 64),
 * duplicated sampled draws (sampling with replacement repeats batch
   members, whose positions scatter as one multi-position entry),
-* guard masks and candidate merge overrides layered on the table, and
-* the interner on/off key spaces (IR vs legacy name keys).
+* guard masks and candidate merge overrides layered on the table.
 """
 
 import random
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core import DistanceComputer, MappingState, SampledStepScorer, kernels
 from repro.core import enumerate_candidates
 from repro.core.fast_distance import _COMPARE, FastStepScorer
-from repro.provenance.ir import AnnotationInterner
 
 from .test_sampled_scoring import (
     MONOIDS,
@@ -55,7 +53,7 @@ def bigint_masks(scorer):
         for name in combiners.lifted_false_set(
             valuation, scorer.mapping, scorer.universe
         ):
-            mask_key = interner.lookup(name) if interner is not None else name
+            mask_key = interner.lookup(name)
             if mask_key in masks:
                 masks[mask_key] |= bit
     return masks
@@ -104,11 +102,7 @@ def assert_rows_match_bigints(scorer):
     return expected
 
 
-def interned(problem, on):
-    return AnnotationInterner() if on else None
-
-
-# -- enumerated scorer: ragged tails x interner x guards ---------------------------
+# -- enumerated scorer: ragged tails x guards --------------------------------------
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,10 +111,9 @@ def interned(problem, on):
     monoid_name=st.sampled_from(sorted(MONOIDS)),
     n_users=st.integers(2, 7),
     with_guards=st.booleans(),
-    use_interner=st.booleans(),
 )
 def test_enumerated_masks_match_bigint_construction(
-    seed, monoid_name, n_users, with_guards, use_interner
+    seed, monoid_name, n_users, with_guards
 ):
     problem = random_problem(
         seed, MONOIDS[monoid_name], n_users=n_users, with_guards=with_guards
@@ -131,7 +124,6 @@ def test_enumerated_masks_match_bigint_construction(
         problem.val_func,
         problem.combiners,
         problem.universe,
-        interner=interned(problem, use_interner),
     )
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
@@ -154,13 +146,10 @@ def test_enumerated_masks_match_bigint_construction(
     # Batches well above the valuation-class size force duplicated
     # draws; awkward sizes (65, 127, 129...) exercise ragged tails.
     batch=st.integers(1, 200),
-    use_interner=st.booleans(),
 )
-def test_sampled_masks_match_bigint_construction(seed, monoid_name, batch, use_interner):
+def test_sampled_masks_match_bigint_construction(seed, monoid_name, batch):
     problem = random_problem(seed, MONOIDS[monoid_name], n_users=4)
-    computer = sampling_computer(
-        problem, seed, batch=batch, interner=interned(problem, use_interner)
-    )
+    computer = sampling_computer(problem, seed, batch=batch)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
     scorer = SampledStepScorer(computer, current, mapping, problem.universe)
@@ -185,13 +174,10 @@ def test_sampled_masks_match_bigint_construction(seed, monoid_name, batch, use_i
 @given(
     seed=st.integers(0, 10_000),
     with_guards=st.booleans(),
-    use_interner=st.booleans(),
 )
-def test_candidate_override_rows_match_bigint_and(seed, with_guards, use_interner):
+def test_candidate_override_rows_match_bigint_and(seed, with_guards):
     problem = random_problem(seed, MONOIDS["SUM"], with_guards=with_guards)
-    computer = sampling_computer(
-        problem, seed, batch=130, interner=interned(problem, use_interner)
-    )
+    computer = sampling_computer(problem, seed, batch=130)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
     scorer = SampledStepScorer(computer, current, mapping, problem.universe)
@@ -209,7 +195,6 @@ def test_candidate_override_rows_match_bigint_and(seed, with_guards, use_interne
         for part_key in part_keys[1:]:
             merged &= masks[part_key]
         big_overrides = {part_key: merged for part_key in part_keys}
-        big_overrides[scorer._ann_marker] = merged
         for index in affected:
             assert kernels.row_int(override[index]) == bigint_term_dead(
                 scorer, index, masks, big_overrides

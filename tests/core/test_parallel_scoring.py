@@ -42,7 +42,6 @@ from repro.core import (
     enumerate_candidates,
     virtual_summary,
 )
-from repro.provenance import ir as _ir
 from repro.core.engine import _OverlayUniverse
 from repro.core.fast_distance import FastStepScorer
 from repro.core.scoring import ScoredCandidate, score_candidates
@@ -57,6 +56,7 @@ from repro.provenance import (
     MAX,
     SUM,
     Annotation,
+    AnnotationInterner,
     AnnotationUniverse,
     CancelSingleAnnotation,
     ExplicitValuations,
@@ -71,14 +71,16 @@ from repro.core.val_funcs import VectorValFunc
 
 MONOIDS = {"MAX": MAX, "SUM": SUM, "COUNT": COUNT}
 
+#: ``numpy`` is a removed backend token: it must resolve as ``auto``
+#: does (with a ``kernel_unknown`` warning) and change no result.
+REMOVED_KERNEL = "numpy"
+AUTO_KERNEL = (
+    kernels.MODE_NATIVE if kernels.native_available() else kernels.MODE_PYTHON
+)
+
 KERNEL_AXIS = [
     kernels.MODE_PYTHON,
-    pytest.param(
-        kernels.MODE_NUMPY,
-        marks=pytest.mark.skipif(
-            not kernels.numpy_available(), reason="numpy backend unavailable"
-        ),
-    ),
+    REMOVED_KERNEL,
     pytest.param(
         kernels.MODE_NATIVE,
         marks=pytest.mark.skipif(
@@ -88,10 +90,6 @@ KERNEL_AXIS = [
 ]
 
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy backend unavailable"
-)
-
 needs_native = pytest.mark.skipif(
     not kernels.native_available(), reason="native backend unavailable"
 )
@@ -99,9 +97,11 @@ needs_native = pytest.mark.skipif(
 
 @pytest.fixture(params=KERNEL_AXIS)
 def kernel(request):
-    """Run the test under each kernel backend (python x numpy x native)."""
+    """Run the test under each kernel backend (python, native) and under
+    the removed ``numpy`` token."""
     with kernels.backend(request.param) as resolved:
-        assert resolved == request.param
+        expected = AUTO_KERNEL if request.param == REMOVED_KERNEL else request.param
+        assert resolved == expected
         yield resolved
 
 
@@ -170,13 +170,14 @@ def random_problem(
 # -- the scoring paths -------------------------------------------------------------
 
 
-def make_computer(problem):
+def make_computer(problem, interner=None):
     return DistanceComputer(
         problem.expression,
         problem.valuations,
         problem.val_func,
         problem.combiners,
         problem.universe,
+        interner=interner,
     )
 
 
@@ -509,11 +510,42 @@ def test_e2e_determinism_incremental_vs_seed_default(seed, full_rank):
     assert_clean_run(tuned, "fast+incremental")
 
 
-# -- the representation axis: legacy ≡ IR ------------------------------------------
+# -- the interner-layout axis ------------------------------------------------------
+
+
+#: ``ir``: a run interns annotation names in first-use order.
+#: ``legacy``: the run gets an interner whose ids were pre-assigned in
+#: reverse name order behind a decoy name, the kind of layout a
+#: long-lived session or a restored snapshot hands over.  Merges, sizes
+#: and distance floats must not depend on the layout.  (The ids date
+#: from when this axis switched to the string-keyed representation.)
+LAYOUTS = ("ir", "legacy")
+
+
+def permuted_interner(expression):
+    names = sorted(expression.annotation_names(), reverse=True)
+    return AnnotationInterner(["\x00decoy"] + names)
+
+
+@contextlib.contextmanager
+def interner_layout(layout):
+    """Runs inside build their interners in ``layout``."""
+    if layout == "ir":
+        yield
+        return
+
+    def resolve(problem):
+        if problem.interner is None:
+            problem.interner = permuted_interner(problem.expression)
+        return problem.interner
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SummarizationProblem, "resolve_interner", resolve)
+        yield
 
 
 def _steps_fingerprint(result):
-    """Everything a mode switch could perturb, captured bit-exactly."""
+    """Everything an interner layout could perturb, captured bit-exactly."""
     return {
         "merged": [r.merged for r in result.steps],
         "new_annotations": [r.new_annotation for r in result.steps],
@@ -526,8 +558,8 @@ def _steps_fingerprint(result):
     }
 
 
-def _run_in_mode(temporary_mode, runner):
-    with _ir.mode(temporary_mode):
+def _run_in_layout(layout, runner):
+    with interner_layout(layout):
         return _steps_fingerprint(runner())
 
 
@@ -571,8 +603,8 @@ def run_in_workers(*thunks):
     the way the sharded serving tier (:mod:`repro.prox.workers`) runs
     sessions side by side -- and return their results in order.
 
-    A forked worker inherits the kernel backend and representation mode
-    in force here, so its run must reproduce the in-process one bit for
+    A forked worker inherits the kernel backend and interner layout in
+    force here, so its run must reproduce the in-process one bit for
     bit.  A worker that raises or stalls fails the calling test."""
     context = multiprocessing.get_context("fork")
     receivers, workers = [], []
@@ -618,11 +650,11 @@ def row_selection(row, full_rank):
 @pytest.mark.parametrize("seed", [3, 9])
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 def test_greedy_ir_vs_legacy_bit_identical(seed, row, full_rank):
-    """The IR axis of the differential grid: under every engine row a
-    greedy run must be *bit*-identical between the interned and the
-    legacy representation -- same merges, same sizes, same exact
-    distance floats.  The parallel rows run both modes side by side in
-    forked workers."""
+    """The interner-layout axis of the differential grid: under every
+    engine row a greedy run must be *bit*-identical between the two
+    interner layouts -- same merges, same sizes, same exact distance
+    floats.  The parallel rows run both layouts side by side in forked
+    workers."""
 
     def runner():
         with row_selection(row, full_rank):
@@ -635,12 +667,12 @@ def test_greedy_ir_vs_legacy_bit_identical(seed, row, full_rank):
         assert_clean_run(result, _ENGINE_PATHS[row])
         return result
 
-    interned, legacy = run_row(
+    first_use, permuted = run_row(
         row,
-        lambda: _run_in_mode(_ir.MODE_IR, runner),
-        lambda: _run_in_mode(_ir.MODE_LEGACY, runner),
+        lambda: _run_in_layout("ir", runner),
+        lambda: _run_in_layout("legacy", runner),
     )
-    assert interned == legacy
+    assert first_use == permuted
 
 
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
@@ -653,9 +685,7 @@ def test_random_problems_ir_vs_legacy_bit_identical(monoid_name):
         assert_clean_run(result, "fast+incremental")
         return result
 
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
-    )
+    assert _run_in_layout("ir", runner) == _run_in_layout("legacy", runner)
 
 
 def test_beam_ir_vs_legacy_bit_identical():
@@ -668,18 +698,19 @@ def test_beam_ir_vs_legacy_bit_identical():
         assert_clean_run(result, "fast+incremental")
         return result
 
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
-    )
+    assert _run_in_layout("ir", runner) == _run_in_layout("legacy", runner)
 
 
 def test_one_step_scores_ir_vs_legacy_bit_identical():
     """Candidate-level differential: the scorer's per-candidate scores
-    must match exactly across the representation switch."""
+    must match exactly across interner layouts."""
 
-    def one_step():
+    def one_step(layout):
         problem = random_problem(37, SUM, n_terms=16)
-        computer = make_computer(problem)
+        interner = (
+            permuted_interner(problem.expression) if layout == "legacy" else None
+        )
+        computer = make_computer(problem, interner)
         current = problem.expression
         mapping = MappingState(sorted(current.annotation_names()))
         candidates = enumerate_candidates(
@@ -691,12 +722,10 @@ def test_one_step_scores_ir_vs_legacy_bit_identical():
             for candidate in candidates
         ]
 
-    with _ir.mode(_ir.MODE_IR):
-        interned = one_step()
-    with _ir.mode(_ir.MODE_LEGACY):
-        legacy = one_step()
-    assert len(interned) == len(legacy)
-    for (parts_a, scored_a), (parts_b, scored_b) in zip(interned, legacy):
+    first_use = one_step("ir")
+    permuted = one_step("legacy")
+    assert len(first_use) == len(permuted)
+    for (parts_a, scored_a), (parts_b, scored_b) in zip(first_use, permuted):
         assert parts_a == parts_b
         assert scored_a[0] == scored_b[0]
         assert scored_a[1].value == scored_b[1].value
@@ -834,15 +863,15 @@ def _full_fingerprint(result):
     return fingerprint
 
 
-@pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 @pytest.mark.parametrize("seed", [3, 9])
-def test_greedy_carry_bit_identical(seed, row, ir_mode, kernel, full_rank):
+def test_greedy_carry_bit_identical(seed, row, layout, kernel, full_rank):
     """The carry axis of the differential grid: a greedy run under the
     row's selection (lazy-greedy over carried measurements unless the
     row ranks in full) must be *bit*-identical to the full
     measure-and-rank run -- same merges, sizes and exact distance
-    floats -- under every engine row and representation mode.  The
+    floats -- under every engine row and interner layout.  The
     parallel rows run both side by side in forked workers and must
     also match the full-rank run made here in-process."""
 
@@ -858,22 +887,22 @@ def test_greedy_carry_bit_identical(seed, row, ir_mode, kernel, full_rank):
         assert_clean_run(result, _ENGINE_PATHS[row])
         return _full_fingerprint(result)
 
-    with _ir.mode(ir_mode):
+    with interner_layout(layout):
         off, on = run_row(row, lambda: runner(True), lambda: runner(False))
         if _ENGINE_ROWS[row][2]:
             assert off == runner(True)
     assert on == off
 
 
-@needs_numpy
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 def test_greedy_run_bit_identical_across_kernels(row, full_rank):
-    """The tentpole contract end-to-end: a full greedy run under the
-    accelerated kernels reproduces the python-kernel run bit for bit --
-    same merges, same sizes, same exact distance floats -- on every
-    engine row.  The native backend joins the comparison whenever its
-    probe succeeds on this host; the parallel rows run the accelerated
-    kernels side by side in forked workers."""
+    """The kernel contract end-to-end: a full greedy run under the
+    native kernel, and under the removed ``numpy`` token, reproduces the
+    python-kernel run bit for bit -- same merges, same sizes, same exact
+    distance floats -- on every engine row.  The native backend joins
+    the comparison whenever its probe succeeds on this host; the
+    parallel rows run the other kernels side by side in forked
+    workers."""
 
     def runner(mode):
         with kernels.backend(mode), row_selection(row, full_rank):
@@ -887,7 +916,7 @@ def test_greedy_run_bit_identical_across_kernels(row, full_rank):
         return _full_fingerprint(result)
 
     reference = runner(kernels.MODE_PYTHON)
-    modes = [kernels.MODE_NUMPY]
+    modes = [REMOVED_KERNEL]
     if kernels.native_available():
         modes.append(kernels.MODE_NATIVE)
     accelerated = run_row(row, *[lambda mode=mode: runner(mode) for mode in modes])
@@ -931,9 +960,9 @@ def test_carry_respects_scoring_strategy(scoring, full_rank):
     assert _full_fingerprint(default) == _full_fingerprint(ranked)
 
 
-@pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", [3, 9])
-def test_beam_carry_bit_identical(seed, ir_mode, monkeypatch):
+def test_beam_carry_bit_identical(seed, layout, monkeypatch):
     """Beam members branch their candidate pools from their parents'
     (CandidatePool.child); the carried lists must reproduce a run whose
     pools re-enumerate every step."""
@@ -951,7 +980,7 @@ def test_beam_carry_bit_identical(seed, ir_mode, monkeypatch):
     def broken_maintain(self, merged, new_name, new_expression):
         raise RuntimeError("re-enumerate instead")
 
-    with _ir.mode(ir_mode):
+    with interner_layout(layout):
         on = _full_fingerprint(runner())
         with monkeypatch.context() as patch:
             patch.setattr(CandidatePool, "_maintain", broken_maintain)

@@ -164,14 +164,16 @@ def reference_sampled(problem, current, mapping, candidate, batch, seed):
 BATCH = 96
 SEED = 123
 
+#: ``numpy`` is a removed backend token: it must resolve as ``auto``
+#: does (with a ``kernel_unknown`` warning) and change no result.
+REMOVED_KERNEL = "numpy"
+AUTO_KERNEL = (
+    kernels.MODE_NATIVE if kernels.native_available() else kernels.MODE_PYTHON
+)
+
 KERNEL_AXIS = [
     kernels.MODE_PYTHON,
-    pytest.param(
-        kernels.MODE_NUMPY,
-        marks=pytest.mark.skipif(
-            not kernels.numpy_available(), reason="numpy backend unavailable"
-        ),
-    ),
+    REMOVED_KERNEL,
     pytest.param(
         kernels.MODE_NATIVE,
         marks=pytest.mark.skipif(
@@ -180,10 +182,6 @@ KERNEL_AXIS = [
     ),
 ]
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy backend unavailable"
-)
-
 needs_native = pytest.mark.skipif(
     not kernels.native_available(), reason="native backend unavailable"
 )
@@ -191,9 +189,11 @@ needs_native = pytest.mark.skipif(
 
 @pytest.fixture(params=KERNEL_AXIS)
 def kernel(request):
-    """Run the test under each kernel backend (python x numpy x native)."""
+    """Run the test under each kernel backend (python, native) and under
+    the removed ``numpy`` token."""
     with kernels.backend(request.param) as resolved:
-        assert resolved == request.param
+        expected = AUTO_KERNEL if request.param == REMOVED_KERNEL else request.param
+        assert resolved == expected
         yield resolved
 
 
@@ -411,7 +411,6 @@ def test_pinned_batch_masks_survive_advance():
     )
 
 
-@needs_numpy
 def test_sampled_run_bit_identical_across_kernels():
     def run():
         problem = random_problem(6, SUM, n_terms=18)
@@ -440,9 +439,9 @@ def test_sampled_run_bit_identical_across_kernels():
 
     with kernels.backend(kernels.MODE_PYTHON):
         reference = fingerprint(run())
-    with kernels.backend(kernels.MODE_NUMPY):
-        vectorized = fingerprint(run())
-    assert vectorized == reference
+    with kernels.backend(REMOVED_KERNEL):
+        auto = fingerprint(run())
+    assert auto == reference
     if kernels.native_available():
         with kernels.backend(kernels.MODE_NATIVE):
             compiled = fingerprint(run())

@@ -15,9 +15,9 @@ annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × selection
-(lazy queue or full ranking) × aggregations plus the legacy (non-IR)
-representation;
-every case asserts its scoring path and zero fast-path fallbacks; the adversarial schedule spam-flags users so
+(lazy queue or full ranking) × aggregations; every case asserts its
+scoring path and zero fast-path fallbacks; the adversarial schedule
+spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
 of the invariant: an expression grown by ``apply_delta`` summarizes
@@ -41,7 +41,6 @@ from repro.datasets.movielens import (
     generate_movielens,
     generate_movielens_deltas,
 )
-from repro.provenance import ir
 from repro.provenance.valuation_classes import CancelSingleAnnotation
 from repro.provenance.tensor_sum import TensorSum
 from repro.prox.session import ProxSession
@@ -281,16 +280,6 @@ class TestStreamedEqualsFrozen:
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert {r.scoring_path for r in repaired.steps} == {"fast+incremental"}
         assert repaired.scoring_fallbacks == 1
-
-    def test_legacy_representation(self):
-        """The invariant must hold with the interned IR disabled too."""
-        with ir.mode(ir.MODE_LEGACY):
-            repaired, from_scratch = run_differential(
-                MovieLensConfig(**BASE),
-                MovieLensDeltaConfig(**SPAM),
-                SummarizationRequest(number_of_steps=6),
-            )
-        assert _snapshot(repaired) == _snapshot(from_scratch)
 
     def test_repeated_ingest_between_every_summarize(self):
         """Repair survives a summarize after *every* delta, not just one

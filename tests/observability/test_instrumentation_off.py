@@ -404,7 +404,7 @@ def test_kernel_backend_golden_scrape(instrumentation_guard):
         "# TYPE repro_kernel_backend gauge\n"
     ) in scrape
     active = kernels.active_backend()
-    other = "python" if active == "numpy" else "numpy"
+    other = "python" if active == "native" else "native"
     assert f'repro_kernel_backend{{backend="{active}"}} 1' in scrape
     assert f'repro_kernel_backend{{backend="{other}"}} 0' in scrape
 
@@ -429,13 +429,10 @@ def test_output_is_byte_identical_across_kernel_backends(
     instrumentation_guard,
 ):
     """The kernel tier is an execution-strategy change only: with
-    instrumentation off OR on, the numpy backend's output is
-    byte-identical to the reference backend's, on the enumerated and
+    instrumentation off OR on, the default (``auto``) backend's output
+    is byte-identical to the reference backend's, on the enumerated and
     the sampled path."""
     from repro.core import kernels
-
-    if not kernels.numpy_available():
-        pytest.skip("numpy backend unavailable")
 
     for knobs in ({}, dict(max_enumerate=0, distance_samples=64)):
         metrics.set_enabled(False)
@@ -445,7 +442,7 @@ def test_output_is_byte_identical_across_kernel_backends(
         metrics.set_enabled(True)
         tracing.set_enabled(True)
         tracing.take_trace()
-        with kernels.backend(kernels.MODE_NUMPY):
+        with kernels.backend("auto"):
             instrumented = _summarize(**knobs)
         tracing.take_trace()
         assert _portable(instrumented) == _portable(baseline), knobs

@@ -1,20 +1,25 @@
-"""Differential proof obligations for the interned provenance IR.
+"""Proof obligations for the interned provenance IR.
 
 The IR (:mod:`repro.provenance.ir`) must be *unobservable* through the
-``Polynomial`` API: over an explicit RNG grid of randomly built
-polynomial expressions, every operation (add, mul, rename, size,
-degree, coefficient, evaluate_in) must agree between the default
-``ir`` mode and the ``REPRO_IR=legacy`` dict representation -- exact
-semirings only, so agreement is equality, not approximation.
+``Polynomial`` API.  Over an explicit RNG grid of random polynomial
+programs, every operation (add, mul, rename, size, degree,
+coefficient, evaluate_in) must agree with a small test-local model of
+``N[Ann]`` -- a dict of sorted ``(name, exponent)`` monomials, the
+representation the package kept before the IR -- and ``evaluate_in``
+must equal the program evaluated directly in the target semiring (the
+universal property).  Exact semirings only, so agreement is equality.
 
 Also covered: the interner/arena invariants (dense stable ids,
-memoized products, lazily-extended rename tables), the
-annotation-names cache regression from the PR (rename must never
-mutate the receiver's cached name set), and the format-version-2
-serialization round-trips for term stores and polynomials.
+memoized products, lazily-extended rename tables), arithmetic across
+two term stores (a snapshot restore installs a second one), the
+annotation-names cache regression (rename must never mutate the
+receiver's cached name set), and the format-version-2 serialization
+round-trips for term stores and polynomials.
 """
 
+import contextlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,61 +31,229 @@ from repro.provenance.semirings import BOOLEAN, NATURALS
 from repro.serialization import SerializationError
 
 NAMES = ["a", "b", "c", "d", "e"]
+#: Every name a random program can mention (renames introduce m0/m1).
+ALL_NAMES = NAMES + ["m0", "m1"]
+
+
+# -- the oracles -------------------------------------------------------------------
+
+
+def _canonical(pairs):
+    counts = Counter()
+    for name, exponent in pairs:
+        counts[name] += exponent
+    return tuple(sorted(counts.items()))
+
+
+class Model:
+    """Test oracle: ``N[Ann]`` as a dict of sorted ``(name, exponent)``
+    monomials with positive coefficients."""
+
+    def __init__(self, terms=()):
+        self.terms = {}
+        for monomial, coefficient in dict(terms).items():
+            if coefficient:
+                key = _canonical(monomial)
+                self.terms[key] = self.terms.get(key, 0) + coefficient
+
+    @classmethod
+    def variable(cls, name):
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(): value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for monomial, coefficient in other.terms.items():
+            terms[monomial] = terms.get(monomial, 0) + coefficient
+        return Model(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for left, left_coefficient in self.terms.items():
+            for right, right_coefficient in other.terms.items():
+                product = _canonical(left + right)
+                terms[product] = (
+                    terms.get(product, 0) + left_coefficient * right_coefficient
+                )
+        return Model(terms)
+
+    def rename(self, mapping):
+        terms = {}
+        for monomial, coefficient in self.terms.items():
+            renamed = _canonical(
+                (mapping.get(name, name), exponent) for name, exponent in monomial
+            )
+            terms[renamed] = terms.get(renamed, 0) + coefficient
+        return Model(terms)
+
+    def size(self):
+        return sum(
+            coefficient * sum(exponent for _, exponent in monomial)
+            for monomial, coefficient in self.terms.items()
+        )
+
+    def degree(self):
+        return max(
+            (sum(exponent for _, exponent in monomial) for monomial in self.terms),
+            default=0,
+        )
+
+    def names(self):
+        return frozenset(name for monomial in self.terms for name, _ in monomial)
+
+
+class Direct:
+    """Test oracle: a program evaluated straight into a semiring, as a
+    function of the valuation (``rename(h)`` precomposes it with ``h``)."""
+
+    semiring = None
+
+    def __init__(self, at):
+        self.at = at
+
+    @classmethod
+    def variable(cls, name):
+        return cls(lambda valuation: valuation[name])
+
+    @classmethod
+    def constant(cls, value):
+        return cls(lambda valuation: _times_n(cls.semiring, cls.semiring.one, value))
+
+    @classmethod
+    def from_terms(cls, terms):
+        def at(valuation):
+            total = cls.semiring.zero
+            for monomial, coefficient in terms.items():
+                value = cls.semiring.one
+                for name, exponent in monomial:
+                    for _ in range(exponent):
+                        value = cls.semiring.times(value, valuation[name])
+                total = cls.semiring.plus(
+                    total, _times_n(cls.semiring, value, coefficient)
+                )
+            return total
+
+        return cls(at)
+
+    def __add__(self, other):
+        return type(self)(
+            lambda valuation: self.semiring.plus(self.at(valuation), other.at(valuation))
+        )
+
+    def __mul__(self, other):
+        return type(self)(
+            lambda valuation: self.semiring.times(
+                self.at(valuation), other.at(valuation)
+            )
+        )
+
+    def rename(self, mapping):
+        return type(self)(
+            lambda valuation: self.at(
+                {name: valuation[mapping.get(name, name)] for name in ALL_NAMES}
+            )
+        )
+
+
+def _times_n(semiring, value, count):
+    total = semiring.zero
+    for _ in range(count):
+        total = semiring.plus(total, value)
+    return total
+
+
+def direct_in(semiring):
+    """The :class:`Direct` algebra over ``semiring``."""
+    return type("Direct", (Direct,), {"semiring": semiring})
 
 
 # -- random polynomial programs ----------------------------------------------------
 
 
-def random_polynomial(rng, depth=4):
-    """A random N[Ann] value built by a deterministic op sequence.
+def random_program(rng, algebra, depth=4):
+    """A random ``N[Ann]`` value built by a deterministic op sequence.
 
-    Replaying the same ``rng`` seed under a different ``REPRO_IR`` mode
-    performs the *same* constructions, so the two results must be equal
-    as polynomials.
+    Replaying the same ``rng`` seed over another algebra (the model, a
+    direct semiring evaluation) performs the *same* constructions, so
+    the results must agree.
     """
     choice = rng.random()
     if depth == 0 or choice < 0.35:
         kind = rng.random()
         if kind < 0.6:
-            return Polynomial.variable(rng.choice(NAMES))
+            return algebra.variable(rng.choice(NAMES))
         if kind < 0.8:
-            return Polynomial.constant(rng.randint(0, 3))
-        return Polynomial(
-            {
-                tuple(
-                    sorted(
-                        (name, rng.randint(1, 2))
-                        for name in rng.sample(NAMES, rng.randint(1, 3))
-                    )
-                ): rng.randint(1, 4)
-            }
-        )
-    left = random_polynomial(rng, depth - 1)
-    right = random_polynomial(rng, depth - 1)
+            return algebra.constant(rng.randint(0, 3))
+        terms = {
+            tuple(
+                sorted(
+                    (name, rng.randint(1, 2))
+                    for name in rng.sample(NAMES, rng.randint(1, 3))
+                )
+            ): rng.randint(1, 4)
+        }
+        if algebra is Polynomial or algebra is Model:
+            return algebra(terms)
+        return algebra.from_terms(terms)
+    left = random_program(rng, algebra, depth - 1)
+    right = random_program(rng, algebra, depth - 1)
     if choice < 0.65:
         return left + right
     if choice < 0.9:
         return left * right
-    mapping = {name: rng.choice(NAMES + ["m0", "m1"]) for name in rng.sample(NAMES, 2)}
+    mapping = {name: rng.choice(ALL_NAMES) for name in rng.sample(NAMES, 2)}
     return (left + right).rename(mapping)
 
 
-def build_in_mode(temporary_mode, seed):
-    with ir.mode(temporary_mode):
-        return random_polynomial(random.Random(seed))
+def random_polynomial(rng):
+    return random_program(rng, Polynomial)
+
+
+def build_both(seed):
+    """The seed's program as a :class:`Polynomial` and as a :class:`Model`."""
+    return (
+        random_program(random.Random(seed), Polynomial),
+        random_program(random.Random(seed), Model),
+    )
+
+
+#: Where the store-sensitive tests build their polynomials: ``ir`` in
+#: the process store, ``legacy`` in a second store installed for the
+#: test, as a snapshot restore installs one.  (The ids date from when
+#: the axis switched to the dict representation.)
+STORES = ("ir", "legacy")
+
+
+@contextlib.contextmanager
+def in_store(kind):
+    if kind == "ir":
+        yield ir.GLOBAL_STORE
+        return
+    previous = ir.install_store(TermStore())
+    try:
+        yield ir.GLOBAL_STORE
+    finally:
+        ir.install_store(previous)
+        ir.publish_metrics()
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_ir_vs_legacy_same_terms(seed):
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
-    assert built_ir.terms() == built_legacy.terms()
-    assert built_ir == built_legacy
-    assert hash(built_ir) == hash(built_legacy)
-    assert built_ir.size() == built_legacy.size()
-    assert built_ir.degree() == built_legacy.degree()
-    assert built_ir.annotation_names() == built_legacy.annotation_names()
-    assert str(built_ir) == str(built_legacy)
+    """The IR agrees with the dict-of-monomials model (the ``legacy``
+    of these test names) on every seed."""
+    built, model = build_both(seed)
+    assert built.terms() == model.terms
+    rebuilt = Polynomial(model.terms)
+    assert built == rebuilt
+    assert hash(built) == hash(rebuilt)
+    assert built.size() == model.size()
+    assert built.degree() == model.degree()
+    assert built.annotation_names() == model.names()
+    assert built.is_zero() == (not model.terms)
+    assert str(built) == str(rebuilt)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -93,34 +266,35 @@ def test_ir_vs_legacy_same_terms(seed):
     ids=("boolean", "naturals"),
 )
 def test_ir_vs_legacy_evaluate_in(seed, semiring, values):
-    """The universal property holds identically in both modes."""
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
+    """The universal property: ``evaluate_in`` equals the program run
+    directly in the semiring, and the model's evaluation."""
+    built, model = build_both(seed)
+    direct = random_program(random.Random(seed), direct_in(semiring))
+    as_model = Polynomial(model.terms)
     rng = random.Random(seed * 31 + 7)
-    names = sorted(built_ir.annotation_names() | built_legacy.annotation_names())
     for _ in range(5):
-        valuation = {name: rng.choice(values) for name in names}
-        assert built_ir.evaluate_in(semiring, valuation) == built_legacy.evaluate_in(
-            semiring, valuation
-        )
+        valuation = {name: rng.choice(values) for name in ALL_NAMES}
+        expected = direct.at(valuation)
+        assert built.evaluate_in(semiring, valuation) == expected
+        assert as_model.evaluate_in(semiring, valuation) == expected
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ir_vs_legacy_coefficient_lookup(seed):
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
-    for monomial in built_legacy.terms():
+    built, model = build_both(seed)
+    for monomial, coefficient in model.terms.items():
         names = [name for name, exponent in monomial for _ in range(exponent)]
-        assert built_ir.coefficient(names) == built_legacy.coefficient(names)
+        assert built.coefficient(names) == coefficient
     # Unknown names return 0 without growing the interner.
     before = len(ir.GLOBAL_STORE.interner)
-    assert built_ir.coefficient(["never-interned-name"]) == 0
+    assert built.coefficient(["never-interned-name"]) == 0
     assert len(ir.GLOBAL_STORE.interner) == before
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rename_composition_matches_sequential(seed):
-    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), both modes."""
+    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), in either
+    store and in the model."""
     rng = random.Random(seed)
     h1 = {name: rng.choice(["m0", "m1", name]) for name in NAMES}
     h2 = {"m0": "s", "m1": "s", "a": "s2"}
@@ -129,34 +303,35 @@ def test_rename_composition_matches_sequential(seed):
         step = h1.get(name, name)
         return h2.get(step, step)
 
-    for temporary_mode in (ir.MODE_IR, ir.MODE_LEGACY):
-        with ir.mode(temporary_mode):
+    one_shot_map = {name: composed(name) for name in ALL_NAMES}
+    model = random_program(random.Random(seed), Model).rename(one_shot_map)
+    for kind in STORES:
+        with in_store(kind):
             poly = random_polynomial(random.Random(seed))
             sequential = poly.rename(h1).rename(h2)
-            one_shot = poly.rename(
-                {name: composed(name) for name in NAMES + ["m0", "m1"]}
-            )
-            assert sequential == one_shot, temporary_mode
-            assert sequential.terms() == one_shot.terms(), temporary_mode
+            one_shot = poly.rename(one_shot_map)
+            assert sequential == one_shot, kind
+            assert sequential.terms() == one_shot.terms() == model.terms, kind
 
 
 def test_cross_mode_arithmetic_degrades_gracefully():
-    """A legacy-built polynomial mixes with an IR-built one via terms."""
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = Polynomial.variable("a") * Polynomial.constant(2)
-    with ir.mode(ir.MODE_IR):
-        interned = Polynomial.variable("b") + Polynomial.one()
-    mixed = legacy + interned
+    """Polynomials from two different stores mix via their terms."""
+    with in_store("legacy"):
+        other_store = Polynomial.variable("a") * Polynomial.constant(2)
+    interned = Polynomial.variable("b") + Polynomial.one()
+    assert other_store._store is not interned._store
+    mixed = other_store + interned
     assert mixed.terms() == {
         (("a", 1),): 2,
         (("b", 1),): 1,
         (): 1,
     }
-    product = legacy * interned
+    product = other_store * interned
     assert product.terms() == {
         (("a", 1), ("b", 1)): 2,
         (("a", 1),): 2,
     }
+    assert other_store == Polynomial.variable("a") * Polynomial.constant(2)
 
 
 # -- interner / arena invariants ---------------------------------------------------
@@ -220,11 +395,10 @@ def test_rename_table_extends_after_interner_growth():
 
 
 def test_rename_merges_colliding_monomials():
-    with ir.mode(ir.MODE_IR):
-        poly = Polynomial.variable("a") + Polynomial.variable("b")
-        merged = poly.rename({"a": "s", "b": "s"})
-        assert merged.terms() == {(("s", 1),): 2}
-        assert merged.size() == 2
+    poly = Polynomial.variable("a") + Polynomial.variable("b")
+    merged = poly.rename({"a": "s", "b": "s"})
+    assert merged.terms() == {(("s", 1),): 2}
+    assert merged.size() == 2
 
 
 def test_store_stats_report_growth():
@@ -241,12 +415,12 @@ def test_store_stats_report_growth():
 # -- the annotation-names cache (PR regression) ------------------------------------
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_rename_does_not_mutate_cached_annotation_names(temporary_mode):
+@pytest.mark.parametrize("kind", STORES)
+def test_rename_does_not_mutate_cached_annotation_names(kind):
     """``annotation_names`` is cached per instance; renaming must hand
     back a *new* polynomial with its own (correct) name set and leave
     the receiver's cache untouched."""
-    with ir.mode(temporary_mode):
+    with in_store(kind):
         poly = Polynomial.variable("a") * Polynomial.variable("b")
         before = poly.annotation_names()
         assert before == frozenset({"a", "b"})
@@ -259,9 +433,9 @@ def test_rename_does_not_mutate_cached_annotation_names(temporary_mode):
         assert renamed.annotation_names() is not before
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_annotation_names_cache_is_consistent_after_arithmetic(temporary_mode):
-    with ir.mode(temporary_mode):
+@pytest.mark.parametrize("kind", STORES)
+def test_annotation_names_cache_is_consistent_after_arithmetic(kind):
+    with in_store(kind):
         left = Polynomial.variable("a")
         right = Polynomial.variable("b")
         assert left.annotation_names() == frozenset({"a"})
@@ -271,32 +445,22 @@ def test_annotation_names_cache_is_consistent_after_arithmetic(temporary_mode):
         assert right.annotation_names() == frozenset({"b"})
 
 
-# -- mode plumbing -----------------------------------------------------------------
-
-
-def test_mode_contextmanager_restores_previous_mode():
-    previous = ir.active_mode()
-    with ir.mode(ir.MODE_LEGACY):
-        assert ir.active_mode() == ir.MODE_LEGACY
-        assert not ir.ir_enabled()
-    assert ir.active_mode() == previous
-
-
-def test_set_mode_rejects_unknown_modes():
-    with pytest.raises(ValueError, match="mode must be"):
-        ir.set_mode("mystery")
+# -- store plumbing ----------------------------------------------------------------
 
 
 def test_instances_capture_their_construction_mode():
-    with ir.mode(ir.MODE_IR):
-        interned = Polynomial.variable("a")
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = Polynomial.variable("a")
-    assert interned.ir_data() is not None
-    assert interned.ir_store() is ir.GLOBAL_STORE
-    assert legacy.ir_data() is None
-    assert legacy.ir_store() is None
-    assert interned == legacy
+    """Each instance keeps the store in force when it was built; a
+    later install redirects new constructions only."""
+    first = Polynomial.variable("a")
+    with in_store("legacy") as second_store:
+        second = Polynomial.variable("a")
+        assert second._store is second_store
+        assert first._store is not second_store
+        # The earlier instance still resolves against its own store.
+        assert first.terms() == {(("a", 1),): 1}
+    assert first._store is ir.GLOBAL_STORE
+    assert first == second
+    assert hash(first) == hash(second)
 
 
 # -- serialization (format version 2) ----------------------------------------------
@@ -378,35 +542,36 @@ def test_term_store_rejects_non_canonical_arenas():
         serialization.term_store_from_dict(duplicated)
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
+@pytest.mark.parametrize("kind", STORES)
 @pytest.mark.parametrize("seed", range(6))
-def test_polynomial_dict_round_trip_is_mode_independent(temporary_mode, seed):
-    with ir.mode(temporary_mode):
+def test_polynomial_dict_round_trip_is_mode_independent(kind, seed):
+    with in_store(kind):
         poly = random_polynomial(random.Random(seed))
         payload = serialization.polynomial_to_dict(poly)
         assert payload["version"] == serialization.FORMAT_VERSION
         restored = serialization.polynomial_from_dict(payload)
         assert restored == poly
         assert restored.terms() == poly.terms()
-    # The payload also restores under the *other* mode.
-    other = ir.MODE_LEGACY if temporary_mode == ir.MODE_IR else ir.MODE_IR
-    with ir.mode(other):
+    # The payload also restores into the *other* store.
+    other = "legacy" if kind == "ir" else "ir"
+    with in_store(other):
         assert serialization.polynomial_from_dict(payload).terms() == poly.terms()
 
 
 def test_polynomial_dict_is_json_stable():
-    """Equal polynomials from either mode serialize to the same JSON."""
-    with ir.mode(ir.MODE_IR):
-        interned = (Polynomial.variable("a") + Polynomial.variable("b")) * (
+    """Equal polynomials from either store serialize to the same JSON."""
+
+    def build():
+        return (Polynomial.variable("a") + Polynomial.variable("b")) * (
             Polynomial.variable("b") + Polynomial.constant(2)
         )
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = (Polynomial.variable("a") + Polynomial.variable("b")) * (
-            Polynomial.variable("b") + Polynomial.constant(2)
-        )
+
+    interned = build()
+    with in_store("legacy"):
+        other_store = build()
     assert serialization.dumps(
         serialization.polynomial_to_dict(interned)
-    ) == serialization.dumps(serialization.polynomial_to_dict(legacy))
+    ) == serialization.dumps(serialization.polynomial_to_dict(other_store))
 
 
 def test_polynomial_dict_rejects_malformed_payloads():
@@ -436,10 +601,10 @@ def enabled_tracing():
     tracing.take_trace()
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_polynomial_rename_records_a_span(enabled_tracing, temporary_mode):
+@pytest.mark.parametrize("kind", STORES)
+def test_polynomial_rename_records_a_span(enabled_tracing, kind):
     tracing = enabled_tracing
-    with ir.mode(temporary_mode):
+    with in_store(kind):
         poly = Polynomial.variable("a") + Polynomial.variable("b")
         with tracing.span("root"):
             poly.rename({"a": "s"})

@@ -190,10 +190,11 @@ print(json.dumps({{
 """
 
 
-def _run_child(code, *argv, full_rank=False):
+def _child(code, *argv, full_rank=False, env=None):
+    """Run ``code`` in a fresh interpreter; returns the completed run."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env = dict(
-        os.environ,
+        os.environ if env is None else env,
         PYTHONPATH=os.pathsep.join(
             [os.path.join(root, "src"), root, os.environ.get("PYTHONPATH", "")]
         ),
@@ -206,7 +207,11 @@ def _run_child(code, *argv, full_rank=False):
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    return json.loads(completed.stdout)
+    return completed
+
+
+def _run_child(code, *argv, full_rank=False):
+    return json.loads(_child(code, *argv, full_rank=full_rank).stdout)
 
 
 @pytest.mark.parametrize(
@@ -232,15 +237,12 @@ def test_cross_process_zero_copy_restore_is_bit_identical(
     )
     assert_clean(original["fingerprint"])
     restored = _run_child(_CHILD_RESTORE, path, full_rank=ranked)
-    if _ir.ir_enabled():
-        assert restored["zero_copy"], "expected the zero-copy install path"
+    assert restored["zero_copy"], "expected the zero-copy install path"
     assert restored["fingerprint"] == original["fingerprint"]
 
 
 def test_arena_snapshot_roundtrip_is_byte_identical(tmp_path):
     """Golden: snapshot → mmap-load → snapshot reproduces every byte."""
-    if not _ir.ir_enabled():
-        pytest.skip("arena snapshots need the interned IR")
     session = build_session()
     try:
         session.summarize(SummarizationRequest(number_of_steps=3))
@@ -305,3 +307,53 @@ def test_restore_drops_removed_engine_knobs(tmp_path):
         assert fingerprint(restored._require_result()) == expected
     finally:
         restored.close()
+
+
+def test_arena_less_session_snapshot_restores_identically(tmp_path):
+    """Older releases could write session snapshots without an interner
+    or arena block (``write_session_snapshot(path, meta)``).  Such a
+    file still loads, and restores by event replay -- in a fresh process
+    and in this warm one -- to the summary the original session made."""
+    path = str(tmp_path / "session.snap")
+    original = _run_child(_CHILD_BUILD, path, json.dumps({"number_of_steps": 4}))
+    assert_clean(original["fingerprint"])
+    meta, names_blob, store = serialization.load_session_snapshot(path)
+    assert names_blob and store is not None
+    arena_less = str(tmp_path / "arena-less.snap")
+    serialization.write_session_snapshot(arena_less, meta)
+    meta_again, names_again, store_again = serialization.load_session_snapshot(
+        arena_less
+    )
+    assert (meta_again, names_again, store_again) == (meta, b"", None)
+
+    restored = _run_child(_CHILD_RESTORE, arena_less)
+    assert not restored["zero_copy"]
+    assert restored["fingerprint"] == original["fingerprint"]
+    session = ProxSession.restore(arena_less)
+    try:
+        warm = json.loads(json.dumps(fingerprint(session._require_result())))
+    finally:
+        session.close()
+    assert warm == original["fingerprint"]
+
+
+def test_repro_ir_setting_logs_ir_mode_removed(tmp_path):
+    """The string-keyed representation is gone: a leftover ``REPRO_IR``
+    setting logs one ``ir_mode_removed`` warning and the run produces
+    the default run's fingerprint."""
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_IR"}
+    request_ = json.dumps({"number_of_steps": 4})
+    default = _child(_CHILD_BUILD, str(tmp_path / "default.snap"), request_, env=env)
+    legacy = _child(
+        _CHILD_BUILD,
+        str(tmp_path / "legacy.snap"),
+        request_,
+        env=dict(env, REPRO_IR="legacy"),
+    )
+    assert "ir_mode_removed" not in default.stderr
+    warnings = [
+        line for line in legacy.stderr.splitlines() if "ir_mode_removed" in line
+    ]
+    assert len(warnings) == 1
+    assert "requested=legacy resolution=ir" in warnings[0]
+    assert json.loads(legacy.stdout) == json.loads(default.stdout)

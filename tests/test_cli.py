@@ -86,6 +86,15 @@ def test_summarize_removed_carry_flag_exits_2(capsys):
     assert "--carry" in capsys.readouterr().err
 
 
+def test_summarize_removed_numpy_kernel_exits_2(capsys):
+    """The numpy kernel backend is gone: ``--kernel numpy`` is a usage
+    error instead of a silent fallback."""
+    with pytest.raises(SystemExit) as exited:
+        main(["summarize", "movielens", "--kernel", "numpy"])
+    assert exited.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
+
+
 def test_experiment(capsys):
     code, out, _ = run(
         capsys, "experiment", "timing", "--dataset", "ddp", "--seeds", "1"
