@@ -186,6 +186,10 @@ class ScoringEngine:
         #: alone when the winner popped: not scored since the queue
         #: last started fresh.
         self.last_unscored: int = 0
+        #: Queue sizes of the most recent step that the scorer's
+        #: one-pass size computation did not cover and the exact
+        #: per-candidate reference computed instead.
+        self.last_sizes_fallback: int = 0
         #: How often each path was taken over the engine's lifetime.
         self.path_counts: Dict[str, int] = {}
         #: Fast-path failures: steps rescored naively, plus scorer
@@ -349,6 +353,7 @@ class ScoringEngine:
                     rescored,
                     sizes_recomputed,
                     unscored,
+                    sizes_fallback,
                 ) = self._lazy_select(
                     scorer, candidates, w_dist, w_size, original_size
                 )
@@ -361,6 +366,7 @@ class ScoringEngine:
                 self.last_rescored = rescored
                 self.last_sizes_recomputed = sizes_recomputed
                 self.last_unscored = unscored
+                self.last_sizes_fallback = sizes_fallback
                 self._note_fast_step(scorer)
                 return best, time.perf_counter() - started
         # No fast kernel (or it failed): full naive measurement + rank.
@@ -382,6 +388,7 @@ class ScoringEngine:
         self.last_rescored = len(candidates)
         self.last_sizes_recomputed = 0
         self.last_unscored = 0
+        self.last_sizes_fallback = 0
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
@@ -465,7 +472,7 @@ class ScoringEngine:
         w_dist: float,
         w_size: float,
         original_size: int,
-    ) -> Tuple[ScoredCandidate, int, int, int, int]:
+    ) -> Tuple[ScoredCandidate, int, int, int, int, int]:
         """Pop-score-reinsert until the queue's top entry is fresh.
 
         Entries hold ``[size, estimate, fresh]``.  Sizes are always
@@ -482,10 +489,15 @@ class ScoringEngine:
         recomputation; group overlap moves only the (stale anyway)
         distance.  Size-only entries are carried like scored ones, so
         later steps shift their sizes instead of recomputing them.
+        Every size the step needs -- fresh entries and recomputed
+        carried ones -- comes from one
+        :meth:`~repro.core.fast_distance.FastStepScorer.candidate_sizes`
+        pass.
 
         Returns the winner, the carried and rescored counts, how many
-        carried sizes were recomputed, and how many entries were still
-        size-only when the winner popped.
+        carried sizes were recomputed, how many entries were still
+        size-only when the winner popped, and how many sizes the
+        one-pass computation left to the per-candidate reference.
         """
         live = (
             self._carry_ready
@@ -496,16 +508,24 @@ class ScoringEngine:
         shift = scorer.last_size_shift
         entries: List[list] = []
         sizes_recomputed = 0
-        for candidate in candidates:
+        unsized: List[int] = []
+        for index, candidate in enumerate(candidates):
             parts = candidate.parts
             entry = store.get(parts)
             if entry is None:
-                entries.append([scorer.candidate_size(parts), None, False])
+                entries.append([0, None, False])
+                unsized.append(index)
             elif scorer.size_intersects(parts):
-                entries.append([scorer.candidate_size(parts), entry[1], False])
+                entries.append([0, entry[1], False])
+                unsized.append(index)
                 sizes_recomputed += 1
             else:
                 entries.append([entry[0] + shift, entry[1], False])
+        sizes, sizes_fallback = scorer.candidate_sizes(
+            [candidates[index].parts for index in unsized]
+        )
+        for index, size in zip(unsized, sizes):
+            entries[index][0] = size
         rescored = 0
 
         def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
@@ -558,6 +578,7 @@ class ScoringEngine:
             rescored,
             sizes_recomputed,
             unscored,
+            sizes_fallback,
         )
 
     def _measure_naive(
@@ -611,6 +632,7 @@ class ScoringEngine:
         span.set("rescored", self.last_rescored)
         span.set("sizes_recomputed", self.last_sizes_recomputed)
         span.set("unscored", self.last_unscored)
+        span.set("sizes_fallback", self.last_sizes_fallback)
         # Only when the sampled kernel actually engaged: enumerated
         # steps keep their span shape unchanged.
         if self._sampled_step():

@@ -13,7 +13,9 @@ four structural facts to collapse that product:
    :class:`~repro.core.kernels.masktable.MaskTable` by the active
    kernel backend.  A term is dead exactly when any of its
    annotations' bits are set, so per-term aliveness across *all*
-   valuations is a couple of word-wise ORs.
+   valuations is a couple of ORs; every term's dead row lives in one
+   contiguous ``array('Q')`` table, row ``i`` for term ``i``, and the
+   kernel folds read it by row index.
 2. A candidate merge ``{a, b} → c`` changes aliveness only for terms
    containing ``a`` or ``b`` (with the OR combiner,
    ``mask(c) = mask(a) AND mask(b)``); every other group's aggregate is
@@ -43,10 +45,10 @@ OR combiner, and the valuation class is small enough to enumerate.
 Everything else goes to the naive reference path.
 
 The scorer is carried across steps: after a merge ``{a, b} → c`` is
-applied, :meth:`FastStepScorer.advance` invalidates only the state
-touching ``a``, ``b`` or ``c`` (annotation masks, term dead-masks,
-group baselines, aligned original vectors and per-valuation metric
-contributions) and carries everything else.
+applied, :meth:`FastStepScorer.advance` rebuilds only the state
+touching ``a``, ``b`` or ``c`` (annotation masks, the rewritten terms'
+keys and dead rows, group baselines, aligned original vectors and
+per-valuation metric contributions) and carries everything else.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from ..provenance.monoids import CountMonoid, MaxMonoid, SumMonoid
 from ..provenance.tensor_sum import Guard, TensorSum, Term
 from ..provenance.valuation_classes import ValuationClass
 from . import kernels
-from .kernels.masktable import WordRow
-from .kernels.protocol import SPARSE_KINDS, MaskedValue
+from .kernels.masktable import MaskTable, WordRow
+from .kernels.protocol import SPARSE_KINDS
 from .combiners import DomainCombiners, OrCombiner
 from .distance import DistanceComputer, DistanceEstimate
 from .mapping import MappingState
@@ -134,23 +136,32 @@ class FastStepScorer:
         # scorer's folds (results are bit-identical either way; this
         # just keeps the ``kernel=`` span attribute truthful).
         self._kernel = kernels.get_backend()
-        # Shared all-ones / all-zeros word rows (read-only by
-        # convention; never handed out for mutation).
-        self._full_row = kernels.full_row(self.n_vals)
-        self._zero_row = kernels.zero_row(self.n_vals)
+        # Word rows are ``_row_bytes`` long; the python-side mask algebra
+        # (term dead rows, candidate overrides) runs on ints whose bit
+        # ``v`` is the row's bit ``v``.
+        self._n_words = kernels.words_for(self.n_vals)
+        self._row_bytes = 8 * self._n_words
+        self._full_bits = (1 << self.n_vals) - 1
+        #: Dead rows derived (at construction and by ``advance``); the
+        #: carry regression test asserts ``advance`` derives only the
+        #: merge's neighborhood.
+        self.mask_builds = 0
+        # Per-term tables, index-aligned with ``_terms`` (see
+        # :meth:`_term_structure`).
+        self._terms: List[Term] = []
+        self._term_names: List[Tuple[str, ...]] = []
+        self._term_guard_names: List[Tuple[Tuple, ...]] = []
+        self._term_ann_keys: List[List[object]] = []
+        self._term_guard_keys: List[List[Tuple[Guard, List[object]]]] = []
+        self._term_keys: List[Tuple[object, ...]] = []
+        #: Dead row of every term: ``n_terms × n_words`` words, row ``i``
+        #: for term ``i`` (read-only once built; ``advance`` builds a
+        #: new table).
+        self._dead = array("Q")
 
         self._build_masks()
         self._build_terms()
-        terms = self._terms
-        dead_of = self._term_dead
-        self._baseline = self._kernel.baseline_scatter(
-            [
-                (group, [(terms[i].value, dead_of[i]) for i in indexes])
-                for group, indexes in self._group_order.items()
-            ],
-            self.n_vals,
-            self._is_max,
-        )
+        self._baseline = self._fold_groups(list(self._group_order))
         # Original results in evaluation-encounter order, shared across
         # steps: ``_align_originals`` folds them, and ``advance``
         # refolds the merged keys in the same order.
@@ -196,6 +207,9 @@ class FastStepScorer:
         #: same pair, so ``old_size + last_size_shift`` double-counts
         #: it.  False ⇒ the engine must not carry sizes across this step.
         self.last_shift_local: bool = True
+        #: Names and groups of ``last_affected_terms`` (what
+        #: :meth:`size_intersects` tests parts against).
+        self._last_touched: FrozenSet[Optional[str]] = frozenset()
 
         self._nonzero: List[Dict[Optional[str], float]] = []
         #: Per-position running sum of ``_nonzero`` values (insertion
@@ -260,8 +274,7 @@ class FastStepScorer:
 
         The per-valuation false sets are gathered in python (they come
         from the combiners' lifted semantics) and scattered into one
-        contiguous :class:`MaskTable` by the kernel backend;
-        ``self._mask`` maps each key to a zero-copy view of its row.
+        contiguous :class:`MaskTable` by the kernel backend.
         """
         row_of = self._mask_rows()
         combiners = self.computer.combiners
@@ -285,157 +298,254 @@ class FastStepScorer:
         table = self._kernel.scatter_false_sets(
             len(row_of), entries, self.n_vals
         )
+        self._set_masks(table, row_of)
+
+    def _set_masks(self, table: MaskTable, row_of: Mapping[object, int]) -> None:
+        """Adopt a scattered mask table.
+
+        ``self._mask`` maps each key to a zero-copy view of its row;
+        ``self._mask_bits`` holds the same rows as ints, which the
+        per-term dead-row algebra ORs together.
+        """
         self._mask: Dict[object, WordRow] = {
             mask_key: table.row(row) for mask_key, row in row_of.items()
         }
+        self._mask_bits: Dict[object, int] = {
+            mask_key: int.from_bytes(row, "little")
+            for mask_key, row in self._mask.items()
+        }
 
-    def _term_mask(
+    def _dead_bits(
         self,
-        index: int,
-        mask_of: Mapping[object, WordRow],
-        override_of: Optional[Mapping[object, WordRow]] = None,
-    ) -> WordRow:
-        """Valuations under which term ``index`` contributes nothing.
+        ann_keys: Sequence[object],
+        guard_keys: Sequence[Tuple[Guard, Sequence[object]]],
+        part_keys: Optional[FrozenSet[object]] = None,
+        merged: int = 0,
+    ) -> int:
+        """Valuations under which a term contributes nothing, as an int.
 
-        ``override_of`` layers a handful of substituted rows over
-        ``mask_of`` without copying it (candidate scoring substitutes
-        only the merged annotations' rows).  Annotation and guard keys
-        come pre-interned from ``_build_terms`` -- re-interning the same
-        names for every scored candidate was a measurable slice of the
-        seed path.  Single-operand folds return the operand itself:
-        callers treat dead rows as read-only, so aliasing is safe.
+        ``part_keys``/``merged`` substitute the candidate's merged row
+        for the parts' rows (candidate scoring); annotation and guard
+        keys come pre-interned from the term tables.
         """
-        rows: List[WordRow] = []
-        if override_of is None:
-            for mask_key in self._term_ann_keys[index]:
-                rows.append(mask_of[mask_key])
+        bits_of = self._mask_bits
+        dead = 0
+        if part_keys is None:
+            for mask_key in ann_keys:
+                dead |= bits_of[mask_key]
         else:
-            for mask_key in self._term_ann_keys[index]:
-                mask = override_of.get(mask_key)
-                rows.append(mask_of[mask_key] if mask is None else mask)
-        for guard_token, guard_keys in self._term_guard_keys[index]:
-            rows.append(
-                self._guard_mask(guard_token, guard_keys, mask_of, override_of)
-            )
-        if not rows:
-            return self._zero_row
-        if len(rows) == 1:
-            return rows[0]
-        return self._kernel.fold_or(rows)
+            for mask_key in ann_keys:
+                dead |= merged if mask_key in part_keys else bits_of[mask_key]
+        for guard_token, keys in guard_keys:
+            dead |= self._guard_bits(guard_token, keys, part_keys, merged)
+        return dead
 
-    def _guard_mask(
+    def _guard_bits(
         self,
         guard_token: Guard,
         guard_keys: Sequence[object],
-        mask_of: Mapping[object, WordRow],
-        override_of: Optional[Mapping[object, WordRow]] = None,
-    ) -> WordRow:
+        part_keys: Optional[FrozenSet[object]],
+        merged: int,
+    ) -> int:
         compare = _COMPARE[guard_token.op]
         sat_alive = compare(guard_token.value, guard_token.threshold)
         sat_dead = compare(0.0, guard_token.threshold)
         if sat_alive and sat_dead:
-            return self._zero_row
+            return 0
         if not sat_alive and not sat_dead:
-            return self._full_row
-        rows: List[WordRow] = []
+            return self._full_bits
+        bits_of = self._mask_bits
+        union = 0
         for mask_key in guard_keys:
-            mask = (
-                override_of.get(mask_key) if override_of is not None else None
-            )
-            if mask is None:
-                mask = mask_of.get(mask_key)
-            if mask is not None:
-                rows.append(mask)
-        if not rows:
-            union: WordRow = self._zero_row
-        elif len(rows) == 1:
-            union = rows[0]
-        else:
-            union = self._kernel.fold_or(rows)
+            if part_keys is not None and mask_key in part_keys:
+                union |= merged
+            else:
+                union |= bits_of.get(mask_key, 0)
         if sat_alive:
             return union
-        return self._kernel.fold_not(union, self.n_vals)
+        return self._full_bits & ~union
+
+    def _term_structure(self, term: Term) -> Tuple:
+        """A term's interned and presorted name tables.
+
+        ``(sorted names, sorted guard names, annotation keys, guard
+        keys, distinct keys)``: ``_candidate_size`` derives collision
+        keys from the sorted names, the dead-row algebra ORs the keys'
+        rows, and ``_ann_terms`` indexes the distinct keys.
+        """
+        key = self._key
+        names = tuple(sorted(term.annotations))
+        ann_keys = [key(name) for name in names]
+        guard_names = tuple(
+            (tuple(sorted(guard.annotations)), guard.value, guard.op,
+             guard.threshold)
+            for guard in term.guards
+        )
+        guard_keys = [
+            (guard, [key(name) for name in guard.annotations])
+            for guard in term.guards
+        ]
+        all_keys = ann_keys
+        if guard_keys:
+            all_keys = ann_keys + [
+                mask_key for _, keys in guard_keys for mask_key in keys
+            ]
+        return (
+            names,
+            guard_names,
+            ann_keys,
+            guard_keys,
+            tuple(dict.fromkeys(all_keys)),
+        )
 
     def _build_terms(self) -> None:
-        self._terms: List[Term] = list(self.current.terms)
-        key = self._key
-        self._term_ann_keys: List[List[object]] = [
-            [key(name) for name in term.annotations] for term in self._terms
-        ]
-        self._term_guard_keys: List[List[Tuple[Guard, List[object]]]] = [
-            [
-                (guard, [key(name) for name in guard.annotations])
-                for guard in term.guards
-            ]
-            for term in self._terms
-        ]
-        # Sorted monomial and guard names per term, built once per step:
-        # ``_candidate_size`` derives every candidate's collision key
-        # from these instead of re-sorting the touched terms' names.
-        self._term_names: List[Tuple[str, ...]] = [
-            tuple(sorted(term.annotations)) for term in self._terms
-        ]
-        self._term_guard_names: List[Tuple[Tuple, ...]] = [
-            tuple(
-                (tuple(sorted(guard.annotations)), guard.value, guard.op,
-                 guard.threshold)
-                for guard in term.guards
-            )
-            for term in self._terms
-        ]
-        self._term_dead: List[WordRow] = self._derive_term_dead()
-        self._group_terms: Dict[Optional[str], List[int]] = {}
-        self._ann_terms: Dict[object, List[int]] = {}
-        key = self._key
+        """Every term's tables and dead row, from scratch."""
+        self._set_terms([(None, 1)] * len(self.current.terms), None)
+
+    def _set_terms(
+        self,
+        runs: Sequence[Tuple[Optional[int], int]],
+        old_order: Optional[Mapping],
+    ) -> None:
+        """Term tables of ``self.current``: carry runs, recompute the rest.
+
+        ``runs`` as :meth:`_carried_runs` returns them; ``old_order`` is
+        the pre-merge ``_group_order`` when anything is carried.
+        """
+        terms = list(self.current.terms)
+        old_tables = (
+            self._term_names,
+            self._term_guard_names,
+            self._term_ann_keys,
+            self._term_guard_keys,
+            self._term_keys,
+        )
+        tables: Tuple[list, ...] = ([], [], [], [], [])
+        words = memoryview(self._dead)
+        n_words = self._n_words
+        width = self._row_bytes
+        chunks: list = []
+        new_of: List[Optional[int]] = [None] * len(self._terms)
+        touched: set = set()
+        position = 0
+        for start, count in runs:
+            if start is None:
+                term = terms[position]
+                structure = self._term_structure(term)
+                for table, value in zip(tables, structure):
+                    table.append(value)
+                chunks.append(
+                    self._dead_bits(structure[2], structure[3]).to_bytes(
+                        width, "little"
+                    )
+                )
+                touched.add(term.group)
+                self.mask_builds += 1
+            else:
+                stop = start + count
+                for table, old in zip(tables, old_tables):
+                    table.extend(old[start:stop])
+                chunks.append(words[start * n_words : stop * n_words])
+                new_of[start:stop] = range(position, position + count)
+            position += count
+        self._terms = terms
+        (
+            self._term_names,
+            self._term_guard_names,
+            self._term_ann_keys,
+            self._term_guard_keys,
+            self._term_keys,
+        ) = tables
+        self._dead = array("Q")
+        self._dead.frombytes(b"".join(chunks))
+        self._index_terms(
+            None if old_order is None else (old_order, new_of, touched)
+        )
+
+    def _index_terms(self, carried: Optional[Tuple] = None) -> None:
+        """Group and annotation indexes over the current term tables.
+
+        ``carried`` -- ``(old group order, old → new term index, touched
+        groups)`` from ``advance`` -- remaps the presorted order of
+        every untouched group instead of re-sorting it.
+        """
+        group_terms: Dict[Optional[str], List[int]] = {}
         for index, term in enumerate(self._terms):
-            self._group_terms.setdefault(term.group, []).append(index)
-            for name in set(term.all_annotation_names()):
-                self._ann_terms.setdefault(key(name), []).append(index)
+            members = group_terms.get(term.group)
+            if members is None:
+                group_terms[term.group] = [index]
+            else:
+                members.append(index)
+        self._group_terms = group_terms
+        ann_terms: Dict[object, List[int]] = {}
+        for index, keys in enumerate(self._term_keys):
+            for mask_key in keys:
+                members = ann_terms.get(mask_key)
+                if members is None:
+                    ann_terms[mask_key] = [index]
+                else:
+                    members.append(index)
+        self._ann_terms = ann_terms
         # Per-group term indexes in the order the fold consumes them:
-        # descending value for MAX, so ``_fold_max`` never re-sorts the
+        # descending value for MAX, so the fold never re-sorts the
         # same baseline group inside every candidate score; term order
         # for SUM/COUNT, whose subtraction fold must keep the original
         # association order to stay bit-identical.
         if self._is_max:
             terms = self._terms
-            self._group_order: Dict[Optional[str], List[int]] = {
-                group: sorted(indexes, key=lambda index: -terms[index].value)
-                for group, indexes in self._group_terms.items()
-            }
+            old_order, new_of, touched = carried or ({}, (), ())
+            order: Dict[Optional[str], List[int]] = {}
+            for group, indexes in group_terms.items():
+                if carried is not None and group not in touched:
+                    # Untouched: same terms, same values, positions
+                    # shifted monotonically -- the sorted order maps.
+                    order[group] = [new_of[i] for i in old_order[group]]
+                else:
+                    order[group] = sorted(
+                        indexes, key=lambda index: -terms[index].value
+                    )
+            self._group_order: Dict[Optional[str], List[int]] = order
         else:
-            self._group_order = self._group_terms
-        # Per-group ``(value, dead-row)`` operand lists plus each term's
-        # position, built lazily by ``_recompute_groups``: candidate
-        # scoring then copies the list and patches only the overridden
-        # positions instead of rebuilding every tuple per candidate.
-        # Terms and dead rows were just replaced, so start fresh.
-        self._group_mask_cache: Dict[
-            Optional[str], Tuple[List[MaskedValue], Dict[int, int]]
+            self._group_order = group_terms
+        # Per-group ``(row indexes, values, position of term)`` arrays
+        # for the index-addressed ``group_fold``, built lazily.
+        self._group_cache: Dict[
+            Optional[str], Tuple[array, array, Dict[int, int]]
         ] = {}
+        # Per-name size buckets for :meth:`candidate_sizes`, built
+        # lazily, and the step's bucket-key interner.
+        self._size_info: Dict[str, Optional[Tuple]] = {}
+        self._bucket_ids: Dict[Tuple, int] = {}
 
-    def _derive_term_dead(self) -> List[WordRow]:
-        """Dead row of every term under the current ``_mask`` table.
+    def _group_arrays(
+        self, group: Optional[str]
+    ) -> Tuple[array, array, Dict[int, int]]:
+        """Row-index and value arrays of one group, in fold order."""
+        entry = self._group_cache.get(group)
+        if entry is None:
+            order = self._group_order[group]
+            terms = self._terms
+            entry = (
+                array("q", order),
+                array("d", [terms[index].value for index in order]),
+                {index: position for position, index in enumerate(order)},
+            )
+            self._group_cache[group] = entry
+        return entry
 
-        Hook point: the sampled subclass memoizes per-term masks across
-        ``advance()`` while its pinned batch survives (the batch fixes
-        the bit ↔ draw correspondence, so an unchanged term's mask
-        cannot change).
-        """
-        return [
-            self._term_mask(index, self._mask)
-            for index in range(len(self._terms))
-        ]
-
-    def _group_values(self, indexes: Sequence[int]) -> List[float]:
-        """Aggregate value of one group under every valuation.
-
-        ``indexes`` arrive in ``_group_order``: descending value for
-        MAX, so each valuation takes the first alive value it sees.
-        """
-        dead_of = self._term_dead
-        masks = [(self._terms[i].value, dead_of[i]) for i in indexes]
-        fold = self._kernel.fold_max if self._is_max else self._kernel.fold_sum
-        return fold(masks, self.n_vals)
+    def _fold_groups(
+        self, groups: Sequence[Optional[str]]
+    ) -> Dict[Optional[str], Sequence[float]]:
+        """Baseline columns of whole groups in one kernel call."""
+        arrays = [self._group_arrays(group) for group in groups]
+        columns = self._kernel.group_fold(
+            [entry[0] for entry in arrays],
+            self.n_vals,
+            self._is_max,
+            [entry[1] for entry in arrays],
+            self._dead,
+        )
+        return dict(zip(groups, columns))
 
     def _align_originals(self) -> List[Dict[Optional[str], float]]:
         """Original vectors per valuation, in current-group coordinates.
@@ -488,33 +598,40 @@ class FastStepScorer:
 
     def _candidate_state(
         self, parts: Sequence[str]
-    ) -> Tuple[FrozenSet[str], List[int], Dict[int, WordRow], bool]:
+    ) -> Tuple[FrozenSet[str], List[int], array, bool]:
         """Shared per-candidate precomputation: the merge's neighborhood.
 
         Returns the part set, the indexes of the terms the merge
-        touches, their substituted dead rows, and whether any part is
-        itself a group key (group-merge case).
+        touches, their substituted dead rows as one override table
+        (row ``j`` for ``affected[j]``, addressed by the folds as row
+        ``n_terms + j``), and whether any part is itself a group key
+        (group-merge case).
         """
         part_set = frozenset(parts)
         key = self._key
         part_keys = [key(name) for name in parts]
         # OR combiner over 0/1 valuations: the merged annotation is
         # false exactly where every part is, i.e. the AND of the rows.
-        merged_mask = self._kernel.fold_and(
-            [self._mask[part_key] for part_key in part_keys]
-        )
-        # Overlay instead of copying the whole mask dict: the handful
-        # of affected-term lookups below never justify an
-        # O(annotations) copy per candidate.
-        overrides = {part_key: merged_mask for part_key in part_keys}
-
+        bits_of = self._mask_bits
+        merged = bits_of[part_keys[0]]
+        for part_key in part_keys[1:]:
+            merged &= bits_of[part_key]
+        substituted = frozenset(part_keys)
         affected = self._part_terms(part_keys)
-        override = {
-            index: self._term_mask(index, self._mask, overrides)
-            for index in affected
-        }
+        ann_keys = self._term_ann_keys
+        guard_keys = self._term_guard_keys
+        width = self._row_bytes
+        overrides = array("Q")
+        overrides.frombytes(
+            b"".join(
+                self._dead_bits(
+                    ann_keys[index], guard_keys[index], substituted, merged
+                ).to_bytes(width, "little")
+                for index in affected
+            )
+        )
         group_merge = any(part in self._group_terms for part in parts)
-        return part_set, affected, override, group_merge
+        return part_set, affected, overrides, group_merge
 
     def _estimate(self, distance_value: float) -> DistanceEstimate:
         max_error = self.computer.max_error
@@ -534,85 +651,69 @@ class FastStepScorer:
         )
         return estimate
 
-    def _affected_group_indexes(
-        self,
-        parts: FrozenSet[str],
-        marker: str,
-        override: Mapping[int, int],
-        group_merge: bool,
-    ) -> Dict[Optional[str], Sequence[int]]:
-        """Term indexes per group whose aggregate the merge disturbs."""
-        affected_groups: Dict[Optional[str], Sequence[int]] = {}
-        for index in override:
-            group = self._terms[index].group
-            image = marker if group in parts else group
-            affected_groups.setdefault(image, [])
-        if group_merge:
-            merged_indexes: List[int] = []
-            for part in parts:
-                merged_indexes.extend(self._group_terms.get(part, ()))
-            if merged_indexes:
-                if self._is_max:
-                    terms = self._terms
-                    merged_indexes.sort(key=lambda index: -terms[index].value)
-                affected_groups[marker] = merged_indexes
-        for group in list(affected_groups):
-            if group == marker:
-                continue
-            affected_groups[group] = self._group_order[group]
-        return affected_groups
-
     def _recompute_groups(
         self,
         parts: FrozenSet[str],
-        marker: str,
-        override: Mapping[int, WordRow],
+        affected: Sequence[int],
+        overrides: array,
         group_merge: bool,
-    ) -> Dict[Optional[str], List[float]]:
-        """Disturbed groups' columns in one batched kernel call.
+    ) -> Dict[Optional[str], Sequence[float]]:
+        """Disturbed groups' columns in one index-addressed kernel call.
 
-        Equivalent to ``{group: _group_values(indexes, override)}``
-        over ``_affected_group_indexes`` -- the batching amortizes the
-        per-call kernel dispatch across the candidate's groups.
+        A group holding an affected term is refolded with that term's
+        row index pointed at its override row; under a group merge the
+        parts' groups fold as one marker group.  Groups come in
+        first-touched order, the marker's members in part-set order
+        (descending value for MAX).
         """
-        affected = self._affected_group_indexes(
-            parts, marker, override, group_merge
-        )
-        if not affected:
-            return {}
-        dead_of = self._term_dead
+        marker = self._MARKER
         terms = self._terms
-        cache = self._group_mask_cache
-        group_order = self._group_order
-        batched: List[List[MaskedValue]] = []
-        for group, indexes in affected.items():
-            if indexes is group_order.get(group):
-                # Whole-group recompute: copy the cached operand list
-                # and patch just the overridden positions.
-                entry = cache.get(group)
-                if entry is None:
-                    pre = [(terms[i].value, dead_of[i]) for i in indexes]
-                    pos_of = {i: p for p, i in enumerate(indexes)}
-                    cache[group] = entry = (pre, pos_of)
-                pre, pos_of = entry
-                masks: Optional[List[MaskedValue]] = None
-                for i, row in override.items():
-                    position = pos_of.get(i)
-                    if position is not None:
-                        if masks is None:
-                            masks = list(pre)
-                        masks[position] = (terms[i].value, row)
-                batched.append(pre if masks is None else masks)
-            else:
-                # Marker/merged-group index lists are candidate-shaped.
-                batched.append(
-                    [
-                        (terms[i].value, override.get(i, dead_of[i]))
-                        for i in indexes
-                    ]
+        n_terms = len(terms)
+        slots: Dict[Optional[str], List[Tuple[int, int]]] = {}
+        for offset, index in enumerate(affected):
+            group = terms[index].group
+            image = marker if group in parts else group
+            bucket = slots.get(image)
+            if bucket is None:
+                slots[image] = bucket = []
+            bucket.append((index, n_terms + offset))
+        merged: List[int] = []
+        if group_merge:
+            for part in parts:
+                merged.extend(self._group_terms.get(part, ()))
+            if merged:
+                if self._is_max:
+                    merged.sort(key=lambda index: -terms[index].value)
+                slots.setdefault(marker, [])
+        if not slots:
+            return {}
+        index_groups: List[array] = []
+        value_groups: List[array] = []
+        for image, bucket in slots.items():
+            if image == marker:
+                slot_of = dict(bucket)
+                index_groups.append(
+                    array("q", [slot_of.get(index, index) for index in merged])
                 )
-        columns = self._kernel.group_fold(batched, self.n_vals, self._is_max)
-        return dict(zip(affected.keys(), columns))
+                value_groups.append(
+                    array("d", [terms[index].value for index in merged])
+                )
+            else:
+                indexes, values, position_of = self._group_arrays(image)
+                patched = indexes[:]
+                for index, slot in bucket:
+                    patched[position_of[index]] = slot
+                index_groups.append(patched)
+                value_groups.append(values)
+        columns = self._kernel.group_fold(
+            index_groups,
+            self.n_vals,
+            self._is_max,
+            value_groups,
+            self._dead,
+            overrides,
+        )
+        return dict(zip(slots, columns))
 
     def _candidate_size(
         self, parts: FrozenSet[str], affected: Sequence[int]
@@ -631,6 +732,10 @@ class FastStepScorer:
         the keys are built from the step's presorted names with no
         per-candidate sort.  Colliding terms share a key and hence a
         size, so which one is counted first does not matter.
+
+        The exact reference for every size: :meth:`candidate_sizes`
+        serves the common pair shapes from per-name buckets and falls
+        back here for the rest.
         """
         size = self.current.size()
         touched = affected
@@ -671,6 +776,94 @@ class FastStepScorer:
             else:
                 keys.add(key)
         return size
+
+    def _name_buckets(self, name: str) -> Optional[Tuple]:
+        """One name's collision buckets for the pair-size pass.
+
+        Every term mentioning ``name`` goes into the bucket keyed by
+        its sorted names without ``name``, its guards and its group
+        (interned to an int per step).  Returns ``(bucket → term size,
+        dup, partners)``: ``dup`` is the size of the terms identical to
+        an earlier one in the same bucket (only in a non-canonical
+        expression), ``partners`` every name sharing a term with
+        ``name``.  ``None`` when the pass does not cover the name: a
+        group key, a guard annotation, or a name in a term with a
+        repeated name.
+        """
+        info = self._size_info.get(name, False)
+        if info is not False:
+            return info
+        info = None
+        if name not in self._group_terms:
+            terms = self._terms
+            names_of = self._term_names
+            guards_of = self._term_guard_names
+            bucket_ids = self._bucket_ids
+            buckets: Dict[int, int] = {}
+            dup = 0
+            partners: set = set()
+            for index in self._ann_terms.get(self._key(name), ()):
+                names = names_of[index]
+                guards = guards_of[index]
+                if any(name in guard[0] for guard in guards):
+                    break
+                if len(set(names)) != len(names):
+                    break
+                position = names.index(name)
+                bucket = bucket_ids.setdefault(
+                    (
+                        names[:position] + names[position + 1:],
+                        guards,
+                        terms[index].group,
+                    ),
+                    len(bucket_ids),
+                )
+                size = terms[index].size()
+                if bucket in buckets:
+                    dup += size
+                else:
+                    buckets[bucket] = size
+                partners.update(names)
+            else:
+                info = (buckets, dup, partners)
+        self._size_info[name] = info
+        return info
+
+    def candidate_sizes(
+        self, parts_list: Sequence[Sequence[str]]
+    ) -> Tuple[List[int], int]:
+        """Exact post-merge sizes of many candidates in one pass.
+
+        Under a pair merge ``{a, b}`` whose parts are plain monomial
+        names (no group key, no guard, no repeated name) in disjoint
+        terms, a term mentioning ``a`` collides with one mentioning
+        ``b`` exactly when both sit in one bucket of
+        :meth:`_name_buckets`, so ``size(a, b) = size − pair[a, b] −
+        dup[a] − dup[b]``.  Every other candidate is served by the
+        reference :meth:`_candidate_size`.  Returns the sizes, in
+        order, and how many took the reference.
+        """
+        size = self.current.size()
+        sizes: List[int] = []
+        fallback = 0
+        buckets_of = self._name_buckets
+        for parts in parts_list:
+            if len(parts) == 2:
+                first = buckets_of(parts[0])
+                second = buckets_of(parts[1]) if first is not None else None
+                if second is not None and parts[1] not in first[2]:
+                    small, large = first[0], second[0]
+                    if len(large) < len(small):
+                        small, large = large, small
+                    pair = 0
+                    for bucket, term_size in small.items():
+                        if bucket in large:
+                            pair += term_size
+                    sizes.append(size - pair - first[1] - second[1])
+                    continue
+            fallback += 1
+            sizes.append(self.candidate_size(parts))
+        return sizes, fallback
 
 
     # -- sparse state ------------------------------------------------------------
@@ -800,9 +993,11 @@ class FastStepScorer:
         float64 columns in one kernel call.
         """
         marker = self._MARKER
-        part_set, affected, override, group_merge = self._candidate_state(parts)
+        part_set, affected, overrides, group_merge = self._candidate_state(
+            parts
+        )
         recomputed = self._recompute_groups(
-            part_set, marker, override, group_merge
+            part_set, affected, overrides, group_merge
         )
         excluded = list(part_set)
         excluded.extend(
@@ -856,16 +1051,11 @@ class FastStepScorer:
         verbatim, so the candidate's collisions are unchanged and its
         size shifts by exactly ``last_size_shift`` (given
         ``last_shift_local``).  Sharing an aggregate group with the
-        merge moves the candidate's *distance*, not its size.
+        merge moves the candidate's *distance*, not its size.  A part
+        names such a term exactly when it is one of the affected terms'
+        names or groups, collected once per step by :meth:`advance`.
         """
-        affected = self.last_affected_terms
-        key = self._key
-        for name in parts:
-            if not affected.isdisjoint(self._ann_terms.get(key(name), ())):
-                return True
-            if not affected.isdisjoint(self._group_terms.get(name, ())):
-                return True
-        return False
+        return not self._last_touched.isdisjoint(parts)
 
     def _fold_orig(self, index: int, keys: FrozenSet[str]) -> float:
         """Fold the aligned original values of ``keys`` (group merge).
@@ -911,19 +1101,29 @@ class FastStepScorer:
         old_unaffected_size = self.current.size() - sum(
             self._terms[index].size() for index in old_affected
         )
-        # Fresh ``array('Q')`` (fold_and always copies): the merged row
-        # stays valid after the part rows' backing table is dropped.
-        merged_mask = self._kernel.fold_and(
-            [self._mask[key(name)] for name in parts]
-        )
+        bits_of = self._mask_bits
+        merged = bits_of[key(parts[0])]
+        for name in parts[1:]:
+            merged &= bits_of[key(name)]
         for name in parts:
             del self._mask[key(name)]
-        self._mask[new_key] = merged_mask
+            del bits_of[key(name)]
+        # A fresh row: it stays valid after the part rows' backing
+        # table is dropped.
+        self._mask[new_key] = array(
+            "Q", merged.to_bytes(self._row_bytes, "little")
+        )
+        bits_of[new_key] = merged
+        runs = self._carried_runs(parts, new_name, new_expression)
+        old_order = self._group_order
         self.current = new_expression
         self.mapping = new_mapping
-
-        # Terms, dead masks and indexes: O(#terms) integer work.
-        self._build_terms()
+        if runs is None:
+            # A collapse outside the neighborhood moved carried terms:
+            # rebuild every term.
+            self._build_terms()
+        else:
+            self._set_terms(runs, old_order)
 
         new_unaffected_size = new_expression.size() - sum(
             self._terms[index].size()
@@ -931,26 +1131,30 @@ class FastStepScorer:
         )
         self.last_shift_local = old_unaffected_size == new_unaffected_size
 
-        # Group baselines: recompute the neighborhood, carry the rest.
-        touched_groups = {
-            self._terms[index].group
-            for index in self._ann_terms.get(new_key, ())
-        }
-        if new_name in self._group_terms:
-            touched_groups.add(new_name)
-        baseline: Dict[Optional[str], List[float]] = {}
-        for group, indexes in self._group_order.items():
-            carried = self._baseline.get(group)
-            if carried is None or group in touched_groups:
-                baseline[group] = self._group_values(indexes)
-            else:
-                baseline[group] = carried
-        self._baseline = baseline
-
-        # The merge's neighborhood (for the engine's candidate carry).
+        # The merge's neighborhood: the terms it rewrote (for the
+        # engine's candidate carry) and their groups, whose baselines
+        # are refolded in one kernel call; the rest carry.
         affected_terms = set(self._ann_terms.get(new_key, ()))
         affected_terms.update(self._group_terms.get(new_name, ()))
         self.last_affected_terms = affected_terms
+        terms = self._terms
+        touched_groups = {terms[index].group for index in affected_terms}
+        touched_names = set(touched_groups)
+        for index in affected_terms:
+            touched_names.update(terms[index].all_annotation_names())
+        self._last_touched = frozenset(touched_names)
+        refolded = self._fold_groups(
+            [
+                group
+                for group in self._group_order
+                if group in touched_groups or group not in self._baseline
+            ]
+        )
+        carried = self._baseline
+        self._baseline = {
+            group: refolded[group] if group in refolded else carried[group]
+            for group in self._group_order
+        }
 
         # Aligned originals: refold only the keys whose image changed.
         changed = {
@@ -977,3 +1181,48 @@ class FastStepScorer:
         # originals all moved; the columnar mirrors must follow.
         self._drop_sparse_columns()
         self.steps_carried += 1
+
+    def _carried_runs(
+        self,
+        parts: Sequence[str],
+        new_name: str,
+        new_expression: TensorSum,
+    ) -> Optional[List[Tuple[Optional[int], int]]]:
+        """Where each new term comes from, as runs over the old terms.
+
+        ``apply_mapping`` keeps term order and folds a collapsed term
+        into its first occurrence, so the new terms are the old ones in
+        order, minus the rewritten terms whose renamed key repeats an
+        earlier one.  Returns ``(old start, count)`` runs of carried
+        terms and ``(None, 1)`` for each rewritten term to recompute,
+        or ``None`` when the walk does not account for every new term
+        (a collapse among terms the merge did not rewrite).
+        """
+        key = self._key
+        rewritten = set()
+        for name in parts:
+            rewritten.update(self._ann_terms.get(key(name), ()))
+            rewritten.update(self._group_terms.get(name, ()))
+        step = {name: new_name for name in parts}
+        runs: List[Tuple[Optional[int], int]] = []
+        seen: set = set()
+        start = 0
+        n_new = 0
+        for index in sorted(rewritten):
+            if index > start:
+                runs.append((start, index - start))
+                n_new += index - start
+            renamed = self._terms[index].rename(step)
+            congruence = (renamed.annotations, renamed.guards, renamed.group)
+            if congruence not in seen:
+                seen.add(congruence)
+                runs.append((None, 1))
+                n_new += 1
+            start = index + 1
+        n_old = len(self._terms)
+        if start < n_old:
+            runs.append((start, n_old - start))
+            n_new += n_old - start
+        if n_new != len(new_expression.terms):
+            return None
+        return runs

@@ -5,9 +5,9 @@ The bit-packed scorers funnel their hot folds through one active
 
 * ``python`` -- the reference backend: the exact loops the scorers ran
   inline before this tier existed, re-expressed over packed word rows.
-* ``native`` -- a small C shared library (hardware popcount, unrolled
-  AND/OR folds) over the same ``array('Q')`` buffers, compiled on
-  demand and driven via ctypes (see
+* ``native`` -- a small C shared library (mask scatter, group folds
+  by row index, sparse scoring, hardware popcount) over the same
+  ``array('Q')`` buffers, compiled on demand and driven via ctypes (see
   :mod:`repro.core.kernels.native_backend`).
 
 The env knob is read once at import.  ``auto`` (the default; an empty

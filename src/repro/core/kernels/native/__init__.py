@@ -28,23 +28,17 @@ _ptr = ctypes.c_void_p
 
 _SIGNATURES = {
     "prox_scatter": (None, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64]),
-    "prox_fold_and": (None, [_ptr, _ptr, _i64, _i64]),
-    "prox_fold_or": (None, [_ptr, _ptr, _i64, _i64]),
-    "prox_fold_not": (None, [_ptr, _ptr, _i64, _u64]),
     "prox_popcount": (_i64, [_ptr, _i64]),
     "prox_popcount_blocks": (None, [_ptr, _i64, _ptr]),
-    "prox_fold_max": (
+    "prox_fold_max_indexed": (
         None,
-        [_ptr, _ptr, _ptr, _i64, _i64, _u64, _ptr, _ptr],
+        [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _u64, _ptr, _ptr,
+         _ptr, _i64, _ptr],
     ),
-    "prox_fold_sum": (None, [_ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
-    "prox_fold_max_groups": (
+    "prox_fold_sum_indexed": (
         None,
-        [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _u64, _ptr, _ptr],
-    ),
-    "prox_fold_sum_groups": (
-        None,
-        [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr],
+        [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr, _i64,
+         _ptr],
     ),
     "prox_sparse_scores": (
         _f64,

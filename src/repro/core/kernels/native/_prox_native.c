@@ -44,54 +44,6 @@ API void prox_scatter(
 
 /* -- packed word-row algebra ------------------------------------------- */
 
-API void prox_fold_and(
-    uint64_t *acc, const uint64_t *const *rows,
-    int64_t n_rows, int64_t n_words)
-{
-    for (int64_t r = 1; r < n_rows; r++) {
-        const uint64_t *row = rows[r];
-        int64_t w = 0;
-        for (; w + 4 <= n_words; w += 4) {
-            acc[w] &= row[w];
-            acc[w + 1] &= row[w + 1];
-            acc[w + 2] &= row[w + 2];
-            acc[w + 3] &= row[w + 3];
-        }
-        for (; w < n_words; w++)
-            acc[w] &= row[w];
-    }
-}
-
-API void prox_fold_or(
-    uint64_t *acc, const uint64_t *const *rows,
-    int64_t n_rows, int64_t n_words)
-{
-    for (int64_t r = 1; r < n_rows; r++) {
-        const uint64_t *row = rows[r];
-        int64_t w = 0;
-        for (; w + 4 <= n_words; w += 4) {
-            acc[w] |= row[w];
-            acc[w + 1] |= row[w + 1];
-            acc[w + 2] |= row[w + 2];
-            acc[w + 3] |= row[w + 3];
-        }
-        for (; w < n_words; w++)
-            acc[w] |= row[w];
-    }
-}
-
-/* Complement with the final word clamped by tail_mask (all-ones when
- * n_vals is a multiple of 64). */
-API void prox_fold_not(
-    uint64_t *out, const uint64_t *words,
-    int64_t n_words, uint64_t tail_mask)
-{
-    for (int64_t w = 0; w < n_words; w++)
-        out[w] = ~words[w];
-    if (n_words)
-        out[n_words - 1] &= tail_mask;
-}
-
 API int64_t prox_popcount(const uint64_t *words, int64_t n_words)
 {
     int64_t total = 0;
@@ -113,105 +65,99 @@ API void prox_popcount_blocks(
         out[w] = __builtin_popcountll(words[w]);
 }
 
-/* -- dead-mask folds ---------------------------------------------------- */
+/* -- grouped dead-mask folds by row index ------------------------------- */
 
-/* Per-position MAX.  out must arrive zeroed; remaining is caller
- * scratch of n_words words, overwritten.  wanted may be NULL (fold
- * everything); tail_mask clamps the initial remaining row. */
-API void prox_fold_max(
-    double *out, const double *values, const uint64_t *const *dead,
-    int64_t n_terms, int64_t n_words, uint64_t tail_mask,
-    const uint64_t *wanted, uint64_t *remaining)
+/* The dead row a fold operand names: rows [0, n_base) of the base
+ * table, then the override table (index n_base + j is its row j). */
+static inline const uint64_t *row_at(
+    const uint64_t *table, int64_t n_base, const uint64_t *over,
+    int64_t n_words, int64_t index)
 {
-    int64_t alive_words = 0;
-    for (int64_t w = 0; w < n_words; w++) {
-        uint64_t word = wanted ? wanted[w] : ~0ULL;
-        if (w == n_words - 1)
-            word &= tail_mask;
-        remaining[w] = word;
-        if (word)
-            alive_words++;
-    }
-    for (int64_t t = 0; t < n_terms && alive_words; t++) {
-        double value = values[t];
-        const uint64_t *row = dead[t];
+    if (index < n_base)
+        return table + index * n_words;
+    return over + (index - n_base) * n_words;
+}
+
+/* Several group folds in a single call.  Group g folds the rows
+ * index_flat[group_off[g] .. group_off[g+1]) with the matching
+ * values_flat entries and writes out[g * n_vals ..).  The caller
+ * checks every index.
+ *
+ * MAX: out must arrive zeroed; remaining is n_words of caller scratch.
+ * Each position takes the first value whose dead row leaves it alive
+ * (operands arrive in descending value order); wanted may be NULL
+ * (fold everything); tail_mask clamps the initial remaining row. */
+API void prox_fold_max_indexed(
+    double *out, const double *values_flat, const int64_t *index_flat,
+    const int64_t *group_off, int64_t n_groups, int64_t n_vals,
+    int64_t n_words, uint64_t tail_mask, const uint64_t *wanted,
+    uint64_t *remaining, const uint64_t *table, int64_t n_base,
+    const uint64_t *over)
+{
+    for (int64_t g = 0; g < n_groups; g++) {
+        double *column = out + g * n_vals;
+        int64_t alive_words = 0;
         for (int64_t w = 0; w < n_words; w++) {
-            uint64_t rem = remaining[w];
-            if (!rem)
-                continue;
-            uint64_t alive = rem & ~row[w];
-            int64_t base = w << 6;
-            while (alive) {
-                out[base + __builtin_ctzll(alive)] = value;
-                alive &= alive - 1;
+            uint64_t word = wanted ? wanted[w] : ~0ULL;
+            if (w == n_words - 1)
+                word &= tail_mask;
+            remaining[w] = word;
+            if (word)
+                alive_words++;
+        }
+        for (int64_t t = group_off[g]; t < group_off[g + 1] && alive_words;
+             t++) {
+            double value = values_flat[t];
+            const uint64_t *row = row_at(table, n_base, over, n_words,
+                                         index_flat[t]);
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t rem = remaining[w];
+                if (!rem)
+                    continue;
+                uint64_t alive = rem & ~row[w];
+                int64_t base = w << 6;
+                while (alive) {
+                    column[base + __builtin_ctzll(alive)] = value;
+                    alive &= alive - 1;
+                }
+                rem &= row[w];
+                remaining[w] = rem;
+                if (!rem)
+                    alive_words--;
             }
-            rem &= row[w];
-            remaining[w] = rem;
-            if (!rem)
-                alive_words--;
         }
     }
 }
 
-/* Per-position SUM: every position starts from the left-to-right term
+/* SUM: every position starts from the group's left-to-right term
  * total; each term subtracts at its dead positions in term order.
  * limit is the wanted row (or the full row), already tail-clamped. */
-API void prox_fold_sum(
-    double *out, const double *values, const uint64_t *const *dead,
-    int64_t n_terms, int64_t n_words, int64_t n_vals,
-    const uint64_t *limit)
+API void prox_fold_sum_indexed(
+    double *out, const double *values_flat, const int64_t *index_flat,
+    const int64_t *group_off, int64_t n_groups, int64_t n_vals,
+    int64_t n_words, const uint64_t *limit, const uint64_t *table,
+    int64_t n_base, const uint64_t *over)
 {
-    double total = 0.0;
-    for (int64_t t = 0; t < n_terms; t++)
-        total += values[t];
-    for (int64_t i = 0; i < n_vals; i++)
-        out[i] = total;
-    for (int64_t t = 0; t < n_terms; t++) {
-        double value = values[t];
-        const uint64_t *row = dead[t];
-        for (int64_t w = 0; w < n_words; w++) {
-            uint64_t bits = row[w] & limit[w];
-            int64_t base = w << 6;
-            while (bits) {
-                out[base + __builtin_ctzll(bits)] -= value;
-                bits &= bits - 1;
+    for (int64_t g = 0; g < n_groups; g++) {
+        double *column = out + g * n_vals;
+        double total = 0.0;
+        for (int64_t t = group_off[g]; t < group_off[g + 1]; t++)
+            total += values_flat[t];
+        for (int64_t i = 0; i < n_vals; i++)
+            column[i] = total;
+        for (int64_t t = group_off[g]; t < group_off[g + 1]; t++) {
+            double value = values_flat[t];
+            const uint64_t *row = row_at(table, n_base, over, n_words,
+                                         index_flat[t]);
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t bits = row[w] & limit[w];
+                int64_t base = w << 6;
+                while (bits) {
+                    column[base + __builtin_ctzll(bits)] -= value;
+                    bits &= bits - 1;
+                }
             }
         }
-    }
-}
-
-/* -- grouped folds ------------------------------------------------------ */
-
-/* All of one candidate's group folds in a single call.  Group g owns
- * operands [group_off[g], group_off[g+1]) of the flattened values /
- * dead-pointer arrays and writes out[g * n_vals ..); each group's
- * output is bit-identical to its standalone prox_fold_max.  out must
- * arrive zeroed; remaining is n_words of caller scratch. */
-API void prox_fold_max_groups(
-    double *out, const double *values_flat,
-    const uint64_t *const *dead_flat, const int64_t *group_off,
-    int64_t n_groups, int64_t n_vals, int64_t n_words,
-    uint64_t tail_mask, const uint64_t *wanted, uint64_t *remaining)
-{
-    for (int64_t g = 0; g < n_groups; g++) {
-        int64_t start = group_off[g];
-        prox_fold_max(out + g * n_vals, values_flat + start,
-                      dead_flat + start, group_off[g + 1] - start,
-                      n_words, tail_mask, wanted, remaining);
-    }
-}
-
-API void prox_fold_sum_groups(
-    double *out, const double *values_flat,
-    const uint64_t *const *dead_flat, const int64_t *group_off,
-    int64_t n_groups, int64_t n_vals, int64_t n_words,
-    const uint64_t *limit)
-{
-    for (int64_t g = 0; g < n_groups; g++) {
-        int64_t start = group_off[g];
-        prox_fold_sum(out + g * n_vals, values_flat + start,
-                      dead_flat + start, group_off[g + 1] - start,
-                      n_words, n_vals, limit);
     }
 }
 

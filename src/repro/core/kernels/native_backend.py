@@ -7,12 +7,24 @@ the toolchain is absent -- the resolution layer catches that and
 degrades to python with a structured ``kernel_fallback``.
 
 The class subclasses the python reference and overrides only the ops
-the C library accelerates; everything else (``merge_monomials``, the
-default ``baseline_scatter`` loop) inherits the reference behavior,
+the C library accelerates on a scoring path -- ``scatter_false_sets``,
+``group_fold``, ``sparse_scores``, ``weighted_moments`` and the
+popcounts; everything else (the per-list ``fold_max``/``fold_sum``,
+the word-row combinators, ``merge_monomials``, the default
+``baseline_scatter`` loop) inherits the reference behavior,
 which keeps the bit-identity argument local to the overridden ops.
 All double arithmetic in the library is straight IEEE (compiled with
 ``-ffp-contract=off``), so the C operation sequence per output
 position is the reference's.
+
+Operands cross the boundary as raw buffer addresses taken per call
+(``array.buffer_info``, or a view pinned for the call; anything else
+is copied into a fresh array first).  The hot op,
+:meth:`NativeKernel.group_fold`, takes the scorer's whole dead-row
+table plus a small override table and names rows by index, so one
+call passes two table addresses and one packed index array instead of
+an address per operand row -- no address memo, and nothing pinned
+beyond the call.
 """
 
 from __future__ import annotations
@@ -23,16 +35,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .masktable import MaskTable, WORD_MASK, clamp_row, full_row, words_for
 from .native import load_library
-from .protocol import MaskedValue, WordRow
+from .protocol import WordRow
 from .reference import PythonKernel
 
 _KIND_CODES = {"sqdiff": 0, "absdiff": 1, "isclose01": 2}
-
-#: Below this many words the pure-python word loop beats the ctypes
-#: dispatch glue for the bitwise combinators (measured crossover ~8
-#: words); bitwise integer ops are exact, so the result is identical
-#: either way.
-_SMALL_WORDS = 8
 
 
 def _tail_mask(n_vals: int) -> int:
@@ -41,25 +47,12 @@ def _tail_mask(n_vals: int) -> int:
 
 
 class NativeKernel(PythonKernel):
-    """Hardware popcount and unrolled word folds over ``array('Q')``."""
+    """Hardware popcount and index-addressed group folds in C."""
 
     name = "native"
 
-    #: Entries kept in the operand-address memo before it is dropped
-    #: wholesale; a step touches a few hundred distinct operand rows,
-    #: so the cap only trips after many steps' worth of churn.
-    _MEMO_CAP = 8192
-
     def __init__(self, lib: Optional[ctypes.CDLL] = None):
         self._lib = lib if lib is not None else load_library()
-        # id(obj) → (obj, pin, address).  Safe to key by id because the
-        # memo holds a strong reference to every cached operand: a live
-        # entry's id cannot be recycled, and the pinned address always
-        # points into the operand's live buffer (never a copy), so
-        # in-place mutation stays visible.  Callers must not resize
-        # cached operands (array reallocation would move the buffer) --
-        # the scorers never do.
-        self._addr_memo: dict = {}
 
     # -- buffer plumbing -----------------------------------------------------
 
@@ -93,45 +86,6 @@ class NativeKernel(PythonKernel):
         ptrs = (ctypes.c_void_p * max(1, len(buffers)))()
         for index, buf in enumerate(buffers):
             ptrs[index] = cls._addr(buf, keep, typecode)
-        return ptrs
-
-    def _addr_memoized(self, buf, keep: list, typecode: str) -> int:
-        """Address of a step-stable operand, pinned across calls.
-
-        Candidate scoring passes the same dead rows and cached columns
-        hundreds of times per step; memoizing their addresses (with the
-        owner strongly held) turns the per-call buffer glue into a dict
-        hit.  Only used for operands the scorers reuse -- per-candidate
-        scratch goes through :meth:`_addr` so the memo stays bounded.
-        Sources that would need a copy (read-only views, plain lists)
-        cannot stay coherent under mutation and take the uncached path.
-        """
-        memo = self._addr_memo
-        entry = memo.get(id(buf))
-        if entry is not None:
-            return entry[2]
-        if isinstance(buf, array):
-            pin: object = None
-            address = buf.buffer_info()[0]
-        elif isinstance(buf, memoryview) and not buf.readonly:
-            pin = (ctypes.c_ubyte * buf.nbytes).from_buffer(buf)
-            address = ctypes.addressof(pin)
-        else:
-            return self._addr(buf, keep, typecode)
-        if len(memo) >= self._MEMO_CAP:
-            # Addresses handed out earlier in this same call must
-            # outlive the eviction: park the evicted pins on the
-            # caller's keep list before dropping them from the memo.
-            keep.append(list(memo.values()))
-            memo.clear()
-        memo[id(buf)] = (buf, pin, address)
-        return address
-
-    def _ptr_array_memoized(self, buffers, keep: list, typecode: str):
-        ptrs = (ctypes.c_void_p * max(1, len(buffers)))()
-        addr = self._addr_memoized
-        for index, buf in enumerate(buffers):
-            ptrs[index] = addr(buf, keep, typecode)
         return ptrs
 
     # -- mask construction ---------------------------------------------------
@@ -174,72 +128,22 @@ class NativeKernel(PythonKernel):
 
     # -- dead-mask folds -----------------------------------------------------
 
-    def fold_max(
-        self,
-        masks: Sequence[MaskedValue],
-        n_vals: int,
-        wanted: Optional[WordRow] = None,
-    ) -> List[float]:
-        if not n_vals:
-            return []
-        n_words = words_for(n_vals)
-        out = array("d", bytes(8 * n_vals))
-        keep: list = []
-        values = array("d", (value for value, _ in masks))
-        dead = self._ptr_array([row for _, row in masks], keep, "Q")
-        scratch = array("Q", bytes(8 * n_words))
-        self._lib.prox_fold_max(
-            out.buffer_info()[0],
-            values.buffer_info()[0],
-            dead,
-            len(masks),
-            n_words,
-            _tail_mask(n_vals),
-            None if wanted is None else self._addr(wanted, keep, "Q"),
-            scratch.buffer_info()[0],
-        )
-        return out.tolist()
-
-    def fold_sum(
-        self,
-        masks: Sequence[MaskedValue],
-        n_vals: int,
-        wanted: Optional[WordRow] = None,
-    ) -> List[float]:
-        if not n_vals:
-            return []
-        n_words = words_for(n_vals)
-        out = array("d", bytes(8 * n_vals))
-        keep: list = []
-        values = array("d", (value for value, _ in masks))
-        dead = self._ptr_array([row for _, row in masks], keep, "Q")
-        limit = (
-            full_row(n_vals)
-            if wanted is None
-            else clamp_row(array("Q", wanted), n_vals)
-        )
-        self._lib.prox_fold_sum(
-            out.buffer_info()[0],
-            values.buffer_info()[0],
-            dead,
-            len(masks),
-            n_words,
-            n_vals,
-            limit.buffer_info()[0],
-        )
-        return out.tolist()
-
     def group_fold(
         self,
-        groups: Sequence[Sequence[MaskedValue]],
+        groups: Sequence[Sequence[int]],
         n_vals: int,
         is_max: bool,
+        values: Sequence[Sequence[float]],
+        table: WordRow,
+        overrides: Optional[WordRow] = None,
         wanted: Optional[WordRow] = None,
-    ) -> List[List[float]]:
-        """All of a candidate's group folds in one library call.
+    ) -> List[Sequence[float]]:
+        """Several group folds in one library call, rows by index.
 
-        The flattened operands cross the ctypes boundary once instead
-        of once per group -- at small word counts the dispatch glue
+        The per-group index and value arrays are concatenated (a
+        memcpy each for ``array`` operands) and cross the ctypes
+        boundary once with the two table addresses; the C side gathers
+        each row by its index.  At small word counts the dispatch glue
         dominates the fold itself, so this is the hot scoring path.
         """
         if not groups:
@@ -247,26 +151,37 @@ class NativeKernel(PythonKernel):
         if not n_vals:
             return [[] for _ in groups]
         n_groups = len(groups)
+        if len(values) != n_groups:
+            raise ValueError("group_fold needs one value column per group")
         n_words = words_for(n_vals)
-        values = array("d")
-        rows: List[WordRow] = []
+        indexes = array("q")
+        flat_values = array("d")
         group_off = array("q", bytes(8 * (n_groups + 1)))
-        for index, masks in enumerate(groups):
-            for value, row in masks:
-                values.append(value)
-                rows.append(row)
-            group_off[index + 1] = len(rows)
-        out = array("d", bytes(8 * n_groups * n_vals))
+        for position, (rows, column) in enumerate(zip(groups, values)):
+            if len(rows) != len(column):
+                raise ValueError("group_fold needs one value per row index")
+            indexes.extend(rows)
+            flat_values.extend(column)
+            group_off[position + 1] = len(indexes)
         keep: list = []
-        # Dead rows are step-stable scorer state (override rows excepted,
-        # which the uncached fallback inside the memo handles): memoize.
-        dead = self._ptr_array_memoized(rows, keep, "Q")
+        n_base = len(table) // n_words
+        n_rows = n_base
+        over = None
+        if overrides is not None:
+            n_rows += len(overrides) // n_words
+            over = self._addr(overrides, keep, "Q")
+        # The C side gathers unchecked: an index outside both tables
+        # must raise here, not read foreign memory.
+        if indexes and not (0 <= min(indexes) and max(indexes) < n_rows):
+            raise IndexError(f"row index outside {n_rows} rows")
+        out = array("d", bytes(8 * n_groups * n_vals))
+        base = self._addr(table, keep, "Q")
         if is_max:
             scratch = array("Q", bytes(8 * n_words))
-            self._lib.prox_fold_max_groups(
+            self._lib.prox_fold_max_indexed(
                 out.buffer_info()[0],
-                values.buffer_info()[0],
-                dead,
+                flat_values.buffer_info()[0],
+                indexes.buffer_info()[0],
                 group_off.buffer_info()[0],
                 n_groups,
                 n_vals,
@@ -274,6 +189,9 @@ class NativeKernel(PythonKernel):
                 _tail_mask(n_vals),
                 None if wanted is None else self._addr(wanted, keep, "Q"),
                 scratch.buffer_info()[0],
+                base,
+                n_base,
+                over,
             )
         else:
             limit = (
@@ -281,15 +199,18 @@ class NativeKernel(PythonKernel):
                 if wanted is None
                 else clamp_row(array("Q", wanted), n_vals)
             )
-            self._lib.prox_fold_sum_groups(
+            self._lib.prox_fold_sum_indexed(
                 out.buffer_info()[0],
-                values.buffer_info()[0],
-                dead,
+                flat_values.buffer_info()[0],
+                indexes.buffer_info()[0],
                 group_off.buffer_info()[0],
                 n_groups,
                 n_vals,
                 n_words,
                 limit.buffer_info()[0],
+                base,
+                n_base,
+                over,
             )
         # array('d') slices, not lists: the columns feed straight back
         # into sparse_scores, whose _addr takes the buffer_info fast
@@ -314,24 +235,23 @@ class NativeKernel(PythonKernel):
         if not n_vals:
             return 0.0
         keep: list = []
-        # base / minus / originals / weights are the scorer's cached
-        # step-stable columns; the recomputed values are per-candidate
-        # scratch and stay on the uncached path.
-        minus_ptrs = self._ptr_array_memoized(minus, keep, "d")
-        orig_ptrs = self._ptr_array_memoized(
+        # The scorers pass array('d') columns throughout, so every
+        # address is a buffer_info read (no copy).
+        minus_ptrs = self._ptr_array(minus, keep, "d")
+        orig_ptrs = self._ptr_array(
             [originals for originals, _ in contribs], keep, "d"
         )
         vals_ptrs = self._ptr_array(
             [values for _, values in contribs], keep, "d"
         )
         total = self._lib.prox_sparse_scores(
-            self._addr_memoized(base, keep, "d"),
+            self._addr(base, keep, "d"),
             minus_ptrs,
             len(minus),
             orig_ptrs,
             vals_ptrs,
             len(contribs),
-            self._addr_memoized(weights, keep, "d"),
+            self._addr(weights, keep, "d"),
             n_vals,
             kind_code,
         )
@@ -354,47 +274,6 @@ class NativeKernel(PythonKernel):
         return out3[0], out3[1], out3[2]
 
     # -- packed word-row algebra ---------------------------------------------
-
-    def fold_and(self, vectors: Sequence[WordRow]) -> array:
-        if not vectors:
-            raise ValueError("fold_and requires at least one vector")
-        if len(vectors[0]) < _SMALL_WORDS:
-            return super().fold_and(vectors)
-        acc = array("Q", vectors[0])
-        if len(vectors) > 1 and len(acc):
-            keep: list = []
-            ptrs = self._ptr_array(vectors, keep, "Q")
-            self._lib.prox_fold_and(
-                acc.buffer_info()[0], ptrs, len(vectors), len(acc)
-            )
-        return acc
-
-    def fold_or(self, vectors: Sequence[WordRow]) -> array:
-        if not vectors:
-            raise ValueError("fold_or requires at least one vector")
-        if len(vectors[0]) < _SMALL_WORDS:
-            return super().fold_or(vectors)
-        acc = array("Q", vectors[0])
-        if len(vectors) > 1 and len(acc):
-            keep: list = []
-            ptrs = self._ptr_array(vectors, keep, "Q")
-            self._lib.prox_fold_or(
-                acc.buffer_info()[0], ptrs, len(vectors), len(acc)
-            )
-        return acc
-
-    def fold_not(self, words: WordRow, n_vals: int) -> array:
-        n_words = words_for(n_vals)
-        out = array("Q", bytes(8 * n_words))
-        if n_words:
-            keep: list = []
-            self._lib.prox_fold_not(
-                out.buffer_info()[0],
-                self._addr(words, keep, "Q"),
-                n_words,
-                _tail_mask(n_vals),
-            )
-        return out
 
     def popcount_blocks(self, words: WordRow) -> List[int]:
         n_words = len(words)

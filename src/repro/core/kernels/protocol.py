@@ -11,11 +11,13 @@ runs:
   scatter lifted false sets into a contiguous :class:`MaskTable`
   (the per-step precomputation of ``_build_masks``).
 * :meth:`~KernelBackend.fold_max` / :meth:`~KernelBackend.fold_sum` --
-  per-position group aggregates from ``(value, dead-row)`` term lists
-  (the inner loop of ``FastStepScorer._group_values``).
-* :meth:`~KernelBackend.baseline_scatter` -- the per-group baseline
-  fold over every group at once (step precomputation), so a backend
-  can share unpacked mask state across groups.
+  per-position group aggregates from ``(value, dead-row)`` term lists.
+* :meth:`~KernelBackend.group_fold` -- several group aggregates at
+  once, each group naming its rows by index into the scorer's
+  dead-row table (plus a per-candidate override table): candidate
+  scoring, step baselines and ``advance`` refolds.
+* :meth:`~KernelBackend.baseline_scatter` -- the per-group fold over
+  ``(value, dead-row)`` lists of many keyed groups at once.
 * :meth:`~KernelBackend.sparse_scores` -- the per-candidate sparse
   accumulation (base − excluded columns + recomputed contribs,
   finished, weighted and summed) for the VAL-FUNCs tagged with a
@@ -48,7 +50,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .masktable import MaskTable, WordRow
+from .masktable import MaskTable, WordRow, words_for
 
 #: ``(term value, packed dead-mask word row)`` -- one fold operand.
 MaskedValue = Tuple[float, WordRow]
@@ -141,24 +143,64 @@ class KernelBackend:
 
     def group_fold(
         self,
-        groups: Sequence[Sequence[MaskedValue]],
+        groups: Sequence[Sequence[int]],
         n_vals: int,
         is_max: bool,
+        values: Sequence[Sequence[float]],
+        table: WordRow,
+        overrides: Optional[WordRow] = None,
         wanted: Optional[WordRow] = None,
     ) -> List[Sequence[float]]:
-        """All of one candidate's group folds in a single call.
+        """Several group folds over one dead-row table, by row index.
 
-        Semantically ``[fold(masks, n_vals, wanted) for masks in
-        groups]`` with the fold picked by ``is_max``.  Candidate
-        scoring recomputes a handful of disturbed groups per candidate;
-        batching them through one kernel call amortizes the per-call
-        dispatch cost that dominates at small word counts.  Each
-        group's column must equal its standalone fold bit for bit;
-        backends may return any indexable float sequence (the native
-        backend hands back ``array('d')`` slices).
+        ``table`` holds ``n_base`` packed rows back to back
+        (``n_base = len(table) // words_for(n_vals)``); ``overrides``
+        holds more rows, addressed as ``n_base``, ``n_base + 1``, ...
+        Group ``g`` folds the rows ``groups[g]`` names, in order, with
+        ``values[g][k]`` the value of row ``groups[g][k]``: semantically
+        ``fold([(values[g][k], row(groups[g][k])) ...], n_vals,
+        wanted)`` with the fold picked by ``is_max``, so MAX groups
+        must list their rows in descending value order.  Candidate
+        scoring refolds a handful of disturbed groups per candidate and
+        the scorer's ``advance`` refolds the merge's groups; batching
+        them through one call amortizes the per-call dispatch cost that
+        dominates at small word counts.  Each column must equal its
+        standalone fold bit for bit; backends may return any indexable
+        float sequence (the native backend hands back ``array('d')``
+        slices).  A row index outside both tables raises
+        ``IndexError``; a value column whose length differs from its
+        index sequence raises ``ValueError``.
         """
+        if len(values) != len(groups) or any(
+            len(indexes) != len(column)
+            for indexes, column in zip(groups, values)
+        ):
+            raise ValueError("group_fold needs one value per row index")
+        n_words = words_for(n_vals)
+        if not n_words:
+            return [[] for _ in groups]
+        n_base = len(table) // n_words
+        n_rows = n_base
+        if overrides is not None:
+            n_rows += len(overrides) // n_words
+
+        def row(index: int) -> WordRow:
+            if not 0 <= index < n_rows:
+                raise IndexError(f"row index {index} outside {n_rows} rows")
+            if index < n_base:
+                return table[index * n_words : (index + 1) * n_words]
+            index -= n_base
+            return overrides[index * n_words : (index + 1) * n_words]
+
         fold = self.fold_max if is_max else self.fold_sum
-        return [fold(masks, n_vals, wanted) for masks in groups]
+        return [
+            fold(
+                [(value, row(index)) for index, value in zip(indexes, column)],
+                n_vals,
+                wanted,
+            )
+            for indexes, column in zip(groups, values)
+        ]
 
     # -- sparse candidate scoring --------------------------------------------
 

@@ -53,11 +53,10 @@ preconditions fail.
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Dict, List, Optional
 
 from ..provenance.annotations import AnnotationUniverse
-from ..provenance.tensor_sum import TensorSum, Term
+from ..provenance.tensor_sum import TensorSum
 from ..provenance.valuation_classes import ValuationClass
 from .combiners import DomainCombiners
 from .distance import DistanceComputer, DistanceEstimate
@@ -105,13 +104,6 @@ class SampledStepScorer(FastStepScorer):
         # differential comparison (and replay in tests) possible.
         sample = computer.valuations.sample
         self._batch = [sample(draw_rng) for _ in range(max(1, batch_size))]
-        # Per-term dead-row memo, valid for the scorer's lifetime
-        # because the batch is pinned (see :meth:`_derive_term_dead`).
-        self._term_dead_cache: Dict[Term, WordRow] = {}
-        #: Count of dead masks actually derived (cache misses); the
-        #: mask-reuse regression test asserts this stays sub-linear in
-        #: steps x terms while the batch survives ``advance``.
-        self.mask_builds = 0
         #: Count of packed-view materializations (see
         #: :meth:`packed_term_dead_table`); the re-packing regression
         #: test asserts repeated reads within one step cost one build.
@@ -173,33 +165,7 @@ class SampledStepScorer(FastStepScorer):
         table = self._kernel.scatter_false_sets(
             len(row_of), entries, self.n_vals
         )
-        self._mask: Dict[object, WordRow] = {
-            mask_key: table.row(row) for mask_key, row in row_of.items()
-        }
-
-    def _derive_term_dead(self) -> List[WordRow]:
-        """Memoized per-term dead rows, keyed on term identity.
-
-        ``advance()`` rebuilds the whole term table, but with the batch
-        pinned the bit ↔ draw correspondence never moves, so a term's
-        dead mask is a pure function of the term itself: any term
-        mentioning a merged part (in its annotations *or* its guards)
-        is rewritten by ``apply_mapping`` into a different
-        :class:`~repro.provenance.tensor_sum.Term` value -- a cache
-        miss -- while untouched terms read exactly the same ``_mask``
-        entries as before and hit.  The enumerating base scorer keeps
-        the uncached implementation.
-        """
-        cache = self._term_dead_cache
-        out: List[WordRow] = []
-        for index, term in enumerate(self._terms):
-            dead = cache.get(term)
-            if dead is None:
-                dead = self._term_mask(index, self._mask)
-                cache[term] = dead
-                self.mask_builds += 1
-            out.append(dead)
-        return out
+        self._set_masks(table, row_of)
 
     def _estimate(self, distance_value: float) -> DistanceEstimate:
         max_error = self.computer.max_error
@@ -237,21 +203,14 @@ class SampledStepScorer(FastStepScorer):
     def packed_term_dead_table(self) -> MaskTable:
         """The per-term dead rows as one contiguous :class:`MaskTable`.
 
-        Built at most once per step (``advance`` invalidates): the
-        term-dead list mixes views into the step's mask table with
-        standalone merged rows, so the contiguous image is materialized
-        here and memoized.  ``pack_builds`` counts materializations.
+        Wraps the scorer's own dead-row table (zero-copy; ``advance``
+        builds a new table rather than writing into this one), at most
+        once per step.  ``pack_builds`` counts the wrappings.
         """
         if self._packed_term_table is None:
-            dead = self._term_dead
-            table = MaskTable(len(dead), self.n_vals)
-            words = table.words
-            n_words = table.n_words
-            for index, row in enumerate(dead):
-                words[index * n_words : (index + 1) * n_words] = array(
-                    "Q", row
-                )
-            self._packed_term_table = table
+            self._packed_term_table = MaskTable(
+                len(self._terms), self.n_vals, self._dead
+            )
             self.pack_builds += 1
         return self._packed_term_table
 

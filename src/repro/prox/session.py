@@ -263,18 +263,6 @@ class ProxSession:
         )
         return self.result
 
-    def ir_stats(self) -> Dict[str, object]:
-        """Interner cardinality and arena storage of this session.
-
-        ``interned_annotations`` counts the session interner's ids;
-        ``arena`` reports the process store backing
-        :class:`~repro.provenance.polynomial.Polynomial`.
-        """
-        return {
-            "interned_annotations": len(self.interner),
-            "arena": _ir.GLOBAL_STORE.stats(),
-        }
-
     # -- summary view ---------------------------------------------------------------
 
     def expression_view(self) -> str:

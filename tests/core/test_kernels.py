@@ -200,42 +200,116 @@ def test_baseline_scatter_matches_standalone_folds(name, case, is_max, n_groups)
     ) == REFERENCE.baseline_scatter(groups, n_vals, is_max)
 
 
+def packed(rows, n_vals):
+    """Rows back to back in one ``array('Q')`` table."""
+    table = array("Q")
+    for row in rows:
+        table.extend(row)
+    return table
+
+
+@st.composite
+def indexed_fold_cases(draw):
+    """Groups naming rows of a base table and an override table.
+
+    Indexes repeat within and across groups, override rows (indexes
+    from ``n_base`` up) mix with base rows, and MAX groups list their
+    operands in descending value order, as the scorers do.
+    """
+    n_vals = draw(st.integers(min_value=1, max_value=200))
+    word_row = st.integers(0, (1 << n_vals) - 1).map(
+        lambda bits: int_to_row(bits, n_vals)
+    )
+    base = draw(st.lists(word_row, min_size=0, max_size=6))
+    overrides = draw(st.lists(word_row, min_size=0, max_size=3))
+    rows = base + overrides
+    is_max = draw(st.booleans())
+    groups = []
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            operands = draw(
+                st.lists(
+                    st.tuples(values, st.integers(0, len(rows) - 1)),
+                    max_size=8,
+                )
+            )
+            if is_max:
+                operands.sort(key=lambda operand: -operand[0])
+            groups.append(operands)
+    wanted = draw(st.one_of(st.none(), word_row))
+    return n_vals, base, overrides, is_max, groups, wanted
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 @settings(max_examples=60, deadline=None)
-@given(case=fold_cases(), is_max=st.booleans(), splits=st.lists(st.integers(0, 10), max_size=4))
-def test_group_fold_matches_standalone_folds(name, case, is_max, splits):
-    n_vals, masks, wanted = case
-    if is_max:
-        masks = sorted(masks, key=lambda entry: -entry[0])
-    # Ragged groups sliced from one term pool -- empty groups included,
-    # terms repeating across groups -- each column must equal its own
-    # standalone fold.
-    groups = [masks[: min(size, len(masks))] for size in splits]
-    backend = backend_of(name)
-    batched = backend.group_fold(groups, n_vals, is_max, wanted)
+@given(case=indexed_fold_cases(), with_overrides=st.booleans())
+def test_group_fold_matches_standalone_folds(name, case, with_overrides):
+    n_vals, base, overrides, is_max, groups, wanted = case
+    if not with_overrides:
+        # Without an override table only base indexes are valid.
+        groups = [
+            [(value, index) for value, index in group if index < len(base)]
+            for group in groups
+        ]
+        overrides = []
+    rows = base + overrides
+    indexes = [array("q", [index for _, index in group]) for group in groups]
+    columns = [array("d", [value for value, _ in group]) for group in groups]
+    batched = backend_of(name).group_fold(
+        indexes,
+        n_vals,
+        is_max,
+        columns,
+        packed(base, n_vals),
+        packed(overrides, n_vals) if with_overrides else None,
+        wanted,
+    )
     fold = REFERENCE.fold_max if is_max else REFERENCE.fold_sum
-    # Columns may come back as array('d'); compare values bit for bit.
+    # Each column equals the standalone fold over the gathered rows;
+    # columns may come back as array('d'), so compare values exactly.
     assert [list(col) for col in batched] == [
-        fold(g, n_vals, wanted) for g in groups
+        fold([(value, rows[index]) for value, index in group], n_vals, wanted)
+        for group in groups
     ]
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_group_fold_memo_keyed_by_n_vals(name):
-    # One backend instance serves every scorer in the process, and its
-    # cross-call unpack memo outlives any single n_vals.  A one-word
-    # dead row has identical *bytes* at n_vals=7 and n_vals=21; the
-    # memo must not serve the 7-position vector to the 21-val fold.
+    # One backend instance serves every scorer in the process.  A
+    # one-word dead row has identical *bytes* at n_vals=7 and
+    # n_vals=21; a fold must read it at the n_vals of its own call.
     backend = backend_of(name)
     row = array("Q", [0b1010101])
     masks = [(2.5, row)]
     for n_vals in (7, 21, 7):
         for is_max in (True, False):
-            batched = backend.group_fold([masks], n_vals, is_max)
+            batched = backend.group_fold(
+                [array("q", [0])], n_vals, is_max, [array("d", [2.5])], row
+            )
             fold = REFERENCE.fold_max if is_max else REFERENCE.fold_sum
             assert [list(col) for col in batched] == [
                 fold(masks, n_vals)
             ]
+
+
+@pytest.mark.parametrize("name", BACKENDS + ["python"])
+def test_group_fold_rejects_rows_outside_the_tables(name):
+    backend = REFERENCE if name == "python" else backend_of(name)
+    table = array("Q", [1, 2])
+    for index in (2, -1):
+        with pytest.raises(IndexError):
+            backend.group_fold(
+                [array("q", [0, index])],
+                64,
+                True,
+                [array("d", [2.0, 1.0])],
+                table,
+            )
+    # One override row makes index 2 valid.
+    backend.group_fold(
+        [array("q", [0, 2])], 64, True, [array("d", [2.0, 1.0])],
+        table, array("Q", [3]),
+    )
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -90,6 +90,11 @@ def bigint_term_dead(scorer, index, masks, overrides=None):
     return dead
 
 
+def dead_rows(scorer):
+    """Every term's dead row: views of the scorer's dead-row table."""
+    return kernels.MaskTable(len(scorer._terms), scorer.n_vals, scorer._dead).rows()
+
+
 def assert_rows_match_bigints(scorer):
     """Every packed row encodes the seed bigint bit set, tail-clamped."""
     expected = bigint_masks(scorer)
@@ -130,10 +135,8 @@ def test_enumerated_masks_match_bigint_construction(
     scorer = FastStepScorer(computer, current, mapping, problem.universe)
     masks = assert_rows_match_bigints(scorer)
     # Term dead rows fold the same bigints (guards included).
-    for index in range(len(scorer._terms)):
-        assert kernels.row_int(scorer._term_dead[index]) == bigint_term_dead(
-            scorer, index, masks
-        )
+    for index, row in enumerate(dead_rows(scorer)):
+        assert kernels.row_int(row) == bigint_term_dead(scorer, index, masks)
 
 
 # -- sampled scorer: duplicated draws and ragged batch sizes -----------------------
@@ -161,10 +164,8 @@ def test_sampled_masks_match_bigint_construction(seed, monoid_name, batch):
     if scorer.n_vals > class_size:
         assert len({id(v) for v in scorer.valuations}) < scorer.n_vals
     masks = assert_rows_match_bigints(scorer)
-    for index in range(len(scorer._terms)):
-        assert kernels.row_int(scorer._term_dead[index]) == bigint_term_dead(
-            scorer, index, masks
-        )
+    for index, row in enumerate(dead_rows(scorer)):
+        assert kernels.row_int(row) == bigint_term_dead(scorer, index, masks)
 
 
 # -- candidate overrides: merged rows ≡ bigint AND ---------------------------------
@@ -185,9 +186,13 @@ def test_candidate_override_rows_match_bigint_and(seed, with_guards):
     candidates = enumerate_candidates(current, problem.universe, problem.constraint)
     rng = random.Random(seed)
     for candidate in rng.sample(candidates, min(5, len(candidates))):
-        part_set, affected, override, group_merge = scorer._candidate_state(
+        part_set, affected, overrides, group_merge = scorer._candidate_state(
             candidate.parts
         )
+        # Override row j substitutes term affected[j]'s dead row.
+        override_rows = kernels.MaskTable(
+            len(affected), scorer.n_vals, overrides
+        ).rows()
         part_keys = [scorer._key(name) for name in candidate.parts]
         # The merge's row is the AND of the part rows (OR combiner over
         # 0/1 valuations); replay it on the bigints.
@@ -195,8 +200,8 @@ def test_candidate_override_rows_match_bigint_and(seed, with_guards):
         for part_key in part_keys[1:]:
             merged &= masks[part_key]
         big_overrides = {part_key: merged for part_key in part_keys}
-        for index in affected:
-            assert kernels.row_int(override[index]) == bigint_term_dead(
+        for index, row in zip(affected, override_rows):
+            assert kernels.row_int(row) == bigint_term_dead(
                 scorer, index, masks, big_overrides
             )
 

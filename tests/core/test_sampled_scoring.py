@@ -389,8 +389,9 @@ def test_engine_reuses_carried_batch_and_reports_it():
 
 def test_pinned_batch_masks_survive_advance():
     """With the batch pinned, ``advance`` must not re-derive dead masks
-    for terms the merge left untouched -- the Term-keyed memo makes the
-    rebuild cost proportional to the merge, not to the whole table."""
+    for terms the merge left untouched -- it carries their dead-table
+    rows, so the rebuild cost is proportional to the merge, not to the
+    whole table."""
     problem = random_problem(8, SUM)
     computer = sampling_computer(problem, SEED, batch=BATCH)
     current, mapping, candidates = step_state(problem)
@@ -489,13 +490,14 @@ def test_packed_views_round_trip_the_masks():
         assert len(words) == n_words
         assert kernels.row_int(words) == kernels.row_int(scorer._mask[key])
     term_packed = scorer.packed_term_dead()
-    assert len(term_packed) == len(scorer._term_dead)
-    for words, mask in zip(term_packed, scorer._term_dead):
+    assert len(term_packed) == len(scorer._terms)
+    dead = scorer._dead
+    for index, words in enumerate(term_packed):
         assert len(words) == n_words
-        assert kernels.row_int(words) == kernels.row_int(mask)
+        assert words.tobytes() == dead[index * n_words : (index + 1) * n_words].tobytes()
     # The contiguous table is the same bytes, row-major.
     table = scorer.packed_term_dead_table()
-    assert table.n_rows == len(scorer._term_dead)
+    assert table.n_rows == len(scorer._terms)
     assert table.words.tobytes() == b"".join(
         row.tobytes() for row in term_packed
     )
@@ -526,9 +528,8 @@ def test_packed_views_memoized_until_advance():
     assert scorer.packed_term_dead_table() is second_table
     assert scorer.pack_builds == 2
     # The fresh views reflect the post-merge term table.
-    assert second_table.n_rows == len(scorer._term_dead)
-    for row, mask in zip(scorer.packed_term_dead(), scorer._term_dead):
-        assert kernels.row_int(row) == kernels.row_int(mask)
+    assert second_table.n_rows == len(scorer._terms)
+    assert second_table.words.tobytes() == scorer._dead.tobytes()
 
 
 def test_batch_stats_match_flat_weighted_fold():
