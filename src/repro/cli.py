@@ -134,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate: one shared Monte-Carlo batch per step instead of "
         "per-candidate redraws (default: auto)",
     )
-    summarize.add_argument(
-        "--sample-block",
-        type=int,
-        default=64,
-        help="round Chebyshev sampling budgets up to a multiple of "
-        "this so 64-bit mask words pack fully (default: 64)",
-    )
     summarize.add_argument("--save", help="write the summary as JSON to this file")
     summarize.add_argument(
         "--log", action="store_true", help="print the per-step merge log"
@@ -294,7 +287,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         merge_arity=args.arity,
         seed=args.seed,
         sample_sharing=args.sample_sharing,
-        sample_block=args.sample_block,
     )
     problem = instance.problem()
     if args.algorithm == "prov-approx":

@@ -19,7 +19,7 @@ Public entry points:
   fallback.
 * :class:`~repro.core.sampled_scoring.SampledStepScorer` -- the
   bit-packed Monte-Carlo kernel for classes too large to enumerate
-  (``sample_sharing=`` / ``sample_block=`` config knobs).
+  (the ``sample_sharing=`` config knob).
 """
 
 from .baselines import ClusterDomainSpec, ClusteringSummarizer, RandomSummarizer

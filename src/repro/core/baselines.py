@@ -61,7 +61,6 @@ class _BaselineRunner:
             delta=config.delta,
             rng=self.rng,
             interner=problem.resolve_interner(),
-            sample_block=config.sample_block,
         )
 
     def _distance(self, expression, mapping: MappingState) -> DistanceEstimate:

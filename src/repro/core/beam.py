@@ -103,7 +103,6 @@ class BeamSummarizer:
             delta=config.delta,
             rng=self._rng,
             interner=interner,
-            sample_block=config.sample_block,
         )
         # Each beam member has its own expression, so the engine's
         # cross-step carry never matches -- it simply rebuilds a fresh

@@ -43,6 +43,10 @@ _DISTANCE_VARIANCE = _metrics.gauge(
     "Sample variance of the most recent sampled distance estimate.",
 )
 
+#: Chebyshev-derived sampling budgets are rounded up to a multiple of
+#: this, so the bit-packed sampled scorer's 64-bit words fill fully.
+SAMPLE_BLOCK = 64
+
 
 def chebyshev_sample_size(epsilon: float, delta: float, spread: float = 1.0) -> int:
     """Samples needed so that ``Prob(|d' - d| > ε) < 1 - δ``.
@@ -128,10 +132,6 @@ class DistanceComputer:
     n_samples / epsilon / delta:
         Sampling budget: explicit count, or the Chebyshev bound for
         ``(ε, δ)`` when ``n_samples`` is None.
-    sample_block:
-        Chebyshev-derived budgets are rounded up to a multiple of this
-        (explicit ``n_samples`` is used verbatim), so the bit-packed
-        sampled scorer's 64-bit word blocks are fully populated.
     rng:
         Source of randomness for sampling (deterministic by default).
     interner:
@@ -155,7 +155,6 @@ class DistanceComputer:
         delta: float = 0.9,
         rng: Optional[random.Random] = None,
         interner: Optional[AnnotationInterner] = None,
-        sample_block: int = 64,
     ):
         self.original = original
         self.interner = interner if interner is not None else AnnotationInterner()
@@ -168,7 +167,6 @@ class DistanceComputer:
         self.epsilon = epsilon
         self.delta = delta
         self.rng = rng if rng is not None else random.Random(0)
-        self.sample_block = max(1, int(sample_block))
         self._original_cache: Dict[int, object] = {}
         self._sample_cache: Dict[object, object] = {}
         self._max_error = float(val_func.max_error(original))
@@ -229,7 +227,7 @@ class DistanceComputer:
         budget shrinks quadratically (spreads above 1.0 are capped --
         ``ε`` and every consumer of the estimate live on the normalized
         scale, where per-sample values are bounded by 1).  The derived
-        budget is then rounded up to a ``sample_block`` multiple so the
+        budget is then rounded up to a :data:`SAMPLE_BLOCK` multiple so the
         bit-packed scorer's 64-bit words are fully populated.  Both
         paths clamp at ``16 × |V_Ann|``, past which enumeration is
         cheaper than sampling.
@@ -241,8 +239,7 @@ class DistanceComputer:
                 self._max_error if 0.0 < self._max_error < 1.0 else 1.0
             )
             samples = chebyshev_sample_size(self.epsilon, self.delta, spread=spread)
-            block = self.sample_block
-            samples = -(-samples // block) * block
+            samples = -(-samples // SAMPLE_BLOCK) * SAMPLE_BLOCK
         return max(1, min(samples, 16 * max(1, len(self.valuations))))
 
     # -- public API -----------------------------------------------------------------

@@ -63,7 +63,7 @@ from ..provenance.tensor_sum import Guard, TensorSum, Term
 from ..provenance.valuation_classes import ValuationClass
 from . import kernels
 from .kernels.masktable import MaskTable, WordRow
-from .kernels.protocol import SPARSE_KINDS
+from .kernels.reference import SPARSE_KINDS
 from .combiners import DomainCombiners, OrCombiner
 from .distance import DistanceComputer, DistanceEstimate
 from .mapping import MappingState

@@ -1,12 +1,12 @@
 """Pluggable scoring kernel backends (``REPRO_KERNEL=auto|python|native``).
 
 The bit-packed scorers funnel their hot folds through one active
-:class:`~repro.core.kernels.protocol.KernelBackend`:
+backend, a :class:`~repro.core.kernels.reference.PythonKernel`:
 
-* ``python`` -- the reference backend: the exact loops the scorers ran
-  inline before this tier existed, re-expressed over packed word rows.
+* ``python`` -- the reference backend, which also defines the kernel
+  contract (see :mod:`repro.core.kernels.reference`).
 * ``native`` -- a small C shared library (mask scatter, group folds
-  by row index, sparse scoring, hardware popcount) over the same
+  by row index, sparse scoring, weighted moments) over the same
   ``array('Q')`` buffers, compiled on demand and driven via ctypes (see
   :mod:`repro.core.kernels.native_backend`).
 
@@ -37,12 +37,10 @@ from typing import Iterator, Optional
 
 from ...observability import log as _log
 from ...observability import metrics as _metrics
-from .masktable import MaskTable, full_row, row_int, words_for, zero_row
-from .protocol import KernelBackend, MaskedValue, SPARSE_KINDS
-from .reference import PythonKernel
+from .masktable import MaskTable, full_row, row_int, words_for
+from .reference import SPARSE_KINDS, MaskedValue, PythonKernel
 
 __all__ = [
-    "KernelBackend",
     "MaskedValue",
     "MaskTable",
     "PythonKernel",
@@ -56,7 +54,6 @@ __all__ = [
     "full_row",
     "row_int",
     "words_for",
-    "zero_row",
     "native_available",
     "native_unavailable_reason",
     "publish_backend_metric",
@@ -83,7 +80,7 @@ _NATIVE_BACKEND: object = None
 _NATIVE_ERROR: Optional[str] = None
 
 
-def _native_backend() -> Optional[KernelBackend]:
+def _native_backend() -> Optional[PythonKernel]:
     """The native backend instance, or ``None`` when it can't build."""
     global _NATIVE_BACKEND, _NATIVE_ERROR
     if _NATIVE_BACKEND is None:
@@ -140,7 +137,7 @@ def active_backend() -> str:
     return _BACKEND_NAME
 
 
-def get_backend() -> KernelBackend:
+def get_backend() -> PythonKernel:
     """The active backend object (scorers capture it at construction)."""
     if _BACKEND_NAME == MODE_NATIVE:
         resolved = _native_backend()

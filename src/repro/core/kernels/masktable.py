@@ -8,8 +8,8 @@ zero-copy ``memoryview`` slices, so ``packed_masks()`` /
 ``packed_term_dead()`` read the same buffer the kernel wrote -- no per-call ``to_bytes`` conversion.
 
 Invariant: every row is *tail-clamped* -- bits at positions
-``>= n_vals`` are zero.  Kernel ops may rely on it for popcounts and
-complements; :func:`full_row` and the scatter constructors maintain it.
+``>= n_vals`` are zero; :func:`full_row` and the scatter constructors
+maintain it.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ WordRow = Union[array, memoryview, Sequence[int]]
 def words_for(n_vals: int) -> int:
     """Words needed to hold ``n_vals`` bits."""
     return (n_vals + WORD_BITS - 1) >> 6
-
-
-def zero_row(n_vals: int) -> array:
-    """An all-zeros row sized for ``n_vals`` bits."""
-    return array("Q", bytes(8 * words_for(n_vals)))
 
 
 def full_row(n_vals: int) -> array:

@@ -28,8 +28,6 @@ _ptr = ctypes.c_void_p
 
 _SIGNATURES = {
     "prox_scatter": (None, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64]),
-    "prox_popcount": (_i64, [_ptr, _i64]),
-    "prox_popcount_blocks": (None, [_ptr, _i64, _ptr]),
     "prox_fold_max_indexed": (
         None,
         [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _u64, _ptr, _ptr,

@@ -42,29 +42,6 @@ API void prox_scatter(
     }
 }
 
-/* -- packed word-row algebra ------------------------------------------- */
-
-API int64_t prox_popcount(const uint64_t *words, int64_t n_words)
-{
-    int64_t total = 0;
-    int64_t w = 0;
-    for (; w + 4 <= n_words; w += 4)
-        total += __builtin_popcountll(words[w])
-               + __builtin_popcountll(words[w + 1])
-               + __builtin_popcountll(words[w + 2])
-               + __builtin_popcountll(words[w + 3]);
-    for (; w < n_words; w++)
-        total += __builtin_popcountll(words[w]);
-    return total;
-}
-
-API void prox_popcount_blocks(
-    const uint64_t *words, int64_t n_words, int64_t *out)
-{
-    for (int64_t w = 0; w < n_words; w++)
-        out[w] = __builtin_popcountll(words[w]);
-}
-
 /* -- grouped dead-mask folds by row index ------------------------------- */
 
 /* The dead row a fold operand names: rows [0, n_base) of the base

@@ -6,13 +6,12 @@ Importing this module does *not* compile anything; constructing
 the toolchain is absent -- the resolution layer catches that and
 degrades to python with a structured ``kernel_fallback``.
 
-The class subclasses the python reference and overrides only the ops
+The class subclasses the python reference and overrides the four ops
 the C library accelerates on a scoring path -- ``scatter_false_sets``,
-``group_fold``, ``sparse_scores``, ``weighted_moments`` and the
-popcounts; everything else (the per-list ``fold_max``/``fold_sum``,
-the word-row combinators, ``merge_monomials``, the default
-``baseline_scatter`` loop) inherits the reference behavior,
-which keeps the bit-identity argument local to the overridden ops.
+``group_fold``, ``sparse_scores`` and ``weighted_moments``; everything
+else (``merge_monomials`` and the per-group folds) inherits the
+reference behavior, which keeps the bit-identity argument local to
+the overridden ops.
 All double arithmetic in the library is straight IEEE (compiled with
 ``-ffp-contract=off``), so the C operation sequence per output
 position is the reference's.
@@ -33,9 +32,8 @@ import ctypes
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-from .masktable import MaskTable, WORD_MASK, clamp_row, full_row, words_for
+from .masktable import MaskTable, WORD_MASK, WordRow, clamp_row, full_row, words_for
 from .native import load_library
-from .protocol import WordRow
 from .reference import PythonKernel
 
 _KIND_CODES = {"sqdiff": 0, "absdiff": 1, "isclose01": 2}
@@ -47,7 +45,8 @@ def _tail_mask(n_vals: int) -> int:
 
 
 class NativeKernel(PythonKernel):
-    """Hardware popcount and index-addressed group folds in C."""
+    """Mask scatter, index-addressed group folds, sparse scores and
+    weighted moments in C."""
 
     name = "native"
 
@@ -272,25 +271,3 @@ class NativeKernel(PythonKernel):
             out3.buffer_info()[0],
         )
         return out3[0], out3[1], out3[2]
-
-    # -- packed word-row algebra ---------------------------------------------
-
-    def popcount_blocks(self, words: WordRow) -> List[int]:
-        n_words = len(words)
-        if not n_words:
-            return []
-        keep: list = []
-        out = array("q", bytes(8 * n_words))
-        self._lib.prox_popcount_blocks(
-            self._addr(words, keep, "Q"), n_words, out.buffer_info()[0]
-        )
-        return out.tolist()
-
-    def popcount(self, words: WordRow) -> int:
-        n_words = len(words)
-        if not n_words:
-            return 0
-        keep: list = []
-        return int(
-            self._lib.prox_popcount(self._addr(words, keep, "Q"), n_words)
-        )

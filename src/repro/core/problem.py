@@ -66,7 +66,63 @@ REMOVED_FIELDS = {
     "lazy": "lazy-greedy selection is always on under normalized scoring",
     "incremental": "the step scorer is always carried across steps",
     "carry": "the candidate pool and the lazy queue always carry across steps",
+    "sample_block": "sampling budgets always round up to 64-draw blocks",
 }
+
+_SWITCH_WORDS = {"auto": None, "on": True, "off": False}
+
+#: The type each checked config field takes, and whether it is
+#: ``Optional``.  A ``bool`` is never a number here; a switch is
+#: ``None``, a bool, or one of :data:`_SWITCH_WORDS`; ``seconds`` is a
+#: number that may also arrive as a numeric string.
+_FIELD_KINDS = {
+    "w_dist": ("number", False),
+    "w_size": ("number", True),
+    "target_size": ("integer", False),
+    "target_dist": ("number", False),
+    "max_steps": ("integer", True),
+    "merge_arity": ("integer", False),
+    "max_enumerate": ("integer", False),
+    "distance_samples": ("integer", True),
+    "epsilon": ("number", False),
+    "delta": ("number", False),
+    "candidate_cap": ("integer", True),
+    "seed": ("integer", False),
+    "sample_sharing": ("switch", True),
+    "repair": ("switch", True),
+    "slo_seconds": ("seconds", True),
+}
+
+
+def check_field(label: str, field_name: str, value: object) -> object:
+    """``value`` type-checked as config field ``field_name``.
+
+    Returns the value with switch words resolved to ``None``/``True``/
+    ``False``; raises ``ValueError`` naming ``label`` (the field's name
+    on the caller's surface) when the type is wrong.
+    """
+    kind, optional = _FIELD_KINDS[field_name]
+    if value is None and optional:
+        return value
+    if kind == "switch":
+        if isinstance(value, bool):
+            return value
+        word = value.strip().lower() if isinstance(value, str) else None
+        if word not in _SWITCH_WORDS:
+            raise ValueError(
+                f"{label} must be 'auto', 'on', 'off' or a bool, got {value!r}"
+            )
+        return _SWITCH_WORDS[word]
+    expected = "an integer" if kind == "integer" else "a number"
+    if kind == "seconds" and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"{label} must be {expected}, got {value!r}") from None
+    wanted = int if kind == "integer" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ValueError(f"{label} must be {expected}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -101,10 +157,6 @@ class SummarizationConfig:
       batch (common random numbers) through the bitmask kernel;
       ``False``/``"off"`` restores the reference per-candidate sampler
       (``DistanceComputer.sampled``).
-    * ``sample_block`` -- Chebyshev-derived sampling budgets are
-      rounded up to a multiple of this (default 64), so the packed
-      kernel's 64-bit words are fully populated; explicit
-      ``distance_samples`` is always used verbatim.
     * ``slo_seconds`` -- declared latency SLO for one whole run.  A run
       whose wall-clock ``total_seconds`` exceeds the target counts one
       ``prox_slo_breaches_total{scope="summarize_run"}`` breach (and
@@ -121,8 +173,6 @@ class SummarizationConfig:
       (asserted by ``tests/core/test_streaming_repair.py``).
     """
 
-    _SWITCH_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
-
     w_dist: float = 0.5
     w_size: Optional[float] = None
     target_size: int = 1
@@ -138,26 +188,16 @@ class SummarizationConfig:
     candidate_cap: Optional[int] = None
     seed: int = 0
     sample_sharing: Union[bool, str, None] = None
-    sample_block: int = 64
     repair: Union[bool, str, None] = None
     slo_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("sample_sharing", "repair"):
-            value = getattr(self, name)
-            if isinstance(value, str):
-                word = value.strip().lower()
-                if word not in self._SWITCH_WORDS:
-                    raise ValueError(
-                        f"{name} must be 'auto', 'on' or 'off', got {value!r}"
-                    )
-                setattr(self, name, self._SWITCH_WORDS[word])
+        for name in _FIELD_KINDS:
+            setattr(self, name, check_field(name, name, getattr(self, name)))
         if self.slo_seconds is not None:
             self.slo_seconds = float(self.slo_seconds)
             if self.slo_seconds <= 0:
                 raise ValueError("slo_seconds must be positive")
-        if self.sample_block < 1:
-            raise ValueError("sample_block must be at least 1")
         if not 0.0 <= self.w_dist <= 1.0:
             raise ValueError("w_dist must be in [0, 1]")
         if self.w_size is None:

@@ -232,7 +232,6 @@ class Summarizer:
             delta=config.delta,
             rng=self._rng,
             interner=interner,
-            sample_block=config.sample_block,
         )
         engine = ScoringEngine(problem, config, computer)
         # Cross-step candidate pool: after a merge {a, b} → c only the

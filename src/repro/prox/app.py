@@ -37,6 +37,7 @@ Session lifecycle routes::
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -364,20 +365,7 @@ class ProxApp:
     def _handle_summarize(
         self, session: ProxSession, body: Dict[str, Any]
     ) -> AppResponse:
-        allowed = {
-            "distance_weight",
-            "size_weight",
-            "distance_bound",
-            "size_bound",
-            "number_of_steps",
-            "aggregation",
-            "valuation_class",
-            "val_func",
-            "sample_sharing",
-            "sample_block",
-            "repair",
-            "slo_seconds",
-        }
+        allowed = {field.name for field in dataclasses.fields(SummarizationRequest)}
         _reject_removed(body)
         unknown = set(body) - allowed - {"seed", "session_id"}
         if unknown:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..core.combiners import DomainCombiners
-from ..core.problem import SummarizationConfig, SummarizationProblem
+from ..core.problem import SummarizationConfig, SummarizationProblem, check_field
 from ..core.streaming import ProvenanceDelta, SummaryRepairState
 from ..core.summarize import SummarizationResult, Summarizer
 from ..core.val_funcs import AbsoluteDifference, Disagreement, EuclideanDistance
@@ -37,6 +37,18 @@ VAL_FUNCS = {
 #: The valuation-class choices offered by the summarization view.
 VALUATION_CLASSES = ("Cancel Single Annotation", "Cancel Single Attribute")
 
+#: Request field -> the :class:`SummarizationConfig` field it sets.
+CONFIG_FIELDS = {
+    "distance_weight": "w_dist",
+    "size_weight": "w_size",
+    "distance_bound": "target_dist",
+    "size_bound": "target_size",
+    "number_of_steps": "max_steps",
+    "sample_sharing": "sample_sharing",
+    "repair": "repair",
+    "slo_seconds": "slo_seconds",
+}
+
 
 @dataclass(frozen=True)
 class SummarizationRequest:
@@ -50,11 +62,9 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Scoring-engine knobs (see :mod:`repro.core.engine`): shared-batch
-    #: sampled scoring ("auto"/"on"/"off"/bool) and the sampling-budget
-    #: block size.
+    #: Shared-batch sampled scoring ("auto"/"on"/"off"/bool; see
+    #: :mod:`repro.core.sampled_scoring`).
     sample_sharing: object = None
-    sample_block: int = 64
     #: Streaming summary repair ("auto"/"on"/"off"): consume the repair
     #: state left by the previous run of this session (if any) and
     #: leave one behind for the next (see :mod:`repro.core.streaming`).
@@ -63,18 +73,22 @@ class SummarizationRequest:
     #: count in ``prox_slo_breaches_total{scope="summarize_run"}``.
     slo_seconds: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        # Type errors name the request's own field (HTTP answers 400).
+        for name in ("aggregation", "valuation_class", "val_func"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name, config_name in CONFIG_FIELDS.items():
+            check_field(name, config_name, getattr(self, name))
+
     def to_config(self, seed: int = 0) -> SummarizationConfig:
         return SummarizationConfig(
-            w_dist=self.distance_weight,
-            w_size=self.size_weight,
-            target_dist=self.distance_bound,
-            target_size=self.size_bound,
-            max_steps=self.number_of_steps,
             seed=seed,
-            sample_sharing=self.sample_sharing,
-            sample_block=self.sample_block,
-            repair=self.repair,
-            slo_seconds=self.slo_seconds,
+            **{
+                config_name: getattr(self, name)
+                for name, config_name in CONFIG_FIELDS.items()
+            },
         )
 
 

@@ -72,7 +72,9 @@ from repro.core.val_funcs import VectorValFunc
 MONOIDS = {"MAX": MAX, "SUM": SUM, "COUNT": COUNT}
 
 #: ``numpy`` is a removed backend token: it must resolve as ``auto``
-#: does (with a ``kernel_unknown`` warning) and change no result.
+#: does (with a ``kernel_unknown`` warning) and change no result.  Its
+#: rows re-run the auto backend's; they are slated for deletion
+#: (ROADMAP item 5).
 REMOVED_KERNEL = "numpy"
 AUTO_KERNEL = (
     kernels.MODE_NATIVE if kernels.native_available() else kernels.MODE_PYTHON
@@ -897,12 +899,11 @@ def test_greedy_carry_bit_identical(seed, row, layout, kernel, full_rank):
 @pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
 def test_greedy_run_bit_identical_across_kernels(row, full_rank):
     """The kernel contract end-to-end: a full greedy run under the
-    native kernel, and under the removed ``numpy`` token, reproduces the
-    python-kernel run bit for bit -- same merges, same sizes, same exact
-    distance floats -- on every engine row.  The native backend joins
-    the comparison whenever its probe succeeds on this host; the
-    parallel rows run the other kernels side by side in forked
-    workers."""
+    native kernel reproduces the python-kernel run bit for bit -- same
+    merges, same sizes, same exact distance floats -- on every engine
+    row.  The native backend joins the comparison whenever its probe
+    succeeds on this host; the parallel rows run it in a forked
+    worker."""
 
     def runner(mode):
         with kernels.backend(mode), row_selection(row, full_rank):
@@ -916,9 +917,7 @@ def test_greedy_run_bit_identical_across_kernels(row, full_rank):
         return _full_fingerprint(result)
 
     reference = runner(kernels.MODE_PYTHON)
-    modes = [REMOVED_KERNEL]
-    if kernels.native_available():
-        modes.append(kernels.MODE_NATIVE)
+    modes = [kernels.MODE_NATIVE] if kernels.native_available() else []
     accelerated = run_row(row, *[lambda mode=mode: runner(mode) for mode in modes])
     for mode, fingerprint in zip(modes, accelerated):
         assert fingerprint == reference, mode
@@ -1164,11 +1163,13 @@ def test_lazy_requires_normalized_scoring_and_carry():
         ("lazy", "on"),
         ("incremental", "off"),
         ("carry", "off"),
+        ("sample_block", 64),
     ],
 )
 def test_removed_engine_knobs_raise(field, value):
-    """The fork pool and the lazy, incremental and carry switches are
-    gone: naming them fails loudly instead of being silently ignored."""
+    """The fork pool, the lazy, incremental and carry switches and the
+    sampling block size are gone: naming them fails loudly instead of
+    being silently ignored."""
     with pytest.raises(TypeError, match=field):
         SummarizationConfig(**{field: value})
 

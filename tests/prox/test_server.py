@@ -7,6 +7,7 @@ import pytest
 
 from repro.datasets import MovieLensConfig, generate_movielens
 from repro.prox import ProxSession
+from repro.prox.app import ProxApp
 from repro.prox.server import ProxServer
 
 
@@ -86,6 +87,45 @@ def test_errors(server):
     status, data = request(server, "POST", "/summarize", {"bogus_param": 1})
     assert status == 400
     assert "unknown summarization parameters" in data["error"]
+
+
+@pytest.fixture(scope="module")
+def selected_app():
+    instance = generate_movielens(MovieLensConfig(n_users=8, n_movies=5, seed=1))
+    app = ProxApp(default_session_id="only")
+    app.manager.create_with("only", lambda sid: ProxSession(instance, session_id=sid))
+    status, _, _, _ = app.dispatch("POST", "/select", body={"genre": None})
+    assert status == 200
+    return app
+
+
+MALFORMED = [
+    ("repair", 0),
+    ("sample_sharing", [1]),
+    ("number_of_steps", True),
+    ("size_bound", 1.5),
+    ("number_of_steps", "2"),
+    ("distance_weight", "x"),
+    ("aggregation", 5),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    MALFORMED,
+    ids=[f"{field}-{type(value).__name__}" for field, value in MALFORMED],
+)
+def test_malformed_summarize_bodies_are_400_naming_the_field(
+    selected_app, field, value
+):
+    """Wrongly typed knobs are rejected by name, never silently
+    coerced (``0`` must not switch repair on) or left to fail deep in
+    the run as a 500."""
+    status, payload, _, _ = selected_app.dispatch(
+        "POST", "/summarize", body={field: value}
+    )
+    assert status == 400, payload
+    assert payload["error"].startswith(field), payload
 
 
 def test_summarize_before_select_conflicts():

@@ -72,7 +72,14 @@ class TestLifecycleRoutes:
 
     @pytest.mark.parametrize(
         "field",
-        ["parallelism", "parallel_threshold", "lazy", "incremental", "carry"],
+        [
+            "parallelism",
+            "parallel_threshold",
+            "lazy",
+            "incremental",
+            "carry",
+            "sample_block",
+        ],
     )
     def test_removed_engine_knobs_are_400_naming_the_field(self, server, field):
         status, data, _ = request(server, "POST", "/sessions", {field: 2})

@@ -53,9 +53,7 @@ REQUESTS = [
         id="greedy-carry-lazy",
     ),
     pytest.param(
-        SummarizationRequest(
-            number_of_steps=4, sample_sharing="on", sample_block=64
-        ),
+        SummarizationRequest(number_of_steps=4, sample_sharing="on"),
         False,
         id="greedy-sampled",
     ),
@@ -281,8 +279,8 @@ print('{{}}')
 
 def test_restore_drops_removed_engine_knobs(tmp_path):
     """A snapshot written while ``lazy``/``parallelism``/``incremental``
-    /``carry`` still existed records them in its last summarize
-    request; restoring it must re-summarize identically instead of
+    /``carry``/``sample_block`` still existed records them in its last
+    summarize request; restoring it must re-summarize identically instead of
     failing on the removed knobs."""
     request_ = SummarizationRequest(number_of_steps=3)
     control = build_session()
@@ -296,6 +294,7 @@ def test_restore_drops_removed_engine_knobs(tmp_path):
             "parallel_threshold": 1,
             "incremental": "off",
             "carry": "off",
+            "sample_block": 64,
         },
         seed,
     )

@@ -86,6 +86,15 @@ def test_summarize_removed_carry_flag_exits_2(capsys):
     assert "--carry" in capsys.readouterr().err
 
 
+def test_summarize_removed_sample_block_flag_exits_2(capsys):
+    """``--sample-block`` is gone (budgets always round up to 64-draw
+    blocks): argparse rejects it with a usage error."""
+    with pytest.raises(SystemExit) as exited:
+        main(["summarize", "movielens", "--sample-block", "64"])
+    assert exited.value.code == 2
+    assert "--sample-block" in capsys.readouterr().err
+
+
 def test_summarize_removed_numpy_kernel_exits_2(capsys):
     """The numpy kernel backend is gone: ``--kernel numpy`` is a usage
     error instead of a silent fallback."""
