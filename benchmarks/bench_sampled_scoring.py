@@ -5,14 +5,15 @@ Scores one greedy step's candidate set on MovieLens-style provenance
 with enumeration disabled (``max_enumerate=0``), so every distance is
 a Prop 4.1.2 Monte-Carlo estimate, under two engine configurations:
 
-* ``reference`` -- ``sample_sharing=off``: the seed behavior; every
+* ``reference`` -- the engine's naive reference path
+  (``ScoringEngine._measure_naive``), the seed behavior: every
   candidate redraws its own valuation batch and evaluates both
-  expressions per draw (the naive path through
+  expressions per draw (through
   :meth:`~repro.core.distance.DistanceComputer.sampled`);
-* ``packed``    -- ``sample_sharing=auto``: one shared batch per step,
-  dead bits packed across the batch, candidates re-fold only their
-  merged-part terms (:class:`~repro.core.sampled_scoring
-  .SampledStepScorer`).
+* ``packed``    -- the default ``ScoringEngine.measure``: one shared
+  batch per step, dead bits packed across the batch, candidates
+  re-fold only their merged-part terms
+  (:class:`~repro.core.sampled_scoring.SampledStepScorer`).
 
 The table reports the wall-clock of the step measurement and the
 speedup per batch size; the JSON mirror lands in
@@ -81,7 +82,7 @@ def build_problem(n_users: int, n_movies: int, seed: int = 0):
     ).problem()
 
 
-def measure_best(repeats, problem, candidates, batch, seed, **knobs):
+def measure_best(repeats, problem, candidates, batch, seed, reference=False):
     """Best-of-``repeats`` wall-clock of a step measurement.
 
     Single-digit-millisecond steps on a shared single core are noisy;
@@ -90,19 +91,18 @@ def measure_best(repeats, problem, candidates, batch, seed, **knobs):
     engine, seconds = None, None
     for _ in range(repeats):
         engine, _, elapsed = measure_step(
-            problem, candidates, batch, seed, **knobs
+            problem, candidates, batch, seed, reference
         )
         seconds = elapsed if seconds is None else min(seconds, elapsed)
     return engine, seconds
 
 
-def measure_step(problem, candidates, batch, seed, **knobs):
+def measure_step(problem, candidates, batch, seed, reference=False):
     """Wall-clock of one full step measurement (scorer construction --
     batch drawing, mask packing -- included, unlike the engine's own
-    scoring-seconds telemetry)."""
-    config = SummarizationConfig(
-        max_enumerate=0, distance_samples=batch, seed=seed, **knobs
-    )
+    scoring-seconds telemetry).  ``reference`` measures through the
+    engine's naive path instead of its default dispatch."""
+    config = SummarizationConfig(max_enumerate=0, distance_samples=batch, seed=seed)
     computer = DistanceComputer(
         problem.expression,
         problem.valuations,
@@ -116,8 +116,9 @@ def measure_step(problem, candidates, batch, seed, **knobs):
     engine = ScoringEngine(problem, config, computer)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
+    measure = engine._measure_naive if reference else engine.measure
     started = time.perf_counter()
-    measured, _ = engine.measure(candidates, current, mapping)
+    measured, _ = measure(candidates, current, mapping)
     elapsed = time.perf_counter() - started
     return engine, measured, elapsed
 
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     for batch in batches:
         ref_engine, ref_seconds = measure_best(
             1 if args.quick else 2,
-            problem, candidates, batch, args.seed, sample_sharing="off",
+            problem, candidates, batch, args.seed, reference=True,
         )
         packed_engine, packed_seconds = measure_best(
             packed_repeats, problem, candidates, batch, args.seed

@@ -151,7 +151,7 @@ def _worker(
     client, deltas, ingest_lock, requests, seed, latencies, counters, errors, lock
 ):
     rng = random.Random(seed)
-    summarize_body = {"number_of_steps": 2, "repair": "auto"}
+    summarize_body = {"number_of_steps": 2}
     for _ in range(requests):
         op = _pick_op(rng)
         started = time.perf_counter()
@@ -228,7 +228,7 @@ def _build_server(users, movies, deltas):
     host, port = server.address
     client = _Client(f"http://{host}:{port}")
     client.post("/select", {"titles": list(session.titles())})
-    client.post("/summarize", {"number_of_steps": 2, "repair": "auto"})
+    client.post("/summarize", {"number_of_steps": 2})
     return server, client, encoded
 
 
@@ -348,7 +348,7 @@ def run_session_level(base, concurrency, requests_per_worker, users, movies, see
         session_ids.append(session_id)
         client = _Client(base, prefix=f"/sessions/{session_id}")
         client.post("/select", {"titles": titles})
-        client.post("/summarize", {"number_of_steps": 2, "repair": "auto"})
+        client.post("/summarize", {"number_of_steps": 2})
         deltas: "queue.Queue[dict]" = queue.Queue()
         for delta in encoded:
             deltas.put(delta)

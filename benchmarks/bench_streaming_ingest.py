@@ -9,10 +9,11 @@ re-summarizing after every delta.  Two schedules run:
 * ``append``  -- append-only ratings plus periodic new movies (the
   previous run's labels stay a positional prefix of the next run's).
   The headline number is the repair-vs-recompute speedup over the
-  whole 10-delta schedule: ``repair="on"`` repairs every
+  whole 10-delta schedule: the repair arm repairs every
   re-summarization's equivalence partition and seeds its candidate
-  pool from the previous run, ``repair="off"`` recomputes both from
-  scratch.  Step 0 is scored the same way in both (the lazy queue
+  pool from the previous run; the recompute arm drops the session's
+  repair state (``SummarizationService.reset_repair``) before every
+  summarize, so both are recomputed from scratch.  Step 0 is scored the same way in both (the lazy queue
   enters every candidate by its exact size), and both produce
   bit-identical summaries (asserted here and in
   ``tests/core/test_streaming_repair.py``).
@@ -97,9 +98,10 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
 
     The clock covers ingest + re-summarization over the whole schedule
     -- the latency a live session actually observes per arriving delta.
+    With ``repair`` false every re-summarization starts from scratch.
     """
     instance, schedule = build(users, movies, deltas, spam_every)
-    request = SummarizationRequest(number_of_steps=steps, repair=repair)
+    request = SummarizationRequest(number_of_steps=steps)
     session = ProxSession(instance)
     session.select_titles(list(session.titles()))
     session.summarize(request)
@@ -108,6 +110,8 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
     started = time.process_time()
     for delta in schedule:
         session.ingest(delta)
+        if not repair:
+            session.summarization.reset_repair()
         result = session.summarize(request)
         invalidated += result.repair_invalidated
         summaries.append(tuple(result.summary_expression.terms))
@@ -138,13 +142,13 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
     invalidated = 0
     for _ in range(trials):
         elapsed, inval, repaired = run_schedule(
-            users, movies, steps, deltas, spam_every, "on"
+            users, movies, steps, deltas, spam_every, True
         )
         if repair_best is None or elapsed < repair_best:
             repair_best = elapsed
             invalidated = inval
         elapsed, _, recomputed = run_schedule(
-            users, movies, steps, deltas, spam_every, "off"
+            users, movies, steps, deltas, spam_every, False
         )
         if recompute_best is None or elapsed < recompute_best:
             recompute_best = elapsed

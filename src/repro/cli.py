@@ -15,7 +15,7 @@ Commands
     A scripted tour of the PROX system session.
 ``ingest``
     Stream provenance deltas into a PROX session: summarize, ingest,
-    then *repair* the summary and compare against recomputing it.
+    then *repair* the summary after every delta and time each re-run.
 
 All commands are deterministic given ``--seed``.
 
@@ -126,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--target-size", type=int, default=1)
     summarize.add_argument("--target-dist", type=float, default=1.0)
     summarize.add_argument("--arity", type=int, default=2, help="merge arity (k-way)")
-    summarize.add_argument(
-        "--sample-sharing",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="bit-packed sampled scoring for classes too large to "
-        "enumerate: one shared Monte-Carlo batch per step instead of "
-        "per-candidate redraws (default: auto)",
-    )
     summarize.add_argument("--save", help="write the summary as JSON to this file")
     summarize.add_argument(
         "--log", action="store_true", help="print the per-step merge log"
@@ -186,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="every k-th delta spam-flags a user pair "
                         "(extends cancel-valuations; default: never)")
     ingest.add_argument("--steps", type=int, default=8)
-    ingest.add_argument("--repair", choices=("auto", "on", "off"),
-                        default="auto")
     ingest.add_argument("--from", dest="from_file", metavar="FILE",
                         help="read deltas from a JSON list of delta "
                         "payloads instead of generating them")
@@ -286,7 +276,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         max_steps=args.steps,
         merge_arity=args.arity,
         seed=args.seed,
-        sample_sharing=args.sample_sharing,
     )
     problem = instance.problem()
     if args.algorithm == "prov-approx":
@@ -420,9 +409,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     session = ProxSession(instance)
     session.select_titles(session.titles())
-    request = SummarizationRequest(
-        number_of_steps=args.steps, repair=args.repair
-    )
+    request = SummarizationRequest(number_of_steps=args.steps)
     if args.from_file:
         with open(args.from_file, "r", encoding="utf-8") as handle:
             payloads = json.load(handle)

@@ -18,8 +18,8 @@ Public entry points:
   selection under normalized scoring and the naive reference as the
   fallback.
 * :class:`~repro.core.sampled_scoring.SampledStepScorer` -- the
-  bit-packed Monte-Carlo kernel for classes too large to enumerate
-  (the ``sample_sharing=`` config knob).
+  bit-packed Monte-Carlo kernel for classes too large to enumerate:
+  one shared batch scores every candidate of a step.
 """
 
 from .baselines import ClusterDomainSpec, ClusteringSummarizer, RandomSummarizer

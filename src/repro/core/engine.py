@@ -18,8 +18,8 @@ preserves the reference semantics:
 * **naive** -- the reference :class:`~repro.core.distance
   .DistanceComputer` applied to each materialized candidate expression
   (for large classes this is the per-candidate reference sampler --
-  also the path when ``sample_sharing`` is off, when the kernel's
-  preconditions fail, and the fallback when a fast path raises).
+  the path when the kernels' preconditions fail, and the fallback when
+  a fast path raises).
 
 Selection.  Under ``scoring="normalized"`` (the default) the greedy
 loop selects through :meth:`ScoringEngine.measure_lazy`: candidates
@@ -148,12 +148,6 @@ class ScoringEngine:
         # Lazy selection needs absolute scores: ordinal ranks are
         # per-step, so a stale rank bounds nothing.
         self._lazy = config.scoring == "normalized"
-        # Bit-packed sampled scoring for classes too large to
-        # enumerate: one shared Monte-Carlo batch per step instead of
-        # per-candidate redraws through the naive path.  "auto"/"on"
-        # engage it whenever the kernel's preconditions hold; "off"
-        # restores the reference per-candidate sampler.
-        self._sample_sharing = config.sample_sharing is not False
         self._scorer: Optional[FastStepScorer] = None
         #: The lazy queue's carried entries, parts → ``(size,
         #: estimate)``; the estimate is ``None`` for a candidate never
@@ -410,8 +404,8 @@ class ScoringEngine:
 
         ``"exact"`` enumerates the whole class (small classes);
         ``"sampled"`` scores against one shared Monte-Carlo batch
-        (classes too large to enumerate, when ``sample_sharing`` is not
-        off).  ``None`` falls through to the naive reference path.
+        (classes too large to enumerate).  ``None`` falls through to the
+        naive reference path.
         """
         problem = self.problem
         if FastStepScorer.applicable(
@@ -423,7 +417,7 @@ class ScoringEngine:
             self.config.max_enumerate,
         ):
             return "exact"
-        if self._sample_sharing and SampledStepScorer.applicable(
+        if SampledStepScorer.applicable(
             current,
             problem.val_func,
             problem.combiners,

@@ -63,14 +63,9 @@ class EquivalencePartition:
         """Full signature scan (the non-incremental baseline)."""
         valuation_list = list(valuations)
         labels = tuple(str(valuation) for valuation in valuation_list)
-        signatures: Dict[str, int] = {}
-        for name in names:
-            signature = 0
-            for index, valuation in enumerate(valuation_list):
-                if valuation.truth(name):
-                    signature |= 1 << index
-            signatures[name] = signature
-        return cls(labels, signatures)
+        return cls(
+            labels, {name: _signature(name, valuation_list) for name in names}
+        )
 
     def repair(
         self,
@@ -99,16 +94,9 @@ class EquivalencePartition:
         for name in names:
             carried = self.signatures.get(name)
             if carried is None:
-                signature = 0
-                for index, valuation in enumerate(valuation_list):
-                    if valuation.truth(name):
-                        signature |= 1 << index
+                signatures[name] = _signature(name, valuation_list)
             else:
-                signature = carried
-                for offset, valuation in enumerate(appended):
-                    if valuation.truth(name):
-                        signature |= 1 << (n_old + offset)
-            signatures[name] = signature
+                signatures[name] = carried | _signature(name, appended, n_old)
         if flipped:
             index_of = {label: index for index, label in enumerate(labels)}
             for label, touched in flipped.items():
@@ -135,44 +123,41 @@ class EquivalencePartition:
         return [tuple(group) for group in buckets.values()]
 
 
+def _signature(name: str, valuations: Sequence, first_bit: int = 0) -> int:
+    """``name``'s truth under each valuation, packed from ``first_bit``
+    (bit ``first_bit + v`` set ⇔ true under ``valuations[v]``)."""
+    signature = 0
+    for index, valuation in enumerate(valuations, first_bit):
+        if valuation.truth(name):
+            signature |= 1 << index
+    return signature
+
+
 def compute_partition(
     names: Sequence[str], valuations: ValuationClass
 ) -> EquivalencePartition:
-    """Build the repairable signature partition for ``names``."""
+    """Build the repairable signature partition for ``names``.
+
+    Kept as a module-level name because the end-to-end benchmark's
+    per-layer tracer (``perfbench/tracer.py``) times the equivalence
+    layer by patching it where ``repro.core.summarize`` looks it up.
+    """
     return EquivalencePartition.build(names, valuations)
 
 
 def equivalence_classes(
-    names: Sequence[str],
-    valuations: ValuationClass,
-    previous: Optional[EquivalencePartition] = None,
-    flipped: Optional[Mapping[str, Collection[str]]] = None,
+    names: Sequence[str], valuations: ValuationClass
 ) -> List[Tuple[str, ...]]:
     """Partition ``names`` into ``V_Ann``-equivalence classes.
 
     Each annotation's signature is its truth value under every
     valuation of the class; equal signatures mean no valuation can
-    ever tell the annotations apart.  The signature is packed into one
-    integer (bit ``v`` set ⇔ true under valuation ``v``); classes keep
-    first-occurrence order.
-
-    Delta-update mode: passing ``previous`` (the partition of the
-    pre-delta state) repairs signatures locally via
-    :meth:`EquivalencePartition.repair` instead of rescanning every
-    (annotation, valuation) pair; ``flipped`` names the truth flips of
-    extended valuations.  The result is identical to the full scan.
+    ever tell the annotations apart.  Classes keep first-occurrence
+    order.  (:meth:`EquivalencePartition.repair` delta-updates a
+    partition instead of rescanning every (annotation, valuation)
+    pair; its classes are identical.)
     """
-    if previous is not None:
-        return previous.repair(names, valuations, flipped).classes(names)
-    valuation_list = list(valuations)
-    packed: Dict[int, List[str]] = {}
-    for name in names:
-        signature = 0
-        for index, valuation in enumerate(valuation_list):
-            if valuation.truth(name):
-                signature |= 1 << index
-        packed.setdefault(signature, []).append(name)
-    return [tuple(group) for group in packed.values()]
+    return EquivalencePartition.build(names, valuations).classes(names)
 
 
 def constrained_groups(

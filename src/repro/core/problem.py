@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..provenance.annotations import AnnotationUniverse
 from ..provenance.ir import AnnotationInterner
@@ -67,13 +67,12 @@ REMOVED_FIELDS = {
     "incremental": "the step scorer is always carried across steps",
     "carry": "the candidate pool and the lazy queue always carry across steps",
     "sample_block": "sampling budgets always round up to 64-draw blocks",
+    "sample_sharing": "sampled steps always score against one shared batch",
+    "repair": "streaming summary repair is always on",
 }
 
-_SWITCH_WORDS = {"auto": None, "on": True, "off": False}
-
 #: The type each checked config field takes, and whether it is
-#: ``Optional``.  A ``bool`` is never a number here; a switch is
-#: ``None``, a bool, or one of :data:`_SWITCH_WORDS`; ``seconds`` is a
+#: ``Optional``.  A ``bool`` is never a number here; ``seconds`` is a
 #: number that may also arrive as a numeric string.
 _FIELD_KINDS = {
     "w_dist": ("number", False),
@@ -88,8 +87,6 @@ _FIELD_KINDS = {
     "delta": ("number", False),
     "candidate_cap": ("integer", True),
     "seed": ("integer", False),
-    "sample_sharing": ("switch", True),
-    "repair": ("switch", True),
     "slo_seconds": ("seconds", True),
 }
 
@@ -97,22 +94,13 @@ _FIELD_KINDS = {
 def check_field(label: str, field_name: str, value: object) -> object:
     """``value`` type-checked as config field ``field_name``.
 
-    Returns the value with switch words resolved to ``None``/``True``/
-    ``False``; raises ``ValueError`` naming ``label`` (the field's name
-    on the caller's surface) when the type is wrong.
+    Returns the value (a numeric ``seconds`` string as a float); raises
+    ``ValueError`` naming ``label`` (the field's name on the caller's
+    surface) when the type is wrong.
     """
     kind, optional = _FIELD_KINDS[field_name]
     if value is None and optional:
         return value
-    if kind == "switch":
-        if isinstance(value, bool):
-            return value
-        word = value.strip().lower() if isinstance(value, str) else None
-        if word not in _SWITCH_WORDS:
-            raise ValueError(
-                f"{label} must be 'auto', 'on', 'off' or a bool, got {value!r}"
-            )
-        return _SWITCH_WORDS[word]
     expected = "an integer" if kind == "integer" else "a number"
     if kind == "seconds" and isinstance(value, str):
         try:
@@ -149,28 +137,19 @@ class SummarizationConfig:
     are re-scored (sound because stale scores are lower bounds, Prop
     4.2.2).  ``scoring="ordinal"`` measures and ranks every candidate.
     The removed knobs in :data:`REMOVED_FIELDS` raise ``TypeError``.
+    Classes too large to enumerate are scored against one shared
+    Monte-Carlo batch per step whenever the sampled kernel applies
+    (:mod:`repro.core.sampled_scoring`), and every run leaves a
+    streaming repair state behind and consumes one passed via
+    ``Summarizer(..., repair_from=...)`` (:mod:`repro.core.streaming`);
+    repaired output is bit-identical to a from-scratch run (asserted by
+    ``tests/core/test_streaming_repair.py``).
 
-    * ``sample_sharing`` -- bit-packed sampled scoring for valuation
-      classes too large to enumerate (see :mod:`repro.core
-      .sampled_scoring`).  ``None``/``"auto"`` and ``True``/``"on"``
-      score every candidate of a step against one shared Monte-Carlo
-      batch (common random numbers) through the bitmask kernel;
-      ``False``/``"off"`` restores the reference per-candidate sampler
-      (``DistanceComputer.sampled``).
     * ``slo_seconds`` -- declared latency SLO for one whole run.  A run
       whose wall-clock ``total_seconds`` exceeds the target counts one
       ``prox_slo_breaches_total{scope="summarize_run"}`` breach (and
       marks the run span) -- observation only, never an abort.  ``None``
       declares no target.
-    * ``repair`` -- streaming summary repair (see :mod:`repro.core
-      .streaming`).  ``None``/``"auto"`` and ``True``/``"on"`` make
-      every run capture a repair state (equivalence partition and
-      candidate pool) and consume one
-      passed via ``Summarizer(..., repair_from=...)``, so a re-run
-      after an append-only provenance delta repairs the previous
-      summary instead of recomputing it; ``False``/``"off"`` disables
-      both.  Repaired output is bit-identical to a from-scratch run
-      (asserted by ``tests/core/test_streaming_repair.py``).
     """
 
     w_dist: float = 0.5
@@ -187,8 +166,6 @@ class SummarizationConfig:
     delta: float = 0.9
     candidate_cap: Optional[int] = None
     seed: int = 0
-    sample_sharing: Union[bool, str, None] = None
-    repair: Union[bool, str, None] = None
     slo_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -126,8 +126,9 @@ class SummarizationResult:
     #: Carried pool entries the delta invalidated (repaired runs only).
     repair_invalidated: int = 0
     #: State a later run can repair from (:class:`~repro.core.streaming
-    #: .SummaryRepairState`); ``None`` when ``config.repair`` is off.
-    #: Holds live objects -- intentionally not serialized.
+    #: .SummaryRepairState`); every :class:`Summarizer` run sets it, beam
+    #: search and the baselines leave it ``None``.  Holds live objects --
+    #: intentionally not serialized.
     repair_state: Optional[SummaryRepairState] = None
     #: Steps whose fast scoring path raised and was rescored through
     #: the naive reference (``ScoringEngine.fallback_count``); a
@@ -189,7 +190,7 @@ class Summarizer:
         (the problem must be the previous one extended by an
         append-only delta); ``flipped`` maps a valuation label to the
         annotations whose truth that delta flipped (valuation
-        extensions).  Both are ignored when ``config.repair`` is off.
+        extensions).
         """
         self.problem = problem
         self.config = config
@@ -254,23 +255,20 @@ class Summarizer:
         # Every repaired artifact is bit-identical to its from-scratch
         # counterpart (differential-tested), so the rest of the run is
         # oblivious to how step 0 came to be.
-        repair_on = config.repair is not False
-        state = self.repair_from if repair_on else None
-        flipped = self.flipped
+        state = self.repair_from
 
         current = original
         equivalence_merges = 0
         equivalence_mapping: Dict[str, str] = {}
         partition: Optional[EquivalencePartition] = None
         if config.group_equivalent_first:
-            if repair_on:
-                names = sorted(original.annotation_names())
-                if state is not None and state.partition is not None:
-                    partition = state.partition.repair(
-                        names, problem.valuations, flipped
-                    )
-                else:
-                    partition = compute_partition(names, problem.valuations)
+            names = sorted(original.annotation_names())
+            if state is not None and state.partition is not None:
+                partition = state.partition.repair(
+                    names, problem.valuations, self.flipped
+                )
+            else:
+                partition = compute_partition(names, problem.valuations)
             current, equivalence_mapping, equivalence_merges = group_equivalent(
                 original,
                 problem.universe,
@@ -326,7 +324,7 @@ class Summarizer:
             with step_span:
                 step_started = time.perf_counter()
                 candidates = pool.candidates(current)
-                if repair_on and new_state is None:
+                if new_state is None:
                     # Step-0 capture: the raw candidate list a future
                     # repaired run seeds its pool from.
                     new_state = SummaryRepairState(
@@ -396,7 +394,7 @@ class Summarizer:
                 step_span.set("n_candidates", len(candidates))
                 step_span.set("scoring_path", engine.last_path)
 
-        if repair_on and new_state is None:
+        if new_state is None:
             # The greedy loop never ran (bound already met / nothing to
             # merge): carry the partition so later deltas still repair
             # the equivalence grouping.

@@ -138,11 +138,12 @@ def error_response(
 
 
 def _reject_removed(body: Mapping[str, Any]) -> None:
-    """400 (via ``ValueError``) naming any removed engine knob."""
+    """400 (via ``ValueError``) naming any removed engine knob; the
+    message starts with the first one's name, like every other 400."""
     removed = sorted(set(body) & REMOVED_FIELDS.keys())
     if removed:
         raise ValueError(
-            "removed parameters: "
+            f"{removed[0]}: removed parameters: "
             + "; ".join(f"{name!r} ({REMOVED_FIELDS[name]})" for name in removed)
         )
 

@@ -15,8 +15,7 @@ GET      /titles                    optional ``?search=substring``
 POST     /select                    ``{"titles": [...]}`` or
                                     ``{"genre": ..., "year": ...,
                                     "decade": ...}``
-POST     /summarize                 the Figure 7.4 form fields plus the
-                                    scoring-engine knobs (see
+POST     /summarize                 the Figure 7.4 form fields (see
                                     :class:`SummarizationRequest`)
 GET      /summary/expression        the polynomial-form view (Figure 7.8)
 GET      /summary/groups            the groups view (Figures 7.5-7.7)

@@ -181,10 +181,10 @@ class ProxSession:
         which both grow strictly in place -- existing ids stay valid
         mid-stream), new terms extend the current selection, and
         valuation changes are recorded so the next :meth:`summarize`
-        *repairs* the previous summary instead of recomputing it
-        (``repair="off"`` opts out).  Raises if no provenance is
-        selected, on annotation name collisions, or when a term or
-        valuation extension references an unknown annotation.
+        *repairs* the previous summary instead of recomputing it.
+        Raises if no provenance is selected, on annotation name
+        collisions, or when a term or valuation extension references an
+        unknown annotation.
         """
         if self.selected is None:
             raise RuntimeError("select provenance first (selection view)")
@@ -245,6 +245,13 @@ class ProxSession:
     def summarize(
         self, request: SummarizationRequest = SummarizationRequest(), seed: int = 0
     ) -> SummarizationResult:
+        """Summarize the selection (the summarization view, Figure 7.4).
+
+        Repairs the previous run's summary when a delta was ingested
+        since and the request shape is unchanged, else computes from
+        scratch; both give bit-identical output.  Raises if no
+        provenance is selected.
+        """
         if self.selected is None:
             raise RuntimeError("select provenance first (selection view)")
         arena_before = _ir.GLOBAL_STORE.arena_bytes()
@@ -438,7 +445,9 @@ class ProxSession:
             # Re-run lazily on the next touch that needs a result, so
             # rehydration stays cheap for sessions only being listed.
             # Snapshots written before an engine knob was removed still
-            # carry it; the knob never changed results, so drop it.
+            # carry it, so drop it.  Most never changed results; a
+            # recorded sample_sharing="off" did (independent per-candidate
+            # draws), and such a snapshot re-runs with the shared batch.
             request = {
                 key: value
                 for key, value in dict(last[0]).items()

@@ -12,7 +12,11 @@ from typing import Dict, List, Optional, Set
 
 from ..core.combiners import DomainCombiners
 from ..core.problem import SummarizationConfig, SummarizationProblem, check_field
-from ..core.streaming import ProvenanceDelta, SummaryRepairState
+from ..core.streaming import (
+    ProvenanceDelta,
+    SummaryRepairState,
+    extend_valuations,
+)
 from ..core.summarize import SummarizationResult, Summarizer
 from ..core.val_funcs import AbsoluteDifference, Disagreement, EuclideanDistance
 from ..datasets.base import DatasetInstance
@@ -23,7 +27,6 @@ from ..provenance.valuation import Valuation
 from ..provenance.valuation_classes import (
     CancelSingleAnnotation,
     CancelSingleAttribute,
-    ExplicitValuations,
     ValuationClass,
 )
 
@@ -44,15 +47,20 @@ CONFIG_FIELDS = {
     "distance_bound": "target_dist",
     "size_bound": "target_size",
     "number_of_steps": "max_steps",
-    "sample_sharing": "sample_sharing",
-    "repair": "repair",
     "slo_seconds": "slo_seconds",
 }
 
 
 @dataclass(frozen=True)
 class SummarizationRequest:
-    """The Figure 7.4 form: what the user configures before summarizing."""
+    """The Figure 7.4 form: what the user configures before summarizing.
+
+    Engine behaviour is not configurable here: sampled steps always
+    share one Monte-Carlo batch, and every run repairs from the
+    session's previous run when its state fits.  The removed engine
+    knobs (:data:`~repro.core.problem.REMOVED_FIELDS`) raise
+    ``TypeError``.
+    """
 
     distance_weight: float = 0.5
     size_weight: Optional[float] = None
@@ -62,13 +70,6 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Shared-batch sampled scoring ("auto"/"on"/"off"/bool; see
-    #: :mod:`repro.core.sampled_scoring`).
-    sample_sharing: object = None
-    #: Streaming summary repair ("auto"/"on"/"off"): consume the repair
-    #: state left by the previous run of this session (if any) and
-    #: leave one behind for the next (see :mod:`repro.core.streaming`).
-    repair: object = None
     #: Declared latency SLO for the whole run, in seconds; breaches
     #: count in ``prox_slo_breaches_total{scope="summarize_run"}``.
     slo_seconds: Optional[float] = None
@@ -96,13 +97,14 @@ class SummarizationService:
     """Summarizes selected provenance with UI-style parameters.
 
     The service is the session's streaming-repair anchor: every run
-    (unless ``repair="off"``) leaves a :class:`~repro.core.streaming
-    .SummaryRepairState` behind, and the next run over the *same*
-    request shape consumes it -- so after :meth:`record_delta` the
-    summary is repaired, not recomputed.  Valuation *extensions*
-    (spam flags on already-known users) accumulate here too: the
-    universe-derived class is rebuilt each call and the cumulative
-    extensions re-applied in place, keeping labels/positions stable.
+    leaves a :class:`~repro.core.streaming.SummaryRepairState` behind,
+    and the next run over the *same* request shape consumes it -- so
+    after :meth:`record_delta` the summary is repaired, not recomputed
+    (:meth:`reset_repair` drops the state, forcing a from-scratch run).
+    Valuation *extensions* (spam flags on already-known users)
+    accumulate here too: the universe-derived class is rebuilt each
+    call and the cumulative extensions re-applied in place, keeping
+    labels/positions stable.
     """
 
     def __init__(
@@ -153,30 +155,19 @@ class SummarizationService:
         return len(state.pool_raw)
 
     def _apply_extensions(self, valuations: ValuationClass) -> ValuationClass:
-        """The class with cumulative extensions and extra valuations.
-
-        Extended valuations are replaced *in place* (same position,
-        label and weight), extra valuations appended -- so the previous
-        run's labels stay a prefix of this run's, the invariant the
-        equivalence-partition repair keys on.
-        """
-        if not self._extensions and not self._extra_valuations:
-            return valuations
-        missing = dict(self._extensions)
-        rebuilt: List[Valuation] = []
-        for valuation in valuations:
-            extra = missing.pop(str(valuation), None)
-            rebuilt.append(
-                valuation.cancelling(sorted(extra)) if extra else valuation
-            )
-        if missing:
-            raise KeyError(
-                f"deltas extended unknown valuation labels: {sorted(missing)}"
-            )
-        rebuilt.extend(self._extra_valuations)
-        extended = ExplicitValuations(rebuilt)
-        extended.name = valuations.name
-        return extended
+        """The class with cumulative extensions and extra valuations
+        (:func:`~repro.core.streaming.extend_valuations`), so the
+        previous run's labels stay a prefix of this run's."""
+        return extend_valuations(
+            valuations,
+            ProvenanceDelta(
+                valuations=self._extra_valuations,
+                extend_valuations={
+                    label: sorted(names)
+                    for label, names in self._extensions.items()
+                },
+            ),
+        )
 
     def build_problem(
         self,
@@ -258,10 +249,7 @@ class SummarizationService:
             flipped=flipped if repair_from is not None else None,
         )
         result = summarizer.run()
-        if result.repair_state is not None:
-            self.repair_state = result.repair_state
-            self._repair_key = key
-            self._pending_flips = {}
-        else:
-            self.reset_repair()
+        self.repair_state = result.repair_state
+        self._repair_key = key
+        self._pending_flips = {}
         return result

@@ -80,9 +80,9 @@ AUTO_KERNEL = (
     kernels.MODE_NATIVE if kernels.native_available() else kernels.MODE_PYTHON
 )
 
-KERNEL_AXIS = [
+#: The backends that exist: python, and native where it builds.
+LIVE_KERNELS = [
     kernels.MODE_PYTHON,
-    REMOVED_KERNEL,
     pytest.param(
         kernels.MODE_NATIVE,
         marks=pytest.mark.skipif(
@@ -90,6 +90,8 @@ KERNEL_AXIS = [
         ),
     ),
 ]
+
+KERNEL_AXIS = [LIVE_KERNELS[0], REMOVED_KERNEL, LIVE_KERNELS[1]]
 
 
 needs_native = pytest.mark.skipif(
@@ -303,6 +305,7 @@ def assert_all_paths_agree(problem):
 
 @pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
 @pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("kernel", LIVE_KERNELS, indirect=True)
 def test_differential_over_rng_grid(monoid_name, seed, kernel):
     assert_all_paths_agree(random_problem(seed, MONOIDS[monoid_name]))
 
@@ -1164,12 +1167,14 @@ def test_lazy_requires_normalized_scoring_and_carry():
         ("incremental", "off"),
         ("carry", "off"),
         ("sample_block", 64),
+        ("sample_sharing", "off"),
+        ("repair", "off"),
     ],
 )
 def test_removed_engine_knobs_raise(field, value):
-    """The fork pool, the lazy, incremental and carry switches and the
-    sampling block size are gone: naming them fails loudly instead of
-    being silently ignored."""
+    """The fork pool, the lazy, incremental, carry, sample-sharing and
+    repair switches and the sampling block size are gone: naming them
+    fails loudly instead of being silently ignored."""
     with pytest.raises(TypeError, match=field):
         SummarizationConfig(**{field: value})
 

@@ -292,16 +292,6 @@ def test_engine_dispatches_sampled_paths():
     assert engine.last_sample_batch == BATCH
     assert engine.last_sample_variance >= 0.0
 
-    engine = engine_for(
-        problem,
-        sampling_computer(problem, SEED, batch=BATCH),
-        max_enumerate=0,
-        distance_samples=BATCH,
-        sample_sharing="off",
-    )
-    engine.measure(candidates, current, mapping)
-    assert engine.last_path == ScoringEngine.PATH_NAIVE
-
     # Small class: sampling never hijacks the exact kernel.
     engine = engine_for(problem, sampling_computer(problem, SEED, batch=BATCH))
     engine.measure(candidates, current, mapping)
@@ -653,11 +643,11 @@ def test_sample_budget_clamps_at_enumeration_crossover():
 
 
 def test_sample_knob_validation():
-    with pytest.raises(ValueError):
-        SummarizationConfig(sample_sharing="sometimes")
-    assert SummarizationConfig(sample_sharing="off").sample_sharing is False
-    assert SummarizationConfig(sample_sharing="on").sample_sharing is True
-    assert SummarizationConfig(sample_sharing="auto").sample_sharing is None
+    """The shared batch is always on: naming the removed switch fails
+    loudly, whatever its value."""
+    for value in ("sometimes", "off", "on", "auto", False):
+        with pytest.raises(TypeError, match="sample_sharing"):
+            SummarizationConfig(sample_sharing=value)
 
 
 # -- statistical guarantee (Prop 4.1.2) --------------------------------------------
@@ -823,9 +813,13 @@ def test_sampled_lazy_matches_eager(seed, full_rank):
     )
 
 
-def test_sample_sharing_off_still_summarizes():
+def test_sample_sharing_off_still_summarizes(monkeypatch):
     """The reference per-candidate sampler remains a complete fallback:
-    same config, sharing off -- the run completes on the naive path."""
+    with the sampled kernel inapplicable, the same config completes on
+    the naive path."""
+    monkeypatch.setattr(
+        SampledStepScorer, "applicable", staticmethod(lambda *args: False)
+    )
     problem = random_problem(3, SUM, n_users=8, n_terms=18)
     result = Summarizer(
         problem,
@@ -835,7 +829,6 @@ def test_sample_sharing_off_still_summarizes():
             seed=0,
             max_enumerate=0,
             distance_samples=32,
-            sample_sharing="off",
         ),
     ).run()
     assert result.steps

@@ -5,10 +5,9 @@ Two obligations, each over random instances and random delta splits:
 * **Equivalence-partition repair is exact.**  For any valuation set,
   any way of splitting it into a base class plus a delta (false-set
   extensions of existing valuations + appended fresh valuations), the
-  incremental :meth:`EquivalencePartition.repair` -- and its
-  :func:`equivalence_classes(..., previous=, flipped=)` front door --
-  must bucket annotations exactly like a full signature recompute over
-  the final class.  This is the Prop 4.2.1 locality argument run in
+  incremental :meth:`EquivalencePartition.repair` must bucket
+  annotations exactly like a full signature recompute over the final
+  class (:func:`equivalence_classes`).  This is the Prop 4.2.1 locality argument run in
   reverse: a signature can only change where the delta flipped truth.
 
 * **Pool-ingest invalidation is sound.**  After
@@ -89,9 +88,7 @@ def test_partition_repair_matches_full_recompute(data):
     repaired = previous.repair(names, final, flipped)
     assert repaired.signatures == full.signatures
     assert repaired.classes(names) == full.classes(names)
-    assert equivalence_classes(
-        names, final, previous=previous, flipped=flipped
-    ) == equivalence_classes(names, final)
+    assert repaired.classes(names) == equivalence_classes(names, final)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,9 @@ The differential recipe mirrors a real streaming session against a
 batch one.  The streamed session summarizes, ingests every delta, and
 summarizes again (consuming the repair state).  The reference session
 is built fresh over the same instance, ingests the same deltas *before
-its first run*, and summarizes with ``repair="off"``; its summary-name
-counter is aligned to the streamed session's so the generated summary
-annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
+its first run* (so it has no state to repair from) and summarizes from
+scratch; its summary-name counter is aligned to the streamed session's
+so the generated summary annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × selection
@@ -105,11 +105,7 @@ def run_differential(cfg, dcfg, request):
     # The streamed session's first summarize consumed summary names;
     # align the counter so both runs generate the same S<n> labels.
     reference_instance.universe.summary_counter = counter_after
-    from_scratch = scratch.summarize(
-        SummarizationRequest(
-            **{**request.__dict__, "repair": "off"}
-        )
-    )
+    from_scratch = scratch.summarize(request)
     return repaired, from_scratch
 
 
@@ -309,9 +305,7 @@ class TestStreamedEqualsFrozen:
         reference_instance.universe.summary_counter = (
             counters[-2] if len(counters) > 1 else counters[-1]
         )
-        from_scratch = scratch.summarize(
-            SummarizationRequest(number_of_steps=6, repair="off")
-        )
+        from_scratch = scratch.summarize(SummarizationRequest(number_of_steps=6))
         assert _snapshot(result) == _snapshot(from_scratch)
 
 

@@ -79,11 +79,14 @@ class TestLifecycleRoutes:
             "incremental",
             "carry",
             "sample_block",
+            "sample_sharing",
+            "repair",
         ],
     )
     def test_removed_engine_knobs_are_400_naming_the_field(self, server, field):
         status, data, _ = request(server, "POST", "/sessions", {field: 2})
         assert status == 400
+        assert data["error"].startswith(field)
         assert "removed parameters" in data["error"] and repr(field) in data["error"]
 
         status, created, _ = request(server, "POST", "/sessions", {})
@@ -97,6 +100,7 @@ class TestLifecycleRoutes:
             {"number_of_steps": 2, field: 2},
         )
         assert status == 400
+        assert data["error"].startswith(field)
         assert "removed parameters" in data["error"] and repr(field) in data["error"]
 
     def test_unknown_session_is_404(self, server):

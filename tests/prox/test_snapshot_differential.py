@@ -52,8 +52,11 @@ REQUESTS = [
         False,
         id="greedy-carry-lazy",
     ),
+    # The shared-batch sampled path is the default (its switch is
+    # gone); at this class size the step still enumerates, so this row
+    # runs the carry-lazy request under its old id.
     pytest.param(
-        SummarizationRequest(number_of_steps=4, sample_sharing="on"),
+        SummarizationRequest(number_of_steps=4),
         False,
         id="greedy-sampled",
     ),
@@ -217,9 +220,7 @@ def _run_child(code, *argv, full_rank=False):
     [
         pytest.param({"number_of_steps": 4}, True, id="baseline"),
         pytest.param({"number_of_steps": 4}, False, id="carry-lazy"),
-        pytest.param(
-            {"number_of_steps": 4, "sample_sharing": "on"}, False, id="sampled"
-        ),
+        pytest.param({"number_of_steps": 4}, False, id="sampled"),
     ],
 )
 def test_cross_process_zero_copy_restore_is_bit_identical(
@@ -279,9 +280,10 @@ print('{{}}')
 
 def test_restore_drops_removed_engine_knobs(tmp_path):
     """A snapshot written while ``lazy``/``parallelism``/``incremental``
-    /``carry``/``sample_block`` still existed records them in its last
-    summarize request; restoring it must re-summarize identically instead of
-    failing on the removed knobs."""
+    /``carry``/``sample_block``/``sample_sharing``/``repair`` still
+    existed records them in its last summarize request; restoring it
+    must re-summarize identically instead of failing on the removed
+    knobs."""
     request_ = SummarizationRequest(number_of_steps=3)
     control = build_session()
     expected = fingerprint(control.summarize(request_, seed=13))
@@ -295,6 +297,8 @@ def test_restore_drops_removed_engine_knobs(tmp_path):
             "incremental": "off",
             "carry": "off",
             "sample_block": 64,
+            "sample_sharing": "on",
+            "repair": "off",
         },
         seed,
     )

@@ -95,6 +95,24 @@ def test_summarize_removed_sample_block_flag_exits_2(capsys):
     assert "--sample-block" in capsys.readouterr().err
 
 
+def test_summarize_removed_sample_sharing_flag_exits_2(capsys):
+    """``--sample-sharing`` is gone (sampled steps always share one
+    batch): argparse rejects it with a usage error."""
+    with pytest.raises(SystemExit) as exited:
+        main(["summarize", "movielens", "--sample-sharing", "off"])
+    assert exited.value.code == 2
+    assert "--sample-sharing" in capsys.readouterr().err
+
+
+def test_ingest_removed_repair_flag_exits_2(capsys):
+    """``--repair`` is gone (streaming repair is always on): argparse
+    rejects it with a usage error."""
+    with pytest.raises(SystemExit) as exited:
+        main(["ingest", "--repair", "off"])
+    assert exited.value.code == 2
+    assert "--repair" in capsys.readouterr().err
+
+
 def test_summarize_removed_numpy_kernel_exits_2(capsys):
     """The numpy kernel backend is gone: ``--kernel numpy`` is a usage
     error instead of a silent fallback."""
