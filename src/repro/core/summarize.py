@@ -115,6 +115,9 @@ class SummarizationResult:
     steps: List[StepRecord]
     stop_reason: str
     final_size: int
+    #: Distance of ``summary_expression`` from the original.
+    #: :class:`Summarizer` reports the last kept step's estimate when it
+    #: is exact and asks the reference computer otherwise.
     final_distance: DistanceEstimate
     equivalence_merges: int
     total_seconds: float
@@ -400,12 +403,22 @@ class Summarizer:
             # the equivalence grouping.
             new_state = SummaryRepairState(partition=partition, expression=current)
 
-        final_distance = computer.distance(current, mapping)
+        # The last kept step already measured the expression the run
+        # returns (after a target_dist revert the popped step is gone),
+        # and an exact estimate equals the reference's bit for bit.  A
+        # sampled estimate keeps the reference's independent draw.
+        measured = steps[-1].distance_after if steps else None
+        if measured is not None and measured.exact:
+            final_distance, final_distance_source = measured, "step"
+        else:
+            final_distance = computer.distance(current, mapping)
+            final_distance_source = "reference"
         if run_span is not _tracing.NULL_SPAN:
             run_span.set("steps", len(steps))
             run_span.set("stop_reason", stop_reason)
             run_span.set("final_size", current.size())
             run_span.set("final_distance", final_distance.normalized)
+            run_span.set("final_distance_source", final_distance_source)
             run_span.set("equivalence_merges", equivalence_merges)
             run_span.set("scoring_path_counts", dict(engine.path_counts))
             run_span.set("scoring_fallbacks", engine.fallback_count)

@@ -374,6 +374,7 @@ class ProxApp:
         request = SummarizationRequest(
             **{key: value for key, value in body.items() if key in allowed}
         )
+        previous = session.result
         result = session.summarize(request, seed=int(body.get("seed", 0)))
         scoring_paths: Dict[str, int] = {}
         for record in result.steps:
@@ -390,6 +391,7 @@ class ProxApp:
                 "scoring_paths": scoring_paths,
                 "repaired": result.repaired,
                 "repair_invalidated": result.repair_invalidated,
+                "reused": result is previous,
                 "session_id": session.session_id,
                 "steps_detail": [
                     {

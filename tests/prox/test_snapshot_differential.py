@@ -15,6 +15,7 @@ byte-identical, and likewise for a whole restored session.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ import pytest
 
 from repro import serialization
 from repro.core.beam import BeamSummarizer
+from repro.core.summarize import Summarizer
 from repro.datasets import (
     MovieLensConfig,
     MovieLensDeltaConfig,
@@ -38,26 +40,26 @@ CONFIG = MovieLensConfig(n_users=10, n_movies=8, include_movie_merges=True, seed
 
 #: The scoring-path grid of the acceptance criterion.  Greedy via the
 #: session API (baseline: full ranking, forced by the ``full_rank``
-#: fixture; carry-lazy: the default lazy-greedy selection); the beam
-#: axis runs BeamSummarizer over the session's own problem
-#: (build_problem).  Each entry is ``(request, full_rank)``.
+#: fixture; carry-lazy: the default lazy-greedy selection); the sampled
+#: row and the beam axis run over the session's own problem
+#: (build_problem).  Each entry is ``(request, full_rank, sampled)``.
 REQUESTS = [
     pytest.param(
         SummarizationRequest(number_of_steps=4),
         True,
+        False,
         id="greedy-baseline",
     ),
     pytest.param(
         SummarizationRequest(number_of_steps=4),
         False,
+        False,
         id="greedy-carry-lazy",
     ),
-    # The shared-batch sampled path is the default (its switch is
-    # gone); at this class size the step still enumerates, so this row
-    # runs the carry-lazy request under its old id.
     pytest.param(
         SummarizationRequest(number_of_steps=4),
         False,
+        True,
         id="greedy-sampled",
     ),
 ]
@@ -72,6 +74,16 @@ def build_session(session_id=None):
     ):
         session.ingest(delta)
     return session
+
+
+def summarize_sampled(session, request_):
+    """Greedy over the session's problem with no class small enough to
+    enumerate (``max_enumerate=0``): every step takes the sampled path.
+    The request form has no such field, so this builds the problem
+    through the session's service and runs the summarizer directly."""
+    problem = session.summarization.build_problem(session.selected, request_)
+    config = dataclasses.replace(request_.to_config(seed=13), max_enumerate=0)
+    return Summarizer(problem, config).run()
 
 
 def fingerprint(result):
@@ -90,24 +102,33 @@ def fingerprint(result):
     }
 
 
-def assert_clean(fingerprint_):
-    assert fingerprint_["paths"] == ["fast+incremental"]
+def assert_clean(fingerprint_, sampled=False):
+    assert fingerprint_["merges"]
+    path = "sampled+incremental" if sampled else "fast+incremental"
+    assert fingerprint_["paths"] == [path]
     assert fingerprint_["fallbacks"] == 0
 
 
-@pytest.mark.parametrize("request_, ranked", REQUESTS)
+def summarize_row(session, request_, sampled):
+    """One grid row's summarize on ``session``."""
+    if sampled:
+        return summarize_sampled(session, request_)
+    return session.summarize(request_, seed=13)
+
+
+@pytest.mark.parametrize("request_, ranked, sampled", REQUESTS)
 def test_evicted_session_summarizes_bit_identically(
-    request_, ranked, tmp_path, full_rank
+    request_, ranked, sampled, tmp_path, full_rank
 ):
     """In-process eviction (warm store: replay path) changes nothing."""
     with full_rank() if ranked else contextlib.nullcontext():
-        _evict_and_compare(request_, tmp_path)
+        _evict_and_compare(request_, sampled, tmp_path)
 
 
-def _evict_and_compare(request_, tmp_path):
+def _evict_and_compare(request_, sampled, tmp_path):
     control = build_session()
-    expected = fingerprint(control.summarize(request_, seed=13))
-    assert_clean(expected)
+    expected = fingerprint(summarize_row(control, request_, sampled))
+    assert_clean(expected, sampled)
 
     manager = SessionManager(
         factory=lambda sid: build_session(sid),
@@ -119,7 +140,7 @@ def _evict_and_compare(request_, tmp_path):
         session_id = subject.session_id
         assert manager.evict(session_id)
         with manager.acquire(session_id) as restored:
-            actual = fingerprint(restored.summarize(request_, seed=13))
+            actual = fingerprint(summarize_row(restored, request_, sampled))
         assert actual == expected
     finally:
         manager.close_all()
@@ -164,13 +185,14 @@ if {full_rank!r}:
 _CHILD_BUILD = """
 import json, sys
 sys.path.insert(0, {src!r})
-from tests.prox.test_snapshot_differential import build_session, fingerprint
+from tests.prox.test_snapshot_differential import (
+    build_session, fingerprint, summarize_row,
+)
 from repro.prox.summarization import SummarizationRequest
 """ + _CHILD_SELECTION + """
 session = build_session()
-result = session.summarize(
-    SummarizationRequest(**json.loads(sys.argv[2])), seed=13
-)
+request = SummarizationRequest(**json.loads(sys.argv[2]))
+result = summarize_row(session, request, {sampled!r})
 session.snapshot(sys.argv[1])
 print(json.dumps({{"fingerprint": fingerprint(result)}}))
 """
@@ -178,12 +200,17 @@ print(json.dumps({{"fingerprint": fingerprint(result)}}))
 _CHILD_RESTORE = """
 import json, sys
 sys.path.insert(0, {src!r})
-from tests.prox.test_snapshot_differential import fingerprint
+from tests.prox.test_snapshot_differential import fingerprint, summarize_sampled
 from repro.provenance import ir
 from repro.prox import ProxSession
+from repro.prox.summarization import SummarizationRequest
 """ + _CHILD_SELECTION + """
 session = ProxSession.restore(sys.argv[1])
-result = session._require_result()   # lazy re-summarize after rehydrate
+if {sampled!r}:
+    request = SummarizationRequest(**json.loads(sys.argv[2]))
+    result = summarize_sampled(session, request)
+else:
+    result = session._require_result()   # lazy re-summarize after rehydrate
 print(json.dumps({{
     "fingerprint": fingerprint(result),
     "zero_copy": ir.GLOBAL_STORE.restored(),
@@ -191,7 +218,7 @@ print(json.dumps({{
 """
 
 
-def _child(code, *argv, full_rank=False, env=None):
+def _child(code, *argv, full_rank=False, sampled=False, env=None):
     """Run ``code`` in a fresh interpreter; returns the completed run."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     env = dict(
@@ -201,7 +228,12 @@ def _child(code, *argv, full_rank=False, env=None):
         ),
     )
     completed = subprocess.run(
-        [sys.executable, "-c", code.format(src=root, full_rank=full_rank), *argv],
+        [
+            sys.executable,
+            "-c",
+            code.format(src=root, full_rank=full_rank, sampled=sampled),
+            *argv,
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -211,31 +243,35 @@ def _child(code, *argv, full_rank=False, env=None):
     return completed
 
 
-def _run_child(code, *argv, full_rank=False):
-    return json.loads(_child(code, *argv, full_rank=full_rank).stdout)
+def _run_child(code, *argv, full_rank=False, sampled=False):
+    return json.loads(
+        _child(code, *argv, full_rank=full_rank, sampled=sampled).stdout
+    )
 
 
 @pytest.mark.parametrize(
-    "request_, ranked",
+    "request_, ranked, sampled",
     [
-        pytest.param({"number_of_steps": 4}, True, id="baseline"),
-        pytest.param({"number_of_steps": 4}, False, id="carry-lazy"),
-        pytest.param({"number_of_steps": 4}, False, id="sampled"),
+        pytest.param({"number_of_steps": 4}, True, False, id="baseline"),
+        pytest.param({"number_of_steps": 4}, False, False, id="carry-lazy"),
+        pytest.param({"number_of_steps": 4}, False, True, id="sampled"),
     ],
 )
 def test_cross_process_zero_copy_restore_is_bit_identical(
-    request_, ranked, tmp_path
+    request_, ranked, sampled, tmp_path
 ):
     """A fresh process mmap-loads the snapshot zero-copy and recomputes
     the exact same summary the original process produced.  The
     baseline runs both processes under the full measure-and-rank
-    path."""
+    path; the sampled row reruns the sampled problem on both sides."""
     path = str(tmp_path / "session.snap")
     original = _run_child(
-        _CHILD_BUILD, path, json.dumps(request_), full_rank=ranked
+        _CHILD_BUILD, path, json.dumps(request_), full_rank=ranked, sampled=sampled
     )
-    assert_clean(original["fingerprint"])
-    restored = _run_child(_CHILD_RESTORE, path, full_rank=ranked)
+    assert_clean(original["fingerprint"], sampled)
+    restored = _run_child(
+        _CHILD_RESTORE, path, json.dumps(request_), full_rank=ranked, sampled=sampled
+    )
     assert restored["zero_copy"], "expected the zero-copy install path"
     assert restored["fingerprint"] == original["fingerprint"]
 
