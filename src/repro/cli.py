@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
-        help="where evicted-session snapshots live (default: a tempdir)",
+        help="where evicted-session snapshots live (default: a temp "
+        "directory, removed at shutdown)",
     )
     serve.add_argument(
         "--evict-idle", type=float, default=300.0, metavar="SECONDS",
@@ -520,6 +521,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - interacti
         if args.workers == 0:
             manager.stop_eviction_loop()
         server.stop()
+        if args.workers == 0 and args.snapshot_dir is None:
+            # No later process reads the manager's own temp directory:
+            # it goes with its drain snapshots (each worker's manager
+            # does the same as it exits).
+            manager.close_all()
     print("shutdown complete")
     return 0
 

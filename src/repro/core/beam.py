@@ -37,6 +37,7 @@ from .summarize import (
     _SUMMARIZE_RUNS,
     _SUMMARIZE_SECONDS,
     _SUMMARIZE_STEPS,
+    final_distance_of,
 )
 
 
@@ -207,12 +208,15 @@ class BeamSummarizer:
                 break
 
         best = min(beams, key=lambda beam: beam.score)
-        final_distance = computer.distance(best.expression, best.mapping)
+        final_distance, final_distance_source = final_distance_of(
+            computer, best.steps, best.expression, best.mapping
+        )
         if run_span is not _tracing.NULL_SPAN:
             run_span.set("steps", len(best.steps))
             run_span.set("stop_reason", stop_reason)
             run_span.set("final_size", best.expression.size())
             run_span.set("final_distance", final_distance.normalized)
+            run_span.set("final_distance_source", final_distance_source)
             run_span.set("scoring_path_counts", dict(engine.path_counts))
             run_span.set("scoring_fallbacks", engine.fallback_count)
         return SummarizationResult(

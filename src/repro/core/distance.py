@@ -9,25 +9,33 @@ results to the VAL-FUNC and averages; Chebyshev's inequality bounds
 the convergence rate.
 
 :class:`DistanceComputer` packages the machinery used on Algorithm 1's
-hot path: it caches the original expression's evaluation per valuation
+hot path: it owns the original expression's evaluation per valuation
 (valuations are reused across thousands of candidate scorings) and
-decides between exact enumeration (small classes) and sampling.
+decides between exact enumeration (small classes) and sampling.  The
+step scorers read that evaluation column-major
+(:meth:`DistanceComputer.original_columns`): one ``array('d')`` per
+original group, position ``i`` holding the group's finalized value
+under the ``i``-th valuation, built in one pass from per-annotation
+truth rows instead of one ``evaluate`` per valuation.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from ..provenance.annotations import AnnotationUniverse
 from ..provenance.ir import AnnotationInterner
+from ..provenance.tensor_sum import TensorSum
 from ..provenance.valuation import Valuation
 from ..provenance.valuation_classes import ValuationClass
 from .combiners import DomainCombiners
 from .mapping import MappingState
+from .val_funcs import VectorValFunc
 
 _DISTANCE_CALLS = _metrics.counter(
     "prox_distance_calls_total",
@@ -169,7 +177,13 @@ class DistanceComputer:
         self.rng = rng if rng is not None else random.Random(0)
         self._original_cache: Dict[int, object] = {}
         self._sample_cache: Dict[object, object] = {}
-        self._max_error = float(val_func.max_error(original))
+        self._groups: Optional[List[Tuple]] = None
+        self._class_columns: Optional[Dict[Optional[str], array]] = None
+        if isinstance(original, TensorSum) and isinstance(val_func, VectorValFunc):
+            full = {group: value for group, value, _ in self._original_groups()}
+            self._max_error = float(val_func.max_error_of(full))
+        else:
+            self._max_error = float(val_func.max_error(original))
         #: Lifetime telemetry (exact/sampled calls, samples, variance).
         self.stats = DistanceStats()
 
@@ -203,6 +217,90 @@ class DistanceComputer:
             cached = self.original.evaluate(false_set)
             self._sample_cache[false_set] = cached
         return cached
+
+    def _original_groups(self) -> List[Tuple]:
+        """The original's groups in first-appearance order (built once).
+
+        Each entry is ``(group, full value, terms)``: the group's
+        finalized value with every annotation true, and its terms in
+        expression order as ``(value, count, annotations, guards, dead
+        when all true)``.
+        """
+        if self._groups is not None:
+            return self._groups
+        members: Dict[Optional[str], List[Tuple]] = {}
+        for term in self.original.terms:
+            # With every annotation true only a guard can kill a term.
+            dead = any(guard.dead_bits(0, 1) for guard in term.guards)
+            members.setdefault(term.group, []).append(
+                (term.value, term.count, term.annotations, term.guards, dead)
+            )
+        monoid = self.original.monoid
+        self._groups = [
+            (group, _fold_finalized(monoid, [t for t in terms if not t[4]]), terms)
+            for group, terms in members.items()
+        ]
+        return self._groups
+
+    def original_columns(
+        self, valuations: Optional[Sequence[Valuation]] = None
+    ) -> Dict[Optional[str], array]:
+        """The original's finalized value per group at every position.
+
+        Returns one ``array('d')`` column per original group, in the
+        original's group order; entry ``i`` equals
+        ``original.evaluate(valuations[i].false_set())[group]
+        .finalized_value()`` bit for bit.  ``valuations`` defaults to
+        the whole class, whose columns are built once per computer; a
+        sampled batch passes its draws, repeated members included.
+        The columns are shared: treat them as read-only.
+
+        One pass: a truth row per annotation (bit ``i`` set ⇔ false
+        under ``valuations[i]``), a dead row per term, and per group
+        the all-true value except where some term's aliveness differs
+        from the all-true case.  There the group's alive terms refold
+        forward in expression order, the fold ``evaluate`` runs.
+        """
+        if valuations is None:
+            if self._class_columns is None:
+                self._class_columns = self._build_columns(list(self.valuations))
+            return self._class_columns
+        return self._build_columns(valuations)
+
+    def _build_columns(
+        self, valuations: Sequence[Valuation]
+    ) -> Dict[Optional[str], array]:
+        n_vals = len(valuations)
+        full = (1 << n_vals) - 1
+        false_rows: Dict[str, int] = {}
+        for index, valuation in enumerate(valuations):
+            for name in valuation.false_set():
+                false_rows[name] = false_rows.get(name, 0) | 1 << index
+        row = false_rows.get
+        monoid = self.original.monoid
+        columns: Dict[Optional[str], array] = {}
+        for group, full_value, terms in self._original_groups():
+            dead_rows: List[int] = []
+            refold = 0
+            for _, _, names, guards, dead_when_true in terms:
+                dead = 0
+                for name in names:
+                    dead |= row(name, 0)
+                for guard in guards:
+                    union = 0
+                    for name in guard.annotations:
+                        union |= row(name, 0)
+                    dead |= guard.dead_bits(union, full)
+                dead_rows.append(dead)
+                refold |= (dead ^ full) if dead_when_true else dead
+            column = array("d", [full_value]) * n_vals
+            while refold:
+                low = refold & -refold
+                refold ^= low
+                alive = [term for term, dead in zip(terms, dead_rows) if not dead & low]
+                column[low.bit_length() - 1] = _fold_finalized(monoid, alive)
+            columns[group] = column
+        return columns
 
     def _summary_result(
         self, summary, valuation: Valuation, mapping: MappingState, universe=None
@@ -324,6 +422,24 @@ class DistanceComputer:
             n_valuations=samples,
             exact=False,
         )
+
+
+def _fold_finalized(monoid, terms: Sequence[Tuple]) -> float:
+    """``fold_counted`` of ``(value, count, ...)`` entries, finalized.
+
+    The same operations in the same order as
+    :meth:`~repro.provenance.tensor_sum.TensorSum.evaluate` followed by
+    ``finalized_value()``: an empty (or zero-count) fold and an
+    infinite value finalize to 0.0.
+    """
+    value = monoid.identity
+    count = 0
+    for entry in terms:
+        value = monoid.combine(value, entry[0])
+        count += entry[1]
+    if count == 0 or math.isinf(value):
+        return 0.0
+    return value
 
 
 def exhaustive_distance(

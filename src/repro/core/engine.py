@@ -444,9 +444,15 @@ class ScoringEngine:
             self.last_batch_reused = sampled
             return carried
         scorer_cls = SampledStepScorer if sampled else FastStepScorer
-        self._scorer = scorer_cls(
-            self.computer, current, mapping, self.problem.universe
-        )
+        span = _tracing.span("scorer_build")
+        with span:
+            self._scorer = scorer_cls(
+                self.computer, current, mapping, self.problem.universe
+            )
+            if span is not _tracing.NULL_SPAN:
+                span.set("n_vals", self._scorer.n_vals)
+                span.set("n_keys", self._scorer.n_keys)
+                span.set("nonzero_keys", self._scorer.nonzero_keys)
         self._invalidate_carry()
         return self._scorer
 

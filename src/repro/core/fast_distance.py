@@ -29,7 +29,24 @@ four structural facts to collapse that product:
    a candidate's per-valuation metric is the baseline's *nonzero*
    contributions (keys touched by past merges -- typically few) with
    the candidate's disturbed keys swapped for their recomputed
-   contributions, instead of a walk over every group.
+   contributions, instead of a walk over every group.  That state is
+   column-major, in the layout the kernel's ``sparse_scores`` walk
+   reads: one ``array('d')`` per key, position ``i`` for valuation
+   ``i``.  The original's side comes from
+   :meth:`~repro.core.distance.DistanceComputer.original_columns` (a
+   column per original group, constant for the run) and is aligned
+   to the current groups by combining colliding keys' columns
+   elementwise in original key order; a group merge's original
+   (:meth:`FastStepScorer._fold_orig`) combines the parts' aligned
+   columns in aligned order.  Each key's contribution column is
+   ``metric_contrib`` of its original and baseline columns; keys
+   whose two columns are byte-equal contribute nothing and are
+   skipped.  The per-position running sum adds the columns in the
+   order of the set union of original and baseline keys, and a
+   merge's correction subtracts the parts' columns and adds each
+   refreshed key's change in the same per-position order a walk over
+   per-valuation dicts would, so every float is bit-identical to that
+   walk.
 
 The scorer mirrors :class:`~repro.core.distance.DistanceComputer`
 semantics -- the equivalence is asserted by
@@ -47,13 +64,24 @@ Everything else goes to the naive reference path.
 The scorer is carried across steps: after a merge ``{a, b} → c`` is
 applied, :meth:`FastStepScorer.advance` rebuilds only the state
 touching ``a``, ``b`` or ``c`` (annotation masks, the rewritten terms'
-keys and dead rows, group baselines, aligned original vectors and
-per-valuation metric contributions) and carries everything else.
+keys and dead rows, group baselines, the merged key's aligned original
+column and the refreshed keys' contribution columns) and carries
+everything else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+import operator
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from array import array
 
@@ -75,16 +103,6 @@ def _renamed_guard(guard: Tuple, parts: FrozenSet[str]) -> Tuple:
     names, value, op, threshold = guard
     kept = tuple([name for name in names if name not in parts])
     return (len(names) - len(kept), kept, value, op, threshold)
-
-
-_COMPARE = {
-    ">": lambda left, threshold: left > threshold,
-    ">=": lambda left, threshold: left >= threshold,
-    "<": lambda left, threshold: left < threshold,
-    "<=": lambda left, threshold: left <= threshold,
-    "==": lambda left, threshold: left == threshold,
-    "!=": lambda left, threshold: left != threshold,
-}
 
 
 class FastStepScorer:
@@ -162,29 +180,27 @@ class FastStepScorer:
         self._build_masks()
         self._build_terms()
         self._baseline = self._fold_groups(list(self._group_order))
-        # Original results in evaluation-encounter order, shared across
-        # steps: ``_align_originals`` folds them, and ``advance``
-        # refolds the merged keys in the same order.
+        #: An all-0.0 column: the value of every absent key.
+        self._zero_col = array("d", bytes(8 * self.n_vals))
+        # The original's columns per original group key: constants of
+        # the run, read-only (see :meth:`DistanceComputer
+        # .original_columns`).  ``_image`` sends each key to its group
+        # in the current expression; ``_aligned`` holds the original in
+        # current-group coordinates, colliding keys combined column by
+        # column in original key order.  ``advance`` pops the merged
+        # keys and appends their refold, so the dict's order is the
+        # order ``_fold_orig`` combines in.
+        self._orig_base = self._original_columns()
         self._image: Dict[Optional[str], Optional[str]] = {}
-        self._orig_lists: List[List[Tuple[Optional[str], float]]] = []
-        # Read-only entry lists: repeated batch members share one list
-        # (``advance`` only iterates them, never mutates).
-        listed: Dict[int, List[Tuple[Optional[str], float]]] = {}
-        for index, valuation in enumerate(self.valuations):
-            entries = listed.get(id(valuation))
-            if entries is None:
-                original = self._original_result(index, valuation)
-                entries = []
-                for key, aggregate in original.items():
-                    entries.append((key, aggregate.finalized_value()))
-                    if key not in self._image:
-                        self._image[key] = (
-                            self.mapping.get(key, key) if key is not None else None
-                        )
-                listed[id(valuation)] = entries
-            self._orig_lists.append(entries)
-
-        self._orig_aligned = self._align_originals()
+        colliding: Dict[Optional[str], List[array]] = {}
+        for key, column in self._orig_base.items():
+            image = self.mapping.get(key, key) if key is not None else None
+            self._image[key] = image
+            colliding.setdefault(image, []).append(column)
+        self._aligned: Dict[Optional[str], array] = {
+            image: self._combine_columns(columns)
+            for image, columns in colliding.items()
+        }
         #: Number of advance() carries since construction (telemetry).
         self.steps_carried = 0
 
@@ -211,14 +227,16 @@ class FastStepScorer:
         #: :meth:`size_intersects` tests parts against).
         self._last_touched: FrozenSet[Optional[str]] = frozenset()
 
-        self._nonzero: List[Dict[Optional[str], float]] = []
-        #: Per-position running sum of ``_nonzero`` values (insertion
-        #: order at build, then corrected by each merge's delta).  The
+        #: Per-key metric contribution columns of the baseline; a key
+        #: whose contribution is 0.0 everywhere is absent.
+        self._contrib: Dict[Optional[str], array] = {}
+        #: Per-position running sum of the contributions (key order of
+        #: the build, then corrected by each merge's delta).  The
         #: sparse walk starts from this and subtracts the few excluded
-        #: keys instead of re-walking the whole dict.  The association
-        #: dust this introduces stays far inside the engine's stale-key
+        #: keys instead of re-walking every key.  The association dust
+        #: this introduces stays far inside the engine's stale-key
         #: margin, and every recorded winner is freshly scored.
-        self._nonzero_sum: List[float] = []
+        self._nonzero_sum = self._zero_col
         # Position-indexed weights and their left-to-right sum, the
         # ``total_weight`` every candidate's weighted mean divides by.
         self._weights_col = array(
@@ -228,16 +246,6 @@ class FastStepScorer:
         for weight in self._weights_col:
             weight_sum += weight
         self._weight_sum: float = weight_sum
-        # Columnar float64 mirrors of the sparse dicts for the kernel
-        # ``sparse_scores`` walk, built lazily (many candidates per step
-        # share them) and dropped by ``advance``.  Dense columns encode
-        # an absent key as 0.0: subtracting or adding that coordinate
-        # is an IEEE identity, so the columnar walk is bit-identical to
-        # a walk over the sparse dicts.
-        self._base_col: Optional[array] = None
-        self._zero_col: Optional[array] = None
-        self._nonzero_cols: Dict[object, array] = {}
-        self._orig_cols: Dict[object, array] = {}
         self._build_nonzero()
 
     # -- precomputation ---------------------------------------------------------
@@ -250,14 +258,14 @@ class FastStepScorer:
         """
         return list(self.computer.valuations)
 
-    def _original_result(self, index: int, valuation):
-        """Original's evaluation under ``self.valuations[index]``.
+    def _original_columns(self) -> Dict[Optional[str], array]:
+        """The original's columns over :attr:`valuations`.
 
-        The enumerating scorer shares the computer's index-keyed cache;
-        the sampled subclass redirects to the false-set-keyed sample
-        cache (batch positions are not stable enumeration indexes).
+        The enumerating scorer reads the computer's whole-class columns
+        (built once per computer); the sampled subclass builds them
+        over its batch.
         """
-        return self.computer._original_result(index, valuation)
+        return self.computer.original_columns()
 
     def _mask_rows(self) -> Dict[object, int]:
         """Table-row index per annotation key, in expression order."""
@@ -347,13 +355,6 @@ class FastStepScorer:
         part_keys: Optional[FrozenSet[object]],
         merged: int,
     ) -> int:
-        compare = _COMPARE[guard_token.op]
-        sat_alive = compare(guard_token.value, guard_token.threshold)
-        sat_dead = compare(0.0, guard_token.threshold)
-        if sat_alive and sat_dead:
-            return 0
-        if not sat_alive and not sat_dead:
-            return self._full_bits
         bits_of = self._mask_bits
         union = 0
         for mask_key in guard_keys:
@@ -361,9 +362,7 @@ class FastStepScorer:
                 union |= merged
             else:
                 union |= bits_of.get(mask_key, 0)
-        if sat_alive:
-            return union
-        return self._full_bits & ~union
+        return guard_token.dead_bits(union, self._full_bits)
 
     def _term_structure(self, term: Term) -> Tuple:
         """A term's interned and presorted name tables.
@@ -545,34 +544,12 @@ class FastStepScorer:
             [entry[1] for entry in arrays],
             self._dead,
         )
-        return dict(zip(groups, columns))
-
-    def _align_originals(self) -> List[Dict[Optional[str], float]]:
-        """Original vectors per valuation, in current-group coordinates.
-
-        Folds ``_orig_lists`` through ``_image``.  A repeated batch
-        member shares one entry list, so its vector is folded once and
-        dict-copied per extra position (the copies stay independent --
-        ``advance`` refolds them in place).
-        """
-        aligned: List[Dict[Optional[str], float]] = []
-        image_of = self._image
-        folded: Dict[int, Dict[Optional[str], float]] = {}
-        for entries in self._orig_lists:
-            cached = folded.get(id(entries))
-            if cached is not None:
-                aligned.append(dict(cached))
-                continue
-            vector: Dict[Optional[str], float] = {}
-            for key, value in entries:
-                image = image_of[key]
-                if image in vector:
-                    vector[image] = self.monoid.combine(vector[image], value)
-                else:
-                    vector[image] = value
-            folded[id(entries)] = vector
-            aligned.append(vector)
-        return aligned
+        # Baselines are read as arrays (byte comparison, map combines);
+        # the native backend already returns them.
+        return {
+            group: column if isinstance(column, array) else array("d", column)
+            for group, column in zip(groups, columns)
+        }
 
     # -- candidate scoring ---------------------------------------------------------
 
@@ -868,117 +845,87 @@ class FastStepScorer:
 
     # -- sparse state ------------------------------------------------------------
 
-    def _build_nonzero(self) -> None:
-        """Per-valuation nonzero metric contributions of the baseline.
+    def _contrib_col(self, key: Optional[str]) -> array:
+        """One key's contribution column, recomputed from its original
+        and baseline columns (an absent side reads 0.0)."""
+        zero = self._zero_col
+        return array(
+            "d",
+            map(
+                self.val_func.metric_contrib,
+                self._aligned.get(key, zero),
+                self._baseline.get(key, zero),
+            ),
+        )
 
-        A repeated batch member's baseline and original values are
-        position-independent (all its positions carry the same dead
-        bits), so its contributions are computed once and dict-copied
-        per extra position -- the copies must stay independent because
-        ``_refresh_contributions`` mutates them per position.
+    def _build_nonzero(self) -> None:
+        """Per-key contribution columns of the baseline and their sum.
+
+        Keys come in the order of the set union of original and
+        baseline keys; a key whose two columns are byte-equal
+        contributes 0.0 everywhere (``metric_contrib(x, x) == 0.0``)
+        and is skipped.  Adding a 0.0 contribution to a non-negative
+        sum is an IEEE identity, so summing whole columns equals the
+        per-position sum over nonzero contributions bit for bit.
         """
-        contrib = self.val_func.metric_contrib
-        self._nonzero = []
-        self._nonzero_sum = []
-        built: Dict[int, Tuple[Dict[Optional[str], float], float]] = {}
-        for index in range(self.n_vals):
-            cached = built.get(id(self.valuations[index]))
-            if cached is not None:
-                self._nonzero.append(dict(cached[0]))
-                self._nonzero_sum.append(cached[1])
+        zero = self._zero_col
+        aligned = self._aligned
+        baseline = self._baseline
+        keys = aligned.keys() | baseline.keys()
+        #: Keys the build walked: original and current groups.
+        self.n_keys = len(keys)
+        total = zero
+        for key in keys:
+            originals = aligned.get(key, zero)
+            values = baseline.get(key, zero)
+            if originals.tobytes() == values.tobytes():
                 continue
-            orig_vec = self._orig_aligned[index]
-            entries: Dict[Optional[str], float] = {}
-            total = 0.0
-            for key in orig_vec.keys() | self._baseline.keys():
-                values = self._baseline.get(key)
-                value = contrib(
-                    orig_vec.get(key, 0.0),
-                    values[index] if values is not None else 0.0,
-                )
-                if value != 0.0:
-                    entries[key] = value
-                    total += value
-            built[id(self.valuations[index])] = (entries, total)
-            self._nonzero.append(entries)
-            self._nonzero_sum.append(total)
+            column = self._contrib_col(key)
+            if any(column):
+                self._contrib[key] = column
+                total = array("d", map(operator.add, total, column))
+        self._nonzero_sum = total
+
+    @property
+    def nonzero_keys(self) -> int:
+        """Keys with a nonzero contribution at some position."""
+        return len(self._contrib)
 
     def _refresh_contributions(self, part_set: FrozenSet[str], refresh: set) -> None:
-        """Re-base the nonzero contributions past a merge.
+        """Re-base the contribution columns past a merge.
 
-        Pops the merged annotations' old group contributions, refreshes
-        the disturbed groups' new ones, and corrects each position's
-        running sum by what changed.
+        Drops the merged annotations' old group contributions,
+        refreshes the disturbed groups' new ones, and corrects each
+        position's running sum by what changed.  Per position the
+        operations run in the order of a walk over the keys: the
+        parts' contributions subtracted in part-set order, then each
+        refreshed key's ``fresh − old`` added in set order, then the
+        delta added to the sum.
         """
-        contrib = self.val_func.metric_contrib
-        for index in range(self.n_vals):
-            nonzero = self._nonzero[index]
-            delta = 0.0
-            for part in part_set:
-                removed = nonzero.pop(part, None)
-                if removed is not None:
-                    delta -= removed
-            orig_vec = self._orig_aligned[index]
-            for key in refresh:
-                values = self._baseline.get(key)
-                value = contrib(
-                    orig_vec.get(key, 0.0),
-                    values[index] if values is not None else 0.0,
-                )
-                delta += value - nonzero.get(key, 0.0)
-                if value != 0.0:
-                    nonzero[key] = value
-                else:
-                    nonzero.pop(key, None)
-            self._nonzero_sum[index] += delta
-
-    # -- sparse column mirrors ---------------------------------------------------
-
-    def _drop_sparse_columns(self) -> None:
-        """Invalidate the columnar mirrors (state they mirror changed)."""
-        self._base_col = None
-        self._nonzero_cols.clear()
-        self._orig_cols.clear()
-
-    def _sparse_base_col(self) -> array:
-        if self._base_col is None:
-            self._base_col = array("d", self._nonzero_sum)
-        return self._base_col
-
-    def _sparse_zero_col(self) -> array:
-        if self._zero_col is None:
-            self._zero_col = array("d", bytes(8 * self.n_vals))
-        return self._zero_col
-
-    def _nonzero_col(self, key: object) -> array:
-        """Dense column of one key's nonzero contributions (0.0 absent).
-
-        The nonzero dicts never store 0.0 (``value != 0.0`` gates the
-        insert), so the dense column and the dict agree exactly on
-        which coordinates carry a value.
-        """
-        col = self._nonzero_cols.get(key)
-        if col is None:
-            col = array("d", bytes(8 * self.n_vals))
-            nonzero_of = self._nonzero
-            for index in range(self.n_vals):
-                value = nonzero_of[index].get(key)
-                if value is not None:
-                    col[index] = value
-            self._nonzero_cols[key] = col
-        return col
-
-    def _orig_col(self, group: Optional[str]) -> array:
-        """Dense column of one group's aligned original values."""
-        col = self._orig_cols.get(group)
-        if col is None:
-            aligned = self._orig_aligned
-            col = array(
+        zero = self._zero_col
+        columns = self._contrib
+        delta = zero
+        for part in part_set:
+            removed = columns.pop(part, None)
+            if removed is not None:
+                delta = array("d", map(operator.sub, delta, removed))
+        for key in refresh:
+            fresh = self._contrib_col(key)
+            delta = array(
                 "d",
-                (aligned[index].get(group, 0.0) for index in range(self.n_vals)),
+                map(
+                    operator.add,
+                    delta,
+                    map(operator.sub, fresh, columns.get(key, zero)),
+                ),
             )
-            self._orig_cols[group] = col
-        return col
+            if any(fresh):
+                columns[key] = fresh
+            else:
+                columns.pop(key, None)
+        self._nonzero_sum = array(
+            "d", map(operator.add, self._nonzero_sum, delta)
+        )
 
     # -- candidate scoring -------------------------------------------------------
 
@@ -1003,25 +950,20 @@ class FastStepScorer:
         excluded.extend(
             group for group in recomputed if group not in part_set
         )
-        minus = [self._nonzero_col(key) for key in excluded]
+        zero = self._zero_col
+        contrib_of = self._contrib
+        minus = [contrib_of.get(key, zero) for key in excluded]
         contribs: List[Tuple[Sequence[float], Sequence[float]]] = []
         for group, values in recomputed.items():
-            if group == marker:
-                if group_merge:
-                    originals: Sequence[float] = array(
-                        "d",
-                        (
-                            self._fold_orig(index, part_set)
-                            for index in range(self.n_vals)
-                        ),
-                    )
-                else:
-                    originals = self._sparse_zero_col()
+            if group != marker:
+                originals = self._aligned.get(group, zero)
+            elif group_merge:
+                originals = self._fold_orig(part_set)
             else:
-                originals = self._orig_col(group)
+                originals = zero
             contribs.append((originals, values))
         total = self._kernel.sparse_scores(
-            self._sparse_base_col(),
+            self._nonzero_sum,
             minus,
             contribs,
             self._weights_col,
@@ -1057,17 +999,30 @@ class FastStepScorer:
         """
         return not self._last_touched.isdisjoint(parts)
 
-    def _fold_orig(self, index: int, keys: FrozenSet[str]) -> float:
-        """Fold the aligned original values of ``keys`` (group merge).
+    def _fold_orig(self, keys: FrozenSet[str]) -> array:
+        """Combine the aligned original columns of ``keys`` (group merge).
 
-        Values combine in the aligned vector's iteration order, as the
-        reference alignment folds colliding keys.
+        Columns combine elementwise in the aligned dict's order, as the
+        reference alignment folds colliding keys; no key aligned reads
+        0.0.
         """
-        acc: Optional[float] = None
-        for key, value in self._orig_aligned[index].items():
-            if key in keys:
-                acc = value if acc is None else self.monoid.combine(acc, value)
-        return 0.0 if acc is None else acc
+        combined = self._combine_columns(
+            column for key, column in self._aligned.items() if key in keys
+        )
+        return self._zero_col if combined is None else combined
+
+    def _combine_columns(self, columns: Iterable[array]) -> Optional[array]:
+        """Left fold of ``columns`` through the monoid, elementwise.
+
+        ``max`` and ``+`` are MAX's and SUM/COUNT's ``combine`` run as C
+        builtins.  ``None`` for no column; a single column is returned
+        as is (columns are never written in place).
+        """
+        combine = max if self._is_max else operator.add
+        acc: Optional[array] = None
+        for column in columns:
+            acc = column if acc is None else array("d", map(combine, acc, column))
+        return acc
 
     # -- step transition ---------------------------------------------------------
 
@@ -1156,30 +1111,26 @@ class FastStepScorer:
             for group in self._group_order
         }
 
-        # Aligned originals: refold only the keys whose image changed.
+        # Aligned originals: refold only the keys whose image changed,
+        # from the original columns in original key order.
         changed = {
             key for key, image in self._image.items() if image in part_set
         }
         for key in changed:
             self._image[key] = new_name
         if changed:
-            for index in range(self.n_vals):
-                vector = self._orig_aligned[index]
-                for part in part_set:
-                    vector.pop(part, None)
-                acc: Optional[float] = None
-                for key, value in self._orig_lists[index]:
-                    if key in changed:
-                        acc = value if acc is None else self.monoid.combine(acc, value)
-                if acc is not None:
-                    vector[new_name] = acc
+            aligned = self._aligned
+            for part in part_set:
+                aligned.pop(part, None)
+            aligned[new_name] = self._combine_columns(
+                column
+                for key, column in self._orig_base.items()
+                if key in changed
+            )
 
         refresh = set(touched_groups)
         refresh.add(new_name)
         self._refresh_contributions(part_set, refresh)
-        # The nonzero dicts, their running sums and the aligned
-        # originals all moved; the columnar mirrors must follow.
-        self._drop_sparse_columns()
         self.steps_carried += 1
 
     def _carried_runs(

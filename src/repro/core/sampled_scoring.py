@@ -28,9 +28,10 @@ Monte-Carlo batch per step:
   the lifted false set computed once per *distinct* drawn member
   (sampling with replacement repeats members; all of a member's draw
   positions scatter in one entry).  Per-term dead masks, per-group
-  baseline aggregates and the aligned original vectors are computed
-  once per step, and a candidate touches only the terms containing its
-  merged parts, exactly like the enumerating scorer.
+  baseline aggregates and the original's columns (built over the
+  batch positions, a repeated member being one more position) are
+  computed once per step, and a candidate touches only the terms
+  containing its merged parts, exactly like the enumerating scorer.
   :meth:`packed_masks` materializes the canonical ``array('Q')`` word
   layout; the per-batch statistics fold in the same 64-draw blocks.
 * **Deterministic batches make carried measurements valid.**  The
@@ -53,7 +54,7 @@ preconditions fail.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..provenance.annotations import AnnotationUniverse
 from ..provenance.tensor_sum import TensorSum
@@ -119,12 +120,9 @@ class SampledStepScorer(FastStepScorer):
     def _step_valuations(self) -> List:
         return list(self._batch)
 
-    def _original_result(self, index: int, valuation):
-        # Batch positions are not stable enumeration indexes; key the
-        # original's evaluation on the valuation's false set instead
-        # (shared with the reference sampler's memo, so a differential
-        # run pays the evaluation once).
-        return self.computer._original_for(valuation)
+    def _original_columns(self):
+        # Repeated members are repeated positions of the build.
+        return self.computer.original_columns(self.valuations)
 
     def _build_masks(self) -> None:
         """Dead-bit rows across the batch, one lift per distinct member.
@@ -235,33 +233,26 @@ class SampledStepScorer(FastStepScorer):
         ``(ε, δ)`` budget assumed.
         """
         metric = self.val_func.metric
-        baseline = self._baseline
-        aligned = self._orig_aligned
+        zero = self._zero_col
+        # The metric walks its keys in the order of the set union of
+        # original and baseline keys; each position reads one row of
+        # the columns.  Equal rows (a repeated member's positions) give
+        # equal values, so each distinct row pair is measured once.
+        keys = list(self._aligned.keys() | self._baseline.keys())
+        originals = zip(*[self._aligned.get(key, zero) for key in keys])
+        summaries = zip(*[self._baseline.get(key, zero) for key in keys])
+        measured: Dict[Tuple, float] = {}
         values: List[float] = []
-        weights: List[float] = []
-        # A repeated batch member's baseline and original values are
-        # position-independent, so its metric is evaluated once.
-        evaluated: Dict[int, float] = {}
-        for index in range(self.n_vals):
-            valuation = self.valuations[index]
-            value = evaluated.get(id(valuation))
+        for rows in zip(originals, summaries):
+            value = measured.get(rows)
             if value is None:
-                orig_vec = aligned[index]
-                keys = orig_vec.keys() | baseline.keys()
-                value = metric(
-                    {key: orig_vec.get(key, 0.0) for key in keys},
-                    {
-                        key: (
-                            baseline[key][index] if key in baseline else 0.0
-                        )
-                        for key in keys
-                    },
+                original, summary = rows
+                value = measured[rows] = metric(
+                    dict(zip(keys, original)), dict(zip(keys, summary))
                 )
-                evaluated[id(valuation)] = value
             values.append(value)
-            weights.append(valuation.weight)
         succ, weight_sum, sumsq = self._kernel.weighted_moments(
-            values, weights
+            values, self._weights_col
         )
         mean = succ / weight_sum if weight_sum else 0.0
         #: Weighted mean baseline distance over the batch (raw value).

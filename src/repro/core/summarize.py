@@ -115,9 +115,9 @@ class SummarizationResult:
     steps: List[StepRecord]
     stop_reason: str
     final_size: int
-    #: Distance of ``summary_expression`` from the original.
-    #: :class:`Summarizer` reports the last kept step's estimate when it
-    #: is exact and asks the reference computer otherwise.
+    #: Distance of ``summary_expression`` from the original: the last
+    #: kept step's estimate when it is exact, else the reference
+    #: computer's (:func:`final_distance_of`, greedy and beam alike).
     final_distance: DistanceEstimate
     equivalence_merges: int
     total_seconds: float
@@ -177,6 +177,27 @@ class SummarizationResult:
             if annotation.is_summary:
                 groups[current] = tuple(sorted(annotation.base_members()))
         return groups
+
+
+def final_distance_of(
+    computer: DistanceComputer,
+    steps: List[StepRecord],
+    expression,
+    mapping: MappingState,
+) -> Tuple[DistanceEstimate, str]:
+    """The distance of the returned ``expression`` and its source.
+
+    ``steps`` is the history that produced ``expression``: its last
+    record already measured that expression, and an exact estimate
+    equals the reference's bit for bit, so it is reported as is
+    (source ``"step"``).  With no step, or a sampled last estimate,
+    the reference computer measures it (source ``"reference"``; a
+    sampled run keeps the reference's independent draw).
+    """
+    measured = steps[-1].distance_after if steps else None
+    if measured is not None and measured.exact:
+        return measured, "step"
+    return computer.distance(expression, mapping), "reference"
 
 
 class Summarizer:
@@ -403,16 +424,11 @@ class Summarizer:
             # the equivalence grouping.
             new_state = SummaryRepairState(partition=partition, expression=current)
 
-        # The last kept step already measured the expression the run
-        # returns (after a target_dist revert the popped step is gone),
-        # and an exact estimate equals the reference's bit for bit.  A
-        # sampled estimate keeps the reference's independent draw.
-        measured = steps[-1].distance_after if steps else None
-        if measured is not None and measured.exact:
-            final_distance, final_distance_source = measured, "step"
-        else:
-            final_distance = computer.distance(current, mapping)
-            final_distance_source = "reference"
+        # After a target_dist revert the popped step is gone, so the
+        # last kept step describes the expression the run returns.
+        final_distance, final_distance_source = final_distance_of(
+            computer, steps, current, mapping
+        )
         if run_span is not _tracing.NULL_SPAN:
             run_span.set("steps", len(steps))
             run_span.set("stop_reason", stop_reason)

@@ -125,10 +125,20 @@ class VectorValFunc(ABC):
         bounds the per-coordinate error; the bound combines the
         coordinates the same way the metric does.
         """
-        full = {
-            key: _fin(aggregate)
-            for key, aggregate in expression.full_vector().items()
-        }
+        return self.max_error_of(
+            {
+                key: _fin(aggregate)
+                for key, aggregate in expression.full_vector().items()
+            }
+        )
+
+    def max_error_of(self, full: Mapping[Optional[str], float]) -> float:
+        """:meth:`max_error` from the original's finalized all-true
+        values per group, in group order.
+
+        Subclasses change the bound here: the distance computer reads
+        it from the all-true values of its own column build.
+        """
         return self.metric(full, {key: 0.0 for key in full})
 
 
@@ -201,7 +211,7 @@ class Disagreement(VectorValFunc):
     def metric_finish(self, total: float) -> float:
         return 0.0 if total == 0.0 else 1.0
 
-    def max_error(self, expression: TensorSum) -> float:
+    def max_error_of(self, full: Mapping[Optional[str], float]) -> float:
         return 1.0
 
 

@@ -4,7 +4,8 @@ One summarization run produces a span tree::
 
     summarize
     ├── step[1]
-    │   └── score_candidates   (path, workers, n_candidates, seconds)
+    │   └── score_candidates   (path, kernel, n_candidates, seconds)
+    │       └── scorer_build   (n_vals, n_keys, nonzero_keys)
     ├── step[2]
     │   └── score_candidates
     └── ...

@@ -84,6 +84,19 @@ class Guard:
         left = self.value if alive else 0.0
         return _COMPARATORS[self.op](left, self.threshold)
 
+    def dead_bits(self, false_union: int, full: int) -> int:
+        """The packed positions where the token fails.
+
+        ``false_union`` has bit ``i`` set when some annotation of the
+        token is false at position ``i`` (its left operand is then 0);
+        ``full`` has a bit set for every position.
+        """
+        holds_alive = _COMPARATORS[self.op](self.value, self.threshold)
+        holds_dead = _COMPARATORS[self.op](0.0, self.threshold)
+        if holds_alive:
+            return 0 if holds_dead else false_union
+        return full & ~false_union if holds_dead else full
+
     def satisfied_by_truth(self, truth: Mapping[str, bool]) -> bool:
         alive = all(truth.get(name, True) for name in self.annotations)
         left = self.value if alive else 0.0

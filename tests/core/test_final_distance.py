@@ -3,7 +3,8 @@
 The greedy loop already measures the winner of every step against the
 original expression.  When that estimate is exact, the last kept
 step's estimate *is* the final distance; the reference computer runs
-only when no step ran or the last estimate was sampled.  The reference
+only when no step ran or the last estimate was sampled.  Beam search
+follows the same rule over its best member's history.  The reference
 stays the oracle: every exact result must equal a fresh reference
 computer's distance of the returned expression, field for field.
 """
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from repro.core import SummarizationConfig, Summarizer
+from repro.core.beam import BeamSummarizer
 from repro.core.distance import DistanceComputer
 from repro.datasets import DDPConfig, MovieLensConfig, generate_ddp, generate_movielens
 from repro.observability import tracing
@@ -52,10 +54,14 @@ def traced():
     tracing.set_enabled(True)
     tracing.take_trace()
 
-    def run(problem, config):
-        result = Summarizer(problem, config).run()
+    def run(problem, config, beam_width=None):
+        if beam_width is None:
+            result, name = Summarizer(problem, config).run(), "summarize"
+        else:
+            result = BeamSummarizer(problem, config, beam_width).run()
+            name = "beam_summarize"
         root = tracing.take_trace()
-        assert root is not None and root.name == "summarize"
+        assert root is not None and root.name == name
         return result, root.attributes["final_distance_source"]
 
     yield run
@@ -133,6 +139,42 @@ def test_sampled_run_keeps_the_reference_draw(traced, reference_calls):
     config = SummarizationConfig(max_steps=3, max_enumerate=0, seed=1)
     result, source = traced(problem, config)
     assert result.n_steps == 3
+    assert {record.scoring_path for record in result.steps} == {
+        "sampled+incremental"
+    }
+    assert source == "reference"
+    assert len(reference_calls) == 1
+    assert not result.final_distance.exact
+    assert result.final_distance is not result.steps[-1].distance_after
+
+
+def test_beam_reports_the_best_members_last_step(traced, reference_calls):
+    problem = _movielens()
+    config = SummarizationConfig(max_steps=4, seed=1)
+    result, source = traced(problem, config, beam_width=2)
+    assert result.n_steps == 4
+    assert {record.scoring_path for record in result.steps} == {"fast+incremental"}
+    assert source == "step"
+    assert reference_calls == []
+    assert result.final_distance is result.steps[-1].distance_after
+    assert result.final_distance == reference_distance(problem, config, result)
+
+
+def test_zero_step_beam_asks_the_reference_once(traced, reference_calls):
+    problem = _movielens()
+    config = SummarizationConfig(max_steps=0, seed=1)
+    result, source = traced(problem, config, beam_width=2)
+    assert result.n_steps == 0
+    assert source == "reference"
+    assert len(reference_calls) == 1
+    assert result.final_distance == reference_distance(problem, config, result)
+
+
+def test_sampled_beam_keeps_the_reference_draw(traced, reference_calls):
+    problem = _movielens()
+    config = SummarizationConfig(max_steps=2, max_enumerate=0, seed=1)
+    result, source = traced(problem, config, beam_width=2)
+    assert result.n_steps == 2
     assert {record.scoring_path for record in result.steps} == {
         "sampled+incremental"
     }

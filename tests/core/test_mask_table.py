@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import DistanceComputer, MappingState, SampledStepScorer, kernels
 from repro.core import enumerate_candidates
-from repro.core.fast_distance import _COMPARE, FastStepScorer
+from repro.core.fast_distance import FastStepScorer
 
 from .test_sampled_scoring import (
     MONOIDS,
@@ -57,6 +57,18 @@ def bigint_masks(scorer):
             if mask_key in masks:
                 masks[mask_key] |= bit
     return masks
+
+
+#: The seed's comparison table, kept here so the replay does not read
+#: the guard semantics it checks.
+_COMPARE = {
+    ">": lambda left, threshold: left > threshold,
+    ">=": lambda left, threshold: left >= threshold,
+    "<": lambda left, threshold: left < threshold,
+    "<=": lambda left, threshold: left <= threshold,
+    "==": lambda left, threshold: left == threshold,
+    "!=": lambda left, threshold: left != threshold,
+}
 
 
 def bigint_guard_mask(scorer, guard_token, guard_keys, masks, overrides=None):

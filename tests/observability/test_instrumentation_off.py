@@ -26,10 +26,14 @@ def instrumentation_guard():
     tracing.take_trace()
 
 
-def _summarize(**knobs):
-    problem = generate_movielens(
+def _problem():
+    return generate_movielens(
         MovieLensConfig(n_users=12, n_movies=10, seed=3)
     ).problem()
+
+
+def _summarize(**knobs):
+    problem = _problem()
     config = SummarizationConfig(w_dist=0.7, max_steps=4, seed=3, **knobs)
     return Summarizer(problem, config).run()
 
@@ -253,6 +257,25 @@ def test_sampled_counters_golden_scrape(instrumentation_guard):
     ) in scrape
     assert "prox_scoring_sampled_fast_total " in scrape
     assert "prox_scoring_sample_batch_reuse_total " in scrape
+
+
+def test_scorer_build_span_reports_the_column_state(instrumentation_guard):
+    """The scorer is built once, inside the first step's scoring span,
+    and carried after: one ``scorer_build`` span per run."""
+    tracing.set_enabled(True)
+    tracing.take_trace()
+    result = _summarize()
+    root = tracing.take_trace()
+    steps = [child for child in root.children if child.name.startswith("step[")]
+    builds = [
+        child.find("score_candidates").find("scorer_build")
+        for child in steps[: result.n_steps]
+    ]
+    assert builds[0] is not None
+    assert builds[1:] == [None] * (len(builds) - 1)
+    attributes = builds[0].attributes
+    assert attributes["n_vals"] == len(_problem().valuations)
+    assert attributes["n_keys"] >= attributes["nonzero_keys"] >= 0
 
 
 def test_score_candidates_spans_report_batch_attributes(instrumentation_guard):
