@@ -110,21 +110,43 @@ def generate_candidates(
     constraint: MergeConstraint,
     arity: int,
 ) -> List[Candidate]:
-    """The raw candidate list before dedupe/cap (generation order).
+    """The raw candidate list before dedupe/cap (generation order):
+    the :func:`candidate_blocks` joined in domain order."""
+    return [
+        candidate
+        for block in candidate_blocks(expression, universe, constraint, arity).values()
+        for candidate in block
+    ]
 
-    Shared by :func:`enumerate_candidates` and the cross-step
-    :class:`~repro.core.pool.CandidatePool`, whose maintained list must
-    replay exactly this order.
+
+def candidate_blocks(
+    expression,
+    universe: AnnotationUniverse,
+    constraint: MergeConstraint,
+    arity: int,
+) -> Dict[str, List[Candidate]]:
+    """The raw candidates per domain, each block in seed-name order.
+
+    Domains come in order of their smallest member name, so joining
+    the blocks gives the generation order.  Shared by
+    :func:`enumerate_candidates` and the cross-step
+    :class:`~repro.core.pool.CandidatePool`, whose maintained blocks
+    must replay exactly this order.
     """
-    candidates: List[Candidate] = []
-    for domain_annotations in annotations_by_domain(expression, universe).values():
+    blocks: Dict[str, List[Candidate]] = {}
+    for domain, domain_annotations in annotations_by_domain(
+        expression, universe
+    ).items():
+        block = []
         for first, second in combinations(domain_annotations, 2):
             candidate = propose_candidate(
                 first, second, domain_annotations, constraint, arity
             )
             if candidate is not None:
-                candidates.append(candidate)
-    return candidates
+                block.append(candidate)
+        if block:
+            blocks[domain] = block
+    return blocks
 
 
 def propose_candidate(

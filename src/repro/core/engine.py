@@ -24,11 +24,13 @@ preserves the reference semantics:
 Selection.  Under ``scoring="normalized"`` (the default) the greedy
 loop selects through :meth:`ScoringEngine.measure_lazy`: candidates
 sit in a priority queue keyed by a lower bound on their
-``CandidateScore``.  An unscored candidate's key is its exact size
-alone (a distance is never negative); a carried one's is its stale
-score (Prop 4.2.2: along a merge chain the distance never falls and
-the size never grows).  Only queue heads are scored until the head is
-fresh, so the winner is the one a full re-score would pick.  Ordinal
+``CandidateScore``: the exact size plus a distance bound.  After the
+queue's winner merged into ``S_t``, every candidate is ``S_t ∘ X``,
+and Prop 4.2.2 (the distance never falls along a merge chain) puts
+its distance at or above ``dist(S_t)`` -- the winner's own estimate --
+and at or above any estimate carried from an earlier step.  Only queue
+heads are scored until the head is fresh, so the winner is the one a
+full re-score would pick.  Ordinal
 ranks and beam search measure the whole step through
 :meth:`ScoringEngine.measure` and rank it in full.
 
@@ -156,6 +158,14 @@ class ScoringEngine:
         self._carry_store: Dict[Tuple[str, ...], tuple] = {}
         self._carry_expr: object = None
         self._carry_ready: bool = False
+        #: Normalized distance of the carried expression: a lower bound
+        #: on every candidate's fresh distance that keeps it (Prop
+        #: 4.2.2).  0.0 for a fresh queue.
+        self._floor: float = 0.0
+        #: The most recent lazy winner's parts and normalized estimate;
+        #: advance() adopts the estimate as the floor when it applies
+        #: exactly that merge.
+        self._pending_floor: Optional[Tuple[Tuple[str, ...], float]] = None
         #: Path taken by the most recent measurement.
         self.last_path: str = ""
         #: Kernel backend that folded the most recent step's masks
@@ -184,6 +194,8 @@ class ScoringEngine:
         #: one-pass size computation did not cover and the exact
         #: per-candidate reference computed instead.
         self.last_sizes_fallback: int = 0
+        #: Distance floor of the most recent lazy step's queue.
+        self.last_floor: float = 0.0
         #: How often each path was taken over the engine's lifetime.
         self.path_counts: Dict[str, int] = {}
         #: Fast-path failures: steps rescored naively, plus scorer
@@ -229,17 +241,21 @@ class ScoringEngine:
 
         Candidates sit in a priority queue keyed by a lower bound on
         their ``CandidateScore``.  Sizes are kept exact (cheap and
-        mask-free).  A candidate never scored has no distance yet and
-        is keyed by its size term alone: a distance is never negative,
-        so that key bounds the fresh score with no monotonicity
-        argument.  A carried entry's distance may be *stale* --
-        measured against an earlier expression in the merge chain --
-        and by Prop 4.2.2 the distance from the original is
-        non-decreasing along merge chains, so a stale score is a lower
-        bound too.  Popping the minimum, scoring it if not fresh and
-        pushing it back terminates with the true fresh argmin when the
-        top entry is fresh.  Candidates far from the top are never
-        scored and their staleness deepens harmlessly.
+        mask-free).  The distance term is the larger of two bounds.
+        A carried estimate may be *stale* -- measured against an
+        earlier expression ``S_k`` of the merge chain -- and by Prop
+        4.2.2 the distance from the original never falls along the
+        chain ``S_k ∘ X → S_t ∘ X``, so it bounds the fresh distance.
+        The *floor* is the distance of the current expression ``S_t``
+        itself, the previous winner's estimate: the chain ``S_t → S_t
+        ∘ X`` puts every candidate that keeps Prop 4.2.2 at or above
+        it, scored or not (:meth:`~repro.core.fast_distance
+        .FastStepScorer.keeps_distance`).  A fresh queue's floor is 0,
+        which bounds any distance with no monotonicity argument.
+        Popping the minimum, scoring it if not fresh and pushing it
+        back terminates with the true fresh argmin when the top entry
+        is fresh.  Candidates far from the top are never scored and
+        their staleness deepens harmlessly.
         """
         span = _tracing.span("score_candidates")
         with span:
@@ -247,6 +263,8 @@ class ScoringEngine:
                 candidates, current, mapping, w_dist, w_size, original_size
             )
             self._set_step_attrs(span, len(candidates), seconds)
+            if span is not _tracing.NULL_SPAN:
+                span.set("distance_floor", self.last_floor)
         self._emit_step_metrics(len(candidates), seconds)
         return best, seconds
 
@@ -263,11 +281,14 @@ class ScoringEngine:
         failure is counted as a fallback, and the next measurement
         rebuilds from scratch.
         """
+        parts = tuple(parts)
+        pending, self._pending_floor = self._pending_floor, None
         scorer = self._scorer
         if scorer is None:
             self._invalidate_carry()
             return
         measured_expr = scorer.current
+        keeps_distance = scorer.keeps_distance(parts)
         try:
             scorer.advance(parts, new_name, new_expression, new_mapping)
         except Exception:
@@ -280,13 +301,18 @@ class ScoringEngine:
         # collapsed duplicates *outside* its own neighborhood breaks the
         # carried-size identity for every candidate (the candidate's
         # own merge would collapse the same pair), not just for
-        # intersecting ones -- drop the whole carry and re-measure.
+        # intersecting ones -- drop the whole carry and re-measure.  A
+        # merge that may lower distances leaves no carried estimate a
+        # bound.
         if (
             self._carry_ready
             and self._carry_expr is measured_expr
             and scorer.last_shift_local
+            and keeps_distance
         ):
             self._carry_expr = new_expression
+            if pending is not None and pending[0] == parts:
+                self._floor = pending[1]
         else:
             self._invalidate_carry()
 
@@ -383,6 +409,7 @@ class ScoringEngine:
         self.last_sizes_recomputed = 0
         self.last_unscored = 0
         self.last_sizes_fallback = 0
+        self.last_floor = 0.0
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
@@ -475,13 +502,89 @@ class ScoringEngine:
     ) -> Tuple[ScoredCandidate, int, int, int, int, int]:
         """Pop-score-reinsert until the queue's top entry is fresh.
 
+        Returns the winner, the carried and rescored counts, how many
+        carried sizes were recomputed, how many entries were still
+        size-only when the winner popped, and how many sizes the
+        one-pass computation left to the per-candidate reference.
+        """
+        entries, heap, floor, sizes_recomputed, sizes_fallback = self._queue(
+            scorer, candidates, w_dist, w_size, original_size
+        )
+        self.last_floor = floor
+        heapq.heapify(heap)
+        rescored = 0
+        while True:
+            _, index = heapq.heappop(heap)
+            if entries[index][2]:
+                best_index = index
+                break
+            candidate = candidates[index]
+            size, estimate = scorer.score(candidate.parts)
+            entries[index] = [size, estimate, True]
+            rescored += 1
+            r_size = size / original_size if original_size else 0.0
+            heapq.heappush(
+                heap,
+                (
+                    (
+                        w_dist * estimate.normalized + w_size * r_size,
+                        candidate.proposal.taxonomy_cost,
+                        candidate.parts,
+                    ),
+                    index,
+                ),
+            )
+
+        self._carry_store = {
+            candidate.parts: (entry[0], entry[1])
+            for candidate, entry in zip(candidates, entries)
+        }
+        self._carry_expr = scorer.current
+        self._carry_ready = True
+        unscored = sum(1 for entry in entries if entry[1] is None)
+
+        size, estimate, _ = entries[best_index]
+        r_dist = estimate.normalized
+        self._pending_floor = (candidates[best_index].parts, r_dist)
+        r_size = size / original_size if original_size else 0.0
+        best = ScoredCandidate(
+            candidate=candidates[best_index],
+            expression=None,
+            step_mapping={},
+            size=size,
+            distance=estimate,
+            r_dist=r_dist,
+            r_size=r_size,
+            score=w_dist * r_dist + w_size * r_size,
+        )
+        return (
+            best,
+            len(candidates) - rescored,
+            rescored,
+            sizes_recomputed,
+            unscored,
+            sizes_fallback,
+        )
+
+    def _queue(
+        self,
+        scorer: FastStepScorer,
+        candidates: Sequence[Candidate],
+        w_dist: float,
+        w_size: float,
+        original_size: int,
+    ) -> Tuple[List[list], List[tuple], float, int, int]:
+        """The step's queue before any entry is scored.
+
         Entries hold ``[size, estimate, fresh]``.  Sizes are always
         exact -- a stale size could *overstate* the bound (sizes only
-        shrink along chains) and break the lower-bound invariant.  A
-        candidate without an estimate (every candidate of a fresh
-        queue, and new pairs of a carried one) is keyed by
-        ``w_size · r_size`` alone: its distance term is at least 0, so
-        the key never exceeds its fresh score.  A size depends on term
+        shrink along chains) and break the lower-bound invariant.  An
+        entry is keyed ``w_dist · max(r_dist, floor) + w_size · r_size
+        − _STALE_MARGIN``: ``r_dist`` is its carried estimate, 0 for a
+        candidate never scored (every candidate of a fresh queue, and
+        new pairs of a carried one), and ``floor`` is the carried
+        expression's distance, raised only for candidates that keep
+        Prop 4.2.2 (see :meth:`measure_lazy`).  A size depends on term
         structure alone, so a carried entry whose terms the last merge
         left untouched (:meth:`~repro.core.fast_distance
         .FastStepScorer.size_intersects`) gets the exact
@@ -494,10 +597,9 @@ class ScoringEngine:
         :meth:`~repro.core.fast_distance.FastStepScorer.candidate_sizes`
         pass.
 
-        Returns the winner, the carried and rescored counts, how many
-        carried sizes were recomputed, how many entries were still
-        size-only when the winner popped, and how many sizes the
-        one-pass computation left to the per-candidate reference.
+        Returns the entries, the unordered heap of ``(key, index)``,
+        the floor, how many carried sizes were recomputed and how many
+        sizes the one-pass computation left to the reference.
         """
         live = (
             self._carry_ready
@@ -505,6 +607,7 @@ class ScoringEngine:
             and scorer.last_affected_terms is not None
         )
         store = self._carry_store if live else {}
+        floor = self._floor if live else 0.0
         shift = scorer.last_size_shift
         entries: List[list] = []
         sizes_recomputed = 0
@@ -526,60 +629,28 @@ class ScoringEngine:
         )
         for index, size in zip(unsized, sizes):
             entries[index][0] = size
-        rescored = 0
 
-        def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
-            size, estimate, fresh = entries[index]
+        # Candidates whose merge may lower the distance keep their own
+        # bound; ``None`` when every merge keeps Prop 4.2.2.
+        keeps = None if scorer.merges_keep_distance else scorer.keeps_distance
+        heap = []
+        for index, (candidate, entry) in enumerate(zip(candidates, entries)):
+            estimate = entry[1]
             r_dist = estimate.normalized if estimate is not None else 0.0
-            r_size = size / original_size if original_size else 0.0
-            score = w_dist * r_dist + w_size * r_size
-            return (
-                score if fresh else score - _STALE_MARGIN,
-                candidates[index].proposal.taxonomy_cost,
-                candidates[index].parts,
+            if r_dist < floor and (keeps is None or keeps(candidate.parts)):
+                r_dist = floor
+            r_size = entry[0] / original_size if original_size else 0.0
+            heap.append(
+                (
+                    (
+                        w_dist * r_dist + w_size * r_size - _STALE_MARGIN,
+                        candidate.proposal.taxonomy_cost,
+                        candidate.parts,
+                    ),
+                    index,
+                )
             )
-
-        heap = [(entry_key(index), index) for index in range(len(candidates))]
-        heapq.heapify(heap)
-        while True:
-            _, index = heapq.heappop(heap)
-            if entries[index][2]:
-                best_index = index
-                break
-            size, estimate = scorer.score(candidates[index].parts)
-            entries[index] = [size, estimate, True]
-            rescored += 1
-            heapq.heappush(heap, (entry_key(index), index))
-
-        self._carry_store = {
-            candidate.parts: (entry[0], entry[1])
-            for candidate, entry in zip(candidates, entries)
-        }
-        self._carry_expr = scorer.current
-        self._carry_ready = True
-        unscored = sum(1 for entry in entries if entry[1] is None)
-
-        size, estimate, _ = entries[best_index]
-        r_dist = estimate.normalized
-        r_size = size / original_size if original_size else 0.0
-        best = ScoredCandidate(
-            candidate=candidates[best_index],
-            expression=None,
-            step_mapping={},
-            size=size,
-            distance=estimate,
-            r_dist=r_dist,
-            r_size=r_size,
-            score=w_dist * r_dist + w_size * r_size,
-        )
-        return (
-            best,
-            len(candidates) - rescored,
-            rescored,
-            sizes_recomputed,
-            unscored,
-            sizes_fallback,
-        )
+        return entries, heap, floor, sizes_recomputed, sizes_fallback
 
     def _measure_naive(
         self,
@@ -664,3 +735,5 @@ class ScoringEngine:
         self._carry_store = {}
         self._carry_expr = None
         self._carry_ready = False
+        self._floor = 0.0
+        self._pending_floor = None

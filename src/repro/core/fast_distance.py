@@ -203,6 +203,15 @@ class FastStepScorer:
         }
         #: Number of advance() carries since construction (telemetry).
         self.steps_carried = 0
+        # Prop 4.2.2 on this expression (see :meth:`keeps_distance`).
+        # A merge adds no guard, so both flags hold for every expression
+        # ``advance`` carries the scorer to.
+        self._revives_only = not any(
+            guard.negated for term in current.terms for guard in term.guards
+        )
+        self._groups_keep_distance = (
+            not self._is_max and self.val_func.contrib_kind != "isclose01"
+        )
 
         # What the most recent advance() perturbed -- the engine's
         # lazy queue uses these to decide which carried sizes shift
@@ -999,6 +1008,32 @@ class FastStepScorer:
         """
         return not self._last_touched.isdisjoint(parts)
 
+    def keeps_distance(self, parts: Sequence[str]) -> bool:
+        """Whether merging ``parts`` cannot lower the distance (Prop 4.2.2).
+
+        Under the OR combiner the merged annotation is true wherever a
+        part is, so the merge only revives terms: over non-negative
+        MAX/SUM/COUNT values every group's summary value stays at or
+        above the original's and moves away from it, one valuation at a
+        time, and each metric contribution grows.  Two cases break
+        that.  A negated guard (:attr:`~repro.provenance.tensor_sum
+        .Guard.negated`) cancels its term where the merge makes its
+        annotation true.  A merge of group keys compares combined
+        groups: under MAX a larger original absorbs a revived value
+        (``max(3, 5) == max(1, 5)``), and Disagreement's relative
+        tolerance can absorb a small group's gap into a large one's.
+        """
+        if not self._revives_only:
+            return False
+        return self._groups_keep_distance or self._group_terms.keys().isdisjoint(
+            parts
+        )
+
+    @property
+    def merges_keep_distance(self) -> bool:
+        """Whether :meth:`keeps_distance` holds for every merge."""
+        return self._revives_only and self._groups_keep_distance
+
     def _fold_orig(self, keys: FrozenSet[str]) -> array:
         """Combine the aligned original columns of ``keys`` (group merge).
 
@@ -1069,7 +1104,7 @@ class FastStepScorer:
             "Q", merged.to_bytes(self._row_bytes, "little")
         )
         bits_of[new_key] = merged
-        runs = self._carried_runs(parts, new_name, new_expression)
+        runs = self._carried_runs(parts, new_expression)
         old_order = self._group_order
         self.current = new_expression
         self.mapping = new_mapping
@@ -1136,37 +1171,39 @@ class FastStepScorer:
     def _carried_runs(
         self,
         parts: Sequence[str],
-        new_name: str,
         new_expression: TensorSum,
     ) -> Optional[List[Tuple[Optional[int], int]]]:
         """Where each new term comes from, as runs over the old terms.
 
         ``apply_mapping`` keeps term order and folds a collapsed term
-        into its first occurrence, so the new terms are the old ones in
-        order, minus the rewritten terms whose renamed key repeats an
-        earlier one.  Returns ``(old start, count)`` runs of carried
-        terms and ``(None, 1)`` for each rewritten term to recompute,
-        or ``None`` when the walk does not account for every new term
-        (a collapse among terms the merge did not rewrite).
+        into its first occurrence, recording which source terms folded
+        (:attr:`~repro.provenance.tensor_sum.TensorSum.folded`), so the
+        new terms are the old ones in order, minus the folded ones.
+        Returns ``(old start, count)`` runs of carried terms and
+        ``(None, 1)`` for each rewritten term to recompute, or ``None``
+        when a fold involves a term the merge did not rewrite (a
+        collapse outside its neighborhood) or the expression records no
+        folds.
         """
+        folded = new_expression.folded
+        if folded is None:
+            return None
         key = self._key
         rewritten = set()
         for name in parts:
             rewritten.update(self._ann_terms.get(key(name), ()))
             rewritten.update(self._group_terms.get(name, ()))
-        step = {name: new_name for name in parts}
+        for index, first in folded.items():
+            if index not in rewritten or first not in rewritten:
+                return None
         runs: List[Tuple[Optional[int], int]] = []
-        seen: set = set()
         start = 0
         n_new = 0
         for index in sorted(rewritten):
             if index > start:
                 runs.append((start, index - start))
                 n_new += index - start
-            renamed = self._terms[index].rename(step)
-            congruence = (renamed.annotations, renamed.guards, renamed.group)
-            if congruence not in seen:
-                seen.add(congruence)
+            if index not in folded:
                 runs.append((None, 1))
                 n_new += 1
             start = index + 1

@@ -4,7 +4,10 @@ Re-running ``enumerate_candidates`` every greedy step re-proposes all
 O(n²) same-domain pairs even though one applied merge ``{a, b} → c``
 only (1) removes the candidates mentioning ``a``/``b`` and (2) adds
 the pairs seeded by ``c``.  :class:`CandidatePool` persists the raw
-candidate list across steps and edits exactly that delta:
+candidates across steps as per-domain blocks
+(:func:`~repro.core.candidates.candidate_blocks`) and edits exactly
+that delta, inside the merged domain's block alone (a candidate's
+parts all share one domain):
 
 * candidates whose *seed pair* mentions a merged annotation are
   dropped (the fresh enumeration could not produce them);
@@ -22,9 +25,11 @@ candidate list across steps and edits exactly that delta:
   :func:`~repro.core.candidates.propose_candidate` (and with it the
   greedy extension).
 
-The maintained list is then re-sorted into the exact generation order
-of a fresh :func:`~repro.core.candidates.enumerate_candidates` call --
-domains by smallest member name, pairs by seed names -- and finalized
+Survivors keep their order, and each new pair is inserted at its
+seed-name position (``bisect``), so every block stays in the
+generation order of a fresh
+:func:`~repro.core.candidates.enumerate_candidates` call; the blocks
+are joined in domain order (smallest member name first) and finalized
 through the *same* dedupe / cap-subsampling code, so the result is
 identical candidate for candidate, in identical order, with identical
 shared-RNG consumption (asserted by ``tests/core/test_candidate_pool``
@@ -37,16 +42,17 @@ same contract the scoring engine's fast paths follow.
 
 from __future__ import annotations
 
+import bisect
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from ..provenance.ir import AnnotationInterner
 from .candidates import (
     Candidate,
     annotations_by_domain,
+    candidate_blocks,
     finalize_candidates,
-    generate_candidates,
     propose_candidate,
     virtual_summary,
 )
@@ -73,9 +79,12 @@ class CandidatePool:
         self.cap = cap
         self.rng = rng
         self.interner = interner
-        #: Raw candidates in fresh-generation order (before dedupe/cap);
-        #: ``None`` means the next :meth:`candidates` call re-enumerates.
-        self._raw: Optional[List[Candidate]] = None
+        #: Raw candidates (before dedupe/cap) per domain, each block in
+        #: seed-name order and the blocks in domain order; neither the
+        #: dict nor a block list is edited once stored, so pools may
+        #: share them.  ``None`` means the next :meth:`candidates` call
+        #: re-enumerates.
+        self._blocks: Optional[Dict[str, List[Candidate]]] = None
         self._expression: object = None
         #: Telemetry: steps whose list was maintained vs. re-enumerated.
         self.maintained_steps = 0
@@ -86,7 +95,13 @@ class CandidatePool:
     def size(self) -> int:
         """Carried raw candidates (0 when invalidated) -- the resource
         accountant's per-session pool footprint."""
-        return len(self._raw) if self._raw is not None else 0
+        if self._blocks is None:
+            return 0
+        return sum(len(block) for block in self._blocks.values())
+
+    def _raw(self) -> List[Candidate]:
+        """The blocks joined: the raw list in fresh-generation order."""
+        return [candidate for block in self._blocks.values() for candidate in block]
 
     def candidates(self, expression) -> List[Candidate]:
         """The step's candidate list for ``expression``.
@@ -95,8 +110,8 @@ class CandidatePool:
         re-enumerates from scratch when the pool was invalidated or
         ``expression`` is not the one the pool was advanced to.
         """
-        if self._raw is None or self._expression is not expression:
-            self._raw = generate_candidates(
+        if self._blocks is None or self._expression is not expression:
+            self._blocks = candidate_blocks(
                 expression, self.universe, self.constraint, self.arity
             )
             self._expression = expression
@@ -106,7 +121,7 @@ class CandidatePool:
         # Finalize per call: dedupe and cap subsampling must consume the
         # shared RNG exactly as a fresh enumeration would.
         return finalize_candidates(
-            list(self._raw), self.arity, self.cap, self.rng, self.interner
+            self._raw(), self.arity, self.cap, self.rng, self.interner
         )
 
     def advance(self, parts: Sequence[str], new_name: str, new_expression) -> None:
@@ -115,29 +130,33 @@ class CandidatePool:
         A failed maintenance is never fatal: the pool is invalidated
         and the next step re-enumerates.
         """
-        if self._raw is None:
+        if self._blocks is None:
             return
         try:
-            self._raw = self._maintain(tuple(parts), new_name, new_expression)
+            self._blocks = self._maintain(tuple(parts), new_name, new_expression)
             self._expression = new_expression
         except Exception:
             self.invalidate()
 
     def invalidate(self) -> None:
         """Drop the carried list (e.g. after reverting a step)."""
-        self._raw = None
+        self._blocks = None
         self._expression = None
 
     def seed(self, raw: Sequence[Candidate], expression) -> None:
         """Adopt a carried raw list (cross-run repair state)."""
-        self._raw = list(raw)
+        blocks: Dict[str, List[Candidate]] = {}
+        for candidate in raw:
+            domain = self.universe[candidate.parts[0]].domain
+            blocks.setdefault(domain, []).append(candidate)
+        self._blocks = blocks
         self._expression = expression
 
     def raw_snapshot(self, expression) -> Optional[List[Candidate]]:
         """Copy of the raw list, if it was maintained for ``expression``."""
-        if self._raw is None or self._expression is not expression:
+        if self._blocks is None or self._expression is not expression:
             return None
-        return list(self._raw)
+        return self._raw()
 
     def ingest(self, new_expression) -> int:
         """Maintain the carried list across a streaming provenance delta.
@@ -154,28 +173,30 @@ class CandidatePool:
         * candidates whose ``arity > 2`` extension mentions a removed
           annotation, or whose greedy chain an added annotation would
           join, are re-proposed from their seed;
-        * the pairs involving added annotations are proposed fresh;
-        * everything is re-sorted into fresh-generation order.
+        * the pairs involving added annotations are proposed fresh and
+          inserted at their seed-name positions.
 
         Returns the number of carried entries invalidated (dropped or
         re-proposed) -- the ``prox_repair_invalidated_total`` count.
         On any failure the pool is invalidated and the next
         :meth:`candidates` call re-enumerates (the usual contract).
         """
-        if self._raw is None or self._expression is None:
+        if self._blocks is None or self._expression is None:
             self.invalidate()
             return 0
         try:
-            invalidated, entries = self._ingest_maintain(new_expression)
+            invalidated, blocks = self._ingest_maintain(new_expression)
         except Exception:
-            invalidated = len(self._raw)
+            invalidated = self.size()
             self.invalidate()
             return invalidated
-        self._raw = entries
+        self._blocks = blocks
         self._expression = new_expression
         return invalidated
 
-    def _ingest_maintain(self, new_expression) -> Tuple[int, List[Candidate]]:
+    def _ingest_maintain(
+        self, new_expression
+    ) -> Tuple[int, Dict[str, List[Candidate]]]:
         universe = self.universe
         old_names = frozenset(self._expression.annotation_names())
         new_names = frozenset(new_expression.annotation_names())
@@ -188,26 +209,29 @@ class CandidatePool:
             added_by_domain.setdefault(annotation.domain, []).append(annotation)
 
         invalidated = 0
-        entries: List[Candidate] = []
-        for candidate in self._raw:
-            seed = candidate.parts[:2]
-            if removed.intersection(candidate.parts):
-                invalidated += 1
-                if removed.intersection(seed):
-                    continue
-                entries.append(self._repropose(seed, by_domain))
-                continue
-            domain = universe[seed[0]].domain
-            if self.arity > 2 and any(
-                self._joins_extension(candidate, annotation)
-                for annotation in added_by_domain.get(domain, ())
-            ):
-                invalidated += 1
-                entries.append(self._repropose(seed, by_domain))
-            else:
-                entries.append(candidate)
+        blocks: Dict[str, List[Candidate]] = {}
+        for domain, carried in self._blocks.items():
+            block: List[Candidate] = []
+            joining = added_by_domain.get(domain, ()) if self.arity > 2 else ()
+            for candidate in carried:
+                seed = candidate.parts[:2]
+                if removed.intersection(candidate.parts):
+                    invalidated += 1
+                    if removed.intersection(seed):
+                        continue
+                    block.append(self._repropose(seed, by_domain))
+                elif any(
+                    self._joins_extension(candidate, annotation)
+                    for annotation in joining
+                ):
+                    invalidated += 1
+                    block.append(self._repropose(seed, by_domain))
+                else:
+                    block.append(candidate)
+            blocks[domain] = block
 
         for domain, fresh in added_by_domain.items():
+            block = blocks.setdefault(domain, [])
             domain_annotations = by_domain.get(domain, [])
             pairs = {
                 tuple(sorted((annotation.name, other.name)))
@@ -224,19 +248,8 @@ class CandidatePool:
                     self.arity,
                 )
                 if candidate is not None:
-                    entries.append(candidate)
-
-        domain_min = {
-            domain: annotations[0].name for domain, annotations in by_domain.items()
-        }
-        entries.sort(
-            key=lambda candidate: (
-                domain_min[universe[candidate.parts[0]].domain],
-                candidate.parts[0],
-                candidate.parts[1],
-            )
-        )
-        return invalidated, entries
+                    bisect.insort(block, candidate, key=_seed)
+        return invalidated, _in_domain_order(blocks, by_domain)
 
     def child(self, parts: Sequence[str], new_name: str, new_expression) -> "CandidatePool":
         """An advanced copy, leaving this pool untouched (beam search)."""
@@ -248,8 +261,8 @@ class CandidatePool:
             rng=self.rng,
             interner=self.interner,
         )
-        if self._raw is not None:
-            twin._raw = list(self._raw)
+        if self._blocks is not None:
+            twin._blocks = self._blocks
             twin._expression = self._expression
         twin.advance(parts, new_name, new_expression)
         return twin
@@ -258,30 +271,32 @@ class CandidatePool:
 
     def _maintain(
         self, merged: Tuple[str, ...], new_name: str, new_expression
-    ) -> List[Candidate]:
+    ) -> Dict[str, List[Candidate]]:
         universe = self.universe
         merged_set = frozenset(merged)
         by_domain = annotations_by_domain(new_expression, universe)
         new_annotation = universe[new_name]
-        merged_domain = by_domain.get(new_annotation.domain, [])
+        domain = new_annotation.domain
+        merged_domain = by_domain.get(domain, [])
 
-        entries: List[Candidate] = []
-        for candidate in self._raw:
+        # Only the merged domain's block changes: every candidate
+        # mentioning a merged annotation, and every greedy chain the new
+        # one could join, lies in it.
+        block: List[Candidate] = []
+        for candidate in self._blocks.get(domain, ()):
             seed = candidate.parts[:2]
             if merged_set.intersection(candidate.parts):
                 if merged_set.intersection(seed):
                     continue
                 # Only extension members merged away: the seed pair is
                 # still proposed fresh, with a new greedy extension.
-                entries.append(self._repropose(seed, by_domain))
-            elif (
-                self.arity > 2
-                and universe[seed[0]].domain == new_annotation.domain
-                and self._joins_extension(candidate, new_annotation)
+                block.append(self._repropose(seed, by_domain))
+            elif self.arity > 2 and self._joins_extension(
+                candidate, new_annotation
             ):
-                entries.append(self._repropose(seed, by_domain))
+                block.append(self._repropose(seed, by_domain))
             else:
-                entries.append(candidate)
+                block.append(candidate)
 
         for annotation in merged_domain:
             if annotation.name == new_name:
@@ -295,22 +310,11 @@ class CandidatePool:
                 first, second, merged_domain, self.constraint, self.arity
             )
             if candidate is not None:
-                entries.append(candidate)
-
-        # Restore fresh-generation order: domains by smallest member
-        # name, then pairs in seed-name order (``combinations`` over
-        # the name-sorted domain).
-        domain_min = {
-            domain: annotations[0].name for domain, annotations in by_domain.items()
-        }
-        entries.sort(
-            key=lambda candidate: (
-                domain_min[universe[candidate.parts[0]].domain],
-                candidate.parts[0],
-                candidate.parts[1],
-            )
-        )
-        return entries
+                bisect.insort(block, candidate, key=_seed)
+        blocks = dict(self._blocks)
+        blocks[domain] = block
+        # The merge may have moved the domain's smallest member name.
+        return _in_domain_order(blocks, by_domain)
 
     def _repropose(self, seed: Tuple[str, str], by_domain) -> Candidate:
         universe = self.universe
@@ -356,3 +360,20 @@ class CandidatePool:
             proposal = extended
             representative = virtual_summary(members, proposal)
         return self.constraint.propose(representative, new_annotation) is not None
+
+
+def _in_domain_order(
+    blocks: Dict[str, List[Candidate]], by_domain: Dict[str, list]
+) -> Dict[str, List[Candidate]]:
+    """The non-empty blocks in fresh-generation domain order (the
+    order of ``by_domain``: smallest member name first)."""
+    return {
+        domain: blocks[domain]
+        for domain in by_domain
+        if blocks.get(domain)
+    }
+
+
+def _seed(candidate: Candidate) -> Tuple[str, ...]:
+    """A candidate's position within its domain's block: its seed pair."""
+    return candidate.parts[:2]

@@ -23,9 +23,9 @@ independent stopping rules; we implement the described semantics --
 either bound being met stops the loop.
 
 Greedy search is justified by monotonicity (Proposition 4.2.2): along
-any merge chain the distance never decreases and the size never
+a merge chain the distance never decreases and the size never
 increases, so a step that overshoots a bound can never be repaired by
-later steps.
+later steps (docs/ALGORITHM.md lists the distance half's exceptions).
 
 Instrumentation: every step records wall-clock time and the average
 per-candidate measurement time -- the quantities plotted in Fig. 6.5.
@@ -319,6 +319,10 @@ class Summarizer:
         steps: List[StepRecord] = []
         previous: Optional[Tuple[object, MappingState]] = None
         last_distance: Optional[DistanceEstimate] = None
+        # The applied merge ``(parts, new name)`` the engine and pool
+        # have not been carried past yet: the carry runs when the next
+        # step starts, so a run that stops after a merge skips it.
+        uncarried: Optional[Tuple[Tuple[str, ...], str]] = None
         stop_reason = "exhausted"
         while True:
             # The distance bound is checked before the size bound: the
@@ -347,6 +351,10 @@ class Summarizer:
             step_span = _tracing.span("step[%d]", len(steps) + 1)
             with step_span:
                 step_started = time.perf_counter()
+                if uncarried is not None:
+                    engine.advance(*uncarried, current, mapping)
+                    pool.advance(*uncarried, current)
+                    uncarried = None
                 candidates = pool.candidates(current)
                 if new_state is None:
                     # Step-0 capture: the raw candidate list a future
@@ -393,8 +401,7 @@ class Summarizer:
                 previous = (current, mapping)
                 current = current.apply_mapping(step_mapping)
                 mapping = mapping.compose(step_mapping)
-                engine.advance(best.candidate.parts, summary.name, current, mapping)
-                pool.advance(best.candidate.parts, summary.name, current)
+                uncarried = (best.candidate.parts, summary.name)
                 last_distance = best.distance
                 steps.append(
                     StepRecord(

@@ -97,6 +97,16 @@ class Guard:
             return 0 if holds_dead else false_union
         return full & ~false_union if holds_dead else full
 
+    @property
+    def negated(self) -> bool:
+        """Whether the token holds only while one of its annotations is
+        false: a merge, which makes annotations true under more
+        valuations, can then cancel its term instead of reviving it."""
+        compare = _COMPARATORS[self.op]
+        return compare(0.0, self.threshold) and not compare(
+            self.value, self.threshold
+        )
+
     def satisfied_by_truth(self, truth: Mapping[str, bool]) -> bool:
         alive = all(truth.get(name, True) for name in self.annotations)
         left = self.value if alive else 0.0
@@ -178,6 +188,8 @@ class TensorSum:
     __slots__ = (
         "terms",
         "monoid",
+        "folded",
+        "_presorted",
         "_annotation_names",
         "_size",
         "_ann_to_groups",
@@ -186,8 +198,19 @@ class TensorSum:
     )
 
     def __init__(self, terms: Iterable[Term], monoid: AggregationMonoid):
-        self.terms: Tuple[Term, ...] = self._merge_congruent(terms, monoid)
+        self._setup(self._merge_congruent(terms, monoid), monoid)
+
+    def _setup(self, terms: Tuple[Term, ...], monoid: AggregationMonoid) -> None:
+        self.terms: Tuple[Term, ...] = terms
         self.monoid = monoid
+        #: For an expression made by :meth:`apply_mapping`: each source
+        #: term index folded into an earlier congruent term → that
+        #: term's source index (every other source term became one new
+        #: term, in source order).  ``None`` for any other expression.
+        self.folded: Optional[Dict[int, int]] = None
+        #: Whether every term's names and guard names are sorted, as
+        #: :meth:`Term.rename` leaves them (``None``: not checked yet).
+        self._presorted: Optional[bool] = None
         self._annotation_names: Optional[FrozenSet[str]] = None
         self._size: Optional[int] = None
         self._ann_to_groups: Optional[Dict[str, FrozenSet[Optional[str]]]] = None
@@ -196,16 +219,20 @@ class TensorSum:
 
     @staticmethod
     def _merge_congruent(
-        terms: Iterable[Term], monoid: AggregationMonoid
+        terms: Iterable[Term],
+        monoid: AggregationMonoid,
+        folded: Optional[Dict[int, int]] = None,
     ) -> Tuple[Term, ...]:
+        """Fold congruent terms into their first occurrence; records
+        each folded term's index → the first one's in ``folded``."""
         merged: Dict[Tuple, Term] = {}
-        order: List[Tuple] = []
-        for term in terms:
+        first: Dict[Tuple, int] = {}
+        for index, term in enumerate(terms):
             key = (term.annotations, term.guards, term.group)
             existing = merged.get(key)
             if existing is None:
                 merged[key] = term
-                order.append(key)
+                first[key] = index
             else:
                 merged[key] = Term(
                     annotations=term.annotations,
@@ -214,7 +241,11 @@ class TensorSum:
                     group=term.group,
                     guards=term.guards,
                 )
-        return tuple(merged[key] for key in order)
+                if folded is not None:
+                    folded[index] = first[key]
+        # Updating a key keeps its insertion position: first-occurrence
+        # order.
+        return tuple(merged.values())
 
     # -- structural queries -------------------------------------------------
 
@@ -247,14 +278,53 @@ class TensorSum:
     # -- homomorphism application --------------------------------------------
 
     def apply_mapping(self, mapping: Mapping[str, str]) -> "TensorSum":
-        """Apply a homomorphism ``h`` (annotation renaming) and simplify."""
+        """Apply a homomorphism ``h`` (annotation renaming) and simplify.
+
+        A term the mapping does not touch is kept as is when every
+        term's names are already sorted (what :meth:`Term.rename` would
+        rebuild it into); the rest go through :meth:`Term.rename`.  The
+        result records which source terms folded together
+        (:attr:`folded`).
+        """
         with _tracing.span("rename") as opened:
-            renamed = TensorSum(
-                (term.rename(mapping) for term in self.terms), self.monoid
+            keys = mapping.keys()
+            terms: List[Term] = []
+            if self._names_sorted():
+                for term in self.terms:
+                    group = term.group
+                    if (
+                        keys.isdisjoint(term.annotations)
+                        and (group is None or (group and group not in keys))
+                        and all(
+                            keys.isdisjoint(guard.annotations)
+                            for guard in term.guards
+                        )
+                    ):
+                        terms.append(term)
+                    else:
+                        terms.append(term.rename(mapping))
+            else:
+                terms = [term.rename(mapping) for term in self.terms]
+            folded: Dict[int, int] = {}
+            renamed = TensorSum.__new__(TensorSum)
+            renamed._setup(
+                self._merge_congruent(terms, self.monoid, folded), self.monoid
             )
+            renamed.folded = folded
+            renamed._presorted = True
             opened.set("n_terms", len(self.terms))
             opened.set("n_renamed", len(mapping))
             return renamed
+
+    def _names_sorted(self) -> bool:
+        """Whether every term's names and guard names are sorted."""
+        if self._presorted is None:
+            self._presorted = all(
+                _is_sorted(term.annotations)
+                and all(_is_sorted(guard.annotations) for guard in term.guards)
+                for term in self.terms
+            )
+        return self._presorted
 
     # -- evaluation -----------------------------------------------------------
 
@@ -351,3 +421,7 @@ class TensorSum:
             f"<TensorSum of {len(self.terms)} terms, size {self.size()}, "
             f"{self.monoid.name} aggregation>"
         )
+
+
+def _is_sorted(names: Tuple[str, ...]) -> bool:
+    return all(first <= second for first, second in zip(names, names[1:]))

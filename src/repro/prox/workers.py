@@ -167,7 +167,10 @@ def _worker_main(
         elif op == "stop":
             reply_queue.put((request_id, worker_index, json_response(200, {})))
             break
-    manager.close_all()
+    if snapshot_dir is None:
+        # No later process reads the manager's own temp directory: it
+        # goes with its drain snapshots.  A given directory keeps them.
+        manager.close_all()
 
 
 class WorkerFront:

@@ -298,6 +298,46 @@ def assert_all_paths_agree(problem):
     assert (best.size, best.distance.value) == (
         full_ranked[0].size, full_ranked[0].distance.value
     )
+    assert_lazy_replays_full_rank(problem)
+
+
+def assert_lazy_replays_full_rank(problem, n_steps=5):
+    """Over a lazy-greedy merge chain, every step's lazy winner is the
+    full ranking's over the same scorer's fresh measurements -- with
+    carried estimates and the distance floor in play from the second
+    step on.  Returns each step's floor."""
+    computer = make_computer(problem)
+    engine = ScoringEngine(problem, SummarizationConfig(), computer)
+    universe = problem.universe
+    current = problem.expression
+    mapping = MappingState(sorted(current.annotation_names()))
+    original_size = current.size()
+    floors = []
+    for step in range(n_steps):
+        candidates = enumerate_candidates(current, universe, problem.constraint)
+        if not candidates:
+            break
+        best, _ = engine.measure_lazy(
+            candidates, current, mapping, 0.5, 0.5, original_size
+        )
+        assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
+        assert engine.fallback_count == 0
+        fresh = [engine._scorer.score(candidate.parts) for candidate in candidates]
+        full_ranked = rank(candidates, fresh, original_size)
+        assert best.candidate.parts == full_ranked[0].candidate.parts, step
+        assert (best.size, best.distance.value) == (
+            full_ranked[0].size, full_ranked[0].distance.value
+        ), step
+        floors.append(engine.last_floor)
+        summary = universe.new_summary(
+            [universe[name] for name in best.candidate.parts],
+            label=best.candidate.proposal.label,
+        )
+        step_mapping = {name: summary.name for name in best.candidate.parts}
+        current = current.apply_mapping(step_mapping)
+        mapping = mapping.compose(step_mapping)
+        engine.advance(best.candidate.parts, summary.name, current, mapping)
+    return floors
 
 
 # -- the RNG grid ------------------------------------------------------------------
@@ -328,6 +368,18 @@ def test_differential_with_group_merges(monoid_name):
 def test_differential_other_val_funcs(val_func_cls):
     assert_all_paths_agree(random_problem(5, MAX, val_func_cls=val_func_cls))
     assert_all_paths_agree(random_problem(5, SUM, val_func_cls=val_func_cls))
+
+
+def test_lazy_replay_floors_later_steps():
+    """The multi-step replay runs with the floor raised: on MovieLens
+    each step starts from the previous winner's distance, which never
+    falls along the chain and leaves 0 once the zero-distance merges
+    run out."""
+    floors = assert_lazy_replays_full_rank(movielens_problem(3), n_steps=6)
+    assert len(floors) == 6
+    assert floors[0] == 0.0
+    assert floors == sorted(floors)
+    assert floors[-1] > 0.0, floors
 
 
 # -- degenerate corners ------------------------------------------------------------
@@ -852,6 +904,42 @@ def test_failed_advance_counts_a_fallback(monkeypatch):
     }
     assert result.scoring_fallbacks == 1
     assert _full_fingerprint(result) == expected
+
+
+def test_no_carry_past_the_last_step(monkeypatch):
+    """The engine and pool are carried past a merge when the next step
+    starts, so a run of n steps carries n - 1 times: the result of the
+    last step is never read, nor is a merge a distance stop reverts."""
+    from repro.core.pool import CandidatePool
+
+    calls = {"engine": 0, "pool": 0}
+    engine_advance = ScoringEngine.advance
+    pool_advance = CandidatePool.advance
+
+    def counted_engine(self, *args):
+        calls["engine"] += 1
+        return engine_advance(self, *args)
+
+    def counted_pool(self, *args):
+        calls["pool"] += 1
+        return pool_advance(self, *args)
+
+    monkeypatch.setattr(ScoringEngine, "advance", counted_engine)
+    monkeypatch.setattr(CandidatePool, "advance", counted_pool)
+    result = Summarizer(
+        movielens_problem(3), SummarizationConfig(w_dist=0.7, max_steps=5, seed=0)
+    ).run()
+    assert result.n_steps == 5 and result.stop_reason == "max_steps"
+    assert calls == {"engine": 4, "pool": 4}
+
+    calls.update(engine=0, pool=0)
+    reverted = Summarizer(
+        movielens_problem(3),
+        SummarizationConfig(w_dist=0.7, target_dist=1e-6, seed=0),
+    ).run()
+    assert reverted.stop_reason == "target_dist" and reverted.n_steps >= 1
+    # The reverted merge was applied but never carried.
+    assert calls["engine"] == calls["pool"] == reverted.n_steps
 
 
 # -- the carry axis: cross-step candidate carry ≡ fresh per-step runs --------------

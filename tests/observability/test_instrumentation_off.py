@@ -278,6 +278,32 @@ def test_scorer_build_span_reports_the_column_state(instrumentation_guard):
     assert attributes["n_keys"] >= attributes["nonzero_keys"] >= 0
 
 
+def test_score_candidates_spans_report_the_distance_floor(instrumentation_guard):
+    """A lazy step's queue starts from the previous winner's distance:
+    0.0 on a fresh queue, then each step's ``distance_floor`` is the
+    step before's recorded distance."""
+    tracing.set_enabled(True)
+    tracing.take_trace()
+    result = _summarize()
+    root = tracing.take_trace()
+    steps = [child for child in root.children if child.name.startswith("step[")]
+    floors = [
+        child.find("score_candidates").attributes["distance_floor"]
+        for child in steps[: result.n_steps]
+    ]
+    assert result.n_steps >= 3
+    assert floors[0] == 0.0
+    assert floors[1:] == [
+        record.distance_after.normalized for record in result.steps[:-1]
+    ]
+    assert any(floor > 0.0 for floor in floors)
+
+    # The attribute is tracing-only: an untraced run merges the same.
+    tracing.set_enabled(False)
+    untraced = _summarize()
+    assert [r.merged for r in untraced.steps] == [r.merged for r in result.steps]
+
+
 def test_score_candidates_spans_report_batch_attributes(instrumentation_guard):
     tracing.set_enabled(True)
     tracing.take_trace()

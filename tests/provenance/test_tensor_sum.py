@@ -161,3 +161,75 @@ def test_property_mapping_never_grows_size(expression, data):
     )
     mapped = expression.apply_mapping({name: "merged" for name in chosen})
     assert mapped.size() <= expression.size()
+
+
+@st.composite
+def raw_tensor_sums(draw):
+    """Terms as a caller may build them: names in any order, guards,
+    groups that are annotation names, ``None`` or ``""``."""
+    names = [f"a{i}" for i in range(5)]
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        monomial = tuple(
+            draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        )
+        guards = tuple(
+            Guard(
+                tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))),
+                1.0,
+                ">",
+                0.0,
+            )
+            for _ in range(draw(st.integers(min_value=0, max_value=1)))
+        )
+        terms.append(
+            Term(
+                monomial,
+                float(draw(st.integers(min_value=0, max_value=9))),
+                group=draw(st.sampled_from(["g1", "a0", "a1", None, ""])),
+                guards=guards,
+            )
+        )
+    return TensorSum(terms, draw(st.sampled_from([MAX, SUM])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(expression=raw_tensor_sums(), data=st.data())
+def test_property_mapping_equals_renaming_every_term(expression, data):
+    """Keeping untouched terms changes nothing: each mapping in a chain
+    gives the terms that renaming every term gives, and ``folded`` names
+    exactly the source terms that merged into an earlier one."""
+    names = [f"a{i}" for i in range(5)]
+    current = expression
+    for _ in range(3):
+        chosen = data.draw(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+        )
+        target = data.draw(st.sampled_from(names + ["merged"]))
+        mapping = {name: target for name in chosen}
+        mapped = current.apply_mapping(mapping)
+        renamed = [term.rename(mapping) for term in current.terms]
+        assert mapped.terms == TensorSum(renamed, current.monoid).terms
+        congruence = [(term.annotations, term.guards, term.group) for term in renamed]
+        first = {}
+        expected = {}
+        for index, key in enumerate(congruence):
+            if key in first:
+                expected[index] = first[key]
+            else:
+                first[key] = index
+        assert mapped.folded == expected
+        current = mapped
+
+
+def test_mapping_keeps_untouched_sorted_terms_and_sorts_the_rest():
+    sorted_term = Term(("a", "b"), 1.0, group="g")
+    expression = TensorSum([sorted_term, Term(("c",), 2.0, group="g")], SUM)
+    mapped = expression.apply_mapping({"c": "m"})
+    assert mapped.terms[0] is sorted_term
+    assert mapped.terms[1] == Term(("m",), 2.0, group="g")
+    # An unsorted term anywhere: every term is rebuilt in sorted form.
+    unsorted = TensorSum([Term(("b", "a"), 1.0, group=""), sorted_term], SUM)
+    mapped = unsorted.apply_mapping({"z": "m"})
+    assert mapped.terms[0] == Term(("a", "b"), 1.0, group=None)
+    assert TensorSum([Term(("b", "a"), 1.0)], SUM).folded is None

@@ -1,9 +1,11 @@
-"""``repro serve`` shutdown leaves no snapshot directory behind.
+"""``repro serve`` shutdown: snapshots land where they are meant to.
 
 Without ``--snapshot-dir`` the session manager snapshots into a
 ``tempfile.mkdtemp`` directory of its own.  No later process reads it,
 so a SIGTERM drain must not leave it (or its ``.snap`` files) in the
-temp dir: in-process and sharded alike, and the exit code stays 0.
+temp dir.  With ``--snapshot-dir`` the drained snapshots are durable:
+they must still be in that directory after the process exits.  Both
+hold in-process and sharded alike, and the exit code stays 0.
 """
 
 import http.client
@@ -60,21 +62,48 @@ def _shut_down(server):
     return server.returncode, output
 
 
+def _select_one_session(address, workers):
+    """Make one live, snapshotable session; returns its id (``None``
+    for the in-process default session)."""
+    if workers:
+        status, created = _call(address, "POST", "/sessions", {"seed": 1})
+        assert status == 201, created
+        session_id = created["session_id"]
+        prefix = f"/sessions/{session_id}"
+    else:
+        session_id, prefix = None, ""
+    # A selected session is live and snapshotable: the drain writes it.
+    status, body = _call(address, "POST", f"{prefix}/select", {"genre": None})
+    assert status == 200, body
+    return session_id
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 def test_sigterm_leaves_no_snapshot_directory(tmp_path, workers):
     server, address = _serve(tmp_path, "--workers", str(workers))
     try:
-        if workers:
-            status, created = _call(address, "POST", "/sessions", {"seed": 1})
-            assert status == 201, created
-            prefix = f"/sessions/{created['session_id']}"
-        else:
-            prefix = ""
-        # A selected session is live and snapshotable: the drain writes it.
-        status, body = _call(address, "POST", f"{prefix}/select", {"genre": None})
-        assert status == 200, body
+        _select_one_session(address, workers)
     finally:
         returncode, output = _shut_down(server)
     assert returncode == 0, output
     assert "drained:" in output and "shutdown complete" in output
+    assert list(tmp_path.glob("prox-snapshots-*")) == [], output
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_sigterm_keeps_drained_snapshots_in_the_snapshot_dir(tmp_path, workers):
+    snapshots = tmp_path / "snapshots"
+    server, address = _serve(
+        tmp_path, "--workers", str(workers), "--snapshot-dir", str(snapshots)
+    )
+    try:
+        session_id = _select_one_session(address, workers)
+    finally:
+        returncode, output = _shut_down(server)
+    assert returncode == 0, output
+    assert "drained:" in output and "shutdown complete" in output
+    kept = sorted(path.name for path in snapshots.glob("*.snap"))
+    assert len(kept) == 1, output
+    if session_id is not None:
+        assert kept == [f"{session_id}.snap"], output
     assert list(tmp_path.glob("prox-snapshots-*")) == [], output
