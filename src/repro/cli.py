@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 from .observability import profiling
 from .observability import tracing
 from .core import kernels as _kernels
-from .provenance import ir as _ir
 
 from . import serialization
 from .core import (
@@ -144,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument(
         "--ir-stats",
         action="store_true",
-        help="print interner cardinality and term-arena storage after the run",
+        help="print the run's interned-annotation count",
     )
     summarize.add_argument(
         "--kernel",
@@ -338,10 +337,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                   f"{record.label} (size {record.size_after}, "
                   f"distance {distance}{timing})")
     if args.ir_stats:
-        arena = _ir.GLOBAL_STORE.stats()
-        print(f"  ir: {len(problem.resolve_interner())} interned annotations, "
-              f"{arena['monomials']} arena monomials, "
-              f"{arena['arena_bytes']} arena bytes")
+        print(f"  ir: {len(problem.resolve_interner())} interned annotations")
     if args.save:
         with open(args.save, "w", encoding="utf-8") as handle:
             serialization.dump(serialization.summary_to_dict(result), handle)
@@ -467,8 +463,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - interacti
     from .prox.server import ProxServer
 
     if args.workers > 0:
-        # Sharded: fork the workers before building any session so each
-        # worker's arena is pristine and snapshot restores are zero-copy.
+        # Sharded: fork the workers before building any session, so no
+        # session state is copied into them.
         from .prox.workers import WorkerFront
 
         front = WorkerFront(

@@ -49,10 +49,8 @@ def health_payload(extra: Optional[Mapping[str, object]] = None) -> Dict[str, ob
         "tracing_enabled": tracing.is_enabled(),
         "kernel": _active_kernel(),
         "metric_families": len(metrics.REGISTRY.names()),
-        # Serving-tier aggregates: how many sessions this process holds
-        # and how much arena growth they are (jointly) responsible for.
+        # Serving-tier aggregate: how many sessions this process holds.
         "active_sessions": resources.REGISTRY.count(),
-        "sessions_arena_bytes": resources.REGISTRY.total_arena_bytes(),
     }
     if extra:
         payload.update(extra)

@@ -6,17 +6,16 @@ what*.  This module keeps one :class:`SessionAccount` per live
 :class:`~repro.prox.session.ProxSession` in a process-wide
 :class:`ResourceRegistry`:
 
-* **retained memory** -- arena bytes attributed to the session (the
-  growth of the process :class:`~repro.provenance.ir.TermStore` during
-  this session's summarize/ingest calls), interned-annotation count
-  and carried candidate-pool size;
+* **retained memory** -- the session's interned-annotation count and
+  carried candidate-pool size (sessions keep no share of the process
+  monomial arena: serving never interns into it);
 * **work counters** -- summarize runs and their cumulative seconds,
   ingested deltas, repaired runs and invalidated pool entries;
 * **freshness** -- monotonic created/last-active stamps, so idle
   sessions rank first for eviction.
 
 Every account is exported as labeled gauges
-(``prox_session_arena_bytes{session=...}`` et al.) behind the usual
+(``prox_session_interned_annotations{session=...}`` et al.) behind the usual
 ``REPRO_METRICS`` guard, and as JSON via ``GET /sessions`` and
 ``GET /sessions/<id>/stats`` on the PROX server.  The registry itself
 is always on: it is the data the serving API returns, not optional
@@ -56,11 +55,6 @@ _SESSIONS_ACTIVE = _metrics.gauge(
     "prox_sessions_active",
     "Live PROX sessions registered in this process.",
 )
-_SESSION_ARENA = _metrics.gauge(
-    "prox_session_arena_bytes",
-    "Term-arena growth attributed to each live session.",
-    labelnames=("session",),
-)
 _SESSION_INTERNED = _metrics.gauge(
     "prox_session_interned_annotations",
     "Interned annotation ids held by each live session.",
@@ -90,7 +84,6 @@ class SessionAccount:
     repaired_runs: int = 0
     repair_invalidated: int = 0
     ingested_deltas: int = 0
-    arena_bytes: int = 0
     interned_annotations: int = 0
     pool_candidates: int = 0
     selected_size: int = 0
@@ -106,9 +99,8 @@ class SessionAccount:
         self.touch()
         self._publish()
 
-    def record_ingest(self, arena_growth: int, selected_size: int) -> None:
+    def record_ingest(self, selected_size: int) -> None:
         self.ingested_deltas += 1
-        self.arena_bytes += max(0, int(arena_growth))
         self.selected_size = int(selected_size)
         self.touch()
         self._publish()
@@ -116,7 +108,6 @@ class SessionAccount:
     def record_summarize(
         self,
         seconds: float,
-        arena_growth: int,
         interned_annotations: int,
         pool_candidates: int,
         summary_size: int,
@@ -125,7 +116,6 @@ class SessionAccount:
     ) -> None:
         self.summarize_runs += 1
         self.summarize_seconds += float(seconds)
-        self.arena_bytes += max(0, int(arena_growth))
         self.interned_annotations = int(interned_annotations)
         self.pool_candidates = int(pool_candidates)
         self.summary_size = int(summary_size)
@@ -146,8 +136,7 @@ class SessionAccount:
     def retained_bytes(self) -> int:
         """The eviction-relevant retained-memory estimate."""
         return (
-            self.arena_bytes
-            + self.interned_annotations * _INTERNED_COST
+            self.interned_annotations * _INTERNED_COST
             + self.pool_candidates * _POOL_ENTRY_COST
         )
 
@@ -166,7 +155,6 @@ class SessionAccount:
             "repaired_runs": self.repaired_runs,
             "repair_invalidated": self.repair_invalidated,
             "ingested_deltas": self.ingested_deltas,
-            "arena_bytes": self.arena_bytes,
             "interned_annotations": self.interned_annotations,
             "pool_candidates": self.pool_candidates,
             "selected_size": self.selected_size,
@@ -178,7 +166,6 @@ class SessionAccount:
     def _publish(self) -> None:
         if not _metrics.ENABLED:
             return
-        _SESSION_ARENA.set(self.arena_bytes, session=self.session_id)
         _SESSION_INTERNED.set(self.interned_annotations, session=self.session_id)
         _SESSION_POOL.set(self.pool_candidates, session=self.session_id)
         _SESSION_SECONDS.set(self.summarize_seconds, session=self.session_id)
@@ -214,7 +201,6 @@ class ResourceRegistry:
             self._accounts.pop(session_id, None)
             count = len(self._accounts)
         for gauge in (
-            _SESSION_ARENA,
             _SESSION_INTERNED,
             _SESSION_POOL,
             _SESSION_SECONDS,
@@ -234,10 +220,6 @@ class ResourceRegistry:
     def count(self) -> int:
         with self._lock:
             return len(self._accounts)
-
-    def total_arena_bytes(self) -> int:
-        with self._lock:
-            return sum(a.arena_bytes for a in self._accounts.values())
 
     def snapshot(self) -> List[Dict[str, object]]:
         with self._lock:

@@ -51,6 +51,9 @@ Observability: the gauges ``repro_ir_interned_annotations`` and
 ``repro_ir_arena_bytes`` (exported via the existing ``/metrics``
 endpoint) track interner cardinality and arena storage; publishing
 stores update them on growth, others via :func:`publish_metrics`.
+Only in-process :class:`~repro.provenance.polynomial.Polynomial`
+users grow the arena: summarization keeps its ids in a per-problem
+interner, and serving sessions in a per-session one.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class AnnotationInterner:
     """Dense, stable, bidirectional ``annotation name ↔ int id`` map.
 
     A snapshot-restored interner (:meth:`from_snapshot`) wraps the
-    read-only name block of an arena snapshot: the NUL-separated UTF-8
+    name block of a session snapshot: the NUL-separated UTF-8
     blob is kept as-is and only decoded into Python strings -- and the
     reverse ``name → id`` dict only built -- when something actually
     asks (lazy restore).  Interning a *new* name materializes both and
@@ -190,59 +193,6 @@ class AnnotationInterner:
         return sum(len(name) for name in self._names) + 16 * len(self._names)
 
 
-class IntColumn:
-    """A read-only int64 base buffer with a private writable tail.
-
-    The copy-on-append primitive behind zero-copy arena snapshots: a
-    restored :class:`TermStore` wraps each snapshot block (an mmap'd
-    ``memoryview`` cast to ``'q'``) as the *base* and appends new
-    entries to a session-private ``array('q')`` *tail*.  Reads below
-    the frozen length index straight into the mapped file -- nothing is
-    copied at restore time -- while appends grow only the tail, so the
-    snapshot file itself is never written through.
-
-    Supports exactly the sequence surface the arena kernels use:
-    ``len``, integer ``[]``, iteration, ``append`` / ``extend`` and
-    ``itemsize``.
-    """
-
-    __slots__ = ("base", "tail", "_n_base")
-
-    itemsize = 8
-
-    def __init__(self, base=None):
-        #: Read-only ``memoryview`` cast to ``'q'`` (or ``None``).
-        self.base = base
-        self.tail = array("q")
-        self._n_base = len(base) if base is not None else 0
-
-    def __len__(self) -> int:
-        return self._n_base + len(self.tail)
-
-    def __getitem__(self, index: int) -> int:
-        n_base = self._n_base
-        if index < 0:
-            index += n_base + len(self.tail)
-        if index < n_base:
-            return self.base[index]
-        return self.tail[index - n_base]
-
-    def __iter__(self) -> Iterator[int]:
-        if self.base is not None:
-            yield from self.base
-        yield from self.tail
-
-    def append(self, value: int) -> None:
-        self.tail.append(value)
-
-    def extend(self, values: Iterable[int]) -> None:
-        self.tail.extend(values)
-
-    def frozen_length(self) -> int:
-        """Entries served zero-copy from the snapshot buffer."""
-        return self._n_base
-
-
 class RenameTable:
     """A mapping ``h : Ann → Ann'`` compiled against one interner.
 
@@ -316,70 +266,11 @@ class TermStore:
         self._pair_data = array("q")
         self._bounds = array("q", (0, 0))  # mono 0: the empty slice
         self._mono_sizes = array("q", (0,))
-        self._mono_index: Optional[Dict[Tuple[int, ...], int]] = {_EMPTY_KEY: 0}
+        self._mono_index: Dict[Tuple[int, ...], int] = {_EMPTY_KEY: 0}
         self._product_memo: Dict[Tuple[int, int], int] = {}
         self._rename_tables: Dict[Tuple[Tuple[str, str], ...], RenameTable] = {}
 
-    @classmethod
-    def from_buffers(
-        cls,
-        names_blob: bytes,
-        pair_base,
-        bounds_base,
-        sizes_base,
-        publish: bool = False,
-    ) -> "TermStore":
-        """Wrap the read-only blocks of an arena snapshot (zero-copy).
-
-        ``pair_base`` / ``bounds_base`` / ``sizes_base`` are int64
-        ``memoryview``s over an mmap'd snapshot (see
-        :func:`repro.serialization.load_arena_snapshot`); each becomes
-        the frozen base of an :class:`IntColumn`, so existing monomials
-        are read straight from the file while streaming ingest appends
-        to a session-private writable tail (copy-on-append).  The
-        monomial lookup index -- the only derived structure the
-        snapshot cannot carry -- is rebuilt *lazily*, on the first
-        operation that interns or looks up a monomial by key; pure
-        reads over restored polynomials never pay for it.
-        """
-        if len(bounds_base) != len(sizes_base) + 1:
-            raise ValueError("arena snapshot bounds/sizes blocks disagree")
-        if len(bounds_base) < 2 or bounds_base[0] != 0 or bounds_base[1] != 0:
-            raise ValueError("arena snapshot must start with the empty monomial")
-        store = cls.__new__(cls)
-        store.interner = AnnotationInterner.from_snapshot(names_blob, publish=publish)
-        store.publish = publish
-        store._pair_data = IntColumn(pair_base)
-        store._bounds = IntColumn(bounds_base)
-        store._mono_sizes = IntColumn(sizes_base)
-        store._mono_index = None  # rebuilt lazily on first intern/lookup
-        store._product_memo = {}
-        store._rename_tables = {}
-        return store
-
     # -- monomial arena ------------------------------------------------------
-
-    def restored(self) -> bool:
-        """Whether this store wraps a read-only snapshot base."""
-        return isinstance(self._pair_data, IntColumn)
-
-    def frozen_monomials(self) -> int:
-        """Monomials served zero-copy from the snapshot (0 if none)."""
-        sizes = self._mono_sizes
-        return sizes.frozen_length() if isinstance(sizes, IntColumn) else 0
-
-    def _index(self) -> Dict[Tuple[int, ...], int]:
-        """The monomial key → id map, rebuilt lazily after a restore."""
-        index = self._mono_index
-        if index is None:
-            data = self._pair_data
-            bounds = self._bounds
-            index = {}
-            for mono in range(len(self._mono_sizes)):
-                start, end = bounds[mono], bounds[mono + 1]
-                index[tuple(data[i] for i in range(start, end))] = mono
-            self._mono_index = index
-        return index
 
     def n_monomials(self) -> int:
         return len(self._mono_sizes)
@@ -398,7 +289,6 @@ class TermStore:
             "interner_bytes": self.interner.nbytes(),
             "monomials": self.n_monomials(),
             "arena_bytes": self.arena_bytes(),
-            "frozen_monomials": self.frozen_monomials(),
         }
 
     def intern_monomial(self, flat_key: Tuple[int, ...]) -> int:
@@ -407,13 +297,10 @@ class TermStore:
         The key must be sorted by annotation id with positive exponents
         and no duplicate ids (the canonical monomial form).
         """
-        index = self._mono_index
-        if index is None:
-            index = self._index()
-        mono = index.get(flat_key)
+        mono = self._mono_index.get(flat_key)
         if mono is None:
             mono = len(self._mono_sizes)
-            index[flat_key] = mono
+            self._mono_index[flat_key] = mono
             self._pair_data.extend(flat_key)
             self._bounds.append(len(self._pair_data))
             self._mono_sizes.append(sum(flat_key[1::2]))
@@ -431,45 +318,6 @@ class TermStore:
             flat.append(ann_id)
             flat.append(exponent)
         return self.intern_monomial(tuple(flat))
-
-    def find_monomial(self, flat_key: Tuple[int, ...]) -> Optional[int]:
-        """The id of an already-interned monomial, without allocating."""
-        return self._index().get(flat_key)
-
-    def append_delta(
-        self,
-        names: Iterable[str] = (),
-        monomials: Iterable[Iterable[Tuple[str, int]]] = (),
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Grow the arena in place for one streaming provenance delta.
-
-        Batch-interns new annotation ``names`` and name-space
-        ``monomials`` (iterables of ``(name, exponent)`` pairs) without
-        touching anything already interned: existing ids, bounds and
-        pair runs are stable, so polynomials, rename tables and scorer
-        masks built against the store stay valid mid-stream.  Returns
-        ``(name ids, monomial ids)`` for the appended entries (ids of
-        already-known names/monomials are simply reused).
-
-        Raises :class:`RuntimeError` if the append-only invariant is
-        ever violated (pre-existing slices moved) -- that would silently
-        corrupt every live polynomial, so it is checked, not assumed.
-        """
-        monos_before = self.n_monomials()
-        pairs_before = len(self._pair_data)
-        name_ids = tuple(self.interner.intern(name) for name in names)
-        mono_ids = tuple(self.mono_from_name_pairs(pairs) for pairs in monomials)
-        if (
-            self._bounds[monos_before] != pairs_before
-            or self.n_monomials() < monos_before
-        ):  # pragma: no cover - structural invariant
-            raise RuntimeError(
-                "append_delta violated the term-store append-only invariant"
-            )
-        if self.publish and _metrics.ENABLED:
-            _IR_INTERNED.set(len(self.interner))
-            _IR_ARENA_BYTES.set(self.arena_bytes())
-        return name_ids, mono_ids
 
     def mono_pairs(self, mono: int) -> List[Tuple[int, int]]:
         """The ``(annotation-id, exponent)`` pairs of one monomial."""
@@ -630,7 +478,7 @@ class TermStore:
         return frozenset(ids)
 
     def poly_coefficient(self, poly: PolyData, flat_key: Tuple[int, ...]) -> int:
-        mono = self._index().get(flat_key)
+        mono = self._mono_index.get(flat_key)
         if mono is None:
             return 0
         mono_ids = poly.mono_ids
@@ -714,35 +562,9 @@ def _merge_pair_runs(
     return tuple(flat)
 
 
-#: The process-wide store backing :class:`~repro.provenance.polynomial
-#: .Polynomial` (sessions may hold their own stores).
+#: The process-wide store backing every :class:`~repro.provenance
+#: .polynomial.Polynomial`.  Serving and summarizing never intern into it.
 GLOBAL_STORE = TermStore(publish=True)
-
-
-def store_is_pristine(store: Optional[TermStore] = None) -> bool:
-    """Whether the (global) store has interned nothing beyond mono 0."""
-    target = store if store is not None else GLOBAL_STORE
-    return target.n_monomials() == 1 and len(target.interner) == 0
-
-
-def install_store(store: TermStore) -> TermStore:
-    """Swap the process-wide term store; returns the previous one.
-
-    The shared-nothing serving tier uses this in freshly forked worker
-    processes: a restored (mmap-backed) arena becomes the store every
-    new :class:`~repro.provenance.polynomial.Polynomial` interns into,
-    so a rehydrated session's polynomials resolve against the snapshot
-    without copying it.  Polynomials built against the previous store
-    stay valid -- they hold their own store reference, and cross-store
-    arithmetic already degrades through the name-space boundary.
-    """
-    global GLOBAL_STORE
-    previous = GLOBAL_STORE
-    store.publish = previous.publish or store.publish
-    if store.publish:
-        store.interner.publish = True
-    GLOBAL_STORE = store
-    return previous
 
 
 def publish_metrics(

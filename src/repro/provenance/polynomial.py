@@ -19,10 +19,9 @@ pure (tensor-free) AST into canonical form.
 
 Representation: :class:`Polynomial` is a façade over the interned IR
 (:mod:`repro.provenance.ir`): a polynomial is two parallel integer
-arrays over the process-wide interned term store -- the string-keyed
-terms dict is materialized lazily only when asked for.  Arithmetic on
-operands from different stores (a snapshot restore installs a second
-one) goes through that terms dict.
+arrays over the process-wide term store ``GLOBAL_STORE``, which every
+instance shares -- the string-keyed terms dict is materialized lazily
+only when asked for.
 """
 
 from __future__ import annotations
@@ -42,42 +41,12 @@ Monomial = Tuple[Tuple[str, int], ...]
 
 _EMPTY: Monomial = ()
 
+_STORE = _ir.GLOBAL_STORE
+
 
 def _monomial(names: Iterable[str]) -> Monomial:
     counts = Counter(names)
     return tuple(sorted(counts.items()))
-
-
-def _monomial_product(first: Monomial, second: Monomial) -> Monomial:
-    """Merge two name-sorted exponent runs directly.
-
-    Both operands are canonical (sorted by name, unique names), so the
-    product is a single linear merge -- no ``Counter`` rebuild, no
-    re-sort.
-    """
-    if not first:
-        return second
-    if not second:
-        return first
-    merged = []
-    i = j = 0
-    n_first, n_second = len(first), len(second)
-    while i < n_first and j < n_second:
-        name_a, exp_a = first[i]
-        name_b, exp_b = second[j]
-        if name_a == name_b:
-            merged.append((name_a, exp_a + exp_b))
-            i += 1
-            j += 1
-        elif name_a < name_b:
-            merged.append(first[i])
-            i += 1
-        else:
-            merged.append(second[j])
-            j += 1
-    merged.extend(first[i:])
-    merged.extend(second[j:])
-    return tuple(merged)
 
 
 class Polynomial:
@@ -87,7 +56,7 @@ class Polynomial:
     :meth:`variable`, :meth:`constant`, or :func:`from_expression`.
     """
 
-    __slots__ = ("_terms", "_data", "_store", "_names", "_hash")
+    __slots__ = ("_terms", "_data", "_names", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] = ()):
         cleaned: Dict[Monomial, int] = {}
@@ -98,20 +67,17 @@ class Polynomial:
                 cleaned[monomial] = coefficient
         self._names: Optional[FrozenSet[str]] = None
         self._hash: Optional[int] = None
-        store = _ir.GLOBAL_STORE
         counts: Dict[int, int] = {}
         for monomial, coefficient in cleaned.items():
-            mono = store.mono_from_name_pairs(monomial)
+            mono = _STORE.mono_from_name_pairs(monomial)
             counts[mono] = counts.get(mono, 0) + coefficient
-        self._store: _ir.TermStore = store
-        self._data: _ir.PolyData = store.poly_from_counts(counts)
+        self._data: _ir.PolyData = _STORE.poly_from_counts(counts)
         self._terms: Optional[Dict[Monomial, int]] = None
 
     @classmethod
-    def _from_data(cls, store: "_ir.TermStore", data: "_ir.PolyData") -> "Polynomial":
+    def _from_data(cls, data: "_ir.PolyData") -> "Polynomial":
         """Wrap already-canonical IR columns without revalidation."""
         poly = cls.__new__(cls)
-        poly._store = store
         poly._data = data
         poly._terms = None
         poly._names = None
@@ -143,9 +109,9 @@ class Polynomial:
     def _term_dict(self) -> Dict[Monomial, int]:
         """The name-space terms, materialized lazily."""
         if self._terms is None:
-            store, data = self._store, self._data
+            data = self._data
             self._terms = {
-                store.mono_name_pairs(mono): coefficient
+                _STORE.mono_name_pairs(mono): coefficient
                 for mono, coefficient in zip(data.mono_ids, data.coeffs)
             }
         return self._terms
@@ -155,7 +121,7 @@ class Polynomial:
         return dict(self._term_dict())
 
     def coefficient(self, names: Iterable[str]) -> int:
-        interner = self._store.interner
+        interner = _STORE.interner
         flat = []
         pairs = []
         for name, exponent in _monomial(names):
@@ -166,7 +132,7 @@ class Polynomial:
         for ann_id, exponent in sorted(pairs):
             flat.append(ann_id)
             flat.append(exponent)
-        return self._store.poly_coefficient(self._data, tuple(flat))
+        return _STORE.poly_coefficient(self._data, tuple(flat))
 
     def is_zero(self) -> bool:
         return len(self._data) == 0
@@ -174,15 +140,15 @@ class Polynomial:
     def annotation_names(self) -> FrozenSet[str]:
         if self._names is None:
             self._names = frozenset(
-                self._store.interner.names_of(
-                    self._store.poly_annotation_ids(self._data)
+                _STORE.interner.names_of(
+                    _STORE.poly_annotation_ids(self._data)
                 )
             )
         return self._names
 
     def degree(self) -> int:
         """Largest total degree of a monomial (0 for constants)."""
-        return self._store.poly_degree(self._data)
+        return _STORE.poly_degree(self._data)
 
     def size(self) -> int:
         """Annotation occurrences with repetition, counting coefficients.
@@ -190,50 +156,30 @@ class Polynomial:
         Matches the §3.2 size measure on the expanded sum-of-monomials
         form: ``2·a·b²`` contributes 2 × (1 + 2) = 6.
         """
-        return self._store.poly_size(self._data)
+        return _STORE.poly_size(self._data)
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self._store is other._store:
-            return Polynomial._from_data(
-                self._store, self._store.poly_add(self._data, other._data)
-            )
-        terms = dict(self._term_dict())
-        for monomial, coefficient in other._term_dict().items():
-            terms[monomial] = terms.get(monomial, 0) + coefficient
-        return Polynomial(terms)
+        return Polynomial._from_data(_STORE.poly_add(self._data, other._data))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self._store is other._store:
-            return Polynomial._from_data(
-                self._store, self._store.poly_mul(self._data, other._data)
-            )
-        terms: Dict[Monomial, int] = {}
-        for left_monomial, left_coefficient in self._term_dict().items():
-            for right_monomial, right_coefficient in other._term_dict().items():
-                product = _monomial_product(left_monomial, right_monomial)
-                terms[product] = (
-                    terms.get(product, 0) + left_coefficient * right_coefficient
-                )
-        return Polynomial(terms)
+        return Polynomial._from_data(_STORE.poly_mul(self._data, other._data))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._store is other._store:
-            return (
-                self._data.mono_ids == other._data.mono_ids
-                and self._data.coeffs == other._data.coeffs
-            )
-        return self._term_dict() == other._term_dict()
+        return (
+            self._data.mono_ids == other._data.mono_ids
+            and self._data.coeffs == other._data.coeffs
+        )
 
     def __hash__(self) -> int:
-        # Store-independent (instances over different stores that
-        # compare equal must hash equal), cached -- the instance is
-        # immutable.
+        # Cached: the instance is immutable.
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._term_dict().items())))
+            self._hash = hash(
+                (self._data.mono_ids.tobytes(), self._data.coeffs.tobytes())
+            )
         return self._hash
 
     # -- homomorphisms ------------------------------------------------------------
@@ -243,10 +189,8 @@ class Polynomial:
         with _tracing.span("rename") as opened:
             if _tracing.is_enabled():
                 opened.set("n_terms", len(self._data))
-            table = self._store.rename_table(mapping)
-            return Polynomial._from_data(
-                self._store, self._store.poly_rename(self._data, table)
-            )
+            table = _STORE.rename_table(mapping)
+            return Polynomial._from_data(_STORE.poly_rename(self._data, table))
 
     def evaluate_in(
         self, semiring: Semiring[T], valuation: Mapping[str, T]
@@ -258,7 +202,7 @@ class Polynomial:
         the result is correct in *any* commutative semiring, including
         the boolean and tropical ones).
         """
-        return self._store.poly_evaluate_in(self._data, semiring, valuation)
+        return _STORE.poly_evaluate_in(self._data, semiring, valuation)
 
     def __str__(self) -> str:
         terms = self._term_dict()

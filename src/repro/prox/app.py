@@ -47,7 +47,6 @@ from ..observability import metrics as _metrics
 from ..observability import profiling as _profiling
 from ..observability import resources as _resources
 from ..observability import slo as _slo
-from ..provenance import ir as _ir
 from .manager import CapacityError, SessionManager, UnknownSessionError
 from .session import ProxSession
 from .summarization import SummarizationRequest
@@ -507,7 +506,6 @@ class ProxApp:
             "sessions_evicted_total": self.manager.evicted_total,
             "sessions_restored_total": self.manager.restored_total,
             "slo_breaches_total": self.slow_log.total_recorded,
-            "ir_arena_bytes": _ir.GLOBAL_STORE.arena_bytes(),
         }
         if self.default_session_id is not None:
             session = self.manager.peek(self.default_session_id)

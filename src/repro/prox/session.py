@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import weakref
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,6 +35,12 @@ from ..provenance.tensor_sum import TensorSum
 from .evaluator import EvaluationOutcome, EvaluatorService
 from .selection import SelectionService
 from .summarization import SummarizationRequest, SummarizationService
+
+#: What replaying a snapshot whose contents do not describe a session
+#: raises (a missing key, a wrong type, an unknown title or event).
+_MALFORMED = (
+    LookupError, TypeError, ValueError, AttributeError, ArithmeticError, RuntimeError
+)
 
 _INGEST_DELTAS = _metrics.counter(
     "prox_ingest_deltas_total",
@@ -177,9 +182,9 @@ class ProxSession:
         """Apply one append-only provenance delta to the live session.
 
         New annotations are registered into the instance universe (and
-        batch-interned into the session interner and the process arena,
-        which both grow strictly in place -- existing ids stay valid
-        mid-stream), new terms extend the current selection, and
+        batch-interned into the session interner, which grows strictly
+        in place -- existing ids stay valid mid-stream), new terms
+        extend the current selection, and
         valuation changes are recorded so the next :meth:`summarize`
         *repairs* the previous summary instead of recomputing it.
         Raises if no provenance is selected, on annotation name
@@ -188,7 +193,6 @@ class ProxSession:
         """
         if self.selected is None:
             raise RuntimeError("select provenance first (selection view)")
-        arena_before = _ir.GLOBAL_STORE.arena_bytes()
         with _tracing.span("ingest") as span:
             universe = self.instance.universe
             for annotation in delta.annotations:
@@ -206,12 +210,9 @@ class ProxSession:
                             f"valuation extension {label!r} references "
                             f"unknown annotation {name!r}"
                         )
-            names = [annotation.name for annotation in delta.annotations]
-            monomials = [
-                sorted(Counter(term.annotations).items()) for term in delta.terms
-            ]
-            _ir.GLOBAL_STORE.append_delta(names, monomials)
-            self.interner.intern_all(names)
+            self.interner.intern_all(
+                annotation.name for annotation in delta.annotations
+            )
             self.selected = apply_delta(self.selected, delta)
             self.summarization.record_delta(delta)
             self.result = None
@@ -227,10 +228,7 @@ class ProxSession:
             from .. import serialization as _serialization
 
             self._record_event("ingest", _serialization.delta_to_dict(delta))
-        self.account.record_ingest(
-            arena_growth=_ir.GLOBAL_STORE.arena_bytes() - arena_before,
-            selected_size=self.selected.size(),
-        )
+        self.account.record_ingest(selected_size=self.selected.size())
         return {
             "annotations": len(delta.annotations),
             "terms": len(delta.terms),
@@ -259,14 +257,12 @@ class ProxSession:
         if self.result is not None and (asdict(request), seed) == self._last_summarize:
             self.account.touch()
             return self.result
-        arena_before = _ir.GLOBAL_STORE.arena_bytes()
         self.result = self.summarization.summarize(self.selected, request, seed)
         self._last_summarize = (asdict(request), seed)
         self._pending_summarize = None
         _ir.publish_metrics(interner=self.interner)
         self.account.record_summarize(
             seconds=self.result.total_seconds,
-            arena_growth=_ir.GLOBAL_STORE.arena_bytes() - arena_before,
             interned_annotations=len(self.interner),
             pool_candidates=self.summarization.pool_size(),
             summary_size=self.result.final_size,
@@ -372,12 +368,11 @@ class ProxSession:
         """Write the session to ``path`` as a PROXSN01 snapshot.
 
         The snapshot stores the dataset recipe, the replayable event
-        log (selections + ingested deltas), the last summarize request,
-        the session interner's name table, and — under the IR — a
-        zero-copy PROXAR03 image of the process arena.  Summarization
-        results and repair state are deliberately dropped: PR 6's
-        differential suite proves repaired ≡ from-scratch bit-identical,
-        so the restored session recomputes them deterministically.
+        log (selections + ingested deltas), the last summarize request
+        and the session interner's name table.  Summarization results
+        and repair state are deliberately dropped: repaired and
+        from-scratch runs are bit-identical, so the restored session
+        recomputes them deterministically.
         """
         if not self.can_snapshot():
             raise RuntimeError(
@@ -397,7 +392,7 @@ class ProxSession:
             "ingested_deltas": self.ingested_deltas,
         }
         _serialization.write_session_snapshot(
-            path, meta, interner_names=list(self.interner), store=_ir.GLOBAL_STORE
+            path, meta, interner_names=list(self.interner)
         )
         return {"path": path, "bytes": os.path.getsize(path)}
 
@@ -405,27 +400,46 @@ class ProxSession:
     def restore(cls, path: str, session_id: Optional[str] = None) -> "ProxSession":
         """Rehydrate a session from a snapshot written by :meth:`snapshot`.
 
-        When the process arena is still pristine (e.g. a freshly forked
-        worker), the snapshot's arena block is installed as the global
-        store *zero-copy* — monomial columns stay memory-mapped views
-        into the snapshot file and later ingests promote to a private
-        writable tail.  Otherwise the event replay re-interns terms into
-        the existing arena; PR 3's differential guarantees make results
-        independent of monomial-id layout either way.
+        Regenerates the instance from its recipe and replays the event
+        log; the interner keeps the snapshot's id layout.  A snapshot
+        whose bytes or contents do not describe a session raises
+        :class:`~repro.serialization.SerializationError`.
         """
         from .. import serialization as _serialization
 
-        meta, names_blob, store = _serialization.load_session_snapshot(path)
-        # Snapshots without an arena block (written by older releases)
-        # restore by event replay alone.
-        if store is not None and _ir.store_is_pristine():
-            _ir.install_store(store)
+        def malformed(error: Exception) -> Exception:
+            return _serialization.SerializationError(
+                f"malformed session snapshot {path}: {error}"
+            )
+
+        meta, names_blob = _serialization.load_session_snapshot(path)
+        try:
+            instance = _instance_from_recipe(meta["recipe"])
+            events = [(kind, payload) for kind, payload in meta.get("events", [])]
+            pending = None
+            last = meta.get("last_summarize")
+            if last is not None:
+                # Re-run lazily on the next touch that needs a result, so
+                # rehydration stays cheap for sessions only being listed.
+                # Snapshots written before an engine knob was removed still
+                # carry it, so drop it.  Most never changed results; a
+                # recorded sample_sharing="off" did (independent
+                # per-candidate draws), and such a snapshot re-runs with
+                # the shared batch.
+                request = {
+                    key: value
+                    for key, value in dict(last[0]).items()
+                    if key not in REMOVED_FIELDS
+                }
+                SummarizationRequest(**request)  # reject it now, not later
+                pending = (request, int(last[1]))
+        except _MALFORMED as error:
+            raise malformed(error) from error
         interner = (
             _ir.AnnotationInterner.from_snapshot(names_blob)
             if names_blob
             else _ir.AnnotationInterner()
         )
-        instance = _instance_from_recipe(meta["recipe"])
         session = cls(
             instance,
             session_id=session_id or meta.get("session_id"),
@@ -433,7 +447,7 @@ class ProxSession:
         )
         session._replaying = True
         try:
-            for kind, payload in meta.get("events", []):
+            for kind, payload in events:
                 if kind == "select_titles":
                     session.select_titles(payload)
                 elif kind == "select_by":
@@ -442,21 +456,11 @@ class ProxSession:
                     session.ingest(_serialization.delta_from_dict(payload))
                 else:
                     raise ValueError(f"unknown snapshot event {kind!r}")
+        except _MALFORMED as error:
+            session.close()
+            raise malformed(error) from error
         finally:
             session._replaying = False
-        session._events = [(kind, payload) for kind, payload in meta.get("events", [])]
-        last = meta.get("last_summarize")
-        if last is not None:
-            # Re-run lazily on the next touch that needs a result, so
-            # rehydration stays cheap for sessions only being listed.
-            # Snapshots written before an engine knob was removed still
-            # carry it, so drop it.  Most never changed results; a
-            # recorded sample_sharing="off" did (independent per-candidate
-            # draws), and such a snapshot re-runs with the shared batch.
-            request = {
-                key: value
-                for key, value in dict(last[0]).items()
-                if key not in REMOVED_FIELDS
-            }
-            session._pending_summarize = (request, int(last[1]))
+        session._events = events
+        session._pending_summarize = pending
         return session

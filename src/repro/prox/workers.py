@@ -18,9 +18,9 @@ Requests`` + ``Retry-After`` (backpressure instead of unbounded
 buffering), and per-worker depth is exported as
 ``prox_worker_queue_depth{worker=...}``.  Inside each worker a
 :class:`~repro.prox.manager.SessionManager` + ``ProxApp`` handle
-requests exactly as in single-process mode -- eviction loop included --
-and snapshots restore zero-copy because a freshly forked worker's
-arena is pristine (:func:`repro.provenance.ir.install_store`).
+requests exactly as in single-process mode -- eviction loop included;
+an evicted session restores in the worker that owns it, by replaying
+its snapshot's event log.
 
 Graceful drain: the front stops accepting, waits for in-flight
 replies, then sends each worker a ``drain`` control op (workers

@@ -13,27 +13,17 @@ the summaries computed from them.  This module round-trips:
   portable part (summary expression + cumulative mapping + groups).
 
 The format is a versioned plain-JSON object; ``load_expression``
-dispatches on the recorded ``kind``.
-
-Format version 2 adds the compact columnar encodings of the interned
-IR (:mod:`repro.provenance.ir`): a ``term_store`` payload persists an
-arena -- interned annotation names in id order plus the flat
-``(annotation-id, exponent)`` pair array and its monomial bounds --
-as either JSON columns or a packed little-endian binary blob, and a
-``polynomial`` payload persists one polynomial against a *local*
-mini-arena (ids re-densified to the monomials it actually uses), so
-polynomials round-trip independently of any process-wide store.
-Version-1 payloads still load.
+dispatches on the recorded ``kind``.  Evicted serving sessions are
+written as ``PROXSN01`` session snapshots (see
+:func:`write_session_snapshot`): the session's replayable event log
+plus its interner name table.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
-import sys
-from array import array
 from typing import Any, Dict, IO, List, Mapping, Optional, Tuple, Union
 
 from .core.streaming import ProvenanceDelta
@@ -45,9 +35,7 @@ from .provenance.ddp_expression import (
     DDPExpression,
     Execution,
 )
-from .provenance.ir import AnnotationInterner, TermStore
 from .provenance.monoids import monoid_by_name
-from .provenance.polynomial import Polynomial
 from .provenance.tensor_sum import Guard, TensorSum, Term
 from .provenance.valuation import Valuation
 
@@ -346,287 +334,37 @@ def summary_from_dict(data: Mapping[str, Any]):
     return expression, mapping, annotations
 
 
-# -- interned IR: term stores and polynomials (format version 2) ---------------
-
-#: Magic prefix of the packed binary arena encoding.
-_ARENA_MAGIC = b"PROXIR"
-
-
-def term_store_to_dict(store: TermStore) -> Dict[str, Any]:
-    """Columnar JSON encoding of an arena: names + flat pair columns."""
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "term_store",
-        "annotations": list(store.interner),
-        "pair_data": list(store._pair_data),
-        "bounds": list(store._bounds),
-    }
-
-
-def term_store_from_dict(data: Mapping[str, Any]) -> TermStore:
-    _check(data, "term_store")
-    try:
-        names = list(data["annotations"])
-        pair_data = [int(value) for value in data["pair_data"]]
-        bounds = [int(value) for value in data["bounds"]]
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(f"malformed term_store payload: {error}") from None
-    return _rebuild_store(names, pair_data, bounds)
-
-
-def term_store_to_bytes(store: TermStore) -> bytes:
-    """Packed little-endian binary encoding of an arena.
-
-    Layout: ``PROXIR`` magic, u16 version, u32 name-block length, the
-    NUL-separated UTF-8 name block, u64 pair count, u64 bound count,
-    then the two int64 columns.  Dense and endian-stable -- the compact
-    on-disk form for session snapshots.
-    """
-    names_blob = b"\x00".join(
-        name.encode("utf-8") for name in store.interner
-    )
-    pair_data = store._pair_data
-    bounds = store._bounds
-    header = _ARENA_MAGIC + struct.pack(
-        "<HIQQ", FORMAT_VERSION, len(names_blob), len(pair_data), len(bounds)
-    )
-    return (
-        header
-        + names_blob
-        + struct.pack(f"<{len(pair_data)}q", *pair_data)
-        + struct.pack(f"<{len(bounds)}q", *bounds)
-    )
-
-
-def term_store_from_bytes(blob: bytes) -> TermStore:
-    if not blob.startswith(_ARENA_MAGIC):
-        raise SerializationError("not a packed arena payload (bad magic)")
-    offset = len(_ARENA_MAGIC)
-    try:
-        version, names_len, n_pairs, n_bounds = struct.unpack_from(
-            "<HIQQ", blob, offset
-        )
-        offset += struct.calcsize("<HIQQ")
-        if version > FORMAT_VERSION:
-            raise SerializationError(
-                f"payload version {version} is newer than supported {FORMAT_VERSION}"
-            )
-        names_blob = blob[offset : offset + names_len]
-        offset += names_len
-        names = (
-            [part.decode("utf-8") for part in names_blob.split(b"\x00")]
-            if names_blob
-            else []
-        )
-        pair_data = list(struct.unpack_from(f"<{n_pairs}q", blob, offset))
-        offset += 8 * n_pairs
-        bounds = list(struct.unpack_from(f"<{n_bounds}q", blob, offset))
-    except struct.error as error:
-        raise SerializationError(f"truncated arena payload: {error}") from None
-    return _rebuild_store(names, pair_data, bounds)
-
-
-def _rebuild_store(
-    names: List[str], pair_data: List[int], bounds: List[int]
-) -> TermStore:
-    """Re-intern a persisted arena (monomial ids are preserved)."""
-    if not bounds or bounds[0] != 0:
-        raise SerializationError("arena bounds must start at 0")
-    if bounds[-1] != len(pair_data):
-        raise SerializationError("arena bounds do not cover the pair data")
-    store = TermStore(AnnotationInterner(names))
-    n_names = len(names)
-    for mono in range(1, len(bounds) - 1):
-        start, end = bounds[mono], bounds[mono + 1]
-        if end < start or (end - start) % 2:
-            raise SerializationError(f"malformed monomial slice at id {mono}")
-        flat = tuple(pair_data[start:end])
-        for ann_id, exponent in zip(flat[0::2], flat[1::2]):
-            if not 0 <= ann_id < n_names:
-                raise SerializationError(
-                    f"monomial {mono} references unknown annotation id {ann_id}"
-                )
-            if exponent <= 0:
-                raise SerializationError(
-                    f"monomial {mono} has non-positive exponent {exponent}"
-                )
-        if store.intern_monomial(flat) != mono:
-            raise SerializationError(
-                f"arena monomials are not canonical/deduplicated at id {mono}"
-            )
-    return store
-
-
-# -- mmap-able arena snapshots (format version 3) -------------------------------
+# -- session snapshots ----------------------------------------------------------
 #
-# The v2 ``PROXIR`` blob above is compact but *parse-on-load*: every
-# int64 is unpacked into Python objects.  The arena *snapshot* layout
-# below is the zero-copy extension the serving tier evicts and
-# rehydrates sessions through: every block sits at an 8-byte-aligned
-# offset, so a loader can ``mmap`` the file and hand the pair/bounds/
-# sizes blocks to :meth:`repro.provenance.ir.TermStore.from_buffers`
-# as ``memoryview('q')``s -- restore touches no monomial bytes at all.
+# One file per evicted session: a JSON meta document (the replayable
+# event log -- dataset recipe, selection, ingested deltas, last
+# summarize request) followed by the session interner's name block.
+# Restore replays the event log, so nothing else is stored.
 #
-# Layout (all offsets 8-aligned)::
+# Layout (blocks padded to 8 bytes)::
 #
-#     0   magic  b"PROXAR03"
-#     8   <QQQQQ> names_len, n_pairs, n_bounds, n_sizes, flags
-#     48  name block   names_len bytes of NUL-separated UTF-8, padded to 8
-#     .   pair block   n_pairs  * int64 (native order; flags bit 0 = LE)
-#     .   bounds block n_bounds * int64
-#     .   sizes block  n_sizes  * int64
+#     0   magic  b"PROXSN01"
+#     8   <QQQ>  meta_len, names_len, arena_len
+#     32  meta block   meta_len bytes of UTF-8 JSON
+#     .   name block   names_len bytes of NUL-separated UTF-8
+#     .   arena block  arena_len bytes
 #
-# ``flags`` bit 0 records the writer's endianness; a reader on the
-# other endianness falls back to an eager (copying) decode.
+# The arena block held an image of the process monomial arena in
+# older releases.  Writers now record ``arena_len = 0``; a reader skips
+# a non-zero block unread.
 
-_ARENA_SNAPSHOT_MAGIC = b"PROXAR03"
-_ARENA_SNAPSHOT_HEADER = "<QQQQQ"
-_FLAG_LITTLE_ENDIAN = 1
+_SESSION_SNAPSHOT_MAGIC = b"PROXSN01"
+_SESSION_SNAPSHOT_HEADER = "<QQQ"
 
 
 def _pad8(length: int) -> int:
     return (-length) % 8
 
 
-def _int64_bytes(column) -> bytes:
-    """Native-order packed bytes of an arena column (array or IntColumn)."""
-    if isinstance(column, array):
-        return column.tobytes()
-    return array("q", iter(column)).tobytes()
-
-
-def arena_snapshot_bytes(store: TermStore) -> bytes:
-    """The word-aligned, mmap-able snapshot encoding of an arena.
-
-    Re-snapshotting a store loaded by :func:`load_arena_snapshot` (with
-    no intervening appends) is byte-identical -- the golden round-trip
-    the serving tier's eviction path relies on.
-    """
-    names_blob = b"\x00".join(name.encode("utf-8") for name in store.interner)
-    pair_bytes = _int64_bytes(store._pair_data)
-    bounds_bytes = _int64_bytes(store._bounds)
-    sizes_bytes = _int64_bytes(store._mono_sizes)
-    flags = _FLAG_LITTLE_ENDIAN if sys.byteorder == "little" else 0
-    parts = [
-        _ARENA_SNAPSHOT_MAGIC,
-        struct.pack(
-            _ARENA_SNAPSHOT_HEADER,
-            len(names_blob),
-            len(pair_bytes) // 8,
-            len(bounds_bytes) // 8,
-            len(sizes_bytes) // 8,
-            flags,
-        ),
-        names_blob,
-        b"\x00" * _pad8(len(names_blob)),
-        pair_bytes,
-        bounds_bytes,
-        sizes_bytes,
-    ]
-    return b"".join(parts)
-
-
-def arena_snapshot_length(buffer, offset: int = 0) -> int:
-    """Total byte length of the snapshot starting at ``offset``."""
-    names_len, n_pairs, n_bounds, n_sizes, _ = struct.unpack_from(
-        _ARENA_SNAPSHOT_HEADER, buffer, offset + len(_ARENA_SNAPSHOT_MAGIC)
-    )
-    header = len(_ARENA_SNAPSHOT_MAGIC) + struct.calcsize(_ARENA_SNAPSHOT_HEADER)
-    return header + names_len + _pad8(names_len) + 8 * (n_pairs + n_bounds + n_sizes)
-
-
-def arena_from_buffer(buffer: memoryview, offset: int = 0) -> TermStore:
-    """Wrap one arena snapshot inside ``buffer`` without copying it.
-
-    ``buffer`` is typically a ``memoryview`` over an ``mmap``; the
-    returned store's pair/bounds/sizes columns read straight from it
-    (appends go to a private tail -- see
-    :class:`repro.provenance.ir.IntColumn`).  ``offset`` must be
-    8-aligned relative to the mapping.
-    """
-    if bytes(buffer[offset : offset + len(_ARENA_SNAPSHOT_MAGIC)]) != (
-        _ARENA_SNAPSHOT_MAGIC
-    ):
-        raise SerializationError("not an arena snapshot (bad magic)")
-    header_at = offset + len(_ARENA_SNAPSHOT_MAGIC)
-    try:
-        names_len, n_pairs, n_bounds, n_sizes, flags = struct.unpack_from(
-            _ARENA_SNAPSHOT_HEADER, buffer, header_at
-        )
-    except struct.error as error:
-        raise SerializationError(f"truncated arena snapshot: {error}") from None
-    cursor = header_at + struct.calcsize(_ARENA_SNAPSHOT_HEADER)
-    names_blob = bytes(buffer[cursor : cursor + names_len])
-    if len(names_blob) != names_len:
-        raise SerializationError("truncated arena snapshot name block")
-    cursor += names_len + _pad8(names_len)
-    writer_little = bool(flags & _FLAG_LITTLE_ENDIAN)
-    if writer_little != (sys.byteorder == "little"):
-        # Cross-endian snapshot: fall back to an eager decode (correct,
-        # but copying) through the v2 rebuild path.
-        endian = "<" if writer_little else ">"
-        pair_data = list(
-            struct.unpack_from(f"{endian}{n_pairs}q", buffer, cursor)
-        )
-        bounds = list(
-            struct.unpack_from(f"{endian}{n_bounds}q", buffer, cursor + 8 * n_pairs)
-        )
-        names = (
-            [part.decode("utf-8") for part in names_blob.split(b"\x00")]
-            if names_blob
-            else []
-        )
-        return _rebuild_store(names, pair_data, bounds)
-    end_pairs = cursor + 8 * n_pairs
-    end_bounds = end_pairs + 8 * n_bounds
-    end_sizes = end_bounds + 8 * n_sizes
-    if end_sizes > len(buffer):
-        raise SerializationError("truncated arena snapshot blocks")
-    pair_base = buffer[cursor:end_pairs].cast("q")
-    bounds_base = buffer[end_pairs:end_bounds].cast("q")
-    sizes_base = buffer[end_bounds:end_sizes].cast("q")
-    try:
-        return TermStore.from_buffers(names_blob, pair_base, bounds_base, sizes_base)
-    except ValueError as error:
-        raise SerializationError(str(error)) from None
-
-
-def write_arena_snapshot(store: TermStore, path: Union[str, os.PathLike]) -> int:
-    """Write one arena snapshot file; returns the byte count."""
-    blob = arena_snapshot_bytes(store)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return len(blob)
-
-
-def load_arena_snapshot(path: Union[str, os.PathLike]) -> TermStore:
-    """mmap an arena snapshot file and wrap it zero-copy.
-
-    The mapping stays alive for as long as the returned store's column
-    views reference it; the file descriptor is closed immediately.
-    """
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    return arena_from_buffer(memoryview(mapped))
-
-
-# -- session snapshots ----------------------------------------------------------
-#
-# One file per evicted session: a JSON meta document (the replayable
-# event log -- dataset recipe, selection, ingested deltas, last
-# summarize request) followed by the session interner's name block and
-# the word-aligned arena snapshot, both at 8-aligned offsets so
-# restore can mmap the file once and wrap every block read-only.
-
-_SESSION_SNAPSHOT_MAGIC = b"PROXSN01"
-_SESSION_SNAPSHOT_HEADER = "<QQQ"
-
-
 def write_session_snapshot(
     path: Union[str, os.PathLike],
     meta: Dict[str, Any],
     interner_names: Optional[List[str]] = None,
-    store: Optional[TermStore] = None,
 ) -> int:
     """Write a session snapshot; returns the byte count."""
     meta_blob = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -635,19 +373,16 @@ def write_session_snapshot(
         if interner_names
         else b""
     )
-    arena_blob = arena_snapshot_bytes(store) if store is not None else b""
-    parts = [
-        _SESSION_SNAPSHOT_MAGIC,
-        struct.pack(
-            _SESSION_SNAPSHOT_HEADER, len(meta_blob), len(names_blob), len(arena_blob)
-        ),
-        meta_blob,
-        b"\x00" * _pad8(len(meta_blob)),
-        names_blob,
-        b"\x00" * _pad8(len(names_blob)),
-        arena_blob,
-    ]
-    blob = b"".join(parts)
+    blob = b"".join(
+        [
+            _SESSION_SNAPSHOT_MAGIC,
+            struct.pack(_SESSION_SNAPSHOT_HEADER, len(meta_blob), len(names_blob), 0),
+            meta_blob,
+            b"\x00" * _pad8(len(meta_blob)),
+            names_blob,
+            b"\x00" * _pad8(len(names_blob)),
+        ]
+    )
     with open(path, "wb") as handle:
         handle.write(blob)
     return len(blob)
@@ -655,101 +390,51 @@ def write_session_snapshot(
 
 def load_session_snapshot(
     path: Union[str, os.PathLike],
-) -> Tuple[Dict[str, Any], bytes, Optional[TermStore]]:
-    """mmap a session snapshot: ``(meta, interner name blob, store)``.
+) -> Tuple[Dict[str, Any], bytes]:
+    """Read a session snapshot: ``(meta, interner name blob)``.
 
-    The meta document and interner block are materialized (they are
-    small); the arena -- the bulk of the file -- is wrapped zero-copy.
-    ``store`` is ``None`` when the snapshot carried no arena (older
-    releases could write such snapshots; they restore by event replay).
+    Raises :class:`SerializationError` unless the block lengths in the
+    header add up to the file's size, both blocks end where their zero
+    padding starts, the meta block is a UTF-8 JSON object and the name
+    block is UTF-8.
     """
     with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    buffer = memoryview(mapped)
-    if bytes(buffer[: len(_SESSION_SNAPSHOT_MAGIC)]) != _SESSION_SNAPSHOT_MAGIC:
+        data = handle.read()
+    if not data.startswith(_SESSION_SNAPSHOT_MAGIC):
         raise SerializationError("not a session snapshot (bad magic)")
     try:
         meta_len, names_len, arena_len = struct.unpack_from(
-            _SESSION_SNAPSHOT_HEADER, buffer, len(_SESSION_SNAPSHOT_MAGIC)
+            _SESSION_SNAPSHOT_HEADER, data, len(_SESSION_SNAPSHOT_MAGIC)
         )
     except struct.error as error:
         raise SerializationError(f"truncated session snapshot: {error}") from None
-    cursor = len(_SESSION_SNAPSHOT_MAGIC) + struct.calcsize(_SESSION_SNAPSHOT_HEADER)
+    meta_at = len(_SESSION_SNAPSHOT_MAGIC) + struct.calcsize(_SESSION_SNAPSHOT_HEADER)
+    names_at = meta_at + meta_len + _pad8(meta_len)
+    arena_at = names_at + names_len + _pad8(names_len)
+    if arena_at + arena_len != len(data):
+        raise SerializationError(
+            f"session snapshot is {len(data)} bytes, its header "
+            f"describes {arena_at + arena_len}"
+        )
+    names_end = names_at + names_len
+    names_blob = data[names_at:names_end]
+    if (
+        data[meta_at + meta_len : names_at].strip(b"\x00")
+        or data[names_end:arena_at].strip(b"\x00")
+        or names_blob.endswith(b"\x00")
+    ):
+        raise SerializationError("session snapshot block ends inside its padding")
     try:
-        meta = json.loads(bytes(buffer[cursor : cursor + meta_len]))
-    except json.JSONDecodeError as error:
+        meta = json.loads(data[meta_at : meta_at + meta_len].decode("utf-8"))
+    except ValueError as error:
         raise SerializationError(f"malformed session meta: {error}") from None
-    cursor += meta_len + _pad8(meta_len)
-    names_blob = bytes(buffer[cursor : cursor + names_len])
-    cursor += names_len + _pad8(names_len)
-    store = arena_from_buffer(buffer, cursor) if arena_len else None
-    return meta, names_blob, store
-
-
-def polynomial_to_dict(polynomial: Polynomial) -> Dict[str, Any]:
-    """Columnar encoding of one polynomial against a local mini-arena.
-
-    Annotation and monomial ids are re-densified to the polynomial's
-    own support, so the payload is independent of whatever process-wide
-    store produced it.
-    """
-    local_names: List[str] = []
-    name_ids: Dict[str, int] = {}
-    pair_data: List[int] = []
-    bounds = [0]
-    mono_ids: List[int] = []
-    coefficients: List[int] = []
-    for monomial, coefficient in sorted(polynomial.terms().items()):
-        id_pairs = []
-        for name, exponent in monomial:
-            local = name_ids.get(name)
-            if local is None:
-                local = name_ids[name] = len(local_names)
-                local_names.append(name)
-            id_pairs.append((local, exponent))
-        for local, exponent in sorted(id_pairs):
-            pair_data.append(local)
-            pair_data.append(exponent)
-        bounds.append(len(pair_data))
-        mono_ids.append(len(mono_ids))
-        coefficients.append(coefficient)
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "polynomial",
-        "annotations": local_names,
-        "pair_data": pair_data,
-        "bounds": bounds,
-        "monomials": mono_ids,
-        "coefficients": coefficients,
-    }
-
-
-def polynomial_from_dict(data: Mapping[str, Any]) -> Polynomial:
-    _check(data, "polynomial")
+    if not isinstance(meta, dict):
+        raise SerializationError("session meta is not a JSON object")
     try:
-        names = list(data["annotations"])
-        pair_data = list(data["pair_data"])
-        bounds = list(data["bounds"])
-        mono_ids = list(data["monomials"])
-        coefficients = list(data["coefficients"])
-    except (KeyError, TypeError) as error:
-        raise SerializationError(f"malformed polynomial payload: {error}") from None
-    if len(mono_ids) != len(coefficients):
-        raise SerializationError("monomial and coefficient columns differ in length")
-    terms: Dict[Any, int] = {}
-    try:
-        for mono, coefficient in zip(mono_ids, coefficients):
-            start, end = bounds[mono], bounds[mono + 1]
-            monomial = tuple(
-                sorted(
-                    (names[pair_data[i]], pair_data[i + 1])
-                    for i in range(start, end, 2)
-                )
-            )
-            terms[monomial] = terms.get(monomial, 0) + int(coefficient)
-    except IndexError as error:
-        raise SerializationError(f"malformed polynomial payload: {error}") from None
-    return Polynomial(terms)
+        names_blob.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise SerializationError(f"malformed session name block: {error}") from None
+    return meta, names_blob
 
 
 # -- file helpers ---------------------------------------------------------------------------

@@ -44,13 +44,12 @@ def test_unregister_drops_the_gauge_series(registry):
     account = registry.register("doomed")
     account.record_summarize(
         seconds=0.5,
-        arena_growth=1024,
         interned_annotations=10,
         pool_candidates=5,
         summary_size=3,
     )
-    gauge = metrics.REGISTRY.get("prox_session_arena_bytes")
-    assert gauge.value(session="doomed") == 1024
+    gauge = metrics.REGISTRY.get("prox_session_interned_annotations")
+    assert gauge.value(session="doomed") == 10
     registry.unregister("doomed")
     scrape = metrics.REGISTRY.render()
     assert 'session="doomed"' not in scrape
@@ -89,7 +88,6 @@ def test_record_summarize_accumulates(registry):
     account = registry.register()
     account.record_summarize(
         seconds=1.5,
-        arena_growth=100,
         interned_annotations=7,
         pool_candidates=3,
         summary_size=9,
@@ -98,7 +96,6 @@ def test_record_summarize_accumulates(registry):
     )
     account.record_summarize(
         seconds=0.5,
-        arena_growth=50,
         interned_annotations=8,
         pool_candidates=4,
         summary_size=8,
@@ -107,29 +104,17 @@ def test_record_summarize_accumulates(registry):
     assert account.summarize_seconds == pytest.approx(2.0)
     assert account.repaired_runs == 1
     assert account.repair_invalidated == 2
-    assert account.arena_bytes == 150
     # cardinalities are levels, not totals
     assert account.interned_annotations == 8
     assert account.pool_candidates == 4
     assert account.summary_size == 8
 
 
-def test_negative_arena_growth_is_clamped(registry):
-    """A shrinking global arena (another session freed) must not be
-    booked as negative retention for this session."""
-    account = registry.register()
-    account.record_ingest(arena_growth=-500, selected_size=10)
-    assert account.arena_bytes == 0
-    assert account.ingested_deltas == 1
-    assert account.selected_size == 10
-
-
 def test_retained_bytes_and_eviction_score():
     account = SessionAccount(session_id="x")
-    account.arena_bytes = 1000
     account.interned_annotations = 10
     account.pool_candidates = 5
-    expected = 1000 + 10 * resources._INTERNED_COST + 5 * resources._POOL_ENTRY_COST
+    expected = 10 * resources._INTERNED_COST + 5 * resources._POOL_ENTRY_COST
     assert account.retained_bytes() == expected
     # fresh account: idleness factor ~1
     assert account.eviction_score() == pytest.approx(expected, rel=0.01)
@@ -151,21 +136,17 @@ def test_to_dict_is_json_shaped(registry):
 # -- aggregates and the advisor ------------------------------------------------
 
 
-def test_total_arena_bytes_sums_sessions(registry):
-    first = registry.register()
-    second = registry.register()
-    first.record_ingest(arena_growth=300, selected_size=1)
-    second.record_ingest(arena_growth=200, selected_size=1)
-    assert registry.total_arena_bytes() == 500
-
-
 def test_eviction_ranking_orders_heaviest_idle_first(registry):
     light = registry.register("light")
     heavy = registry.register("heavy")
     idle_heavy = registry.register("idle_heavy")
-    light.record_ingest(arena_growth=10, selected_size=1)
-    heavy.record_ingest(arena_growth=10_000, selected_size=1)
-    idle_heavy.record_ingest(arena_growth=10_000, selected_size=1)
+    for account, pool in ((light, 1), (heavy, 100), (idle_heavy, 100)):
+        account.record_summarize(
+            seconds=0.1,
+            interned_annotations=pool,
+            pool_candidates=pool,
+            summary_size=1,
+        )
     idle_heavy.last_active -= 2 * resources.IDLE_HALF_LIFE_SECONDS
 
     ranking = registry.eviction_ranking()

@@ -10,25 +10,21 @@ must equal the program evaluated directly in the target semiring (the
 universal property).  Exact semirings only, so agreement is equality.
 
 Also covered: the interner/arena invariants (dense stable ids,
-memoized products, lazily-extended rename tables), arithmetic across
-two term stores (a snapshot restore installs a second one), the
-annotation-names cache regression (rename must never mutate the
-receiver's cached name set), and the format-version-2 serialization
-round-trips for term stores and polynomials.
+memoized products, lazily-extended rename tables), the single
+process-wide store every polynomial shares, and the annotation-names
+cache regression (rename must never mutate the receiver's cached name
+set).
 """
 
-import contextlib
 import random
 from collections import Counter
 
 import pytest
 
-from repro import serialization
 from repro.provenance import ir
 from repro.provenance.ir import AnnotationInterner, TermStore
 from repro.provenance.polynomial import Polynomial
 from repro.provenance.semirings import BOOLEAN, NATURALS
-from repro.serialization import SerializationError
 
 NAMES = ["a", "b", "c", "d", "e"]
 #: Every name a random program can mention (renames introduce m0/m1).
@@ -220,26 +216,6 @@ def build_both(seed):
     )
 
 
-#: Where the store-sensitive tests build their polynomials: ``ir`` in
-#: the process store, ``legacy`` in a second store installed for the
-#: test, as a snapshot restore installs one.  (The ids date from when
-#: the axis switched to the dict representation.)
-STORES = ("ir", "legacy")
-
-
-@contextlib.contextmanager
-def in_store(kind):
-    if kind == "ir":
-        yield ir.GLOBAL_STORE
-        return
-    previous = ir.install_store(TermStore())
-    try:
-        yield ir.GLOBAL_STORE
-    finally:
-        ir.install_store(previous)
-        ir.publish_metrics()
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_ir_vs_legacy_same_terms(seed):
     """The IR agrees with the dict-of-monomials model (the ``legacy``
@@ -293,8 +269,8 @@ def test_ir_vs_legacy_coefficient_lookup(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rename_composition_matches_sequential(seed):
-    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), in either
-    store and in the model."""
+    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), in the IR
+    and in the model."""
     rng = random.Random(seed)
     h1 = {name: rng.choice(["m0", "m1", name]) for name in NAMES}
     h2 = {"m0": "s", "m1": "s", "a": "s2"}
@@ -305,33 +281,11 @@ def test_rename_composition_matches_sequential(seed):
 
     one_shot_map = {name: composed(name) for name in ALL_NAMES}
     model = random_program(random.Random(seed), Model).rename(one_shot_map)
-    for kind in STORES:
-        with in_store(kind):
-            poly = random_polynomial(random.Random(seed))
-            sequential = poly.rename(h1).rename(h2)
-            one_shot = poly.rename(one_shot_map)
-            assert sequential == one_shot, kind
-            assert sequential.terms() == one_shot.terms() == model.terms, kind
-
-
-def test_cross_mode_arithmetic_degrades_gracefully():
-    """Polynomials from two different stores mix via their terms."""
-    with in_store("legacy"):
-        other_store = Polynomial.variable("a") * Polynomial.constant(2)
-    interned = Polynomial.variable("b") + Polynomial.one()
-    assert other_store._store is not interned._store
-    mixed = other_store + interned
-    assert mixed.terms() == {
-        (("a", 1),): 2,
-        (("b", 1),): 1,
-        (): 1,
-    }
-    product = other_store * interned
-    assert product.terms() == {
-        (("a", 1), ("b", 1)): 2,
-        (("a", 1),): 2,
-    }
-    assert other_store == Polynomial.variable("a") * Polynomial.constant(2)
+    poly = random_polynomial(random.Random(seed))
+    sequential = poly.rename(h1).rename(h2)
+    one_shot = poly.rename(one_shot_map)
+    assert sequential == one_shot
+    assert sequential.terms() == one_shot.terms() == model.terms
 
 
 # -- interner / arena invariants ---------------------------------------------------
@@ -415,175 +369,44 @@ def test_store_stats_report_growth():
 # -- the annotation-names cache (PR regression) ------------------------------------
 
 
-@pytest.mark.parametrize("kind", STORES)
-def test_rename_does_not_mutate_cached_annotation_names(kind):
+def test_rename_does_not_mutate_cached_annotation_names():
     """``annotation_names`` is cached per instance; renaming must hand
     back a *new* polynomial with its own (correct) name set and leave
     the receiver's cache untouched."""
-    with in_store(kind):
-        poly = Polynomial.variable("a") * Polynomial.variable("b")
-        before = poly.annotation_names()
-        assert before == frozenset({"a", "b"})
-        renamed = poly.rename({"a": "s", "b": "s"})
-        assert renamed.annotation_names() == frozenset({"s"})
-        # The receiver's cached set is the same object, unchanged.
-        assert poly.annotation_names() is before
-        assert poly.annotation_names() == frozenset({"a", "b"})
-        # And the cache is per instance, never shared with the result.
-        assert renamed.annotation_names() is not before
+    poly = Polynomial.variable("a") * Polynomial.variable("b")
+    before = poly.annotation_names()
+    assert before == frozenset({"a", "b"})
+    renamed = poly.rename({"a": "s", "b": "s"})
+    assert renamed.annotation_names() == frozenset({"s"})
+    # The receiver's cached set is the same object, unchanged.
+    assert poly.annotation_names() is before
+    assert poly.annotation_names() == frozenset({"a", "b"})
+    # And the cache is per instance, never shared with the result.
+    assert renamed.annotation_names() is not before
 
 
-@pytest.mark.parametrize("kind", STORES)
-def test_annotation_names_cache_is_consistent_after_arithmetic(kind):
-    with in_store(kind):
-        left = Polynomial.variable("a")
-        right = Polynomial.variable("b")
-        assert left.annotation_names() == frozenset({"a"})
-        total = left + right
-        assert total.annotation_names() == frozenset({"a", "b"})
-        assert left.annotation_names() == frozenset({"a"})
-        assert right.annotation_names() == frozenset({"b"})
+def test_annotation_names_cache_is_consistent_after_arithmetic():
+    left = Polynomial.variable("a")
+    right = Polynomial.variable("b")
+    assert left.annotation_names() == frozenset({"a"})
+    total = left + right
+    assert total.annotation_names() == frozenset({"a", "b"})
+    assert left.annotation_names() == frozenset({"a"})
+    assert right.annotation_names() == frozenset({"b"})
 
 
 # -- store plumbing ----------------------------------------------------------------
 
 
 def test_instances_capture_their_construction_mode():
-    """Each instance keeps the store in force when it was built; a
-    later install redirects new constructions only."""
+    """Every instance interns into the one process-wide store, so
+    equal polynomials built apart share columns, equality and hash."""
     first = Polynomial.variable("a")
-    with in_store("legacy") as second_store:
-        second = Polynomial.variable("a")
-        assert second._store is second_store
-        assert first._store is not second_store
-        # The earlier instance still resolves against its own store.
-        assert first.terms() == {(("a", 1),): 1}
-    assert first._store is ir.GLOBAL_STORE
+    second = Polynomial.variable("b").rename({"b": "a"})
+    assert first._data.mono_ids == second._data.mono_ids
     assert first == second
     assert hash(first) == hash(second)
-
-
-# -- serialization (format version 2) ----------------------------------------------
-
-
-def make_store():
-    store = TermStore()
-    store.mono_from_name_pairs((("a", 1),))
-    store.mono_from_name_pairs((("a", 2), ("b", 1)))
-    store.mono_from_name_pairs((("c", 3),))
-    return store
-
-
-def assert_same_arena(rebuilt, original):
-    assert list(rebuilt.interner) == list(original.interner)
-    assert rebuilt.n_monomials() == original.n_monomials()
-    for mono in range(original.n_monomials()):
-        assert rebuilt.mono_name_pairs(mono) == original.mono_name_pairs(mono)
-        assert rebuilt.mono_size(mono) == original.mono_size(mono)
-
-
-def test_term_store_dict_round_trip():
-    store = make_store()
-    payload = serialization.term_store_to_dict(store)
-    assert payload["version"] == serialization.FORMAT_VERSION
-    assert payload["kind"] == "term_store"
-    assert_same_arena(serialization.term_store_from_dict(payload), store)
-
-
-def test_term_store_bytes_round_trip():
-    store = make_store()
-    blob = serialization.term_store_to_bytes(store)
-    assert blob.startswith(b"PROXIR")
-    assert_same_arena(serialization.term_store_from_bytes(blob), store)
-
-
-def test_term_store_bytes_rejects_bad_magic_and_truncation():
-    store = make_store()
-    blob = serialization.term_store_to_bytes(store)
-    with pytest.raises(SerializationError, match="bad magic"):
-        serialization.term_store_from_bytes(b"NOTPROX" + blob)
-    with pytest.raises(SerializationError, match="truncated"):
-        serialization.term_store_from_bytes(blob[: len(blob) - 9])
-
-
-def test_term_store_dict_rejects_malformed_payloads():
-    store = make_store()
-    good = serialization.term_store_to_dict(store)
-    with pytest.raises(SerializationError, match="expected kind"):
-        serialization.term_store_from_dict({**good, "kind": "polynomial"})
-    with pytest.raises(SerializationError, match="bounds must start at 0"):
-        serialization.term_store_from_dict(
-            {**good, "bounds": [1] + good["bounds"][1:]}
-        )
-    with pytest.raises(SerializationError, match="do not cover"):
-        serialization.term_store_from_dict(
-            {**good, "bounds": good["bounds"][:-1] + [good["bounds"][-1] + 2]}
-        )
-    with pytest.raises(SerializationError, match="unknown annotation id"):
-        serialization.term_store_from_dict({**good, "annotations": ["a"]})
-    with pytest.raises(SerializationError, match="newer than supported"):
-        serialization.term_store_from_dict(
-            {**good, "version": serialization.FORMAT_VERSION + 1}
-        )
-
-
-def test_term_store_rejects_non_canonical_arenas():
-    store = make_store()
-    good = serialization.term_store_to_dict(store)
-    # Duplicate the first real monomial: ids can no longer be preserved.
-    first_len = good["bounds"][2] - good["bounds"][1]
-    duplicated = {
-        **good,
-        "pair_data": good["pair_data"]
-        + good["pair_data"][good["bounds"][1] : good["bounds"][2]],
-        "bounds": good["bounds"] + [good["bounds"][-1] + first_len],
-    }
-    with pytest.raises(SerializationError, match="not canonical"):
-        serialization.term_store_from_dict(duplicated)
-
-
-@pytest.mark.parametrize("kind", STORES)
-@pytest.mark.parametrize("seed", range(6))
-def test_polynomial_dict_round_trip_is_mode_independent(kind, seed):
-    with in_store(kind):
-        poly = random_polynomial(random.Random(seed))
-        payload = serialization.polynomial_to_dict(poly)
-        assert payload["version"] == serialization.FORMAT_VERSION
-        restored = serialization.polynomial_from_dict(payload)
-        assert restored == poly
-        assert restored.terms() == poly.terms()
-    # The payload also restores into the *other* store.
-    other = "legacy" if kind == "ir" else "ir"
-    with in_store(other):
-        assert serialization.polynomial_from_dict(payload).terms() == poly.terms()
-
-
-def test_polynomial_dict_is_json_stable():
-    """Equal polynomials from either store serialize to the same JSON."""
-
-    def build():
-        return (Polynomial.variable("a") + Polynomial.variable("b")) * (
-            Polynomial.variable("b") + Polynomial.constant(2)
-        )
-
-    interned = build()
-    with in_store("legacy"):
-        other_store = build()
-    assert serialization.dumps(
-        serialization.polynomial_to_dict(interned)
-    ) == serialization.dumps(serialization.polynomial_to_dict(other_store))
-
-
-def test_polynomial_dict_rejects_malformed_payloads():
-    payload = serialization.polynomial_to_dict(Polynomial.variable("a"))
-    with pytest.raises(SerializationError, match="differ in length"):
-        serialization.polynomial_from_dict({**payload, "coefficients": []})
-    with pytest.raises(SerializationError, match="malformed polynomial"):
-        serialization.polynomial_from_dict({**payload, "monomials": [99]})
-    with pytest.raises(SerializationError, match="malformed polynomial"):
-        broken = dict(payload)
-        del broken["pair_data"]
-        serialization.polynomial_from_dict(broken)
+    assert first.terms() == {(("a", 1),): 1}
 
 
 # -- tracing -----------------------------------------------------------------------
@@ -601,13 +424,11 @@ def enabled_tracing():
     tracing.take_trace()
 
 
-@pytest.mark.parametrize("kind", STORES)
-def test_polynomial_rename_records_a_span(enabled_tracing, kind):
+def test_polynomial_rename_records_a_span(enabled_tracing):
     tracing = enabled_tracing
-    with in_store(kind):
-        poly = Polynomial.variable("a") + Polynomial.variable("b")
-        with tracing.span("root"):
-            poly.rename({"a": "s"})
+    poly = Polynomial.variable("a") + Polynomial.variable("b")
+    with tracing.span("root"):
+        poly.rename({"a": "s"})
     root = tracing.take_trace()
     rename = root.find("rename")
     assert rename is not None

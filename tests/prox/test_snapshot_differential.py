@@ -1,8 +1,7 @@
 """Snapshot/restore differentials: evicted ≡ never-evicted, bit-exact.
 
 The acceptance bar for the serving tier: a session snapshotted,
-evicted and restored (zero-copy in a fresh process, replay in a warm
-one) must produce *bit-identical* ``/summarize`` results to a session
+evicted and restored (in a fresh process or in a warm one) must produce *bit-identical* ``/summarize`` results to a session
 that was never evicted -- same sizes, same distances, same merge
 sequence -- across greedy/beam × full-rank/lazy × sampled scoring paths,
 each on its expected scoring path with zero fast-path fallbacks.
@@ -10,14 +9,16 @@ Soundness rests on PR 3 (results independent of monomial-id layout)
 and PR 6 (repaired ≡ from-scratch), so dropping repair state and
 re-interning on restore cannot shift anything.
 
-Plus the golden format test: arena snapshot → mmap-load → snapshot is
-byte-identical, and likewise for a whole restored session.
+Plus the golden format tests: a restored session re-snapshots
+byte-identically, and a snapshot that still carries the monomial-arena
+block older releases wrote restores to the same summary.
 """
 
 import contextlib
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -32,7 +33,7 @@ from repro.datasets import (
     generate_movielens,
     generate_movielens_deltas,
 )
-from repro.provenance import ir as _ir
+from repro.provenance.ir import TermStore
 from repro.prox import ProxSession, SessionManager
 from repro.prox.summarization import SummarizationRequest
 
@@ -201,7 +202,6 @@ _CHILD_RESTORE = """
 import json, sys
 sys.path.insert(0, {src!r})
 from tests.prox.test_snapshot_differential import fingerprint, summarize_sampled
-from repro.provenance import ir
 from repro.prox import ProxSession
 from repro.prox.summarization import SummarizationRequest
 """ + _CHILD_SELECTION + """
@@ -211,10 +211,7 @@ if {sampled!r}:
     result = summarize_sampled(session, request)
 else:
     result = session._require_result()   # lazy re-summarize after rehydrate
-print(json.dumps({{
-    "fingerprint": fingerprint(result),
-    "zero_copy": ir.GLOBAL_STORE.restored(),
-}}))
+print(json.dumps({{"fingerprint": fingerprint(result)}}))
 """
 
 
@@ -260,8 +257,8 @@ def _run_child(code, *argv, full_rank=False, sampled=False):
 def test_cross_process_zero_copy_restore_is_bit_identical(
     request_, ranked, sampled, tmp_path
 ):
-    """A fresh process mmap-loads the snapshot zero-copy and recomputes
-    the exact same summary the original process produced.  The
+    """A fresh process restores the snapshot and recomputes the exact
+    same summary the original process produced.  The
     baseline runs both processes under the full measure-and-rank
     path; the sampled row reruns the sampled problem on both sides."""
     path = str(tmp_path / "session.snap")
@@ -272,31 +269,12 @@ def test_cross_process_zero_copy_restore_is_bit_identical(
     restored = _run_child(
         _CHILD_RESTORE, path, json.dumps(request_), full_rank=ranked, sampled=sampled
     )
-    assert restored["zero_copy"], "expected the zero-copy install path"
     assert restored["fingerprint"] == original["fingerprint"]
-
-
-def test_arena_snapshot_roundtrip_is_byte_identical(tmp_path):
-    """Golden: snapshot → mmap-load → snapshot reproduces every byte."""
-    session = build_session()
-    try:
-        session.summarize(SummarizationRequest(number_of_steps=3))
-        blob = serialization.arena_snapshot_bytes(_ir.GLOBAL_STORE)
-        path = str(tmp_path / "arena.bin")
-        serialization.write_arena_snapshot(_ir.GLOBAL_STORE, path)
-        with open(path, "rb") as handle:
-            assert handle.read() == blob
-        loaded = serialization.load_arena_snapshot(path)
-        assert loaded.restored()
-        assert serialization.arena_snapshot_bytes(loaded) == blob
-        assert loaded.n_monomials() == _ir.GLOBAL_STORE.n_monomials()
-    finally:
-        session.close()
 
 
 def test_session_snapshot_restore_resnapshot_is_byte_identical(tmp_path):
     """A restored-but-untouched session re-snapshots to the same bytes
-    (fresh process: restore is zero-copy, so no arena drift)."""
+    in a fresh process."""
     first = str(tmp_path / "first.snap")
     second = str(tmp_path / "second.snap")
     _run_child(_CHILD_BUILD, first, json.dumps({"number_of_steps": 3}))
@@ -348,27 +326,53 @@ def test_restore_drops_removed_engine_knobs(tmp_path):
         restored.close()
 
 
+def _legacy_arena_block():
+    """A monomial-arena block in the layout older releases appended to
+    every session snapshot: magic, ``<QQQQQ>`` names_len / n_pairs /
+    n_bounds / n_sizes / flags, the NUL-separated name block padded to
+    8, then the native-order int64 pair, bounds and sizes columns."""
+    store = TermStore()
+    store.mono_from_name_pairs((("u1", 1), ("m1", 1)))
+    store.mono_from_name_pairs((("u2", 2),))
+    names = b"\x00".join(name.encode() for name in store.interner)
+    columns = [store._pair_data, store._bounds, store._mono_sizes]
+    return b"".join(
+        [
+            b"PROXAR03",
+            struct.pack("<QQQQQ", len(names), *map(len, columns), 1),
+            names + b"\x00" * (-len(names) % 8),
+            *(column.tobytes() for column in columns),
+        ]
+    )
+
+
 def test_arena_less_session_snapshot_restores_identically(tmp_path):
-    """Older releases could write session snapshots without an interner
-    or arena block (``write_session_snapshot(path, meta)``).  Such a
-    file still loads, and restores by event replay -- in a fresh process
-    and in this warm one -- to the summary the original session made."""
+    """Snapshots carry no monomial arena (``arena_len`` is 0).  One
+    written by an older release still carries the arena block after
+    its name block; the block is skipped unread, and the file restores
+    -- in a fresh process and in this warm one -- to the summary the
+    original session made."""
     path = str(tmp_path / "session.snap")
     original = _run_child(_CHILD_BUILD, path, json.dumps({"number_of_steps": 4}))
     assert_clean(original["fingerprint"])
-    meta, names_blob, store = serialization.load_session_snapshot(path)
-    assert names_blob and store is not None
-    arena_less = str(tmp_path / "arena-less.snap")
-    serialization.write_session_snapshot(arena_less, meta)
-    meta_again, names_again, store_again = serialization.load_session_snapshot(
-        arena_less
-    )
-    assert (meta_again, names_again, store_again) == (meta, b"", None)
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    meta_len, names_len, arena_len = struct.unpack_from("<QQQ", blob, 8)
+    assert arena_len == 0 and names_len > 0
+    meta, names_blob = serialization.load_session_snapshot(path)
 
-    restored = _run_child(_CHILD_RESTORE, arena_less)
-    assert not restored["zero_copy"]
+    arena = _legacy_arena_block()
+    legacy = str(tmp_path / "legacy.snap")
+    with open(legacy, "wb") as handle:
+        handle.write(
+            blob[:8] + struct.pack("<QQQ", meta_len, names_len, len(arena))
+            + blob[32:] + arena
+        )
+    assert serialization.load_session_snapshot(legacy) == (meta, names_blob)
+
+    restored = _run_child(_CHILD_RESTORE, legacy)
     assert restored["fingerprint"] == original["fingerprint"]
-    session = ProxSession.restore(arena_less)
+    session = ProxSession.restore(legacy)
     try:
         warm = json.loads(json.dumps(fingerprint(session._require_result())))
     finally:

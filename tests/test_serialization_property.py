@@ -19,7 +19,6 @@ from repro.provenance import (
     TensorSum,
     Term,
 )
-from repro.provenance.ir import TermStore
 from repro.provenance.valuation import cancel
 
 names = st.sampled_from([f"a{i}" for i in range(6)])
@@ -141,59 +140,6 @@ def provenance_deltas(draw):
 def test_delta_round_trip_is_exact(delta):
     restored = ser.delta_from_dict(json.loads(ser.dumps(ser.delta_to_dict(delta))))
     assert restored == delta
-
-
-@st.composite
-def arena_histories(draw):
-    """A sequence of (names, monomials) append batches."""
-    history = []
-    for batch in range(draw(st.integers(min_value=1, max_value=4))):
-        batch_names = [
-            f"n{batch}_{i}"
-            for i in range(draw(st.integers(min_value=0, max_value=3)))
-        ]
-        monomials = [
-            [
-                (draw(names), draw(st.integers(min_value=1, max_value=2)))
-                for _ in range(draw(st.integers(min_value=1, max_value=3)))
-            ]
-            for _ in range(draw(st.integers(min_value=0, max_value=3)))
-        ]
-        history.append((batch_names, monomials))
-    return history
-
-
-@settings(max_examples=40, deadline=None)
-@given(history=arena_histories(), split=st.integers(min_value=0, max_value=4))
-def test_mid_stream_arena_snapshot_round_trip(history, split):
-    """Snapshot after k deltas, reload, apply the rest: the final arena
-    must be byte-identical to an uninterrupted ingest of every delta."""
-    split = min(split, len(history))
-
-    uninterrupted = TermStore()
-    for batch_names, monomials in history:
-        uninterrupted.append_delta(batch_names, monomials)
-
-    streamed = TermStore()
-    ids_before = []
-    for batch_names, monomials in history[:split]:
-        ids_before.append(streamed.append_delta(batch_names, monomials))
-    blob = ser.term_store_to_bytes(streamed)
-    reloaded = ser.term_store_from_bytes(blob)
-    ids_after = []
-    for index, (batch_names, monomials) in enumerate(history[:split]):
-        ids_after.append(reloaded.append_delta(batch_names, monomials))
-        # Re-appending known entries reuses ids: the reload kept them.
-        assert ids_after[index] == ids_before[index]
-    for batch_names, monomials in history[split:]:
-        reloaded.append_delta(batch_names, monomials)
-
-    assert ser.term_store_to_bytes(reloaded) == ser.term_store_to_bytes(
-        uninterrupted
-    )
-    assert ser.term_store_to_dict(reloaded) == ser.term_store_to_dict(
-        uninterrupted
-    )
 
 
 @settings(max_examples=40, deadline=None)
