@@ -173,10 +173,10 @@ class ScoringEngine:
         #: backend for naive steps, which fold nothing).
         self.last_kernel: str = _kernels.active_backend()
         #: Shared-batch telemetry of the most recent sampled step:
-        #: batch size, achieved baseline variance, and whether the
-        #: carried scorer's batch was reused rather than redrawn.
+        #: batch size, and whether the carried scorer's batch was
+        #: reused rather than redrawn (see also
+        #: :attr:`last_sample_variance`).
         self.last_sample_batch: int = 0
-        self.last_sample_variance: float = 0.0
         self.last_batch_reused: bool = False
         #: Carried (stale) / freshly scored candidate counts of the most
         #: recent step; they partition its candidate set.
@@ -206,6 +206,20 @@ class ScoringEngine:
     def lazy(self) -> bool:
         """Whether :meth:`measure_lazy` drives candidate selection."""
         return self._lazy
+
+    @property
+    def last_sample_variance(self) -> float:
+        """Achieved baseline variance of the most recent sampled step's
+        batch (0.0 after any other step).
+
+        Read from the scorer, which computes it on first read; the
+        next :meth:`advance` moves the scorer's baseline, so read it
+        before that.
+        """
+        scorer = self._scorer
+        if not self._sampled_step() or not isinstance(scorer, SampledStepScorer):
+            return 0.0
+        return scorer.batch_variance
 
     # -- public API --------------------------------------------------------------
 
@@ -411,7 +425,6 @@ class ScoringEngine:
         self.last_sizes_fallback = 0
         self.last_floor = 0.0
         self.last_sample_batch = 0
-        self.last_sample_variance = 0.0
         self.last_batch_reused = False
 
     def _fast_scorer(self, current, mapping: MappingState) -> Optional[FastStepScorer]:
@@ -487,7 +500,6 @@ class ScoringEngine:
         if isinstance(scorer, SampledStepScorer):
             self._record(self.PATH_SAMPLED_INCREMENTAL)
             self.last_sample_batch = scorer.batch_size
-            self.last_sample_variance = scorer.batch_variance
         else:
             self._record(self.PATH_FAST_INCREMENTAL)
         self.last_kernel = scorer._kernel.name
@@ -695,6 +707,9 @@ class ScoringEngine:
         return self.last_path == self.PATH_SAMPLED_INCREMENTAL
 
     def _set_step_attrs(self, span, n_candidates: int, seconds: float) -> None:
+        if span is _tracing.NULL_SPAN:
+            # Untraced: skip the reads, the batch variance above all.
+            return
         span.set("path", self.last_path)
         span.set("kernel", self.last_kernel)
         span.set("n_candidates", n_candidates)

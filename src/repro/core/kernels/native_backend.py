@@ -9,9 +9,8 @@ degrades to python with a structured ``kernel_fallback``.
 The class subclasses the python reference and overrides the four ops
 the C library accelerates on a scoring path -- ``scatter_false_sets``,
 ``group_fold``, ``sparse_scores`` and ``weighted_moments``; everything
-else (``merge_monomials`` and the per-group folds) inherits the
-reference behavior, which keeps the bit-identity argument local to
-the overridden ops.
+else (the per-group folds) inherits the reference behavior, which
+keeps the bit-identity argument local to the overridden ops.
 All double arithmetic in the library is straight IEEE (compiled with
 ``-ffp-contract=off``), so the C operation sequence per output
 position is the reference's.

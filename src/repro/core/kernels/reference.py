@@ -4,8 +4,7 @@ The bit-packed scorers funnel every hot fold through the ops of
 :class:`PythonKernel`, each defined over the packed representations
 the scorers already use -- little-endian ``array('Q')`` word rows
 (bit ``i`` ⇔ valuation/draw position ``i``, see
-:mod:`repro.core.kernels.masktable`) and ann-id-sorted monomial pair
-runs:
+:mod:`repro.core.kernels.masktable`):
 
 * :meth:`~PythonKernel.scatter_false_sets` -- mask *construction*:
   scatter lifted false sets into a contiguous :class:`MaskTable`
@@ -23,8 +22,6 @@ runs:
 * :meth:`~PythonKernel.weighted_moments` -- the per-64-draw-block
   weighted sum / weight / sum-of-squares reduction behind the sampled
   batch statistics.
-* :meth:`~PythonKernel.merge_monomials` -- the sorted-merge monomial
-  product of the interned IR arena.
 
 These are the exact loops the scorers ran inline before the kernel
 tier existed, extracted verbatim and re-expressed over packed word
@@ -371,39 +368,3 @@ class PythonKernel:
         for index, word in enumerate(out):
             out[index] = (word ^ WORD_MASK) & clamp[index]
         return out
-
-    # -- interned-arena monomial product -------------------------------------
-
-    def merge_monomials(
-        self,
-        first: Sequence[Tuple[int, int]],
-        second: Sequence[Tuple[int, int]],
-    ) -> Tuple[int, ...]:
-        """Merge two ann-id-sorted ``(id, exponent)`` runs, summing
-        shared exponents; returns the flat interleaved key tuple."""
-        flat: List[int] = []
-        i = j = 0
-        n_first, n_second = len(first), len(second)
-        while i < n_first and j < n_second:
-            ann_a, exp_a = first[i]
-            ann_b, exp_b = second[j]
-            if ann_a == ann_b:
-                flat.append(ann_a)
-                flat.append(exp_a + exp_b)
-                i += 1
-                j += 1
-            elif ann_a < ann_b:
-                flat.append(ann_a)
-                flat.append(exp_a)
-                i += 1
-            else:
-                flat.append(ann_b)
-                flat.append(exp_b)
-                j += 1
-        for ann_id, exponent in first[i:]:
-            flat.append(ann_id)
-            flat.append(exponent)
-        for ann_id, exponent in second[j:]:
-            flat.append(ann_id)
-            flat.append(exponent)
-        return tuple(flat)

@@ -112,8 +112,8 @@ class SampledStepScorer(FastStepScorer):
         self._packed_term_table: Optional[MaskTable] = None
         self._packed_term_rows: Optional[List[WordRow]] = None
         self._packed_mask_views: Optional[Dict[object, WordRow]] = None
+        self._batch_stats: Optional[Tuple[float, float]] = None
         super().__init__(computer, current, mapping, universe)
-        self._compute_batch_stats()
 
     # -- batch plumbing (hooks overridden from the enumerating kernel) -------
 
@@ -222,7 +222,24 @@ class SampledStepScorer(FastStepScorer):
             self._packed_term_rows = self.packed_term_dead_table().rows()
         return self._packed_term_rows
 
-    def _compute_batch_stats(self) -> None:
+    @property
+    def batch_mean(self) -> float:
+        """Weighted mean baseline distance over the batch (raw value)."""
+        return self._read_batch_stats()[0]
+
+    @property
+    def batch_variance(self) -> float:
+        """Weighted variance of the batch's baseline VAL-FUNC values."""
+        return self._read_batch_stats()[1]
+
+    def _read_batch_stats(self) -> Tuple[float, float]:
+        """The batch statistics, computed on first read after a build or
+        :meth:`advance` (only traced steps read them)."""
+        if self._batch_stats is None:
+            self._batch_stats = self._compute_batch_stats()
+        return self._batch_stats
+
+    def _compute_batch_stats(self) -> Tuple[float, float]:
         """Weighted mean/variance of the baseline's per-draw values.
 
         Folds in 64-draw blocks matching the packed word layout: each
@@ -255,12 +272,10 @@ class SampledStepScorer(FastStepScorer):
             values, self._weights_col
         )
         mean = succ / weight_sum if weight_sum else 0.0
-        #: Weighted mean baseline distance over the batch (raw value).
-        self.batch_mean = mean
-        #: Weighted variance of the batch's baseline VAL-FUNC values.
-        self.batch_variance = (
+        variance = (
             max(0.0, sumsq / weight_sum - mean * mean) if weight_sum else 0.0
         )
+        return mean, variance
 
     # -- step transition ------------------------------------------------------
 
@@ -286,4 +301,4 @@ class SampledStepScorer(FastStepScorer):
         self._packed_term_table = None
         self._packed_term_rows = None
         self._packed_mask_views = None
-        self._compute_batch_stats()
+        self._batch_stats = None

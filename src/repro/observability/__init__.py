@@ -22,9 +22,9 @@ Serving-tier SLO observability layers on top (docs/OPERATIONS.md):
   with samples attributed to the active tracing span; exposed by
   ``repro summarize --profile`` and ``GET /debug/profile``.
 * :mod:`repro.observability.resources` -- per-session resource
-  accounting (arena bytes, interned annotations, pool size, work
-  counters) behind ``GET /sessions/<id>/stats``, labeled session
-  gauges and the eviction advisor.
+  accounting (interned annotations, pool size, work counters) behind
+  ``GET /sessions/<id>/stats``, labeled session gauges and the
+  eviction advisor.
 * :mod:`repro.observability.slo` -- declared per-endpoint latency
   targets, the ``prox_slo_breaches_total`` counter and the bounded
   tail-sampled slow-request ring behind ``GET /debug/slow_requests``.

@@ -7,8 +7,7 @@ what*.  This module keeps one :class:`SessionAccount` per live
 :class:`ResourceRegistry`:
 
 * **retained memory** -- the session's interned-annotation count and
-  carried candidate-pool size (sessions keep no share of the process
-  monomial arena: serving never interns into it);
+  carried candidate-pool size;
 * **work counters** -- summarize runs and their cumulative seconds,
   ingested deltas, repaired runs and invalidated pool entries;
 * **freshness** -- monotonic created/last-active stamps, so idle

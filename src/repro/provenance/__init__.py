@@ -48,13 +48,7 @@ from .monoids import (
     fold_counted,
     monoid_by_name,
 )
-from .ir import (
-    GLOBAL_STORE,
-    AnnotationInterner,
-    PolyData,
-    RenameTable,
-    TermStore,
-)
+from .ir import AnnotationInterner
 from .polynomial import Monomial, Polynomial, from_expression
 from .semirings import (
     BOOLEAN,
@@ -101,7 +95,6 @@ __all__ = [
     "Execution",
     "ExplicitValuations",
     "FloatSemiring",
-    "GLOBAL_STORE",
     "Guard",
     "GroupVector",
     "MAX",
@@ -110,12 +103,10 @@ __all__ = [
     "NATURALS",
     "NaturalsSemiring",
     "ONE",
-    "PolyData",
     "Polynomial",
     "Product",
     "ProvExpr",
     "REALS",
-    "RenameTable",
     "SUM",
     "Semiring",
     "Sum",
@@ -124,7 +115,6 @@ __all__ = [
     "Tensor",
     "TensorSum",
     "Term",
-    "TermStore",
     "TropicalSemiring",
     "Valuation",
     "ValuationClass",

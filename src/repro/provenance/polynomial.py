@@ -17,20 +17,17 @@ Summarization mappings ``h : Ann → Ann'`` act on polynomials through
 :meth:`Polynomial.rename`, and :func:`from_expression` converts any
 pure (tensor-free) AST into canonical form.
 
-Representation: :class:`Polynomial` is a façade over the interned IR
-(:mod:`repro.provenance.ir`): a polynomial is two parallel integer
-arrays over the process-wide term store ``GLOBAL_STORE``, which every
-instance shares -- the string-keyed terms dict is materialized lazily
-only when asked for.
+Representation: a :class:`Polynomial` owns one canonical terms dict.
+Each monomial is a tuple of ``(name, exponent)`` pairs sorted by name
+with each name once, and each coefficient is positive, so equality in
+``N[Ann]`` is dict equality.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, TypeVar
 
 from ..observability import tracing as _tracing
-from . import ir as _ir
 from .expressions import ONE, ZERO, Comparison, Product, ProvExpr, Sum, Var
 from .semirings import Semiring
 
@@ -41,12 +38,19 @@ Monomial = Tuple[Tuple[str, int], ...]
 
 _EMPTY: Monomial = ()
 
-_STORE = _ir.GLOBAL_STORE
+
+def _canonical(pairs: Iterable[Tuple[str, int]]) -> Monomial:
+    """Sort ``(name, exponent)`` pairs by name, summing repeated names."""
+    exponents: Dict[str, int] = {}
+    for name, exponent in pairs:
+        exponents[name] = exponents.get(name, 0) + exponent
+    return tuple(sorted(exponents.items()))
 
 
-def _monomial(names: Iterable[str]) -> Monomial:
-    counts = Counter(names)
-    return tuple(sorted(counts.items()))
+def _accumulate(
+    terms: Dict[Monomial, int], monomial: Monomial, coefficient: int
+) -> None:
+    terms[monomial] = terms.get(monomial, 0) + coefficient
 
 
 class Polynomial:
@@ -56,30 +60,24 @@ class Polynomial:
     :meth:`variable`, :meth:`constant`, or :func:`from_expression`.
     """
 
-    __slots__ = ("_terms", "_data", "_names", "_hash")
+    __slots__ = ("_terms", "_names", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] = ()):
-        cleaned: Dict[Monomial, int] = {}
+        canonical: Dict[Monomial, int] = {}
         for monomial, coefficient in dict(terms).items():
             if coefficient < 0:
                 raise ValueError("N[Ann] has natural coefficients only")
             if coefficient:
-                cleaned[monomial] = coefficient
+                _accumulate(canonical, _canonical(monomial), coefficient)
+        self._terms = canonical
         self._names: Optional[FrozenSet[str]] = None
         self._hash: Optional[int] = None
-        counts: Dict[int, int] = {}
-        for monomial, coefficient in cleaned.items():
-            mono = _STORE.mono_from_name_pairs(monomial)
-            counts[mono] = counts.get(mono, 0) + coefficient
-        self._data: _ir.PolyData = _STORE.poly_from_counts(counts)
-        self._terms: Optional[Dict[Monomial, int]] = None
 
     @classmethod
-    def _from_data(cls, data: "_ir.PolyData") -> "Polynomial":
-        """Wrap already-canonical IR columns without revalidation."""
+    def _from_terms(cls, terms: Dict[Monomial, int]) -> "Polynomial":
+        """Wrap an already-canonical terms dict without revalidation."""
         poly = cls.__new__(cls)
-        poly._data = data
-        poly._terms = None
+        poly._terms = terms
         poly._names = None
         poly._hash = None
         return poly
@@ -106,49 +104,29 @@ class Polynomial:
 
     # -- structure -----------------------------------------------------------
 
-    def _term_dict(self) -> Dict[Monomial, int]:
-        """The name-space terms, materialized lazily."""
-        if self._terms is None:
-            data = self._data
-            self._terms = {
-                _STORE.mono_name_pairs(mono): coefficient
-                for mono, coefficient in zip(data.mono_ids, data.coeffs)
-            }
-        return self._terms
-
     def terms(self) -> Dict[Monomial, int]:
         """Monomial → coefficient (copy)."""
-        return dict(self._term_dict())
+        return dict(self._terms)
 
     def coefficient(self, names: Iterable[str]) -> int:
-        interner = _STORE.interner
-        flat = []
-        pairs = []
-        for name, exponent in _monomial(names):
-            ann_id = interner.lookup(name)
-            if ann_id is None:
-                return 0
-            pairs.append((ann_id, exponent))
-        for ann_id, exponent in sorted(pairs):
-            flat.append(ann_id)
-            flat.append(exponent)
-        return _STORE.poly_coefficient(self._data, tuple(flat))
+        return self._terms.get(_canonical((name, 1) for name in names), 0)
 
     def is_zero(self) -> bool:
-        return len(self._data) == 0
+        return not self._terms
 
     def annotation_names(self) -> FrozenSet[str]:
         if self._names is None:
             self._names = frozenset(
-                _STORE.interner.names_of(
-                    _STORE.poly_annotation_ids(self._data)
-                )
+                name for monomial in self._terms for name, _ in monomial
             )
         return self._names
 
     def degree(self) -> int:
         """Largest total degree of a monomial (0 for constants)."""
-        return _STORE.poly_degree(self._data)
+        return max(
+            (sum(exponent for _, exponent in monomial) for monomial in self._terms),
+            default=0,
+        )
 
     def size(self) -> int:
         """Annotation occurrences with repetition, counting coefficients.
@@ -156,30 +134,39 @@ class Polynomial:
         Matches the §3.2 size measure on the expanded sum-of-monomials
         form: ``2·a·b²`` contributes 2 × (1 + 2) = 6.
         """
-        return _STORE.poly_size(self._data)
+        return sum(
+            coefficient * sum(exponent for _, exponent in monomial)
+            for monomial, coefficient in self._terms.items()
+        )
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._from_data(_STORE.poly_add(self._data, other._data))
+        terms = dict(self._terms)
+        for monomial, coefficient in other._terms.items():
+            _accumulate(terms, monomial, coefficient)
+        return Polynomial._from_terms(terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._from_data(_STORE.poly_mul(self._data, other._data))
+        terms: Dict[Monomial, int] = {}
+        for left, left_coefficient in self._terms.items():
+            for right, right_coefficient in other._terms.items():
+                _accumulate(
+                    terms,
+                    _canonical(left + right),
+                    left_coefficient * right_coefficient,
+                )
+        return Polynomial._from_terms(terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (
-            self._data.mono_ids == other._data.mono_ids
-            and self._data.coeffs == other._data.coeffs
-        )
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # Cached: the instance is immutable.
         if self._hash is None:
-            self._hash = hash(
-                (self._data.mono_ids.tobytes(), self._data.coeffs.tobytes())
-            )
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- homomorphisms ------------------------------------------------------------
@@ -188,9 +175,14 @@ class Polynomial:
         """Apply a summarization mapping ``h`` (a semiring hom on N[Ann])."""
         with _tracing.span("rename") as opened:
             if _tracing.is_enabled():
-                opened.set("n_terms", len(self._data))
-            table = _STORE.rename_table(mapping)
-            return Polynomial._from_data(_STORE.poly_rename(self._data, table))
+                opened.set("n_terms", len(self._terms))
+            terms: Dict[Monomial, int] = {}
+            for monomial, coefficient in self._terms.items():
+                renamed = _canonical(
+                    (mapping.get(name, name), exponent) for name, exponent in monomial
+                )
+                _accumulate(terms, renamed, coefficient)
+            return Polynomial._from_terms(terms)
 
     def evaluate_in(
         self, semiring: Semiring[T], valuation: Mapping[str, T]
@@ -200,16 +192,28 @@ class Polynomial:
         Every annotation must be mapped; coefficients and exponents are
         interpreted by repeated semiring addition/multiplication (so
         the result is correct in *any* commutative semiring, including
-        the boolean and tropical ones).
+        the boolean and tropical ones).  Terms are folded in monomial
+        order, so equal polynomials evaluate identically.
         """
-        return _STORE.poly_evaluate_in(self._data, semiring, valuation)
+        total = semiring.zero
+        for monomial, coefficient in sorted(self._terms.items()):
+            value = semiring.one
+            for name, exponent in monomial:
+                try:
+                    base = valuation[name]
+                except KeyError:
+                    raise KeyError(f"valuation missing annotation {name!r}") from None
+                for _ in range(exponent):
+                    value = semiring.times(value, base)
+            for _ in range(coefficient):
+                total = semiring.plus(total, value)
+        return total
 
     def __str__(self) -> str:
-        terms = self._term_dict()
-        if not terms:
+        if not self._terms:
             return "0"
         parts = []
-        for monomial, coefficient in sorted(terms.items()):
+        for monomial, coefficient in sorted(self._terms.items()):
             factors = [
                 name if exponent == 1 else f"{name}^{exponent}"
                 for name, exponent in monomial

@@ -505,6 +505,7 @@ class ProxApp:
             "max_sessions": self.manager.max_sessions,
             "sessions_evicted_total": self.manager.evicted_total,
             "sessions_restored_total": self.manager.restored_total,
+            "sessions_restore_failures_total": self.manager.restore_failures_total,
             "slo_breaches_total": self.slow_log.total_recorded,
         }
         if self.default_session_id is not None:

@@ -16,10 +16,15 @@ them.  A :class:`SessionManager` owns every live
   (:meth:`ProxSession.snapshot` + close); the next ``acquire`` on an
   evicted session transparently rehydrates it from disk
   (:meth:`ProxSession.restore`), so eviction is invisible to clients
-  beyond the first-touch latency.
+  beyond the first-touch latency.  A snapshot that fails to restore
+  raises :class:`~repro.serialization.SerializationError` (HTTP 400)
+  on every touch, is counted and logged, and stays on disk for
+  inspection.
 
 Counters: ``prox_sessions_evicted_total``,
-``prox_sessions_restored_total``, ``prox_sessions_rejected_total``.
+``prox_sessions_restored_total``,
+``prox_sessions_restore_failures_total``,
+``prox_sessions_rejected_total``.
 """
 
 from __future__ import annotations
@@ -32,9 +37,13 @@ import tempfile
 import threading
 from typing import Callable, Dict, Iterator, List, Optional
 
+from ..observability import log as _log
 from ..observability import metrics as _metrics
 from ..observability import resources as _resources
+from ..serialization import SerializationError
 from .session import ProxSession
+
+_LOG = _log.get_logger("prox.manager")
 
 _EVICTED = _metrics.counter(
     "prox_sessions_evicted_total",
@@ -43,6 +52,10 @@ _EVICTED = _metrics.counter(
 _RESTORED = _metrics.counter(
     "prox_sessions_restored_total",
     "Evicted sessions rehydrated from snapshots on next touch.",
+)
+_RESTORE_FAILURES = _metrics.counter(
+    "prox_sessions_restore_failures_total",
+    "Evicted-session restores whose snapshot raised SerializationError.",
 )
 _REJECTED = _metrics.counter(
     "prox_sessions_rejected_total",
@@ -110,6 +123,7 @@ class SessionManager:
         #: Lifetime totals (mirrors the metric counters, always on).
         self.evicted_total = 0
         self.restored_total = 0
+        self.restore_failures_total = 0
         self.rejected_total = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -208,9 +222,24 @@ class SessionManager:
                 if self._entries.get(session_id) is not entry:
                     raise UnknownSessionError(f"no such session {session_id!r}")
             if entry.evicted:
-                entry.session = ProxSession.restore(
-                    entry.snapshot_path, session_id=session_id
-                )
+                try:
+                    entry.session = ProxSession.restore(
+                        entry.snapshot_path, session_id=session_id
+                    )
+                except SerializationError as error:
+                    # The entry stays evicted and the file stays put:
+                    # every touch fails the same way until an operator
+                    # replaces or deletes it.
+                    self.restore_failures_total += 1
+                    if _metrics.ENABLED:
+                        _RESTORE_FAILURES.inc()
+                    _LOG.warning(
+                        "session_restore_failed session=%s path=%s error=%s",
+                        _log.quote(session_id),
+                        _log.quote(entry.snapshot_path),
+                        _log.quote(error),
+                    )
+                    raise
                 entry.evicted = False
                 self.restored_total += 1
                 if _metrics.ENABLED:
@@ -320,6 +349,7 @@ class SessionManager:
             "max_sessions": self.max_sessions,
             "evicted_total": self.evicted_total,
             "restored_total": self.restored_total,
+            "restore_failures_total": self.restore_failures_total,
             "rejected_total": self.rejected_total,
         }
 

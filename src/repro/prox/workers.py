@@ -3,7 +3,7 @@
 The shared-nothing tier: sessions are sharded across ``fork``\\ ed
 worker processes by consistent-hashed session id (:class:`HashRing`),
 so each worker owns a disjoint subset of sessions -- no cross-process
-locks, no shared arena.  The front (:class:`WorkerFront`) presents the
+locks, no shared state.  The front (:class:`WorkerFront`) presents the
 same ``dispatch(method, path, query, body)`` surface as a local
 :class:`~repro.prox.app.ProxApp`, so :class:`~repro.prox.server.ProxServer`
 serves either interchangeably::

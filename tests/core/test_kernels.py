@@ -47,11 +47,7 @@ needs_native = pytest.mark.skipif(
     NATIVE is None, reason="native backend unavailable"
 )
 
-#: A backend token that no longer names a backend: it resolves as
-#: ``auto`` does, to native or (without a toolchain) the reference.
-#: Only the two row-index guard tests still keep a row for it; those
-#: rows are slated for deletion (ROADMAP item 5).
-REMOVED = "numpy"
+#: What ``auto`` -- and every removed backend token -- resolves to.
 AUTO = kernels.MODE_NATIVE if NATIVE is not None else kernels.MODE_PYTHON
 
 #: The backend checked against the reference, as a pytest axis that
@@ -60,9 +56,6 @@ BACKENDS = [pytest.param("native", marks=needs_native)]
 
 
 def backend_of(name):
-    if name == REMOVED:
-        with kernels.backend(name):
-            return kernels.get_backend()
     return REFERENCE if name == "python" else NATIVE
 
 
@@ -184,7 +177,7 @@ def test_group_fold_matches_standalone_folds(name, case, with_overrides):
     ]
 
 
-@pytest.mark.parametrize("name", [REMOVED] + BACKENDS)
+@pytest.mark.parametrize("name", BACKENDS)
 def test_group_fold_memo_keyed_by_n_vals(name):
     # One backend instance serves every scorer in the process.  A
     # one-word dead row has identical *bytes* at n_vals=7 and
@@ -203,7 +196,7 @@ def test_group_fold_memo_keyed_by_n_vals(name):
             ]
 
 
-@pytest.mark.parametrize("name", [REMOVED] + BACKENDS + ["python"])
+@pytest.mark.parametrize("name", BACKENDS + ["python"])
 def test_group_fold_rejects_rows_outside_the_tables(name):
     backend = backend_of(name)
     table = array("Q", [1, 2])

@@ -165,18 +165,8 @@ def reference_sampled(problem, current, mapping, candidate, batch, seed):
 BATCH = 96
 SEED = 123
 
-#: ``numpy`` is a removed backend token: it must resolve as ``auto``
-#: does (with a ``kernel_unknown`` warning) and change no result.  Its
-#: rows re-run the auto backend's; they are slated for deletion
-#: (ROADMAP item 5).
-REMOVED_KERNEL = "numpy"
-AUTO_KERNEL = (
-    kernels.MODE_NATIVE if kernels.native_available() else kernels.MODE_PYTHON
-)
-
 KERNEL_AXIS = [
     kernels.MODE_PYTHON,
-    REMOVED_KERNEL,
     pytest.param(
         kernels.MODE_NATIVE,
         marks=pytest.mark.skipif(
@@ -192,11 +182,9 @@ needs_native = pytest.mark.skipif(
 
 @pytest.fixture(params=KERNEL_AXIS)
 def kernel(request):
-    """Run the test under each kernel backend (python, native) and under
-    the removed ``numpy`` token."""
+    """Run the test under each kernel backend (python, native)."""
     with kernels.backend(request.param) as resolved:
-        expected = AUTO_KERNEL if request.param == REMOVED_KERNEL else request.param
-        assert resolved == expected
+        assert resolved == request.param
         yield resolved
 
 

@@ -1,19 +1,16 @@
-"""Proof obligations for the interned provenance IR.
+"""Proof obligations for ``Polynomial`` and the annotation interner.
 
-The IR (:mod:`repro.provenance.ir`) must be *unobservable* through the
-``Polynomial`` API.  Over an explicit RNG grid of random polynomial
-programs, every operation (add, mul, rename, size, degree,
-coefficient, evaluate_in) must agree with a small test-local model of
-``N[Ann]`` -- a dict of sorted ``(name, exponent)`` monomials, the
-representation the package kept before the IR -- and ``evaluate_in``
+Over an explicit RNG grid of random polynomial programs, every
+``Polynomial`` operation (add, mul, rename, size, degree, coefficient,
+evaluate_in) must agree with a small test-local model of ``N[Ann]`` --
+a dict of sorted ``(name, exponent)`` monomials -- and ``evaluate_in``
 must equal the program evaluated directly in the target semiring (the
 universal property).  Exact semirings only, so agreement is equality.
 
-Also covered: the interner/arena invariants (dense stable ids,
-memoized products, lazily-extended rename tables), the single
-process-wide store every polynomial shares, and the annotation-names
-cache regression (rename must never mutate the receiver's cached name
-set).
+Also covered: the interner invariants (dense stable ids, lookups that
+never allocate), equality of polynomials built apart, and the
+annotation-names cache regression (rename must never mutate the
+receiver's cached name set).
 """
 
 import random
@@ -22,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.provenance import ir
-from repro.provenance.ir import AnnotationInterner, TermStore
+from repro.provenance.ir import AnnotationInterner
 from repro.provenance.polynomial import Polynomial
 from repro.provenance.semirings import BOOLEAN, NATURALS
 
@@ -218,8 +215,8 @@ def build_both(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_ir_vs_legacy_same_terms(seed):
-    """The IR agrees with the dict-of-monomials model (the ``legacy``
-    of these test names) on every seed."""
+    """``Polynomial`` agrees with the dict-of-monomials model (the
+    ``legacy`` of these test names) on every seed."""
     built, model = build_both(seed)
     assert built.terms() == model.terms
     rebuilt = Polynomial(model.terms)
@@ -261,16 +258,13 @@ def test_ir_vs_legacy_coefficient_lookup(seed):
     for monomial, coefficient in model.terms.items():
         names = [name for name, exponent in monomial for _ in range(exponent)]
         assert built.coefficient(names) == coefficient
-    # Unknown names return 0 without growing the interner.
-    before = len(ir.GLOBAL_STORE.interner)
     assert built.coefficient(["never-interned-name"]) == 0
-    assert len(ir.GLOBAL_STORE.interner) == before
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rename_composition_matches_sequential(seed):
-    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), in the IR
-    and in the model."""
+    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), in
+    ``Polynomial`` and in the model."""
     rng = random.Random(seed)
     h1 = {name: rng.choice(["m0", "m1", name]) for name in NAMES}
     h2 = {"m0": "s", "m1": "s", "a": "s2"}
@@ -288,7 +282,7 @@ def test_rename_composition_matches_sequential(seed):
     assert sequential.terms() == one_shot.terms() == model.terms
 
 
-# -- interner / arena invariants ---------------------------------------------------
+# -- interner invariants -----------------------------------------------------------
 
 
 def test_interner_ids_are_dense_and_stable():
@@ -309,61 +303,11 @@ def test_interner_lookup_never_allocates():
     assert len(interner) == 1
 
 
-def test_term_store_interns_monomials_once():
-    store = TermStore()
-    first = store.mono_from_name_pairs((("b", 2), ("a", 1)))
-    second = store.mono_from_name_pairs((("a", 1), ("b", 2)))
-    assert first == second
-    assert store.mono_name_pairs(first) == (("a", 1), ("b", 2))
-    assert store.mono_size(first) == 3
-    assert store.n_monomials() == 2  # the empty monomial plus this one
-
-
-def test_mono_product_identity_and_memo():
-    store = TermStore()
-    ab = store.mono_from_name_pairs((("a", 1), ("b", 1)))
-    c = store.mono_from_name_pairs((("c", 1),))
-    assert store.mono_product(0, ab) == ab
-    assert store.mono_product(ab, 0) == ab
-    product = store.mono_product(ab, c)
-    assert store.mono_name_pairs(product) == (("a", 1), ("b", 1), ("c", 1))
-    # Commutes through the memo: the symmetric call is the same id.
-    assert store.mono_product(c, ab) == product
-    squared = store.mono_product(ab, ab)
-    assert store.mono_name_pairs(squared) == (("a", 2), ("b", 2))
-
-
-def test_rename_table_extends_after_interner_growth():
-    store = TermStore()
-    a = store.mono_from_name_pairs((("a", 1),))
-    table = store.rename_table({"a": "merged", "late": "merged"})
-    renamed_a = store.rename_mono(a, table)
-    assert store.mono_name_pairs(renamed_a) == (("merged", 1),)
-    # A name interned *after* the table was compiled must still remap.
-    late = store.mono_from_name_pairs((("late", 1),))
-    table_again = store.rename_table({"a": "merged", "late": "merged"})
-    assert table_again is table  # cached per mapping
-    assert store.mono_name_pairs(store.rename_mono(late, table_again)) == (
-        ("merged", 1),
-    )
-
-
 def test_rename_merges_colliding_monomials():
     poly = Polynomial.variable("a") + Polynomial.variable("b")
     merged = poly.rename({"a": "s", "b": "s"})
     assert merged.terms() == {(("s", 1),): 2}
     assert merged.size() == 2
-
-
-def test_store_stats_report_growth():
-    store = TermStore()
-    baseline = store.stats()
-    assert baseline["monomials"] == 1
-    store.mono_from_name_pairs((("a", 1), ("b", 3)))
-    grown = store.stats()
-    assert grown["interned_annotations"] == 2
-    assert grown["monomials"] == 2
-    assert grown["arena_bytes"] > baseline["arena_bytes"]
 
 
 # -- the annotation-names cache (PR regression) ------------------------------------
@@ -395,18 +339,22 @@ def test_annotation_names_cache_is_consistent_after_arithmetic():
     assert right.annotation_names() == frozenset({"b"})
 
 
-# -- store plumbing ----------------------------------------------------------------
+# -- equality across constructions -------------------------------------------------
 
 
 def test_instances_capture_their_construction_mode():
-    """Every instance interns into the one process-wide store, so
-    equal polynomials built apart share columns, equality and hash."""
+    """Equal polynomials built by different routes share equality,
+    hash and terms."""
     first = Polynomial.variable("a")
     second = Polynomial.variable("b").rename({"b": "a"})
-    assert first._data.mono_ids == second._data.mono_ids
     assert first == second
     assert hash(first) == hash(second)
-    assert first.terms() == {(("a", 1),): 1}
+    assert first.terms() == second.terms() == {(("a", 1),): 1}
+    product = Polynomial.variable("b") * Polynomial.variable("a")
+    rebuilt = Polynomial({(("b", 1), ("a", 1)): 1})
+    assert product == rebuilt
+    assert hash(product) == hash(rebuilt)
+    assert product.terms() == rebuilt.terms() == {(("a", 1), ("b", 1)): 1}
 
 
 # -- tracing -----------------------------------------------------------------------
@@ -447,12 +395,9 @@ def test_rename_span_is_null_when_tracing_disabled():
 def test_publish_metrics_exports_gauges():
     from repro.observability import metrics as metrics_module
 
-    interner = AnnotationInterner(["a", "b", "c"])
-    store = TermStore()
-    store.mono_from_name_pairs((("x", 1),))
-    ir.publish_metrics(interner=interner, store=store)
+    ir.publish_metrics(AnnotationInterner(["a", "b", "c"]))
     rendered = metrics_module.REGISTRY.render()
     assert "repro_ir_interned_annotations 3" in rendered
-    assert f"repro_ir_arena_bytes {store.arena_bytes()}" in rendered
-    # Restore the process-wide gauges to the global store's truth.
-    ir.publish_metrics()
+    assert "repro_ir_arena_bytes" not in rendered
+    # Back to the idle value.
+    ir.publish_metrics(AnnotationInterner())

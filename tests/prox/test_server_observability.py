@@ -104,14 +104,14 @@ def test_metrics_scrape_includes_the_required_families(server):
 
 
 def test_metrics_scrape_includes_the_ir_gauges(server):
-    """The interned-IR gauges are present (0-valued is fine) even on an
-    idle server -- the CI probe greps for exactly these lines."""
+    """The interned-annotations gauge is present (0-valued is fine) even
+    on an idle server -- the CI probe greps for exactly this line.  The
+    monomial-arena gauge is gone."""
     _, _, raw = fetch(server, "GET", "/metrics")
     text = raw.decode("utf-8")
     assert "# TYPE repro_ir_interned_annotations gauge" in text
-    assert "# TYPE repro_ir_arena_bytes gauge" in text
     assert re.search(r"^repro_ir_interned_annotations \d+$", text, re.M)
-    assert re.search(r"^repro_ir_arena_bytes \d+$", text, re.M)
+    assert "repro_ir_arena_bytes" not in text
 
 
 def test_healthz_reports_ir_state(server):

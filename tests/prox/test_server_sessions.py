@@ -7,6 +7,7 @@ evict/restore endpoints, session-scoped data routes and the
 
 import http.client
 import json
+import logging
 
 import pytest
 
@@ -161,6 +162,45 @@ class TestLifecycleRoutes:
         )
         assert status == 200
         assert f"Provenance Size: {expected_size}" in data["expression"]
+
+    def test_failed_restores_answer_400_and_are_counted(self, server, tmp_path):
+        """A damaged snapshot fails every touch with 400; each failure
+        is counted (manager stats, /healthz) and logged, and the file
+        stays on disk for inspection."""
+        status, created, _ = request(server, "POST", "/sessions", {})
+        session_id = created["session_id"]
+        request(server, "POST", f"/sessions/{session_id}/select", {"genre": None})
+        status, _, _ = request(server, "POST", f"/sessions/{session_id}/evict")
+        assert status == 200
+        snapshot = tmp_path / f"{session_id}.snap"
+        snapshot.write_bytes(b"not a snapshot")
+
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.prox.manager")
+        logger.addHandler(handler)
+        try:
+            for path in ("/titles", "/summary/expression"):
+                status, data, _ = request(
+                    server, "GET", f"/sessions/{session_id}{path}"
+                )
+                assert status == 400, data
+        finally:
+            logger.removeHandler(handler)
+
+        assert snapshot.read_bytes() == b"not a snapshot"
+        _, listing, _ = request(server, "GET", "/sessions")
+        assert listing["manager"]["restore_failures_total"] == 2
+        assert listing["manager"]["restored_total"] == 0
+        _, health, _ = request(server, "GET", "/healthz")
+        assert health["sessions_restore_failures_total"] == 2
+        messages = [record.getMessage() for record in records]
+        assert len(messages) == 2
+        for message in messages:
+            assert message.startswith("session_restore_failed ")
+            assert f"session={session_id} " in message
+            assert "bad magic" in message
 
     def test_sessions_listing_counts_evictions(self, server):
         status, created, _ = request(server, "POST", "/sessions", {})

@@ -1,4 +1,4 @@
-"""Session snapshot bytes are untrusted input, and serving keeps no arena.
+"""Session snapshot bytes are untrusted input.
 
 A session snapshot (``PROXSN01``) is read back from disk, so restoring
 a damaged one must fail with :class:`~repro.serialization
@@ -6,11 +6,6 @@ a damaged one must fail with :class:`~repro.serialization
 JSON, UTF-8 or replay code.  Each mutation kind below runs a fixed,
 seeded budget against one real snapshot; every mutant either raises
 ``SerializationError`` or restores a session.
-
-Serving also never interns into the process-wide monomial arena
-(:data:`repro.provenance.ir.GLOBAL_STORE`): summarization renames
-tensor-sum annotations and never reads it, so a session that selects,
-ingests and summarizes must leave it exactly as it found it.
 """
 
 import random
@@ -24,7 +19,6 @@ from repro.datasets import (
     generate_movielens,
     generate_movielens_deltas,
 )
-from repro.provenance import ir
 from repro.prox import ProxSession
 from repro.prox.summarization import SummarizationRequest
 from repro.serialization import SerializationError
@@ -127,19 +121,3 @@ def test_mutated_snapshot_raises_serialization_error_or_restores(
         # Every truncation and every header change breaks the block
         # lengths, so none of them may restore.
         assert outcomes["restored"] == 0, outcomes
-
-
-def test_serving_never_touches_the_monomial_arena(tmp_path):
-    store = ir.GLOBAL_STORE
-    before = (store.n_monomials(), store.arena_bytes(), len(store.interner))
-    session = build_session("arena-untouched")
-    try:
-        session.snapshot(str(tmp_path / "session.snap"))
-    finally:
-        session.close()
-    restored = ProxSession.restore(str(tmp_path / "session.snap"))
-    try:
-        restored._require_result()
-    finally:
-        restored.close()
-    assert (store.n_monomials(), store.arena_bytes(), len(store.interner)) == before

@@ -21,6 +21,7 @@ import os
 import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -33,7 +34,6 @@ from repro.datasets import (
     generate_movielens,
     generate_movielens_deltas,
 )
-from repro.provenance.ir import TermStore
 from repro.prox import ProxSession, SessionManager
 from repro.prox.summarization import SummarizationRequest
 
@@ -330,12 +330,18 @@ def _legacy_arena_block():
     """A monomial-arena block in the layout older releases appended to
     every session snapshot: magic, ``<QQQQQ>`` names_len / n_pairs /
     n_bounds / n_sizes / flags, the NUL-separated name block padded to
-    8, then the native-order int64 pair, bounds and sizes columns."""
-    store = TermStore()
-    store.mono_from_name_pairs((("u1", 1), ("m1", 1)))
-    store.mono_from_name_pairs((("u2", 2),))
-    names = b"\x00".join(name.encode() for name in store.interner)
-    columns = [store._pair_data, store._bounds, store._mono_sizes]
+    8, then the native-order int64 pair, bounds and sizes columns.
+    This one holds the monomials ``u1·m1`` and ``u2²`` after the empty
+    monomial 0, with annotation ids u1 = 0, m1 = 1, u2 = 2."""
+    names = b"u1\x00m1\x00u2"
+    columns = [
+        # (annotation id, exponent) pairs, sorted by id per monomial.
+        array("q", [0, 1, 1, 1, 2, 2]),
+        # Monomial m owns pairs[bounds[m]:bounds[m + 1]].
+        array("q", [0, 0, 4, 6]),
+        # Total degree per monomial.
+        array("q", [0, 2, 2]),
+    ]
     return b"".join(
         [
             b"PROXAR03",
