@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON; REPRO_PROFILE=<hz> overrides the sampling rate)",
     )
     summarize.add_argument(
-        "--ir-stats",
-        action="store_true",
-        help="print the run's interned-annotation count",
-    )
-    summarize.add_argument(
         "--kernel",
         choices=("auto", "python", "native"),
         default="",
@@ -336,8 +331,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             print(f"    step {record.step}: {{{', '.join(record.merged)}}} -> "
                   f"{record.label} (size {record.size_after}, "
                   f"distance {distance}{timing})")
-    if args.ir_stats:
-        print(f"  ir: {len(problem.resolve_interner())} interned annotations")
     if args.save:
         with open(args.save, "w", encoding="utf-8") as handle:
             serialization.dump(serialization.summary_to_dict(result), handle)

@@ -60,7 +60,6 @@ class _BaselineRunner:
             epsilon=config.epsilon,
             delta=config.delta,
             rng=self.rng,
-            interner=problem.resolve_interner(),
         )
 
     def _distance(self, expression, mapping: MappingState) -> DistanceEstimate:

@@ -91,7 +91,6 @@ class BeamSummarizer:
         problem, config = self.problem, self.config
         started = time.perf_counter()
         original = problem.expression
-        interner = problem.resolve_interner()
         computer = DistanceComputer(
             original,
             problem.valuations,
@@ -103,7 +102,6 @@ class BeamSummarizer:
             epsilon=config.epsilon,
             delta=config.delta,
             rng=self._rng,
-            interner=interner,
         )
         # Each beam member has its own expression, so the engine's
         # cross-step carry never matches -- it simply rebuilds a fresh
@@ -116,9 +114,6 @@ class BeamSummarizer:
             problem.universe,
             problem.constraint,
             arity=config.merge_arity,
-            cap=config.candidate_cap,
-            rng=self._rng,
-            interner=interner,
         )
 
         current = original

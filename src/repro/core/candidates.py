@@ -14,13 +14,11 @@ summary-with-summary merges is needed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..provenance.annotations import Annotation, AnnotationUniverse
-from ..provenance.ir import AnnotationInterner
 from .constraints import MergeConstraint, MergeProposal
 
 
@@ -65,26 +63,18 @@ def enumerate_candidates(
     universe: AnnotationUniverse,
     constraint: MergeConstraint,
     arity: int = 2,
-    cap: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-    interner: Optional[AnnotationInterner] = None,
 ) -> List[Candidate]:
     """All constraint-satisfying single-step merges of ``expression``.
 
     Pairs are enumerated within each domain; for ``arity > 2`` each
     allowed pair is greedily extended with further annotations that the
     constraint accepts against the growing (virtual) summary, so every
-    returned candidate is internally consistent.  ``cap`` optionally
-    subsamples the candidate list deterministically via ``rng`` (an
-    escape hatch for very large expressions; the thesis enumerates all
-    pairs).  ``interner`` keys deduplication identity on dense interned
-    ids (the output order stays name-sorted either way, so all scoring
-    paths see identical candidate lists).
+    returned candidate is internally consistent.
     """
     if arity < 2:
         raise ValueError("merge arity must be at least 2")
     candidates = generate_candidates(expression, universe, constraint, arity)
-    return finalize_candidates(candidates, arity, cap, rng, interner)
+    return finalize_candidates(candidates, arity)
 
 
 def annotations_by_domain(
@@ -110,7 +100,7 @@ def generate_candidates(
     constraint: MergeConstraint,
     arity: int,
 ) -> List[Candidate]:
-    """The raw candidate list before dedupe/cap (generation order):
+    """The raw candidate list before dedupe (generation order):
     the :func:`candidate_blocks` joined in domain order."""
     return [
         candidate
@@ -173,29 +163,10 @@ def propose_candidate(
     return Candidate(tuple(part.name for part in parts), proposal)
 
 
-def finalize_candidates(
-    candidates: List[Candidate],
-    arity: int,
-    cap: Optional[int],
-    rng: Optional[random.Random],
-    interner: Optional[AnnotationInterner],
-) -> List[Candidate]:
-    """Dedupe (``arity > 2``) and cap-subsample a raw candidate list.
-
-    Consumes ``rng`` exactly as the seed ``enumerate_candidates`` did,
-    so a maintained pool finalizing per step leaves the shared RNG in
-    the same state as fresh enumeration would.
-    """
+def finalize_candidates(candidates: List[Candidate], arity: int) -> List[Candidate]:
+    """A raw candidate list, deduplicated when ``arity > 2``."""
     if arity > 2:
-        # With no interner at hand an empty one makes every name key on
-        # itself.
-        if interner is None:
-            interner = AnnotationInterner()
-        candidates = _dedupe(candidates, interner)
-    if cap is not None and len(candidates) > cap:
-        sampler = rng if rng is not None else random.Random(0)
-        candidates = sampler.sample(candidates, cap)
-        candidates.sort(key=lambda candidate: candidate.parts)
+        candidates = _dedupe(candidates)
     return candidates
 
 
@@ -224,35 +195,10 @@ def _extend_group(
     return parts, proposal
 
 
-def _dedupe(
-    candidates: List[Candidate], interner: AnnotationInterner
-) -> List[Candidate]:
-    """Drop duplicate part sets; emit survivors in name-sorted order.
-
-    Identity is keyed on sorted interned-id tuples (int hashing instead
-    of re-hashing the name strings) while the output is still ordered
-    by the name-space key -- candidate order must not depend on
-    interning order, or the scoring paths of the differential suite
-    would disagree.
-    """
-    # Non-inserting lookups only: this also runs on the pool's
-    # invalidate-on-failure fallback, and a failure path must not grow
-    # the session interner (the annotation universe is no longer static
-    # once streaming ingest lands mid-run).  Names the interner has not
-    # seen yet key on themselves; the (tag, key) pairs keep int ids and
-    # name strings sortable together.
-    by_ids: Dict[Tuple, Tuple[Tuple[str, ...], Candidate]] = {}
+def _dedupe(candidates: List[Candidate]) -> List[Candidate]:
+    """Drop duplicate part sets (the first one seen survives) and emit
+    the survivors ordered by their sorted part names."""
+    by_parts: Dict[Tuple[str, ...], Candidate] = {}
     for candidate in candidates:
-        id_key = tuple(
-            sorted(
-                (0, interned) if interned is not None else (1, name)
-                for name in candidate.parts
-                for interned in (interner.lookup(name),)
-            )
-        )
-        if id_key not in by_ids:
-            by_ids[id_key] = (tuple(sorted(candidate.parts)), candidate)
-    return [
-        candidate
-        for _, candidate in sorted(by_ids.values(), key=lambda entry: entry[0])
-    ]
+        by_parts.setdefault(tuple(sorted(candidate.parts)), candidate)
+    return [by_parts[parts] for parts in sorted(by_parts)]

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from ..provenance.annotations import AnnotationUniverse
-from ..provenance.ir import AnnotationInterner
 from ..provenance.tensor_sum import TensorSum
 from ..provenance.valuation import Valuation
 from ..provenance.valuation_classes import ValuationClass
@@ -142,12 +141,6 @@ class DistanceComputer:
         ``(ε, δ)`` when ``n_samples`` is None.
     rng:
         Source of randomness for sampling (deterministic by default).
-    interner:
-        The :class:`~repro.provenance.ir.AnnotationInterner` the fast
-        scorers key their per-annotation state (valuation bitmasks,
-        term indexes) on; a session-held interner keeps those ids
-        stable across repeated ``/summarize`` calls.  ``None`` builds a
-        fresh one.
     """
 
     def __init__(
@@ -162,10 +155,8 @@ class DistanceComputer:
         epsilon: float = 0.05,
         delta: float = 0.9,
         rng: Optional[random.Random] = None,
-        interner: Optional[AnnotationInterner] = None,
     ):
         self.original = original
-        self.interner = interner if interner is not None else AnnotationInterner()
         self.valuations = valuations
         self.val_func = val_func
         self.combiners = combiners

@@ -140,10 +140,6 @@ class FastStepScorer:
         self.current = current
         self.mapping = mapping
         self.universe = universe
-        # All per-annotation state -- valuation bitmasks and term
-        # indexes -- is keyed on the computer's dense interned ids.
-        self._interner = computer.interner
-        self._key = self._interner.intern
         self.val_func: VectorValFunc = computer.val_func
         self.monoid = self.val_func.monoid
         self._is_max = isinstance(self.monoid, MaxMonoid)
@@ -169,9 +165,7 @@ class FastStepScorer:
         self._terms: List[Term] = []
         self._term_names: List[Tuple[str, ...]] = []
         self._term_guard_names: List[Tuple[Tuple, ...]] = []
-        self._term_ann_keys: List[List[object]] = []
-        self._term_guard_keys: List[List[Tuple[Guard, List[object]]]] = []
-        self._term_keys: List[Tuple[object, ...]] = []
+        self._term_keys: List[Tuple[str, ...]] = []
         #: Dead row of every term: ``n_terms × n_words`` words, row ``i``
         #: for term ``i`` (read-only once built; ``advance`` builds a
         #: new table).
@@ -276,18 +270,16 @@ class FastStepScorer:
         """
         return self.computer.original_columns()
 
-    def _mask_rows(self) -> Dict[object, int]:
-        """Table-row index per annotation key, in expression order."""
-        key = self._key
-        row_of: Dict[object, int] = {}
+    def _mask_rows(self) -> Dict[str, int]:
+        """Table-row index per annotation name, in expression order."""
+        row_of: Dict[str, int] = {}
         for name in self.current.annotation_names():
-            mask_key = key(name)
-            if mask_key not in row_of:
-                row_of[mask_key] = len(row_of)
+            if name not in row_of:
+                row_of[name] = len(row_of)
         return row_of
 
     def _build_masks(self) -> None:
-        """Lifted false word row per current annotation (key space).
+        """Lifted false word row per current annotation.
 
         The per-valuation false sets are gathered in python (they come
         from the combiners' lifted semantics) and scattered into one
@@ -295,21 +287,17 @@ class FastStepScorer:
         """
         row_of = self._mask_rows()
         combiners = self.computer.combiners
-        interner = self._interner
         entries: List[Tuple[List[int], Tuple[int, ...]]] = []
         for index, valuation in enumerate(self.valuations):
             rows: List[int] = []
             for name in combiners.lifted_false_set(
                 valuation, self.mapping, self.universe
             ):
-                # Non-inserting lookup: lifted sets may mention names
-                # outside the expression, which must not grow the
-                # interner.
-                mask_key = interner.lookup(name)
-                if mask_key is not None:
-                    row = row_of.get(mask_key)
-                    if row is not None:
-                        rows.append(row)
+                # Lifted sets may mention names outside the expression,
+                # which have no row.
+                row = row_of.get(name)
+                if row is not None:
+                    rows.append(row)
             if rows:
                 entries.append((rows, (index,)))
         table = self._kernel.scatter_false_sets(
@@ -317,94 +305,82 @@ class FastStepScorer:
         )
         self._set_masks(table, row_of)
 
-    def _set_masks(self, table: MaskTable, row_of: Mapping[object, int]) -> None:
+    def _set_masks(self, table: MaskTable, row_of: Mapping[str, int]) -> None:
         """Adopt a scattered mask table.
 
-        ``self._mask`` maps each key to a zero-copy view of its row;
+        ``self._mask`` maps each name to a zero-copy view of its row;
         ``self._mask_bits`` holds the same rows as ints, which the
         per-term dead-row algebra ORs together.
         """
-        self._mask: Dict[object, WordRow] = {
-            mask_key: table.row(row) for mask_key, row in row_of.items()
+        self._mask: Dict[str, WordRow] = {
+            name: table.row(row) for name, row in row_of.items()
         }
-        self._mask_bits: Dict[object, int] = {
-            mask_key: int.from_bytes(row, "little")
-            for mask_key, row in self._mask.items()
+        self._mask_bits: Dict[str, int] = {
+            name: int.from_bytes(row, "little")
+            for name, row in self._mask.items()
         }
 
     def _dead_bits(
         self,
-        ann_keys: Sequence[object],
-        guard_keys: Sequence[Tuple[Guard, Sequence[object]]],
-        part_keys: Optional[FrozenSet[object]] = None,
+        names: Sequence[str],
+        guards: Sequence[Guard],
+        parts: Optional[FrozenSet[str]] = None,
         merged: int = 0,
     ) -> int:
         """Valuations under which a term contributes nothing, as an int.
 
-        ``part_keys``/``merged`` substitute the candidate's merged row
-        for the parts' rows (candidate scoring); annotation and guard
-        keys come pre-interned from the term tables.
+        ``parts``/``merged`` substitute the candidate's merged row for
+        the parts' rows (candidate scoring); annotation and guard names
+        come from the term tables.
         """
         bits_of = self._mask_bits
         dead = 0
-        if part_keys is None:
-            for mask_key in ann_keys:
-                dead |= bits_of[mask_key]
+        if parts is None:
+            for name in names:
+                dead |= bits_of[name]
         else:
-            for mask_key in ann_keys:
-                dead |= merged if mask_key in part_keys else bits_of[mask_key]
-        for guard_token, keys in guard_keys:
-            dead |= self._guard_bits(guard_token, keys, part_keys, merged)
+            for name in names:
+                dead |= merged if name in parts else bits_of[name]
+        for guard_token in guards:
+            dead |= self._guard_bits(guard_token, parts, merged)
         return dead
 
     def _guard_bits(
         self,
         guard_token: Guard,
-        guard_keys: Sequence[object],
-        part_keys: Optional[FrozenSet[object]],
+        parts: Optional[FrozenSet[str]],
         merged: int,
     ) -> int:
         bits_of = self._mask_bits
         union = 0
-        for mask_key in guard_keys:
-            if part_keys is not None and mask_key in part_keys:
+        for name in guard_token.annotations:
+            if parts is not None and name in parts:
                 union |= merged
             else:
-                union |= bits_of.get(mask_key, 0)
+                union |= bits_of.get(name, 0)
         return guard_token.dead_bits(union, self._full_bits)
 
     def _term_structure(self, term: Term) -> Tuple:
-        """A term's interned and presorted name tables.
+        """A term's presorted name tables.
 
-        ``(sorted names, sorted guard names, annotation keys, guard
-        keys, distinct keys)``: ``_candidate_size`` derives collision
-        keys from the sorted names, the dead-row algebra ORs the keys'
-        rows, and ``_ann_terms`` indexes the distinct keys.
+        ``(sorted names, sorted guard names, distinct names)``:
+        ``_candidate_size`` derives collision keys from the sorted
+        names, the dead-row algebra ORs the rows of the names and of
+        the guards' annotations, and ``_ann_terms`` indexes the
+        distinct names (guard annotations included).
         """
-        key = self._key
         names = tuple(sorted(term.annotations))
-        ann_keys = [key(name) for name in names]
         guard_names = tuple(
             (tuple(sorted(guard.annotations)), guard.value, guard.op,
              guard.threshold)
             for guard in term.guards
         )
-        guard_keys = [
-            (guard, [key(name) for name in guard.annotations])
-            for guard in term.guards
-        ]
-        all_keys = ann_keys
-        if guard_keys:
-            all_keys = ann_keys + [
-                mask_key for _, keys in guard_keys for mask_key in keys
-            ]
-        return (
-            names,
-            guard_names,
-            ann_keys,
-            guard_keys,
-            tuple(dict.fromkeys(all_keys)),
-        )
+        all_names = names
+        if term.guards:
+            all_names = names + tuple(
+                name for guard in term.guards for name in guard.annotations
+            )
+        return (names, guard_names, tuple(dict.fromkeys(all_names)))
 
     def _build_terms(self) -> None:
         """Every term's tables and dead row, from scratch."""
@@ -424,11 +400,9 @@ class FastStepScorer:
         old_tables = (
             self._term_names,
             self._term_guard_names,
-            self._term_ann_keys,
-            self._term_guard_keys,
             self._term_keys,
         )
-        tables: Tuple[list, ...] = ([], [], [], [], [])
+        tables: Tuple[list, ...] = ([], [], [])
         words = memoryview(self._dead)
         n_words = self._n_words
         width = self._row_bytes
@@ -443,7 +417,7 @@ class FastStepScorer:
                 for table, value in zip(tables, structure):
                     table.append(value)
                 chunks.append(
-                    self._dead_bits(structure[2], structure[3]).to_bytes(
+                    self._dead_bits(structure[0], term.guards).to_bytes(
                         width, "little"
                     )
                 )
@@ -460,8 +434,6 @@ class FastStepScorer:
         (
             self._term_names,
             self._term_guard_names,
-            self._term_ann_keys,
-            self._term_guard_keys,
             self._term_keys,
         ) = tables
         self._dead = array("Q")
@@ -485,12 +457,12 @@ class FastStepScorer:
             else:
                 members.append(index)
         self._group_terms = group_terms
-        ann_terms: Dict[object, List[int]] = {}
-        for index, keys in enumerate(self._term_keys):
-            for mask_key in keys:
-                members = ann_terms.get(mask_key)
+        ann_terms: Dict[str, List[int]] = {}
+        for index, names in enumerate(self._term_keys):
+            for name in names:
+                members = ann_terms.get(name)
                 if members is None:
-                    ann_terms[mask_key] = [index]
+                    ann_terms[name] = [index]
                 else:
                     members.append(index)
         self._ann_terms = ann_terms
@@ -521,7 +493,7 @@ class FastStepScorer:
             Optional[str], Tuple[array, array, Dict[int, int]]
         ] = {}
         # Per-name size buckets for :meth:`candidate_sizes`, built
-        # lazily, and the step's bucket-key interner.
+        # lazily, and the step's bucket ids.
         self._size_info: Dict[str, Optional[Tuple]] = {}
         self._bucket_ids: Dict[Tuple, int] = {}
 
@@ -565,7 +537,7 @@ class FastStepScorer:
     #: Placeholder key for the candidate's merged annotation / group.
     _MARKER = "\x00merged"
 
-    def _part_terms(self, part_keys: Sequence[object]) -> List[int]:
+    def _part_terms(self, parts: Sequence[str]) -> List[int]:
         """Indexes of the terms mentioning any part, in first-seen order.
 
         The one walk over a candidate's term neighborhood: the scoring
@@ -575,8 +547,8 @@ class FastStepScorer:
         """
         affected: List[int] = []
         seen: set = set()
-        for part_key in part_keys:
-            for index in self._ann_terms.get(part_key, ()):
+        for name in parts:
+            for index in self._ann_terms.get(name, ()):
                 if index not in seen:
                     seen.add(index)
                     affected.append(index)
@@ -594,24 +566,21 @@ class FastStepScorer:
         (group-merge case).
         """
         part_set = frozenset(parts)
-        key = self._key
-        part_keys = [key(name) for name in parts]
         # OR combiner over 0/1 valuations: the merged annotation is
         # false exactly where every part is, i.e. the AND of the rows.
         bits_of = self._mask_bits
-        merged = bits_of[part_keys[0]]
-        for part_key in part_keys[1:]:
-            merged &= bits_of[part_key]
-        substituted = frozenset(part_keys)
-        affected = self._part_terms(part_keys)
-        ann_keys = self._term_ann_keys
-        guard_keys = self._term_guard_keys
+        merged = bits_of[parts[0]]
+        for name in parts[1:]:
+            merged &= bits_of[name]
+        affected = self._part_terms(parts)
+        names_of = self._term_names
+        terms = self._terms
         width = self._row_bytes
         overrides = array("Q")
         overrides.frombytes(
             b"".join(
                 self._dead_bits(
-                    ann_keys[index], guard_keys[index], substituted, merged
+                    names_of[index], terms[index].guards, part_set, merged
                 ).to_bytes(width, "little")
                 for index in affected
             )
@@ -768,7 +737,7 @@ class FastStepScorer:
 
         Every term mentioning ``name`` goes into the bucket keyed by
         its sorted names without ``name``, its guards and its group
-        (interned to an int per step).  Returns ``(bucket → term size,
+        (numbered per step).  Returns ``(bucket → term size,
         dup, partners)``: ``dup`` is the size of the terms identical to
         an earlier one in the same bucket (only in a non-canonical
         expression), ``partners`` every name sharing a term with
@@ -788,7 +757,7 @@ class FastStepScorer:
             buckets: Dict[int, int] = {}
             dup = 0
             partners: set = set()
-            for index in self._ann_terms.get(self._key(name), ()):
+            for index in self._ann_terms.get(name, ()):
                 names = names_of[index]
                 guards = guards_of[index]
                 if any(name in guard[0] for guard in guards):
@@ -988,8 +957,7 @@ class FastStepScorer:
 
         Reads term structure only: no merged mask, no dead rows.
         """
-        key = self._key
-        affected = self._part_terms([key(name) for name in parts])
+        affected = self._part_terms(parts)
         return self._candidate_size(frozenset(parts), affected)
 
     def size_intersects(self, parts: Sequence[str]) -> bool:
@@ -1075,11 +1043,9 @@ class FastStepScorer:
         current expression and mapping.
         """
         part_set = frozenset(parts)
-        key = self._key
-        new_key = key(new_name)
         self.last_size_shift = new_expression.size() - self.current.size()
         # Size held by terms the merge cannot rewrite (no part appears in
-        # them).  Mapped terms all contain ``new_key`` afterwards and
+        # them).  Mapped terms all contain ``new_name`` afterwards and
         # unaffected terms never do, so equal terms collapsed by
         # ``apply_mapping`` pair up strictly within one side; if the
         # unaffected side's total size survives unchanged, every collapse
@@ -1087,23 +1053,23 @@ class FastStepScorer:
         # identity ``old + last_size_shift`` is exact.
         old_affected = set()
         for name in parts:
-            old_affected.update(self._ann_terms.get(key(name), ()))
+            old_affected.update(self._ann_terms.get(name, ()))
         old_unaffected_size = self.current.size() - sum(
             self._terms[index].size() for index in old_affected
         )
         bits_of = self._mask_bits
-        merged = bits_of[key(parts[0])]
+        merged = bits_of[parts[0]]
         for name in parts[1:]:
-            merged &= bits_of[key(name)]
+            merged &= bits_of[name]
         for name in parts:
-            del self._mask[key(name)]
-            del bits_of[key(name)]
+            del self._mask[name]
+            del bits_of[name]
         # A fresh row: it stays valid after the part rows' backing
         # table is dropped.
-        self._mask[new_key] = array(
+        self._mask[new_name] = array(
             "Q", merged.to_bytes(self._row_bytes, "little")
         )
-        bits_of[new_key] = merged
+        bits_of[new_name] = merged
         runs = self._carried_runs(parts, new_expression)
         old_order = self._group_order
         self.current = new_expression
@@ -1117,14 +1083,14 @@ class FastStepScorer:
 
         new_unaffected_size = new_expression.size() - sum(
             self._terms[index].size()
-            for index in self._ann_terms.get(new_key, ())
+            for index in self._ann_terms.get(new_name, ())
         )
         self.last_shift_local = old_unaffected_size == new_unaffected_size
 
         # The merge's neighborhood: the terms it rewrote (for the
         # engine's candidate carry) and their groups, whose baselines
         # are refolded in one kernel call; the rest carry.
-        affected_terms = set(self._ann_terms.get(new_key, ()))
+        affected_terms = set(self._ann_terms.get(new_name, ()))
         affected_terms.update(self._group_terms.get(new_name, ()))
         self.last_affected_terms = affected_terms
         terms = self._terms
@@ -1188,10 +1154,9 @@ class FastStepScorer:
         folded = new_expression.folded
         if folded is None:
             return None
-        key = self._key
         rewritten = set()
         for name in parts:
-            rewritten.update(self._ann_terms.get(key(name), ()))
+            rewritten.update(self._ann_terms.get(name, ()))
             rewritten.update(self._group_terms.get(name, ()))
         for index, first in folded.items():
             if index not in rewritten or first not in rewritten:

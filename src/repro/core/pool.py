@@ -30,10 +30,9 @@ seed-name position (``bisect``), so every block stays in the
 generation order of a fresh
 :func:`~repro.core.candidates.enumerate_candidates` call; the blocks
 are joined in domain order (smallest member name first) and finalized
-through the *same* dedupe / cap-subsampling code, so the result is
-identical candidate for candidate, in identical order, with identical
-shared-RNG consumption (asserted by ``tests/core/test_candidate_pool``
-over an RNG grid).
+through the *same* dedupe code, so the result is identical candidate
+for candidate, in identical order (asserted by
+``tests/core/test_candidate_pool``).
 
 Robustness: any maintenance failure invalidates the pool, and the next
 :meth:`candidates` call falls back to a full fresh enumeration -- the
@@ -43,11 +42,9 @@ same contract the scoring engine's fast paths follow.
 from __future__ import annotations
 
 import bisect
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..provenance.annotations import Annotation, AnnotationUniverse
-from ..provenance.ir import AnnotationInterner
 from .candidates import (
     Candidate,
     annotations_by_domain,
@@ -67,19 +64,13 @@ class CandidatePool:
         universe: AnnotationUniverse,
         constraint: MergeConstraint,
         arity: int = 2,
-        cap: Optional[int] = None,
-        rng: Optional[random.Random] = None,
-        interner: Optional[AnnotationInterner] = None,
     ):
         if arity < 2:
             raise ValueError("merge arity must be at least 2")
         self.universe = universe
         self.constraint = constraint
         self.arity = arity
-        self.cap = cap
-        self.rng = rng
-        self.interner = interner
-        #: Raw candidates (before dedupe/cap) per domain, each block in
+        #: Raw candidates (before dedupe) per domain, each block in
         #: seed-name order and the blocks in domain order; neither the
         #: dict nor a block list is edited once stored, so pools may
         #: share them.  ``None`` means the next :meth:`candidates` call
@@ -118,11 +109,7 @@ class CandidatePool:
             self.rebuilt_steps += 1
         else:
             self.maintained_steps += 1
-        # Finalize per call: dedupe and cap subsampling must consume the
-        # shared RNG exactly as a fresh enumeration would.
-        return finalize_candidates(
-            self._raw(), self.arity, self.cap, self.rng, self.interner
-        )
+        return finalize_candidates(self._raw(), self.arity)
 
     def advance(self, parts: Sequence[str], new_name: str, new_expression) -> None:
         """Maintain the pool past the applied merge ``parts → new_name``.
@@ -253,14 +240,7 @@ class CandidatePool:
 
     def child(self, parts: Sequence[str], new_name: str, new_expression) -> "CandidatePool":
         """An advanced copy, leaving this pool untouched (beam search)."""
-        twin = CandidatePool(
-            self.universe,
-            self.constraint,
-            arity=self.arity,
-            cap=self.cap,
-            rng=self.rng,
-            interner=self.interner,
-        )
+        twin = CandidatePool(self.universe, self.constraint, arity=self.arity)
         if self._blocks is not None:
             twin._blocks = self._blocks
             twin._expression = self._expression

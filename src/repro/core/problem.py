@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..provenance.annotations import AnnotationUniverse
-from ..provenance.ir import AnnotationInterner
 from ..provenance.valuation_classes import ValuationClass
 from ..taxonomy.dag import Taxonomy
 from .combiners import DomainCombiners
@@ -32,17 +31,6 @@ class SummarizationProblem:
     constraint: MergeConstraint
     taxonomy: Optional[Taxonomy] = None
     description: str = ""
-    #: Annotation interner shared across runs on this problem (one per
-    #: PROX session); ``None`` allocates a fresh one on first use.
-    interner: Optional[AnnotationInterner] = None
-
-    def resolve_interner(self) -> AnnotationInterner:
-        """The interner runs on this problem key scoring state on: the
-        session-provided one when set, else a fresh one kept for later
-        runs."""
-        if self.interner is None:
-            self.interner = AnnotationInterner()
-        return self.interner
 
     def describe(self) -> str:
         """One-paragraph Table 5.1-style description."""
@@ -69,6 +57,7 @@ REMOVED_FIELDS = {
     "sample_block": "sampling budgets always round up to 64-draw blocks",
     "sample_sharing": "sampled steps always score against one shared batch",
     "repair": "streaming summary repair is always on",
+    "candidate_cap": "every constraint-satisfying candidate is enumerated",
 }
 
 #: The type each checked config field takes, and whether it is
@@ -85,7 +74,6 @@ _FIELD_KINDS = {
     "distance_samples": ("integer", True),
     "epsilon": ("number", False),
     "delta": ("number", False),
-    "candidate_cap": ("integer", True),
     "seed": ("integer", False),
     "slo_seconds": ("seconds", True),
 }
@@ -164,7 +152,6 @@ class SummarizationConfig:
     distance_samples: Optional[int] = None
     epsilon: float = 0.05
     delta: float = 0.9
-    candidate_cap: Optional[int] = None
     seed: int = 0
     slo_seconds: Optional[float] = None
 
@@ -189,6 +176,12 @@ class SummarizationConfig:
             raise ValueError("max_steps must be non-negative")
         if self.merge_arity < 2:
             raise ValueError("merge_arity must be at least 2")
+        if self.distance_samples is not None and self.distance_samples < 1:
+            raise ValueError("distance_samples must be at least 1")
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
         if self.scoring not in SCORING_STRATEGIES:
             raise ValueError(
                 f"scoring must be one of {SCORING_STRATEGIES}, got {self.scoring!r}"

@@ -111,7 +111,7 @@ class SampledStepScorer(FastStepScorer):
         self.pack_builds = 0
         self._packed_term_table: Optional[MaskTable] = None
         self._packed_term_rows: Optional[List[WordRow]] = None
-        self._packed_mask_views: Optional[Dict[object, WordRow]] = None
+        self._packed_mask_views: Optional[Dict[str, WordRow]] = None
         self._batch_stats: Optional[Tuple[float, float]] = None
         super().__init__(computer, current, mapping, universe)
 
@@ -136,7 +136,6 @@ class SampledStepScorer(FastStepScorer):
         """
         row_of = self._mask_rows()
         combiners = self.computer.combiners
-        interner = self._interner
         positions: Dict[int, List[int]] = {}
         members: Dict[int, object] = {}
         for index, valuation in enumerate(self.valuations):
@@ -153,11 +152,9 @@ class SampledStepScorer(FastStepScorer):
             for name in combiners.lifted_false_set(
                 valuation, self.mapping, self.universe
             ):
-                mask_key = interner.lookup(name)
-                if mask_key is not None:
-                    row = row_of.get(mask_key)
-                    if row is not None:
-                        rows.append(row)
+                row = row_of.get(name)
+                if row is not None:
+                    rows.append(row)
             if rows:
                 entries.append((rows, positions[ident]))
         table = self._kernel.scatter_false_sets(
@@ -186,7 +183,7 @@ class SampledStepScorer(FastStepScorer):
         """Number of drawn valuations shared by every candidate."""
         return self.n_vals
 
-    def packed_masks(self) -> Dict[object, WordRow]:
+    def packed_masks(self) -> Dict[str, WordRow]:
         """Per-annotation dead bits in the ``array('Q')`` word layout.
 
         Word ``w`` bit ``b`` covers batch position ``64*w + b`` -- the

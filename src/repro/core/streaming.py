@@ -9,8 +9,7 @@ This module gives those events a first-class shape:
   valuations for the class, and *extensions* of existing valuations
   (their false set grows -- e.g. a spam flag on an already-known
   user).  Deltas never remove or rewrite existing provenance; that
-  invariant is what keeps interned annotation ids stable mid-stream
-  and the summary-repair machinery sound.
+  invariant is what keeps the summary-repair machinery sound.
 * :func:`apply_delta` -- extends a :class:`~repro.provenance
   .tensor_sum.TensorSum` with the delta's terms (congruent merging
   applies exactly as a from-scratch construction would).

@@ -244,7 +244,6 @@ class Summarizer:
         started = time.perf_counter()
         original = problem.expression
         mapping = MappingState(sorted(original.annotation_names()))
-        interner = problem.resolve_interner()
         computer = DistanceComputer(
             original,
             problem.valuations,
@@ -256,21 +255,17 @@ class Summarizer:
             epsilon=config.epsilon,
             delta=config.delta,
             rng=self._rng,
-            interner=interner,
         )
         engine = ScoringEngine(problem, config, computer)
         # Cross-step candidate pool: after a merge {a, b} → c only the
         # candidates mentioning a/b/c change, so the pool maintains
         # the list in place of a fresh O(n²) re-enumeration.  The
-        # maintained list (and its RNG consumption under candidate_cap)
-        # is identical to enumerate_candidates' -- see core.pool.
+        # maintained list is identical to enumerate_candidates' -- see
+        # core.pool.
         pool = CandidatePool(
             problem.universe,
             problem.constraint,
             arity=config.merge_arity,
-            cap=config.candidate_cap,
-            rng=self._rng,
-            interner=interner,
         )
 
         # Streaming repair: a state captured by a previous run over the

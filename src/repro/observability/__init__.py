@@ -22,7 +22,7 @@ Serving-tier SLO observability layers on top (docs/OPERATIONS.md):
   with samples attributed to the active tracing span; exposed by
   ``repro summarize --profile`` and ``GET /debug/profile``.
 * :mod:`repro.observability.resources` -- per-session resource
-  accounting (interned annotations, pool size, work counters) behind
+  accounting (annotations, pool size, work counters) behind
   ``GET /sessions/<id>/stats``, labeled session gauges and the
   eviction advisor.
 * :mod:`repro.observability.slo` -- declared per-endpoint latency

@@ -6,15 +6,15 @@ what*.  This module keeps one :class:`SessionAccount` per live
 :class:`~repro.prox.session.ProxSession` in a process-wide
 :class:`ResourceRegistry`:
 
-* **retained memory** -- the session's interned-annotation count and
-  carried candidate-pool size;
+* **retained memory** -- the session's annotation count and carried
+  candidate-pool size;
 * **work counters** -- summarize runs and their cumulative seconds,
   ingested deltas, repaired runs and invalidated pool entries;
 * **freshness** -- monotonic created/last-active stamps, so idle
   sessions rank first for eviction.
 
 Every account is exported as labeled gauges
-(``prox_session_interned_annotations{session=...}`` et al.) behind the usual
+(``prox_session_annotations{session=...}`` et al.) behind the usual
 ``REPRO_METRICS`` guard, and as JSON via ``GET /sessions`` and
 ``GET /sessions/<id>/stats`` on the PROX server.  The registry itself
 is always on: it is the data the serving API returns, not optional
@@ -43,20 +43,19 @@ from . import metrics as _metrics
 #: Idle seconds that double a session's eviction score.
 IDLE_HALF_LIFE_SECONDS = 300.0
 
-#: Rough retained-bytes cost of one interned annotation (id slot,
-#: string, reverse-map entry) and one carried pool candidate (tuple,
-#: measurement floats) -- used only for ranking, never reported as
-#: exact bytes.
-_INTERNED_COST = 64
+#: Rough retained-bytes cost of one annotation (name, attributes,
+#: universe entry) and one carried pool candidate (tuple, measurement
+#: floats) -- used only for ranking, never reported as exact bytes.
+_ANNOTATION_COST = 64
 _POOL_ENTRY_COST = 120
 
 _SESSIONS_ACTIVE = _metrics.gauge(
     "prox_sessions_active",
     "Live PROX sessions registered in this process.",
 )
-_SESSION_INTERNED = _metrics.gauge(
-    "prox_session_interned_annotations",
-    "Interned annotation ids held by each live session.",
+_SESSION_ANNOTATIONS = _metrics.gauge(
+    "prox_session_annotations",
+    "Annotations in each live session's universe.",
     labelnames=("session",),
 )
 _SESSION_POOL = _metrics.gauge(
@@ -83,7 +82,7 @@ class SessionAccount:
     repaired_runs: int = 0
     repair_invalidated: int = 0
     ingested_deltas: int = 0
-    interned_annotations: int = 0
+    annotations: int = 0
     pool_candidates: int = 0
     selected_size: int = 0
     summary_size: int = 0
@@ -107,7 +106,7 @@ class SessionAccount:
     def record_summarize(
         self,
         seconds: float,
-        interned_annotations: int,
+        annotations: int,
         pool_candidates: int,
         summary_size: int,
         repaired: bool = False,
@@ -115,7 +114,7 @@ class SessionAccount:
     ) -> None:
         self.summarize_runs += 1
         self.summarize_seconds += float(seconds)
-        self.interned_annotations = int(interned_annotations)
+        self.annotations = int(annotations)
         self.pool_candidates = int(pool_candidates)
         self.summary_size = int(summary_size)
         if repaired:
@@ -135,7 +134,7 @@ class SessionAccount:
     def retained_bytes(self) -> int:
         """The eviction-relevant retained-memory estimate."""
         return (
-            self.interned_annotations * _INTERNED_COST
+            self.annotations * _ANNOTATION_COST
             + self.pool_candidates * _POOL_ENTRY_COST
         )
 
@@ -154,7 +153,7 @@ class SessionAccount:
             "repaired_runs": self.repaired_runs,
             "repair_invalidated": self.repair_invalidated,
             "ingested_deltas": self.ingested_deltas,
-            "interned_annotations": self.interned_annotations,
+            "annotations": self.annotations,
             "pool_candidates": self.pool_candidates,
             "selected_size": self.selected_size,
             "summary_size": self.summary_size,
@@ -165,7 +164,7 @@ class SessionAccount:
     def _publish(self) -> None:
         if not _metrics.ENABLED:
             return
-        _SESSION_INTERNED.set(self.interned_annotations, session=self.session_id)
+        _SESSION_ANNOTATIONS.set(self.annotations, session=self.session_id)
         _SESSION_POOL.set(self.pool_candidates, session=self.session_id)
         _SESSION_SECONDS.set(self.summarize_seconds, session=self.session_id)
 
@@ -200,7 +199,7 @@ class ResourceRegistry:
             self._accounts.pop(session_id, None)
             count = len(self._accounts)
         for gauge in (
-            _SESSION_INTERNED,
+            _SESSION_ANNOTATIONS,
             _SESSION_POOL,
             _SESSION_SECONDS,
         ):

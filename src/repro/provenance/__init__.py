@@ -18,6 +18,9 @@ summarization algorithm (in :mod:`repro.core`) consumes:
   the classes ``V_Ann`` distances average over.
 """
 
+import os
+
+from ..observability import log as _log
 from .annotations import Annotation, AnnotationUniverse
 from .ddp_expression import (
     CostTransition,
@@ -48,7 +51,6 @@ from .monoids import (
     fold_counted,
     monoid_by_name,
 )
-from .ir import AnnotationInterner
 from .polynomial import Monomial, Polynomial, from_expression
 from .semirings import (
     BOOLEAN,
@@ -78,7 +80,6 @@ __all__ = [
     "AggSum",
     "AggregationMonoid",
     "Annotation",
-    "AnnotationInterner",
     "AnnotationUniverse",
     "BOOLEAN",
     "BooleanSemiring",
@@ -129,3 +130,12 @@ __all__ = [
     "monoid_by_name",
     "witnesses",
 ]
+
+
+# The ``REPRO_IR`` switch is gone; a leftover setting is reported once
+# and otherwise ignored.
+if os.environ.get("REPRO_IR", "").strip():
+    _log.get_logger("provenance.ir").warning(
+        "ir_mode_removed requested=%s resolution=ir",
+        _log.quote(os.environ["REPRO_IR"]),
+    )

@@ -516,7 +516,6 @@ class ProxApp:
                         "selected": session.selected is not None,
                         "summarized": session.result is not None,
                         "session_id": session.session_id,
-                        "ir_interned_annotations": len(session.interner),
                     }
                 )
         return extra

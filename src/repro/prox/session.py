@@ -30,7 +30,6 @@ from ..datasets.movielens import MovieLensConfig, generate_movielens
 from ..observability import metrics as _metrics
 from ..observability import resources as _resources
 from ..observability import tracing as _tracing
-from ..provenance import ir as _ir
 from ..provenance.tensor_sum import TensorSum
 from .evaluator import EvaluationOutcome, EvaluatorService
 from .selection import SelectionService
@@ -97,7 +96,6 @@ class ProxSession:
         instance: Optional[DatasetInstance] = None,
         seed: int = 0,
         session_id: Optional[str] = None,
-        interner: Optional[_ir.AnnotationInterner] = None,
     ):
         recipe = _recipe_for(instance, seed)
         if instance is None:
@@ -105,17 +103,8 @@ class ProxSession:
                 MovieLensConfig(include_movie_merges=True, seed=seed)
             )
         self.instance = instance
-        # One interner per session: annotation ids assigned during the
-        # first /summarize stay stable for every later call, so repeated
-        # summarizations key their scoring state on already-dense ids
-        # instead of re-parsing annotation strings.  ``restore`` passes a
-        # snapshot-backed interner so the restored session keeps its
-        # original id layout.
-        if interner is None:
-            interner = _ir.AnnotationInterner()
-        self.interner: _ir.AnnotationInterner = interner
         self.selection = SelectionService(instance)
-        self.summarization = SummarizationService(instance, interner=self.interner)
+        self.summarization = SummarizationService(instance)
         self.evaluator = EvaluatorService(instance)
         self.selected: Optional[TensorSum] = None
         self.result: Optional[SummarizationResult] = None
@@ -181,11 +170,8 @@ class ProxSession:
     def ingest(self, delta: ProvenanceDelta) -> Dict[str, object]:
         """Apply one append-only provenance delta to the live session.
 
-        New annotations are registered into the instance universe (and
-        batch-interned into the session interner, which grows strictly
-        in place -- existing ids stay valid mid-stream), new terms
-        extend the current selection, and
-        valuation changes are recorded so the next :meth:`summarize`
+        New annotations are registered into the instance universe, new
+        terms extend the current selection, and valuation changes are recorded so the next :meth:`summarize`
         *repairs* the previous summary instead of recomputing it.
         Raises if no provenance is selected, on annotation name
         collisions, or when a term or valuation extension references an
@@ -210,9 +196,6 @@ class ProxSession:
                             f"valuation extension {label!r} references "
                             f"unknown annotation {name!r}"
                         )
-            self.interner.intern_all(
-                annotation.name for annotation in delta.annotations
-            )
             self.selected = apply_delta(self.selected, delta)
             self.summarization.record_delta(delta)
             self.result = None
@@ -260,10 +243,9 @@ class ProxSession:
         self.result = self.summarization.summarize(self.selected, request, seed)
         self._last_summarize = (asdict(request), seed)
         self._pending_summarize = None
-        _ir.publish_metrics(interner=self.interner)
         self.account.record_summarize(
             seconds=self.result.total_seconds,
-            interned_annotations=len(self.interner),
+            annotations=len(self.instance.universe),
             pool_candidates=self.summarization.pool_size(),
             summary_size=self.result.final_size,
             repaired=self.result.repaired,
@@ -368,8 +350,8 @@ class ProxSession:
         """Write the session to ``path`` as a PROXSN01 snapshot.
 
         The snapshot stores the dataset recipe, the replayable event
-        log (selections + ingested deltas), the last summarize request
-        and the session interner's name table.  Summarization results
+        log (selections + ingested deltas) and the last summarize
+        request.  Summarization results
         and repair state are deliberately dropped: repaired and
         from-scratch runs are bit-identical, so the restored session
         recomputes them deterministically.
@@ -391,9 +373,7 @@ class ProxSession:
             ),
             "ingested_deltas": self.ingested_deltas,
         }
-        _serialization.write_session_snapshot(
-            path, meta, interner_names=list(self.interner)
-        )
+        _serialization.write_session_snapshot(path, meta)
         return {"path": path, "bytes": os.path.getsize(path)}
 
     @classmethod
@@ -401,7 +381,7 @@ class ProxSession:
         """Rehydrate a session from a snapshot written by :meth:`snapshot`.
 
         Regenerates the instance from its recipe and replays the event
-        log; the interner keeps the snapshot's id layout.  A snapshot
+        log.  A snapshot
         whose bytes or contents do not describe a session raises
         :class:`~repro.serialization.SerializationError`.
         """
@@ -412,7 +392,7 @@ class ProxSession:
                 f"malformed session snapshot {path}: {error}"
             )
 
-        meta, names_blob = _serialization.load_session_snapshot(path)
+        meta = _serialization.load_session_snapshot(path)
         try:
             instance = _instance_from_recipe(meta["recipe"])
             events = [(kind, payload) for kind, payload in meta.get("events", [])]
@@ -435,16 +415,7 @@ class ProxSession:
                 pending = (request, int(last[1]))
         except _MALFORMED as error:
             raise malformed(error) from error
-        interner = (
-            _ir.AnnotationInterner.from_snapshot(names_blob)
-            if names_blob
-            else _ir.AnnotationInterner()
-        )
-        session = cls(
-            instance,
-            session_id=session_id or meta.get("session_id"),
-            interner=interner,
-        )
+        session = cls(instance, session_id=session_id or meta.get("session_id"))
         session._replaying = True
         try:
             for kind, payload in events:

@@ -20,7 +20,6 @@ from ..core.streaming import (
 from ..core.summarize import SummarizationResult, Summarizer
 from ..core.val_funcs import AbsoluteDifference, Disagreement, EuclideanDistance
 from ..datasets.base import DatasetInstance
-from ..provenance.ir import AnnotationInterner
 from ..provenance.monoids import monoid_by_name
 from ..provenance.tensor_sum import TensorSum
 from ..provenance.valuation import Valuation
@@ -107,15 +106,8 @@ class SummarizationService:
     labels/positions stable.
     """
 
-    def __init__(
-        self,
-        instance: DatasetInstance,
-        interner: Optional[AnnotationInterner] = None,
-    ):
+    def __init__(self, instance: DatasetInstance):
         self.instance = instance
-        #: Session-held interner threaded into every problem, so
-        #: annotation ids stay stable across repeated summarize calls.
-        self.interner = interner
         #: Repair state left by the previous run, plus the request
         #: shape it was captured under (monoid / class / VAL-FUNC).
         self.repair_state: Optional[SummaryRepairState] = None
@@ -213,7 +205,6 @@ class SummarizationService:
             constraint=self.instance.constraint,
             taxonomy=self.instance.taxonomy,
             description=f"PROX selection of {len(expression.groups())} movies",
-            interner=self.interner,
         )
 
     def summarize(

@@ -15,8 +15,7 @@ the summaries computed from them.  This module round-trips:
 The format is a versioned plain-JSON object; ``load_expression``
 dispatches on the recorded ``kind``.  Evicted serving sessions are
 written as ``PROXSN01`` session snapshots (see
-:func:`write_session_snapshot`): the session's replayable event log
-plus its interner name table.
+:func:`write_session_snapshot`): the session's replayable event log.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, IO, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, IO, Mapping, Union
 
 from .core.streaming import ProvenanceDelta
 from .core.summarize import SummarizationResult
@@ -338,8 +337,8 @@ def summary_from_dict(data: Mapping[str, Any]):
 #
 # One file per evicted session: a JSON meta document (the replayable
 # event log -- dataset recipe, selection, ingested deltas, last
-# summarize request) followed by the session interner's name block.
-# Restore replays the event log, so nothing else is stored.
+# summarize request).  Restore replays the event log, so nothing else
+# is stored.
 #
 # Layout (blocks padded to 8 bytes)::
 #
@@ -349,9 +348,11 @@ def summary_from_dict(data: Mapping[str, Any]):
 #     .   name block   names_len bytes of NUL-separated UTF-8
 #     .   arena block  arena_len bytes
 #
-# The arena block held an image of the process monomial arena in
-# older releases.  Writers now record ``arena_len = 0``; a reader skips
-# a non-zero block unread.
+# Older releases stored the session's annotation name table in the
+# name block and an image of the process monomial arena in the arena
+# block.  Writers now record ``names_len = arena_len = 0``; a reader
+# still checks a non-empty name block and skips the arena block
+# unread.
 
 _SESSION_SNAPSHOT_MAGIC = b"PROXSN01"
 _SESSION_SNAPSHOT_HEADER = "<QQQ"
@@ -361,26 +362,15 @@ def _pad8(length: int) -> int:
     return (-length) % 8
 
 
-def write_session_snapshot(
-    path: Union[str, os.PathLike],
-    meta: Dict[str, Any],
-    interner_names: Optional[List[str]] = None,
-) -> int:
+def write_session_snapshot(path: Union[str, os.PathLike], meta: Dict[str, Any]) -> int:
     """Write a session snapshot; returns the byte count."""
     meta_blob = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    names_blob = (
-        b"\x00".join(name.encode("utf-8") for name in interner_names)
-        if interner_names
-        else b""
-    )
     blob = b"".join(
         [
             _SESSION_SNAPSHOT_MAGIC,
-            struct.pack(_SESSION_SNAPSHOT_HEADER, len(meta_blob), len(names_blob), 0),
+            struct.pack(_SESSION_SNAPSHOT_HEADER, len(meta_blob), 0, 0),
             meta_blob,
             b"\x00" * _pad8(len(meta_blob)),
-            names_blob,
-            b"\x00" * _pad8(len(names_blob)),
         ]
     )
     with open(path, "wb") as handle:
@@ -388,15 +378,14 @@ def write_session_snapshot(
     return len(blob)
 
 
-def load_session_snapshot(
-    path: Union[str, os.PathLike],
-) -> Tuple[Dict[str, Any], bytes]:
-    """Read a session snapshot: ``(meta, interner name blob)``.
+def load_session_snapshot(path: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """Read a session snapshot's meta document.
 
     Raises :class:`SerializationError` unless the block lengths in the
     header add up to the file's size, both blocks end where their zero
     padding starts, the meta block is a UTF-8 JSON object and the name
-    block is UTF-8.
+    block is UTF-8.  The name block of an older file is checked and
+    otherwise ignored.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -434,7 +423,7 @@ def load_session_snapshot(
         names_blob.decode("utf-8")
     except UnicodeDecodeError as error:
         raise SerializationError(f"malformed session name block: {error}") from None
-    return meta, names_blob
+    return meta
 
 
 # -- file helpers ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Two obligations, each over a randomized instance grid:
 
-* the maintained pool is *identical* -- same candidates, same order,
-  same shared-RNG consumption -- to a fresh ``enumerate_candidates``
-  call after every applied merge, including the ``arity > 2`` greedy
-  extension/dedupe and the ``cap=`` subsampling interplay;
+* the maintained pool is *identical* -- same candidates, same order --
+  to a fresh ``enumerate_candidates`` call after every applied merge,
+  including the ``arity > 2`` greedy extension and dedupe;
 * the engine's lazy queue, selecting over carried (stale)
   measurements, picks a winner of a fresh full re-scoring: sizes
   exactly, distances within the documented 1e-9 float-association
@@ -93,25 +92,17 @@ def candidate_keys(candidates):
     return [(c.parts, c.proposal.label, c.proposal.concept) for c in candidates]
 
 
-def drive_merges(problem, constraint, arity, cap, n_steps, pick_seed):
+def drive_merges(problem, constraint, arity, n_steps, pick_seed):
     """Apply ``n_steps`` merges, comparing the maintained pool against
-    a fresh enumeration (with a state-cloned RNG) at every step."""
+    a fresh enumeration at every step."""
     universe = problem.universe
-    pool_rng = random.Random(4242)
-    pool = CandidatePool(
-        universe, constraint, arity=arity, cap=cap, rng=pool_rng
-    )
+    pool = CandidatePool(universe, constraint, arity=arity)
     picker = random.Random(pick_seed)
     current = problem.expression
     for _ in range(n_steps):
-        fresh_rng = random.Random()
-        fresh_rng.setstate(pool_rng.getstate())
         maintained = pool.candidates(current)
-        fresh = enumerate_candidates(
-            current, universe, constraint, arity=arity, cap=cap, rng=fresh_rng
-        )
+        fresh = enumerate_candidates(current, universe, constraint, arity=arity)
         assert candidate_keys(maintained) == candidate_keys(fresh)
-        assert pool_rng.getstate() == fresh_rng.getstate(), "RNG consumption differs"
         if not maintained:
             break
         chosen = picker.choice(maintained)
@@ -131,16 +122,14 @@ def drive_merges(problem, constraint, arity, cap, n_steps, pick_seed):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     arity=st.sampled_from([2, 3, 4]),
-    cap=st.sampled_from([None, 6]),
     constraint_name=st.sampled_from(sorted(CONSTRAINTS)),
 )
-def test_pool_matches_fresh_enumeration(seed, arity, cap, constraint_name):
+def test_pool_matches_fresh_enumeration(seed, arity, constraint_name):
     problem = pool_problem(seed)
     pool = drive_merges(
         problem,
         CONSTRAINTS[constraint_name](),
         arity=arity,
-        cap=cap,
         n_steps=4,
         pick_seed=seed ^ 0x5A5A,
     )
@@ -152,9 +141,7 @@ def test_pool_explicit_rng_grid(arity):
     """Deterministic smoke over a fixed grid (no hypothesis shrinking)."""
     for seed in (0, 7, 42, 99):
         problem = pool_problem(seed)
-        drive_merges(
-            problem, AllowAll(), arity=arity, cap=5, n_steps=5, pick_seed=seed
-        )
+        drive_merges(problem, AllowAll(), arity=arity, n_steps=5, pick_seed=seed)
 
 
 def test_child_pool_branches_match_fresh():
@@ -209,59 +196,24 @@ def test_pool_rebuilds_on_foreign_expression():
     assert pool.rebuilt_steps == 2
 
 
-# -- growing interner vs. dedupe ---------------------------------------------------
-
-
-def test_dedupe_never_grows_the_interner():
-    """Regression: ``_dedupe`` used to key on ``interner.intern``, which
-    allocated ids for every candidate part -- including on the pool's
-    invalidate-on-failure fallback.  With streaming ingest the universe
-    is no longer static, so dedupe must use non-inserting lookups and
-    key unknown names on themselves."""
-    from repro.core.candidates import finalize_candidates
-    from repro.provenance.ir import AnnotationInterner
-
-    problem = pool_problem(21)
-    raw = enumerate_candidates(
-        problem.expression, problem.universe, AllowAll(), arity=3
-    )
-    assert raw, "instance produced no candidates"
-
-    # Interner knows only a strict subset of the names in play.
-    known = sorted({name for c in raw for name in c.parts})[: len(raw) // 2 or 1]
-    interner = AnnotationInterner(known)
-    size_before = len(interner)
-
-    with_interner = finalize_candidates(list(raw), 3, None, None, interner)
-    without = finalize_candidates(list(raw), 3, None, None, None)
-
-    assert len(interner) == size_before, "dedupe allocated interner ids"
-    assert candidate_keys(with_interner) == candidate_keys(without)
+# -- dedupe -----------------------------------------------------------------------
 
 
 def test_dedupe_mixed_known_unknown_names_still_exact():
-    """Duplicates must collapse even when one copy's parts are interned
-    and another's are not known to the interner at all."""
-    from repro.core.candidates import finalize_candidates
-    from repro.provenance.ir import AnnotationInterner
+    """``arity > 2`` dedupe keeps exactly one candidate per part set --
+    the first one generated -- ordered by its sorted part names."""
+    from repro.core.candidates import finalize_candidates, generate_candidates
 
     problem = pool_problem(22)
-    raw = enumerate_candidates(
-        problem.expression, problem.universe, AllowAll(), arity=4
-    )
+    raw = generate_candidates(problem.expression, problem.universe, AllowAll(), 4)
     doubled = list(raw) + list(raw)
-    empty = AnnotationInterner()
-    full = AnnotationInterner(
-        sorted({name for c in raw for name in c.parts})
-    )
-    plain = finalize_candidates(list(doubled), 4, None, None, None)
-    assert candidate_keys(
-        finalize_candidates(list(doubled), 4, None, None, empty)
-    ) == candidate_keys(plain)
-    assert candidate_keys(
-        finalize_candidates(list(doubled), 4, None, None, full)
-    ) == candidate_keys(plain)
-    assert len(empty) == 0
+    first = {}
+    for candidate in doubled:
+        first.setdefault(frozenset(candidate.parts), candidate)
+    expected = sorted(first.values(), key=lambda c: tuple(sorted(c.parts)))
+    assert len(expected) < len(raw), "instance produced no duplicate part sets"
+    assert candidate_keys(finalize_candidates(doubled, 4)) == candidate_keys(expected)
+    assert candidate_keys(finalize_candidates(list(raw), 4)) == candidate_keys(expected)
 
 
 # -- carried measurements ≡ fresh re-scores ----------------------------------------

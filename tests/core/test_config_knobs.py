@@ -20,23 +20,6 @@ def problem(seed=6):
     ).problem()
 
 
-def test_candidate_cap_limits_each_step():
-    result = Summarizer(
-        problem(), SummarizationConfig(max_steps=3, candidate_cap=5, seed=0)
-    ).run()
-    assert all(record.n_candidates <= 5 for record in result.steps)
-
-
-def test_candidate_cap_is_deterministic():
-    def run():
-        return Summarizer(
-            problem(), SummarizationConfig(max_steps=3, candidate_cap=5, seed=2)
-        ).run()
-
-    first, second = run(), run()
-    assert [r.merged for r in first.steps] == [r.merged for r in second.steps]
-
-
 def test_ordinal_scoring_through_the_algorithm():
     result = Summarizer(
         problem(), SummarizationConfig(w_dist=0.5, max_steps=4, scoring="ordinal")

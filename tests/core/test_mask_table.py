@@ -37,25 +37,20 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def bigint_masks(scorer):
-    """The pre-packing construction: ``mask[key] |= 1 << index``.
+    """The pre-packing construction: ``mask[name] |= 1 << index``.
 
     A faithful inline replay of the seed ``_build_masks`` loop over the
-    scorer's own valuation sequence and key space.
+    scorer's own valuation sequence, keyed on annotation names.
     """
-    key = scorer._key
-    interner = scorer._interner
     combiners = scorer.computer.combiners
-    masks = {}
-    for name in scorer.current.annotation_names():
-        masks.setdefault(key(name), 0)
+    masks = {name: 0 for name in scorer.current.annotation_names()}
     for index, valuation in enumerate(scorer.valuations):
         bit = 1 << index
         for name in combiners.lifted_false_set(
             valuation, scorer.mapping, scorer.universe
         ):
-            mask_key = interner.lookup(name)
-            if mask_key in masks:
-                masks[mask_key] |= bit
+            if name in masks:
+                masks[name] |= bit
     return masks
 
 
@@ -94,11 +89,13 @@ def bigint_guard_mask(scorer, guard_token, guard_keys, masks, overrides=None):
 def bigint_term_dead(scorer, index, masks, overrides=None):
     """The seed ``_term_mask`` on bigints (annotations OR guards)."""
     dead = 0
-    for mask_key in scorer._term_ann_keys[index]:
+    for mask_key in scorer._term_names[index]:
         mask = overrides.get(mask_key) if overrides is not None else None
         dead |= masks[mask_key] if mask is None else mask
-    for guard_token, guard_keys in scorer._term_guard_keys[index]:
-        dead |= bigint_guard_mask(scorer, guard_token, guard_keys, masks, overrides)
+    for guard_token in scorer._terms[index].guards:
+        dead |= bigint_guard_mask(
+            scorer, guard_token, guard_token.annotations, masks, overrides
+        )
     return dead
 
 
@@ -205,13 +202,13 @@ def test_candidate_override_rows_match_bigint_and(seed, with_guards):
         override_rows = kernels.MaskTable(
             len(affected), scorer.n_vals, overrides
         ).rows()
-        part_keys = [scorer._key(name) for name in candidate.parts]
+        parts = candidate.parts
         # The merge's row is the AND of the part rows (OR combiner over
         # 0/1 valuations); replay it on the bigints.
-        merged = masks[part_keys[0]]
-        for part_key in part_keys[1:]:
-            merged &= masks[part_key]
-        big_overrides = {part_key: merged for part_key in part_keys}
+        merged = masks[parts[0]]
+        for name in parts[1:]:
+            merged &= masks[name]
+        big_overrides = {name: merged for name in parts}
         for index, row in zip(affected, override_rows):
             assert kernels.row_int(row) == bigint_term_dead(
                 scorer, index, masks, big_overrides

@@ -20,12 +20,14 @@ sessions, and must reproduce them exactly.
 """
 
 import contextlib
+import json
 import multiprocessing
 import random
 import traceback
 
 import pytest
 
+from repro import serialization
 from repro.core import (
     AbsoluteDifference,
     AllowAll,
@@ -56,7 +58,6 @@ from repro.provenance import (
     MAX,
     SUM,
     Annotation,
-    AnnotationInterner,
     AnnotationUniverse,
     CancelSingleAnnotation,
     ExplicitValuations,
@@ -174,14 +175,13 @@ def random_problem(
 # -- the scoring paths -------------------------------------------------------------
 
 
-def make_computer(problem, interner=None):
+def make_computer(problem):
     return DistanceComputer(
         problem.expression,
         problem.valuations,
         problem.val_func,
         problem.combiners,
         problem.universe,
-        interner=interner,
     )
 
 
@@ -567,42 +567,31 @@ def test_e2e_determinism_incremental_vs_seed_default(seed, full_rank):
     assert_clean_run(tuned, "fast+incremental")
 
 
-# -- the interner-layout axis ------------------------------------------------------
+# -- the expression-layout axis -----------------------------------------------------
 
 
-#: ``ir``: a run interns annotation names in first-use order.
-#: ``legacy``: the run gets an interner whose ids were pre-assigned in
-#: reverse name order behind a decoy name, the kind of layout a
-#: long-lived session or a restored snapshot hands over.  Merges, sizes
-#: and distance floats must not depend on the layout.  (The ids date
-#: from when this axis switched to the string-keyed representation.)
+#: ``ir``: the problem as generated.  ``legacy``: its expression decoded
+#: from the JSON form, the way streamed deltas hand provenance over --
+#: the same names as equal but distinct string objects, and every value
+#: after a float round trip.  Merges, sizes and distance floats must not
+#: depend on the layout.  (The ids date from an annotation interner
+#: whose id layout this axis used to vary.)
 LAYOUTS = ("ir", "legacy")
 
 
-def permuted_interner(expression):
-    names = sorted(expression.annotation_names(), reverse=True)
-    return AnnotationInterner(["\x00decoy"] + names)
-
-
-@contextlib.contextmanager
-def interner_layout(layout):
-    """Runs inside build their interners in ``layout``."""
-    if layout == "ir":
-        yield
-        return
-
-    def resolve(problem):
-        if problem.interner is None:
-            problem.interner = permuted_interner(problem.expression)
-        return problem.interner
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SummarizationProblem, "resolve_interner", resolve)
-        yield
+def in_layout(problem, layout):
+    """``problem`` with its expression in ``layout``."""
+    if layout == "legacy":
+        problem.expression = serialization.expression_from_dict(
+            json.loads(serialization.dumps(
+                serialization.expression_to_dict(problem.expression)
+            ))
+        )
+    return problem
 
 
 def _steps_fingerprint(result):
-    """Everything an interner layout could perturb, captured bit-exactly."""
+    """Everything a layout could perturb, captured bit-exactly."""
     return {
         "merged": [r.merged for r in result.steps],
         "new_annotations": [r.new_annotation for r in result.steps],
@@ -613,11 +602,6 @@ def _steps_fingerprint(result):
         "stop_reason": result.stop_reason,
         "groups": result.summary_groups(),
     }
-
-
-def _run_in_layout(layout, runner):
-    with interner_layout(layout):
-        return _steps_fingerprint(runner())
 
 
 #: The engine row axis: the full measure-and-rank path, the default
@@ -660,9 +644,8 @@ def run_in_workers(*thunks):
     the way the sharded serving tier (:mod:`repro.prox.workers`) runs
     sessions side by side -- and return their results in order.
 
-    A forked worker inherits the kernel backend and interner layout in
-    force here, so its run must reproduce the in-process one bit for
-    bit.  A worker that raises or stalls fails the calling test."""
+    A forked worker inherits the kernel backend in force here, so its
+    run must reproduce the in-process one bit for bit.  A worker that raises or stalls fails the calling test."""
     context = multiprocessing.get_context("fork")
     receivers, workers = [], []
     for thunk in thunks:
@@ -702,90 +685,6 @@ def row_selection(row, full_rank):
     """The selection mode ``row`` runs under: ``full_rank()`` for the
     full measure-and-rank rows, the default lazy queue otherwise."""
     return full_rank() if _ENGINE_ROWS[row][1] else contextlib.nullcontext()
-
-
-@pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize("row", _ENGINE_ROW_IDS, ids=_ENGINE_ROW_IDS)
-def test_greedy_ir_vs_legacy_bit_identical(seed, row, full_rank):
-    """The interner-layout axis of the differential grid: under every
-    engine row a greedy run must be *bit*-identical between the two
-    interner layouts -- same merges, same sizes, same exact distance
-    floats.  The parallel rows run both layouts side by side in forked
-    workers."""
-
-    def runner():
-        with row_selection(row, full_rank):
-            result = Summarizer(
-                movielens_problem(seed),
-                SummarizationConfig(
-                    w_dist=0.7, max_steps=5, seed=0, **_ENGINE_ROWS[row][0]
-                ),
-            ).run()
-        assert_clean_run(result, _ENGINE_PATHS[row])
-        return result
-
-    first_use, permuted = run_row(
-        row,
-        lambda: _run_in_layout("ir", runner),
-        lambda: _run_in_layout("legacy", runner),
-    )
-    assert first_use == permuted
-
-
-@pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
-def test_random_problems_ir_vs_legacy_bit_identical(monoid_name):
-    def runner():
-        result = Summarizer(
-            random_problem(19, MONOIDS[monoid_name], n_terms=16),
-            SummarizationConfig(w_dist=0.6, max_steps=4, seed=0),
-        ).run()
-        assert_clean_run(result, "fast+incremental")
-        return result
-
-    assert _run_in_layout("ir", runner) == _run_in_layout("legacy", runner)
-
-
-def test_beam_ir_vs_legacy_bit_identical():
-    def runner():
-        result = BeamSummarizer(
-            movielens_problem(3),
-            SummarizationConfig(w_dist=0.7, max_steps=4, seed=0),
-            beam_width=2,
-        ).run()
-        assert_clean_run(result, "fast+incremental")
-        return result
-
-    assert _run_in_layout("ir", runner) == _run_in_layout("legacy", runner)
-
-
-def test_one_step_scores_ir_vs_legacy_bit_identical():
-    """Candidate-level differential: the scorer's per-candidate scores
-    must match exactly across interner layouts."""
-
-    def one_step(layout):
-        problem = random_problem(37, SUM, n_terms=16)
-        interner = (
-            permuted_interner(problem.expression) if layout == "legacy" else None
-        )
-        computer = make_computer(problem, interner)
-        current = problem.expression
-        mapping = MappingState(sorted(current.annotation_names()))
-        candidates = enumerate_candidates(
-            current, problem.universe, problem.constraint
-        )
-        scorer = FastStepScorer(computer, current, mapping, problem.universe)
-        return [
-            (candidate.parts, scorer.score(candidate.parts))
-            for candidate in candidates
-        ]
-
-    first_use = one_step("ir")
-    permuted = one_step("legacy")
-    assert len(first_use) == len(permuted)
-    for (parts_a, scored_a), (parts_b, scored_b) in zip(first_use, permuted):
-        assert parts_a == parts_b
-        assert scored_a[0] == scored_b[0]
-        assert scored_a[1].value == scored_b[1].value
 
 
 # -- fallback regression -----------------------------------------------------------
@@ -964,7 +863,7 @@ def test_greedy_carry_bit_identical(seed, row, layout, kernel, full_rank):
     row's selection (lazy-greedy over carried measurements unless the
     row ranks in full) must be *bit*-identical to the full
     measure-and-rank run -- same merges, sizes and exact distance
-    floats -- under every engine row and interner layout.  The
+    floats -- under every engine row and expression layout.  The
     parallel rows run both side by side in forked workers and must
     also match the full-rank run made here in-process."""
 
@@ -972,7 +871,7 @@ def test_greedy_carry_bit_identical(seed, row, layout, kernel, full_rank):
         selection = full_rank() if ranked else row_selection(row, full_rank)
         with selection:
             result = Summarizer(
-                movielens_problem(seed),
+                in_layout(movielens_problem(seed), layout),
                 SummarizationConfig(
                     w_dist=0.7, max_steps=6, seed=0, **_ENGINE_ROWS[row][0]
                 ),
@@ -980,10 +879,9 @@ def test_greedy_carry_bit_identical(seed, row, layout, kernel, full_rank):
         assert_clean_run(result, _ENGINE_PATHS[row])
         return _full_fingerprint(result)
 
-    with interner_layout(layout):
-        off, on = run_row(row, lambda: runner(True), lambda: runner(False))
-        if _ENGINE_ROWS[row][2]:
-            assert off == runner(True)
+    off, on = run_row(row, lambda: runner(True), lambda: runner(False))
+    if _ENGINE_ROWS[row][2]:
+        assert off == runner(True)
     assert on == off
 
 
@@ -1060,8 +958,8 @@ def test_beam_carry_bit_identical(seed, layout, monkeypatch):
 
     def runner():
         result = BeamSummarizer(
-            movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, candidate_cap=24),
+            in_layout(movielens_problem(seed), layout),
+            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0),
             beam_width=2,
         ).run()
         assert_clean_run(result, "fast+incremental")
@@ -1070,11 +968,10 @@ def test_beam_carry_bit_identical(seed, layout, monkeypatch):
     def broken_maintain(self, merged, new_name, new_expression):
         raise RuntimeError("re-enumerate instead")
 
-    with interner_layout(layout):
-        on = _full_fingerprint(runner())
-        with monkeypatch.context() as patch:
-            patch.setattr(CandidatePool, "_maintain", broken_maintain)
-            off = _full_fingerprint(runner())
+    on = _full_fingerprint(runner())
+    with monkeypatch.context() as patch:
+        patch.setattr(CandidatePool, "_maintain", broken_maintain)
+        off = _full_fingerprint(runner())
     assert on == off
 
 
@@ -1257,12 +1154,13 @@ def test_lazy_requires_normalized_scoring_and_carry():
         ("sample_block", 64),
         ("sample_sharing", "off"),
         ("repair", "off"),
+        ("candidate_cap", 5),
     ],
 )
 def test_removed_engine_knobs_raise(field, value):
     """The fork pool, the lazy, incremental, carry, sample-sharing and
-    repair switches and the sampling block size are gone: naming them
-    fails loudly instead of being silently ignored."""
+    repair switches, the sampling block size and the candidate cap are
+    gone: naming them fails loudly instead of being silently ignored."""
     with pytest.raises(TypeError, match=field):
         SummarizationConfig(**{field: value})
 

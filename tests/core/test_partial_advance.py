@@ -2,7 +2,7 @@
 
 After every merge of a chain, a scorer carried through ``advance``
 must hold exactly the state a scorer built from scratch on the same
-expression holds: the same interned term keys and sorted names, the
+expression holds: the same sorted names and guard names, the
 same dead-row table bytes, the same fold order per group, the same
 annotation → term index and the same group baselines.  Checked on
 MovieLens (user merges), Wikipedia (merges of group keys) and a
@@ -53,8 +53,8 @@ FIXTURES = {
 
 def carried_state(scorer):
     return {
-        "term_keys": scorer._term_ann_keys,
         "names": scorer._term_names,
+        "guard_names": scorer._term_guard_names,
         "dead": scorer._dead.tobytes(),
         "group_order": scorer._group_order,
         "ann_terms": scorer._ann_terms,

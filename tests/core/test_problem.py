@@ -24,6 +24,12 @@ class TestConfigValidation:
             {"max_steps": -1},
             {"merge_arity": 1},
             {"scoring": "bogus"},
+            {"epsilon": 0.0},
+            {"epsilon": -0.05},
+            {"delta": 0.0},
+            {"delta": 1.0},
+            {"distance_samples": 0},
+            {"distance_samples": -5},
         ],
     )
     def test_invalid_values(self, kwargs):

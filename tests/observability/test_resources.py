@@ -44,11 +44,11 @@ def test_unregister_drops_the_gauge_series(registry):
     account = registry.register("doomed")
     account.record_summarize(
         seconds=0.5,
-        interned_annotations=10,
+        annotations=10,
         pool_candidates=5,
         summary_size=3,
     )
-    gauge = metrics.REGISTRY.get("prox_session_interned_annotations")
+    gauge = metrics.REGISTRY.get("prox_session_annotations")
     assert gauge.value(session="doomed") == 10
     registry.unregister("doomed")
     scrape = metrics.REGISTRY.render()
@@ -88,7 +88,7 @@ def test_record_summarize_accumulates(registry):
     account = registry.register()
     account.record_summarize(
         seconds=1.5,
-        interned_annotations=7,
+        annotations=7,
         pool_candidates=3,
         summary_size=9,
         repaired=True,
@@ -96,7 +96,7 @@ def test_record_summarize_accumulates(registry):
     )
     account.record_summarize(
         seconds=0.5,
-        interned_annotations=8,
+        annotations=8,
         pool_candidates=4,
         summary_size=8,
     )
@@ -105,16 +105,16 @@ def test_record_summarize_accumulates(registry):
     assert account.repaired_runs == 1
     assert account.repair_invalidated == 2
     # cardinalities are levels, not totals
-    assert account.interned_annotations == 8
+    assert account.annotations == 8
     assert account.pool_candidates == 4
     assert account.summary_size == 8
 
 
 def test_retained_bytes_and_eviction_score():
     account = SessionAccount(session_id="x")
-    account.interned_annotations = 10
+    account.annotations = 10
     account.pool_candidates = 5
-    expected = 10 * resources._INTERNED_COST + 5 * resources._POOL_ENTRY_COST
+    expected = 10 * resources._ANNOTATION_COST + 5 * resources._POOL_ENTRY_COST
     assert account.retained_bytes() == expected
     # fresh account: idleness factor ~1
     assert account.eviction_score() == pytest.approx(expected, rel=0.01)
@@ -143,7 +143,7 @@ def test_eviction_ranking_orders_heaviest_idle_first(registry):
     for account, pool in ((light, 1), (heavy, 100), (idle_heavy, 100)):
         account.record_summarize(
             seconds=0.1,
-            interned_annotations=pool,
+            annotations=pool,
             pool_candidates=pool,
             summary_size=1,
         )

@@ -1,4 +1,4 @@
-"""Proof obligations for ``Polynomial`` and the annotation interner.
+"""Proof obligations for ``Polynomial``.
 
 Over an explicit RNG grid of random polynomial programs, every
 ``Polynomial`` operation (add, mul, rename, size, degree, coefficient,
@@ -7,8 +7,7 @@ a dict of sorted ``(name, exponent)`` monomials -- and ``evaluate_in``
 must equal the program evaluated directly in the target semiring (the
 universal property).  Exact semirings only, so agreement is equality.
 
-Also covered: the interner invariants (dense stable ids, lookups that
-never allocate), equality of polynomials built apart, and the
+Also covered: equality of polynomials built apart, and the
 annotation-names cache regression (rename must never mutate the
 receiver's cached name set).
 """
@@ -18,8 +17,6 @@ from collections import Counter
 
 import pytest
 
-from repro.provenance import ir
-from repro.provenance.ir import AnnotationInterner
 from repro.provenance.polynomial import Polynomial
 from repro.provenance.semirings import BOOLEAN, NATURALS
 
@@ -282,27 +279,6 @@ def test_rename_composition_matches_sequential(seed):
     assert sequential.terms() == one_shot.terms() == model.terms
 
 
-# -- interner invariants -----------------------------------------------------------
-
-
-def test_interner_ids_are_dense_and_stable():
-    interner = AnnotationInterner()
-    ids = [interner.intern(name) for name in ("x", "y", "x", "z", "y")]
-    assert ids == [0, 1, 0, 2, 1]
-    assert list(interner) == ["x", "y", "z"]
-    assert interner.name_of(2) == "z"
-    assert interner.names_of((2, 0)) == ("z", "x")
-    assert len(interner) == 3
-    assert "y" in interner and "w" not in interner
-
-
-def test_interner_lookup_never_allocates():
-    interner = AnnotationInterner(["x"])
-    assert interner.lookup("x") == 0
-    assert interner.lookup("missing") is None
-    assert len(interner) == 1
-
-
 def test_rename_merges_colliding_monomials():
     poly = Polynomial.variable("a") + Polynomial.variable("b")
     merged = poly.rename({"a": "s", "b": "s"})
@@ -390,14 +366,3 @@ def test_rename_span_is_null_when_tracing_disabled():
     renamed = Polynomial.variable("a").rename({"a": "s"})
     assert renamed.terms() == {(("s", 1),): 1}
     assert tracing.take_trace() is None
-
-
-def test_publish_metrics_exports_gauges():
-    from repro.observability import metrics as metrics_module
-
-    ir.publish_metrics(AnnotationInterner(["a", "b", "c"]))
-    rendered = metrics_module.REGISTRY.render()
-    assert "repro_ir_interned_annotations 3" in rendered
-    assert "repro_ir_arena_bytes" not in rendered
-    # Back to the idle value.
-    ir.publish_metrics(AnnotationInterner())

@@ -104,22 +104,20 @@ def test_metrics_scrape_includes_the_required_families(server):
 
 
 def test_metrics_scrape_includes_the_ir_gauges(server):
-    """The interned-annotations gauge is present (0-valued is fine) even
-    on an idle server -- the CI probe greps for exactly this line.  The
-    monomial-arena gauge is gone."""
+    """The annotation gauge is per session now: the scrape carries the
+    ``prox_session_annotations`` family and no process-wide
+    ``repro_ir_*`` gauge (the interner and the monomial arena are gone)."""
     _, _, raw = fetch(server, "GET", "/metrics")
     text = raw.decode("utf-8")
-    assert "# TYPE repro_ir_interned_annotations gauge" in text
-    assert re.search(r"^repro_ir_interned_annotations \d+$", text, re.M)
-    assert "repro_ir_arena_bytes" not in text
+    assert "# TYPE prox_session_annotations gauge" in text
+    assert "repro_ir_" not in text
 
 
 def test_healthz_reports_ir_state(server):
+    """No IR state is left to report."""
     _, _, raw = fetch(server, "GET", "/healthz")
     payload = json.loads(raw)
-    assert "ir_mode" not in payload
-    assert payload["ir_interned_annotations"] >= 0
-    assert "ir_arena_bytes" not in payload
+    assert not [key for key in payload if key.startswith("ir_")]
 
 
 def test_healthz_reports_kernel_backend(server):
@@ -156,9 +154,15 @@ def test_ir_gauges_advance_after_a_summarization(server):
     assert status == 200
     _, _, raw = fetch(server, "GET", "/metrics")
     text = raw.decode("utf-8")
-    match = re.search(r"^repro_ir_interned_annotations (\d+)$", text, re.M)
+    _, _, raw = fetch(server, "GET", "/healthz")
+    session_id = json.loads(raw)["session_id"]
+    match = re.search(
+        rf'^prox_session_annotations\{{session="{session_id}"\}} (\d+)$',
+        text,
+        re.M,
+    )
     assert match is not None
-    # The session interner saw the selection's annotations.
+    # The session's universe holds the instance's annotations.
     assert int(match.group(1)) > 0
 
 

@@ -353,28 +353,34 @@ def _legacy_arena_block():
 
 
 def test_arena_less_session_snapshot_restores_identically(tmp_path):
-    """Snapshots carry no monomial arena (``arena_len`` is 0).  One
-    written by an older release still carries the arena block after
-    its name block; the block is skipped unread, and the file restores
-    -- in a fresh process and in this warm one -- to the summary the
-    original session made."""
+    """Snapshots carry no name table and no monomial arena (``names_len``
+    and ``arena_len`` are 0).  One written by an older release carries
+    its session's annotation names and an arena block after the meta
+    block; both are skipped, and the file restores -- in a fresh process
+    and in this warm one -- to the summary the original session made."""
     path = str(tmp_path / "session.snap")
     original = _run_child(_CHILD_BUILD, path, json.dumps({"number_of_steps": 4}))
     assert_clean(original["fingerprint"])
     with open(path, "rb") as handle:
         blob = handle.read()
     meta_len, names_len, arena_len = struct.unpack_from("<QQQ", blob, 8)
-    assert arena_len == 0 and names_len > 0
-    meta, names_blob = serialization.load_session_snapshot(path)
+    assert names_len == arena_len == 0
+    meta = serialization.load_session_snapshot(path)
 
+    # An older name block: the session's annotation names, NUL-separated.
+    names_blob = "u1\x00m1\x00u2\x00Gender=F#1".encode("utf-8")
     arena = _legacy_arena_block()
     legacy = str(tmp_path / "legacy.snap")
     with open(legacy, "wb") as handle:
         handle.write(
-            blob[:8] + struct.pack("<QQQ", meta_len, names_len, len(arena))
-            + blob[32:] + arena
+            blob[:8]
+            + struct.pack("<QQQ", meta_len, len(names_blob), len(arena))
+            + blob[32:]
+            + names_blob
+            + b"\x00" * (-len(names_blob) % 8)
+            + arena
         )
-    assert serialization.load_session_snapshot(legacy) == (meta, names_blob)
+    assert serialization.load_session_snapshot(legacy) == meta
 
     restored = _run_child(_CHILD_RESTORE, legacy)
     assert restored["fingerprint"] == original["fingerprint"]

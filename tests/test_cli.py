@@ -104,6 +104,15 @@ def test_summarize_removed_sample_sharing_flag_exits_2(capsys):
     assert "--sample-sharing" in capsys.readouterr().err
 
 
+def test_summarize_removed_ir_stats_flag_exits_2(capsys):
+    """``--ir-stats`` is gone with the annotation interner it reported
+    on: argparse rejects it with a usage error."""
+    with pytest.raises(SystemExit) as exited:
+        main(["summarize", "movielens", "--ir-stats"])
+    assert exited.value.code == 2
+    assert "--ir-stats" in capsys.readouterr().err
+
+
 def test_ingest_removed_repair_flag_exits_2(capsys):
     """``--repair`` is gone (streaming repair is always on): argparse
     rejects it with a usage error."""
