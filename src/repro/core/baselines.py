@@ -21,7 +21,6 @@ similarity (Clustering) or nothing (Random).
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from ..clustering.features import (
     feature_dissimilarity,
     feature_vectors,
 )
-from ..clustering.hac import AgglomerativeClustering, Merge
+from ..clustering.hac import AgglomerativeClustering
 from ..provenance.annotations import Annotation
 from ..provenance.ddp_expression import DDPExpression
 from .candidates import enumerate_candidates

@@ -118,15 +118,29 @@ def candidate_blocks(
     """The raw candidates per domain, each block in seed-name order.
 
     Domains come in order of their smallest member name, so joining
-    the blocks gives the generation order.  Shared by
+    the blocks gives the generation order.  Domains the constraint
+    never merges (:meth:`~repro.core.constraints.MergeConstraint
+    .merges_domain`) are skipped unasked.  Shared by
     :func:`enumerate_candidates` and the cross-step
     :class:`~repro.core.pool.CandidatePool`, whose maintained blocks
     must replay exactly this order.
     """
+    return domain_blocks(
+        annotations_by_domain(expression, universe), constraint, arity
+    )
+
+
+def domain_blocks(
+    by_domain: Dict[str, List[Annotation]],
+    constraint: MergeConstraint,
+    arity: int,
+) -> Dict[str, List[Candidate]]:
+    """:func:`candidate_blocks` over the :func:`annotations_by_domain`
+    grouping ``by_domain``."""
     blocks: Dict[str, List[Candidate]] = {}
-    for domain, domain_annotations in annotations_by_domain(
-        expression, universe
-    ).items():
+    for domain, domain_annotations in by_domain.items():
+        if not constraint.merges_domain(domain):
+            continue
         block = []
         for first, second in combinations(domain_annotations, 2):
             candidate = propose_candidate(

@@ -22,11 +22,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..provenance.annotations import Annotation
 from ..taxonomy.dag import Taxonomy
-from ..taxonomy.wu_palmer import group_distance, wu_palmer_distance
+from ..taxonomy.wu_palmer import group_distance
+
+#: An attribute the annotation does not have (``None`` is a value).
+_MISSING = object()
+
+#: Value types whose equal values always print alike, so one proposal
+#: per ``(attribute, type, value)`` can be shared.  Equal values of
+#: different types (``1``, ``True``) differ in the key; floats are left
+#: out, since ``0.0 == -0.0`` prints two labels.
+_SHAREABLE = frozenset({str, int, bool, type(None)})
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,15 @@ class MergeConstraint(ABC):
         """Table 5.1-style description of the constraint."""
         return type(self).__name__
 
+    def merges_domain(self, domain: str) -> bool:
+        """Whether :meth:`propose` may accept a pair from ``domain``.
+
+        ``False`` promises that every same-domain pair is rejected, so
+        candidate enumeration and the equivalence grouping can skip the
+        domain without asking.
+        """
+        return True
+
 
 class AllowAll(MergeConstraint):
     """No semantic restriction (used by unconstrained ablations)."""
@@ -77,20 +95,41 @@ class SharedAttribute(MergeConstraint):
 
     def __init__(self, attributes: Optional[Sequence[str]] = None):
         self.attributes = tuple(attributes) if attributes is not None else None
+        #: Shared proposals by ``(attribute, value type, value)``:
+        #: proposals are frozen, and the label is all they carry.
+        self._proposals: Dict[Tuple, MergeProposal] = {}
 
     def propose(self, first: Annotation, second: Annotation) -> Optional[MergeProposal]:
-        shared = first.shared_attributes(second)
-        if self.attributes is not None:
-            shared = {
-                key: value for key, value in shared.items() if key in self.attributes
-            }
-        if not shared:
-            return None
-        order = self.attributes if self.attributes is not None else sorted(shared)
-        for attribute in order:
-            if attribute in shared:
-                return MergeProposal(label=f"{attribute}={shared[attribute]}")
+        if self.attributes is None:
+            shared = first.shared_attributes(second)
+            if not shared:
+                return None
+            attribute = min(shared)
+            return self._proposal(attribute, shared[attribute])
+        first_attributes = first.attributes
+        second_attributes = second.attributes
+        for attribute in self.attributes:
+            value = first_attributes.get(attribute, _MISSING)
+            if value is _MISSING:
+                continue
+            other = second_attributes.get(attribute, _MISSING)
+            if other is not _MISSING and other == value:
+                return self._proposal(attribute, value)
         return None
+
+    def _proposal(self, attribute: str, value: object) -> MergeProposal:
+        """The proposal labelled ``attribute=value``, shared when the
+        value's type prints equal values alike."""
+        kind = type(value)
+        if kind not in _SHAREABLE:
+            return MergeProposal(label=f"{attribute}={value}")
+        key = (attribute, kind, value)
+        proposal = self._proposals.get(key)
+        if proposal is None:
+            proposal = self._proposals[key] = MergeProposal(
+                label=f"{attribute}={value}"
+            )
+        return proposal
 
     def describe(self) -> str:
         if self.attributes is None:
@@ -120,24 +159,31 @@ class TaxonomyAncestor(MergeConstraint):
         self.taxonomy = taxonomy
         self.max_distance = max_distance
         self.tiebreak_mode = tiebreak_mode
+        #: Outcome per concept pair with a common ancestor.  Computing
+        #: the cost queries depths, which freezes the taxonomy, so a
+        #: stored outcome never goes stale.
+        self._outcomes: Dict[Tuple[str, str], Optional[MergeProposal]] = {}
 
     def propose(self, first: Annotation, second: Annotation) -> Optional[MergeProposal]:
-        if first.concept is None or second.concept is None:
+        concepts = (first.concept, second.concept)
+        outcome = self._outcomes.get(concepts, _MISSING)
+        if outcome is not _MISSING:
+            return outcome
+        if concepts[0] is None or concepts[1] is None:
             return None
-        if first.concept not in self.taxonomy or second.concept not in self.taxonomy:
+        if concepts[0] not in self.taxonomy or concepts[1] not in self.taxonomy:
             return None
-        ancestor = self.taxonomy.lca(first.concept, second.concept)
+        ancestor = self.taxonomy.lca(*concepts)
         if ancestor is None:
             return None
         cost = group_distance(
-            self.taxonomy,
-            (first.concept, second.concept),
-            ancestor,
-            mode=self.tiebreak_mode,
+            self.taxonomy, concepts, ancestor, mode=self.tiebreak_mode
         )
-        if self.max_distance is not None and cost > self.max_distance:
-            return None
-        return MergeProposal(label=ancestor, concept=ancestor, taxonomy_cost=cost)
+        proposal: Optional[MergeProposal] = None
+        if self.max_distance is None or cost <= self.max_distance:
+            proposal = MergeProposal(label=ancestor, concept=ancestor, taxonomy_cost=cost)
+        self._outcomes[concepts] = proposal
+        return proposal
 
     def describe(self) -> str:
         bound = (
@@ -194,3 +240,6 @@ class DomainConstraints(MergeConstraint):
 
     def mergeable_domains(self) -> Sequence[str]:
         return tuple(sorted(self.per_domain))
+
+    def merges_domain(self, domain: str) -> bool:
+        return domain in self.per_domain

@@ -29,9 +29,14 @@ queue's winner merged into ``S_t``, every candidate is ``S_t ∘ X``,
 and Prop 4.2.2 (the distance never falls along a merge chain) puts
 its distance at or above ``dist(S_t)`` -- the winner's own estimate --
 and at or above any estimate carried from an earlier step.  Only queue
-heads are scored until the head is fresh, so the winner is the one a
-full re-score would pick.  Ordinal
-ranks and beam search measure the whole step through
+heads are scored until no entry left can beat the best fresh one, so
+the winner is the one a full re-score would pick.  The queue lives for
+the whole run: past a merge it drops the candidates the candidate pool
+dropped, enters the pool's new ones and re-sizes only the candidates
+whose terms the merge touched; every other size moved by the merge's
+size change, which the queue keeps as one run-level offset, so a step
+costs what the merge touched rather than what the queue holds.
+Ordinal ranks and beam search measure the whole step through
 :meth:`ScoringEngine.measure` and rank it in full.
 
 Everything runs serially in the calling thread: there is no worker
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
@@ -151,14 +156,34 @@ class ScoringEngine:
         # per-step, so a stale rank bounds nothing.
         self._lazy = config.scoring == "normalized"
         self._scorer: Optional[FastStepScorer] = None
-        #: The lazy queue's carried entries, parts → ``(size,
-        #: estimate)``; the estimate is ``None`` for a candidate never
-        #: scored.  Valid only while ``_carry_expr`` tracks the scorer's
-        #: current expression through advance().
-        self._carry_store: Dict[Tuple[str, ...], tuple] = {}
-        self._carry_expr: object = None
-        self._carry_ready: bool = False
-        #: Normalized distance of the carried expression: a lower bound
+        # -- the run-long lazy queue (see :meth:`_lazy_select`) --
+        #: Live entries by candidate parts.
+        self._entries: Dict[Tuple[str, ...], _Entry] = {}
+        #: ``(key, taxonomy cost, parts, stamp)`` items; an item whose
+        #: stamp is not its entry's is dead and skipped when popped.
+        self._heap: List[tuple] = []
+        #: Name → parts of the live entries mentioning it.
+        self._by_name: Dict[str, Set[Tuple[str, ...]]] = {}
+        #: The expression the entries' sizes describe; ``None`` when
+        #: there is no queue (the next lazy step builds one).
+        self._queue_expr: object = None
+        #: ``(w_dist, w_size, original_size)`` the keys were built for.
+        self._weights: Optional[Tuple[float, float, int]] = None
+        #: Run-level size offset: an entry's size is ``base + offset``.
+        #: A merge moves every candidate it left untouched by exactly
+        #: its size change, which lands here instead of in each entry.
+        self._offset: int = 0
+        #: Names whose candidates the merges since the last step may
+        #: have re-sized (:attr:`FastStepScorer.last_touched`).
+        self._touched: Set[Optional[str]] = set()
+        #: The candidate-pool version the entries match.
+        self._synced: Optional[Tuple[object, int]] = None
+        #: Live entries never scored (still keyed by size alone).
+        self._n_unscored: int = 0
+        self._stamp: int = 0
+        #: Lazy steps measured; an entry scored in the current one is fresh.
+        self._epoch: int = 0
+        #: Normalized distance of the queue's expression: a lower bound
         #: on every candidate's fresh distance that keeps it (Prop
         #: 4.2.2).  0.0 for a fresh queue.
         self._floor: float = 0.0
@@ -266,10 +291,11 @@ class ScoringEngine:
         it, scored or not (:meth:`~repro.core.fast_distance
         .FastStepScorer.keeps_distance`).  A fresh queue's floor is 0,
         which bounds any distance with no monotonicity argument.
-        Popping the minimum, scoring it if not fresh and pushing it
-        back terminates with the true fresh argmin when the top entry
-        is fresh.  Candidates far from the top are never scored and
-        their staleness deepens harmlessly.
+        Popping the minimum and scoring it unless it is fresh ends with
+        the true fresh argmin once no key left can reach the best fresh
+        score (:meth:`_lazy_select`).  The queue lives for the whole run
+        (:meth:`_sync`): candidates far from the top are never scored
+        and their staleness deepens harmlessly.
         """
         span = _tracing.span("score_candidates")
         with span:
@@ -310,21 +336,21 @@ class ScoringEngine:
             self._invalidate_carry()
             self._note_fallback()
             return
-        # Re-link the queue's carried measurements to the new
-        # expression.  A merge whose global term-canonicalization
-        # collapsed duplicates *outside* its own neighborhood breaks the
-        # carried-size identity for every candidate (the candidate's
-        # own merge would collapse the same pair), not just for
-        # intersecting ones -- drop the whole carry and re-measure.  A
-        # merge that may lower distances leaves no carried estimate a
-        # bound.
+        # Carry the queue to the new expression.  A merge whose global
+        # term-canonicalization collapsed duplicates *outside* its own
+        # neighborhood breaks the shifted-size identity for every
+        # candidate (the candidate's own merge would collapse the same
+        # pair), not just for intersecting ones -- drop the queue and
+        # re-measure.  A merge that may lower distances leaves no
+        # carried estimate a bound.
         if (
-            self._carry_ready
-            and self._carry_expr is measured_expr
+            self._queue_expr is measured_expr
             and scorer.last_shift_local
             and keeps_distance
         ):
-            self._carry_expr = new_expression
+            self._queue_expr = new_expression
+            self._offset += scorer.last_size_shift
+            self._touched.update(scorer.last_touched)
             if pending is not None and pending[0] == parts:
                 self._floor = pending[1]
         else:
@@ -429,6 +455,16 @@ class ScoringEngine:
 
     def _fast_scorer(self, current, mapping: MappingState) -> Optional[FastStepScorer]:
         """The step's fast scorer, or ``None`` for the naive path."""
+        carried = self._scorer
+        if carried is not None and carried.current is current:
+            # Carried by advance(): a merge keeps every applicability
+            # precondition (same class, domains and combiners; values
+            # stay non-negative), so the scorer's mode still holds.  A
+            # carried sampled scorer keeps its pinned batch: stale
+            # carried measurements stay lower bounds (Prop 4.2.2 holds
+            # pointwise only over a fixed valuation set).
+            self.last_batch_reused = isinstance(carried, SampledStepScorer)
+            return carried
         mode = self._step_mode(current)
         if mode is None:
             return None
@@ -471,19 +507,7 @@ class ScoringEngine:
     def _obtain_scorer(
         self, current, mapping: MappingState, mode: str
     ) -> FastStepScorer:
-        sampled = mode == "sampled"
-        carried = self._scorer
-        if (
-            carried is not None
-            and carried.current is current
-            and isinstance(carried, SampledStepScorer) == sampled
-        ):
-            # A carried sampled scorer keeps its pinned batch: stale
-            # carried measurements stay lower bounds (Prop 4.2.2
-            # holds pointwise only over a fixed valuation set).
-            self.last_batch_reused = sampled
-            return carried
-        scorer_cls = SampledStepScorer if sampled else FastStepScorer
+        scorer_cls = SampledStepScorer if mode == "sampled" else FastStepScorer
         span = _tracing.span("scorer_build")
         with span:
             self._scorer = scorer_cls(
@@ -512,55 +536,84 @@ class ScoringEngine:
         w_size: float,
         original_size: int,
     ) -> Tuple[ScoredCandidate, int, int, int, int, int]:
-        """Pop-score-reinsert until the queue's top entry is fresh.
+        """Pop, score and re-key until no entry can beat the best.
+
+        The queue lives for the whole run (see :meth:`_sync`).  An
+        entry's key is ``w_dist · bound + w_size · base / original_size
+        − _STALE_MARGIN``, where ``base + offset`` is its exact size and
+        ``bound`` its distance bound: its last estimate (0 if never
+        scored), raised to the floor when the candidate keeps Prop
+        4.2.2 (see :meth:`measure_lazy`).  Keys leave the run-level
+        offset out, so a merge that shifts every untouched size alike
+        re-keys nothing: it adds the same ``w_size · offset /
+        original_size`` to every score, and the heap order stands.  The
+        floor is applied when an entry pops: one keyed under a lower
+        floor is re-keyed and pushed back unscored.  Every key thus
+        stays a lower bound on the candidate's fresh score minus that
+        shared term.  A popped entry is scored unless it already was
+        this step, and its exact ``(score, taxonomy cost, parts)``
+        competes for the win.  Popping stops once the next key exceeds
+        the best score less the shared term and half the margin: every
+        entry left scores above the best by at least half the margin,
+        far above any float dust of the shift.
 
         Returns the winner, the carried and rescored counts, how many
         carried sizes were recomputed, how many entries were still
         size-only when the winner popped, and how many sizes the
         one-pass computation left to the per-candidate reference.
         """
-        entries, heap, floor, sizes_recomputed, sizes_fallback = self._queue(
-            scorer, candidates, w_dist, w_size, original_size
+        sizes_recomputed, sizes_fallback = self._sync(
+            scorer, candidates, (w_dist, w_size, original_size)
         )
-        self.last_floor = floor
-        heapq.heapify(heap)
+        self.last_floor = floor = self._floor
+        self._epoch += 1
+        epoch = self._epoch
+        entries = self._entries
+        heap = self._heap
+        offset = self._offset
+        keeps = None if scorer.merges_keep_distance else scorer.keeps_distance
+        shared = w_size * offset / original_size if original_size else 0.0
+        best: Optional[_Entry] = None
+        best_rank: tuple = ()
+        cutoff = float("inf")
+        popped: List[_Entry] = []
         rescored = 0
-        while True:
-            _, index = heapq.heappop(heap)
-            if entries[index][2]:
-                best_index = index
-                break
-            candidate = candidates[index]
-            size, estimate = scorer.score(candidate.parts)
-            entries[index] = [size, estimate, True]
-            rescored += 1
+        while heap and heap[0][0] <= cutoff:
+            _, cost, parts, stamp = heapq.heappop(heap)
+            entry = entries.get(parts)
+            if entry is None or entry.stamp != stamp:
+                continue
+            if entry.scored != epoch:
+                if _bound(entry, floor, keeps) > entry.bound:
+                    self._push(entry, floor, keeps)
+                    continue
+                size, estimate = scorer.score(parts)
+                if entry.estimate is None:
+                    self._n_unscored -= 1
+                entry.estimate = estimate
+                entry.base = size - offset
+                entry.scored = epoch
+                rescored += 1
+            popped.append(entry)
+            size = entry.base + offset
             r_size = size / original_size if original_size else 0.0
-            heapq.heappush(
-                heap,
-                (
-                    (
-                        w_dist * estimate.normalized + w_size * r_size,
-                        candidate.proposal.taxonomy_cost,
-                        candidate.parts,
-                    ),
-                    index,
-                ),
-            )
+            score = w_dist * entry.estimate.normalized + w_size * r_size
+            rank = (score, cost, parts)
+            if best is None or rank < best_rank:
+                best, best_rank = entry, rank
+                cutoff = score - shared - _STALE_MARGIN / 2
+        if best is None:
+            raise RuntimeError("the lazy queue holds no candidate")
+        for entry in popped:
+            self._push(entry, floor, keeps)
 
-        self._carry_store = {
-            candidate.parts: (entry[0], entry[1])
-            for candidate, entry in zip(candidates, entries)
-        }
-        self._carry_expr = scorer.current
-        self._carry_ready = True
-        unscored = sum(1 for entry in entries if entry[1] is None)
-
-        size, estimate, _ = entries[best_index]
+        estimate = best.estimate
         r_dist = estimate.normalized
-        self._pending_floor = (candidates[best_index].parts, r_dist)
+        self._pending_floor = (best.candidate.parts, r_dist)
+        size = best.base + offset
         r_size = size / original_size if original_size else 0.0
-        best = ScoredCandidate(
-            candidate=candidates[best_index],
+        winner = ScoredCandidate(
+            candidate=best.candidate,
             expression=None,
             step_mapping={},
             size=size,
@@ -570,99 +623,154 @@ class ScoringEngine:
             score=w_dist * r_dist + w_size * r_size,
         )
         return (
-            best,
+            winner,
             len(candidates) - rescored,
             rescored,
             sizes_recomputed,
-            unscored,
+            self._n_unscored,
             sizes_fallback,
         )
 
-    def _queue(
+    def _sync(
         self,
         scorer: FastStepScorer,
         candidates: Sequence[Candidate],
-        w_dist: float,
-        w_size: float,
-        original_size: int,
-    ) -> Tuple[List[list], List[tuple], float, int, int]:
-        """The step's queue before any entry is scored.
+        weights: Tuple[float, float, int],
+    ) -> Tuple[int, int]:
+        """Bring the queue's entries to this step's candidate set.
 
-        Entries hold ``[size, estimate, fresh]``.  Sizes are always
-        exact -- a stale size could *overstate* the bound (sizes only
-        shrink along chains) and break the lower-bound invariant.  An
-        entry is keyed ``w_dist · max(r_dist, floor) + w_size · r_size
-        − _STALE_MARGIN``: ``r_dist`` is its carried estimate, 0 for a
-        candidate never scored (every candidate of a fresh queue, and
-        new pairs of a carried one), and ``floor`` is the carried
-        expression's distance, raised only for candidates that keep
-        Prop 4.2.2 (see :meth:`measure_lazy`).  A size depends on term
-        structure alone, so a carried entry whose terms the last merge
-        left untouched (:meth:`~repro.core.fast_distance
-        .FastStepScorer.size_intersects`) gets the exact
-        carried-size shift and the rest a mask-free size
-        recomputation; group overlap moves only the (stale anyway)
-        distance.  Size-only entries are carried like scored ones, so
-        later steps shift their sizes instead of recomputing them.
-        Every size the step needs -- fresh entries and recomputed
-        carried ones -- comes from one
+        A fresh queue enters every candidate.  A carried one (same
+        weights, carried by :meth:`advance` to this expression) takes
+        the pool's delta when ``candidates`` is the
+        :class:`~repro.core.pool.CandidateSet` one advance past the
+        set it matches: the dropped parts leave, the new candidates
+        enter.  Any other sequence is diffed against the entries.
+        Entries mentioning a name the merges touched are re-sized; new
+        and re-sized entries get their sizes from one
         :meth:`~repro.core.fast_distance.FastStepScorer.candidate_sizes`
-        pass.
+        call.  Every other size stays ``base + offset``: exact, because
+        the merges carried each of its terms verbatim
+        (:meth:`~repro.core.fast_distance.FastStepScorer
+        .size_intersects`).  Sizes are never left stale -- a stale size
+        could *overstate* the bound (sizes only shrink along chains).
 
-        Returns the entries, the unordered heap of ``(key, index)``,
-        the floor, how many carried sizes were recomputed and how many
+        Returns how many carried sizes were recomputed and how many
         sizes the one-pass computation left to the reference.
         """
-        live = (
-            self._carry_ready
-            and self._carry_expr is scorer.current
-            and scorer.last_affected_terms is not None
-        )
-        store = self._carry_store if live else {}
-        floor = self._floor if live else 0.0
-        shift = scorer.last_size_shift
-        entries: List[list] = []
-        sizes_recomputed = 0
-        unsized: List[int] = []
-        for index, candidate in enumerate(candidates):
-            parts = candidate.parts
-            entry = store.get(parts)
-            if entry is None:
-                entries.append([0, None, False])
-                unsized.append(index)
-            elif scorer.size_intersects(parts):
-                entries.append([0, entry[1], False])
-                unsized.append(index)
-                sizes_recomputed += 1
-            else:
-                entries.append([entry[0] + shift, entry[1], False])
-        sizes, sizes_fallback = scorer.candidate_sizes(
-            [candidates[index].parts for index in unsized]
-        )
-        for index, size in zip(unsized, sizes):
-            entries[index][0] = size
+        pool = getattr(candidates, "pool", None)
+        version = getattr(candidates, "version", None)
+        if self._queue_expr is not scorer.current or self._weights != weights:
+            self._reset_queue(scorer.current, weights)
+            removed: Sequence[Tuple[str, ...]] = ()
+            added: Sequence[Candidate] = candidates
+        elif self._synced == (pool, version):
+            removed, added = (), ()
+        elif (
+            pool is not None
+            and self._synced == (pool, candidates.base)
+            and candidates.added is not None
+        ):
+            removed, added = candidates.removed, candidates.added
+        else:
+            entries = self._entries
+            listed = {candidate.parts: candidate for candidate in candidates}
+            removed = {
+                parts
+                for parts, entry in entries.items()
+                if listed.get(parts) != entry.candidate
+            }
+            added = [
+                candidate
+                for parts, candidate in listed.items()
+                if parts not in entries or parts in removed
+            ]
+        self._synced = None if pool is None else (pool, version)
 
-        # Candidates whose merge may lower the distance keep their own
-        # bound; ``None`` when every merge keeps Prop 4.2.2.
+        entries = self._entries
+        for parts in removed:
+            self._remove(parts)
+        by_name = self._by_name
+        resized: Set[Tuple[str, ...]] = set()
+        for name in self._touched:
+            resized.update(by_name.get(name, ()))
+        self._touched = set()
+        resized_entries = [entries[parts] for parts in resized]
+        fresh = [self._add(candidate) for candidate in added]
+        if len(entries) != len(candidates):
+            raise RuntimeError("lazy queue out of step with its candidates")
+
+        sizing = fresh + resized_entries
+        sizes, sizes_fallback = scorer.candidate_sizes(
+            [entry.candidate.parts for entry in sizing]
+        )
+        offset = self._offset
+        floor = self._floor
         keeps = None if scorer.merges_keep_distance else scorer.keeps_distance
-        heap = []
-        for index, (candidate, entry) in enumerate(zip(candidates, entries)):
-            estimate = entry[1]
-            r_dist = estimate.normalized if estimate is not None else 0.0
-            if r_dist < floor and (keeps is None or keeps(candidate.parts)):
-                r_dist = floor
-            r_size = entry[0] / original_size if original_size else 0.0
-            heap.append(
-                (
-                    (
-                        w_dist * r_dist + w_size * r_size - _STALE_MARGIN,
-                        candidate.proposal.taxonomy_cost,
-                        candidate.parts,
-                    ),
-                    index,
-                )
-            )
-        return entries, heap, floor, sizes_recomputed, sizes_fallback
+        items = []
+        for entry, size in zip(sizing, sizes):
+            entry.base = size - offset
+            items.append(self._item(entry, floor, keeps))
+        heap = self._heap
+        if len(items) > len(heap):
+            heap.extend(items)
+            heapq.heapify(heap)
+        else:
+            for item in items:
+                heapq.heappush(heap, item)
+        return len(resized_entries), sizes_fallback
+
+    def _reset_queue(self, expression, weights: Tuple[float, float, int]) -> None:
+        """Start an empty queue for ``expression``."""
+        self._invalidate_carry()
+        self._queue_expr = expression
+        self._weights = weights
+
+    def _add(self, candidate: Candidate) -> "_Entry":
+        parts = candidate.parts
+        if parts in self._entries:
+            raise RuntimeError(f"candidate {parts} queued twice")
+        entry = self._entries[parts] = _Entry(candidate)
+        by_name = self._by_name
+        for name in parts:
+            holders = by_name.get(name)
+            if holders is None:
+                by_name[name] = {parts}
+            else:
+                holders.add(parts)
+        self._n_unscored += 1
+        return entry
+
+    def _remove(self, parts: Tuple[str, ...]) -> None:
+        entry = self._entries.pop(parts)
+        by_name = self._by_name
+        for name in parts:
+            holders = by_name.get(name)
+            if holders is not None:
+                holders.discard(parts)
+                if not holders:
+                    del by_name[name]
+        if entry.estimate is None:
+            self._n_unscored -= 1
+
+    def _push(self, entry: "_Entry", floor: float, keeps) -> None:
+        """Key ``entry`` under the current floor and push it."""
+        heapq.heappush(self._heap, self._item(entry, floor, keeps))
+
+    def _item(self, entry: "_Entry", floor: float, keeps) -> tuple:
+        """``entry``'s heap item under the current floor; it becomes the
+        entry's live item."""
+        parts = entry.candidate.parts
+        entry.bound = bound = _bound(entry, floor, keeps)
+        w_dist, w_size, original_size = self._weights
+        r_size = entry.base / original_size if original_size else 0.0
+        self._stamp += 1
+        entry.stamp = self._stamp
+        return (
+            w_dist * bound + w_size * r_size - _STALE_MARGIN,
+            entry.candidate.proposal.taxonomy_cost,
+            parts,
+            self._stamp,
+        )
 
     def _measure_naive(
         self,
@@ -747,8 +855,45 @@ class ScoringEngine:
             _SCORING_FALLBACKS.inc()
 
     def _invalidate_carry(self) -> None:
-        self._carry_store = {}
-        self._carry_expr = None
-        self._carry_ready = False
+        self._entries = {}
+        self._heap = []
+        self._by_name = {}
+        self._queue_expr = None
+        self._weights = None
+        self._offset = 0
+        self._touched = set()
+        self._synced = None
+        self._n_unscored = 0
         self._floor = 0.0
         self._pending_floor = None
+
+
+def _bound(entry: "_Entry", floor: float, keeps) -> float:
+    """``entry``'s distance bound: its last estimate (0 if never
+    scored), raised to ``floor`` when the candidate keeps Prop 4.2.2
+    (``keeps`` is ``None`` when every candidate does)."""
+    estimate = entry.estimate
+    bound = estimate.normalized if estimate is not None else 0.0
+    if bound < floor and (keeps is None or keeps(entry.candidate.parts)):
+        bound = floor
+    return bound
+
+
+class _Entry:
+    """One candidate in the lazy queue.
+
+    ``base + offset`` is its exact size; ``estimate`` its last measured
+    distance (``None`` if never scored), ``scored`` the lazy step that
+    measured it, ``bound`` the distance bound of its live heap item and
+    ``stamp`` that item's stamp.
+    """
+
+    __slots__ = ("candidate", "base", "estimate", "scored", "bound", "stamp")
+
+    def __init__(self, candidate: Candidate):
+        self.candidate = candidate
+        self.base = 0
+        self.estimate: Optional[DistanceEstimate] = None
+        self.scored = 0
+        self.bound = 0.0
+        self.stamp = 0

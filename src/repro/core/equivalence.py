@@ -256,7 +256,9 @@ def group_equivalent(
         for name in class_names:
             annotation = universe[name]
             by_domain.setdefault(annotation.domain, []).append(annotation)
-        for domain_annotations in by_domain.values():
+        for domain, domain_annotations in by_domain.items():
+            if not constraint.merges_domain(domain):
+                continue
             for group, proposal in constrained_groups(domain_annotations, constraint):
                 summary = universe.equivalence_summary(
                     group, label=proposal.label, concept=proposal.concept

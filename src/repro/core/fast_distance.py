@@ -71,8 +71,10 @@ everything else.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -178,22 +180,22 @@ class FastStepScorer:
         self._zero_col = array("d", bytes(8 * self.n_vals))
         # The original's columns per original group key: constants of
         # the run, read-only (see :meth:`DistanceComputer
-        # .original_columns`).  ``_image`` sends each key to its group
-        # in the current expression; ``_aligned`` holds the original in
+        # .original_columns`).  ``_preimage`` lists the original keys
+        # of each current group; ``_aligned`` holds the original in
         # current-group coordinates, colliding keys combined column by
         # column in original key order.  ``advance`` pops the merged
         # keys and appends their refold, so the dict's order is the
         # order ``_fold_orig`` combines in.
         self._orig_base = self._original_columns()
-        self._image: Dict[Optional[str], Optional[str]] = {}
-        colliding: Dict[Optional[str], List[array]] = {}
-        for key, column in self._orig_base.items():
+        self._orig_rank = {key: rank for rank, key in enumerate(self._orig_base)}
+        #: Current group → the original keys it aligns, in key order.
+        self._preimage: Dict[Optional[str], List[Optional[str]]] = {}
+        for key in self._orig_base:
             image = self.mapping.get(key, key) if key is not None else None
-            self._image[key] = image
-            colliding.setdefault(image, []).append(column)
+            self._preimage.setdefault(image, []).append(key)
         self._aligned: Dict[Optional[str], array] = {
-            image: self._combine_columns(columns)
-            for image, columns in colliding.items()
+            image: self._combine_columns(self._orig_base[key] for key in keys)
+            for image, keys in self._preimage.items()
         }
         #: Number of advance() carries since construction (telemetry).
         self.steps_carried = 0
@@ -210,7 +212,7 @@ class FastStepScorer:
         # What the most recent advance() perturbed -- the engine's
         # lazy queue uses these to decide which carried sizes shift
         # verbatim (None until the first advance):
-        #: Term indexes (new state) the merge rewrote: those mentioning
+        #: Term slots (new state) the merge rewrote: those mentioning
         #: the merged annotation or grouped under it.
         self.last_affected_terms: Optional[set] = None
         #: Expression-size change of the applied merge; a disjoint
@@ -383,72 +385,33 @@ class FastStepScorer:
         return (names, guard_names, tuple(dict.fromkeys(all_names)))
 
     def _build_terms(self) -> None:
-        """Every term's tables and dead row, from scratch."""
-        self._set_terms([(None, 1)] * len(self.current.terms), None)
-
-    def _set_terms(
-        self,
-        runs: Sequence[Tuple[Optional[int], int]],
-        old_order: Optional[Mapping],
-    ) -> None:
-        """Term tables of ``self.current``: carry runs, recompute the rest.
-
-        ``runs`` as :meth:`_carried_runs` returns them; ``old_order`` is
-        the pre-merge ``_group_order`` when anything is carried.
-        """
+        """Every term's tables and dead row, from scratch: slot ``i``
+        holds the expression's term ``i``."""
         terms = list(self.current.terms)
-        old_tables = (
-            self._term_names,
-            self._term_guard_names,
-            self._term_keys,
-        )
         tables: Tuple[list, ...] = ([], [], [])
-        words = memoryview(self._dead)
-        n_words = self._n_words
         width = self._row_bytes
         chunks: list = []
-        new_of: List[Optional[int]] = [None] * len(self._terms)
-        touched: set = set()
-        position = 0
-        for start, count in runs:
-            if start is None:
-                term = terms[position]
-                structure = self._term_structure(term)
-                for table, value in zip(tables, structure):
-                    table.append(value)
-                chunks.append(
-                    self._dead_bits(structure[0], term.guards).to_bytes(
-                        width, "little"
-                    )
-                )
-                touched.add(term.group)
-                self.mask_builds += 1
-            else:
-                stop = start + count
-                for table, old in zip(tables, old_tables):
-                    table.extend(old[start:stop])
-                chunks.append(words[start * n_words : stop * n_words])
-                new_of[start:stop] = range(position, position + count)
-            position += count
+        for term in terms:
+            structure = self._term_structure(term)
+            for table, value in zip(tables, structure):
+                table.append(value)
+            chunks.append(
+                self._dead_bits(structure[0], term.guards).to_bytes(width, "little")
+            )
+        self.mask_builds += len(terms)
         self._terms = terms
         (
             self._term_names,
             self._term_guard_names,
             self._term_keys,
         ) = tables
+        self._slots = list(range(len(terms)))
         self._dead = array("Q")
         self._dead.frombytes(b"".join(chunks))
-        self._index_terms(
-            None if old_order is None else (old_order, new_of, touched)
-        )
+        self._index_terms()
 
-    def _index_terms(self, carried: Optional[Tuple] = None) -> None:
-        """Group and annotation indexes over the current term tables.
-
-        ``carried`` -- ``(old group order, old → new term index, touched
-        groups)`` from ``advance`` -- remaps the presorted order of
-        every untouched group instead of re-sorting it.
-        """
+    def _index_terms(self) -> None:
+        """Group and annotation indexes over the current term tables."""
         group_terms: Dict[Optional[str], List[int]] = {}
         for index, term in enumerate(self._terms):
             members = group_terms.get(term.group)
@@ -466,36 +429,112 @@ class FastStepScorer:
                 else:
                     members.append(index)
         self._ann_terms = ann_terms
-        # Per-group term indexes in the order the fold consumes them:
+        # Per-group term slots in the order the fold consumes them:
         # descending value for MAX, so the fold never re-sorts the
         # same baseline group inside every candidate score; term order
         # for SUM/COUNT, whose subtraction fold must keep the original
         # association order to stay bit-identical.
+        self._group_order = group_terms
         if self._is_max:
-            terms = self._terms
-            old_order, new_of, touched = carried or ({}, (), ())
-            order: Dict[Optional[str], List[int]] = {}
-            for group, indexes in group_terms.items():
-                if carried is not None and group not in touched:
-                    # Untouched: same terms, same values, positions
-                    # shifted monotonically -- the sorted order maps.
-                    order[group] = [new_of[i] for i in old_order[group]]
-                else:
-                    order[group] = sorted(
-                        indexes, key=lambda index: -terms[index].value
-                    )
-            self._group_order: Dict[Optional[str], List[int]] = order
-        else:
-            self._group_order = group_terms
-        # Per-group ``(row indexes, values, position of term)`` arrays
-        # for the index-addressed ``group_fold``, built lazily.
+            self._group_order = {
+                group: self._max_order(indexes)
+                for group, indexes in group_terms.items()
+            }
+        # Per-group ``(row slots, values, position of slot)`` arrays for
+        # the index-addressed ``group_fold``, built lazily.
         self._group_cache: Dict[
             Optional[str], Tuple[array, array, Dict[int, int]]
         ] = {}
         # Per-name size buckets for :meth:`candidate_sizes`, built
-        # lazily, and the step's bucket ids.
+        # lazily, and the content-keyed bucket ids they use.
         self._size_info: Dict[str, Optional[Tuple]] = {}
         self._bucket_ids: Dict[Tuple, int] = {}
+
+    def _max_order(self, indexes: Sequence[int]) -> List[int]:
+        """A group's ascending term slots in descending value order
+        (ties keep term order)."""
+        terms = self._terms
+        return sorted(indexes, key=lambda index: -terms[index].value)
+
+    def _rewrite_terms(self, rewritten: AbstractSet[int], folded: Mapping) -> None:
+        """Carry the term tables past a merge, in place.
+
+        ``rewritten`` are the slots of the terms the merge renamed,
+        ``folded`` the expression positions ``apply_mapping`` folded
+        away (all of them rewritten).  A folded slot is emptied and
+        never read again; every other rewritten slot takes its renamed
+        term, recomputed.  Every other slot keeps its term, tables and
+        dead row, so only the rewritten terms' groups and names change
+        members in the indexes; every other index list, fold order,
+        fold array and size bucket carries (:meth:`advance` prunes the
+        size buckets to the names the merge left alone).
+        """
+        slots = self._slots
+        gone = {slots[position] for position in folded}
+        for position in sorted(folded, reverse=True):
+            del slots[position]
+        terms = self._terms
+        keys = self._term_keys
+        tables = (self._term_names, self._term_guard_names, keys)
+        dead = array("Q", self._dead)
+        n_words = self._n_words
+        width = self._row_bytes
+        expression_terms = self.current.terms
+        old = {}
+        fresh_groups: Dict[Optional[str], List[int]] = {}
+        fresh_names: Dict[str, List[int]] = {}
+        for slot in sorted(rewritten):
+            old[slot] = (terms[slot].group, keys[slot])
+            if slot in gone:
+                term = None
+                structure: Tuple = ((), (), ())
+                bits = 0
+            else:
+                term = expression_terms[bisect.bisect_left(slots, slot)]
+                structure = self._term_structure(term)
+                bits = self._dead_bits(structure[0], term.guards)
+                fresh_groups.setdefault(term.group, []).append(slot)
+                for name in structure[2]:
+                    fresh_names.setdefault(name, []).append(slot)
+                self.mask_builds += 1
+            terms[slot] = term
+            for table, value in zip(tables, structure):
+                table[slot] = value
+            dead[slot * n_words : (slot + 1) * n_words] = array(
+                "Q", bits.to_bytes(width, "little")
+            )
+        self._dead = dead
+
+        dirty_groups = set(fresh_groups)
+        dirty_names = set(fresh_names)
+        for group, names in old.values():
+            dirty_groups.add(group)
+            dirty_names.update(names)
+        for index, fresh, dirty in (
+            (self._group_terms, fresh_groups, dirty_groups),
+            (self._ann_terms, fresh_names, dirty_names),
+        ):
+            for key in dirty:
+                members = [
+                    slot for slot in index.get(key, ()) if slot not in rewritten
+                ]
+                members.extend(fresh.get(key, ()))
+                if members:
+                    members.sort()
+                    index[key] = members
+                else:
+                    index.pop(key, None)
+        if self._is_max:
+            order = self._group_order
+            for group in dirty_groups:
+                members = self._group_terms.get(group)
+                if members is None:
+                    order.pop(group, None)
+                else:
+                    order[group] = self._max_order(members)
+        cache = self._group_cache
+        for group in dirty_groups:
+            cache.pop(group, None)
 
     def _group_arrays(
         self, group: Optional[str]
@@ -976,6 +1015,13 @@ class FastStepScorer:
         """
         return not self._last_touched.isdisjoint(parts)
 
+    @property
+    def last_touched(self) -> FrozenSet[Optional[str]]:
+        """Names and groups of ``last_affected_terms``: a candidate
+        mentioning none of them kept its size up to
+        ``last_size_shift`` (:meth:`size_intersects`)."""
+        return self._last_touched
+
     def keeps_distance(self, parts: Sequence[str]) -> bool:
         """Whether merging ``parts`` cannot lower the distance (Prop 4.2.2).
 
@@ -1070,16 +1116,15 @@ class FastStepScorer:
             "Q", merged.to_bytes(self._row_bytes, "little")
         )
         bits_of[new_name] = merged
-        runs = self._carried_runs(parts, new_expression)
-        old_order = self._group_order
+        carried = self._carried_terms(parts, new_expression)
         self.current = new_expression
         self.mapping = new_mapping
-        if runs is None:
+        if carried is None:
             # A collapse outside the neighborhood moved carried terms:
             # rebuild every term.
             self._build_terms()
         else:
-            self._set_terms(runs, old_order)
+            self._rewrite_terms(*carried)
 
         new_unaffected_size = new_expression.size() - sum(
             self._terms[index].size()
@@ -1099,34 +1144,40 @@ class FastStepScorer:
         for index in affected_terms:
             touched_names.update(terms[index].all_annotation_names())
         self._last_touched = frozenset(touched_names)
-        refolded = self._fold_groups(
-            [
-                group
-                for group in self._group_order
-                if group in touched_groups or group not in self._baseline
-            ]
+        if carried is not None:
+            # A name's size buckets read only the terms mentioning it:
+            # those of names the merge left alone carry.
+            size_info = self._size_info
+            for name in touched_names:
+                size_info.pop(name, None)
+            for name in part_set:
+                size_info.pop(name, None)
+        # Every group the merge created or changed holds a rewritten
+        # term; a part's group is gone (renamed to ``new_name``).
+        group_terms = self._group_terms
+        baseline = self._baseline
+        for part in part_set:
+            if part not in group_terms:
+                baseline.pop(part, None)
+        baseline.update(
+            self._fold_groups(
+                [group for group in touched_groups if group in group_terms]
+            )
         )
-        carried = self._baseline
-        self._baseline = {
-            group: refolded[group] if group in refolded else carried[group]
-            for group in self._group_order
-        }
 
         # Aligned originals: refold only the keys whose image changed,
         # from the original columns in original key order.
-        changed = {
-            key for key, image in self._image.items() if image in part_set
-        }
-        for key in changed:
-            self._image[key] = new_name
+        changed: List[Optional[str]] = []
+        for part in part_set:
+            changed.extend(self._preimage.pop(part, ()))
         if changed:
+            changed.sort(key=self._orig_rank.__getitem__)
+            self._preimage[new_name] = changed
             aligned = self._aligned
             for part in part_set:
                 aligned.pop(part, None)
             aligned[new_name] = self._combine_columns(
-                column
-                for key, column in self._orig_base.items()
-                if key in changed
+                self._orig_base[key] for key in changed
             )
 
         refresh = set(touched_groups)
@@ -1134,22 +1185,21 @@ class FastStepScorer:
         self._refresh_contributions(part_set, refresh)
         self.steps_carried += 1
 
-    def _carried_runs(
+    def _carried_terms(
         self,
         parts: Sequence[str],
         new_expression: TensorSum,
-    ) -> Optional[List[Tuple[Optional[int], int]]]:
-        """Where each new term comes from, as runs over the old terms.
+    ) -> Optional[Tuple[set, Mapping[int, int]]]:
+        """Which slots the merge rewrites, and which positions it folds.
 
         ``apply_mapping`` keeps term order and folds a collapsed term
-        into its first occurrence, recording which source terms folded
-        (:attr:`~repro.provenance.tensor_sum.TensorSum.folded`), so the
-        new terms are the old ones in order, minus the folded ones.
-        Returns ``(old start, count)`` runs of carried terms and
-        ``(None, 1)`` for each rewritten term to recompute, or ``None``
-        when a fold involves a term the merge did not rewrite (a
-        collapse outside its neighborhood) or the expression records no
-        folds.
+        into its first occurrence, recording which source positions
+        folded (:attr:`~repro.provenance.tensor_sum.TensorSum.folded`),
+        so the new terms are the old ones in order, minus the folded
+        ones.  Returns the rewritten slots (terms mentioning a part or
+        grouped under one) and the folded positions, or ``None`` when a
+        fold involves a term the merge did not rewrite (a collapse
+        outside its neighborhood) or the expression records no folds.
         """
         folded = new_expression.folded
         if folded is None:
@@ -1158,24 +1208,10 @@ class FastStepScorer:
         for name in parts:
             rewritten.update(self._ann_terms.get(name, ()))
             rewritten.update(self._group_terms.get(name, ()))
+        slots = self._slots
         for index, first in folded.items():
-            if index not in rewritten or first not in rewritten:
+            if slots[index] not in rewritten or slots[first] not in rewritten:
                 return None
-        runs: List[Tuple[Optional[int], int]] = []
-        start = 0
-        n_new = 0
-        for index in sorted(rewritten):
-            if index > start:
-                runs.append((start, index - start))
-                n_new += index - start
-            if index not in folded:
-                runs.append((None, 1))
-                n_new += 1
-            start = index + 1
-        n_old = len(self._terms)
-        if start < n_old:
-            runs.append((start, n_old - start))
-            n_new += n_old - start
-        if n_new != len(new_expression.terms):
+        if len(slots) - len(folded) != len(new_expression.terms):
             return None
-        return runs
+        return rewritten, folded

@@ -97,6 +97,11 @@ class _FrozenAttrs(Mapping[str, object]):
     def __getitem__(self, key: str) -> object:
         return self._data[key]
 
+    def get(self, key: str, default: object = None) -> object:
+        # Direct: ``Mapping.get`` goes through ``__getitem__`` and a
+        # ``KeyError`` for every missing key.
+        return self._data.get(key, default)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._data)
 

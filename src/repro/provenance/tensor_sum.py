@@ -29,7 +29,7 @@ Two evaluation paths exist:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Callable,
@@ -145,6 +145,8 @@ class Term:
         return tuple(names)
 
     def size(self) -> int:
+        if not self.guards:
+            return len(self.annotations)
         return len(self.annotations) + sum(guard.size() for guard in self.guards)
 
     def alive(self, false_annotations: AbstractSet[str]) -> bool:
@@ -295,9 +297,12 @@ class TensorSum:
                     if (
                         keys.isdisjoint(term.annotations)
                         and (group is None or (group and group not in keys))
-                        and all(
-                            keys.isdisjoint(guard.annotations)
-                            for guard in term.guards
+                        and (
+                            not term.guards
+                            or all(
+                                keys.isdisjoint(guard.annotations)
+                                for guard in term.guards
+                            )
                         )
                     ):
                         terms.append(term)

@@ -267,15 +267,27 @@ class ProxSession:
         """The groups the algorithm chose to map together (Figure 7.5)."""
         result = self._require_result()
         universe = result.universe
+        summary_groups = result.summary_groups()
+        expression = result.summary_expression
+        # One pass each: the finalized aggregate per group, in vector
+        # order, and the groups of the terms naming each summary.
+        finalized = {
+            group: aggregate.finalized_value()
+            for group, aggregate in expression.full_vector().items()
+        }
+        rank = {group: position for position, group in enumerate(finalized)}
+        groups_of: Dict[str, set] = {name: set() for name in summary_groups}
+        for term in expression.terms:
+            for name in term.annotations:
+                groups = groups_of.get(name)
+                if groups is not None:
+                    groups.add(term.group)
         views: List[GroupView] = []
-        for name, members in sorted(result.summary_groups().items()):
+        for name, members in sorted(summary_groups.items()):
             annotation = universe[name]
             aggregated: Dict[str, float] = {}
-            for group, aggregate in result.summary_expression.full_vector().items():
-                for term in result.summary_expression.terms:
-                    if term.group == group and name in term.annotations:
-                        aggregated[str(group)] = aggregate.finalized_value()
-                        break
+            for group in sorted(groups_of[name], key=rank.__getitem__):
+                aggregated[str(group)] = finalized[group]
             views.append(
                 GroupView(
                     annotation=name,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ..core.combiners import DomainCombiners
 from ..core.problem import SummarizationConfig, SummarizationProblem, check_field
 from ..core.streaming import (
     ProvenanceDelta,

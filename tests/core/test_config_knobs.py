@@ -1,7 +1,5 @@
 """Less-travelled configuration knobs of the summarizer."""
 
-import pytest
-
 from repro.core import (
     DistanceComputer,
     DomainCombiners,

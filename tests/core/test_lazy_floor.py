@@ -113,6 +113,19 @@ def _merge(problem, current, mapping, parts):
     return summary.name, current.apply_mapping(step), mapping.compose(step)
 
 
+def queue_keys(engine, scorer, candidates, w_dist, w_size, original_size):
+    """The lazy queue's key per candidate, brought to ``candidates``:
+    each live heap item's key plus the size term every entry shares
+    (``w_size · offset / original_size``, left out of the keys)."""
+    engine._sync(scorer, candidates, (w_dist, w_size, original_size))
+    shared = w_size * engine._offset / original_size
+    return {
+        parts: key + shared
+        for key, _, parts, stamp in engine._heap
+        if parts in engine._entries and engine._entries[parts].stamp == stamp
+    }
+
+
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
 @pytest.mark.parametrize("monoid", sorted(MONOIDS))
 @pytest.mark.parametrize("shape", SHAPES)
@@ -126,10 +139,11 @@ def _merge(problem, current, mapping, parts):
 def test_floored_keys_never_exceed_fresh_scores(
     shape, monoid, sampled, seed, val_func, w_dist, chain
 ):
-    """At every step of a merge chain, each queue key is at most the
-    candidate's fresh score.  ``chain[t]`` says whether step ``t``
-    applies the queue's winner (which moves the floor) or a random
-    candidate (which leaves it)."""
+    """At every step of a merge chain, each queue key (plus the size
+    term the queue's entries share) is at most the candidate's fresh
+    score.  ``chain[t]`` says whether step ``t`` applies the queue's
+    winner (which moves the floor) or a random candidate (which leaves
+    it)."""
     problem = _problem(shape, seed, MONOIDS[monoid], VAL_FUNCS[val_func])
     config = SummarizationConfig(
         max_enumerate=0 if sampled else 512, distance_samples=BATCH
@@ -162,13 +176,13 @@ def test_floored_keys_never_exceed_fresh_scores(
         if not candidates:
             break
         scorer = engine._fast_scorer(current, mapping)
-        _, heap, floor, _, _ = engine._queue(
-            scorer, candidates, w_dist, w_size, original_size
-        )
-        for key, index in heap:
-            size, estimate = scorer.score(candidates[index].parts)
+        keys = queue_keys(engine, scorer, candidates, w_dist, w_size, original_size)
+        floor = engine._floor
+        assert sorted(keys) == sorted(candidate.parts for candidate in candidates)
+        for parts, key in keys.items():
+            size, estimate = scorer.score(parts)
             fresh = w_dist * estimate.normalized + w_size * size / original_size
-            assert key[0] <= fresh, (candidates[index].parts, floor, key, fresh)
+            assert key <= fresh, (parts, floor, key, fresh)
         best, _ = engine.measure_lazy(
             candidates, current, mapping, w_dist, w_size, original_size
         )
@@ -276,7 +290,7 @@ def test_negated_guard_can_lower_the_distance():
         engine.advance(parts, new_name, current, mapping)
         distances.append(computer.exact(current, mapping).value)
     assert distances == [0.0, 2.0, 0.5]
-    assert engine._carry_store == {}
+    assert engine._entries == {}
 
 
 @pytest.mark.parametrize("val_func", sorted(VAL_FUNCS))

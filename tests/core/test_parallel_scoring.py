@@ -1051,39 +1051,30 @@ def test_lazy_stale_scores_are_lower_bounds():
 def size_carry_spy(monkeypatch):
     """Spies on the lazy queue's size bookkeeping.
 
-    Every carried size the queue shifts (``old + last_size_shift``) is
-    checked against a fresh :meth:`FastStepScorer.candidate_size`
-    on the spot, and every step's reported ``sizes_recomputed`` against
-    the predicate's own verdicts.  Yields the running counts of shifted
-    and recomputed carried sizes.
+    After every lazy step each queue entry's size (its base plus the
+    run's offset) is checked against a fresh
+    :meth:`FastStepScorer.candidate_size`, and the step's reported
+    ``sizes_recomputed`` against the scorer's own verdicts
+    (:meth:`FastStepScorer.size_intersects`) on the entries carried
+    from the step before.  Yields the running counts of shifted and
+    recomputed carried sizes.
     """
     counts = {"shifted": 0, "recomputed": 0}
-    selecting = []
     original_select = ScoringEngine._lazy_select
-    original_intersects = FastStepScorer.size_intersects
 
-    def spy_select(self, *args, **kwargs):
-        before = counts["recomputed"]
-        selecting.append(self)
-        try:
-            outcome = original_select(self, *args, **kwargs)
-        finally:
-            selecting.pop()
-        assert outcome[3] == counts["recomputed"] - before
+    def spy_select(self, scorer, candidates, *args, **kwargs):
+        carried = self._entries if self._queue_expr is scorer.current else {}
+        survivors = [c.parts for c in candidates if c.parts in carried]
+        moved = sum(1 for parts in survivors if scorer.size_intersects(parts))
+        outcome = original_select(self, scorer, candidates, *args, **kwargs)
+        assert outcome[3] == moved
+        counts["recomputed"] += moved
+        counts["shifted"] += len(survivors) - moved
+        for parts, entry in self._entries.items():
+            assert entry.base + self._offset == scorer.candidate_size(parts), parts
         return outcome
 
-    def spy_intersects(self, parts):
-        moved = original_intersects(self, parts)
-        if moved:
-            counts["recomputed"] += 1
-        else:
-            carried = selecting[-1]._carry_store[parts][0] + self.last_size_shift
-            assert carried == self.candidate_size(parts), parts
-            counts["shifted"] += 1
-        return moved
-
     monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)
-    monkeypatch.setattr(FastStepScorer, "size_intersects", spy_intersects)
     return counts
 
 

@@ -399,24 +399,27 @@ def test_score_candidates_spans_explain_size_carry(
     (the last merge touched their terms) instead of shifting them.
     Wikipedia merges group keys, so some steps do recompute."""
     from repro.core.engine import ScoringEngine
-    from repro.core.fast_distance import FastStepScorer
     from repro.datasets import WikipediaConfig, generate_wikipedia
 
     per_step = []
     original_measure = ScoringEngine.measure_lazy
-    original_intersects = FastStepScorer.size_intersects
 
-    def spy_measure(self, *args, **kwargs):
-        per_step.append(0)
-        return original_measure(self, *args, **kwargs)
-
-    def spy_intersects(self, parts):
-        moved = original_intersects(self, parts)
-        per_step[-1] += moved
-        return moved
+    def spy_measure(self, candidates, current, *args, **kwargs):
+        # The carried entries whose terms the last merge touched, by
+        # the scorer's own verdict.
+        scorer = self._scorer
+        carried = self._entries if self._queue_expr is current else {}
+        per_step.append(
+            sum(
+                1
+                for candidate in candidates
+                if candidate.parts in carried
+                and scorer.size_intersects(candidate.parts)
+            )
+        )
+        return original_measure(self, candidates, current, *args, **kwargs)
 
     monkeypatch.setattr(ScoringEngine, "measure_lazy", spy_measure)
-    monkeypatch.setattr(FastStepScorer, "size_intersects", spy_intersects)
     tracing.set_enabled(True)
     tracing.take_trace()
     problem = generate_wikipedia(

@@ -116,6 +116,53 @@ class TestSession:
         assert original.evaluation_time_ns > 0
         assert summary.evaluation_time_ns > 0
 
+    def test_groups_view_matches_the_per_annotation_scan(self, instance):
+        """The one-pass groups view equals, content and dict order, the
+        scan it replaced: per summary annotation, every group of the
+        full vector that holds a term naming it."""
+
+        def reference(result):
+            views = []
+            for name, members in sorted(result.summary_groups().items()):
+                aggregated = {}
+                vector = result.summary_expression.full_vector()
+                for group, aggregate in vector.items():
+                    for term in result.summary_expression.terms:
+                        if term.group == group and name in term.annotations:
+                            aggregated[str(group)] = aggregate.finalized_value()
+                            break
+                views.append(
+                    (
+                        name,
+                        len(members),
+                        members,
+                        list(result.universe[name].attributes.items()),
+                        list(aggregated.items()),
+                    )
+                )
+            return views
+
+        session = ProxSession(instance)
+        seen = 0
+        for count, steps in ((4, 4), (8, 9), (2, 3)):
+            session.select_titles(session.titles()[:count])
+            result = session.summarize(
+                SummarizationRequest(distance_weight=0.5, number_of_steps=steps)
+            )
+            got = [
+                (
+                    view.annotation,
+                    view.size,
+                    view.members,
+                    list(view.shared_attributes.items()),
+                    list(view.aggregated.items()),
+                )
+                for view in session.groups_view()
+            ]
+            assert got == reference(result)
+            seen += sum(len(view[4]) for view in got)
+        assert seen > 0
+
     def test_view_ordering_enforced(self, instance):
         session = ProxSession(instance)
         with pytest.raises(RuntimeError, match="select provenance first"):
