@@ -10,13 +10,17 @@ re-summarizing after every delta.  Two schedules run:
   previous run's labels stay a positional prefix of the next run's).
   The headline number is the repair-vs-recompute speedup over the
   whole 10-delta schedule: the repair arm repairs every
-  re-summarization's equivalence partition and seeds its candidate
-  pool from the previous run; the recompute arm drops the session's
-  repair state (``SummarizationService.reset_repair``) before every
-  summarize, so both are recomputed from scratch.  Step 0 is scored the same way in both (the lazy queue
-  enters every candidate by its exact size), and both produce
-  bit-identical summaries (asserted here and in
-  ``tests/core/test_streaming_repair.py``).
+  re-summarization's equivalence partition and carries the previous
+  run's step-0 candidate pool and lazy-queue sizes across the delta,
+  editing both for the delta's names; the recompute arm drops the
+  session's repair state (``SummarizationService.reset_repair``)
+  before every summarize, so it enumerates every candidate and sizes
+  every one at step 0.  The ``sized`` columns count the candidate
+  sizes step 0 computed over the schedule in each arm, which shows
+  that the carry engages.  Both arms produce bit-identical summaries:
+  the same terms, the same merged parts at every step, the same final
+  size and the same ``repr`` of the final distance (asserted here and
+  in ``tests/core/test_streaming_repair.py``).
 * ``classmerge`` -- the adversarial variant: spam-flag deltas extend
   valuation false sets, merging previously-distinct equivalence
   classes, so carried pool entries mentioning the replaced summary
@@ -94,7 +98,8 @@ def build(users, movies, deltas, spam_every):
 
 
 def run_schedule(users, movies, steps, deltas, spam_every, repair):
-    """One full streaming loop; returns timings, counters and summaries.
+    """One full streaming loop; returns the time, the invalidated
+    count, the step-0 sizes computed and each run's answer.
 
     The clock covers ingest + re-summarization over the whole schedule
     -- the latency a live session actually observes per arriving delta.
@@ -106,6 +111,7 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
     session.select_titles(list(session.titles()))
     session.summarize(request)
     invalidated = 0
+    sized = 0
     summaries = []
     started = time.process_time()
     for delta in schedule:
@@ -114,9 +120,23 @@ def run_schedule(users, movies, steps, deltas, spam_every, repair):
             session.summarization.reset_repair()
         result = session.summarize(request)
         invalidated += result.repair_invalidated
-        summaries.append(tuple(result.summary_expression.terms))
+        if result.steps:
+            sized += max(result.steps[0].n_sized, 0)
+        summaries.append(answer(result))
     elapsed = time.process_time() - started
-    return elapsed, invalidated, summaries
+    return elapsed, invalidated, sized, summaries
+
+
+def answer(result):
+    """Everything a run must reproduce: the summary's terms, the parts
+    merged at each step, the final size and the ``repr`` of the final
+    distance (the perfbench fingerprint)."""
+    return (
+        tuple(result.summary_expression.terms),
+        [record.merged for record in result.steps],
+        result.final_size,
+        repr(result.final_distance.normalized),
+    )
 
 
 def ingest_throughput(users, movies, deltas, spam_every, trials):
@@ -141,13 +161,13 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
     recompute_best = None
     invalidated = 0
     for _ in range(trials):
-        elapsed, inval, repaired = run_schedule(
+        elapsed, inval, repair_sized, repaired = run_schedule(
             users, movies, steps, deltas, spam_every, True
         )
         if repair_best is None or elapsed < repair_best:
             repair_best = elapsed
             invalidated = inval
-        elapsed, _, recomputed = run_schedule(
+        elapsed, _, recompute_sized, recomputed = run_schedule(
             users, movies, steps, deltas, spam_every, False
         )
         if recompute_best is None or elapsed < recompute_best:
@@ -164,6 +184,8 @@ def bench_schedule(label, users, movies, steps, deltas, spam_every, trials):
         "recompute_seconds": recompute_best,
         "speedup": recompute_best / repair_best if repair_best else None,
         "invalidated": invalidated,
+        "repair_step0_sized": repair_sized,
+        "recompute_step0_sized": recompute_sized,
         "ingest_deltas_per_second": ingest_throughput(
             users, movies, deltas, spam_every, trials
         ),
@@ -205,16 +227,21 @@ def main(argv=None) -> int:
         f"steps={steps} deltas={deltas} trials={trials} cores={os.cpu_count()}",
         "",
         f"{'schedule':<11} {'repair':>8} {'recomp':>8} {'speedup':>8} "
-        f"{'invalidated':>12} {'ingest/s':>9}",
+        f"{'invalidated':>12} {'sized':>7} {'(recomp)':>8} {'ingest/s':>9}",
     ]
     for row in rows:
         lines.append(
             f"{row['schedule']:<11} {row['repair_seconds']:>7.2f}s "
             f"{row['recompute_seconds']:>7.2f}s {row['speedup']:>7.2f}x "
             f"{row['invalidated']:>12} "
+            f"{row['repair_step0_sized']:>7} {row['recompute_step0_sized']:>8} "
             f"{row['ingest_deltas_per_second']:>9.0f}"
         )
     lines.append("")
+    lines.append(
+        "sized: candidate sizes step 0 computed over the schedule "
+        "(repair arm, recompute arm)"
+    )
     lines.append("repaired and recomputed summaries identical on every schedule")
     body = "\n".join(lines)
     print(body)

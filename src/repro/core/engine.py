@@ -35,7 +35,12 @@ the whole run: past a merge it drops the candidates the candidate pool
 dropped, enters the pool's new ones and re-sizes only the candidates
 whose terms the merge touched; every other size moved by the merge's
 size change, which the queue keeps as one run-level offset, so a step
-costs what the merge touched rather than what the queue holds.
+costs what the merge touched rather than what the queue holds.  An
+entry keyed by its size alone is a heap item, not an object, and
+its order holds no weight, so a run's step-0 queue
+(:meth:`ScoringEngine.snapshot`) is carried across a streaming delta
+to the next run (:meth:`ScoringEngine.resume`) the same way a merge
+carries it: the delta's changed terms name the sizes to recompute.
 Ordinal ranks and beam search measure the whole step through
 :meth:`ScoringEngine.measure` and rank it in full.
 
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
@@ -157,29 +162,42 @@ class ScoringEngine:
         self._lazy = config.scoring == "normalized"
         self._scorer: Optional[FastStepScorer] = None
         # -- the run-long lazy queue (see :meth:`_lazy_select`) --
-        #: Live entries by candidate parts.
+        #: Base size of every live candidate (``base + offset`` is its
+        #: exact size).
+        self._sizes: Dict[Tuple[str, ...], int] = {}
+        #: ``(base, taxonomy cost, parts)`` items of the live candidates
+        #: keyed by size alone (no entry object): their key is the
+        #: size term, so the base orders them under any weights.  An
+        #: item is dead once its parts left, were re-sized or got an
+        #: entry.
+        self._sized: List[tuple] = []
+        #: Entries keyed beyond their size (scored, or raised to the
+        #: floor), by candidate parts.
         self._entries: Dict[Tuple[str, ...], _Entry] = {}
-        #: ``(key, taxonomy cost, parts, stamp)`` items; an item whose
-        #: stamp is not its entry's is dead and skipped when popped.
+        #: ``(key, taxonomy cost, parts, stamp)`` items of ``_entries``;
+        #: an item whose stamp is not its entry's is dead.
         self._heap: List[tuple] = []
-        #: Name → parts of the live entries mentioning it.
-        self._by_name: Dict[str, Set[Tuple[str, ...]]] = {}
-        #: The expression the entries' sizes describe; ``None`` when
-        #: there is no queue (the next lazy step builds one).
+        #: Parts → candidate of the live set (the pool's lookup, or the
+        #: step's list).
+        self._candidate_of = None
+        #: The expression the sizes describe; ``None`` when there is no
+        #: queue (the next lazy step builds one).
         self._queue_expr: object = None
-        #: ``(w_dist, w_size, original_size)`` the keys were built for.
+        #: ``(w_dist, w_size, original_size)`` the entries' keys were
+        #: built for (size-only items hold none of them).
         self._weights: Optional[Tuple[float, float, int]] = None
         #: Run-level size offset: an entry's size is ``base + offset``.
         #: A merge moves every candidate it left untouched by exactly
         #: its size change, which lands here instead of in each entry.
         self._offset: int = 0
-        #: Names whose candidates the merges since the last step may
-        #: have re-sized (:attr:`FastStepScorer.last_touched`).
+        #: Names whose candidates the merges (or the delta) since the
+        #: last step may have re-sized (:attr:`FastStepScorer
+        #: .last_touched`).
         self._touched: Set[Optional[str]] = set()
         #: The candidate-pool version the entries match.
         self._synced: Optional[Tuple[object, int]] = None
-        #: Live entries never scored (still keyed by size alone).
-        self._n_unscored: int = 0
+        #: Live entries with an estimate.
+        self._n_scored: int = 0
         self._stamp: int = 0
         #: Lazy steps measured; an entry scored in the current one is fresh.
         self._epoch: int = 0
@@ -211,6 +229,10 @@ class ScoringEngine:
         #: recomputed because the last merge touched their terms; every
         #: other carried size was shifted by the merge's size change.
         self.last_sizes_recomputed: int = 0
+        #: Candidate sizes the most recent lazy step computed: its new
+        #: candidates plus the re-sized carried ones (-1 when the step
+        #: ran no lazy queue).
+        self.last_sized: int = -1
         #: Queue entries of the most recent step still keyed by size
         #: alone when the winner popped: not scored since the queue
         #: last started fresh.
@@ -356,6 +378,56 @@ class ScoringEngine:
         else:
             self._invalidate_carry()
 
+    def snapshot(self, candidates: Sequence[Candidate]) -> Optional["QueueState"]:
+        """The queue's sizes as a size-only carry, taken right after
+        the step that measured ``candidates`` (a pool set).
+
+        Copies the size map and the size-only heap at C level and puts
+        back the few entries the step scored, by size alone: the copy
+        is what the next run's step 0 would build fresh, with every
+        estimate dropped.  ``None`` when the queue is not synced to
+        ``candidates``.
+        """
+        pool = getattr(candidates, "pool", None)
+        if (
+            pool is None
+            or self._queue_expr is None
+            or self._synced != (pool, candidates.version)
+        ):
+            return None
+        sized = list(self._sized)
+        for parts, entry in self._entries.items():
+            heapq.heappush(
+                sized, (entry.base, entry.candidate.proposal.taxonomy_cost, parts)
+            )
+        return QueueState(dict(self._sizes), sized, self._offset, self._synced)
+
+    def resume(
+        self, carried: "QueueState", old_expression, new_expression
+    ) -> None:
+        """Adopt a step-0 queue left on ``old_expression`` for
+        ``new_expression``, its extension by a streaming delta.
+
+        A candidate's size reads the expression's size and the terms it
+        touches -- those mentioning a part or grouped under one
+        (:meth:`~repro.core.fast_distance.FastStepScorer
+        .candidate_sizes`).  When none of those terms changed, its size
+        moved by exactly the expression's size change: the uniform
+        shift a merge carries, kept in the offset.  The terms one
+        expression has and the other lacks, compared by structure,
+        name all the rest: their names and groups are the touched names
+        the next :meth:`_sync` re-sizes, with the candidates the pool's
+        ingest added.  The carry is consumed: the queue edits it.
+        """
+        touched, shift = _changed_terms(old_expression, new_expression)
+        self._invalidate_carry()
+        self._sizes = carried.sizes
+        self._sized = carried.sized
+        self._offset = carried.offset + shift
+        self._synced = carried.synced
+        self._queue_expr = new_expression
+        self._touched = touched
+
     # -- internals ---------------------------------------------------------------
 
     def _measure(
@@ -421,6 +493,7 @@ class ScoringEngine:
                 self._scorer = None
                 self._invalidate_carry()
                 self._note_fallback()
+                self.last_sized = -1
             else:
                 self.last_carried = carried
                 self.last_rescored = rescored
@@ -447,6 +520,7 @@ class ScoringEngine:
         self.last_carried = 0
         self.last_rescored = len(candidates)
         self.last_sizes_recomputed = 0
+        self.last_sized = -1
         self.last_unscored = 0
         self.last_sizes_fallback = 0
         self.last_floor = 0.0
@@ -517,7 +591,11 @@ class ScoringEngine:
                 span.set("n_vals", self._scorer.n_vals)
                 span.set("n_keys", self._scorer.n_keys)
                 span.set("nonzero_keys", self._scorer.nonzero_keys)
-        self._invalidate_carry()
+        # Sizes belong to the expression, not to the scorer: a queue
+        # keyed by size alone (a fresh or carried step 0) stays, while
+        # estimates came from the scorer being replaced.
+        if self._entries:
+            self._invalidate_carry()
         return self._scorer
 
     def _note_fast_step(self, scorer: FastStepScorer) -> None:
@@ -543,23 +621,26 @@ class ScoringEngine:
         − _STALE_MARGIN``, where ``base + offset`` is its exact size and
         ``bound`` its distance bound: its last estimate (0 if never
         scored), raised to the floor when the candidate keeps Prop
-        4.2.2 (see :meth:`measure_lazy`).  Keys leave the run-level
-        offset out, so a merge that shifts every untouched size alike
-        re-keys nothing: it adds the same ``w_size · offset /
-        original_size`` to every score, and the heap order stands.  The
-        floor is applied when an entry pops: one keyed under a lower
-        floor is re-keyed and pushed back unscored.  Every key thus
-        stays a lower bound on the candidate's fresh score minus that
-        shared term.  A popped entry is scored unless it already was
-        this step, and its exact ``(score, taxonomy cost, parts)``
-        competes for the win.  Popping stops once the next key exceeds
-        the best score less the shared term and half the margin: every
-        entry left scores above the best by at least half the margin,
-        far above any float dust of the shift.
+        4.2.2 (see :meth:`measure_lazy`).  A candidate never scored nor
+        re-keyed is a size-only item whose bound is 0; its key is
+        computed from its base when it reaches the top, and popping it
+        makes it an entry.  Keys leave the run-level offset out, so a
+        merge that shifts every untouched size alike re-keys nothing:
+        it adds the same ``w_size · offset / original_size`` to every
+        score, and the heap order stands.  The floor is applied when an
+        entry pops: one keyed under a lower floor is re-keyed and pushed
+        back unscored.  Every key thus stays a lower bound on the
+        candidate's fresh score minus that shared term.  A popped entry
+        is scored unless it already was this step, and its exact
+        ``(score, taxonomy cost, parts)`` competes for the win.  Popping
+        stops once the next key exceeds the best score less the shared
+        term and half the margin: every entry left scores above the
+        best by at least half the margin, far above any float dust of
+        the shift.
 
         Returns the winner, the carried and rescored counts, how many
         carried sizes were recomputed, how many entries were still
-        size-only when the winner popped, and how many sizes the
+        unscored when the winner popped, and how many sizes the
         one-pass computation left to the per-candidate reference.
         """
         sizes_recomputed, sizes_fallback = self._sync(
@@ -568,8 +649,11 @@ class ScoringEngine:
         self.last_floor = floor = self._floor
         self._epoch += 1
         epoch = self._epoch
+        sizes = self._sizes
         entries = self._entries
         heap = self._heap
+        sized = self._sized
+        candidate_of = self._candidate_of
         offset = self._offset
         keeps = None if scorer.merges_keep_distance else scorer.keeps_distance
         shared = w_size * offset / original_size if original_size else 0.0
@@ -578,20 +662,36 @@ class ScoringEngine:
         cutoff = float("inf")
         popped: List[_Entry] = []
         rescored = 0
-        while heap and heap[0][0] <= cutoff:
-            _, cost, parts, stamp = heapq.heappop(heap)
-            entry = entries.get(parts)
-            if entry is None or entry.stamp != stamp:
-                continue
+        while sized or heap:
+            if sized:
+                base, cost, parts = sized[0]
+                key = _size_key(w_size, base, original_size)
+                from_sized = not heap or (key, cost, parts) < heap[0][:3]
+            else:
+                from_sized = False
+            if from_sized:
+                if key > cutoff:
+                    break
+                heapq.heappop(sized)
+                if parts in entries or sizes.get(parts) != base:
+                    continue
+                entry = entries[parts] = _Entry(candidate_of(parts), base)
+            else:
+                if heap[0][0] > cutoff:
+                    break
+                _, cost, parts, stamp = heapq.heappop(heap)
+                entry = entries.get(parts)
+                if entry is None or entry.stamp != stamp:
+                    continue
             if entry.scored != epoch:
                 if _bound(entry, floor, keeps) > entry.bound:
                     self._push(entry, floor, keeps)
                     continue
                 size, estimate = scorer.score(parts)
                 if entry.estimate is None:
-                    self._n_unscored -= 1
+                    self._n_scored += 1
                 entry.estimate = estimate
-                entry.base = size - offset
+                entry.base = sizes[parts] = size - offset
                 entry.scored = epoch
                 rescored += 1
             popped.append(entry)
@@ -627,7 +727,7 @@ class ScoringEngine:
             len(candidates) - rescored,
             rescored,
             sizes_recomputed,
-            self._n_unscored,
+            len(sizes) - self._n_scored,
             sizes_fallback,
         )
 
@@ -639,118 +739,168 @@ class ScoringEngine:
     ) -> Tuple[int, int]:
         """Bring the queue's entries to this step's candidate set.
 
-        A fresh queue enters every candidate.  A carried one (same
-        weights, carried by :meth:`advance` to this expression) takes
-        the pool's delta when ``candidates`` is the
-        :class:`~repro.core.pool.CandidateSet` one advance past the
-        set it matches: the dropped parts leave, the new candidates
-        enter.  Any other sequence is diffed against the entries.
-        Entries mentioning a name the merges touched are re-sized; new
-        and re-sized entries get their sizes from one
+        A fresh queue enters every candidate.  A carried one (carried
+        by :meth:`advance` or :meth:`resume` to this expression) takes
+        the pool's change when ``candidates`` is the
+        :class:`~repro.core.pool.CandidateSet` one advance or ingest
+        past the set it matches: the dropped parts leave, the new
+        candidates enter.  Any other sequence is diffed against the
+        entries.  Entries mentioning a name the merges touched (found
+        through the pool's name index for a pair pool) are re-sized;
+        new and re-sized entries get their sizes from one
         :meth:`~repro.core.fast_distance.FastStepScorer.candidate_sizes`
         call.  Every other size stays ``base + offset``: exact, because
         the merges carried each of its terms verbatim
         (:meth:`~repro.core.fast_distance.FastStepScorer
         .size_intersects`).  Sizes are never left stale -- a stale size
         could *overstate* the bound (sizes only shrink along chains).
+        Size-only items hold no weight, so only scored or re-keyed
+        entries restart the queue under new weights.
 
         Returns how many carried sizes were recomputed and how many
         sizes the one-pass computation left to the reference.
         """
         pool = getattr(candidates, "pool", None)
         version = getattr(candidates, "version", None)
-        if self._queue_expr is not scorer.current or self._weights != weights:
-            self._reset_queue(scorer.current, weights)
-            removed: Sequence[Tuple[str, ...]] = ()
-            added: Sequence[Candidate] = candidates
+        paired = pool is not None and pool.arity == 2
+        entries = self._entries
+        sizes = self._sizes
+        listed: Optional[Dict[Tuple[str, ...], Candidate]] = None
+        diffed = False
+        removed: Sequence[Tuple[str, ...]] = ()
+        added: Sequence[Candidate] = ()
+        if self._queue_expr is not scorer.current or (
+            entries and self._weights != weights
+        ):
+            self._reset_queue(scorer.current)
+            entries = self._entries
+            sizes = self._sizes
+            added = candidates
         elif self._synced == (pool, version):
-            removed, added = (), ()
+            pass
         elif (
-            pool is not None
-            and self._synced == (pool, candidates.base)
+            paired
+            and self._synced == candidates.base
             and candidates.added is not None
         ):
             removed, added = candidates.removed, candidates.added
         else:
-            entries = self._entries
+            diffed = True
             listed = {candidate.parts: candidate for candidate in candidates}
-            removed = {
+            removed = [
                 parts
-                for parts, entry in entries.items()
-                if listed.get(parts) != entry.candidate
-            }
+                for parts in sizes
+                if parts not in listed
+                or (parts in entries and entries[parts].candidate != listed[parts])
+            ]
+            gone = set(removed)
             added = [
                 candidate
                 for parts, candidate in listed.items()
-                if parts not in entries or parts in removed
+                if parts not in sizes or parts in gone
             ]
+        self._weights = weights
         self._synced = None if pool is None else (pool, version)
+        if paired:
+            self._candidate_of = pool.candidate
+        else:
+            if listed is None:
+                listed = {candidate.parts: candidate for candidate in candidates}
+            self._candidate_of = listed.__getitem__
 
-        entries = self._entries
         for parts in removed:
             self._remove(parts)
-        by_name = self._by_name
+        touched, self._touched = self._touched, set()
+        fresh = [candidate.parts for candidate in added]
         resized: Set[Tuple[str, ...]] = set()
-        for name in self._touched:
-            resized.update(by_name.get(name, ()))
-        self._touched = set()
-        resized_entries = [entries[parts] for parts in resized]
-        fresh = [self._add(candidate) for candidate in added]
-        if len(entries) != len(candidates):
-            raise RuntimeError("lazy queue out of step with its candidates")
-
-        sizing = fresh + resized_entries
-        sizes, sizes_fallback = scorer.candidate_sizes(
-            [entry.candidate.parts for entry in sizing]
-        )
+        if touched and sizes:
+            if paired:
+                for name in touched:
+                    resized.update(pool.mentioning(name))
+                resized.difference_update(fresh)
+            else:
+                resized.update(
+                    parts for parts in sizes if not touched.isdisjoint(parts)
+                )
+        sizing = fresh + list(resized)
+        measured, sizes_fallback = scorer.candidate_sizes(sizing)
+        self.last_sized = len(sizing)
         offset = self._offset
         floor = self._floor
         keeps = None if scorer.merges_keep_distance else scorer.keeps_distance
+        candidate_of = self._candidate_of
         items = []
-        for entry, size in zip(sizing, sizes):
-            entry.base = size - offset
-            items.append(self._item(entry, floor, keeps))
-        heap = self._heap
-        if len(items) > len(heap):
-            heap.extend(items)
-            heapq.heapify(heap)
+        for index, (parts, size) in enumerate(zip(sizing, measured)):
+            base = size - offset
+            if index < len(fresh):
+                if parts in sizes:
+                    raise RuntimeError(f"candidate {parts} queued twice")
+                cost = added[index].proposal.taxonomy_cost
+            else:
+                entry = entries.get(parts)
+                if entry is not None:
+                    entry.base = sizes[parts] = base
+                    heapq.heappush(self._heap, self._item(entry, floor, keeps))
+                    continue
+                if sizes[parts] == base:
+                    continue
+                cost = candidate_of(parts).proposal.taxonomy_cost
+            sizes[parts] = base
+            items.append((base, cost, parts))
+        if len(sizes) != len(candidates):
+            raise RuntimeError("lazy queue out of step with its candidates")
+        sized = self._sized
+        if diffed:
+            # A listed candidate may have changed under the same parts:
+            # key every size-only item by the current one.
+            self._sized = [
+                (base, candidate_of(parts).proposal.taxonomy_cost, parts)
+                for parts, base in sizes.items()
+                if parts not in entries
+            ]
+            heapq.heapify(self._sized)
+        elif len(items) > len(sized):
+            sized.extend(items)
+            heapq.heapify(sized)
         else:
             for item in items:
-                heapq.heappush(heap, item)
-        return len(resized_entries), sizes_fallback
+                heapq.heappush(sized, item)
+        self._compact()
+        return len(resized), sizes_fallback
 
-    def _reset_queue(self, expression, weights: Tuple[float, float, int]) -> None:
+    def _reset_queue(self, expression) -> None:
         """Start an empty queue for ``expression``."""
         self._invalidate_carry()
         self._queue_expr = expression
-        self._weights = weights
-
-    def _add(self, candidate: Candidate) -> "_Entry":
-        parts = candidate.parts
-        if parts in self._entries:
-            raise RuntimeError(f"candidate {parts} queued twice")
-        entry = self._entries[parts] = _Entry(candidate)
-        by_name = self._by_name
-        for name in parts:
-            holders = by_name.get(name)
-            if holders is None:
-                by_name[name] = {parts}
-            else:
-                holders.add(parts)
-        self._n_unscored += 1
-        return entry
 
     def _remove(self, parts: Tuple[str, ...]) -> None:
-        entry = self._entries.pop(parts)
-        by_name = self._by_name
-        for name in parts:
-            holders = by_name.get(name)
-            if holders is not None:
-                holders.discard(parts)
-                if not holders:
-                    del by_name[name]
-        if entry.estimate is None:
-            self._n_unscored -= 1
+        del self._sizes[parts]
+        entry = self._entries.pop(parts, None)
+        if entry is not None and entry.estimate is not None:
+            self._n_scored -= 1
+
+    def _compact(self) -> None:
+        """Rebuild a heap from its live items once its dead items
+        outnumber its live entries.  Dropped and re-sized candidates
+        leave dead items behind, and a queue carried from run to run
+        would otherwise keep them until they surface."""
+        sizes = self._sizes
+        entries = self._entries
+        if len(self._sized) > 2 * (len(sizes) - len(entries)):
+            live = {
+                item[2]: item
+                for item in self._sized
+                if item[2] not in entries and sizes.get(item[2]) == item[0]
+            }
+            self._sized = list(live.values())
+            heapq.heapify(self._sized)
+        if len(self._heap) > 2 * len(entries):
+            self._heap = [
+                item
+                for item in self._heap
+                if item[2] in entries and entries[item[2]].stamp == item[3]
+            ]
+            heapq.heapify(self._heap)
 
     def _push(self, entry: "_Entry", floor: float, keeps) -> None:
         """Key ``entry`` under the current floor and push it."""
@@ -855,15 +1005,17 @@ class ScoringEngine:
             _SCORING_FALLBACKS.inc()
 
     def _invalidate_carry(self) -> None:
+        self._sizes = {}
+        self._sized = []
         self._entries = {}
         self._heap = []
-        self._by_name = {}
+        self._candidate_of = None
         self._queue_expr = None
         self._weights = None
         self._offset = 0
         self._touched = set()
         self._synced = None
-        self._n_unscored = 0
+        self._n_scored = 0
         self._floor = 0.0
         self._pending_floor = None
 
@@ -879,8 +1031,31 @@ def _bound(entry: "_Entry", floor: float, keeps) -> float:
     return bound
 
 
+def _size_key(w_size: float, base: int, original_size: int) -> float:
+    """A size-only item's key: :meth:`ScoringEngine._item`'s with a
+    zero bound."""
+    r_size = base / original_size if original_size else 0.0
+    return w_size * r_size - _STALE_MARGIN
+
+
+def _changed_terms(old, new) -> Tuple[Set[Optional[str]], int]:
+    """What an expression change did to candidate sizes: the names and
+    groups of the terms one expression has and the other lacks (by
+    structure -- names, guards, group; values never enter a size), and
+    the expression's size change."""
+    old_keys = {(term.annotations, term.guards, term.group) for term in old.terms}
+    new_keys = {(term.annotations, term.guards, term.group) for term in new.terms}
+    touched: Set[Optional[str]] = set()
+    for annotations, guards, group in old_keys ^ new_keys:
+        touched.update(annotations)
+        touched.add(group)
+        for guard in guards:
+            touched.update(guard.annotations)
+    return touched, new.size() - old.size()
+
+
 class _Entry:
-    """One candidate in the lazy queue.
+    """One candidate in the lazy queue keyed beyond its size.
 
     ``base + offset`` is its exact size; ``estimate`` its last measured
     distance (``None`` if never scored), ``scored`` the lazy step that
@@ -890,10 +1065,26 @@ class _Entry:
 
     __slots__ = ("candidate", "base", "estimate", "scored", "bound", "stamp")
 
-    def __init__(self, candidate: Candidate):
+    def __init__(self, candidate: Candidate, base: int):
         self.candidate = candidate
-        self.base = 0
+        self.base = base
         self.estimate: Optional[DistanceEstimate] = None
         self.scored = 0
         self.bound = 0.0
         self.stamp = 0
+
+
+class QueueState(NamedTuple):
+    """A lazy queue's sizes, carried to the next run (size-only).
+
+    ``sizes`` maps every candidate of the pool version ``synced`` to its
+    base size and ``sized`` is their heap of ``(base, taxonomy cost,
+    parts)`` items; ``base + offset`` is each candidate's exact size on
+    the expression the queue was taken on.  No estimate, weight,
+    original size or scorer enters it.
+    """
+
+    sizes: Dict[Tuple[str, ...], int]
+    sized: List[tuple]
+    offset: int
+    synced: Tuple[object, int]

@@ -33,17 +33,26 @@ proposal per same-domain annotation, whatever the pool's size.
 length is kept as a count, and the list itself -- each domain's block
 in seed-name order, the blocks in domain order (smallest member name
 first), finalized through the *same* dedupe code -- is built only when
-a caller reads it (the full-rank path, beam search, the repair
-snapshot).  It is identical to a fresh
+a caller reads it (the full-rank path, beam search, a fresh lazy
+queue).  It is identical to a fresh
 :func:`~repro.core.candidates.enumerate_candidates` call, candidate for
 candidate and in order (asserted by ``tests/core/test_candidate_pool``).
-After a pair-merge advance the set also carries the step's delta --
-the parts dropped and the candidates added -- which the scoring
-engine's lazy queue applies instead of reading the list.
+After a pair-merge advance or an ingest the set also carries the
+change -- the parts dropped and the candidates added -- which the
+scoring engine's lazy queue applies instead of reading the list.
+
+Across a streaming ingest the pool is carried whole: a summarization
+run keeps its step-0 pool in the repair state and advances a fork of
+it (:meth:`CandidatePool.child`), so the next run's :meth:`ingest`
+edits the step-0 version through the name index, in proportion to the
+delta's names.
 
 Robustness: any maintenance failure invalidates the pool, and the next
 :meth:`candidates` call falls back to a full fresh enumeration -- the
-same contract the scoring engine's fast paths follow.
+same contract the scoring engine's fast paths follow.  Each such
+failure is counted (:attr:`CandidatePool.fallbacks`,
+``prox_pool_fallbacks_total``), so a broken maintenance path shows up
+instead of hiding behind a correct re-enumeration.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..observability import metrics as _metrics
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from .candidates import (
     Candidate,
@@ -63,6 +73,14 @@ from .candidates import (
 from .constraints import MergeConstraint
 
 Seed = Tuple[str, ...]
+#: ``(pool, version)``: one version of one pool's candidate set.
+Version = Tuple["CandidatePool", int]
+
+_POOL_FALLBACKS = _metrics.counter(
+    "prox_pool_fallbacks_total",
+    "Candidate-pool maintenance failures (advance or ingest) that "
+    "invalidated the pool, so the next step re-enumerated.",
+)
 
 
 class CandidateSet(Sequence):
@@ -70,9 +88,11 @@ class CandidateSet(Sequence):
 
     ``len`` is the pool's count; the list is built on the first read
     and must be read before the pool advances.  ``removed`` (parts)
-    and ``added`` (candidates) are the change from the pool version
-    ``base``; ``added`` is ``None`` when the pool cannot name the change
-    (a rebuild, an ``arity > 2`` pool, two advances between reads).
+    and ``added`` (candidates) are the change from ``base``, the
+    ``(pool, version)`` it was made from -- this pool's previous
+    version, or its parent's for a :meth:`CandidatePool.child`;
+    ``added`` is ``None`` when the pool cannot name the change (a
+    rebuild, an ``arity > 2`` pool, two changes between reads).
     """
 
     __slots__ = ("pool", "version", "base", "removed", "added", "_size", "_list")
@@ -83,13 +103,13 @@ class CandidateSet(Sequence):
         version: int,
         size: int,
         listed: Optional[List[Candidate]] = None,
-        delta: Optional[Tuple[int, List[Seed], List[Candidate]]] = None,
+        delta: Optional[Tuple[Version, List[Seed], List[Candidate]]] = None,
     ):
         self.pool = pool
         self.version = version
         self._size = size
         self._list = listed
-        self.base: Optional[int] = None
+        self.base: Optional[Version] = None
         self.removed: Sequence[Seed] = ()
         self.added: Optional[List[Candidate]] = None
         if delta is not None:
@@ -130,8 +150,9 @@ class CandidatePool:
         #: pair.  ``None`` means the next :meth:`candidates` call
         #: re-enumerates.
         self._blocks: Optional[Dict[str, Dict[Seed, Candidate]]] = None
-        #: Name → seeds of the raw candidates whose parts mention it.
-        self._holders: Dict[str, Set[Seed]] = {}
+        #: Name → seeds of the raw candidates whose parts mention it
+        #: (lists: a carried pool lives as long as its session).
+        self._holders: Dict[str, List[Seed]] = {}
         #: Current annotation names of each domain, sorted.
         self._members: Dict[str, List[str]] = {}
         self._count = 0
@@ -141,12 +162,17 @@ class CandidatePool:
         self._expression: object = None
         #: Bumped by every change of the candidate set.
         self._version = 0
-        #: ``(base version, removed parts, added)`` of the last pair-merge
-        #: advance, while it is the latest change.
-        self._delta: Optional[Tuple[int, List[Seed], List[Candidate]]] = None
+        #: ``(base, removed parts, added)`` of the last pair-pool
+        #: advance or ingest, while it is the latest change.
+        self._delta: Optional[Tuple[Version, List[Seed], List[Candidate]]] = None
+        #: The parent version a :meth:`child` copy was made from; its
+        #: first advance names its change against it.
+        self._origin: Optional[Version] = None
         #: Telemetry: steps whose list was maintained vs. re-enumerated.
         self.maintained_steps = 0
         self.rebuilt_steps = 0
+        #: Maintenance failures that invalidated the pool.
+        self.fallbacks = 0
 
     # -- public API --------------------------------------------------------------
 
@@ -171,6 +197,16 @@ class CandidatePool:
             ]
         return self._ordered
 
+    def candidate(self, parts: Seed) -> Candidate:
+        """The pair candidate merging ``parts`` (``arity == 2`` only,
+        where the parts are the seed)."""
+        return self._blocks[self.universe[parts[0]].domain][parts]
+
+    def mentioning(self, name: str) -> Sequence[Seed]:
+        """Seeds of the carried candidates whose parts mention ``name``
+        (the parts themselves when ``arity == 2``); read-only."""
+        return self._holders.get(name, ())
+
     def candidates(self, expression) -> CandidateSet:
         """The step's candidate list for ``expression``.
 
@@ -193,16 +229,16 @@ class CandidatePool:
     def advance(self, parts: Sequence[str], new_name: str, new_expression) -> None:
         """Maintain the pool past the applied merge ``parts → new_name``.
 
-        A failed maintenance is never fatal: the pool is invalidated
-        and the next step re-enumerates.
+        A failed maintenance is never fatal: the pool is invalidated,
+        the failure counted, and the next step re-enumerates.
         """
+        base, self._origin = self._origin or (self, self._version), None
         if self._blocks is None:
             return
-        base = self._version
         try:
             removed, added = self._maintain(tuple(parts), new_name, new_expression)
         except Exception:
-            self.invalidate()
+            self._fail()
             return
         self._expression = new_expression
         self._changed()
@@ -215,114 +251,130 @@ class CandidatePool:
         self._expression = None
         self._changed()
 
-    def seed(self, raw: Sequence[Candidate], expression) -> None:
-        """Adopt a carried raw list (cross-run repair state)."""
-        self._adopt(raw, annotations_by_domain(expression, self.universe))
-        self._expression = expression
-
-    def raw_snapshot(self, expression) -> Optional[List[Candidate]]:
-        """Copy of the raw list, if it was maintained for ``expression``."""
-        if self._blocks is None or self._expression is not expression:
-            return None
-        return list(self._raw())
-
     def ingest(self, new_expression) -> int:
         """Maintain the carried list across a streaming provenance delta.
 
         Unlike :meth:`advance` (one applied merge), an ingest may add
         *and* remove several annotations at once: delta annotations
-        arrive, and equivalence summaries whose class gained a member
-        are replaced by new ones.  The carried list is edited to match
-        a fresh enumeration of ``new_expression`` exactly:
+        arrive, and equivalence summaries whose class changed are
+        replaced by new ones.  The list is edited through the name
+        index to match a fresh enumeration of ``new_expression``
+        exactly, touching only what the changed names reach:
 
         * candidates whose seed pair mentions a removed annotation are
-          dropped (every surviving pair is already in the list, so no
+          dropped (every surviving pair is already carried, so no
           replacement pair is lost);
         * candidates whose ``arity > 2`` extension mentions a removed
           annotation, or whose greedy chain an added annotation would
           join, are re-proposed from their seed;
-        * the pairs involving added annotations are proposed fresh and
-          inserted at their seed-name positions.
+        * the pairs involving added annotations are proposed against
+          their domain's sorted members.
 
-        Returns the number of carried entries invalidated (dropped or
-        re-proposed) -- the ``prox_repair_invalidated_total`` count.
-        On any failure the pool is invalidated and the next
+        Like a pair-merge advance, a pair pool reports the change to
+        the next :meth:`candidates` set (dropped parts, added
+        candidates).  Returns the number of carried entries
+        invalidated (dropped or re-proposed) -- the
+        ``prox_repair_invalidated_total`` count.  On any failure the
+        pool is invalidated and counted, and the next
         :meth:`candidates` call re-enumerates (the usual contract).
         """
         if self._blocks is None or self._expression is None:
             self.invalidate()
             return 0
+        base = (self, self._version)
         try:
-            invalidated = self._ingest_maintain(new_expression)
+            removed, added, invalidated = self._ingest_maintain(new_expression)
         except Exception:
             invalidated = self.size()
-            self.invalidate()
+            self._fail()
             return invalidated
         self._expression = new_expression
+        self._changed()
+        if self.arity == 2:
+            self._delta = (base, removed, added)
         return invalidated
 
-    def _ingest_maintain(self, new_expression) -> int:
+    def _ingest_maintain(
+        self, new_expression
+    ) -> Tuple[List[Seed], List[Candidate], int]:
         universe = self.universe
-        old_names = frozenset(self._expression.annotation_names())
-        new_names = frozenset(new_expression.annotation_names())
-        added = new_names - old_names
-        removed = old_names - new_names
-        by_domain = annotations_by_domain(new_expression, universe)
-        added_by_domain: dict = {}
-        for name in added:
-            annotation = universe[name]
-            if self.constraint.merges_domain(annotation.domain):
-                added_by_domain.setdefault(annotation.domain, []).append(annotation)
+        old_names = self._expression.annotation_names()
+        new_names = new_expression.annotation_names()
+        removed_names = old_names - new_names
+        added_by_domain: Dict[str, List[str]] = {}
+        for name in removed_names:
+            self._members[universe[name].domain].remove(name)
+        for name in sorted(new_names - old_names):
+            domain = universe[name].domain
+            bisect.insort(self._members.setdefault(domain, []), name)
+            if self.constraint.merges_domain(domain):
+                added_by_domain.setdefault(domain, []).append(name)
 
-        invalidated = 0
-        raw: List[Candidate] = []
-        for candidate in self._raw():
-            seed = candidate.parts[:2]
-            domain = universe[seed[0]].domain
-            joining = added_by_domain.get(domain, ()) if self.arity > 2 else ()
-            if removed.intersection(candidate.parts):
-                invalidated += 1
-                if removed.intersection(seed):
-                    continue
-                raw.append(self._repropose(seed, by_domain[domain]))
-            elif any(
-                self._joins_extension(candidate, annotation) for annotation in joining
-            ):
-                invalidated += 1
-                raw.append(self._repropose(seed, by_domain[domain]))
-            else:
-                raw.append(candidate)
+        removed: List[Seed] = []
+        repropose: List[Seed] = []
+        touched: Set[Seed] = set()
+        for name in removed_names:
+            touched.update(self._holders.pop(name, ()))
+        for seed in touched:
+            removed.append(self._drop(self._block_of(seed), seed).parts)
+            if removed_names.isdisjoint(seed):
+                # Only extension members left: the seed pair is still
+                # proposed fresh, with a new greedy extension.
+                repropose.append(seed)
+        if self.arity > 2:
+            for domain, names in added_by_domain.items():
+                block = self._blocks.get(domain, {})
+                joining = [universe[name] for name in names]
+                for seed, candidate in list(block.items()):
+                    if any(
+                        self._joins_extension(candidate, annotation)
+                        for annotation in joining
+                    ):
+                        removed.append(self._drop(block, seed).parts)
+                        repropose.append(seed)
+        invalidated = len(removed)
 
+        added: List[Candidate] = []
+        for seed in repropose:
+            candidate = self._repropose(seed, self._domain_annotations(seed))
+            self._insert(self._block_of(seed), candidate)
+            added.append(candidate)
         for domain, fresh in added_by_domain.items():
-            domain_annotations = by_domain.get(domain, [])
+            members = self._members[domain]
+            domain_annotations: Sequence[Annotation] = ()
+            if self.arity > 2:
+                domain_annotations = [universe[name] for name in members]
             pairs = {
-                tuple(sorted((annotation.name, other.name)))
-                for annotation in fresh
-                for other in domain_annotations
-                if other.name != annotation.name
+                (name, other) if name < other else (other, name)
+                for name in fresh
+                for other in members
+                if other != name
             }
-            for first_name, second_name in sorted(pairs):
+            block = self._blocks.setdefault(domain, {})
+            for first, second in sorted(pairs):
                 candidate = propose_candidate(
-                    universe[first_name],
-                    universe[second_name],
+                    universe[first],
+                    universe[second],
                     domain_annotations,
                     self.constraint,
                     self.arity,
                 )
                 if candidate is not None:
-                    raw.append(candidate)
-        self._adopt(raw, by_domain)
-        return invalidated
+                    self._insert(block, candidate)
+                    added.append(candidate)
+        return removed, added, invalidated
 
     def child(self, parts: Sequence[str], new_name: str, new_expression) -> "CandidatePool":
-        """An advanced copy, leaving this pool untouched (beam search)."""
+        """An advanced copy, leaving this pool untouched (beam search,
+        and every greedy run past its carried step-0 pool).  The copy's
+        first candidate set names its change against this version."""
         twin = CandidatePool(self.universe, self.constraint, arity=self.arity)
         if self._blocks is not None:
             twin._blocks = {
                 domain: dict(block) for domain, block in self._blocks.items()
             }
             twin._holders = {
-                name: set(seeds) for name, seeds in self._holders.items()
+                name: list(seeds) for name, seeds in self._holders.items()
             }
             twin._members = {
                 domain: list(names) for domain, names in self._members.items()
@@ -330,6 +382,7 @@ class CandidatePool:
             twin._count = self._count
             twin._ordered = self._ordered
             twin._expression = self._expression
+        twin._origin = (self, self._version)
         twin.advance(parts, new_name, new_expression)
         return twin
 
@@ -339,6 +392,24 @@ class CandidatePool:
         self._version += 1
         self._ordered = None
         self._delta = None
+
+    def _fail(self) -> None:
+        """Count a maintenance failure and fall back to re-enumeration."""
+        self.fallbacks += 1
+        if _metrics.ENABLED:
+            _POOL_FALLBACKS.inc()
+        self.invalidate()
+
+    def _block_of(self, seed: Seed) -> Dict[Seed, Candidate]:
+        return self._blocks[self.universe[seed[0]].domain]
+
+    def _domain_annotations(self, seed: Seed) -> List[Annotation]:
+        """The seed's domain members, name-sorted (the extension pool)."""
+        universe = self.universe
+        return [
+            universe[name]
+            for name in self._members[universe[seed[0]].domain]
+        ]
 
     def _rebuild(self, expression) -> None:
         by_domain = annotations_by_domain(expression, self.universe)
@@ -373,9 +444,9 @@ class CandidatePool:
         for name in candidate.parts:
             seeds = holders.get(name)
             if seeds is None:
-                holders[name] = {seed}
+                holders[name] = [seed]
             else:
-                seeds.add(seed)
+                seeds.append(seed)
         self._count += 1
 
     def _drop(self, block: Dict[Seed, Candidate], seed: Seed) -> Candidate:
@@ -384,7 +455,7 @@ class CandidatePool:
         for name in candidate.parts:
             seeds = holders.get(name)
             if seeds is not None:
-                seeds.discard(seed)
+                seeds.remove(seed)
         self._count -= 1
         return candidate
 

@@ -18,8 +18,11 @@ This module gives those events a first-class shape:
   prefix-stability the equivalence-partition repair keys on).
 * :class:`SummaryRepairState` -- what one summarization run hands the
   next so it can *repair* rather than recompute: the equivalence
-  partition (per-annotation truth signatures) and the step-0 candidate
-  pool.
+  partition (per-annotation truth signatures), the step-0 candidate
+  pool and the step-0 lazy-queue sizes.  The next run edits the pool
+  through its name index and the sizes through the delta's changed
+  terms, so a repaired step 0 costs what the delta touched rather than
+  what the pool holds.
 
 The repair contract, proven by ``tests/core/test_streaming_repair.py``
 over a differential grid: a repaired run's output -- expression,
@@ -160,15 +163,26 @@ class SummaryRepairState:
       original annotations and valuations
       (:class:`~repro.core.equivalence.EquivalencePartition`);
     * ``expression`` -- the step-0 expression (post equivalence
-      grouping) the pool was derived against;
-    * ``pool_raw`` -- the raw step-0 candidate list in fresh-generation
-      order (``None`` when the run used no pool or never reached the
-      greedy loop).
+      grouping) the pool and queue describe;
+    * ``pool`` -- the step-0 :class:`~repro.core.pool.CandidatePool`
+      itself: the run's greedy steps advanced a fork of it
+      (:meth:`~repro.core.pool.CandidatePool.child`), so it still holds
+      step 0's candidates, and the next run's
+      :meth:`~repro.core.pool.CandidatePool.ingest` edits it for the
+      delta's names (``None`` when the run never measured a step);
+    * ``queue`` -- the step-0 lazy queue's sizes
+      (:class:`~repro.core.engine.QueueState`), size-only: the next
+      run shifts them by the expression's size change and re-sizes
+      only the candidates the delta's changed terms touch (``None``
+      when step 0 ran no lazy queue).
 
-    The state holds live in-memory objects and is intentionally not
-    serialized; a resumed session rebuilds it on its first run.
+    A state is consumed once: the run that repairs from it takes the
+    pool and queue out and edits them, and its own result carries the
+    next state.  It holds live in-memory objects and is intentionally
+    not serialized; a resumed session rebuilds it on its first run.
     """
 
     partition: Optional[EquivalencePartition] = None
     expression: Optional[object] = None
-    pool_raw: Optional[list] = None
+    pool: Optional[object] = None
+    queue: Optional[object] = None

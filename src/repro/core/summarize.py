@@ -43,7 +43,8 @@ from ..observability import slo as _slo
 from ..observability import tracing as _tracing
 from ..provenance.annotations import AnnotationUniverse
 from .distance import DistanceComputer, DistanceEstimate
-from .engine import ScoringEngine, _OverlayUniverse  # noqa: F401  (re-export)
+from .engine import QueueState, ScoringEngine
+from .engine import _OverlayUniverse  # noqa: F401  (re-export)
 from .equivalence import EquivalencePartition, compute_partition, group_equivalent
 from .mapping import MappingState
 from .pool import CandidatePool
@@ -97,6 +98,10 @@ class StepRecord:
     #: ranking; only the popped stale queue heads under lazy
     #: selection); -1 in records predating the carry.
     n_rescored: int = -1
+    #: Candidate sizes the lazy queue computed this step (new and
+    #: re-sized candidates; every other size was carried); -1 when
+    #: the step did not run the lazy queue.
+    n_sized: int = -1
 
     @property
     def step_mapping(self) -> Dict[str, str]:
@@ -137,6 +142,9 @@ class SummarizationResult:
     #: the naive reference (``ScoringEngine.fallback_count``); a
     #: healthy run reports 0.
     scoring_fallbacks: int = 0
+    #: Candidate-pool maintenance failures (an advance or the ingest
+    #: raised, so the pool re-enumerated); a healthy run reports 0.
+    pool_fallbacks: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -257,24 +265,33 @@ class Summarizer:
             rng=self._rng,
         )
         engine = ScoringEngine(problem, config, computer)
-        # Cross-step candidate pool: after a merge {a, b} → c only the
-        # candidates mentioning a/b/c change, so the pool maintains
-        # the list in place of a fresh O(n²) re-enumeration.  The
-        # maintained list is identical to enumerate_candidates' -- see
-        # core.pool.
-        pool = CandidatePool(
-            problem.universe,
-            problem.constraint,
-            arity=config.merge_arity,
-        )
 
         # Streaming repair: a state captured by a previous run over the
         # pre-delta problem lets this run repair -- partition, pool and
-        # step-0 measurements are delta-updated instead of recomputed.
+        # step-0 queue sizes are delta-updated instead of recomputed.
         # Every repaired artifact is bit-identical to its from-scratch
         # counterpart (differential-tested), so the rest of the run is
-        # oblivious to how step 0 came to be.
+        # oblivious to how step 0 came to be.  The state is consumed:
+        # this run edits its pool and queue.
         state = self.repair_from
+        pool: Optional[CandidatePool] = None
+        queue: Optional[QueueState] = None
+        if state is not None:
+            pool, queue = state.pool, state.queue
+            state.pool = state.queue = None
+        if pool is None:
+            # Cross-step candidate pool: after a merge {a, b} → c only
+            # the candidates mentioning a/b/c change, so the pool
+            # maintains the list in place of a fresh O(n²)
+            # re-enumeration.  The maintained list is identical to
+            # enumerate_candidates' -- see core.pool.
+            pool = CandidatePool(
+                problem.universe,
+                problem.constraint,
+                arity=config.merge_arity,
+            )
+        # A carried pool's count includes earlier runs' failures.
+        carried_fallbacks = pool.fallbacks
 
         current = original
         equivalence_merges = 0
@@ -300,15 +317,15 @@ class Summarizer:
 
         repaired = state is not None
         repair_invalidated = 0
-        if (
-            state is not None
-            and state.expression is not None
-            and state.pool_raw is not None
-        ):
-            pool.seed(state.pool_raw, state.expression)
+        if state is not None and state.expression is not None:
             repair_invalidated = pool.ingest(current)
             if _metrics.ENABLED and repair_invalidated:
                 _REPAIR_INVALIDATED.inc(repair_invalidated)
+            if queue is not None:
+                engine.resume(queue, state.expression, current)
+        # The greedy steps advance a fork of the step-0 pool, which the
+        # next run's repair state carries.
+        step0_pool = pool
 
         new_state: Optional[SummaryRepairState] = None
         steps: List[StepRecord] = []
@@ -348,17 +365,12 @@ class Summarizer:
                 step_started = time.perf_counter()
                 if uncarried is not None:
                     engine.advance(*uncarried, current, mapping)
-                    pool.advance(*uncarried, current)
+                    if pool is step0_pool:
+                        pool = pool.child(*uncarried, current)
+                    else:
+                        pool.advance(*uncarried, current)
                     uncarried = None
                 candidates = pool.candidates(current)
-                if new_state is None:
-                    # Step-0 capture: the raw candidate list a future
-                    # repaired run seeds its pool from.
-                    new_state = SummaryRepairState(
-                        partition=partition,
-                        expression=current,
-                        pool_raw=pool.raw_snapshot(current),
-                    )
                 if not candidates:
                     stop_reason = "exhausted"
                     break
@@ -385,6 +397,15 @@ class Summarizer:
                         original_size=original.size(),
                         strategy=config.scoring,
                     )[0]
+                if new_state is None:
+                    # Step-0 capture: the pool this step read and the
+                    # queue's sizes, for a future repaired run.
+                    new_state = SummaryRepairState(
+                        partition=partition,
+                        expression=current,
+                        pool=step0_pool,
+                        queue=engine.snapshot(candidates),
+                    )
 
                 summary_parts = [problem.universe[name] for name in best.candidate.parts]
                 summary = problem.universe.new_summary(
@@ -411,6 +432,7 @@ class Summarizer:
                         step_seconds=time.perf_counter() - step_started,
                         scoring_path=engine.last_path,
                         n_rescored=engine.last_rescored,
+                        n_sized=engine.last_sized,
                     )
                 )
                 step_span.set("step", len(steps))
@@ -421,10 +443,13 @@ class Summarizer:
                 step_span.set("scoring_path", engine.last_path)
 
         if new_state is None:
-            # The greedy loop never ran (bound already met / nothing to
-            # merge): carry the partition so later deltas still repair
-            # the equivalence grouping.
+            # The greedy loop never measured (bound already met /
+            # nothing to merge): carry the partition so later deltas
+            # still repair the equivalence grouping.
             new_state = SummaryRepairState(partition=partition, expression=current)
+        pool_fallbacks = step0_pool.fallbacks - carried_fallbacks
+        if pool is not step0_pool:
+            pool_fallbacks += pool.fallbacks
 
         # After a target_dist revert the popped step is gone, so the
         # last kept step describes the expression the run returns.
@@ -440,6 +465,7 @@ class Summarizer:
             run_span.set("equivalence_merges", equivalence_merges)
             run_span.set("scoring_path_counts", dict(engine.path_counts))
             run_span.set("scoring_fallbacks", engine.fallback_count)
+            run_span.set("pool_fallbacks", pool_fallbacks)
             run_span.set("distance_stats", computer.stats.as_dict())
             run_span.set("epsilon", config.epsilon)
             run_span.set("delta", config.delta)
@@ -463,6 +489,7 @@ class Summarizer:
             repair_invalidated=repair_invalidated,
             repair_state=new_state,
             scoring_fallbacks=engine.fallback_count,
+            pool_fallbacks=pool_fallbacks,
         )
 
 

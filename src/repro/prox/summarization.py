@@ -141,9 +141,9 @@ class SummarizationService:
     def pool_size(self) -> int:
         """Carried step-0 candidate-pool entries (resource accounting)."""
         state = self.repair_state
-        if state is None or state.pool_raw is None:
+        if state is None or state.pool is None:
             return 0
-        return len(state.pool_raw)
+        return state.pool.size()
 
     def _apply_extensions(self, valuations: ValuationClass) -> ValuationClass:
         """The class with cumulative extensions and extra valuations
@@ -228,6 +228,9 @@ class SummarizationService:
             seed,
         )
         repair_from = self.repair_state if key == self._repair_key else None
+        # The run consumes the state: if it raises, the next run
+        # recomputes from scratch.
+        self.repair_state = None
         flipped = {
             label: tuple(sorted(names))
             for label, names in self._pending_flips.items()

@@ -30,6 +30,7 @@ from repro.core import (
     Summarizer,
     enumerate_candidates,
 )
+from repro.core.engine import _size_key
 from repro.core.fast_distance import FastStepScorer
 from repro.datasets import MovieLensConfig, generate_movielens
 from repro.provenance import (
@@ -115,15 +116,24 @@ def _merge(problem, current, mapping, parts):
 
 def queue_keys(engine, scorer, candidates, w_dist, w_size, original_size):
     """The lazy queue's key per candidate, brought to ``candidates``:
-    each live heap item's key plus the size term every entry shares
+    each live item's key -- an entry's heap key, or a size-only item's
+    key from its base -- plus the size term every entry shares
     (``w_size · offset / original_size``, left out of the keys)."""
     engine._sync(scorer, candidates, (w_dist, w_size, original_size))
     shared = w_size * engine._offset / original_size
-    return {
+    entries = engine._entries
+    keys = {
         parts: key + shared
         for key, _, parts, stamp in engine._heap
-        if parts in engine._entries and engine._entries[parts].stamp == stamp
+        if parts in entries and entries[parts].stamp == stamp
     }
+    keys.update(
+        (parts, _size_key(w_size, base, original_size) + shared)
+        for base, _, parts in engine._sized
+        if parts not in entries and engine._sizes.get(parts) == base
+    )
+    assert keys.keys() == engine._sizes.keys()
+    return keys
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
@@ -290,7 +300,7 @@ def test_negated_guard_can_lower_the_distance():
         engine.advance(parts, new_name, current, mapping)
         distances.append(computer.exact(current, mapping).value)
     assert distances == [0.0, 2.0, 0.5]
-    assert engine._entries == {}
+    assert engine._entries == {} and engine._sizes == {}
 
 
 @pytest.mark.parametrize("val_func", sorted(VAL_FUNCS))

@@ -1063,15 +1063,17 @@ def size_carry_spy(monkeypatch):
     original_select = ScoringEngine._lazy_select
 
     def spy_select(self, scorer, candidates, *args, **kwargs):
-        carried = self._entries if self._queue_expr is scorer.current else {}
+        carried = self._sizes if self._queue_expr is scorer.current else {}
         survivors = [c.parts for c in candidates if c.parts in carried]
         moved = sum(1 for parts in survivors if scorer.size_intersects(parts))
         outcome = original_select(self, scorer, candidates, *args, **kwargs)
         assert outcome[3] == moved
         counts["recomputed"] += moved
         counts["shifted"] += len(survivors) - moved
+        for parts, base in self._sizes.items():
+            assert base + self._offset == scorer.candidate_size(parts), parts
         for parts, entry in self._entries.items():
-            assert entry.base + self._offset == scorer.candidate_size(parts), parts
+            assert entry.base == self._sizes[parts], parts
         return outcome
 
     monkeypatch.setattr(ScoringEngine, "_lazy_select", spy_select)

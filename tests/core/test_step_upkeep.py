@@ -380,7 +380,7 @@ def test_later_steps_size_only_the_merge_neighborhood(monkeypatch):
         return original_sizes(self, parts_list)
 
     def spy_measure(self, candidates, current, *args, **kwargs):
-        carried = self._entries if self._queue_expr is current else {}
+        carried = self._sizes if self._queue_expr is current else {}
         scorer = self._scorer
         bound = 0
         for candidate in candidates:

@@ -189,34 +189,48 @@ def test_pool_ingest_matches_fresh_enumeration(seed, arity, n_add, n_remove):
     universe, _, expression = build_pool_instance(seed)
     rng = random.Random(seed ^ 0xBEEF)
     pool = CandidatePool(universe, AllowAll(), arity=arity)
-    pool.candidates(expression)
+    step0 = pool.candidates(expression)
+    carried = list(step0)
+    if carried:
+        # A run's greedy steps advance a fork: the carried step-0 pool
+        # is left as it was.
+        parts = carried[0].parts
+        summary = universe.new_summary([universe[name] for name in parts])
+        step = {name: summary.name for name in parts}
+        pool.child(parts, summary.name, expression.apply_mapping(step))
 
     new_expression, removed = apply_streaming_delta(
         universe, expression, rng, n_add, n_remove
     )
-    carried = pool.raw_snapshot(expression)
     invalidated = pool.ingest(new_expression)
 
     stale = [c for c in carried if removed.intersection(c.parts)]
     assert invalidated >= len(stale)
-    # Soundness: no candidate whose parts mention a removed annotation
-    # survives into the maintained list.
-    maintained_raw = pool.raw_snapshot(new_expression)
-    assert maintained_raw is not None, "ingest invalidated instead of maintaining"
-    assert not any(
-        removed.intersection(candidate.parts) for candidate in maintained_raw
-    )
+    assert pool.fallbacks == 0, "ingest invalidated instead of maintaining"
 
     served = pool.candidates(new_expression)
+    # Soundness: no candidate whose parts mention a removed annotation
+    # survives into the maintained list.
+    assert not any(removed.intersection(candidate.parts) for candidate in served)
     fresh = enumerate_candidates(new_expression, universe, AllowAll(), arity=arity)
     assert [(c.parts, c.proposal.label) for c in served] == [
         (c.parts, c.proposal.label) for c in fresh
     ]
     assert pool.maintained_steps == 1 and pool.rebuilt_steps == 1
+    if arity == 2:
+        # The reported change turns the step-0 set into the served one.
+        assert served.base == (pool, step0.version)
+        kept = {candidate.parts: candidate for candidate in carried}
+        for parts in served.removed:
+            del kept[parts]
+        for candidate in served.added:
+            assert candidate.parts not in kept
+            kept[candidate.parts] = candidate
+        assert sorted(kept.items()) == sorted((c.parts, c) for c in served)
 
 
 def test_pool_ingest_on_cold_pool_is_a_noop():
     universe, _, expression = build_pool_instance(3)
     pool = CandidatePool(universe, AllowAll())
     assert pool.ingest(expression) == 0
-    assert pool.raw_snapshot(expression) is None
+    assert pool.size() == 0 and pool.fallbacks == 0

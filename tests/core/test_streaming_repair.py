@@ -110,11 +110,13 @@ def run_differential(cfg, dcfg, request):
 
 
 def assert_clean(*results):
-    """Each run scored every step on the incremental exact kernel and
-    never fell back to the naive path."""
+    """Each run scored every step on the incremental exact kernel,
+    never fell back to the naive path and never re-enumerated its
+    candidate pool after a maintenance failure."""
     for result in results:
         assert {r.scoring_path for r in result.steps} == {"fast+incremental"}
         assert result.scoring_fallbacks == 0
+        assert result.pool_fallbacks == 0
 
 
 BASE = dict(n_users=24, n_movies=30, seed=3)
@@ -214,23 +216,31 @@ class TestStreamedEqualsFrozen:
 
     def test_repair_actually_engages(self, monkeypatch):
         """Guard against the repair path silently never engaging: the
-        repaired run must seed its candidate pool from the previous
-        run and repair (not rebuild) the equivalence partition."""
+        repaired run must carry the previous run's step-0 pool and
+        queue across the delta and repair (not rebuild) the
+        equivalence partition."""
         from repro.core.pool import CandidatePool
 
-        calls = {"seed": 0, "repair": 0}
-        original_seed = CandidatePool.seed
+        calls = {"ingest": 0, "resume": 0, "repair": 0}
+        original_ingest = CandidatePool.ingest
+        original_resume = ScoringEngine.resume
         original_repair = EquivalencePartition.repair
 
-        def spy_seed(self, *args, **kwargs):
-            calls["seed"] += 1
-            return original_seed(self, *args, **kwargs)
+        def spy_ingest(self, *args, **kwargs):
+            assert self.size() > 0, "the carried pool arrived empty"
+            calls["ingest"] += 1
+            return original_ingest(self, *args, **kwargs)
+
+        def spy_resume(self, *args, **kwargs):
+            calls["resume"] += 1
+            return original_resume(self, *args, **kwargs)
 
         def spy_repair(self, *args, **kwargs):
             calls["repair"] += 1
             return original_repair(self, *args, **kwargs)
 
-        monkeypatch.setattr(CandidatePool, "seed", spy_seed)
+        monkeypatch.setattr(CandidatePool, "ingest", spy_ingest)
+        monkeypatch.setattr(ScoringEngine, "resume", spy_resume)
         monkeypatch.setattr(EquivalencePartition, "repair", spy_repair)
         repaired, from_scratch = run_differential(
             MovieLensConfig(**BASE),
@@ -242,7 +252,7 @@ class TestStreamedEqualsFrozen:
         assert repaired.repaired
         assert repaired.repair_invalidated > 0
         # Only the repaired run consumes a repair state.
-        assert calls == {"seed": 1, "repair": 1}
+        assert calls == {"ingest": 1, "resume": 1, "repair": 1}
 
     def test_failed_carry_during_repair_counts_a_fallback(self, monkeypatch):
         """A scorer that fails to carry past a merge inside a repaired

@@ -408,7 +408,7 @@ def test_score_candidates_spans_explain_size_carry(
         # The carried entries whose terms the last merge touched, by
         # the scorer's own verdict.
         scorer = self._scorer
-        carried = self._entries if self._queue_expr is current else {}
+        carried = self._sizes if self._queue_expr is current else {}
         per_step.append(
             sum(
                 1
